@@ -53,6 +53,7 @@ from .comparison import (
     SummabilityEvidence,
     TriangleGrowth,
     check_summable,
+    first_max,
     log_grid,
     plus_reduce,
 )
@@ -237,7 +238,12 @@ def check_compatibility(cert: IossCertificate, cost: CostSpec, n: TriangleGrowth
                         b_candidates: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
                         rel_tol: float = 1e-9) -> CompatibilityWitness:
     """Find the smallest B from a candidate list dominating all three gain
-    inequalities on the (r, s) grid; report the worst ratio otherwise."""
+    inequalities on the (r, s) grid; report the worst ratio otherwise.
+
+    The worst point of each ratio is the first one in (s, r) order, and a
+    zero cost gain under a nonzero certificate gain ends that gain's scan
+    with an infinite ratio.
+    """
     if cert.mode is not cost.mode:
         raise DomainError("certificate and cost must share one plus mode")
     grid = log_grid(per_decade=8) if r_grid is None else np.asarray(r_grid, dtype=float)
@@ -252,19 +258,20 @@ def check_compatibility(cert: IossCertificate, cost: CostSpec, n: TriangleGrowth
         ratio = 0.0
         worst_pt = (float(grid[0]), 0)
         for s in range(s_max + 1):
-            for r in grid:
-                num = base(n(s) * r, s)
-                den = hat(r, s)
-                if num == 0.0:
-                    continue
-                if den == 0.0:
-                    ratio = math.inf
-                    worst_pt = (float(r), s)
-                    break
-                q = num / den
-                if q > ratio:
-                    ratio = q
-                    worst_pt = (float(r), s)
+            num = base(n(s) * grid, s)
+            den = hat(grid, s)
+            active = num != 0.0
+            unbounded = active & (den == 0.0)
+            if unbounded.any():
+                ratio = math.inf
+                worst_pt = (float(grid[int(np.argmax(unbounded))]), s)
+                break
+            q = np.full(len(grid), -math.inf)
+            np.divide(num, den, out=q, where=active)
+            i, top = first_max(q)
+            if top > ratio:
+                ratio = top
+                worst_pt = (float(grid[i]), s)
             if ratio == math.inf:
                 break
         worst_ratio = max(worst_ratio, ratio)

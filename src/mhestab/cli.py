@@ -2,8 +2,18 @@
 
 Verbs: ``analyze`` (certificate + contraction only), ``run`` (single
 experiment), ``sweep`` (horizon sweep), ``probe`` (deviant-output check).
-Exit codes are part of the contract: 0 pass, 2 configuration or analysis
-failure, 3 solver infeasibility, 4 bound violation.
+Exit codes are part of the contract; every failure maps onto one of them:
+
+==  ===========================================================================
+0   every analysis and margin passed
+2   configuration, fixture or analysis failure: ``ConfigError``,
+    ``AnalysisError``, ``DomainError``, ``CapabilityError`` (a comparison
+    function lacks an operation the run needs), ``HorizonCapError`` (a
+    full-information window beyond ``t_max_fie``)
+3   infeasible or divergent run: ``InfeasibleWindowError``,
+    ``DivergenceError`` (the simulated state left the floats)
+4   bound violation (``BoundViolationError``), worst step in the report
+==  ===========================================================================
 """
 
 from __future__ import annotations
@@ -11,8 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .comparison import DomainError
-from .estimator import InfeasibleWindowError
+from .comparison import CapabilityError, DomainError
+from .estimator import HorizonCapError, InfeasibleWindowError
 from .harness import (
     AnalysisError,
     BoundViolationError,
@@ -23,6 +33,7 @@ from .harness import (
     load_config,
     run_experiment,
 )
+from .systems import DivergenceError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,10 +82,10 @@ def main(argv=None) -> int:
         else:
             summary = deviant_output_probe(config, args.out)
             print(f"probe {summary['status']}: {config.name}")
-    except (ConfigError, AnalysisError, DomainError) as exc:
+    except (ConfigError, AnalysisError, DomainError, CapabilityError, HorizonCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InfeasibleWindowError as exc:
+    except (InfeasibleWindowError, DivergenceError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except BoundViolationError as exc:

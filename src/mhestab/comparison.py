@@ -19,6 +19,7 @@ workers.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -32,6 +33,11 @@ MAX_BISECT = 200          # iteration cap for bisection
 GRID_R_MIN = 1e-9
 GRID_R_MAX = 1e3
 GRID_POINTS_PER_DECADE = 64
+
+# Scalar calls are hot (the estimators evaluate costs and bounds per step), so
+# the argument checks test ``type(r) is float`` before anything else and use
+# this binding rather than the ``np.ndarray`` attribute lookup.
+_ndarray = np.ndarray
 
 
 class DomainError(ValueError):
@@ -76,9 +82,15 @@ def plus_reduce(mode: PlusMode, values: Sequence[float]) -> float:
     return total_sum if mode is PlusMode.SUM else total_max
 
 
-def plus2(mode: PlusMode, a: float, b: float) -> float:
-    """Two-argument form of :func:`plus_reduce`."""
-    return plus_reduce(mode, (a, b))
+def _plus_outer(mode: PlusMode, values: np.ndarray) -> np.ndarray:
+    """The matrix of ``plus_reduce(mode, (values[i], values[j]))``, folded
+    exactly as :func:`plus_reduce` folds the pair."""
+    _check_array(values, "plus_reduce values")
+    a, b = values[:, None], values[None, :]
+    if mode is PlusMode.SUM:
+        return 0.0 + a + b
+    first = np.where(a > 0.0, a, 0.0)
+    return np.where(b > first, b, first)
 
 
 def log_grid(lo: float = GRID_R_MIN, hi: float = GRID_R_MAX,
@@ -89,6 +101,69 @@ def log_grid(lo: float = GRID_R_MIN, hi: float = GRID_R_MAX,
     decades = math.log10(hi / lo)
     n = max(2, int(round(decades * per_decade)) + 1)
     return np.geomspace(lo, hi, n)
+
+
+def _check_array(x, what: str) -> np.ndarray:
+    """An argument array as floats, rejecting negative or NaN entries like
+    the scalar checks do."""
+    x = np.asarray(x, dtype=float)
+    if x.size and not x.min() >= 0:      # the minimum is NaN if any entry is
+        bad = x[~(x >= 0)].flat[0]
+        raise DomainError(f"{what} must be nonnegative, got {bad}")
+    return x
+
+
+def _check_target(y):
+    """Reject negative inverse targets, scalar or array."""
+    if isinstance(y, _ndarray):
+        if np.any(y < 0):
+            raise DomainError("inverse target must be nonnegative")
+    elif y < 0:
+        raise DomainError("inverse target must be nonnegative")
+    return y
+
+
+def _pow(x, p: float):
+    """``x ** p`` with the rounding of the scalar call, elementwise for arrays.
+
+    numpy's vector ``power`` does not round like libm's ``pow`` (they differ
+    in the last bit for some arguments), so array elements go through Python
+    floats.  p = 1 is exact either way and skips the power.
+    """
+    if p == 1.0:
+        return x
+    if isinstance(x, _ndarray):
+        return np.array([v ** p for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    return x ** p
+
+
+def _elementwise(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """Apply a scalar-only operation to each element: the fallback of the
+    bisection inverses, which have no array form."""
+    x = np.asarray(x, dtype=float)
+    return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+def first_min(values: np.ndarray):
+    """``(index, value)`` of the first entry a scan keeping ``v < worst`` from
+    worst = +inf would end on; ``(None, inf)`` when no entry is below +inf.
+    NaN entries never win, as in the scan."""
+    values = np.where(np.isnan(values), math.inf, values)
+    if values.size == 0:
+        return None, math.inf
+    i = int(np.argmin(values))
+    v = float(values.flat[i])
+    return (i, v) if v < math.inf else (None, math.inf)
+
+
+def first_max(values: np.ndarray):
+    """``(index, value)`` of the first largest entry, NaN entries skipped;
+    ``(None, -inf)`` when there is none."""
+    values = np.where(np.isnan(values), -math.inf, values)
+    if values.size == 0:
+        return None, -math.inf
+    i = int(np.argmax(values))
+    return i, float(values.flat[i])
 
 
 def _bisect_inverse(f: Callable[[float], float], y: float,
@@ -120,7 +195,7 @@ def _bisect_inverse(f: Callable[[float], float], y: float,
 
 
 # ---------------------------------------------------------------------------
-# Scalar K-functions
+# K-functions
 # ---------------------------------------------------------------------------
 
 class KFn:
@@ -129,6 +204,11 @@ class KFn:
     Subclasses are frozen dataclasses.  ``is_unbounded`` marks membership in
     K-infinity; ``inverse`` uses a closed form where the family has one and
     bracketed bisection otherwise.
+
+    Every family also takes a numpy array ``r`` of any shape and returns the
+    elementwise array, each element computed by the arithmetic of the scalar
+    call; a scalar argument returns a Python float.  ``inverse`` follows the
+    same contract.
     """
 
     def __call__(self, r: float) -> float:
@@ -141,13 +221,17 @@ class KFn:
     def inverse(self, y: float) -> float:
         if not self.is_unbounded:
             raise CapabilityError(f"{self!r} is not K-infinity; inverse not total")
+        if isinstance(y, _ndarray):
+            return _elementwise(self.inverse, y)
         return _bisect_inverse(self.__call__, y)
 
     def _check_domain(self, r: float) -> float:
-        r = float(r)
-        if r < 0 or math.isnan(r):
-            raise DomainError(f"K-function argument must be nonnegative, got {r}")
-        return r
+        if type(r) is float or not isinstance(r, _ndarray):
+            r = float(r)
+            if not r >= 0:          # negative or NaN
+                raise DomainError(f"K-function argument must be nonnegative, got {r}")
+            return r
+        return _check_array(r, "K-function argument")
 
 
 @dataclass(frozen=True)
@@ -168,9 +252,7 @@ class LinearK(KFn):
         return True
 
     def inverse(self, y):
-        if y < 0:
-            raise DomainError("inverse target must be nonnegative")
-        return y / self.c
+        return _check_target(y) / self.c
 
 
 @dataclass(frozen=True)
@@ -185,16 +267,24 @@ class PowerK(KFn):
             raise DomainError("PowerK needs c > 0 and p > 0")
 
     def __call__(self, r):
-        return self.c * self._check_domain(r) ** self.p
+        return self.c * _pow(self._check_domain(r), self.p)
 
     @property
     def is_unbounded(self):
         return True
 
     def inverse(self, y):
-        if y < 0:
-            raise DomainError("inverse target must be nonnegative")
-        return (y / self.c) ** (1.0 / self.p)
+        return _pow(_check_target(y) / self.c, 1.0 / self.p)
+
+
+def _pwl_interior(xs: Sequence[float], ys: Sequence[float], x: np.ndarray) -> np.ndarray:
+    """Interpolate the polyline (xs, ys) at each x, on the first segment whose
+    right end is >= x (the last segment for x beyond the last knot), with the
+    arithmetic of the scalar segment loop."""
+    xa, ya = np.asarray(xs), np.asarray(ys)
+    i = np.minimum(np.searchsorted(xa[1:], x, side="left"), len(xa) - 2)
+    t = (x - xa[i]) / (xa[i + 1] - xa[i])
+    return ya[i] + t * (ya[i + 1] - ya[i])
 
 
 @dataclass(frozen=True)
@@ -224,11 +314,13 @@ class PiecewiseLinearK(KFn):
     def __call__(self, r):
         r = self._check_domain(r)
         xs, ys = self._segments()
+        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        if type(r) is not float:
+            return np.where(r > xs[-1], ys[-1] + slope * (r - xs[-1]), _pwl_interior(xs, ys, r))
         for i in range(len(xs) - 1):
             if r <= xs[i + 1]:
                 t = (r - xs[i]) / (xs[i + 1] - xs[i])
                 return ys[i] + t * (ys[i + 1] - ys[i])
-        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
         return ys[-1] + slope * (r - xs[-1])
 
     @property
@@ -237,14 +329,18 @@ class PiecewiseLinearK(KFn):
         return (ys[-1] - ys[-2]) / (xs[-1] - xs[-2]) > 0
 
     def inverse(self, y):
-        if y < 0:
-            raise DomainError("inverse target must be nonnegative")
+        _check_target(y)
         xs, ys = self._segments()
+        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        if isinstance(y, _ndarray):
+            beyond = y > ys[-1]
+            if slope <= 0 and beyond.any():
+                raise CapabilityError("bounded piecewise-linear function has no total inverse")
+            return np.where(beyond, xs[-1] + (y - ys[-1]) / slope, _pwl_interior(ys, xs, y))
         for i in range(len(xs) - 1):
             if y <= ys[i + 1]:
                 t = (y - ys[i]) / (ys[i + 1] - ys[i])
                 return xs[i] + t * (xs[i + 1] - xs[i])
-        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
         if slope <= 0:
             raise CapabilityError("bounded piecewise-linear function has no total inverse")
         return xs[-1] + (y - ys[-1]) / slope
@@ -324,19 +420,20 @@ class IterK(KFn):
 
 
 def iterate_k(kappa: KFn, n: int, r: float) -> float:
-    """Apply ``kappa`` n times to r; n = 0 returns r unchanged."""
+    """Apply ``kappa`` n times to r (a scalar or an array); n = 0 returns r
+    unchanged."""
     if n < 0:
         raise DomainError("iteration count must be nonnegative")
+    v = r if type(r) is float or isinstance(r, _ndarray) else float(r)
     if isinstance(kappa, LinearK):
-        return kappa.c ** n * float(r)
-    v = float(r)
+        return kappa.c ** n * v
     for _ in range(n):
         v = kappa(v)
     return v
 
 
 def k_inverse(f: KFn, y: float, tol: float = TOL_INV) -> float:
-    """Invert a K-infinity function at y.
+    """Invert a K-infinity function at y (a scalar or an array).
 
     Closed forms are used where the family has one; otherwise bracketed
     bisection to ``tol`` relative, capped at 200 iterations.  Non-K-infinity
@@ -344,9 +441,7 @@ def k_inverse(f: KFn, y: float, tol: float = TOL_INV) -> float:
     """
     if not f.is_unbounded:
         raise CapabilityError("k_inverse requires a K-infinity function")
-    if y < 0:
-        raise DomainError("inverse target must be nonnegative")
-    return f.inverse(y)
+    return f.inverse(_check_target(y))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +498,11 @@ class KLFn:
     * ``sum_tail(r, start)`` -- an analytic upper bound on the tail
       sum_{tau >= start} f(r, tau); raises :class:`CapabilityError` when the
       family has no analytic tail.
+
+    ``r`` (and the ``y`` of ``r_inverse``, the ``r`` of ``sum_tail``) may be a
+    numpy array of any shape, with ``s`` still one Python int: the result is
+    the elementwise array, each element computed by the arithmetic of the
+    scalar call.  A scalar ``r`` returns a Python float.
     """
 
     def __call__(self, r: float, s: int) -> float:
@@ -412,6 +512,8 @@ class KLFn:
         return None
 
     def r_inverse(self, y: float, s: int) -> float:
+        if isinstance(y, _ndarray):
+            return _elementwise(lambda v: self.r_inverse(v, s), y)
         if y < 0:
             raise DomainError("inverse target must be nonnegative")
         if y == 0:
@@ -422,9 +524,12 @@ class KLFn:
         raise CapabilityError(f"{type(self).__name__} has no analytic tail bound")
 
     def _check_args(self, r: float, s: int):
-        r = float(r)
-        if r < 0 or math.isnan(r):
-            raise DomainError(f"KL first argument must be nonnegative, got {r}")
+        if type(r) is float or not isinstance(r, _ndarray):
+            r = float(r)
+            if not r >= 0:          # negative or NaN
+                raise DomainError(f"KL first argument must be nonnegative, got {r}")
+        else:
+            r = _check_array(r, "KL first argument")
         s = int(s)
         if s < 0:
             raise DomainError("KL second argument must be a nonnegative integer")
@@ -445,7 +550,7 @@ class SeparableGeometric(KLFn):
 
     def __call__(self, r, s):
         r, s = self._check_args(r, s)
-        return self.c * self.lam ** s * r ** self.p
+        return self.c * self.lam ** s * (r if self.p == 1.0 else _pow(r, self.p))
 
     def r_slope(self, s):
         if self.p == 1.0:
@@ -453,17 +558,16 @@ class SeparableGeometric(KLFn):
         return None
 
     def r_inverse(self, y, s):
-        if y < 0:
-            raise DomainError("inverse target must be nonnegative")
+        _check_target(y)
         coef = self.c * self.lam ** s
         if coef == 0.0:
             raise CapabilityError("zero slice has no inverse")
-        return (y / coef) ** (1.0 / self.p)
+        return _pow(y / coef, 1.0 / self.p)
 
     def sum_tail(self, r, start):
         # sum_{tau >= start} c lam^tau r^p = c r^p lam^start / (1 - lam)
         r, start = self._check_args(r, start)
-        return self.c * r ** self.p * self.lam ** start / (1.0 - self.lam)
+        return self.c * _pow(r, self.p) * self.lam ** start / (1.0 - self.lam)
 
 
 @dataclass(frozen=True)
@@ -528,7 +632,10 @@ class PointwiseMaxKL(KLFn):
 
     def __call__(self, r, s):
         r, s = self._check_args(r, s)
-        return max(f(r, s) for f in self.parts)
+        values = (f(r, s) for f in self.parts)
+        if type(r) is float:
+            return max(values)
+        return functools.reduce(np.maximum, values)
 
     def r_slope(self, s):
         slopes = [f.r_slope(s) for f in self.parts]
@@ -538,7 +645,10 @@ class PointwiseMaxKL(KLFn):
 
     def r_inverse(self, y, s):
         # (max f_i)^{-1} = min f_i^{-1} for increasing slices
-        return min(f.r_inverse(y, s) for f in self.parts)
+        values = (f.r_inverse(y, s) for f in self.parts)
+        if isinstance(y, _ndarray):
+            return functools.reduce(np.minimum, values)
+        return min(values)
 
     def sum_tail(self, r, start):
         return sum(f.sum_tail(r, start) for f in self.parts)
@@ -681,19 +791,21 @@ class TabulatedKL(KLFn):
 
     def __call__(self, r, s):
         r, s = self._check_args(r, s)
-        if r == 0.0:
-            return 0.0
-        ri = np.clip(np.searchsorted(self.r_grid, r), 1, len(self.r_grid) - 1)
+        x = np.asarray(r)
+        ri = np.clip(np.searchsorted(self.r_grid, x), 1, len(self.r_grid) - 1)
         si = np.clip(np.searchsorted(self.s_grid, s), 1, len(self.s_grid) - 1)
         r0, r1 = self.r_grid[ri - 1], self.r_grid[ri]
         s0, s1 = self.s_grid[si - 1], self.s_grid[si]
-        tr = 0.0 if r1 == r0 else (min(max(r, r0), r1) - r0) / (r1 - r0)
+        tr = np.divide(np.minimum(np.maximum(x, r0), r1) - r0, r1 - r0,
+                       out=np.zeros(x.shape), where=r1 != r0)
         ts = 0.0 if s1 == s0 else (min(max(s, s0), s1) - s0) / (s1 - s0)
         v00 = self.values[ri - 1, si - 1]
         v10 = self.values[ri, si - 1]
         v01 = self.values[ri - 1, si]
         v11 = self.values[ri, si]
-        return (1 - tr) * (1 - ts) * v00 + tr * (1 - ts) * v10 + (1 - tr) * ts * v01 + tr * ts * v11
+        out = (1 - tr) * (1 - ts) * v00 + tr * (1 - ts) * v10 + (1 - tr) * ts * v01 + tr * ts * v11
+        out = np.where(x == 0.0, 0.0, out)
+        return float(out) if type(r) is float else out
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +833,7 @@ def check_k_on_grid(f: KFn, r_grid: Optional[np.ndarray] = None,
     grid = log_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
     if f(0.0) != 0.0:
         return GridEvidence(False, -abs(f(0.0)), (0.0,), "f(0) != 0")
-    vals = np.array([f(r) for r in grid])
+    vals = f(grid)
     diffs = np.diff(vals)
     worst = float(diffs.min()) if len(diffs) else 0.0
     if worst <= 0.0:
@@ -740,13 +852,14 @@ def check_kl_on_grid(f: KLFn, r_grid: Optional[np.ndarray] = None,
 
     The limit-to-zero requirement is testable only up to the horizon bound;
     the terminal ratio f(r, s_max) / f(r, 0) is folded into the description.
+    A violation of the s-monotonicity is reported at the first r of the
+    probe subgrid that has one, and at its first s.
     """
     grid = log_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
     worst = math.inf
     worst_pt = (0.0, 0)
-    terminal = 0.0
     for s in range(0, s_max + 1, max(1, s_max // 16)):
-        vals = np.array([f(r, s) for r in grid])
+        vals = f(grid, s)
         diffs = np.diff(vals)
         if len(diffs):
             m = float(diffs.min())
@@ -755,16 +868,23 @@ def check_kl_on_grid(f: KLFn, r_grid: Optional[np.ndarray] = None,
                 worst_pt = (float(grid[int(np.argmin(diffs))]), s)
             if m <= 0.0:
                 return GridEvidence(False, m, worst_pt, f"slice s={s} not strictly increasing in r")
-    for r in grid[:: max(1, len(grid) // 16)]:
-        prev = f(r, 0)
-        for s in range(1, s_max + 1):
-            cur = f(r, s)
-            if cur > prev * (1 + rel_tol) + 1e-300:
-                return GridEvidence(False, prev - cur, (float(r), s), "not nonincreasing in s")
-            prev = cur
-        base = f(r, 0)
-        if base > 0:
-            terminal = max(terminal, f(r, s_max) / base)
+    probe = grid[:: max(1, len(grid) // 16)]
+    base = prev = f(probe, 0)
+    first_s = np.zeros(len(probe), dtype=int)     # 0: no violation yet
+    first_margin = np.zeros(len(probe))
+    for s in range(1, s_max + 1):
+        cur = f(probe, s)
+        new = (cur > prev * (1 + rel_tol) + 1e-300) & (first_s == 0)
+        first_s[new] = s
+        first_margin[new] = (prev - cur)[new]
+        prev = cur
+    hit = np.flatnonzero(first_s)
+    if len(hit):
+        i = hit[0]
+        return GridEvidence(False, float(first_margin[i]), (float(probe[i]), int(first_s[i])),
+                            "not nonincreasing in s")
+    positive = base > 0
+    terminal = max(0.0, first_max(prev[positive] / base[positive])[1])
     return GridEvidence(True, worst, worst_pt,
                         f"KL grid checks passed; terminal decay ratio {terminal:.3e}")
 
@@ -793,16 +913,13 @@ def check_summable(f: KLFn, sigma: KFn, r_grid: Optional[np.ndarray] = None,
     tail (e.g. tabulated ones) raise :class:`CapabilityError`.
     """
     grid = log_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    worst = math.inf
-    worst_r = float(grid[0])
-    for r in grid:
-        partial = sum(f(r, tau) for tau in range(tail_horizon + 1))
-        total = partial + f.sum_tail(r, tail_horizon + 1)
-        cap = sigma(r)
-        margin = cap - total
-        if margin < worst:
-            worst = margin
-            worst_r = float(r)
+    # one array call per age, accumulated in age order
+    partial = 0.0
+    for tau in range(tail_horizon + 1):
+        partial = partial + f(grid, tau)
+    total = partial + f.sum_tail(grid, tail_horizon + 1)
+    i, worst = first_min(sigma(grid) - total)
+    worst_r = float(grid[0 if i is None else i])
     tol = 1e-9 * max(1.0, abs(sigma(worst_r)))
     return SummabilityEvidence(worst >= -tol, worst, worst_r, tail_horizon, sigma,
                                (float(grid[0]), float(grid[-1])))
@@ -829,21 +946,14 @@ def triangle_constant(beta: KLFn, mode: PlusMode, s_max: int = 32,
     """
     grid = np.geomspace(1e-6, 1e3, 40) if a_grid is None else np.asarray(a_grid, dtype=float)
     cands = sorted(set(float(c) for c in candidates) | {2.0})
+    pair_sums = np.add.outer(grid, grid)
     chosen = []
     for s in range(s_max + 1):
+        lhs = beta(pair_sums, s)
         pick = 2.0
         for cand in cands:
-            ok = True
-            for a1 in grid:
-                for a2 in grid:
-                    lhs = beta(a1 + a2, s)
-                    rhs = plus2(mode, beta(cand * a1, s), beta(cand * a2, s))
-                    if lhs > rhs * (1 + rel_tol) + 1e-300:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            rhs = _plus_outer(mode, beta(cand * grid, s))
+            if not np.any(lhs > rhs * (1 + rel_tol) + 1e-300):
                 pick = cand
                 break
         chosen.append(pick)
@@ -859,18 +969,18 @@ def check_triangle(beta: KLFn, n: TriangleGrowth, mode: PlusMode, s_max: int = 3
                    a_grid: Optional[np.ndarray] = None, rel_tol: float = 1e-9) -> GridEvidence:
     """Grid evidence for the triangle-growth inequality with a given N."""
     grid = np.geomspace(1e-6, 1e3, 40) if a_grid is None else np.asarray(a_grid, dtype=float)
+    pair_sums = np.add.outer(grid, grid)     # [i, j] = a1 + a2 for a1 = grid[i], a2 = grid[j]
     worst = math.inf
     worst_pt = (0.0, 0.0, 0)
     for s in range(s_max + 1):
-        for a1 in grid:
-            for a2 in grid:
-                lhs = beta(a1 + a2, s)
-                rhs = plus2(mode, beta(n(s) * a1, s), beta(n(s) * a2, s))
-                margin = rhs - lhs
-                scale = max(1.0, abs(rhs))
-                if margin / scale < worst:
-                    worst = margin / scale
-                    worst_pt = (float(a1), float(a2), s)
+        lhs = beta(pair_sums, s)
+        rhs = _plus_outer(mode, beta(n(s) * grid, s))
+        scale = np.abs(rhs)
+        scale = np.where(scale > 1.0, scale, 1.0)
+        i, m = first_min((rhs - lhs) / scale)
+        if m < worst:
+            worst = m
+            worst_pt = (float(grid[i // len(grid)]), float(grid[i % len(grid)]), s)
     return GridEvidence(worst >= -rel_tol, worst, worst_pt, "triangle-growth inequality",
                         (float(grid[0]), float(grid[-1])))
 

@@ -147,6 +147,13 @@ class ExperimentConfig:
             raise ConfigError("moving-horizon estimator needs horizon >= 1")
         if self.t_final < 1:
             raise ConfigError("t_final must be >= 1")
+        if self.estimator == "fie" and self.t_final > self.t_max_fie:
+            raise ConfigError(f"t_final = {self.t_final} exceeds the full-information "
+                              f"horizon cap t_max_fie = {self.t_max_fie}")
+        if not self.seeds:
+            raise ConfigError("seeds selects no seed")
+        if any(k < 1 for k in self.sweep):
+            raise ConfigError(f"sweep horizons must be >= 1, got {list(self.sweep)}")
         if self.a_factor < 1.0:
             raise ConfigError("a_factor must be >= 1")
         if not self.scenarios:
@@ -171,15 +178,58 @@ def _parse_seeds(text: str) -> Tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
+def _parse_sweep(text: str) -> Tuple[int, ...]:
+    parts = [p.strip() for p in text.split(",")]
+    if not all(parts):
+        raise ConfigError(f"sweep has an empty entry: {text!r}")
+    return tuple(int(p) for p in parts)
+
+
+#: The keys :func:`load_config` reads, per section; ``scenario`` stands for
+#: every ``[scenario.NAME]`` section.  Any other key or section is an error.
+CONFIG_KEYS = {
+    "experiment": ("name", "plant", "certificate", "mode", "cost", "a_factor", "estimator",
+                   "horizon", "sweep", "t_final", "seeds", "x0", "prior_offset", "t_max_fie"),
+    "cost": ("beta_hat", "gamma_hat", "delta_hat"),
+    "scenario": ("kind", "amplitude", "rate", "time", "magnitude"),
+    "solver": ("method", "multistart", "max_iter", "tol", "seed", "use_structured",
+               "level_passes"),
+    "grid": ("r_min", "r_max", "points_per_decade"),
+    "probe": ("delta", "step"),
+    "output": ("dir",),
+}
+
+
+def _check_keys(parser: configparser.ConfigParser, path: str):
+    for section in parser.sections():
+        kind = "scenario" if section.startswith("scenario.") else section
+        if kind not in CONFIG_KEYS:
+            raise ConfigError(f"unknown section [{section}] in {path!r}")
+        unknown = sorted(set(parser[section]) - set(CONFIG_KEYS[kind]))
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in section [{section}] of {path!r}")
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Read the flat key-value config format (typed sections, one file per
-    experiment)."""
+    experiment).  Unknown sections or keys and unparsable values raise
+    :class:`ConfigError`."""
+    try:
+        return _read_config(path)
+    except ConfigError:
+        raise
+    except (configparser.Error, ValueError) as exc:
+        raise ConfigError(f"invalid config file {path!r}: {exc}") from None
+
+
+def _read_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     if not parser.has_section("experiment"):
         raise ConfigError(f"config file {path!r} has no [experiment] section")
+    _check_keys(parser, path)
     cfg = ExperimentConfig()
     if parser.has_section("experiment"):
         sec = parser["experiment"]
@@ -191,11 +241,11 @@ def load_config(path: str) -> ExperimentConfig:
         cfg.a_factor = sec.getfloat("a_factor", cfg.a_factor)
         cfg.estimator = sec.get("estimator", cfg.estimator)
         cfg.horizon = sec.getint("horizon", cfg.horizon)
-        if sec.get("sweep", "").strip():
-            cfg.sweep = tuple(int(p) for p in sec.get("sweep").split(",") if p.strip())
+        if "sweep" in sec:
+            cfg.sweep = _parse_sweep(sec["sweep"])
         cfg.t_final = sec.getint("t_final", cfg.t_final)
-        if sec.get("seeds", "").strip():
-            cfg.seeds = _parse_seeds(sec.get("seeds"))
+        if "seeds" in sec:
+            cfg.seeds = _parse_seeds(sec["seeds"])
         cfg.x0 = sec.getfloat("x0", cfg.x0)
         cfg.prior_offset = sec.getfloat("prior_offset", cfg.prior_offset)
         cfg.t_max_fie = sec.getint("t_max_fie", cfg.t_max_fie)
@@ -506,14 +556,15 @@ def _cell_worker(payload) -> CellResult:
     """Process-pool entry point: re-resolves the (picklable) config once per
     worker and runs one cell; results reduce deterministically by cell key."""
     config, scenario, seed, horizon = payload
+    K = horizon or config.horizon
     cache_key = (config.plant, config.certificate, config.mode, config.cost,
                  config.cost_beta_hat, config.cost_gamma_hat, config.cost_delta_hat,
-                 config.a_factor, config.estimator, config.horizon)
+                 config.a_factor, config.estimator, K)
     if cache_key not in _WORKER_CACHE:
         resolved = resolve(config)
         hat = None
         if config.estimator == "mhe":
-            analysis = contraction_for(resolved, horizon or config.horizon)
+            analysis = contraction_for(resolved, K)
             hat = build_hat_bounds(analysis, resolved.bounds)
         _WORKER_CACHE[cache_key] = (resolved, hat)
     resolved, hat = _WORKER_CACHE[cache_key]

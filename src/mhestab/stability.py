@@ -17,6 +17,7 @@ claimed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -40,6 +41,8 @@ from .comparison import (
     SFloorKL,
     SumK,
     check_kl_on_grid,
+    first_max,
+    first_min,
     iterate_k,
     log_grid,
     plus_reduce,
@@ -169,7 +172,7 @@ def find_contraction_max(bounds: DerivedBounds, alpha: KFn, K: int,
     grid = analysis_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
     eta = _linear_coefficient(bounds.b, K, alpha)
     kappa: KFn = LinearK(eta) if eta is not None else BoundAlphaInvK(bounds.b, alpha, K)
-    margins = np.array([(r - kappa(r)) / r for r in grid])
+    margins = (grid - kappa(grid)) / grid
     worst = float(margins.min())
     passed = worst > 0.0
     worst_r = None if passed else float(grid[margins <= 0.0][0])
@@ -195,7 +198,8 @@ def find_contraction_sum(bounds: DerivedBounds, alpha: KFn, K: int,
     grid = analysis_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
     eta = _linear_coefficient(bounds.b, K, alpha)
     g: KFn = LinearK(eta) if eta is not None else BoundAlphaInvK(bounds.b, alpha, K)
-    g_margins = np.array([(r - g(r)) / r for r in grid])
+    g_values = g(grid)
+    g_margins = (grid - g_values) / grid
     if float(g_margins.min()) <= 0.0:
         viol = grid[g_margins <= 0.0]
         return ContractionAnalysis(PlusMode.SUM, K, False, None, None, None, None,
@@ -213,10 +217,12 @@ def find_contraction_sum(bounds: DerivedBounds, alpha: KFn, K: int,
             kappa = PlusSlackK(g, rho)
             zeta = ZetaK(kappa, rho)
             linear_rate = None
-        margins = np.array([(r - kappa(r)) / r for r in grid])
-        cond = np.array([(kappa(r) - g(r) - rho(r)) / r for r in grid])
+        kappa_values = kappa(grid)
+        margins = (grid - kappa_values) / grid
+        cond = (kappa_values - g_values - rho(grid)) / grid
         if float(margins.min()) > 0.0 and float(cond.min()) >= -1e-12:
-            zeta_ratio = min(zeta(r) / r for r in grid[:: max(1, len(grid) // 16)])
+            probe = grid[:: max(1, len(grid) // 16)]
+            zeta_ratio = min((zeta(probe) / probe).tolist())
             note = f"theta={theta}; min zeta(r)/r = {zeta_ratio:.6f} (> 2 expected)"
             rate = linear_rate if (linear_rate is not None and 0 < linear_rate < 1) else None
             return ContractionAnalysis(PlusMode.SUM, K, True, kappa, rho, zeta, rate,
@@ -249,8 +255,9 @@ class _MaxHatKL(KLFn):
     def __call__(self, r, t):
         r, t = self._check_args(r, t)
         n, m = divmod(t, self.K)
-        return max(iterate_k(self.kappa, n, self.theta(r, m)),
-                   iterate_k(self.kappa, n + 1, self.theta(r, 0)))
+        a = iterate_k(self.kappa, n, self.theta(r, m))
+        b = iterate_k(self.kappa, n + 1, self.theta(r, 0))
+        return max(a, b) if type(r) is float else np.maximum(a, b)
 
     def r_slope(self, t):
         if not isinstance(self.kappa, LinearK):
@@ -273,8 +280,9 @@ class _SumHatBKL(KLFn):
     def __call__(self, r, t):
         r, t = self._check_args(r, t)
         n, m = divmod(t, self.K)
-        return max(iterate_k(self.kappa, n, 2.0 * self.b(r, m)),
-                   iterate_k(self.kappa, n + 1, 2.0 * self.b(r, 0)))
+        a = iterate_k(self.kappa, n, 2.0 * self.b(r, m))
+        b = iterate_k(self.kappa, n + 1, 2.0 * self.b(r, 0))
+        return max(a, b) if type(r) is float else np.maximum(a, b)
 
     def r_slope(self, t):
         if not isinstance(self.kappa, LinearK):
@@ -399,18 +407,21 @@ class BarBounds:
     monotone_evidence: GridEvidence
     kl_evidence: Tuple[GridEvidence, ...]
 
-    def _hats(self, K: int):
+    def _envelope(self, name: str, K: int, r, t: int):
         lo = max(K, self.K0)
-        return [self.hat_family[k] for k in range(lo, self.K_max + 1)]
+        values = (getattr(self.hat_family[k], name)(r, t) for k in range(lo, self.K_max + 1))
+        if isinstance(r, np.ndarray):
+            return functools.reduce(np.maximum, values)
+        return max(values)
 
     def b_bar(self, K: int, r: float, t: int) -> float:
-        return max(h.b_hat(r, t) for h in self._hats(K))
+        return self._envelope("b_hat", K, r, t)
 
     def c_bar(self, K: int, r: float, t: int) -> float:
-        return max(h.c_hat(r, t) for h in self._hats(K))
+        return self._envelope("c_hat", K, r, t)
 
     def d_bar(self, K: int, r: float, t: int) -> float:
-        return max(h.d_hat(r, t) for h in self._hats(K))
+        return self._envelope("d_hat", K, r, t)
 
 
 def build_bar_bounds(hat_family: Dict[int, HatBounds], K0: int, K_max: int,
@@ -429,42 +440,38 @@ def build_bar_bounds(hat_family: Dict[int, HatBounds], K0: int, K_max: int,
     grid = log_grid(ANALYSIS_R_MIN, ANALYSIS_R_MAX, 4) if r_grid is None else np.asarray(r_grid)
     for k in range(K0, K_max):
         ka, kb = hat_family[k].kappa, hat_family[k + 1].kappa
-        for r in grid:
-            if kb(r) > ka(r) * (1 + 1e-12):
-                raise DomainError(f"kappa family not pointwise decreasing at K={k}, r={r}")
+        rising = kb(grid) > ka(grid) * (1 + 1e-12)
+        if rising.any():
+            r = grid[int(np.argmax(rising))]
+            raise DomainError(f"kappa family not pointwise decreasing at K={k}, r={r}")
     bar = BarBounds(K0, K_max, dict(hat_family), 0.0,
                     GridEvidence(True, math.inf, (0.0, 0), "pending"), ())
-    worst_mono = math.inf
-    worst_pt = (float(grid[0]), 0)
+    # The worst monotonicity margin is the first in (r, t, K) order: keep the
+    # first minimum over (t, K) per grid point, then the first grid point.
+    worst_per_r = np.full(len(grid), math.inf)
+    worst_t = np.zeros(len(grid), dtype=int)
     gap = 0.0
-    for r in grid:
-        for t in range(t_max + 1):
-            prev = None
-            for k in range(K0, K_max + 1):
-                cur = bar.b_bar(k, r, t)
-                if prev is not None:
-                    margin = prev - cur
-                    if margin < worst_mono:
-                        worst_mono, worst_pt = margin, (float(r), t)
-                prev = cur
-            gap = max(gap, abs(bar.b_bar(K_max, r, t) - bounds.b(r, t)) / max(1e-300, bounds.b(r, t)))
+    for t in range(t_max + 1):
+        prev = None
+        for k in range(K0, K_max + 1):
+            cur = bar.b_bar(k, grid, t)
+            if prev is not None:
+                margin = prev - cur
+                lower = margin < worst_per_r
+                worst_per_r = np.where(lower, margin, worst_per_r)
+                worst_t[lower] = t
+            prev = cur
+        b = bounds.b(grid, t)
+        gap = max(gap, first_max(np.abs(prev - b) / np.where(b > 1e-300, b, 1e-300))[1])
+    i, worst_mono = first_min(worst_per_r)
+    worst_pt = (float(grid[0]), 0) if i is None else (float(grid[i]), int(worst_t[i]))
     mono = GridEvidence(worst_mono >= -1e-12, worst_mono, worst_pt,
                         "bar-bound monotonicity in K")
     if not mono.passed:
         raise DomainError("bar bounds are not monotone in the horizon")
-    kl_ev = []
-    for name in ("b_bar", "c_bar", "d_bar"):
-        fn = getattr(bar, name)
-
-        class _Wrap(KLFn):
-            def __init__(self, f, K):
-                self._f, self._K = f, K
-
-            def __call__(self, r, s):
-                r, s = self._check_args(r, s)
-                return self._f(self._K, r, s)
-
-        kl_ev.append(check_kl_on_grid(_Wrap(fn, K0), log_grid(1e-3, 1e2, 3), s_max=t_max))
+    kl_grid = log_grid(1e-3, 1e2, 3)
+    kl_ev = [check_kl_on_grid(functools.partial(envelope, K0), kl_grid, s_max=t_max)
+             for envelope in (bar.b_bar, bar.c_bar, bar.d_bar)]
     return BarBounds(K0, K_max, dict(hat_family), gap, mono, tuple(kl_ev))
 
 

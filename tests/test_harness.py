@@ -1,17 +1,21 @@
 """Experiment harness: config parsing, runs, sweeps, probes, determinism,
 and the CLI exit-code contract."""
 
+import importlib.util
 import json
 import os
+import sys
 
 import pytest
 
+from mhestab import harness
 from mhestab.cli import main as cli_main
 from mhestab.harness import (
     AnalysisError,
     ConfigError,
     ExperimentConfig,
     ScenarioSpec,
+    _cell_worker,
     analyze,
     deviant_output_probe,
     horizon_sweep,
@@ -258,3 +262,169 @@ def test_cli_single_seed_override(tmp_path):
     files = os.listdir(os.path.join(out, "demo"))
     assert "trace_zero-seed7.csv" in files
     assert "trace_zero-seed0.csv" not in files
+
+
+# ---------------------------------------------------------------------------
+# Config strictness and the exit code of every failure
+# ---------------------------------------------------------------------------
+
+def _edit_config(tmp_path, old, new, **kw):
+    path = _write_config(tmp_path, **kw)
+    text = open(path).read()
+    assert old in text
+    open(path, "w").write(text.replace(old, new))
+    return path
+
+
+FULL_CONFIG = """
+[experiment]
+name = full
+plant = s1
+certificate = default
+mode = sum
+cost = default
+a_factor = 1.1
+estimator = mhe
+horizon = 3
+sweep = 2,3
+t_final = 9
+seeds = 1:3
+x0 = 0.25
+prior_offset = 0.5
+t_max_fie = 50
+
+[cost]
+beta_hat = sepgeo(1.0, 1.0, 0.5)
+gamma_hat = sepgeo(2.0, 1.0, 0.5)
+delta_hat = sepgeo(2.0, 1.0, 0.5)
+
+[scenario.kick]
+kind = impulse
+amplitude = 0.0
+rate = 0.0
+time = 2
+magnitude = 0.5
+
+[solver]
+method = multistart_local
+multistart = 2
+max_iter = 30
+tol = 1e-8
+seed = 3
+use_structured = false
+level_passes = 2
+
+[grid]
+r_min = 1e-5
+r_max = 1e2
+points_per_decade = 16
+
+[probe]
+delta = 0.25
+step = 1
+
+[output]
+dir = somewhere
+"""
+
+
+def test_every_allowed_config_key_loads(tmp_path):
+    path = tmp_path / "full.ini"
+    path.write_text(FULL_CONFIG)
+    cfg = load_config(str(path))
+    assert (cfg.sweep, cfg.seeds, cfg.t_max_fie, cfg.cost) == ((2, 3), (1, 2), 50, "explicit")
+    assert (cfg.solver.method, cfg.solver.level_passes, cfg.grid_points_per_decade) == (
+        "multistart_local", 2, 16)
+    assert (cfg.probe_step, cfg.out_dir, cfg.scenarios[0].time) == (1, "somewhere", 2)
+
+
+@pytest.mark.parametrize("old,new", [
+    ("seeds = 0,1", "seeds = 5:2"),
+    ("seeds = 0,1", "seeds ="),
+    ("x0 = 0.5", "x0 = 0.5\nsweep = 2,0"),
+    ("x0 = 0.5", "x0 = 0.5\nsweep = 2,,4"),
+    ("x0 = 0.5", "x0 = 0.5\nsweep ="),
+    ("x0 = 0.5", "x0 = 0.5\nhorizn = 3"),
+    ("amplitude = 0.1", "amplitude = 0.1\nampltude = 0.2"),
+    ("[solver]", "[solvr]"),
+    ("t_final = 12", "t_final = twelve"),
+    ("seeds = 0,1", "seeds = 1:2:3"),
+], ids=["empty-seed-range", "no-seeds", "sweep-zero", "sweep-empty-entry", "sweep-empty",
+        "unknown-key", "unknown-scenario-key", "unknown-section", "bad-int", "bad-range"])
+def test_invalid_configs_are_config_errors(tmp_path, capsys, old, new):
+    path = _edit_config(tmp_path, old, new)
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert cli_main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_fie_beyond_its_horizon_cap_is_rejected_before_running(tmp_path, capsys):
+    path = _write_config(tmp_path, estimator="fie", t_final=250)
+    assert cli_main(["run", "--config", path]) == 2
+    assert "t_max_fie = 200" in capsys.readouterr().err
+
+
+def test_cli_horizon_cap_error_exits_2(tmp_path, capsys):
+    # the probe always runs full information, whatever the configured estimator
+    path = _write_config(tmp_path, estimator="mhe", horizon=2, t_final=8, extra="t_max_fie = 3")
+    assert cli_main(["probe", "--config", path]) == 2
+    assert "exceeds cap 3" in capsys.readouterr().err
+
+
+def test_cli_capability_error_exits_2(tmp_path, capsys):
+    # a sum-mode cost gain without an analytic tail bound
+    path = _edit_config(tmp_path, "mode = max", "mode = sum", t_final=6)
+    with open(path, "a") as fh:
+        fh.write("\n[cost]\nbeta_hat = sepgeo(1.0, 1.0, 0.5)\n"
+                 "gamma_hat = kliter(power(0.5, 2.0), linear(1.0))\n"
+                 "delta_hat = sepgeo(1.0, 1.0, 0.5)\n")
+    assert cli_main(["run", "--config", path]) == 2
+    assert "tail bound" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_cli_divergence_exits_3(tmp_path, capsys):
+    # the unstable plant leaves the floats one step after a huge impulse
+    path = _edit_config(tmp_path, "plant = s1", "plant = s2", t_final=6)
+    text = open(path).read().replace("kind = zero", "kind = impulse\ntime = 0\nmagnitude = 1e308")
+    open(path, "w").write(text)
+    assert cli_main(["run", "--config", path]) == 3
+    assert "non-finite state" in capsys.readouterr().err
+
+
+def test_benchmark_workload_configs_load(tmp_path, monkeypatch):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    source = os.path.join(root, "bench", "workloads.py")
+    if not os.path.exists(source):
+        pytest.skip("no benchmark in this checkout")
+    spec = importlib.util.spec_from_file_location("bench_workloads", source)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for exp in workloads.experiments(name, 0):
+            path = tmp_path / f"{exp.name}.ini"
+            path.write_text(exp.config_text())
+            assert load_config(str(path)).name == exp.name
+
+
+# ---------------------------------------------------------------------------
+# Process-pool cells
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["max", "sum"])
+def test_cell_worker_uses_the_hat_bounds_of_each_horizon(mode):
+    config = ExperimentConfig(name="cache", plant="s1", mode=mode, estimator="mhe",
+                              t_final=20, seeds=(0,),
+                              scenarios=[ScenarioSpec("uniform", "bounded_uniform",
+                                                      amplitude=0.1)])
+    scenario = config.scenarios[0]
+    harness._WORKER_CACHE.clear()
+    fresh = _cell_worker((config, scenario, 0, 8))
+    harness._WORKER_CACHE.clear()
+    _cell_worker((config, scenario, 0, 2))
+    after_k2 = _cell_worker((config, scenario, 0, 8))
+    harness._WORKER_CACHE.clear()
+    assert after_k2.horizon == 8
+    assert after_k2 == fresh
