@@ -1,7 +1,11 @@
 """Command-line experiment runner.
 
-Verbs: ``analyze`` (certificate + contraction only), ``run`` (single
-experiment), ``sweep`` (horizon sweep), ``probe`` (deviant-output check).
+Verbs and what each writes under ``OUT/NAME/``: ``analyze`` (certificate +
+contraction only; ``analysis.json``), ``run`` (single experiment; one trace
+CSV per cell, ``plots.json``, ``report.json``), ``sweep`` (horizon sweep; one
+trace CSV per cell, ``sweep.json``), ``probe`` (deviant-output check of the
+configured estimator on the first seed; ``probe.json``).  ``--jobs N`` runs
+the cells of ``run`` and ``sweep`` on N worker processes.
 Exit codes are part of the contract; every failure maps onto one of them:
 
 ==  ===========================================================================
@@ -53,7 +57,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="run a single seed")
-        p.add_argument("--jobs", type=int, default=None, help="parallel sweep cells")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="worker processes for the cells of run and sweep")
     return parser
 
 

@@ -925,11 +925,6 @@ def check_summable(f: KLFn, sigma: KFn, r_grid: Optional[np.ndarray] = None,
                                (float(grid[0]), float(grid[-1])))
 
 
-def kl_eval(f: KLFn, r: float, s: int) -> float:
-    """Evaluate a KL function; negative r is a domain error."""
-    return f(r, s)
-
-
 def triangle_constant(beta: KLFn, mode: PlusMode, s_max: int = 32,
                       a_grid: Optional[np.ndarray] = None,
                       candidates: Sequence[float] = (1.0, 2.0),

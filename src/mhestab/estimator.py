@@ -62,11 +62,6 @@ def slope_table(fn, s_max: int) -> Optional[np.ndarray]:
     return table
 
 
-def cached_slope(fn, s: int):
-    table = slope_table(fn, s)
-    return fn.r_slope(s) if table is None else float(table[s])
-
-
 def seq_norms(arr: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of a (K, d) array."""
     if arr.shape[1] == 1:

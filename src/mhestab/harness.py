@@ -56,6 +56,7 @@ from .estimator import (
     run_fie,
     run_mhe,
     seq_norms,
+    slope_table,
 )
 from .stability import (
     ContractionAnalysis,
@@ -128,9 +129,6 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     probe_delta: float = 0.5
     probe_step: int = 2
-    grid_r_min: float = 1e-6
-    grid_r_max: float = 1e3
-    grid_points_per_decade: int = 48
     out_dir: str = "out"
     jobs: int = 1
 
@@ -194,7 +192,6 @@ CONFIG_KEYS = {
     "scenario": ("kind", "amplitude", "rate", "time", "magnitude"),
     "solver": ("method", "multistart", "max_iter", "tol", "seed", "use_structured",
                "level_passes"),
-    "grid": ("r_min", "r_max", "points_per_decade"),
     "probe": ("delta", "step"),
     "output": ("dir",),
 }
@@ -231,24 +228,23 @@ def _read_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config file {path!r} has no [experiment] section")
     _check_keys(parser, path)
     cfg = ExperimentConfig()
-    if parser.has_section("experiment"):
-        sec = parser["experiment"]
-        cfg.name = sec.get("name", cfg.name)
-        cfg.plant = sec.get("plant", cfg.plant)
-        cfg.certificate = sec.get("certificate", cfg.certificate)
-        cfg.mode = sec.get("mode", cfg.mode)
-        cfg.cost = sec.get("cost", cfg.cost)
-        cfg.a_factor = sec.getfloat("a_factor", cfg.a_factor)
-        cfg.estimator = sec.get("estimator", cfg.estimator)
-        cfg.horizon = sec.getint("horizon", cfg.horizon)
-        if "sweep" in sec:
-            cfg.sweep = _parse_sweep(sec["sweep"])
-        cfg.t_final = sec.getint("t_final", cfg.t_final)
-        if "seeds" in sec:
-            cfg.seeds = _parse_seeds(sec["seeds"])
-        cfg.x0 = sec.getfloat("x0", cfg.x0)
-        cfg.prior_offset = sec.getfloat("prior_offset", cfg.prior_offset)
-        cfg.t_max_fie = sec.getint("t_max_fie", cfg.t_max_fie)
+    sec = parser["experiment"]
+    cfg.name = sec.get("name", cfg.name)
+    cfg.plant = sec.get("plant", cfg.plant)
+    cfg.certificate = sec.get("certificate", cfg.certificate)
+    cfg.mode = sec.get("mode", cfg.mode)
+    cfg.cost = sec.get("cost", cfg.cost)
+    cfg.a_factor = sec.getfloat("a_factor", cfg.a_factor)
+    cfg.estimator = sec.get("estimator", cfg.estimator)
+    cfg.horizon = sec.getint("horizon", cfg.horizon)
+    if "sweep" in sec:
+        cfg.sweep = _parse_sweep(sec["sweep"])
+    cfg.t_final = sec.getint("t_final", cfg.t_final)
+    if "seeds" in sec:
+        cfg.seeds = _parse_seeds(sec["seeds"])
+    cfg.x0 = sec.getfloat("x0", cfg.x0)
+    cfg.prior_offset = sec.getfloat("prior_offset", cfg.prior_offset)
+    cfg.t_max_fie = sec.getint("t_max_fie", cfg.t_max_fie)
     if parser.has_section("cost"):
         sec = parser["cost"]
         cfg.cost_beta_hat = sec.get("beta_hat", "")
@@ -281,11 +277,6 @@ def _read_config(path: str) -> ExperimentConfig:
             use_structured=sec.getboolean("use_structured", True),
             level_passes=sec.getint("level_passes", 4),
         )
-    if parser.has_section("grid"):
-        sec = parser["grid"]
-        cfg.grid_r_min = sec.getfloat("r_min", cfg.grid_r_min)
-        cfg.grid_r_max = sec.getfloat("r_max", cfg.grid_r_max)
-        cfg.grid_points_per_decade = sec.getint("points_per_decade", cfg.grid_points_per_decade)
     if parser.has_section("probe"):
         sec = parser["probe"]
         cfg.probe_delta = sec.getfloat("delta", cfg.probe_delta)
@@ -366,6 +357,20 @@ def contraction_for(resolved: ResolvedExperiment, K: int) -> ContractionAnalysis
     return find_contraction_sum(resolved.bounds, resolved.cert.alpha, K)
 
 
+def hat_bounds_for(resolved: ResolvedExperiment, K: int,
+                   analysis: Optional[ContractionAnalysis] = None,
+                   check_grid: bool = True) -> HatBounds:
+    """The moving-horizon bounds at horizon K, built from ``analysis`` when
+    given; a failing contraction is an :class:`AnalysisError`."""
+    if analysis is None:
+        analysis = contraction_for(resolved, K)
+    if not analysis.passed:
+        raise AnalysisError(
+            f"no contraction at horizon {K}: {analysis.notes} "
+            f"(worst margin {analysis.worst_margin:.3g} at r={analysis.worst_r})")
+    return build_hat_bounds(analysis, resolved.bounds, check_grid=check_grid)
+
+
 # ---------------------------------------------------------------------------
 # Cells
 # ---------------------------------------------------------------------------
@@ -383,6 +388,11 @@ class CellResult:
 
     def key(self):
         return (self.scenario, self.seed, self.horizon)
+
+    @property
+    def label(self) -> str:
+        """The cell's name in its trace file ``trace_<label>.csv``."""
+        return f"{self.scenario}-seed{self.seed}" + (f"-K{self.horizon}" if self.horizon else "")
 
 
 def _fmt(x) -> str:
@@ -409,20 +419,12 @@ def trace_to_csv(rows: List[dict], state_dim: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _slope_table(fn, s_max: int) -> Optional[np.ndarray]:
-    from .estimator import cached_slope
-    slopes = [cached_slope(fn, s) for s in range(s_max + 1)]
-    if any(s is None for s in slopes):
-        return None
-    return np.asarray(slopes, dtype=float)
-
-
 def _rhs_trace_fie(bounds: DerivedBounds, d0: float, w_norms: np.ndarray,
                    v_norms: np.ndarray, T: int) -> np.ndarray:
     """Vectorized bound trace; falls back to the reference fold when the gain
     slices are not linear in r."""
-    c_sl = _slope_table(bounds.c, T)
-    d_sl = _slope_table(bounds.d, T)
+    c_sl = slope_table(bounds.c, T)
+    d_sl = slope_table(bounds.d, T)
     out = np.empty(T + 1)
     if c_sl is None or d_sl is None:
         for t in range(T + 1):
@@ -445,8 +447,8 @@ def _rhs_trace_fie(bounds: DerivedBounds, d0: float, w_norms: np.ndarray,
 
 def _rhs_trace_mhe(hat: HatBounds, d0: float, w_norms: np.ndarray,
                    v_norms: np.ndarray, T: int) -> np.ndarray:
-    c_sl = _slope_table(hat.c_hat, T)
-    d_sl = _slope_table(hat.d_hat, T)
+    c_sl = slope_table(hat.c_hat, T)
+    d_sl = slope_table(hat.d_hat, T)
     out = np.empty(T + 1)
     if c_sl is None or d_sl is None:
         for t in range(T + 1):
@@ -464,6 +466,32 @@ def _rhs_trace_mhe(hat: HatBounds, d0: float, w_norms: np.ndarray,
     return out
 
 
+def _truth(config: ExperimentConfig, model: SystemModel, scenario: ScenarioSpec, seed: int):
+    """The simulated true solution of one scenario and seed over t_final + 1
+    steps, its inputs, and the estimator's initial prior."""
+    T = config.t_final
+    spec = scenario.instantiate(seed, T + 1)
+    w, v = generate_scenario(spec, model.process_noise_dim, model.meas_noise_dim)
+    # the unstable plant starts at its equilibrium; others at the configured x0
+    x0 = np.full(model.state_dim, 0.0 if config.plant == "s2" else config.x0)
+    u = np.zeros((T + 1, model.input_dim))
+    return simulate(model, x0, u, w, v, T + 1), u, x0 + config.prior_offset
+
+
+def _estimate(resolved: ResolvedExperiment, prior0, u: np.ndarray, y: np.ndarray, K: int):
+    """The configured estimator's results for t = 0..len(y)."""
+    config, model, cost = resolved.config, resolved.model, resolved.cost
+    if config.estimator == "mhe":
+        return run_mhe(model, cost, prior0, u, y, K, config.a_factor, config.solver)
+    return run_fie(model, cost, prior0, u, y, config.a_factor, config.solver,
+                   t_max=config.t_max_fie)
+
+
+def _window_start(config: ExperimentConfig, K: int, t: int) -> int:
+    """First step of the estimator's window that ends at t."""
+    return t - K if config.estimator == "mhe" and t > K else 0
+
+
 def run_cell(resolved: ResolvedExperiment, scenario: ScenarioSpec, seed: int,
              hat: Optional[HatBounds] = None, horizon: Optional[int] = None) -> CellResult:
     """Simulate, estimate, certify, and evaluate bounds for one sweep cell."""
@@ -471,20 +499,9 @@ def run_cell(resolved: ResolvedExperiment, scenario: ScenarioSpec, seed: int,
     model, cert, cost, bounds = resolved.model, resolved.cert, resolved.cost, resolved.bounds
     T = config.t_final
     K = horizon if horizon is not None else config.horizon
-    spec = scenario.instantiate(seed, T + 1)
-    w, v = generate_scenario(spec, model.process_noise_dim, model.meas_noise_dim)
-    # the unstable plant starts at its equilibrium; others at the configured x0
-    x0 = np.full(model.state_dim, 0.0 if config.plant == "s2" else config.x0)
-    u = np.zeros((T + 1, model.input_dim))
-    sol = simulate(model, x0, u, w, v, T + 1)
-    prior0 = x0 + config.prior_offset
+    sol, u, prior0 = _truth(config, model, scenario, seed)
+    results = _estimate(resolved, prior0, u[:T], sol.y[:T], K)
     is_mhe = config.estimator == "mhe"
-    if is_mhe:
-        results = run_mhe(model, cost, prior0, u[:T], sol.y[:T], K, config.a_factor,
-                          config.solver)
-    else:
-        results = run_fie(model, cost, prior0, u[:T], sol.y[:T], config.a_factor,
-                          config.solver, t_max=config.t_max_fie)
     d0 = model.dist(sol.x[0], prior0)
     w_norms = seq_norms(sol.w)
     v_norms = seq_norms(sol.v)
@@ -505,8 +522,7 @@ def run_cell(resolved: ResolvedExperiment, scenario: ScenarioSpec, seed: int,
         if t == 0:
             record = CertificationRecord(True, 1.0, 0.0, 0.0)
         else:
-            start = 0 if (not is_mhe or t <= K) else t - K
-            reference = sol.window(start, t)
+            reference = sol.window(_window_start(config, K, t), t)
             record = certify_suboptimality(res, reference, cost, config.a_factor)
         if is_mhe:
             chain_certified = chain_certified and record.passed
@@ -549,26 +565,46 @@ def run_cell(resolved: ResolvedExperiment, scenario: ScenarioSpec, seed: int,
                       certified_steps, T + 1, worst)
 
 
+def _cell_hat(resolved: ResolvedExperiment, K: int) -> Optional[HatBounds]:
+    """The hat bounds a cell of horizon K checks; none for full information."""
+    return hat_bounds_for(resolved, K) if resolved.config.estimator == "mhe" else None
+
+
 _WORKER_CACHE: Dict[tuple, tuple] = {}
 
 
 def _cell_worker(payload) -> CellResult:
     """Process-pool entry point: re-resolves the (picklable) config once per
-    worker and runs one cell; results reduce deterministically by cell key."""
-    config, scenario, seed, horizon = payload
-    K = horizon or config.horizon
-    cache_key = (config.plant, config.certificate, config.mode, config.cost,
-                 config.cost_beta_hat, config.cost_gamma_hat, config.cost_delta_hat,
-                 config.a_factor, config.estimator, K)
+    worker and horizon and runs one cell; results reduce deterministically
+    by cell key."""
+    config, scenario, seed, K = payload
+    cache_key = (repr(config), K)
     if cache_key not in _WORKER_CACHE:
         resolved = resolve(config)
-        hat = None
-        if config.estimator == "mhe":
-            analysis = contraction_for(resolved, K)
-            hat = build_hat_bounds(analysis, resolved.bounds)
-        _WORKER_CACHE[cache_key] = (resolved, hat)
+        _WORKER_CACHE[cache_key] = (resolved, _cell_hat(resolved, K))
     resolved, hat = _WORKER_CACHE[cache_key]
-    return run_cell(resolved, scenario, seed, hat, horizon)
+    return run_cell(resolved, scenario, seed, hat, K)
+
+
+def run_cells(resolved: ResolvedExperiment, horizons,
+              hats: Optional[Dict[int, Optional[HatBounds]]] = None) -> List[CellResult]:
+    """Run every (horizon, scenario, seed) cell of the experiment, sorted by
+    cell key.  With ``config.jobs > 1`` the cells run on that many worker
+    processes; otherwise they run here, with the hat bounds ``hats[K]`` when
+    given."""
+    config = resolved.config
+    keys = [(scenario, seed, K) for K in horizons
+            for scenario in config.scenarios for seed in config.seeds]
+    if config.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            cells = list(pool.map(_cell_worker, [(config, *key) for key in keys]))
+    else:
+        if hats is None:
+            hats = {K: _cell_hat(resolved, K) for K in horizons}
+        cells = [run_cell(resolved, scenario, seed, hats[K], K) for scenario, seed, K in keys]
+    cells.sort(key=CellResult.key)
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +651,39 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
+def _write_json(path: str, obj: dict):
+    _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _write_traces(out: str, cells: List[CellResult], state_dim: int) -> dict:
+    """Write every cell's trace CSV; return the report's violations (the
+    worst step of every cell with a negative certified margin) and status."""
+    for cell in cells:
+        _write(os.path.join(out, f"trace_{cell.label}.csv"), trace_to_csv(cell.rows, state_dim))
+    violations = [c.worst for c in cells if c.certified_steps and c.min_margin < -MARGIN_TOL]
+    return {"violations": violations, "status": "bound-violation" if violations else "pass"}
+
+
+def _write_report(out: str, name: str, config: ExperimentConfig, **fields) -> dict:
+    """Write the JSON report ``name``: the schema, the config echo and
+    ``fields``.  Violations among the fields raise
+    :class:`BoundViolationError` at the worst step once the report is written."""
+    report = {"schema": REPORT_SCHEMA, "config": config.echo(), **fields}
+    _write_json(os.path.join(out, name), report)
+    if report.get("violations"):
+        worst = min(report["violations"], key=lambda w: w["margin"])
+        raise BoundViolationError(
+            f"bound violated at t={worst['t']} ({worst['scenario']}, seed {worst['seed']}): "
+            f"margin {worst['margin']:.3e}", worst)
+    return report
+
+
 def _plot_spec(cells: List[CellResult], out_name: str) -> dict:
     series = []
     for cell in cells:
-        label = f"{cell.scenario}-seed{cell.seed}" + (f"-K{cell.horizon}" if cell.horizon else "")
-        csv = f"trace_{label}.csv"
-        series.append({"csv": csv, "x": "t", "y": "error", "label": f"error {label}"})
-        series.append({"csv": csv, "x": "t", "y": "rhs", "label": f"bound {label}",
+        csv = f"trace_{cell.label}.csv"
+        series.append({"csv": csv, "x": "t", "y": "error", "label": f"error {cell.label}"})
+        series.append({"csv": csv, "x": "t", "y": "rhs", "label": f"bound {cell.label}",
                        "style": "dashed"})
     return {
         "schema": "mhestab-plot-v1",
@@ -633,71 +695,33 @@ def _plot_spec(cells: List[CellResult], out_name: str) -> dict:
 
 def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> ExperimentReport:
     """Execute one experiment: analysis gate, scenario x seed sweep, margin
-    verification, and artifact emission."""
+    verification, and artifact emission (trace CSVs, ``plots.json``,
+    ``report.json``)."""
     resolved = resolve(config)
     out = os.path.join(out_dir or config.out_dir, config.name)
-    analyses: Dict[int, ContractionAnalysis] = {}
-    hat = None
-    if config.estimator == "mhe":
-        analysis = contraction_for(resolved, config.horizon)
-        analyses[config.horizon] = analysis
-        if not analysis.passed:
-            raise AnalysisError(
-                f"no contraction at horizon {config.horizon}: {analysis.notes} "
-                f"(worst margin {analysis.worst_margin:.3g} at r={analysis.worst_r})")
-        hat = build_hat_bounds(analysis, resolved.bounds)
-    keys = [(scenario, seed) for scenario in config.scenarios for seed in config.seeds]
-    if config.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        payloads = [(config, scenario, seed, None) for scenario, seed in keys]
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            cells = list(pool.map(_cell_worker, payloads))
-    else:
-        cells = [run_cell(resolved, scenario, seed, hat) for scenario, seed in keys]
-    cells.sort(key=lambda c: c.key())
-    violations = []
-    for cell in cells:
-        if cell.certified_steps and cell.min_margin < -MARGIN_TOL:
-            violations.append(cell.worst)
-    for cell in cells:
-        label = f"{cell.scenario}-seed{cell.seed}" + (f"-K{cell.horizon}" if cell.horizon else "")
-        _write(os.path.join(out, f"trace_{label}.csv"),
-               trace_to_csv(cell.rows, resolved.model.state_dim))
-    report = {
-        "schema": REPORT_SCHEMA,
-        "config": config.echo(),
-        "analysis": _analysis_summary(resolved, analyses),
-        "cells": [{
-            "scenario": c.scenario, "seed": c.seed, "horizon": c.horizon,
-            "min_margin": None if not math.isfinite(c.min_margin) else c.min_margin,
-            "certified_steps": c.certified_steps, "total_steps": c.total_steps,
-            "worst": c.worst,
-        } for c in cells],
-        "violations": violations,
-        "status": "bound-violation" if violations else "pass",
-    }
-    report_path = os.path.join(out, "report.json")
-    _write(report_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
-    _write(os.path.join(out, "plots.json"),
-           json.dumps(_plot_spec(cells, config.name), sort_keys=True, indent=2) + "\n")
-    if violations:
-        worst = min(violations, key=lambda w: w["margin"])
-        raise BoundViolationError(
-            f"bound violated at t={worst['t']} ({worst['scenario']}, seed {worst['seed']}): "
-            f"margin {worst['margin']:.3e}", worst)
-    return ExperimentReport("pass", report_path, cells, report["analysis"], out)
+    hat = _cell_hat(resolved, config.horizon)
+    cells = run_cells(resolved, (config.horizon,), {config.horizon: hat})
+    verdict = _write_traces(out, cells, resolved.model.state_dim)
+    _write_json(os.path.join(out, "plots.json"), _plot_spec(cells, config.name))
+    analysis = _analysis_summary(resolved, {hat.K: hat.analysis} if hat else {})
+    _write_report(out, "report.json", config, analysis=analysis, cells=[{
+        "scenario": c.scenario, "seed": c.seed, "horizon": c.horizon,
+        "min_margin": None if not math.isfinite(c.min_margin) else c.min_margin,
+        "certified_steps": c.certified_steps, "total_steps": c.total_steps,
+        "worst": c.worst,
+    } for c in cells], **verdict)
+    return ExperimentReport("pass", os.path.join(out, "report.json"), cells, analysis, out)
 
 
 def analyze(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
-    """Certificate + contraction analysis only; no simulation."""
+    """Certificate + contraction analysis only; no simulation.  Writes
+    ``analysis.json``."""
     resolved = resolve(config)
     ks = config.sweep or ((config.horizon,) if config.estimator == "mhe" else ())
     analyses = {K: contraction_for(resolved, K) for K in ks}
     summary = _analysis_summary(resolved, analyses)
     out = os.path.join(out_dir or config.out_dir, config.name)
-    _write(os.path.join(out, "analysis.json"),
-           json.dumps({"schema": REPORT_SCHEMA, "analysis": summary,
-                       "config": config.echo()}, sort_keys=True, indent=2) + "\n")
+    _write_report(out, "analysis.json", config, analysis=summary)
     failing = [K for K, a in analyses.items() if not a.passed]
     if failing:
         raise AnalysisError(f"contraction analysis failed at horizons {sorted(failing)}")
@@ -706,28 +730,20 @@ def analyze(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
 
 def horizon_sweep(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     """Sweep the moving horizon: per-K analyses, bar-bound envelopes, and
-    overlaid empirical traces; failing horizons are excluded and reported."""
+    overlaid empirical traces; failing horizons are excluded and reported.
+    Writes one trace CSV per cell and ``sweep.json``."""
     if not config.sweep:
         raise ConfigError("horizon sweep needs a sweep = K1,K2,... entry")
     resolved = resolve(config)
-    out = os.path.join(out_dir or config.out_dir, config.name)
-    analyses = {}
-    passing = []
-    for K in sorted(set(config.sweep)):
-        analysis = contraction_for(resolved, K)
-        analyses[K] = analysis
-        if analysis.passed:
-            passing.append(K)
+    swept = sorted(set(config.sweep))
+    analyses = {K: contraction_for(resolved, K) for K in swept}
+    passing = [K for K in swept if analyses[K].passed]
     if not passing:
         raise AnalysisError("no swept horizon admits a contraction")
-    K0, K_max = min(passing), max(passing)
-    hat_family = {}
-    for K in range(K0, K_max + 1):
-        analysis = analyses.get(K) or contraction_for(resolved, K)
-        analyses.setdefault(K, analysis)
-        if not analysis.passed:
-            raise AnalysisError(f"horizon {K} inside the sweep range fails its contraction")
-        hat_family[K] = build_hat_bounds(analysis, resolved.bounds, check_grid=False)
+    K0, K_max = passing[0], passing[-1]
+    hat_family = {K: hat_bounds_for(resolved, K, analyses.get(K), check_grid=False)
+                  for K in range(K0, K_max + 1)}
+    analyses.update((K, hat.analysis) for K, hat in hat_family.items())
     bars = build_bar_bounds(hat_family, K0, K_max, resolved.bounds)
     probe_r = (1.0, 10.0)
     probe_t = (0, 1, 2, 3)
@@ -735,71 +751,45 @@ def horizon_sweep(config: ExperimentConfig, out_dir: Optional[str] = None) -> di
     for r in probe_r:
         for t in probe_t:
             row = {"r": r, "t": t, "fie_b": resolved.bounds.b(r, t)}
-            for K in sorted(set(config.sweep)):
-                if K in hat_family:
-                    row[f"bar_b_K{K}"] = bars.b_bar(K, r, t)
+            row.update((f"bar_b_K{K}", bars.b_bar(K, r, t)) for K in passing)
             gain_table.append(row)
-    cells = []
-    for K in sorted(set(config.sweep)):
-        if K not in hat_family:
-            continue
-        for scenario in config.scenarios:
-            for seed in config.seeds:
-                cells.append(run_cell(resolved, scenario, seed, hat_family[K], horizon=K))
-    cells.sort(key=lambda c: c.key())
-    for cell in cells:
-        label = f"{cell.scenario}-seed{cell.seed}-K{cell.horizon}"
-        _write(os.path.join(out, f"trace_{label}.csv"),
-               trace_to_csv(cell.rows, resolved.model.state_dim))
-    violations = [c.worst for c in cells if c.certified_steps and c.min_margin < -MARGIN_TOL]
-    summary = {
-        "schema": REPORT_SCHEMA,
-        "config": config.echo(),
-        "analysis": _analysis_summary(resolved, analyses),
-        "excluded_horizons": [K for K in config.sweep if not analyses[K].passed],
-        "minimal_passing_horizon": K0,
-        "bar_convergence_gap": bars.convergence_gap,
-        "gain_table": gain_table,
-        "violations": violations,
-        "status": "bound-violation" if violations else "pass",
-    }
-    _write(os.path.join(out, "sweep.json"), json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    if violations:
-        worst = min(violations, key=lambda w: w["margin"])
-        raise BoundViolationError("sweep bound violation", worst)
-    return summary
+    out = os.path.join(out_dir or config.out_dir, config.name)
+    cells = run_cells(resolved, passing, hat_family)
+    verdict = _write_traces(out, cells, resolved.model.state_dim)
+    return _write_report(
+        out, "sweep.json", config,
+        analysis=_analysis_summary(resolved, analyses),
+        excluded_horizons=[K for K in config.sweep if not analyses[K].passed],
+        minimal_passing_horizon=K0, bar_convergence_gap=bars.convergence_gap,
+        gain_table=gain_table, **verdict)
 
 
 def deviant_output_probe(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     """Perturb one measurement and verify the pair inequality with the output
-    discrepancy terms included.
+    discrepancy terms included.  Writes ``probe.json``.
 
-    The estimator consumes the perturbed stream; the certificate inequality is
-    then evaluated between the true solution and the estimator's window
-    solution, whose output channel reproduces the perturbed measurements, so
-    the perturbation enters exactly like a disturbance.
+    Each scenario runs on the first configured seed only.  The configured
+    estimator consumes the perturbed stream; the certificate inequality is
+    then evaluated on its final window (the whole run for full information,
+    the last K steps for a moving horizon) between the true solution and the
+    estimator's window solution, whose output channel reproduces the
+    perturbed measurements, so the perturbation enters exactly like a
+    disturbance.
     """
     resolved = resolve(config)
-    model, cert, cost = resolved.model, resolved.cert, resolved.cost
+    model, cert = resolved.model, resolved.cert
     T = config.t_final
     out = os.path.join(out_dir or config.out_dir, config.name)
+    step = min(max(config.probe_step, 0), T - 1)
+    start = _window_start(config, config.horizon, T)
     results = {}
     for scenario in config.scenarios:
-        spec = scenario.instantiate(config.seeds[0], T + 1)
-        w, v = generate_scenario(spec, model.process_noise_dim, model.meas_noise_dim)
-        x0 = np.full(model.state_dim, 0.0 if config.plant == "s2" else config.x0)
-        u = np.zeros((T + 1, model.input_dim))
-        sol = simulate(model, x0, u, w, v, T + 1)
+        sol, u, prior0 = _truth(config, model, scenario, config.seeds[0])
         y_pert = sol.y[:T].copy()
-        step = min(max(config.probe_step, 0), T - 1)
         y_pert[step, 0] += config.probe_delta
-        prior0 = x0 + config.prior_offset
-        est = run_fie(model, cost, prior0, u[:T], y_pert, config.a_factor, config.solver,
-                      t_max=config.t_max_fie)
-        final = est[T]
-        est_sol = final.as_solution(model, u[:T])
-        truth = sol.window(0, T)
-        margin = check_ioss_on_pair(cert, model, truth, est_sol)
+        final = _estimate(resolved, prior0, u[:T], y_pert, config.horizon)[T]
+        margin = check_ioss_on_pair(cert, model, sol.window(start, T),
+                                    final.as_solution(model, u[start:T]))
         out_of_range = abs(config.probe_delta) > cert.r_range[1]
         results[scenario.name] = {
             "min_margin": margin.min_margin,
@@ -809,7 +799,6 @@ def deviant_output_probe(config: ExperimentConfig, out_dir: Optional[str] = None
             "perturbation": config.probe_delta,
             "step": step,
         }
-    summary = {"schema": REPORT_SCHEMA, "config": config.echo(), "probe": results,
-               "status": "pass" if all(r["passed"] for r in results.values()) else "probe-violation"}
-    _write(os.path.join(out, "probe.json"), json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    return summary
+    return _write_report(
+        out, "probe.json", config, probe=results,
+        status="pass" if all(r["passed"] for r in results.values()) else "probe-violation")

@@ -8,7 +8,6 @@ cells remain deterministic in (scenario, seed).
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -33,10 +32,10 @@ from mhestab.estimator import EstimationProblem, SolverConfig, eval_cost, solve_
 from mhestab.harness import (
     ExperimentConfig,
     ScenarioSpec,
-    _cell_worker,
     contraction_for,
     resolve,
     run_cell,
+    run_cells,
     run_experiment,
 )
 from mhestab.stability import (
@@ -68,15 +67,6 @@ def _report(criterion: str, passed: bool, detail: str):
     assert passed, line
 
 
-def _sweep_cells(config: ExperimentConfig, horizons=(None,)):
-    payloads = [(config, scenario, seed, K)
-                for K in horizons for scenario in config.scenarios for seed in config.seeds]
-    if JOBS > 1:
-        with ProcessPoolExecutor(max_workers=JOBS) as pool:
-            return list(pool.map(_cell_worker, payloads, chunksize=8))
-    return [_cell_worker(p) for p in payloads]
-
-
 # ---------------------------------------------------------------------------
 # Criterion 1: growing-window estimator error bound
 # ---------------------------------------------------------------------------
@@ -87,8 +77,8 @@ def test_criterion_1_fie_bound():
     for plant in ("s1", "s2", "s3"):
         config = ExperimentConfig(name="acc1", plant=plant, mode="max", estimator="fie",
                                   a_factor=A_FACTOR, t_final=60, seeds=SEEDS,
-                                  scenarios=SCENARIOS)
-        cells = _sweep_cells(config)
+                                  scenarios=SCENARIOS, jobs=JOBS)
+        cells = run_cells(resolve(config), (config.horizon,))
         for cell in cells:
             certified += cell.certified_steps
             total += cell.total_steps
@@ -136,8 +126,8 @@ def test_criterion_3_mhe_bound():
     for mode in ("max", "sum"):
         config = ExperimentConfig(name="acc3", plant="s1", mode=mode, estimator="mhe",
                                   a_factor=A_FACTOR, t_final=60, seeds=SEEDS,
-                                  scenarios=SCENARIOS)
-        cells = _sweep_cells(config, horizons=(2, 4, 8))
+                                  scenarios=SCENARIOS, jobs=JOBS)
+        cells = run_cells(resolve(config), (2, 4, 8))
         for cell in cells:
             certified += cell.certified_steps
             total += cell.total_steps

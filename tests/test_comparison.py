@@ -33,7 +33,6 @@ from mhestab.comparison import (
     format_klfn,
     iterate_k,
     k_inverse,
-    kl_eval,
     log_grid,
     parse_kfn,
     parse_klfn,
@@ -145,12 +144,12 @@ def test_iter_k_object_matches_function():
 
 def test_kl_eval_examples():
     f = SeparableGeometric(2.0, 1.0, 0.5)
-    assert kl_eval(f, 1.0, 2) == 0.5
-    assert kl_eval(f, 0.0, 5) == 0.0
+    assert f(1.0, 2) == 0.5
+    assert f(0.0, 5) == 0.0
     g = IteratedKL(LinearK(0.5), LinearK(1.0))
-    assert kl_eval(g, 8.0, 3) == 1.0
+    assert g(8.0, 3) == 1.0
     with pytest.raises(DomainError):
-        kl_eval(f, -1.0, 0)
+        f(-1.0, 0)
 
 
 def test_kl_grid_invariants():

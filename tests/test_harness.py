@@ -142,12 +142,22 @@ def test_determinism_byte_identical(tmp_path):
         assert a == b, name
 
 
-def test_parallel_jobs_match_serial(tmp_path):
+def test_parallel_jobs_match_serial(tmp_path, monkeypatch):
+    import concurrent.futures
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     cfg = ExperimentConfig(name="par", plant="s1", mode="max", estimator="fie",
                            t_final=8, seeds=(0, 1, 2))
     run_experiment(cfg, str(tmp_path / "serial"))
     cfg.jobs = 2
     run_experiment(cfg, str(tmp_path / "parallel"))
+    assert pools == [2]
     for seed in (0, 1, 2):
         name = f"trace_zero-seed{seed}.csv"
         a = open(tmp_path / "serial" / "par" / name, "rb").read()
@@ -156,6 +166,27 @@ def test_parallel_jobs_match_serial(tmp_path):
     ra = json.loads(open(tmp_path / "serial" / "par" / "report.json").read())
     rb = json.loads(open(tmp_path / "parallel" / "par" / "report.json").read())
     assert ra["cells"] == rb["cells"]   # echoed jobs differ, results must not
+
+    # the horizon sweep fans its cells out over the same pool
+    sweep = ExperimentConfig(name="psweep", plant="s1", mode="max", estimator="mhe",
+                             sweep=(2, 3), t_final=8, seeds=(0, 1),
+                             scenarios=[ScenarioSpec("zero", "zero"),
+                                        ScenarioSpec("noise", "bounded_uniform", amplitude=0.1)])
+    horizon_sweep(sweep, str(tmp_path / "serial"))
+    sweep.jobs = 2
+    horizon_sweep(sweep, str(tmp_path / "parallel"))
+    assert pools == [2, 2]
+    serial, parallel = tmp_path / "serial" / "psweep", tmp_path / "parallel" / "psweep"
+    names = sorted(os.listdir(serial))
+    assert names == sorted(os.listdir(parallel))
+    traces = [name for name in names if name.startswith("trace_")]
+    assert len(traces) == 8
+    for name in traces:
+        assert open(serial / name, "rb").read() == open(parallel / name, "rb").read(), name
+    sa = json.loads(open(serial / "sweep.json").read())
+    sb = json.loads(open(parallel / "sweep.json").read())
+    assert (sa["config"].pop("jobs"), sb["config"].pop("jobs")) == (1, 2)
+    assert sa == sb
 
 
 def test_analyze_only(tmp_path):
@@ -314,11 +345,6 @@ seed = 3
 use_structured = false
 level_passes = 2
 
-[grid]
-r_min = 1e-5
-r_max = 1e2
-points_per_decade = 16
-
 [probe]
 delta = 0.25
 step = 1
@@ -333,8 +359,7 @@ def test_every_allowed_config_key_loads(tmp_path):
     path.write_text(FULL_CONFIG)
     cfg = load_config(str(path))
     assert (cfg.sweep, cfg.seeds, cfg.t_max_fie, cfg.cost) == ((2, 3), (1, 2), 50, "explicit")
-    assert (cfg.solver.method, cfg.solver.level_passes, cfg.grid_points_per_decade) == (
-        "multistart_local", 2, 16)
+    assert (cfg.solver.method, cfg.solver.level_passes) == ("multistart_local", 2)
     assert (cfg.probe_step, cfg.out_dir, cfg.scenarios[0].time) == (1, "somewhere", 2)
 
 
@@ -349,8 +374,10 @@ def test_every_allowed_config_key_loads(tmp_path):
     ("[solver]", "[solvr]"),
     ("t_final = 12", "t_final = twelve"),
     ("seeds = 0,1", "seeds = 1:2:3"),
+    ("[solver]", "[grid]\nr_min = 1e-2\n\n[solver]"),
 ], ids=["empty-seed-range", "no-seeds", "sweep-zero", "sweep-empty-entry", "sweep-empty",
-        "unknown-key", "unknown-scenario-key", "unknown-section", "bad-int", "bad-range"])
+        "unknown-key", "unknown-scenario-key", "unknown-section", "bad-int", "bad-range",
+        "grid-section"])
 def test_invalid_configs_are_config_errors(tmp_path, capsys, old, new):
     path = _edit_config(tmp_path, old, new)
     with pytest.raises(ConfigError):
@@ -365,11 +392,25 @@ def test_cli_fie_beyond_its_horizon_cap_is_rejected_before_running(tmp_path, cap
     assert "t_max_fie = 200" in capsys.readouterr().err
 
 
-def test_cli_horizon_cap_error_exits_2(tmp_path, capsys):
-    # the probe always runs full information, whatever the configured estimator
-    path = _write_config(tmp_path, estimator="mhe", horizon=2, t_final=8, extra="t_max_fie = 3")
+def test_cli_horizon_cap_error_exits_2(tmp_path, capsys, monkeypatch):
+    # validate() rejects an FIE t_final beyond t_max_fie up front, so lower the
+    # cap inside the run to reach the estimator's own HorizonCapError
+    run_fie = harness.run_fie
+    monkeypatch.setattr(harness, "run_fie",
+                        lambda *args, **kw: run_fie(*args, **{**kw, "t_max": 3}))
+    path = _write_config(tmp_path, estimator="fie", t_final=8)
     assert cli_main(["probe", "--config", path]) == 2
     assert "exceeds cap 3" in capsys.readouterr().err
+
+
+def test_cli_probe_runs_the_configured_estimator(tmp_path, capsys):
+    # a moving horizon has no full-information cap; the probe checks its final window
+    path = _write_config(tmp_path, estimator="mhe", horizon=2, t_final=8, extra="t_max_fie = 3")
+    assert cli_main(["probe", "--config", path]) == 0
+    assert "probe pass" in capsys.readouterr().out
+    probe = json.loads(open(tmp_path / "out" / "demo" / "probe.json").read())
+    assert probe["config"]["estimator"] == "mhe"
+    assert all(rec["passed"] for rec in probe["probe"].values())
 
 
 def test_cli_capability_error_exits_2(tmp_path, capsys):
