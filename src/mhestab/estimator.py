@@ -23,10 +23,20 @@ Three engines back ``solve_window``:
 
 The structured engines are fast paths used by both configured methods; they
 exist because the acceptance sweeps solve tens of thousands of windows.
+
+The iterative methods evaluate their candidates in batches: one array pass
+rolls the plant forward for every candidate and calls each cost gain once
+per age.  Gauss-Newton evaluates step length 1 with its Jacobian points and
+the step's halvings in one batch, and compass evaluates the rest of a sweep
+in one batch.  The iterates are those of evaluating one candidate at a
+time, bit for bit; a candidate that algorithm would not have evaluated can
+neither raise nor change the result.  This needs plant maps that accept a
+leading batch axis (see :mod:`mhestab.systems`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -222,17 +232,6 @@ def eval_cost(cost: CostSpec, prior, chi0, omega_seq, nu_seq) -> float:
         terms.append(cost.gamma_hat(float(np.linalg.norm(omega[j])), age))
         terms.append(cost.delta_hat(float(np.linalg.norm(nu[j])), age))
     return plus_reduce(cost.mode, terms)
-
-
-def _cost_terms(problem: EstimationProblem, chi0: np.ndarray, omega: np.ndarray,
-                nu: np.ndarray) -> np.ndarray:
-    cost, K = problem.cost, problem.horizon
-    vals = [cost.beta_hat(float(np.linalg.norm(chi0 - problem.prior)), K)]
-    for j in range(K):
-        age = K - j
-        vals.append(cost.gamma_hat(float(np.linalg.norm(omega[j])), age))
-        vals.append(cost.delta_hat(float(np.linalg.norm(nu[j])), age))
-    return np.array(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -650,35 +649,149 @@ def _solve_sum_scalar(problem: EstimationProblem, cfg: SolverConfig) -> Estimate
 # Engine C: generic iterative solvers
 # ---------------------------------------------------------------------------
 
-def _generic_objective(problem: EstimationProblem):
-    model, K = problem.model, problem.horizon
-    n, q = model.state_dim, model.process_noise_dim
-    eliminate = model.additive_v
-    m = model.meas_noise_dim
+_EPS = 1e-12
 
-    def unpack(z):
-        chi0 = z[:n]
-        omega = z[n:n + K * q].reshape(K, q)
-        nu = z[n + K * q:].reshape(K, m) if not eliminate else None
-        return chi0, omega, nu
+# the Gauss-Newton step lengths tried after 1: 1/2, 1/4, ..., 2**-24
+_HALVINGS = np.ldexp(1.0, -np.arange(1, 25))
 
-    def full_eval(z, penalty=0.0):
-        chi0, omega, nu = unpack(z)
-        xs, _ = _rollout(problem, chi0, omega)
-        if eliminate:
-            nu_eff = _eliminated_nu(problem, xs)
-            pen = 0.0
-        else:
-            nu_eff = nu
-            pen = 0.0
+
+def _row_sqnorms(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms over the last axis, rounded as numpy rounds
+    the dot product of one row (``np.linalg.norm``, ``@``): a product for one
+    column, else a stacked ``matmul``, which takes the same BLAS dot per row.
+    ``einsum`` and ``(a * a).sum(-1)`` round differently."""
+    if a.shape[-1] == 1:
+        return a[..., 0] * a[..., 0]
+    a = np.ascontiguousarray(a)
+    return np.matmul(a[..., None, :], a[..., :, None])[..., 0, 0]
+
+
+class _Objective:
+    """The window objective of the generic engines, over a batch of candidates.
+
+    A candidate z stacks the initial state chi0 (n), the disturbances omega
+    (K x q) and, when the output map is not additive in the noise, the
+    measurement noise nu (K x m); otherwise nu is read off the outputs.
+    :meth:`evaluate` maps candidates Z (B, dim) to their cost terms
+    (B, 2K+1), ordered beta_hat, then gamma_hat and delta_hat of each window
+    step in time order; their output penalties (B,); and the mask of rows
+    whose evaluation alone raises (a NaN distance, a NaN or negative term).
+    Each gain is called once per age on the whole column, and every row is
+    computed by exactly the arithmetic of evaluating that candidate alone,
+    so batching moves no iterate.  A masked row raises only when an engine
+    reads it: :class:`_Batch` then recomputes it alone through
+    :meth:`strict`.  A row that is never read can neither raise nor change
+    the result.
+    """
+
+    def __init__(self, problem: EstimationProblem):
+        model = problem.model
+        self.problem = problem
+        self.eliminate = model.additive_v
+        self.n, self.q, self.m = model.state_dim, model.process_noise_dim, model.meas_noise_dim
+        self.n_omega = problem.horizon * self.q
+        self.dim = self.n + self.n_omega + (0 if self.eliminate else problem.horizon * self.m)
+
+    def unpack(self, z: np.ndarray):
+        K, n, end = self.problem.horizon, self.n, self.n + self.n_omega
+        nu = None if self.eliminate else z[end:].reshape(K, self.m)
+        return z[:n], z[n:end].reshape(K, self.q), nu
+
+    def evaluate(self, Z: np.ndarray):
+        """``(terms, penalties, masked)`` of the candidate rows Z."""
+        try:
+            with np.errstate(all="ignore"):
+                return self._evaluate(Z, strict=False)
+        except Exception:
+            # a plant map or gain failed on some row, which need not be one
+            # the engine reads: mask every row, so each read recomputes its
+            # row alone and the failing one raises there
+            B = len(Z)
+            return (np.full((B, 2 * self.problem.horizon + 1), np.nan), np.full(B, np.nan),
+                    np.ones(B, dtype=bool))
+
+    def strict(self, z: np.ndarray):
+        """``(terms, penalties)`` of the one candidate z, as one-row arrays;
+        raises what evaluating z alone raises."""
+        terms, pen, _ = self._evaluate(z[None, :], strict=True)
+        plus_reduce(self.problem.cost.mode, terms[0])      # NaN or negative terms
+        return terms, pen
+
+    def _evaluate(self, Z: np.ndarray, strict: bool):
+        problem = self.problem
+        model, cost, K = problem.model, problem.cost, problem.horizon
+        B, n, end = len(Z), self.n, self.n + self.n_omega
+        chi0 = Z[:, :n]
+        omega = Z[:, n:end].reshape(B, K, self.q)
+        xs = np.empty((B, K, n))
+        x = chi0
+        for j in range(K):
+            xs[:, j] = x
+            if j < K - 1:           # the endpoint is not scored
+                x = model.f(x, problem.u_win[j], omega[:, j])
+        pen = np.zeros(B)
+        if self.eliminate:
+            nu = np.empty((B, K, self.m))
             for j in range(K):
-                res = problem.y_win[j] - np.atleast_1d(model.h(xs[j], problem.u_win[j], nu[j]))
-                pen += float(res @ res)
-        terms = _cost_terms(problem, chi0, omega, nu_eff)
-        return terms, plus_reduce(problem.cost.mode, terms) + penalty * pen, pen
+                nu[:, j] = problem.y_win[j] - model.h_nominal(xs[:, j], problem.u_win[j])
+        else:
+            nu = Z[:, end:].reshape(B, K, self.m)
+            for j in range(K):
+                res = problem.y_win[j] - model.h(xs[:, j], problem.u_win[j], nu[:, j])
+                pen = pen + _row_sqnorms(res)
+        dist = np.sqrt(_row_sqnorms(chi0 - problem.prior))
+        wn = np.sqrt(_row_sqnorms(omega))
+        vn = np.sqrt(_row_sqnorms(nu))
+        masked = np.isnan(dist) | np.isnan(wn).any(axis=1) | np.isnan(vn).any(axis=1)
+        if not strict and masked.any():
+            dist, wn, vn = (np.where(np.isnan(a), 0.0, a) for a in (dist, wn, vn))
+        terms = np.empty((B, 2 * K + 1))
+        terms[:, 0] = cost.beta_hat(dist, K)
+        for j in range(K):
+            terms[:, 1 + 2 * j] = cost.gamma_hat(wn[:, j], K - j)
+            terms[:, 2 + 2 * j] = cost.delta_hat(vn[:, j], K - j)
+        masked |= ~(terms >= 0.0).all(axis=1)
+        return terms, pen, masked
 
-    dim = n + K * q + (0 if eliminate else K * m)
-    return unpack, full_eval, dim
+    def values(self, terms: np.ndarray, pen: np.ndarray, mu: float) -> np.ndarray:
+        """``plus_reduce`` of each row of terms plus mu times its penalty,
+        folded one column at a time from 0.0 as ``plus_reduce`` folds."""
+        total = np.zeros(len(terms))
+        if self.problem.cost.mode is PlusMode.SUM:
+            for col in terms.T:
+                total = total + col
+        else:
+            for col in terms.T:
+                total = np.where(col > total, col, total)
+        return total + mu * pen
+
+    def residual_rows(self, terms: np.ndarray, pen: np.ndarray, power: float,
+                      mu: float) -> np.ndarray:
+        """The Gauss-Newton residual vectors: sqrt((term + eps)**power) per
+        term, then sqrt(mu * penalty + eps) when nu is a decision variable."""
+        rows = np.sqrt(np.power(terms + _EPS, power))
+        if self.eliminate:
+            return rows
+        return np.concatenate([rows, np.sqrt(mu * pen + _EPS)[:, None]], axis=1)
+
+
+class _Batch:
+    """Candidate rows Z and what an engine reads of them, ``derive(terms,
+    penalties)`` row by row.  ``row(k)`` reads row k; a masked row is
+    recomputed alone there, raising what evaluating it alone raises.  Rows
+    must be read in the order the one-candidate algorithm evaluates them."""
+
+    def __init__(self, objective: _Objective, Z: np.ndarray, derive):
+        self.objective, self.Z, self.derive = objective, Z, derive
+        terms, pen, self.masked = objective.evaluate(Z)
+        with np.errstate(all="ignore"):
+            self.rows = derive(terms, pen)
+
+    def row(self, k: int):
+        if self.masked[k]:
+            self.rows[k] = self.derive(*self.objective.strict(self.Z[k]))[0]
+            self.masked[k] = False
+        return self.rows[k]
 
 
 def _generic_starts(problem: EstimationProblem, cfg: SolverConfig, dim: int) -> List[np.ndarray]:
@@ -698,60 +811,77 @@ def _generic_starts(problem: EstimationProblem, cfg: SolverConfig, dim: int) -> 
     return base[: max(1, cfg.multistart)]
 
 
-def _compass_minimize(fun, z0: np.ndarray, max_iter: int, tol: float) -> Tuple[np.ndarray, float, int]:
+def _compass_search(objective: _Objective, z0: np.ndarray, mu: float, max_iter: int,
+                      tol: float) -> Tuple[np.ndarray, int]:
+    """Compass search on the objective plus mu times the output penalty.
+
+    Each sweep tries every coordinate in turn, a step up and then a step
+    down, and moves to the first candidate that improves, growing that
+    coordinate's step; a sweep without a move halves every step.  The rest
+    of a sweep is evaluated from the current point in one batch and read in
+    order; after a move the batch is dropped and a new one starts at the
+    next coordinate.
+    """
+    dim = len(z0)
     z = z0.copy()
-    best = fun(z)
+    derive = lambda terms, pen: objective.values(terms, pen, mu)
+    best = _Batch(objective, z[None, :], derive).row(0)
     step = np.maximum(0.25, 0.1 * np.abs(z))
+    signs = np.tile([1.0, -1.0], dim)
     iters = 0
     for _ in range(max_iter):
         improved = False
-        for i in range(len(z)):
-            for sgn in (1.0, -1.0):
-                cand = z.copy()
-                cand[i] += sgn * step[i]
-                val = fun(cand)
+        i = 0
+        while i < dim:
+            coords = np.repeat(np.arange(i, dim), 2)
+            rows = np.arange(len(coords))
+            cands = np.repeat(z[None, :], len(coords), axis=0)
+            cands[rows, coords] += signs[2 * i:] * step[coords]
+            batch = _Batch(objective, cands, derive)
+            i = dim
+            for k in rows:
+                val = batch.row(k)
                 iters += 1
                 if val < best - 1e-300:
-                    z, best = cand, val
-                    step[i] *= 1.6
+                    z, best = cands[k], val
+                    step[coords[k]] *= 1.6
                     improved = True
+                    i = coords[k] + 1
                     break
         if not improved:
             step *= 0.5
             if float(np.max(step)) < tol:
                 break
-    return z, best, iters
+    return z, iters
 
 
 def _solve_multistart_local(problem: EstimationProblem, cfg: SolverConfig) -> EstimateResult:
-    unpack, full_eval, dim = _generic_objective(problem)
-    eliminate = problem.model.additive_v
-    schedule = (0.0,) if eliminate else cfg.penalty_schedule
+    objective = _Objective(problem)
+    schedule = (0.0,) if objective.eliminate else cfg.penalty_schedule
 
     best = None
-    for idx, z0 in enumerate(_generic_starts(problem, cfg, dim)):
+    for idx, z0 in enumerate(_generic_starts(problem, cfg, objective.dim)):
         z = z0
         iters = 0
         for mu in schedule:
-            fun = lambda zz: full_eval(zz, mu)[1]
-            z, val, it = _compass_minimize(fun, z, cfg.max_iter, cfg.tol)
+            z, it = _compass_search(objective, z, mu, cfg.max_iter, cfg.tol)
             iters += it
-        terms, val, pen = full_eval(z, schedule[-1])
-        key = (plus_reduce(problem.cost.mode, terms), idx)
+        key = (plus_reduce(problem.cost.mode, objective.strict(z)[0][0]), idx)
         if best is None or key < best[0]:
             best = (key, z, iters, idx)
     _, z, iters, idx = best
-    chi0, omega, nu = unpack(z)
-    if eliminate:
-        res = _result_from_decisions(problem, chi0, omega, "compass", iters, idx + 1)
-        return res
-    return _penalized_result(problem, chi0, omega, nu, "compass", iters, idx + 1)
+    return _generic_result(objective, z, "compass", iters, idx + 1)
 
 
-def _penalized_result(problem, chi0, omega, nu, engine, iters, starts) -> EstimateResult:
+def _generic_result(objective: _Objective, z: np.ndarray, engine: str, iters: int,
+                    starts: int) -> EstimateResult:
+    problem = objective.problem
+    chi0, omega, nu = objective.unpack(z)
+    if objective.eliminate:
+        return _result_from_decisions(problem, chi0, omega, engine, iters, starts)
     model, K = problem.model, problem.horizon
     xs, endpoint = _rollout(problem, np.atleast_1d(chi0), omega)
-    j_val = plus_reduce(problem.cost.mode, _cost_terms(problem, np.atleast_1d(chi0), omega, nu))
+    j_val = plus_reduce(problem.cost.mode, objective.strict(z)[0][0])
     xhat = np.vstack([xs, endpoint[None, :]])
     res = EstimateResult(xhat, np.asarray(omega, float), np.asarray(nu, float), j_val,
                          "ok", engine, problem.prior.copy(), K,
@@ -766,6 +896,40 @@ def _penalized_result(problem, chi0, omega, nu, engine, iters, starts) -> Estima
     return res
 
 
+def _fd_steps(z: np.ndarray) -> np.ndarray:
+    return 1e-6 * np.maximum(1.0, np.abs(z))
+
+
+def _with_probes(z: np.ndarray) -> np.ndarray:
+    """The rows z, z + h_0 e_0, ..., z + h_{dim-1} e_{dim-1}: a point and the
+    points of its forward-difference Jacobian."""
+    dim = len(z)
+    Z = np.repeat(z[None, :], dim + 1, axis=0)
+    Z[np.arange(1, dim + 1), np.arange(dim)] += _fd_steps(z)
+    return Z
+
+
+def _line_search(objective: _Objective, z: np.ndarray, step: np.ndarray, f0: float,
+                 derive):
+    """``(alpha, batch, k)`` for the first alpha of 1, 1/2, ..., 2**-24 whose
+    candidate z + alpha step, row k of the batch, has a squared residual
+    below f0; None if there is none.
+
+    One batch holds z + step and its Jacobian points (rows 0..dim), which
+    the next iteration reads when step length 1 is accepted, then the 24
+    halvings.  Rows are read in the order the candidates are tried, so rows
+    after the accepted one are never read.
+    """
+    probes = _with_probes(z + step)
+    batch = _Batch(objective, np.vstack([probes, z + _HALVINGS[:, None] * step]), derive)
+    tries = [(0, 1.0)] + [(len(probes) + k, float(a)) for k, a in enumerate(_HALVINGS)]
+    for k, alpha in tries:
+        rc = batch.row(k)
+        if float(rc @ rc) < f0 - 1e-300:
+            return alpha, batch, k
+    return None
+
+
 def _solve_gauss_newton(problem: EstimationProblem, cfg: SolverConfig) -> EstimateResult:
     """Damped Gauss-Newton on smoothed residuals.
 
@@ -773,62 +937,50 @@ def _solve_gauss_newton(problem: EstimationProblem, cfg: SolverConfig) -> Estima
     squared residual norm is the cost); max-mode costs go through escalating
     power-mean surrogates, which squeeze the iterate toward the minimax point,
     with the true max cost reported.  Output equations enter as escalating
-    quadratic penalties when measurement noise cannot be eliminated.
+    quadratic penalties when measurement noise cannot be eliminated.  The
+    finite-difference Jacobian is taken from one batch of dim + 1 points,
+    which the line search evaluates ahead for step length 1.
     """
-    unpack, full_eval, dim = _generic_objective(problem)
-    eliminate = problem.model.additive_v
+    objective = _Objective(problem)
+    dim = objective.dim
     powers = (1.0,) if problem.cost.mode is PlusMode.SUM else (2.0, 8.0)
-    eps = 1e-12
-
-    def residuals(z, power, mu):
-        terms, _, pen = full_eval(z, 0.0)
-        vec = np.sqrt(np.power(terms + eps, power))
-        if not eliminate:
-            vec = np.concatenate([vec, [math.sqrt(mu * pen + eps)]])
-        return vec
 
     best = None
-    schedule = (0.0,) if eliminate else cfg.penalty_schedule
+    schedule = (0.0,) if objective.eliminate else cfg.penalty_schedule
     for idx, z0 in enumerate(_generic_starts(problem, cfg, dim)):
         z = z0.astype(float)
         iters = 0
         for mu in schedule:
             for power in powers:
+                derive = functools.partial(objective.residual_rows, power=power, mu=mu)
+                batch = None
                 for _ in range(cfg.max_iter):
-                    r = residuals(z, power, mu)
+                    if batch is None:
+                        batch = _Batch(objective, _with_probes(z), derive)
+                    for i in np.flatnonzero(batch.masked[:dim + 1]):
+                        batch.row(i)     # in order: z, then each Jacobian point
+                    r = batch.rows[0]
                     f0 = float(r @ r)
-                    jac = np.empty((len(r), dim))
-                    h = 1e-6 * np.maximum(1.0, np.abs(z))
-                    for i in range(dim):
-                        zp = z.copy()
-                        zp[i] += h[i]
-                        jac[:, i] = (residuals(zp, power, mu) - r) / h[i]
+                    jac = ((batch.rows[1:dim + 1] - r) / _fd_steps(z)[:, None]).T
                     try:
                         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
                     except np.linalg.LinAlgError:
                         break
-                    alpha = 1.0
-                    moved = False
-                    for _ in range(25):
-                        cand = z + alpha * step
-                        rc = residuals(cand, power, mu)
-                        if float(rc @ rc) < f0 - 1e-300:
-                            z = cand
-                            moved = True
-                            break
-                        alpha *= 0.5
+                    found = _line_search(objective, z, step, f0, derive)
                     iters += 1
-                    if not moved or float(np.linalg.norm(alpha * step)) < cfg.tol:
+                    if found is None:
                         break
-        terms, _, pen = full_eval(z, 0.0)
-        key = (plus_reduce(problem.cost.mode, terms), idx)
+                    alpha, batch, k = found
+                    z = batch.Z[k]
+                    if k:       # a halving: its Jacobian points are not in the batch
+                        batch = None
+                    if float(np.linalg.norm(alpha * step)) < cfg.tol:
+                        break
+        key = (plus_reduce(problem.cost.mode, objective.strict(z)[0][0]), idx)
         if best is None or key < best[0]:
             best = (key, z, iters, idx)
     _, z, iters, idx = best
-    chi0, omega, nu = unpack(z)
-    if eliminate:
-        return _result_from_decisions(problem, chi0, omega, "gauss-newton", iters, idx + 1)
-    return _penalized_result(problem, chi0, omega, nu, "gauss-newton", iters, idx + 1)
+    return _generic_result(objective, z, "gauss-newton", iters, idx + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -754,7 +754,9 @@ def horizon_sweep(config: ExperimentConfig, out_dir: Optional[str] = None) -> di
             row.update((f"bar_b_K{K}", bars.b_bar(K, r, t)) for K in passing)
             gain_table.append(row)
     out = os.path.join(out_dir or config.out_dir, config.name)
-    cells = run_cells(resolved, passing, hat_family)
+    # full-information cells do not depend on the horizon: run them once
+    cells = run_cells(resolved, passing if config.estimator == "mhe" else passing[:1],
+                      hat_family)
     verdict = _write_traces(out, cells, resolved.model.state_dim)
     return _write_report(
         out, "sweep.json", config,
@@ -770,26 +772,28 @@ def deviant_output_probe(config: ExperimentConfig, out_dir: Optional[str] = None
 
     Each scenario runs on the first configured seed only.  The configured
     estimator consumes the perturbed stream; the certificate inequality is
-    then evaluated on its final window (the whole run for full information,
-    the last K steps for a moving horizon) between the true solution and the
-    estimator's window solution, whose output channel reproduces the
-    perturbed measurements, so the perturbation enters exactly like a
-    disturbance.
+    then evaluated between the true solution and the estimator's solution of
+    a window that holds the perturbed step: the whole run for full
+    information; for a moving horizon of length K, the window it solved at
+    t = min(step + K, T), which is the last window holding the step.  The
+    window solution's output channel reproduces the perturbed measurements,
+    so the perturbation enters exactly like a disturbance.
     """
     resolved = resolve(config)
     model, cert = resolved.model, resolved.cert
-    T = config.t_final
+    T, K = config.t_final, config.horizon
     out = os.path.join(out_dir or config.out_dir, config.name)
     step = min(max(config.probe_step, 0), T - 1)
-    start = _window_start(config, config.horizon, T)
+    t = min(step + K, T) if config.estimator == "mhe" else T
+    start = _window_start(config, K, t)
     results = {}
     for scenario in config.scenarios:
         sol, u, prior0 = _truth(config, model, scenario, config.seeds[0])
-        y_pert = sol.y[:T].copy()
+        y_pert = sol.y[:t].copy()
         y_pert[step, 0] += config.probe_delta
-        final = _estimate(resolved, prior0, u[:T], y_pert, config.horizon)[T]
-        margin = check_ioss_on_pair(cert, model, sol.window(start, T),
-                                    final.as_solution(model, u[start:T]))
+        solved = _estimate(resolved, prior0, u[:t], y_pert, K)[t]
+        margin = check_ioss_on_pair(cert, model, sol.window(start, t),
+                                    solved.as_solution(model, u[start:t]))
         out_of_range = abs(config.probe_delta) > cert.r_range[1]
         results[scenario.name] = {
             "min_margin": margin.min_margin,

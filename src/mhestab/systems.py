@@ -15,6 +15,11 @@ Four test plants ship with the package:
 
 The scalar plants expose exact interval images and preimages of their noise-
 free transition maps; the window solvers use those for structured solves.
+
+Plant maps accept a leading batch axis: ``f(X, u, W)`` with X (B, n) and
+W (B, q) returns the (B, n) stack of ``f(X[b], u, W[b])``, bit for bit, and
+``h``, ``f_nominal`` and ``h_nominal`` do the same; u is the one input of
+the step.  The generic window solvers evaluate their candidates that way.
 """
 
 from __future__ import annotations
@@ -332,17 +337,17 @@ def _make_s4() -> SystemModel:
     def f_nominal(x, u):
         x = np.asarray(x, dtype=float)
         u0 = float(np.atleast_1d(u)[0])
-        return np.array([
-            0.8 * x[0] - 0.1 * np.tanh(x[1]) + 0.05 * u0,
-            0.1 * np.sin(x[0]) + 0.7 * x[1],
-        ])
+        return np.stack([
+            0.8 * x[..., 0] - 0.1 * np.tanh(x[..., 1]) + 0.05 * u0,
+            0.1 * np.sin(x[..., 0]) + 0.7 * x[..., 1],
+        ], axis=-1)
 
     def f(x, u, w):
         return f_nominal(x, u) + np.asarray(w, dtype=float)
 
     def h_nominal(x, u):
         x = np.asarray(x, dtype=float)
-        return np.array([x[0] + 0.5 * x[1]])
+        return np.stack([x[..., 0] + 0.5 * x[..., 1]], axis=-1)
 
     def h(x, u, v):
         return h_nominal(x, u) + np.asarray(v, dtype=float)

@@ -8,6 +8,10 @@ versions return the same evidence, field for field, with ``==``.
 
 Partial sums are folded with explicit ``partial = partial + term`` loops, the
 plain left-to-right addition the array versions use.
+
+``generic_objective`` is the window objective of the generic engines, one
+candidate at a time, as the engines evaluated it before they batched their
+candidates; ``test_generic_engines.py`` pins the batched rows to it.
 """
 
 import math
@@ -24,6 +28,7 @@ from mhestab.comparison import (
     plus_reduce,
 )
 from mhestab.certificates import CompatibilityWitness
+from mhestab.estimator import _eliminated_nu, _rollout
 from mhestab.stability import (
     ANALYSIS_R_MAX,
     ANALYSIS_R_MIN,
@@ -277,3 +282,31 @@ def bar_bound_checks(hat_family, K0, K_max, bounds, r_grid=None, t_max=12):
                   for name in ("b_hat", "c_hat", "d_hat"))
     return gap, mono, kl_ev
 
+
+
+def generic_objective(problem, z):
+    """``(terms, penalty)`` of one decision vector z = (chi0, omega[, nu]):
+    the cost terms [beta_hat(|chi0 - prior|, K), gamma_hat(|omega_0|, K),
+    delta_hat(|nu_0|, K), gamma_hat(|omega_1|, K - 1), ...] and the squared
+    output residual summed over the window (0.0 when nu is eliminated)."""
+    model, cost, K = problem.model, problem.cost, problem.horizon
+    n, q, m = model.state_dim, model.process_noise_dim, model.meas_noise_dim
+    chi0 = z[:n]
+    omega = z[n:n + K * q].reshape(K, q)
+    xs, _ = _rollout(problem, chi0, omega)
+    pen = 0.0
+    if model.additive_v:
+        nu = _eliminated_nu(problem, xs)
+    else:
+        nu = z[n + K * q:].reshape(K, m)
+        for j in range(K):
+            res = problem.y_win[j] - np.atleast_1d(model.h(xs[j], problem.u_win[j], nu[j]))
+            pen += float(res @ res)
+    terms = [cost.beta_hat(float(np.linalg.norm(chi0 - problem.prior)), K)]
+    for j in range(K):
+        age = K - j
+        terms.append(cost.gamma_hat(float(np.linalg.norm(omega[j])), age))
+        terms.append(cost.delta_hat(float(np.linalg.norm(nu[j])), age))
+    terms = np.array(terms)
+    plus_reduce(cost.mode, terms)      # raises on NaN terms, as the engines did
+    return terms, pen

@@ -1,0 +1,27 @@
+"""The per-layer benchmark (``bench/tracer.py``) wraps mhestab functions by
+name and reports a missing one only as ``not traced (absent)``.  This test
+fails instead when a rename in ``src`` leaves one of its bindings behind."""
+
+import ast
+import importlib
+import os
+
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+
+
+def _targets():
+    # parsed rather than imported, so nothing is written under bench/
+    with open(TRACER, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TARGETS":
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError("bench/tracer.py defines no TARGETS")
+
+
+def test_every_traced_binding_resolves_to_a_callable():
+    targets = _targets()
+    assert len(targets) >= 18
+    missing = [f"{module}.{name}" for module, name in targets
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert not missing, missing

@@ -213,6 +213,41 @@ def test_horizon_sweep_excludes_failing_k(tmp_path):
         assert vals[-1] >= row["fie_b"] - 1e-12
 
 
+def test_fie_sweep_runs_each_cell_once(tmp_path, monkeypatch):
+    calls = []
+    real = harness.run_cell
+    monkeypatch.setattr(harness, "run_cell", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    cfg = ExperimentConfig(name="fsweep", plant="s1", mode="max", estimator="fie",
+                           sweep=(2, 3, 4), t_final=8, seeds=(0,),
+                           scenarios=[ScenarioSpec("noise", "bounded_uniform", amplitude=0.1)],
+                           out_dir=str(tmp_path))
+    horizon_sweep(cfg)
+    assert len(calls) == 1
+    traces = sorted(n for n in os.listdir(tmp_path / "fsweep") if n.startswith("trace_"))
+    assert traces == ["trace_noise-seed0.csv"]
+    # the same full-information cell that `run` writes
+    cfg.name = "frun"
+    run_experiment(cfg)
+    assert (open(tmp_path / "fsweep" / traces[0], "rb").read()
+            == open(tmp_path / "frun" / traces[0], "rb").read())
+
+
+def test_mhe_probe_checks_a_window_holding_the_perturbed_step(tmp_path):
+    # step 2 lies before the final window [6, 8): the probe checks the window
+    # solved at t = 4, [2, 4), so the size of the perturbation shows
+    cfg = ExperimentConfig(name="mprobe", plant="s1", mode="max", estimator="mhe",
+                           horizon=2, t_final=8, seeds=(0,), probe_step=2,
+                           scenarios=[ScenarioSpec("noise", "bounded_uniform", amplitude=0.1)],
+                           out_dir=str(tmp_path))
+    margins = []
+    for delta in (0.0, 0.5, 5.0):
+        cfg.probe_delta = delta
+        margins.append(deviant_output_probe(cfg)["probe"]["noise"]["min_margin"])
+    # checking only [6, 8) gave 0.0302912 for all three, equal to 8 digits
+    assert margins[0] < margins[1] < margins[2], margins
+    assert margins[2] - margins[0] > 1.0, margins
+
+
 def test_deviant_output_probe(tmp_path):
     cfg = ExperimentConfig(name="probe", plant="s2", mode="max", estimator="fie",
                            t_final=10, seeds=(0,), probe_delta=0.4, probe_step=3,
