@@ -54,8 +54,11 @@ from .comparison import (
     TriangleGrowth,
     check_summable,
     first_max,
+    fold_terms,
+    gain_terms,
     log_grid,
     plus_reduce,
+    seq_norms,
 )
 from .systems import SolutionTuple, SystemModel, simulate
 
@@ -306,29 +309,46 @@ def derive_bcd(cert: IossCertificate, cost: CostSpec, witness: CompatibilityWitn
                          a_factor, witness.B, (cert.name, cost.name))
 
 
+def bound_trace(mode: PlusMode, b: KLFn, c: KLFn, d: KLFn, init_dist: float,
+                w_norms: np.ndarray, v_norms: np.ndarray) -> np.ndarray:
+    """The bound b(init_dist, t) (+) c(|w(t - tau)|, tau) (+) d(|v(t - tau)|,
+    tau) over tau = 1..t for t = 0..T, from the T disturbance norms at times
+    0..T-1: :func:`gain_terms` with slope tables up to age T, folded by
+    :func:`fold_terms`."""
+    T = len(w_norms)
+    if len(v_norms) != T:
+        raise DomainError("w and v norm sequences must share one length")
+    w_rev = np.asarray(w_norms, dtype=float)[::-1]
+    v_rev = np.asarray(v_norms, dtype=float)[::-1]
+    out = np.empty(T + 1)
+    out[0] = b(init_dist, 0)
+    for t in range(1, T + 1):
+        ages = range(1, t + 1)         # the disturbance at time t - tau has age tau
+        out[t] = fold_terms(mode, b(init_dist, t), gain_terms(c, ages, w_rev[T - t:], T),
+                            gain_terms(d, ages, v_rev[T - t:], T))
+    return out
+
+
+def _window_norms(seq, t: int) -> np.ndarray:
+    """Row norms of entries 0..t-1 of a (t', d) or (t',) sequence."""
+    arr = np.asarray(seq, dtype=float)
+    arr = arr[:, None] if arr.ndim == 1 else arr
+    if not 0 <= t <= len(arr):
+        raise DomainError(f"time index {t} outside a sequence of length {len(arr)}")
+    return seq_norms(arr[:t])
+
+
 def eval_rgas_rhs(bounds: DerivedBounds, init_dist: float,
                   w_seq: np.ndarray, v_seq: np.ndarray, t: int) -> float:
-    """Right side of the full-information error bound at time t.
+    """Right side of the full-information error bound at time t: entry t of
+    :func:`bound_trace` with the run's plus.
 
     ``w_seq``/``v_seq`` must cover indices 0..t-1; the disturbance at time
     t - tau enters with discount tau.
     """
-    if t < 0:
-        raise DomainError("time index must be nonnegative")
-    terms = [bounds.b(init_dist, t)]
-    w = np.asarray(w_seq, dtype=float)
-    v = np.asarray(v_seq, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    if v.ndim == 1:
-        v = v[:, None]
-    for tau in range(1, t + 1):
-        j = t - tau
-        terms.append(plus_reduce(bounds.mode, (
-            bounds.c(float(np.linalg.norm(w[j])), tau),
-            bounds.d(float(np.linalg.norm(v[j])), tau),
-        )))
-    return plus_reduce(bounds.mode, terms)
+    trace = bound_trace(bounds.mode, bounds.b, bounds.c, bounds.d, init_dist,
+                        _window_norms(w_seq, t), _window_norms(v_seq, t))
+    return float(trace[t])
 
 
 # ---------------------------------------------------------------------------

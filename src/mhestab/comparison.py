@@ -809,6 +809,71 @@ class TabulatedKL(KLFn):
 
 
 # ---------------------------------------------------------------------------
+# Gain terms: the discounted window sequences of costs and bounds
+# ---------------------------------------------------------------------------
+
+_SLOPE_TABLES: dict = {}
+
+
+def slope_table(fn: KLFn, s_max: int) -> Optional[np.ndarray]:
+    """Slopes of the linear-in-r slices fn(., s) for s = 0..s_max, or None if
+    any slice is not exactly linear.
+
+    Keyed by object identity with the function kept alive in the cache entry,
+    so a recycled id can never alias a different function.
+    """
+    key = (id(fn), s_max)
+    hit = _SLOPE_TABLES.get(key)
+    if hit is not None and hit[0] is fn:
+        return hit[1]
+    slopes = [fn.r_slope(s) for s in range(s_max + 1)]
+    table = None if any(s is None for s in slopes) else np.asarray(slopes, dtype=float)
+    if len(_SLOPE_TABLES) > 4096:
+        _SLOPE_TABLES.clear()
+    _SLOPE_TABLES[key] = (fn, table)
+    return table
+
+
+def seq_norms(arr: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a (K, d) array."""
+    if arr.shape[1] == 1:
+        return np.abs(arr[:, 0])
+    return np.sqrt(np.einsum("ij,ij->i", arr, arr))
+
+
+def gain_terms(fn: KLFn, ages: range, r, s_max: Optional[int] = None) -> np.ndarray:
+    """The terms fn(r[i], ages[i]) of a window, for a contiguous range of ages.
+
+    When every slice of fn up to ``s_max`` (default: the largest age) is
+    linear in r, the terms are one product of a slice of the slope table with
+    r; otherwise each term is one scalar call.
+    """
+    r = np.asarray(r, dtype=float)
+    if len(r) != len(ages):
+        raise DomainError(f"{len(ages)} ages but {len(r)} arguments")
+    if not ages:
+        return np.empty(0)
+    table = slope_table(fn, max(ages[0], ages[-1]) if s_max is None else s_max)
+    if table is None:
+        return np.array([fn(float(x), age) for x, age in zip(r, ages)], dtype=float)
+    stop = ages.stop if ages.stop >= 0 else None
+    return table[ages.start:stop:ages.step] * r
+
+
+def fold_terms(mode: PlusMode, head: float, c_terms: np.ndarray, d_terms: np.ndarray
+               ) -> float:
+    """``head`` combined with two nonempty term sequences by the mode's plus:
+    ``head + (sum c + sum d)`` or ``max(head, max c, max d)``.  A NaN term
+    makes the result NaN in both modes."""
+    if mode is PlusMode.SUM:
+        return head + float(c_terms.sum() + d_terms.sum())
+    c_max, d_max = float(c_terms.max()), float(d_terms.max())
+    if c_max != c_max or d_max != d_max:      # Python's max would drop the NaN
+        return math.nan
+    return max(head, c_max, d_max)
+
+
+# ---------------------------------------------------------------------------
 # Grid evidence
 # ---------------------------------------------------------------------------
 

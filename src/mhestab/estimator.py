@@ -32,6 +32,15 @@ in one batch.  The iterates are those of evaluating one candidate at a
 time, bit for bit; a candidate that algorithm would not have evaluated can
 neither raise nor change the result.  This needs plant maps that accept a
 leading batch axis (see :mod:`mhestab.systems`).
+
+``eval_cost``, the cost that is reported and certified, follows the rule of
+the error bounds in :mod:`mhestab.certificates`: ``gain_terms`` evaluates
+each gain over the window's ages (a slope product when every slice is
+linear in r, otherwise one call per term), and ``fold_terms`` combines
+them.  The engines' objective stays separate: it calls each gain once per
+age on a column of candidates and folds left to right like ``plus_reduce``,
+and moving it onto the slope products would move the iterates pinned by
+``tests/golden_generic.json``.
 """
 
 from __future__ import annotations
@@ -43,40 +52,21 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .comparison import CapabilityError, DomainError, PlusMode, plus_reduce
+from .comparison import (
+    CapabilityError,
+    DomainError,
+    PlusMode,
+    fold_terms,
+    gain_terms,
+    plus_reduce,
+    seq_norms,
+    slope_table,
+)
 from .certificates import CostSpec
 from .systems import SolutionTuple, SystemModel, verify_solution
 
 WIDTH_CAP = 1e18
-
-
-_SLOPE_TABLES: dict = {}
-
-
-def slope_table(fn, s_max: int) -> Optional[np.ndarray]:
-    """Slopes of the linear-in-r slices fn(., s) for s = 0..s_max, or None if
-    any slice is not exactly linear.
-
-    Keyed by object identity with the function kept alive in the cache entry,
-    so a recycled id can never alias a different function.
-    """
-    key = (id(fn), s_max)
-    hit = _SLOPE_TABLES.get(key)
-    if hit is not None and hit[0] is fn:
-        return hit[1]
-    slopes = [fn.r_slope(s) for s in range(s_max + 1)]
-    table = None if any(s is None for s in slopes) else np.asarray(slopes, dtype=float)
-    if len(_SLOPE_TABLES) > 4096:
-        _SLOPE_TABLES.clear()
-    _SLOPE_TABLES[key] = (fn, table)
-    return table
-
-
-def seq_norms(arr: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of a (K, d) array."""
-    if arr.shape[1] == 1:
-        return np.abs(arr[:, 0])
-    return np.sqrt(np.einsum("ij,ij->i", arr, arr))
+LEVEL_PASSES = 4          # level-grid refinements of the max-mode bisection
 
 
 class HorizonCapError(RuntimeError):
@@ -171,7 +161,6 @@ class SolverConfig:
     tol: float = 1e-10
     seed: int = 0
     use_structured: bool = True
-    level_passes: int = 4
 
     METHODS = ("gauss_newton_penalty", "multistart_local")
 
@@ -214,24 +203,11 @@ def eval_cost(cost: CostSpec, prior, chi0, omega_seq, nu_seq) -> float:
     K = len(omega)
     if K < 1:
         raise DomainError("window must contain at least one step")
-    prior_dist = float(np.linalg.norm(chi0 - prior))
-    b_table = slope_table(cost.beta_hat, K)
-    g_table = slope_table(cost.gamma_hat, K)
-    d_table = slope_table(cost.delta_hat, K)
-    if b_table is not None and g_table is not None and d_table is not None:
-        wn = seq_norms(omega)
-        vn = seq_norms(nu)
-        gterms = g_table[K:0:-1] * wn      # entry j acts at age K - j
-        dterms = d_table[K:0:-1] * vn
-        if cost.mode is PlusMode.SUM:
-            return b_table[K] * prior_dist + float(gterms.sum() + dterms.sum())
-        return max(b_table[K] * prior_dist, float(gterms.max()), float(dterms.max()))
-    terms = [cost.beta_hat(prior_dist, K)]
-    for j in range(K):
-        age = K - j
-        terms.append(cost.gamma_hat(float(np.linalg.norm(omega[j])), age))
-        terms.append(cost.delta_hat(float(np.linalg.norm(nu[j])), age))
-    return plus_reduce(cost.mode, terms)
+    ages = range(K, 0, -1)             # entry j acts at age K - j
+    prior_term = gain_terms(cost.beta_hat, range(K, K + 1),
+                            [float(np.linalg.norm(chi0 - prior))])[0]
+    return fold_terms(cost.mode, prior_term, gain_terms(cost.gamma_hat, ages, seq_norms(omega)),
+                      gain_terms(cost.delta_hat, ages, seq_norms(nu)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +420,7 @@ def _solve_max_scalar(problem: EstimationProblem, cfg: SolverConfig) -> Estimate
     hi = max(s_hi, 1e-300)
     levels = np.geomspace(max(hi * 1e-14, 1e-300), hi, n_levels)
     iterations = 0
-    for _ in range(max(1, cfg.level_passes)):
+    for _ in range(LEVEL_PASSES):
         mask, _ = _max_feasible(problem, prep, levels)
         iterations += 1
         if not mask[-1]:

@@ -29,6 +29,7 @@ from .comparison import (
     TriangleGrowth,
     parse_klfn,
     plus_reduce,
+    seq_norms,
     triangle_constant,
 )
 from .systems import (
@@ -42,12 +43,12 @@ from .certificates import (
     CostSpec,
     DerivedBounds,
     IossCertificate,
+    bound_trace,
     builtin_certificate,
     check_compatibility,
     check_ioss_on_pair,
     default_cost_from_certificate,
     derive_bcd,
-    eval_rgas_rhs,
 )
 from .estimator import (
     CertificationRecord,
@@ -55,15 +56,12 @@ from .estimator import (
     certify_suboptimality,
     run_fie,
     run_mhe,
-    seq_norms,
-    slope_table,
 )
 from .stability import (
     ContractionAnalysis,
     HatBounds,
     build_bar_bounds,
     build_hat_bounds,
-    eval_mhe_bound,
     find_contraction_max,
     find_contraction_sum,
 )
@@ -190,8 +188,7 @@ CONFIG_KEYS = {
                    "horizon", "sweep", "t_final", "seeds", "x0", "prior_offset", "t_max_fie"),
     "cost": ("beta_hat", "gamma_hat", "delta_hat"),
     "scenario": ("kind", "amplitude", "rate", "time", "magnitude"),
-    "solver": ("method", "multistart", "max_iter", "tol", "seed", "use_structured",
-               "level_passes"),
+    "solver": ("method", "multistart", "max_iter", "tol", "seed", "use_structured"),
     "probe": ("delta", "step"),
     "output": ("dir",),
 }
@@ -275,7 +272,6 @@ def _read_config(path: str) -> ExperimentConfig:
             tol=sec.getfloat("tol", 1e-10),
             seed=sec.getint("seed", 0),
             use_structured=sec.getboolean("use_structured", True),
-            level_passes=sec.getint("level_passes", 4),
         )
     if parser.has_section("probe"):
         sec = parser["probe"]
@@ -419,53 +415,6 @@ def trace_to_csv(rows: List[dict], state_dim: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rhs_trace_fie(bounds: DerivedBounds, d0: float, w_norms: np.ndarray,
-                   v_norms: np.ndarray, T: int) -> np.ndarray:
-    """Vectorized bound trace; falls back to the reference fold when the gain
-    slices are not linear in r."""
-    c_sl = slope_table(bounds.c, T)
-    d_sl = slope_table(bounds.d, T)
-    out = np.empty(T + 1)
-    if c_sl is None or d_sl is None:
-        for t in range(T + 1):
-            out[t] = eval_rgas_rhs(bounds, d0, w_norms[:t, None], v_norms[:t, None], t)
-        return out
-    is_sum = bounds.mode is PlusMode.SUM
-    for t in range(T + 1):
-        b_term = bounds.b(d0, t)
-        if t == 0:
-            out[t] = b_term
-            continue
-        c_terms = c_sl[1:t + 1] * w_norms[t - 1::-1]
-        d_terms = d_sl[1:t + 1] * v_norms[t - 1::-1]
-        if is_sum:
-            out[t] = b_term + float(c_terms.sum() + d_terms.sum())
-        else:
-            out[t] = max(b_term, float(c_terms.max()), float(d_terms.max()))
-    return out
-
-
-def _rhs_trace_mhe(hat: HatBounds, d0: float, w_norms: np.ndarray,
-                   v_norms: np.ndarray, T: int) -> np.ndarray:
-    c_sl = slope_table(hat.c_hat, T)
-    d_sl = slope_table(hat.d_hat, T)
-    out = np.empty(T + 1)
-    if c_sl is None or d_sl is None:
-        for t in range(T + 1):
-            out[t] = eval_mhe_bound(hat, d0, w_norms[:t, None], v_norms[:t, None], t)
-        return out
-    for t in range(T + 1):
-        b_term = hat.b_hat(d0, t)
-        if t == 0:
-            out[t] = b_term
-            continue
-        c_terms = c_sl[1:t + 1] * w_norms[t - 1::-1]
-        d_terms = d_sl[1:t + 1] * v_norms[t - 1::-1]
-        # the outer combination is a maximum in both formulations
-        out[t] = max(b_term, float(c_terms.max()), float(d_terms.max()))
-    return out
-
-
 def _truth(config: ExperimentConfig, model: SystemModel, scenario: ScenarioSpec, seed: int):
     """The simulated true solution of one scenario and seed over t_final + 1
     steps, its inputs, and the estimator's initial prior."""
@@ -506,9 +455,14 @@ def run_cell(resolved: ResolvedExperiment, scenario: ScenarioSpec, seed: int,
     w_norms = seq_norms(sol.w)
     v_norms = seq_norms(sol.v)
     if is_mhe and hat is not None:
-        rhs_trace = _rhs_trace_mhe(hat, d0, w_norms, v_norms, T)
+        # the sum formulation's outer combination is a maximum, as in max mode
+        rhs_trace = bound_trace(PlusMode.MAX, hat.b_hat, hat.c_hat, hat.d_hat, d0,
+                                w_norms[:T], v_norms[:T])
     else:
-        rhs_trace = _rhs_trace_fie(bounds, d0, w_norms, v_norms, T)
+        rhs_trace = bound_trace(bounds.mode, bounds.b, bounds.c, bounds.d, d0,
+                                w_norms[:T], v_norms[:T])
+    if np.isnan(rhs_trace).any():       # a NaN margin would never count as violated
+        raise DomainError(f"error bound is NaN at t = {int(np.argmax(np.isnan(rhs_trace)))}")
     rows = []
     chain_certified = True
     certified_steps = 0

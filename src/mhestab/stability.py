@@ -43,11 +43,11 @@ from .comparison import (
     check_kl_on_grid,
     first_max,
     first_min,
+    gain_terms,
     iterate_k,
     log_grid,
-    plus_reduce,
 )
-from .certificates import DerivedBounds, IossCertificate
+from .certificates import DerivedBounds, IossCertificate, _window_norms, bound_trace
 
 ANALYSIS_R_MIN = 1e-6
 ANALYSIS_R_MAX = 1e3
@@ -368,27 +368,12 @@ def build_hat_bounds(analysis: ContractionAnalysis, bounds: DerivedBounds,
 
 def eval_mhe_bound(hat: HatBounds, init_dist: float, w_seq: np.ndarray,
                    v_seq: np.ndarray, t: int) -> float:
-    """Right side of the moving-horizon error bound at time t.
-
-    Max formulation folds with the run's plus; the sum formulation's outer
-    combination is a maximum by construction of the conversion step.
-    """
-    if t < 0:
-        raise DomainError("time index must be nonnegative")
-    w = np.asarray(w_seq, dtype=float)
-    v = np.asarray(v_seq, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    if v.ndim == 1:
-        v = v[:, None]
-    terms = [hat.b_hat(init_dist, t)]
-    for tau in range(1, t + 1):
-        j = t - tau
-        terms.append(hat.c_hat(float(np.linalg.norm(w[j])), tau))
-        terms.append(hat.d_hat(float(np.linalg.norm(v[j])), tau))
-    if hat.mode is PlusMode.MAX:
-        return plus_reduce(PlusMode.MAX, terms)
-    return max(terms)
+    """Right side of the moving-horizon error bound at time t: entry t of
+    :func:`bound_trace` folded with max, the outer combination of both
+    formulations (by construction of the sum-to-max conversion step)."""
+    trace = bound_trace(PlusMode.MAX, hat.b_hat, hat.c_hat, hat.d_hat, init_dist,
+                        _window_norms(w_seq, t), _window_norms(v_seq, t))
+    return float(trace[t])
 
 
 # ---------------------------------------------------------------------------
@@ -513,19 +498,11 @@ def check_sum_to_max_lemma(kappa: KFn, rho: KFn, zeta: KFn, n_samples: int = 100
         sum_tau f(r_tau, tau) <= max_tau sum_s f(r_tau, s).
     """
     gen = np.random.Generator(np.random.Philox(key=seed))
-    worst = math.inf
     e_vals = 10.0 ** gen.uniform(-8, 3, n_samples)
     d_vals = 10.0 ** gen.uniform(-8, 3, n_samples)
-    if isinstance(kappa, LinearK) and isinstance(rho, LinearK) and isinstance(zeta, LinearK):
-        lhs = kappa.c * e_vals - rho.c * e_vals + d_vals
-        rhs = np.maximum(kappa.c * e_vals, zeta.c * d_vals)
-        margins = (rhs - lhs) / np.maximum(1.0, rhs)
-        worst = float(margins.min())
-    else:
-        for e, d in zip(e_vals, d_vals):
-            lhs = kappa(e) - rho(e) + d
-            rhs = max(kappa(e), zeta(d))
-            worst = min(worst, (rhs - lhs) / max(1.0, rhs))
+    lhs = kappa(e_vals) - rho(e_vals) + d_vals
+    rhs = np.maximum(kappa(e_vals), zeta(d_vals))
+    worst = float(((rhs - lhs) / np.maximum(1.0, rhs)).min())
     if worst < -tol:
         return LemmaReport(False, n_samples, worst, "case-split inequality violated")
     if kls is None:
@@ -537,16 +514,10 @@ def check_sum_to_max_lemma(kappa: KFn, rho: KFn, zeta: KFn, n_samples: int = 100
     for _ in range(n_sequences):
         T = int(gen.integers(1, 40))
         seq = 10.0 ** gen.uniform(-6, 2, T)
+        ages = range(1, T + 1)
         for fn in kls:
-            slopes = [fn.r_slope(tau) for tau in range(1, T + 1)]
-            if all(s is not None for s in slopes):
-                sl = np.array(slopes)
-                lhs = float(np.sum(sl * seq))
-                rhs = float(np.max(seq) * np.sum(sl))
-            else:
-                lhs = sum(fn(seq[tau - 1], tau) for tau in range(1, T + 1))
-                rhs = max(sum(fn(seq[tau - 1], s) for s in range(1, T + 1))
-                          for tau in range(1, T + 1))
+            lhs = float(np.sum(gain_terms(fn, ages, seq)))
+            rhs = float(np.max(sum(fn(seq, s) for s in ages)))
             worst_seq = min(worst_seq, (rhs - lhs) / max(1.0, rhs))
     passed = worst_seq >= -tol
     return LemmaReport(passed, n_samples + n_sequences,

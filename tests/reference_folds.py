@@ -12,6 +12,11 @@ plain left-to-right addition the array versions use.
 ``generic_objective`` is the window objective of the generic engines, one
 candidate at a time, as the engines evaluated it before they batched their
 candidates; ``test_generic_engines.py`` pins the batched rows to it.
+
+``rgas_rhs``, ``mhe_bound`` and ``window_cost`` are the scalar folds of the
+full-information bound, the moving-horizon bound and the window cost: one
+gain call per term, folded with ``plus_reduce``.  ``test_bound_path.py``
+holds ``bound_trace`` and ``eval_cost`` to them.
 """
 
 import math
@@ -310,3 +315,41 @@ def generic_objective(problem, z):
     terms = np.array(terms)
     plus_reduce(cost.mode, terms)      # raises on NaN terms, as the engines did
     return terms, pen
+
+
+def rgas_rhs(bounds, init_dist, w_seq, v_seq, t):
+    """The full-information bound at time t; w_seq/v_seq are (t', d), t' >= t."""
+    terms = [bounds.b(init_dist, t)]
+    w = np.asarray(w_seq, dtype=float)
+    v = np.asarray(v_seq, dtype=float)
+    for tau in range(1, t + 1):
+        j = t - tau
+        terms.append(plus_reduce(bounds.mode, (
+            bounds.c(float(np.linalg.norm(w[j])), tau),
+            bounds.d(float(np.linalg.norm(v[j])), tau),
+        )))
+    return plus_reduce(bounds.mode, terms)
+
+
+def mhe_bound(hat, init_dist, w_seq, v_seq, t):
+    """The moving-horizon bound at time t, folded with max in both modes."""
+    w = np.asarray(w_seq, dtype=float)
+    v = np.asarray(v_seq, dtype=float)
+    terms = [hat.b_hat(init_dist, t)]
+    for tau in range(1, t + 1):
+        j = t - tau
+        terms.append(hat.c_hat(float(np.linalg.norm(w[j])), tau))
+        terms.append(hat.d_hat(float(np.linalg.norm(v[j])), tau))
+    return plus_reduce(PlusMode.MAX, terms)
+
+
+def window_cost(cost, prior, chi0, omega, nu):
+    """The window cost of (chi0, omega, nu) against the prior; omega/nu are
+    (K, d) in time order, entry j at age K - j."""
+    K = len(omega)
+    terms = [cost.beta_hat(float(np.linalg.norm(np.asarray(chi0) - prior)), K)]
+    for j in range(K):
+        age = K - j
+        terms.append(cost.gamma_hat(float(np.linalg.norm(omega[j])), age))
+        terms.append(cost.delta_hat(float(np.linalg.norm(nu[j])), age))
+    return plus_reduce(cost.mode, terms)

@@ -1,0 +1,264 @@
+"""The one evaluation path of the discounted window quantities: the error
+bounds (``bound_trace``) and the window cost (``eval_cost``).
+
+``golden_bounds.json`` pins the full-information and moving-horizon bound
+traces and the window costs of the catalog fixtures: every float as its
+``repr``.  Re-record the file only for a change that is meant to move these
+bytes::
+
+    PYTHONPATH=src python tests/test_bound_path.py
+"""
+
+import dataclasses
+import json
+import os
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import mhestab.harness
+from mhestab import certificates, estimator
+from mhestab.certificates import CostSpec, DerivedBounds, bound_trace, eval_rgas_rhs
+from mhestab.comparison import (
+    IteratedKL,
+    KLFn,
+    LinearK,
+    PlusMode,
+    DomainError,
+    PowerK,
+    SeparableGeometric,
+    TabulatedKL,
+    check_summable,
+)
+from mhestab.estimator import eval_cost
+from mhestab.harness import (
+    AnalysisError,
+    ExperimentConfig,
+    ScenarioSpec,
+    hat_bounds_for,
+    resolve,
+    run_cell,
+)
+from mhestab.stability import eval_mhe_bound
+from mhestab.systems import DisturbanceScenario, builtin_model, generate_scenario
+
+from reference_folds import mhe_bound, rgas_rhs, window_cost
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_bounds.json")
+T_TRACE = 30
+D0 = 0.7
+DRAWS = {
+    "uniform": DisturbanceScenario("bounded_uniform", 3, T_TRACE, amplitude=0.1),
+    "impulse": DisturbanceScenario("impulse", 0, T_TRACE, time=4, magnitude=1.0),
+}
+TRACE_PLANTS = ("s1", "s2", "s3")
+COST_PLANTS = ("s1", "s2", "s3", "s4")
+MODES = ("max", "sum")
+HORIZONS = (2, 4, 8)
+COST_WINDOWS = (1, 3, 7)
+
+
+def _reprs(values):
+    return [repr(float(x)) for x in values]
+
+
+def _norms(draw):
+    w, v = generate_scenario(DRAWS[draw], 1, 1)
+    return estimator.seq_norms(w), estimator.seq_norms(v)
+
+
+def _fie_trace(bounds, d0, w_norms, v_norms):
+    return certificates.bound_trace(bounds.mode, bounds.b, bounds.c, bounds.d,
+                                    d0, w_norms, v_norms)
+
+
+def _mhe_trace(hat, d0, w_norms, v_norms):
+    # the sum formulation's outer combination is a maximum, as in max mode
+    return certificates.bound_trace(PlusMode.MAX, hat.b_hat, hat.c_hat,
+                                    hat.d_hat, d0, w_norms, v_norms)
+
+
+def _cost_window(plant, K):
+    model = builtin_model(plant)
+    gen = np.random.Generator(np.random.Philox(key=100 + K))
+    n, q, m = model.state_dim, model.process_noise_dim, model.meas_noise_dim
+    return (gen.uniform(-1.0, 1.0, n), gen.uniform(-1.0, 1.0, n),
+            gen.uniform(-1.0, 1.0, (K, q)), gen.uniform(-1.0, 1.0, (K, m)))
+
+
+def _snapshots():
+    """Case name -> the values pinned for it."""
+    out = {}
+    for plant in COST_PLANTS:
+        for mode in MODES:
+            resolved = resolve(ExperimentConfig(plant=plant, mode=mode))
+            for K in COST_WINDOWS:
+                out[f"cost-{plant}-{mode}-K{K}"] = _reprs(
+                    [estimator.eval_cost(resolved.cost, *_cost_window(plant, K))])
+            if plant not in TRACE_PLANTS:
+                continue
+            hats = {}
+            for K in HORIZONS:
+                try:
+                    hats[K] = hat_bounds_for(resolved, K)
+                except AnalysisError:
+                    hats[K] = None
+            for draw in DRAWS:
+                wn, vn = _norms(draw)
+                out[f"fie-{plant}-{mode}-{draw}"] = _reprs(
+                    _fie_trace(resolved.bounds, D0, wn, vn))
+                for K, hat in hats.items():
+                    out[f"mhe-{plant}-{mode}-K{K}-{draw}"] = (
+                        "no contraction" if hat is None
+                        else _reprs(_mhe_trace(hat, D0, wn, vn)))
+    return out
+
+
+def _record():
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(_snapshots(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def test_traces_and_costs_reproduce_the_pinned_bytes():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    got = _snapshots()
+    assert sorted(got) == sorted(expected)
+    for name in expected:
+        assert got[name] == expected[name], name
+
+
+# ---------------------------------------------------------------------------
+# Nonlinear gains: per-term calls, one fold, the scalar fold's values
+# ---------------------------------------------------------------------------
+
+SQUARE = SeparableGeometric(1.0, 2.0, 0.5)                  # r^2 / 2^s
+ITERATED = IteratedKL(LinearK(0.5), PowerK(1.0, 1.5))       # 0.5^s r^1.5
+GEOMETRIC = SeparableGeometric(2.0, 1.0, 0.5)               # linear in r
+
+
+def _draw(key, T, dim):
+    gen = np.random.Generator(np.random.Philox(key=key))
+    return gen.uniform(-1.0, 1.0, (T, dim)), gen.uniform(-1.0, 1.0, (T, dim))
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("mode", [PlusMode.MAX, PlusMode.SUM])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bounds_match_the_scalar_folds_on_nonlinear_gains(mode, dim):
+    T = 12
+    w, v = _draw(dim, T, dim)
+    bounds = DerivedBounds(mode, GEOMETRIC, SQUARE, ITERATED, 1.0, 1.0, ("test", "test"))
+    hat = SimpleNamespace(b_hat=ITERATED, c_hat=ITERATED, d_hat=SQUARE)
+    fie = bound_trace(mode, bounds.b, bounds.c, bounds.d, 0.7,
+                      estimator.seq_norms(w), estimator.seq_norms(v))
+    mhe = bound_trace(PlusMode.MAX, hat.b_hat, hat.c_hat, hat.d_hat, 0.7,
+                      estimator.seq_norms(w), estimator.seq_norms(v))
+    for t in range(T + 1):
+        assert _close(fie[t], rgas_rhs(bounds, 0.7, w, v, t))
+        assert _close(eval_rgas_rhs(bounds, 0.7, w, v, t), rgas_rhs(bounds, 0.7, w, v, t))
+        assert _close(mhe[t], mhe_bound(hat, 0.7, w, v, t))
+
+
+def test_time_zero_and_empty_windows_give_the_initial_term():
+    bounds = DerivedBounds(PlusMode.SUM, ITERATED, SQUARE, SQUARE, 1.0, 1.0, ("test", "test"))
+    empty = np.zeros((0, 2))
+    assert eval_rgas_rhs(bounds, 0.7, empty, empty, 0) == ITERATED(0.7, 0)
+    assert list(bound_trace(PlusMode.MAX, ITERATED, SQUARE, SQUARE, 0.7,
+                            np.zeros(0), np.zeros(0))) == [ITERATED(0.7, 0)]
+    hat = SimpleNamespace(b_hat=SQUARE, c_hat=ITERATED, d_hat=ITERATED)
+    assert eval_mhe_bound(hat, 0.7, empty, empty, 0) == SQUARE(0.7, 0)
+
+
+def _nan_gain():
+    # one NaN cell in the table: every slice from age 1 to 49 is NaN at r = 1
+    return TabulatedKL(np.array([0.0, 1.0, 10.0]), np.array([0.0, 5.0, 50.0]),
+                       np.array([[0.0, 0.0, 0.0], [1.0, np.nan, 0.5], [10.0, 5.0, 1.0]]))
+
+
+@pytest.mark.parametrize("mode", [PlusMode.MAX, PlusMode.SUM])
+def test_a_nan_term_makes_the_bound_nan(mode):
+    trace = bound_trace(mode, GEOMETRIC, _nan_gain(), GEOMETRIC, 0.7, np.ones(6), np.zeros(6))
+    assert trace[0] == GEOMETRIC(0.7, 0)
+    assert np.isnan(trace[1:]).all()
+
+
+def test_a_cell_with_a_nan_bound_is_an_error():
+    config = ExperimentConfig(plant="s1", mode="sum", t_final=8)
+    resolved = resolve(config)
+    nan_bounds = dataclasses.replace(resolved.bounds, c=_nan_gain())
+    noise = ScenarioSpec("uniform", "bounded_uniform", amplitude=0.1)
+    with pytest.raises(DomainError, match="NaN at t = 1"):
+        run_cell(dataclasses.replace(resolved, bounds=nan_bounds), noise, 0)
+
+
+def _nonlinear_cost(mode):
+    summability = None
+    if mode is PlusMode.SUM:
+        summability = {"gamma_hat": check_summable(SQUARE, PowerK(10.0, 2.0)),
+                       "delta_hat": check_summable(ITERATED, PowerK(10.0, 1.5))}
+    return CostSpec(mode, ITERATED, SQUARE, ITERATED, summability)
+
+
+@pytest.mark.parametrize("mode", [PlusMode.MAX, PlusMode.SUM])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cost_matches_the_scalar_fold_on_nonlinear_gains(mode, dim):
+    cost = _nonlinear_cost(mode)
+    prior = np.full(dim, 0.2)
+    for K in (1, 2, 5):
+        omega, nu = _draw(10 * K + dim, K, dim)
+        chi0 = omega[0] + 0.3
+        assert _close(eval_cost(cost, prior, chi0, omega, nu),
+                      window_cost(cost, prior, chi0, omega, nu))
+
+
+# ---------------------------------------------------------------------------
+# Catalog gains stay on the slope tables
+# ---------------------------------------------------------------------------
+
+class _Counting(KLFn):
+    """A gain that counts its calls and keeps the wrapped gain's slopes."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, r, s):
+        self.calls += 1
+        return self.fn(r, s)
+
+    def r_slope(self, s):
+        return self.fn.r_slope(s)
+
+
+@pytest.mark.parametrize("plant", ["s1", "s3", "s4"])
+@pytest.mark.parametrize("mode", ["max", "sum"])
+def test_catalog_gains_are_never_called_term_by_term(plant, mode):
+    resolved = resolve(ExperimentConfig(plant=plant, mode=mode))
+    bounds, cost = resolved.bounds, resolved.cost
+    wn, vn = _norms("uniform")
+    gains = [_Counting(fn) for fn in (bounds.c, bounds.d, cost.gamma_hat, cost.delta_hat)]
+    trace = bound_trace(bounds.mode, bounds.b, gains[0], gains[1], D0, wn, vn)
+    assert list(trace) == list(_fie_trace(bounds, D0, wn, vn))
+    counted = CostSpec(cost.mode, cost.beta_hat, gains[2], gains[3], cost.summability)
+    window = _cost_window(plant, 5)
+    assert eval_cost(counted, *window) == eval_cost(cost, *window)
+    if plant != "s4":
+        hat = hat_bounds_for(resolved, 4)
+        hat_gains = [_Counting(hat.c_hat), _Counting(hat.d_hat)]
+        bound_trace(PlusMode.MAX, hat.b_hat, *hat_gains, D0, wn, vn)
+        gains += hat_gains
+    assert [g.calls for g in gains] == [0] * len(gains)
+
+
+def test_the_harness_knows_nothing_about_slopes():
+    for name in ("slope_table", "_rhs_trace_fie", "_rhs_trace_mhe"):
+        assert not hasattr(mhestab.harness, name), name
+
+
+if __name__ == "__main__":
+    _record()

@@ -378,7 +378,6 @@ max_iter = 30
 tol = 1e-8
 seed = 3
 use_structured = false
-level_passes = 2
 
 [probe]
 delta = 0.25
@@ -394,7 +393,7 @@ def test_every_allowed_config_key_loads(tmp_path):
     path.write_text(FULL_CONFIG)
     cfg = load_config(str(path))
     assert (cfg.sweep, cfg.seeds, cfg.t_max_fie, cfg.cost) == ((2, 3), (1, 2), 50, "explicit")
-    assert (cfg.solver.method, cfg.solver.level_passes) == ("multistart_local", 2)
+    assert (cfg.solver.method, cfg.solver.use_structured) == ("multistart_local", False)
     assert (cfg.probe_step, cfg.out_dir, cfg.scenarios[0].time) == (1, "somewhere", 2)
 
 
@@ -410,9 +409,10 @@ def test_every_allowed_config_key_loads(tmp_path):
     ("t_final = 12", "t_final = twelve"),
     ("seeds = 0,1", "seeds = 1:2:3"),
     ("[solver]", "[grid]\nr_min = 1e-2\n\n[solver]"),
+    ("[solver]", "[solver]\nlevel_passes = 2"),
 ], ids=["empty-seed-range", "no-seeds", "sweep-zero", "sweep-empty-entry", "sweep-empty",
         "unknown-key", "unknown-scenario-key", "unknown-section", "bad-int", "bad-range",
-        "grid-section"])
+        "grid-section", "level-passes"])
 def test_invalid_configs_are_config_errors(tmp_path, capsys, old, new):
     path = _edit_config(tmp_path, old, new)
     with pytest.raises(ConfigError):
