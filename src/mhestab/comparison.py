@@ -835,10 +835,11 @@ def slope_table(fn: KLFn, s_max: int) -> Optional[np.ndarray]:
 
 
 def seq_norms(arr: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of a (K, d) array."""
-    if arr.shape[1] == 1:
-        return np.abs(arr[:, 0])
-    return np.sqrt(np.einsum("ij,ij->i", arr, arr))
+    """Euclidean norms of the rows of a (K, d) array; for a (C, K, d) stack,
+    the (C, K) norms of each window, each as that window alone gives them."""
+    if arr.shape[-1] == 1:
+        return np.abs(arr[..., 0])
+    return np.sqrt(np.einsum("...j,...j->...", arr, arr))
 
 
 def gain_terms(fn: KLFn, ages: range, r, s_max: Optional[int] = None) -> np.ndarray:
@@ -846,31 +847,31 @@ def gain_terms(fn: KLFn, ages: range, r, s_max: Optional[int] = None) -> np.ndar
 
     When every slice of fn up to ``s_max`` (default: the largest age) is
     linear in r, the terms are one product of a slice of the slope table with
-    r; otherwise each term is one scalar call.
+    r; otherwise each term is one scalar call.  ``r`` may carry a leading
+    axis of windows, (C, len(ages)); each row gets the terms of its window
+    alone.
     """
     r = np.asarray(r, dtype=float)
-    if len(r) != len(ages):
-        raise DomainError(f"{len(ages)} ages but {len(r)} arguments")
+    if r.shape[-1] != len(ages):
+        raise DomainError(f"{len(ages)} ages but {r.shape[-1]} arguments")
     if not ages:
-        return np.empty(0)
+        return np.empty(r.shape)
     table = slope_table(fn, max(ages[0], ages[-1]) if s_max is None else s_max)
     if table is None:
-        return np.array([fn(float(x), age) for x, age in zip(r, ages)], dtype=float)
+        return np.array([[fn(float(x), age) for x, age in zip(row, ages)]
+                         for row in r.reshape(-1, len(ages))], dtype=float).reshape(r.shape)
     stop = ages.stop if ages.stop >= 0 else None
     return table[ages.start:stop:ages.step] * r
 
 
-def fold_terms(mode: PlusMode, head: float, c_terms: np.ndarray, d_terms: np.ndarray
-               ) -> float:
+def fold_terms(mode: PlusMode, head, c_terms: np.ndarray, d_terms: np.ndarray):
     """``head`` combined with two nonempty term sequences by the mode's plus:
     ``head + (sum c + sum d)`` or ``max(head, max c, max d)``.  A NaN term
-    makes the result NaN in both modes."""
+    makes the result NaN in both modes.  With a leading row axis, head (C,)
+    and terms (C, K), each row is folded alone."""
     if mode is PlusMode.SUM:
-        return head + float(c_terms.sum() + d_terms.sum())
-    c_max, d_max = float(c_terms.max()), float(d_terms.max())
-    if c_max != c_max or d_max != d_max:      # Python's max would drop the NaN
-        return math.nan
-    return max(head, c_max, d_max)
+        return head + (c_terms.sum(axis=-1) + d_terms.sum(axis=-1))
+    return np.maximum(head, np.maximum(c_terms.max(axis=-1), d_terms.max(axis=-1)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,14 @@ Three engines back ``solve_window``:
 The structured engines are fast paths used by both configured methods; they
 exist because the acceptance sweeps solve tens of thousands of windows.
 
+The drivers ``run_fie``/``run_mhe`` step a stack of cells in lock-step: at
+each t the windows of all cells share the plant, cost, inputs and length
+and differ in their outputs and priors.  The max-mode engine solves them as
+one group, one row per window, with levels of shape (C, 48); its per-window
+branches are masks over the rows, and every row uses exactly the arithmetic
+of its window solved alone.  ``solve_window`` is a group of one.  The
+sum-mode and generic engines take the windows one at a time.
+
 The iterative methods evaluate their candidates in batches: one array pass
 rolls the plant forward for every candidate and calls each cost gain once
 per age.  Gauss-Newton evaluates step length 1 with its Jacobian points and
@@ -63,7 +71,7 @@ from .comparison import (
     slope_table,
 )
 from .certificates import CostSpec
-from .systems import SolutionTuple, SystemModel, verify_solution
+from .systems import SolutionTuple, SystemModel, clamp, verify_solution
 
 WIDTH_CAP = 1e18
 LEVEL_PASSES = 4          # level-grid refinements of the max-mode bisection
@@ -200,72 +208,108 @@ def eval_cost(cost: CostSpec, prior, chi0, omega_seq, nu_seq) -> float:
         nu = nu[:, None]
     if len(omega) != len(nu):
         raise DomainError("omega and nu sequences must share the window length")
-    K = len(omega)
-    if K < 1:
+    if len(omega) < 1:
         raise DomainError("window must contain at least one step")
+    return _window_costs(cost, prior[None], chi0[None], omega[None], nu[None])[0]
+
+
+def _window_costs(cost: CostSpec, prior: np.ndarray, chi0: np.ndarray, omega: np.ndarray,
+                  nu: np.ndarray) -> List[float]:
+    """:func:`eval_cost` of C windows of one length: prior and chi0 (C, n),
+    omega (C, K, q), nu (C, K, m).  Each gain and the fold take one array
+    call, and each row's cost is its window's alone."""
+    K = omega.shape[1]
     ages = range(K, 0, -1)             # entry j acts at age K - j
-    prior_term = gain_terms(cost.beta_hat, range(K, K + 1),
-                            [float(np.linalg.norm(chi0 - prior))])[0]
-    return fold_terms(cost.mode, prior_term, gain_terms(cost.gamma_hat, ages, seq_norms(omega)),
-                      gain_terms(cost.delta_hat, ages, seq_norms(nu)))
+    dist = np.sqrt(_row_sqnorms(chi0 - prior))        # np.linalg.norm of each row
+    heads = gain_terms(cost.beta_hat, range(K, K + 1), dist[:, None])[:, 0]
+    c_terms = gain_terms(cost.gamma_hat, ages, seq_norms(omega))
+    d_terms = gain_terms(cost.delta_hat, ages, seq_norms(nu))
+    return fold_terms(cost.mode, heads, c_terms, d_terms).tolist()
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers
+# Window groups and shared helpers
 # ---------------------------------------------------------------------------
 
-def _rollout(problem: EstimationProblem, chi0: np.ndarray, omega: np.ndarray
+class _Rows:
+    """A group of windows, one row each, that share the plant, cost,
+    horizon, inputs and boxes and differ in their priors (R, n) and outputs
+    (R, K, p).  Every helper below works elementwise along the rows, so a
+    row's numbers are those of its window solved alone."""
+
+    def __init__(self, problems: Sequence[EstimationProblem]):
+        first = problems[0]
+        self.problems = list(problems)
+        self.model, self.cost, self.K = first.model, first.cost, first.horizon
+        self.u_win = first.u_win
+        self.bounds = first.bounds or BoxBounds()
+        self.prior = np.array([p.prior for p in problems])
+        self.y = np.array([p.y_win for p in problems])
+
+    def __len__(self) -> int:
+        return len(self.problems)
+
+    def take(self, idx) -> "_Rows":
+        return _Rows([self.problems[i] for i in idx])
+
+
+def _rollout(rows: _Rows, chi0: np.ndarray, omega: np.ndarray
              ) -> Tuple[np.ndarray, np.ndarray]:
-    """States (K, n) from chi0 under omega, plus the one-step endpoint."""
-    model, K = problem.model, problem.horizon
-    xs = np.empty((K, model.state_dim))
-    x = np.atleast_1d(chi0).astype(float)
+    """States (R, K, n) from chi0 (R, n) under omega (R, K, q), plus the
+    one-step endpoints (R, n)."""
+    model, K = rows.model, rows.K
+    xs = np.empty((len(rows), K, model.state_dim))
+    x = chi0
     for j in range(K):
-        xs[j] = x
-        x = np.atleast_1d(model.f(x, problem.u_win[j], omega[j]))
+        xs[:, j] = x
+        x = model.f(x, rows.u_win[j], omega[:, j])
     return xs, x
 
 
-def _eliminated_nu(problem: EstimationProblem, xs: np.ndarray) -> np.ndarray:
-    model, K = problem.model, problem.horizon
-    nu = np.empty((K, model.meas_noise_dim))
+def _eliminated_nu(rows: _Rows, xs: np.ndarray) -> np.ndarray:
+    model, K = rows.model, rows.K
+    nu = np.empty((len(rows), K, model.meas_noise_dim))
     for j in range(K):
-        nu[j] = problem.y_win[j] - np.atleast_1d(model.h_nominal(xs[j], problem.u_win[j]))
+        nu[:, j] = rows.y[:, j] - model.h_nominal(xs[:, j], rows.u_win[j])
     return nu
 
 
-def _candidate_starts(problem: EstimationProblem) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Deterministic initializations: prior rollout, then an output-informed
-    start when the plant is scalar with additive measurement noise."""
-    model, K = problem.model, problem.horizon
-    starts = [(problem.prior.copy(), np.zeros((K, model.process_noise_dim)))]
+def _candidate_starts(rows: _Rows) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Deterministic initializations (chi0 (R, n), omega (R, K, q)): prior
+    rollout, then an output-informed start when the plant is scalar with
+    additive measurement noise."""
+    model, K = rows.model, rows.K
+    starts = [(rows.prior.copy(), np.zeros((len(rows), K, model.process_noise_dim)))]
     if model.is_scalar and model.additive_v and model.additive_w:
-        y = problem.y_win[:, 0]
-        omega = np.zeros((K, 1))
+        y = rows.y
+        omega = np.zeros((len(rows), K, 1))
         for j in range(K - 1):
-            pred = float(np.atleast_1d(model.f_nominal(np.array([y[j]]), problem.u_win[j]))[0])
-            omega[j, 0] = y[j + 1] - pred
-        starts.append((np.array([y[0]]), omega))
+            omega[:, j] = y[:, j + 1] - model.f_nominal(y[:, j], rows.u_win[j])
+        starts.append((y[:, 0].copy(), omega))
     return starts
 
 
-def _result_from_decisions(problem: EstimationProblem, chi0, omega, engine: str,
-                           iterations: int = 0, starts_used: int = 1) -> EstimateResult:
+def _results_from_decisions(rows: _Rows, chi0: np.ndarray, omega: np.ndarray, engine: str,
+                            iterations: int = 0, starts_used: int = 1) -> List[EstimateResult]:
     # dynamics hold exactly by construction (states rolled forward, noise read
     # off the transitions); the residual field records output mismatch only,
     # which elimination makes zero
-    xs, endpoint = _rollout(problem, np.atleast_1d(chi0), omega)
-    nu = _eliminated_nu(problem, xs)
-    j_val = eval_cost(problem.cost, problem.prior, xs[0], omega, nu)
-    xhat = np.vstack([xs, endpoint[None, :]])
-    return EstimateResult(xhat, np.asarray(omega, dtype=float), nu, j_val, "ok", engine,
-                          problem.prior.copy(), problem.horizon,
-                          iterations=iterations, starts_used=starts_used)
+    xs, endpoint = _rollout(rows, chi0, omega)
+    nu = _eliminated_nu(rows, xs)
+    costs = _window_costs(rows.cost, rows.prior, xs[:, 0], omega, nu)
+    xhat = np.concatenate([xs, endpoint[:, None]], axis=1)
+    return [EstimateResult(xhat[i], omega[i], nu[i], costs[i], "ok", engine,
+                           problem.prior.copy(), rows.K,
+                           iterations=iterations, starts_used=starts_used)
+            for i, problem in enumerate(rows.problems)]
 
 
 # ---------------------------------------------------------------------------
 # Engine A: max-mode level bisection on scalar plants
 # ---------------------------------------------------------------------------
+
+N_LEVELS = 48             # levels per bisection pass
+
 
 class _WidthTable:
     """Per-age halfwidth evaluator fn(., age)^{-1}(level), slope-cached.
@@ -285,18 +329,19 @@ class _WidthTable:
             self.inv = None
 
     def widths(self, levels: np.ndarray) -> np.ndarray:
+        """Halfwidths (ages, *levels.shape)."""
         if self.inv is not None:
-            return np.minimum(self.inv[:, None] * levels[None, :], WIDTH_CAP)
-        out = np.empty((len(self.ages), len(levels)))
+            return np.minimum(self.inv.reshape((-1,) + (1,) * levels.ndim) * levels, WIDTH_CAP)
+        out = np.empty((len(self.ages),) + levels.shape)
         for i, age in enumerate(self.ages):
-            for l, lev in enumerate(levels):
+            for idx, lev in np.ndenumerate(levels):
                 if lev <= 0.0:
-                    out[i, l] = 0.0
+                    out[(i,) + idx] = 0.0
                     continue
                 try:
-                    out[i, l] = min(self.fn.r_inverse(lev, age), WIDTH_CAP)
+                    out[(i,) + idx] = min(self.fn.r_inverse(lev, age), WIDTH_CAP)
                 except CapabilityError:
-                    out[i, l] = WIDTH_CAP
+                    out[(i,) + idx] = WIDTH_CAP
         return out
 
 
@@ -307,27 +352,28 @@ def _box_interval(box, idx=0):
     return float(np.atleast_1d(lo)[idx]), float(np.atleast_1d(hi)[idx])
 
 
-def _max_prepare(problem: EstimationProblem):
-    ages = list(range(problem.horizon, 0, -1))
-    return (_WidthTable(problem.cost.beta_hat, [problem.horizon]),
-            _WidthTable(problem.cost.delta_hat, ages),
-            _WidthTable(problem.cost.gamma_hat, ages))
+def _max_prepare(rows: _Rows):
+    ages = list(range(rows.K, 0, -1))
+    return (_WidthTable(rows.cost.beta_hat, [rows.K]),
+            _WidthTable(rows.cost.delta_hat, ages),
+            _WidthTable(rows.cost.gamma_hat, ages))
 
 
-def _max_feasible(problem: EstimationProblem, prep, levels: np.ndarray, record: bool = False):
-    """Interval-propagation feasibility of `max cost <= level` per level.
+def _max_feasible(rows: _Rows, prep, levels: np.ndarray, record: bool = False):
+    """Interval-propagation feasibility of `max cost <= level` per row and
+    level; ``levels`` is (R, L), one row of levels per window.
 
     Once an interval goes empty its level stays dead through the latched
     ``alive`` mask; the interval values themselves keep propagating (they stay
     finite because widths are capped) and are ignored.
     """
-    model, K = problem.model, problem.horizon
-    y = problem.y_win[:, 0]
-    prior = float(problem.prior[0])
+    model, K = rows.model, rows.K
+    y = rows.y[:, :, 0].T[:, :, None]          # (K, R, 1)
+    prior = rows.prior
     pw = prep[0].widths(levels)[0]
     dw = prep[1].widths(levels)
     gw = prep[2].widths(levels)
-    bounds = problem.bounds or BoxBounds()
+    bounds = rows.bounds
     boxed = not bounds.empty
     chi_lo, chi_hi = _box_interval(bounds.chi)
     om_lo, om_hi = _box_interval(bounds.omega)
@@ -335,14 +381,14 @@ def _max_feasible(problem: EstimationProblem, prep, levels: np.ndarray, record: 
     if boxed:
         w_hi = dw if nu_hi == math.inf else np.minimum(dw, nu_hi)
         w_lo = dw if nu_lo == -math.inf else np.minimum(dw, -nu_lo)
-        ylo = y[:, None] - w_hi
-        yhi = y[:, None] + w_lo
+        ylo = y - w_hi
+        yhi = y + w_lo
     else:
-        ylo = y[:, None] - dw
-        yhi = y[:, None] + dw
+        ylo = y - dw
+        yhi = y + dw
     lo = np.maximum(prior - pw, chi_lo) if boxed else prior - pw
     hi = np.minimum(prior + pw, chi_hi) if boxed else prior + pw
-    alive = np.ones(len(levels), dtype=bool)
+    alive = np.ones(levels.shape, dtype=bool)
     intervals = []
     for j in range(K):
         lo = np.maximum(lo, ylo[j])
@@ -357,7 +403,7 @@ def _max_feasible(problem: EstimationProblem, prep, levels: np.ndarray, record: 
             intervals.append((safe_lo, safe_hi))
             lo, hi = safe_lo, safe_hi
         if j < K - 1:
-            img_lo, img_hi = model.f_image(lo, hi, problem.u_win[j])
+            img_lo, img_hi = model.f_image(lo, hi, rows.u_win[j])
             if boxed:
                 lo = img_lo + np.maximum(-gw[j], om_lo)
                 hi = img_hi + np.minimum(gw[j], om_hi)
@@ -367,82 +413,116 @@ def _max_feasible(problem: EstimationProblem, prep, levels: np.ndarray, record: 
     return (alive, intervals) if record else (alive, None)
 
 
-def _max_reconstruct(problem: EstimationProblem, prep, level: float) -> Optional[EstimateResult]:
-    """Build a feasible trajectory at the given cost level, or None."""
-    model, K = problem.model, problem.horizon
-    levels = np.array([level])
-    alive, intervals = _max_feasible(problem, prep, levels, record=True)
-    if not alive[0]:
-        return None
-    gw = prep[2].widths(levels)[:, 0]
-    chis = np.empty(K)
-    lo_K, hi_K = intervals[K - 1][0][0], intervals[K - 1][1][0]
-    chis[K - 1] = 0.5 * (lo_K + hi_K)
+def _max_reconstruct(rows: _Rows, prep, levels: np.ndarray) -> List[Optional[EstimateResult]]:
+    """A feasible trajectory per row at its cost level (R,), or None for a
+    row whose level is infeasible."""
+    model, K = rows.model, rows.K
+    alive, intervals = _max_feasible(rows, prep, levels[:, None], record=True)
+    ok = np.flatnonzero(alive[:, 0])
+    out: List[Optional[EstimateResult]] = [None] * len(rows)
+    if not len(ok):
+        return out
+    ivs = [(lo[ok, 0], hi[ok, 0]) for lo, hi in intervals]
+    gw = prep[2].widths(levels[ok])
+    chis = np.empty((len(ok), K))
+    chis[:, K - 1] = 0.5 * (ivs[K - 1][0] + ivs[K - 1][1])
     for j in range(K - 2, -1, -1):
-        lo_j, hi_j = intervals[j][0][0], intervals[j][1][0]
-        img_lo, img_hi = model.f_image(lo_j, hi_j, problem.u_win[j])
-        target = min(max(chis[j + 1], img_lo - gw[j]), img_hi + gw[j])
-        c = min(max(target, img_lo), img_hi)
-        chis[j] = model.f_solve(c, lo_j, hi_j, problem.u_win[j])
-    omega = np.zeros((K, 1))
+        lo_j, hi_j = ivs[j]
+        img_lo, img_hi = model.f_image(lo_j, hi_j, rows.u_win[j])
+        target = clamp(chis[:, j + 1], img_lo - gw[j], img_hi + gw[j])
+        chis[:, j] = model.f_solve(clamp(target, img_lo, img_hi), lo_j, hi_j, rows.u_win[j])
+    omega = np.zeros((len(ok), K, 1))
     for j in range(K - 1):
-        pred = float(np.atleast_1d(model.f_nominal(np.array([chis[j]]), problem.u_win[j]))[0])
-        omega[j, 0] = chis[j + 1] - pred
-    return _result_from_decisions(problem, np.array([chis[0]]), omega, "max-interval")
+        omega[:, j, 0] = chis[:, j + 1] - model.f_nominal(chis[:, j, None], rows.u_win[j])[:, 0]
+    for i, res in zip(ok, _results_from_decisions(rows.take(ok), chis[:, :1], omega,
+                                                  "max-interval")):
+        out[i] = res
+    return out
 
 
-def _solve_max_scalar(problem: EstimationProblem, cfg: SolverConfig) -> EstimateResult:
-    prep = _max_prepare(problem)
+def _spaced_rows(space, lo: np.ndarray, hi: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """``space(lo[i], hi[i], N_LEVELS)`` for every row i, as (R, N_LEVELS).
+
+    With array endpoints numpy applies its zero-step branch (``spans`` / (N
+    - 1) == 0, as for equal endpoints) to the whole array when one row needs
+    it; rows with and without a zero step are therefore spaced apart.
+    """
+    zero = spans / (N_LEVELS - 1) == 0
+    if not zero.any() or zero.all():
+        return space(lo, hi, N_LEVELS, axis=1)
+    out = np.empty((len(lo), N_LEVELS))
+    for part in (zero, ~zero):
+        out[part] = space(lo[part], hi[part], N_LEVELS, axis=1)
+    return out
+
+
+def _solve_max_scalar(problems: Sequence[EstimationProblem]) -> List[EstimateResult]:
+    """Max-mode level bisection for a group of windows (see :class:`_Rows`).
+
+    The per-row branches -- the zero-level exit, the boxed probe loop, the
+    top-level guard and the bump loop -- are masks over the rows, and every
+    row ends with the result of its window solved alone.  An infeasible row
+    raises for the whole group.
+    """
+    rows = _Rows(problems)
+    prep = _max_prepare(rows)
     # guaranteed-feasible upper bracket from candidate trajectories
-    s_hi = math.inf
-    for chi0, omega in _candidate_starts(problem):
-        xs, _ = _rollout(problem, chi0, omega)
-        nu = _eliminated_nu(problem, xs)
-        val = eval_cost(problem.cost, problem.prior, chi0, omega, nu)
-        if math.isfinite(val):
-            s_hi = min(s_hi, val)
-    boxed = problem.bounds is not None and not problem.bounds.empty
-    if boxed:
-        probe = max(1.0, 0.0 if not math.isfinite(s_hi) else s_hi)
-        while not _max_feasible(problem, prep, np.array([probe]))[0][0]:
-            probe *= 8.0
-            if probe > 1e15:
+    s_hi = np.full(len(rows), math.inf)
+    for chi0, omega in _candidate_starts(rows):
+        xs, _ = _rollout(rows, chi0, omega)
+        val = np.array(_window_costs(rows.cost, rows.prior, chi0, omega,
+                                     _eliminated_nu(rows, xs)))
+        s_hi = np.where(np.isfinite(val) & (val < s_hi), val, s_hi)
+    if not rows.bounds.empty:
+        probe = np.maximum(1.0, np.where(np.isfinite(s_hi), s_hi, 0.0))
+        pending = np.arange(len(rows))
+        while len(pending):
+            feasible = _max_feasible(rows.take(pending), prep, probe[pending, None])[0][:, 0]
+            pending = pending[~feasible]
+            probe[pending] *= 8.0
+            if (probe[pending] > 1e15).any():
                 raise InfeasibleWindowError("window constraints admit no trajectory")
         s_hi = probe
-    if not math.isfinite(s_hi):
+    if not np.isfinite(s_hi).all():
         raise InfeasibleWindowError("no finite-cost candidate trajectory")
-    if s_hi == 0.0 or _max_feasible(problem, prep, np.array([0.0]))[0][0]:
-        result = _max_reconstruct(problem, prep, 0.0)
-        if result is not None:
-            return result
-    n_levels = 48
-    lo = 0.0
-    hi = max(s_hi, 1e-300)
-    levels = np.geomspace(max(hi * 1e-14, 1e-300), hi, n_levels)
-    iterations = 0
+    results: List[Optional[EstimateResult]] = [None] * len(rows)
+    zero = np.flatnonzero((s_hi == 0.0)
+                          | _max_feasible(rows, prep, np.zeros((len(rows), 1)))[0][:, 0])
+    if len(zero):
+        for i, res in zip(zero, _max_reconstruct(rows.take(zero), prep, np.zeros(len(zero)))):
+            results[i] = res
+    todo = np.array([i for i, res in enumerate(results) if res is None], dtype=int)
+    if not len(todo):
+        return results
+    sub = rows.take(todo)
+    at = np.arange(len(todo))
+    lo = np.zeros(len(todo))
+    hi = np.maximum(s_hi[todo], 1e-300)
+    start = np.maximum(hi * 1e-14, 1e-300)
+    levels = _spaced_rows(np.geomspace, start, hi, np.log10(hi) - np.log10(start))
     for _ in range(LEVEL_PASSES):
-        mask, _ = _max_feasible(problem, prep, levels)
-        iterations += 1
-        if not mask[-1]:
-            # numeric guard: the top level should be feasible by construction
-            hi = hi * (1 + 1e-9) + 1e-300
-            levels = np.linspace(lo, hi, n_levels)[1:]
-            continue
-        first = int(np.argmax(mask))
-        hi = float(levels[first])
-        lo = float(levels[first - 1]) if first > 0 else lo
-        levels = np.linspace(lo, hi, n_levels)[1:]
-    result = None
+        mask, _ = _max_feasible(sub, prep, levels)
+        top = mask[:, -1]
+        first = np.argmax(mask, axis=1)
+        # numeric guard: the top level should be feasible by construction
+        lo = np.where(top & (first > 0), levels[at, first - 1], lo)
+        hi = np.where(top, levels[at, first], hi * (1 + 1e-9) + 1e-300)
+        levels = _spaced_rows(np.linspace, lo, hi, hi - lo)[:, 1:]
     bump = hi
+    pending = at
     for _ in range(6):
-        result = _max_reconstruct(problem, prep, bump)
-        if result is not None:
+        solved = _max_reconstruct(sub.take(pending), prep, bump[pending])
+        for i, res in zip(pending, solved):
+            results[todo[i]] = res
+        pending = pending[[res is None for res in solved]]
+        if not len(pending):
             break
-        bump = bump * (1 + 1e-9) + 1e-300
-    if result is None:
+        bump[pending] = bump[pending] * (1 + 1e-9) + 1e-300
+    if len(pending):
         raise InfeasibleWindowError("level reconstruction failed")
-    result.iterations = iterations
-    return result
+    for i in todo:
+        results[i].iterations = LEVEL_PASSES
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +698,8 @@ def _solve_sum_scalar(problem: EstimationProblem, cfg: SolverConfig) -> Estimate
     omega = np.zeros((K, 1))
     for j in range(K - 1):
         omega[j, 0] = chis[j + 1] - (a * chis[j] + offs[j])
-    return _result_from_decisions(problem, np.array([chis[0]]), omega, "sum-pwl-dp")
+    return _results_from_decisions(_Rows([problem]), chis[None, :1], omega[None],
+                                   "sum-pwl-dp")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -774,10 +855,10 @@ def _generic_starts(problem: EstimationProblem, cfg: SolverConfig, dim: int) -> 
     model, K = problem.model, problem.horizon
     n, q = model.state_dim, model.process_noise_dim
     base = []
-    for chi0, omega in _candidate_starts(problem):
+    for chi0, omega in _candidate_starts(_Rows([problem])):
         z = np.zeros(dim)
-        z[:n] = chi0
-        z[n:n + K * q] = omega.ravel()
+        z[:n] = chi0[0]
+        z[n:n + K * q] = omega[0].ravel()
         base.append(z)
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
     spread = max(1.0, float(np.max(np.abs(problem.y_win))), float(np.max(np.abs(problem.prior))))
@@ -852,13 +933,15 @@ def _solve_multistart_local(problem: EstimationProblem, cfg: SolverConfig) -> Es
 def _generic_result(objective: _Objective, z: np.ndarray, engine: str, iters: int,
                     starts: int) -> EstimateResult:
     problem = objective.problem
+    rows = _Rows([problem])
     chi0, omega, nu = objective.unpack(z)
     if objective.eliminate:
-        return _result_from_decisions(problem, chi0, omega, engine, iters, starts)
+        return _results_from_decisions(rows, chi0[None], omega[None], engine, iters, starts)[0]
     model, K = problem.model, problem.horizon
-    xs, endpoint = _rollout(problem, np.atleast_1d(chi0), omega)
+    xs, endpoint = _rollout(rows, chi0[None], omega[None])
+    xs = xs[0]
     j_val = plus_reduce(problem.cost.mode, objective.strict(z)[0][0])
-    xhat = np.vstack([xs, endpoint[None, :]])
+    xhat = np.vstack([xs, endpoint])
     res = EstimateResult(xhat, np.asarray(omega, float), np.asarray(nu, float), j_val,
                          "ok", engine, problem.prior.copy(), K,
                          iterations=iters, starts_used=starts)
@@ -987,12 +1070,21 @@ def solve_window(problem: EstimationProblem, solver: SolverConfig) -> EstimateRe
     if solver.use_structured:
         kind = _structured_applicable(problem)
         if kind == "max":
-            return _solve_max_scalar(problem, solver)
+            return _solve_max_scalar([problem])[0]
         if kind == "sum":
             return _solve_sum_scalar(problem, solver)
     if solver.method == "gauss_newton_penalty":
         return _solve_gauss_newton(problem, solver)
     return _solve_multistart_local(problem, solver)
+
+
+def _solve_group(problems: List[EstimationProblem], solver: SolverConfig) -> List[EstimateResult]:
+    """Solve windows that share everything but their priors and outputs: the
+    max-mode engine takes them as one group, every other engine one window
+    at a time through :func:`solve_window`."""
+    if solver.use_structured and _structured_applicable(problems[0]) == "max":
+        return _solve_max_scalar(problems)
+    return [solve_window(problem, solver) for problem in problems]
 
 
 def _initial_result(prior0: np.ndarray, model: SystemModel) -> EstimateResult:
@@ -1002,49 +1094,63 @@ def _initial_result(prior0: np.ndarray, model: SystemModel) -> EstimateResult:
                           prior0.copy(), 0)
 
 
-def run_fie(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq,
-            a_factor: float, solver: SolverConfig, t_max: int = 200) -> List[EstimateResult]:
-    """Full-information estimates for t = 0..T.
-
-    The window grows with t and the prior stays anchored at the initial
-    estimate; beyond ``t_max`` the run refuses rather than silently switching
-    to a moving horizon.
-    """
+def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, a_factor: float,
+           solver: SolverConfig, horizon: Optional[int]) -> List[List[EstimateResult]]:
+    """Step every cell of the stack in lock-step over t; the window ending at
+    t starts at max(0, t - horizon), or at 0 without a horizon, and is
+    anchored at the cell's prior0 or at its own estimate from its start."""
     u_seq = np.asarray(u_seq, dtype=float)
-    y_seq = np.asarray(y_seq, dtype=float)
-    T = len(y_seq)
+    y = np.asarray(y_seq, dtype=float)
+    if y.ndim == 2:
+        y = y[:, :, None]
+    if y.ndim != 3 or y.shape[2] != model.output_dim:
+        raise DomainError(f"measurement stack of shape {np.shape(y_seq)} is not (C, T) "
+                          f"or (C, T, {model.output_dim})")
+    priors = np.broadcast_to(np.asarray(prior0, dtype=float).reshape(-1, model.state_dim),
+                             (len(y), model.state_dim))
+    runs = [[_initial_result(prior, model)] for prior in priors]
+    for t in range(1, y.shape[1] + 1 if runs else 0):
+        start = 0 if horizon is None else max(0, t - horizon)
+        u_win = u_seq[start:t]
+        problems = [EstimationProblem(model, cost, run[start].published if start else prior,
+                                      u_win, y[c, start:t], t - start, a_factor)
+                    for c, (run, prior) in enumerate(zip(runs, priors))]
+        for run, result in zip(runs, _solve_group(problems, solver)):
+            run.append(result)
+    return runs
+
+
+def run_fie(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq,
+            a_factor: float, solver: SolverConfig, t_max: int = 200) -> List[List[EstimateResult]]:
+    """Full-information estimates for t = 0..T of a stack of C cells.
+
+    ``y_seq`` is the (C, T) measurement stack, or (C, T, p) for p outputs;
+    the cells share the inputs ``u_seq`` (T, du) and the initial prior
+    ``prior0`` (n,), or each has its own, (C, n).  Returns one list of T + 1
+    results per cell, each what that cell run alone gives.  The window grows
+    with t and the prior stays anchored at the initial estimate; beyond
+    ``t_max`` the run refuses rather than silently switching to a moving
+    horizon.
+    """
+    T = np.shape(y_seq)[1] if np.ndim(y_seq) > 1 else 0
     if T > t_max:
         raise HorizonCapError(f"full-information horizon {T} exceeds cap {t_max}")
-    results = [_initial_result(prior0, model)]
-    for t in range(1, T + 1):
-        problem = EstimationProblem(model, cost, prior0, u_seq[:t], y_seq[:t], t, a_factor)
-        results.append(solve_window(problem, solver))
-    return results
+    return _drive(model, cost, prior0, u_seq, y_seq, a_factor, solver, None)
 
 
 def run_mhe(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, horizon: int,
-            a_factor: float, solver: SolverConfig) -> List[EstimateResult]:
-    """Moving-horizon estimates for t = 0..T with the filtering prior.
+            a_factor: float, solver: SolverConfig) -> List[List[EstimateResult]]:
+    """Moving-horizon estimates for t = 0..T of a stack of C cells, with the
+    filtering prior.
 
+    Takes the stacks of :func:`run_fie` and returns one result list per cell.
     For t <= K this is exactly the growing-window scheme; afterwards each
-    window is anchored at the estimator's own published estimate from K steps
-    earlier.
+    cell's window is anchored at that cell's own published estimate from K
+    steps earlier.
     """
     if horizon < 1:
         raise DomainError("moving horizon must be >= 1")
-    u_seq = np.asarray(u_seq, dtype=float)
-    y_seq = np.asarray(y_seq, dtype=float)
-    T = len(y_seq)
-    results = [_initial_result(prior0, model)]
-    for t in range(1, T + 1):
-        if t <= horizon:
-            problem = EstimationProblem(model, cost, prior0, u_seq[:t], y_seq[:t], t, a_factor)
-        else:
-            anchor = results[t - horizon].published
-            problem = EstimationProblem(model, cost, anchor, u_seq[t - horizon:t],
-                                        y_seq[t - horizon:t], horizon, a_factor)
-        results.append(solve_window(problem, solver))
-    return results
+    return _drive(model, cost, prior0, u_seq, y_seq, a_factor, solver, horizon)
 
 
 def certify_suboptimality(result: EstimateResult, reference: SolutionTuple, cost: CostSpec,

@@ -34,6 +34,7 @@ from .comparison import (
 )
 from .systems import (
     DisturbanceScenario,
+    SolutionTuple,
     SystemModel,
     builtin_model,
     generate_scenario,
@@ -415,25 +416,44 @@ def trace_to_csv(rows: List[dict], state_dim: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _truth(config: ExperimentConfig, model: SystemModel, scenario: ScenarioSpec, seed: int):
+def _initial(config: ExperimentConfig, model: SystemModel) -> Tuple[np.ndarray, np.ndarray]:
+    """The true initial state and the estimator's initial prior."""
+    # the unstable plant starts at its equilibrium; others at the configured x0
+    x0 = np.full(model.state_dim, 0.0 if config.plant == "s2" else config.x0)
+    return x0, x0 + config.prior_offset
+
+
+def _truth(config: ExperimentConfig, model: SystemModel, scenario: ScenarioSpec,
+           seed: int) -> SolutionTuple:
     """The simulated true solution of one scenario and seed over t_final + 1
-    steps, its inputs, and the estimator's initial prior."""
+    steps, with zero inputs."""
     T = config.t_final
     spec = scenario.instantiate(seed, T + 1)
     w, v = generate_scenario(spec, model.process_noise_dim, model.meas_noise_dim)
-    # the unstable plant starts at its equilibrium; others at the configured x0
-    x0 = np.full(model.state_dim, 0.0 if config.plant == "s2" else config.x0)
-    u = np.zeros((T + 1, model.input_dim))
-    return simulate(model, x0, u, w, v, T + 1), u, x0 + config.prior_offset
+    return simulate(model, _initial(config, model)[0], np.zeros((T + 1, model.input_dim)),
+                    w, v, T + 1)
 
 
-def _estimate(resolved: ResolvedExperiment, prior0, u: np.ndarray, y: np.ndarray, K: int):
-    """The configured estimator's results for t = 0..len(y)."""
+def _estimate(resolved: ResolvedExperiment, u: np.ndarray, y: np.ndarray, K: int):
+    """The configured estimator's results for t = 0..T of the (C, T, p)
+    measurement stack y: one list per cell."""
     config, model, cost = resolved.config, resolved.model, resolved.cost
+    prior0 = _initial(config, model)[1]
     if config.estimator == "mhe":
         return run_mhe(model, cost, prior0, u, y, K, config.a_factor, config.solver)
     return run_fie(model, cost, prior0, u, y, config.a_factor, config.solver,
                    t_max=config.t_max_fie)
+
+
+def _estimate_group(resolved: ResolvedExperiment, cells, K: int
+                    ) -> List[Tuple[SolutionTuple, list]]:
+    """Simulate each (scenario, seed) cell, then estimate all of them as one
+    group; returns each cell's truth and estimator results."""
+    config, model = resolved.config, resolved.model
+    T = config.t_final
+    truths = [_truth(config, model, scenario, seed) for scenario, seed in cells]
+    runs = _estimate(resolved, truths[0].u[:T], np.stack([sol.y[:T] for sol in truths]), K)
+    return list(zip(truths, runs))
 
 
 def _window_start(config: ExperimentConfig, K: int, t: int) -> int:
@@ -442,16 +462,18 @@ def _window_start(config: ExperimentConfig, K: int, t: int) -> int:
 
 
 def run_cell(resolved: ResolvedExperiment, scenario: ScenarioSpec, seed: int,
-             hat: Optional[HatBounds] = None, horizon: Optional[int] = None) -> CellResult:
-    """Simulate, estimate, certify, and evaluate bounds for one sweep cell."""
+             hat: Optional[HatBounds] = None, horizon: Optional[int] = None,
+             estimated: Optional[Tuple[SolutionTuple, list]] = None) -> CellResult:
+    """Certify and evaluate bounds for one sweep cell, from its truth and
+    estimator results as :func:`_estimate_group` gives them; without
+    ``estimated`` the cell is simulated and estimated alone."""
     config = resolved.config
     model, cert, cost, bounds = resolved.model, resolved.cert, resolved.cost, resolved.bounds
     T = config.t_final
     K = horizon if horizon is not None else config.horizon
-    sol, u, prior0 = _truth(config, model, scenario, seed)
-    results = _estimate(resolved, prior0, u[:T], sol.y[:T], K)
+    sol, results = estimated or _estimate_group(resolved, [(scenario, seed)], K)[0]
     is_mhe = config.estimator == "mhe"
-    d0 = model.dist(sol.x[0], prior0)
+    d0 = model.dist(sol.x[0], _initial(config, model)[1])
     w_norms = seq_norms(sol.w)
     v_norms = seq_norms(sol.v)
     if is_mhe and hat is not None:
@@ -524,41 +546,48 @@ def _cell_hat(resolved: ResolvedExperiment, K: int) -> Optional[HatBounds]:
     return hat_bounds_for(resolved, K) if resolved.config.estimator == "mhe" else None
 
 
-_WORKER_CACHE: Dict[tuple, tuple] = {}
+def _run_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds],
+               K: int) -> List[CellResult]:
+    """The (scenario, seed) cells of horizon K: one group estimate, then
+    each cell's certification and bounds."""
+    estimated = _estimate_group(resolved, cells, K)
+    out = []
+    for i, (scenario, seed) in enumerate(cells):
+        out.append(run_cell(resolved, scenario, seed, hat, K, estimated[i]))
+        estimated[i] = None         # a cell's estimates are not needed past its rows
+    return out
 
 
-def _cell_worker(payload) -> CellResult:
-    """Process-pool entry point: re-resolves the (picklable) config once per
-    worker and horizon and runs one cell; results reduce deterministically
-    by cell key."""
-    config, scenario, seed, K = payload
-    cache_key = (repr(config), K)
-    if cache_key not in _WORKER_CACHE:
-        resolved = resolve(config)
-        _WORKER_CACHE[cache_key] = (resolved, _cell_hat(resolved, K))
-    resolved, hat = _WORKER_CACHE[cache_key]
-    return run_cell(resolved, scenario, seed, hat, K)
+def _group_worker(payload) -> List[CellResult]:
+    """Process-pool entry point: resolves the (picklable) config and runs one
+    chunk of a horizon group; results reduce deterministically by cell key."""
+    config, K, cells = payload
+    resolved = resolve(config)
+    return _run_group(resolved, cells, _cell_hat(resolved, K), K)
 
 
 def run_cells(resolved: ResolvedExperiment, horizons,
               hats: Optional[Dict[int, Optional[HatBounds]]] = None) -> List[CellResult]:
     """Run every (horizon, scenario, seed) cell of the experiment, sorted by
-    cell key.  With ``config.jobs > 1`` the cells run on that many worker
-    processes; otherwise they run here, with the hat bounds ``hats[K]`` when
-    given."""
+    cell key.  The cells of one horizon are estimated as one group.  With
+    ``config.jobs > 1`` each group is split into that many chunks, which run
+    on that many worker processes; otherwise the groups run here, with the
+    hat bounds ``hats[K]`` when given."""
     config = resolved.config
-    keys = [(scenario, seed, K) for K in horizons
-            for scenario in config.scenarios for seed in config.seeds]
+    cells = [(scenario, seed) for scenario in config.scenarios for seed in config.seeds]
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
+        size = math.ceil(len(cells) / config.jobs)
+        payloads = [(config, K, cells[i:i + size])
+                    for K in horizons for i in range(0, len(cells), size)]
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            cells = list(pool.map(_cell_worker, [(config, *key) for key in keys]))
+            out = [cell for group in pool.map(_group_worker, payloads) for cell in group]
     else:
         if hats is None:
             hats = {K: _cell_hat(resolved, K) for K in horizons}
-        cells = [run_cell(resolved, scenario, seed, hats[K], K) for scenario, seed, K in keys]
-    cells.sort(key=CellResult.key)
-    return cells
+        out = [cell for K in horizons for cell in _run_group(resolved, cells, hats[K], K)]
+    out.sort(key=CellResult.key)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -742,12 +771,12 @@ def deviant_output_probe(config: ExperimentConfig, out_dir: Optional[str] = None
     start = _window_start(config, K, t)
     results = {}
     for scenario in config.scenarios:
-        sol, u, prior0 = _truth(config, model, scenario, config.seeds[0])
+        sol = _truth(config, model, scenario, config.seeds[0])
         y_pert = sol.y[:t].copy()
         y_pert[step, 0] += config.probe_delta
-        solved = _estimate(resolved, prior0, u[:t], y_pert, K)[t]
+        solved = _estimate(resolved, sol.u[:t], y_pert[None], K)[0][t]
         margin = check_ioss_on_pair(cert, model, sol.window(start, t),
-                                    solved.as_solution(model, u[start:t]))
+                                    solved.as_solution(model, sol.u[start:t]))
         out_of_range = abs(config.probe_delta) > cert.r_range[1]
         results[scenario.name] = {
             "min_margin": margin.min_margin,

@@ -644,7 +644,7 @@ class ExponentialEnvelope:
     r_range: Tuple[float, float]
 
     def __bool__(self):
-        return self.C >= 1.0 and 0.0 < self.lam < 1.0 and self.worst_margin >= -1e-9
+        return bool(self.C >= 1.0 and 0.0 < self.lam < 1.0 and self.worst_margin >= -1e-9)
 
 
 def rges_envelope(hat: HatBounds, bounds: DerivedBounds,
@@ -659,9 +659,10 @@ def rges_envelope(hat: HatBounds, bounds: DerivedBounds,
         raise DomainError("exponential envelope requires a linear contraction")
     K = hat.K
     grid = log_grid(ANALYSIS_R_MIN, ANALYSIS_R_MAX, 4) if r_grid is None else np.asarray(r_grid)
+    probes = grid[:: max(1, len(grid) // 8)].tolist()      # Python floats: C is a float
     eta = analysis.linear_rate
     decay = 0.0
-    for r in grid[:: max(1, len(grid) // 8)]:
+    for r in probes:
         for m in range(K):
             num, den = bounds.b(r, m + 1), bounds.b(r, m)
             if den > 0:
@@ -670,12 +671,12 @@ def rges_envelope(hat: HatBounds, bounds: DerivedBounds,
     if lam >= 1.0:
         lam = 1.0 - 1e-12
     C = 1.0
-    for r in grid[:: max(1, len(grid) // 8)]:
+    for r in probes:
         for t in range(t_max + 1):
             val = hat.b_hat(r, t)
             C = max(C, val / (lam ** t * r))
     worst = math.inf
-    for r in grid[:: max(1, len(grid) // 8)]:
+    for r in probes:
         for t in range(t_max + 1):
             worst = min(worst, C * lam ** t * r - hat.b_hat(r, t))
     return ExponentialEnvelope(C, lam, worst, (float(grid[0]), float(grid[-1])))

@@ -19,7 +19,11 @@ free transition maps; the window solvers use those for structured solves.
 Plant maps accept a leading batch axis: ``f(X, u, W)`` with X (B, n) and
 W (B, q) returns the (B, n) stack of ``f(X[b], u, W[b])``, bit for bit, and
 ``h``, ``f_nominal`` and ``h_nominal`` do the same; u is the one input of
-the step.  The generic window solvers evaluate their candidates that way.
+the step.  ``f_image(lo, hi, u)`` and ``f_solve(c, lo, hi, u)`` take arrays
+of one shape and work elementwise, each element bit for bit what the call
+on that element alone returns.  The generic window solvers evaluate their
+candidates that way, and the max-mode engine solves a group of windows, one
+row per window, that way.
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ class SystemModel:
     ``additive_v`` declare that f = f_nominal + w and h = h_nominal + v, which
     lets the estimator eliminate measurement-noise decision variables exactly.
     ``f_image`` and ``f_solve`` (scalar plants only) give the exact interval
-    image of f_nominal and a point solving f_nominal(x) = c on an interval.
+    image of f_nominal and a point solving f_nominal(x) = c on an interval,
+    elementwise over arrays.
     """
 
     name: str
@@ -268,10 +273,17 @@ def _linear_scalar(name: str, a: float) -> SystemModel:
         return hi2, lo2
 
     def f_solve(c, lo, hi, u):
-        return min(max(c / a, lo), hi)
+        return clamp(c / a, lo, hi)
 
     return SystemModel(name, 1, 1, 1, 1, 1, f, h, f_nominal, h_nominal,
                        f_image=f_image, f_solve=f_solve, linear_a=a)
+
+
+def clamp(x, lo, hi):
+    """``min(max(x, lo), hi)`` of Python floats, elementwise over arrays: the
+    same picks for NaN and signed zeros, where ``np.clip`` may differ."""
+    m = np.where(lo > x, lo, x)
+    return np.where(hi < m, hi, m)
 
 
 _TWO_PI = 2.0 * math.pi
@@ -294,6 +306,15 @@ def _sin_half_image(lo, hi, u):
 
 
 def _sin_half_solve(c, lo, hi, u):
+    """Points x in [lo, hi] with 0.5 sin(x) = c, elementwise; one libm solve
+    per element, so each is what the element alone gives."""
+    c, lo, hi = np.broadcast_arrays(c, lo, hi)
+    return np.array([_sin_half_solve_one(*args)
+                     for args in zip(c.ravel().tolist(), lo.ravel().tolist(),
+                                     hi.ravel().tolist())]).reshape(c.shape)
+
+
+def _sin_half_solve_one(c: float, lo: float, hi: float) -> float:
     """A point x in [lo, hi] with 0.5 sin(x) = c, assuming one exists.
 
     Each solution branch repeats with period 2 pi, so only the first period

@@ -17,6 +17,10 @@ candidates; ``test_generic_engines.py`` pins the batched rows to it.
 full-information bound, the moving-horizon bound and the window cost: one
 gain call per term, folded with ``plus_reduce``.  ``test_bound_path.py``
 holds ``bound_trace`` and ``eval_cost`` to them.
+
+``max_interval_window`` is the max-mode level bisection of one window, as
+the engine solved it before it took a group of windows at once;
+``test_cell_axis.py`` pins every row of a group to it.
 """
 
 import math
@@ -32,8 +36,8 @@ from mhestab.comparison import (
     log_grid,
     plus_reduce,
 )
+from mhestab import estimator as E
 from mhestab.certificates import CompatibilityWitness
-from mhestab.estimator import _eliminated_nu, _rollout
 from mhestab.stability import (
     ANALYSIS_R_MAX,
     ANALYSIS_R_MIN,
@@ -298,10 +302,15 @@ def generic_objective(problem, z):
     n, q, m = model.state_dim, model.process_noise_dim, model.meas_noise_dim
     chi0 = z[:n]
     omega = z[n:n + K * q].reshape(K, q)
-    xs, _ = _rollout(problem, chi0, omega)
+    xs = np.empty((K, n))
+    x = chi0
+    for j in range(K):             # one candidate rolled forward alone
+        xs[j] = x
+        x = np.atleast_1d(model.f(x, problem.u_win[j], omega[j]))
     pen = 0.0
     if model.additive_v:
-        nu = _eliminated_nu(problem, xs)
+        nu = np.array([problem.y_win[j] - np.atleast_1d(model.h_nominal(xs[j], problem.u_win[j]))
+                       for j in range(K)])
     else:
         nu = z[n + K * q:].reshape(K, m)
         for j in range(K):
@@ -353,3 +362,130 @@ def window_cost(cost, prior, chi0, omega, nu):
         terms.append(cost.gamma_hat(float(np.linalg.norm(omega[j])), age))
         terms.append(cost.delta_hat(float(np.linalg.norm(nu[j])), age))
     return plus_reduce(cost.mode, terms)
+
+
+# ---------------------------------------------------------------------------
+# The max-mode level bisection, one window at a time
+# ---------------------------------------------------------------------------
+
+def _rollout_one(problem, chi0, omega):
+    model, K = problem.model, problem.horizon
+    xs = np.empty((K, model.state_dim))
+    x = np.atleast_1d(chi0).astype(float)
+    for j in range(K):
+        xs[j] = x
+        x = np.atleast_1d(model.f(x, problem.u_win[j], omega[j]))
+    nu = np.array([problem.y_win[j] - np.atleast_1d(model.h_nominal(xs[j], problem.u_win[j]))
+                   for j in range(K)])
+    return xs, x, nu
+
+
+def _feasible_one(problem, prep, levels, record=False):
+    K, y, prior = problem.horizon, problem.y_win[:, 0], float(problem.prior[0])
+    pw, dw, gw = prep[0].widths(levels)[0], prep[1].widths(levels), prep[2].widths(levels)
+    bounds = problem.bounds or E.BoxBounds()
+    boxed = not bounds.empty
+    chi_lo, chi_hi = E._box_interval(bounds.chi)
+    om_lo, om_hi = E._box_interval(bounds.omega)
+    nu_lo, nu_hi = E._box_interval(bounds.nu)
+    if boxed:
+        ylo = y[:, None] - (dw if nu_hi == math.inf else np.minimum(dw, nu_hi))
+        yhi = y[:, None] + (dw if nu_lo == -math.inf else np.minimum(dw, -nu_lo))
+        lo, hi = np.maximum(prior - pw, chi_lo), np.minimum(prior + pw, chi_hi)
+    else:
+        ylo, yhi = y[:, None] - dw, y[:, None] + dw
+        lo, hi = prior - pw, prior + pw
+    alive = np.ones(len(levels), dtype=bool)
+    intervals = []
+    for j in range(K):
+        lo, hi = np.maximum(lo, ylo[j]), np.minimum(hi, yhi[j])
+        if boxed:
+            lo, hi = np.maximum(lo, chi_lo), np.minimum(hi, chi_hi)
+        alive &= lo <= hi
+        if record:
+            lo, hi = np.where(alive, lo, 0.0), np.where(alive, hi, 0.0)
+            intervals.append((lo, hi))
+        if j < K - 1:
+            img_lo, img_hi = problem.model.f_image(lo, hi, problem.u_win[j])
+            if boxed:
+                lo, hi = img_lo + np.maximum(-gw[j], om_lo), img_hi + np.minimum(gw[j], om_hi)
+            else:
+                lo, hi = img_lo - gw[j], img_hi + gw[j]
+    return alive, intervals
+
+
+def _reconstruct_one(problem, prep, level):
+    model, K = problem.model, problem.horizon
+    alive, intervals = _feasible_one(problem, prep, np.array([level]), record=True)
+    if not alive[0]:
+        return None
+    gw = prep[2].widths(np.array([level]))[:, 0]
+    chis = np.empty(K)
+    chis[K - 1] = 0.5 * (intervals[K - 1][0][0] + intervals[K - 1][1][0])
+    for j in range(K - 2, -1, -1):
+        lo_j, hi_j = intervals[j][0][0], intervals[j][1][0]
+        img_lo, img_hi = model.f_image(lo_j, hi_j, problem.u_win[j])
+        target = min(max(chis[j + 1], img_lo - gw[j]), img_hi + gw[j])
+        chis[j] = model.f_solve(min(max(target, img_lo), img_hi), lo_j, hi_j, problem.u_win[j])
+    omega = np.zeros((K, 1))
+    for j in range(K - 1):
+        pred = float(np.atleast_1d(model.f_nominal(np.array([chis[j]]), problem.u_win[j]))[0])
+        omega[j, 0] = chis[j + 1] - pred
+    xs, endpoint, nu = _rollout_one(problem, chis[:1], omega)
+    return E.EstimateResult(np.vstack([xs, endpoint[None, :]]), omega, nu,
+                            E.eval_cost(problem.cost, problem.prior, xs[0], omega, nu),
+                            "ok", "max-interval", problem.prior.copy(), K)
+
+
+def max_interval_window(problem):
+    """The max-mode level bisection of one scalar window, one level grid and
+    one scalar reconstruction at a time: the engine's algorithm without the
+    row axis.  Returns the EstimateResult the engine gives that window."""
+    model, K = problem.model, problem.horizon
+    ages = list(range(K, 0, -1))
+    prep = (E._WidthTable(problem.cost.beta_hat, [K]), E._WidthTable(problem.cost.delta_hat, ages),
+            E._WidthTable(problem.cost.gamma_hat, ages))
+    y = problem.y_win[:, 0]
+    starts = [(problem.prior.copy(), np.zeros((K, 1)))]
+    omega = np.zeros((K, 1))
+    for j in range(K - 1):
+        pred = float(np.atleast_1d(model.f_nominal(np.array([y[j]]), problem.u_win[j]))[0])
+        omega[j, 0] = y[j + 1] - pred
+    starts.append((np.array([y[0]]), omega))
+    s_hi = math.inf
+    for chi0, omega in starts:
+        _, _, nu = _rollout_one(problem, chi0, omega)
+        val = E.eval_cost(problem.cost, problem.prior, chi0, omega, nu)
+        if math.isfinite(val):
+            s_hi = min(s_hi, val)
+    if problem.bounds is not None and not problem.bounds.empty:
+        probe = max(1.0, 0.0 if not math.isfinite(s_hi) else s_hi)
+        while not _feasible_one(problem, prep, np.array([probe]))[0][0]:
+            probe *= 8.0
+            if probe > 1e15:
+                raise E.InfeasibleWindowError("window constraints admit no trajectory")
+        s_hi = probe
+    if not math.isfinite(s_hi):
+        raise E.InfeasibleWindowError("no finite-cost candidate trajectory")
+    if s_hi == 0.0 or _feasible_one(problem, prep, np.array([0.0]))[0][0]:
+        result = _reconstruct_one(problem, prep, 0.0)
+        if result is not None:
+            return result
+    lo, hi = 0.0, max(s_hi, 1e-300)
+    levels = np.geomspace(max(hi * 1e-14, 1e-300), hi, 48)
+    for _ in range(E.LEVEL_PASSES):
+        mask, _ = _feasible_one(problem, prep, levels)
+        if not mask[-1]:
+            hi = hi * (1 + 1e-9) + 1e-300
+        else:
+            first = int(np.argmax(mask))
+            hi, lo = float(levels[first]), float(levels[first - 1]) if first > 0 else lo
+        levels = np.linspace(lo, hi, 48)[1:]
+    bump = hi
+    for _ in range(6):
+        result = _reconstruct_one(problem, prep, bump)
+        if result is not None:
+            result.iterations = E.LEVEL_PASSES
+            return result
+        bump = bump * (1 + 1e-9) + 1e-300
+    raise E.InfeasibleWindowError("level reconstruction failed")

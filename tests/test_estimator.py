@@ -286,7 +286,7 @@ def test_run_fie_zero_disturbance_tracking():
     T = 10
     u = np.zeros((T + 1, 1))
     sol = simulate(model, [0.8], u, np.zeros((T + 1, 1)), np.zeros((T + 1, 1)), T + 1)
-    results = run_fie(model, cost, [0.8], u[:T], sol.y[:T], 1.0, SolverConfig())
+    results = run_fie(model, cost, [0.8], u[:T], sol.y[None, :T], 1.0, SolverConfig())[0]
     assert len(results) == T + 1
     assert results[0].published[0] == 0.8
     for t in range(T + 1):
@@ -304,7 +304,7 @@ def test_run_fie_prior_offset_decay_bound():
     T = 12
     u = np.zeros((T + 1, 1))
     sol = simulate(model, [0.5], u, np.zeros((T + 1, 1)), np.zeros((T + 1, 1)), T + 1)
-    results = run_fie(model, cost, [1.5], u[:T], sol.y[:T], 1.0, SolverConfig())
+    results = run_fie(model, cost, [1.5], u[:T], sol.y[None, :T], 1.0, SolverConfig())[0]
     d0 = abs(sol.x[0, 0] - 1.5)
     for t in range(T + 1):
         err = abs(sol.x[t, 0] - results[t].published[0])
@@ -315,7 +315,7 @@ def test_run_fie_prior_offset_decay_bound():
 def test_run_fie_horizon_cap():
     model = builtin_model("s1")
     cost = _cost("s1", PlusMode.MAX)
-    y = np.zeros((300, 1))
+    y = np.zeros((1, 300, 1))
     with pytest.raises(HorizonCapError):
         run_fie(model, cost, [0.0], np.zeros((300, 1)), y, 1.0, SolverConfig(), t_max=200)
 
@@ -329,8 +329,8 @@ def test_run_mhe_equals_fie_for_long_horizon():
     v = gen.uniform(-0.1, 0.1, (T, 1))
     u = np.zeros((T, 1))
     sol = simulate(model, [0.4], u, w, v, T)
-    fie = run_fie(model, cost, [0.9], u, sol.y, 1.0, SolverConfig())
-    mhe = run_mhe(model, cost, [0.9], u, sol.y, T + 2, 1.0, SolverConfig())
+    fie = run_fie(model, cost, [0.9], u, sol.y[None], 1.0, SolverConfig())[0]
+    mhe = run_mhe(model, cost, [0.9], u, sol.y[None], T + 2, 1.0, SolverConfig())[0]
     for a, b in zip(fie, mhe):
         assert a.published[0] == b.published[0]
 
@@ -344,7 +344,7 @@ def test_run_mhe_uses_filtering_prior():
     v = gen.uniform(-0.05, 0.05, (T, 1))
     u = np.zeros((T, 1))
     sol = simulate(model, [0.4], u, w, v, T)
-    results = run_mhe(model, cost, [0.9], u, sol.y, K, 1.0, SolverConfig())
+    results = run_mhe(model, cost, [0.9], u, sol.y[None], K, 1.0, SolverConfig())[0]
     for t in range(K + 1, T + 1):
         assert results[t].prior[0] == results[t - K].published[0]
         assert results[t].horizon == K

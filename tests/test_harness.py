@@ -15,7 +15,7 @@ from mhestab.harness import (
     ConfigError,
     ExperimentConfig,
     ScenarioSpec,
-    _cell_worker,
+    _group_worker,
     analyze,
     deviant_output_probe,
     horizon_sweep,
@@ -491,16 +491,15 @@ def test_benchmark_workload_configs_load(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["max", "sum"])
 def test_cell_worker_uses_the_hat_bounds_of_each_horizon(mode):
+    # the pool's worker runs one chunk of a horizon group; a worker process
+    # runs many chunks, so a K=8 group after a K=2 group must equal a fresh one
     config = ExperimentConfig(name="cache", plant="s1", mode=mode, estimator="mhe",
-                              t_final=20, seeds=(0,),
+                              t_final=20, seeds=(0, 1),
                               scenarios=[ScenarioSpec("uniform", "bounded_uniform",
                                                       amplitude=0.1)])
-    scenario = config.scenarios[0]
-    harness._WORKER_CACHE.clear()
-    fresh = _cell_worker((config, scenario, 0, 8))
-    harness._WORKER_CACHE.clear()
-    _cell_worker((config, scenario, 0, 2))
-    after_k2 = _cell_worker((config, scenario, 0, 8))
-    harness._WORKER_CACHE.clear()
-    assert after_k2.horizon == 8
+    cells = [(config.scenarios[0], seed) for seed in config.seeds]
+    fresh = _group_worker((config, 8, cells))
+    _group_worker((config, 2, cells))
+    after_k2 = _group_worker((config, 8, cells))
+    assert [cell.horizon for cell in after_k2] == [8, 8]
     assert after_k2 == fresh
