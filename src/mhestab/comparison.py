@@ -474,10 +474,6 @@ class TriangleGrowth:
             raise DomainError("TriangleGrowth index must be nonnegative")
         return self.values[min(s, len(self.values) - 1)]
 
-    @property
-    def is_constant(self) -> bool:
-        return len(set(self.values)) == 1
-
 
 N_ONE = TriangleGrowth((1.0,))
 N_TWO = TriangleGrowth((2.0,))

@@ -7,6 +7,8 @@ measurement residuals off the output equations, and score everything with the
 discounted stage cost.  Measurement-noise variables are eliminated exactly
 whenever the output map is additive in the noise (all built-in plants), so
 window solutions satisfy the solution-set constraint to rounding error.
+Nothing else constrains a window, and no engine reads the suboptimality
+factor A: ``certify_suboptimality`` applies it to each solved window.
 
 Three engines back ``solve_window``:
 
@@ -29,8 +31,9 @@ each t the windows of all cells share the plant, cost, inputs and length
 and differ in their outputs and priors.  The max-mode engine solves them as
 one group, one row per window, with levels of shape (C, 48); its per-window
 branches are masks over the rows, and every row uses exactly the arithmetic
-of its window solved alone.  ``solve_window`` is a group of one.  The
-sum-mode and generic engines take the windows one at a time.
+of its window solved alone; a failing row raises ``InfeasibleWindowError``
+for its whole group.  ``solve_window`` is a group of one.  The sum-mode and
+generic engines take the windows one at a time.
 
 The iterative methods evaluate their candidates in batches: one array pass
 rolls the plant forward for every candidate and calls each cost gain once
@@ -82,20 +85,7 @@ class HorizonCapError(RuntimeError):
 
 
 class InfeasibleWindowError(RuntimeError):
-    """No trajectory satisfies the window constraints (box bounds conflict)."""
-
-
-@dataclass(frozen=True)
-class BoxBounds:
-    """Optional per-variable boxes; each entry is (lo, hi) arrays or None."""
-
-    chi: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    omega: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    nu: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    @property
-    def empty(self) -> bool:
-        return self.chi is None and self.omega is None and self.nu is None
+    """No finite-cost candidate trajectory, or a failed level reconstruction."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +96,6 @@ class EstimationProblem:
     u_win: np.ndarray
     y_win: np.ndarray
     horizon: int
-    a_factor: float = 1.0
-    bounds: Optional[BoxBounds] = None
 
     def __post_init__(self):
         object.__setattr__(self, "prior", np.atleast_1d(np.asarray(self.prior, dtype=float)))
@@ -123,8 +111,11 @@ class EstimationProblem:
             raise DomainError("window horizon must be >= 1")
         if len(u) != self.horizon or len(y) != self.horizon:
             raise DomainError("window sequences must have length equal to the horizon")
-        if self.a_factor < 1.0:
-            raise DomainError("suboptimality factor must be >= 1")
+        m = self.model
+        if (self.prior.shape, u.shape[1:], y.shape[1:]) != ((m.state_dim,), (m.input_dim,),
+                                                             (m.output_dim,)):
+            raise DomainError(f"window prior {self.prior.shape}, inputs {u.shape} and outputs "
+                              f"{y.shape} do not fit plant {m.name!r}")
 
 
 @dataclass(eq=False)
@@ -233,7 +224,7 @@ def _window_costs(cost: CostSpec, prior: np.ndarray, chi0: np.ndarray, omega: np
 
 class _Rows:
     """A group of windows, one row each, that share the plant, cost,
-    horizon, inputs and boxes and differ in their priors (R, n) and outputs
+    horizon and inputs and differ in their priors (R, n) and outputs
     (R, K, p).  Every helper below works elementwise along the rows, so a
     row's numbers are those of its window solved alone."""
 
@@ -242,7 +233,6 @@ class _Rows:
         self.problems = list(problems)
         self.model, self.cost, self.K = first.model, first.cost, first.horizon
         self.u_win = first.u_win
-        self.bounds = first.bounds or BoxBounds()
         self.prior = np.array([p.prior for p in problems])
         self.y = np.array([p.y_win for p in problems])
 
@@ -345,13 +335,6 @@ class _WidthTable:
         return out
 
 
-def _box_interval(box, idx=0):
-    if box is None:
-        return -math.inf, math.inf
-    lo, hi = box
-    return float(np.atleast_1d(lo)[idx]), float(np.atleast_1d(hi)[idx])
-
-
 def _max_prepare(rows: _Rows):
     ages = list(range(rows.K, 0, -1))
     return (_WidthTable(rows.cost.beta_hat, [rows.K]),
@@ -369,47 +352,24 @@ def _max_feasible(rows: _Rows, prep, levels: np.ndarray, record: bool = False):
     """
     model, K = rows.model, rows.K
     y = rows.y[:, :, 0].T[:, :, None]          # (K, R, 1)
-    prior = rows.prior
     pw = prep[0].widths(levels)[0]
     dw = prep[1].widths(levels)
     gw = prep[2].widths(levels)
-    bounds = rows.bounds
-    boxed = not bounds.empty
-    chi_lo, chi_hi = _box_interval(bounds.chi)
-    om_lo, om_hi = _box_interval(bounds.omega)
-    nu_lo, nu_hi = _box_interval(bounds.nu)
-    if boxed:
-        w_hi = dw if nu_hi == math.inf else np.minimum(dw, nu_hi)
-        w_lo = dw if nu_lo == -math.inf else np.minimum(dw, -nu_lo)
-        ylo = y - w_hi
-        yhi = y + w_lo
-    else:
-        ylo = y - dw
-        yhi = y + dw
-    lo = np.maximum(prior - pw, chi_lo) if boxed else prior - pw
-    hi = np.minimum(prior + pw, chi_hi) if boxed else prior + pw
+    lo = rows.prior - pw
+    hi = rows.prior + pw
     alive = np.ones(levels.shape, dtype=bool)
     intervals = []
     for j in range(K):
-        lo = np.maximum(lo, ylo[j])
-        hi = np.minimum(hi, yhi[j])
-        if boxed:
-            lo = np.maximum(lo, chi_lo)
-            hi = np.minimum(hi, chi_hi)
+        lo = np.maximum(lo, y[j] - dw[j])
+        hi = np.minimum(hi, y[j] + dw[j])
         alive &= lo <= hi
         if record:
-            safe_lo = np.where(alive, lo, 0.0)
-            safe_hi = np.where(alive, hi, 0.0)
-            intervals.append((safe_lo, safe_hi))
-            lo, hi = safe_lo, safe_hi
+            lo, hi = np.where(alive, lo, 0.0), np.where(alive, hi, 0.0)
+            intervals.append((lo, hi))
         if j < K - 1:
             img_lo, img_hi = model.f_image(lo, hi, rows.u_win[j])
-            if boxed:
-                lo = img_lo + np.maximum(-gw[j], om_lo)
-                hi = img_hi + np.minimum(gw[j], om_hi)
-            else:
-                lo = img_lo - gw[j]
-                hi = img_hi + gw[j]
+            lo = img_lo - gw[j]
+            hi = img_hi + gw[j]
     return (alive, intervals) if record else (alive, None)
 
 
@@ -459,10 +419,10 @@ def _spaced_rows(space, lo: np.ndarray, hi: np.ndarray, spans: np.ndarray) -> np
 def _solve_max_scalar(problems: Sequence[EstimationProblem]) -> List[EstimateResult]:
     """Max-mode level bisection for a group of windows (see :class:`_Rows`).
 
-    The per-row branches -- the zero-level exit, the boxed probe loop, the
-    top-level guard and the bump loop -- are masks over the rows, and every
-    row ends with the result of its window solved alone.  An infeasible row
-    raises for the whole group.
+    The per-row branches -- the zero-level exit, the top-level guard and
+    the bump loop -- are masks over the rows, and every row ends with the
+    result of its window solved alone.  A row without a finite-cost
+    candidate, or whose reconstruction fails, raises for the whole group.
     """
     rows = _Rows(problems)
     prep = _max_prepare(rows)
@@ -473,16 +433,6 @@ def _solve_max_scalar(problems: Sequence[EstimationProblem]) -> List[EstimateRes
         val = np.array(_window_costs(rows.cost, rows.prior, chi0, omega,
                                      _eliminated_nu(rows, xs)))
         s_hi = np.where(np.isfinite(val) & (val < s_hi), val, s_hi)
-    if not rows.bounds.empty:
-        probe = np.maximum(1.0, np.where(np.isfinite(s_hi), s_hi, 0.0))
-        pending = np.arange(len(rows))
-        while len(pending):
-            feasible = _max_feasible(rows.take(pending), prep, probe[pending, None])[0][:, 0]
-            pending = pending[~feasible]
-            probe[pending] *= 8.0
-            if (probe[pending] > 1e15).any():
-                raise InfeasibleWindowError("window constraints admit no trajectory")
-        s_hi = probe
     if not np.isfinite(s_hi).all():
         raise InfeasibleWindowError("no finite-cost candidate trajectory")
     results: List[Optional[EstimateResult]] = [None] * len(rows)
@@ -1054,8 +1004,7 @@ def _structured_applicable(problem: EstimationProblem) -> Optional[str]:
         if model.f_image is not None and model.f_solve is not None:
             return "max"
         return None
-    if (model.linear_a is not None and _sum_weights(problem) is not None
-            and (problem.bounds is None or problem.bounds.empty)):
+    if model.linear_a is not None and _sum_weights(problem) is not None:
         return "sum"
     return None
 
@@ -1094,8 +1043,8 @@ def _initial_result(prior0: np.ndarray, model: SystemModel) -> EstimateResult:
                           prior0.copy(), 0)
 
 
-def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, a_factor: float,
-           solver: SolverConfig, horizon: Optional[int]) -> List[List[EstimateResult]]:
+def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: SolverConfig,
+           horizon: Optional[int]) -> List[List[EstimateResult]]:
     """Step every cell of the stack in lock-step over t; the window ending at
     t starts at max(0, t - horizon), or at 0 without a horizon, and is
     anchored at the cell's prior0 or at its own estimate from its start."""
@@ -1113,7 +1062,7 @@ def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, a_factor: f
         start = 0 if horizon is None else max(0, t - horizon)
         u_win = u_seq[start:t]
         problems = [EstimationProblem(model, cost, run[start].published if start else prior,
-                                      u_win, y[c, start:t], t - start, a_factor)
+                                      u_win, y[c, start:t], t - start)
                     for c, (run, prior) in enumerate(zip(runs, priors))]
         for run, result in zip(runs, _solve_group(problems, solver)):
             run.append(result)
@@ -1121,7 +1070,7 @@ def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, a_factor: f
 
 
 def run_fie(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq,
-            a_factor: float, solver: SolverConfig, t_max: int = 200) -> List[List[EstimateResult]]:
+            solver: SolverConfig, t_max: int = 200) -> List[List[EstimateResult]]:
     """Full-information estimates for t = 0..T of a stack of C cells.
 
     ``y_seq`` is the (C, T) measurement stack, or (C, T, p) for p outputs;
@@ -1135,11 +1084,11 @@ def run_fie(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq,
     T = np.shape(y_seq)[1] if np.ndim(y_seq) > 1 else 0
     if T > t_max:
         raise HorizonCapError(f"full-information horizon {T} exceeds cap {t_max}")
-    return _drive(model, cost, prior0, u_seq, y_seq, a_factor, solver, None)
+    return _drive(model, cost, prior0, u_seq, y_seq, solver, None)
 
 
 def run_mhe(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, horizon: int,
-            a_factor: float, solver: SolverConfig) -> List[List[EstimateResult]]:
+            solver: SolverConfig) -> List[List[EstimateResult]]:
     """Moving-horizon estimates for t = 0..T of a stack of C cells, with the
     filtering prior.
 
@@ -1150,7 +1099,7 @@ def run_mhe(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, horizon: i
     """
     if horizon < 1:
         raise DomainError("moving horizon must be >= 1")
-    return _drive(model, cost, prior0, u_seq, y_seq, a_factor, solver, horizon)
+    return _drive(model, cost, prior0, u_seq, y_seq, solver, horizon)
 
 
 def certify_suboptimality(result: EstimateResult, reference: SolutionTuple, cost: CostSpec,

@@ -440,9 +440,8 @@ def _estimate(resolved: ResolvedExperiment, u: np.ndarray, y: np.ndarray, K: int
     config, model, cost = resolved.config, resolved.model, resolved.cost
     prior0 = _initial(config, model)[1]
     if config.estimator == "mhe":
-        return run_mhe(model, cost, prior0, u, y, K, config.a_factor, config.solver)
-    return run_fie(model, cost, prior0, u, y, config.a_factor, config.solver,
-                   t_max=config.t_max_fie)
+        return run_mhe(model, cost, prior0, u, y, K, config.solver)
+    return run_fie(model, cost, prior0, u, y, config.solver, t_max=config.t_max_fie)
 
 
 def _estimate_group(resolved: ResolvedExperiment, cells, K: int
@@ -466,17 +465,21 @@ def run_cell(resolved: ResolvedExperiment, scenario: ScenarioSpec, seed: int,
              estimated: Optional[Tuple[SolutionTuple, list]] = None) -> CellResult:
     """Certify and evaluate bounds for one sweep cell, from its truth and
     estimator results as :func:`_estimate_group` gives them; without
-    ``estimated`` the cell is simulated and estimated alone."""
+    ``estimated`` the cell is simulated and estimated alone.  A moving-horizon
+    cell is checked against the hat bounds of its horizon, ``hat`` or, when
+    that is None, those :func:`_cell_hat` builds."""
     config = resolved.config
     model, cert, cost, bounds = resolved.model, resolved.cert, resolved.cost, resolved.bounds
     T = config.t_final
     K = horizon if horizon is not None else config.horizon
+    if hat is None:
+        hat = _cell_hat(resolved, K)
     sol, results = estimated or _estimate_group(resolved, [(scenario, seed)], K)[0]
     is_mhe = config.estimator == "mhe"
     d0 = model.dist(sol.x[0], _initial(config, model)[1])
     w_norms = seq_norms(sol.w)
     v_norms = seq_norms(sol.v)
-    if is_mhe and hat is not None:
+    if is_mhe:
         # the sum formulation's outer combination is a maximum, as in max mode
         rhs_trace = bound_trace(PlusMode.MAX, hat.b_hat, hat.c_hat, hat.d_hat, d0,
                                 w_norms[:T], v_norms[:T])
@@ -508,7 +511,7 @@ def run_cell(resolved: ResolvedExperiment, scenario: ScenarioSpec, seed: int,
         rhs = float(rhs_trace[t])
         margin = rhs - err
         window_margin = None
-        if is_mhe and t > K and certified and hat is not None:
+        if is_mhe and t > K and certified:
             prev_err = errors[t - K]
             terms = [hat.analysis.kappa(prev_err)]
             for tau in range(1, K + 1):

@@ -1,6 +1,6 @@
 """Moving-horizon stability machinery: contraction maps, iterated (hat)
-bounds, horizon-envelope (bar) bounds, the sum-to-max conversion, and the
-eventually-exponential classification.
+bounds, horizon-envelope (bar) bounds, the sum-to-max conversion check, and
+the exponential envelope of a linear contraction.
 
 The logic follows one storyline.  Evaluating the full-information error bound
 over one window of length K produces a map r -> b(alpha^{-1}(r), K); when
@@ -8,7 +8,8 @@ that map is a strict contraction (max formulation), or leaves room for a
 proportional slack below a strict contraction (sum formulation), iterating it
 across windows yields KL bounds for the moving-horizon estimator.  Sweeping
 the horizon and taking envelopes shows the gains improve monotonically toward
-the full-information ones.
+the full-information ones.  When the contraction is linear, the hat bound
+b_hat(r, t) is also fitted by an explicit rate C lam^t r (``rges_envelope``).
 
 All conditions are verified on finite logarithmic grids; every artifact
 carries the grid range it was checked on, and nothing beyond that range is
@@ -25,21 +26,14 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .comparison import (
-    CapabilityError,
-    ComposedK,
     DomainError,
     GridEvidence,
-    IterK,
     IteratedKL,
     KFn,
     KLFn,
-    KOfKL,
     LinearK,
     PlusMode,
-    ScaledShiftKL,
     SeparableGeometric,
-    SFloorKL,
-    SumK,
     check_kl_on_grid,
     first_max,
     first_min,
@@ -47,7 +41,7 @@ from .comparison import (
     iterate_k,
     log_grid,
 )
-from .certificates import DerivedBounds, IossCertificate, _window_norms, bound_trace
+from .certificates import DerivedBounds, _window_norms, bound_trace
 
 ANALYSIS_R_MIN = 1e-6
 ANALYSIS_R_MAX = 1e3
@@ -524,112 +518,6 @@ def check_sum_to_max_lemma(kappa: KFn, rho: KFn, zeta: KFn, n_samples: int = 100
                        min(worst, worst_seq),
                        "both conversion inequalities held" if passed
                        else "conservative sum bound violated")
-
-
-def preserve_inner_discounting(cert: IossCertificate, K: int,
-                               n_sequences: int = 200, seed: int = 0
-                               ) -> Tuple[KLFn, LemmaReport]:
-    """Discount-preserving replacement for the constant-in-age sum gain.
-
-    For iterated-composition gains gamma(r, t) = kappa_g^t(sigma_g(r)) the
-    half-split refinement keeps an age-dependent gain
-
-        c_tilde(r, tau) = 2 * sum_{s=1..K} kappa_g^{floor(s/2)}(
-                              gamma(2 r, floor(tau/2)) )
-
-    that still dominates the windowed sums of c(r, t) = 2 gamma(2r, t).  The
-    returned function drops into the iterated gain construction in place of
-    the age-constant term; domination is verified on random sequences.
-    """
-    if cert.mode is not PlusMode.SUM:
-        raise DomainError("inner-discounting preservation is a sum-mode construction")
-    gamma = cert.gamma
-    if not isinstance(gamma, IteratedKL):
-        raise CapabilityError("gamma must be an iterated-composition gain")
-    kg = gamma.kappa
-    grid = log_grid(1e-6, 1e3, 4)
-    for r in grid:
-        if kg(r) > r * (1 + 1e-12):
-            raise CapabilityError("iterated gain map must be a contraction")
-    phi = ComposedK((LinearK(2.0), SumK(tuple(IterK(kg, s // 2) for s in range(1, K + 1)))))
-    inner = SFloorKL(ScaledShiftKL(gamma, 2.0), 2)
-    c_tilde = KOfKL(phi, inner)
-    c_fn = ScaledShiftKL(gamma, 2.0, 0, 2.0)  # c(r, t) = 2 gamma(2r, t)
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    worst = math.inf
-    for _ in range(n_sequences):
-        seq = 10.0 ** gen.uniform(-6, 2, K)
-        lhs = sum(c_fn(seq[tau - 1], tau) for tau in range(1, K + 1))
-        rhs = max(c_tilde(seq[tau - 1], tau) for tau in range(1, K + 1))
-        worst = min(worst, (rhs - lhs) / max(1.0, rhs))
-    report = LemmaReport(worst >= -1e-12, n_sequences, worst,
-                         "discount-preserving domination held" if worst >= -1e-12
-                         else "domination violated")
-    return c_tilde, report
-
-
-# ---------------------------------------------------------------------------
-# Eventually-exponential classification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EventuallyExponentialWitness:
-    """Separable envelope beta(r,s) <= sigma_r(r) * sigma_s(s) with the
-    Lipschitz-at-origin estimate of sigma_r."""
-
-    passed: bool
-    lipschitz_at_origin: float
-    diverging: bool
-    sigma_s: Tuple[float, ...]
-    exponential_from: Optional[int]   # smallest s with L * sigma_s(s) < 1
-    r_range: Tuple[float, float]
-    detail: str
-
-    def __bool__(self):
-        return self.passed
-
-
-def check_eventually_exponential(beta: KLFn, r_grid: Optional[np.ndarray] = None,
-                                 s_max: int = 48) -> EventuallyExponentialWitness:
-    """Fit and validate a separable envelope for beta, then estimate whether
-    its r-factor is Lipschitz at the origin.
-
-    A diverging small-r ratio (the square-root class) is a failure: no
-    horizon makes the one-window error map contractive near the origin.
-    """
-    grid = log_grid(1e-9, 1e3, 16) if r_grid is None else np.asarray(r_grid, dtype=float)
-    base = np.array([beta(r, 0) for r in grid])
-    if np.all(base == 0.0):
-        return EventuallyExponentialWitness(True, 0.0, False, (1.0,) * (s_max + 1), 0,
-                                            (float(grid[0]), float(grid[-1])),
-                                            "identically zero bound")
-    if np.any(base == 0.0):
-        raise DomainError("beta(r, 0) vanishes at a nonzero grid point")
-    sigma_s = []
-    for s in range(s_max + 1):
-        sigma_s.append(max(beta(r, s) / beta(r, 0) for r in grid))
-    sigma_r_vals = np.array([
-        max(beta(r, s) / sigma_s[s] for s in range(s_max + 1) if sigma_s[s] > 0)
-        for r in grid
-    ])
-    # domination holds by construction of the fit; estimate the origin slope
-    ratios = sigma_r_vals / grid
-    small = ratios[: max(4, len(grid) // 6)]
-    lipschitz = float(np.max(small))
-    diverging = bool(small[0] >= np.max(small) * (1 - 1e-12) and small[0] > 4.0 * small[-1])
-    if diverging:
-        return EventuallyExponentialWitness(False, lipschitz, True, tuple(sigma_s), None,
-                                            (float(grid[0]), float(grid[-1])),
-                                            "origin ratio diverges; no Lipschitz envelope")
-    exponential_from = None
-    for s in range(s_max + 1):
-        if lipschitz * sigma_s[s] < 1.0:
-            exponential_from = s
-            break
-    return EventuallyExponentialWitness(True, lipschitz, False, tuple(sigma_s),
-                                        exponential_from,
-                                        (float(grid[0]), float(grid[-1])),
-                                        f"L = {lipschitz:.6g}")
 
 
 # ---------------------------------------------------------------------------

@@ -383,34 +383,19 @@ def _rollout_one(problem, chi0, omega):
 def _feasible_one(problem, prep, levels, record=False):
     K, y, prior = problem.horizon, problem.y_win[:, 0], float(problem.prior[0])
     pw, dw, gw = prep[0].widths(levels)[0], prep[1].widths(levels), prep[2].widths(levels)
-    bounds = problem.bounds or E.BoxBounds()
-    boxed = not bounds.empty
-    chi_lo, chi_hi = E._box_interval(bounds.chi)
-    om_lo, om_hi = E._box_interval(bounds.omega)
-    nu_lo, nu_hi = E._box_interval(bounds.nu)
-    if boxed:
-        ylo = y[:, None] - (dw if nu_hi == math.inf else np.minimum(dw, nu_hi))
-        yhi = y[:, None] + (dw if nu_lo == -math.inf else np.minimum(dw, -nu_lo))
-        lo, hi = np.maximum(prior - pw, chi_lo), np.minimum(prior + pw, chi_hi)
-    else:
-        ylo, yhi = y[:, None] - dw, y[:, None] + dw
-        lo, hi = prior - pw, prior + pw
+    ylo, yhi = y[:, None] - dw, y[:, None] + dw
+    lo, hi = prior - pw, prior + pw
     alive = np.ones(len(levels), dtype=bool)
     intervals = []
     for j in range(K):
         lo, hi = np.maximum(lo, ylo[j]), np.minimum(hi, yhi[j])
-        if boxed:
-            lo, hi = np.maximum(lo, chi_lo), np.minimum(hi, chi_hi)
         alive &= lo <= hi
         if record:
             lo, hi = np.where(alive, lo, 0.0), np.where(alive, hi, 0.0)
             intervals.append((lo, hi))
         if j < K - 1:
             img_lo, img_hi = problem.model.f_image(lo, hi, problem.u_win[j])
-            if boxed:
-                lo, hi = img_lo + np.maximum(-gw[j], om_lo), img_hi + np.minimum(gw[j], om_hi)
-            else:
-                lo, hi = img_lo - gw[j], img_hi + gw[j]
+            lo, hi = img_lo - gw[j], img_hi + gw[j]
     return alive, intervals
 
 
@@ -458,13 +443,6 @@ def max_interval_window(problem):
         val = E.eval_cost(problem.cost, problem.prior, chi0, omega, nu)
         if math.isfinite(val):
             s_hi = min(s_hi, val)
-    if problem.bounds is not None and not problem.bounds.empty:
-        probe = max(1.0, 0.0 if not math.isfinite(s_hi) else s_hi)
-        while not _feasible_one(problem, prep, np.array([probe]))[0][0]:
-            probe *= 8.0
-            if probe > 1e15:
-                raise E.InfeasibleWindowError("window constraints admit no trajectory")
-        s_hi = probe
     if not math.isfinite(s_hi):
         raise E.InfeasibleWindowError("no finite-cost candidate trajectory")
     if s_hi == 0.0 or _feasible_one(problem, prep, np.array([0.0]))[0][0]:

@@ -25,7 +25,6 @@ from mhestab.comparison import (
     seq_norms,
 )
 from mhestab.estimator import (
-    BoxBounds,
     EstimationProblem,
     InfeasibleWindowError,
     SolverConfig,
@@ -72,8 +71,8 @@ def _stack(plant, T, seeds=(0, 1)):
 def _runs(plant, y, prior0, u, K):
     model, cost = builtin_model(plant), _cost(plant)
     if K is None:
-        return run_fie(model, cost, prior0, u, y, 1.05, SolverConfig())
-    return run_mhe(model, cost, prior0, u, y, K, 1.05, SolverConfig())
+        return run_fie(model, cost, prior0, u, y, SolverConfig())
+    return run_mhe(model, cost, prior0, u, y, K, SolverConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +103,7 @@ def test_every_row_is_the_one_window_bisection(plant):
     model, cost = builtin_model(plant), _cost(plant)
     for K in (1, 3, 7, 10):
         priors = [x0, x0] + [x0 + off for off in np.linspace(-2.0, 2.0, len(y) - 2)]
-        problems = [EstimationProblem(model, cost, [p], u[:K], y[c, :K], K, 1.05)
+        problems = [EstimationProblem(model, cost, [p], u[:K], y[c, :K], K)
                     for c, p in enumerate(priors)]
         rows = E._solve_max_scalar(problems)
         for problem, row in zip(problems, rows):
@@ -115,61 +114,29 @@ def test_a_group_of_one_is_solve_window():
     y, x0, u = _stack("s3", 6, seeds=(3,))
     model, cost = builtin_model("s3"), _cost("s3")
     for c in range(len(y)):
-        problem = EstimationProblem(model, cost, [x0 + 0.7], u, y[c], 6, 1.05)
+        problem = EstimationProblem(model, cost, [x0 + 0.7], u, y[c], 6)
         one = solve_window(problem, SolverConfig())
         assert _signature(one) == _signature(E._solve_max_scalar([problem])[0])
         assert _signature(one) == _signature(max_interval_window(problem))
 
 
 # ---------------------------------------------------------------------------
-# Per-row branches: boxes, the top-level guard
+# Per-row branches: an infeasible row, the top-level guard
 # ---------------------------------------------------------------------------
 
-def _boxed_problems(plant, bounds, priors, K=4):
-    y, _, u = _stack(plant, K, seeds=(5,))
-    model, cost = builtin_model(plant), _cost(plant)
-    return [EstimationProblem(model, cost, [p], u, y[c % len(y)], K, 1.05, bounds=bounds)
-            for c, p in enumerate(priors)]
-
-
 @pytest.mark.parametrize("plant", ["s1", "s2", "s3"])
-def test_boxed_probe_loop_runs_per_row(plant, monkeypatch):
-    # the states must stay far from the outputs, so the probes escalate from
-    # the unboxed bracket, by different counts for different priors
-    bounds = BoxBounds(chi=(np.array([20.0]), np.array([20.5])))
-    problems = _boxed_problems(plant, bounds, [20.2, 0.0, -400.0, -9000.0, 3e5, 1.0])
-    probes = []
-    real = E._max_feasible
-
-    def spy(rows, prep, levels, record=False):
-        if levels.shape[1] == 1 and levels.any() and not record:
-            probes.append(len(levels))
-        return real(rows, prep, levels, record)
-
-    monkeypatch.setattr(E, "_max_feasible", spy)
-    rows = E._solve_max_scalar(problems)
-    monkeypatch.undo()
-    # rows leave the loop after different numbers of escalations
-    assert probes[0] == len(problems) and len(set(probes)) >= 3
-    for problem, row in zip(problems, rows):
-        assert _signature(row) == _signature(E._solve_max_scalar([problem])[0])
-        assert _signature(row) == _signature(max_interval_window(problem))
-        assert bounds.chi[0][0] <= row.xhat[0, 0] <= bounds.chi[1][0]
-
-
-def test_a_row_that_no_box_admits_fails_its_group():
-    # states in [5, 6] and outputs within 0.1 of them: the outputs 5.5 fit,
-    # the outputs 0.5 do not
-    model, cost = builtin_model("s1"), _cost("s1")
-    bounds = BoxBounds(chi=(np.array([5.0]), np.array([6.0])),
-                       nu=(np.array([-0.1]), np.array([0.1])))
-    fits, misfits = (EstimationProblem(model, cost, [5.5], np.zeros((3, 1)), np.full((3, 1), y),
-                                       3, 1.05, bounds=bounds) for y in (5.5, 0.5))
-    assert _signature(E._solve_max_scalar([fits])[0]) == _signature(max_interval_window(fits))
-    with pytest.raises(InfeasibleWindowError):
-        max_interval_window(misfits)
-    with pytest.raises(InfeasibleWindowError):
-        E._solve_max_scalar([fits, misfits])
+def test_a_row_without_a_finite_cost_candidate_fails_its_group(plant):
+    # outputs of 1e308 overflow every candidate's cost to inf
+    y, x0, u = _stack(plant, 3, seeds=(5,))
+    model, cost = builtin_model(plant), _cost(plant)
+    finite = EstimationProblem(model, cost, [x0 + 0.5], u, y[1], 3)
+    huge = EstimationProblem(model, cost, [x0 + 0.5], u, np.full((3, 1), 1e308), 3)
+    assert _signature(E._solve_max_scalar([finite])[0]) == _signature(max_interval_window(finite))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InfeasibleWindowError, match="no finite-cost candidate trajectory"):
+            max_interval_window(huge)
+        with pytest.raises(InfeasibleWindowError, match="no finite-cost candidate trajectory"):
+            E._solve_max_scalar([finite, huge])
 
 
 @pytest.mark.parametrize("plant", ["s1", "s3"])
@@ -179,7 +146,7 @@ def test_top_level_guard_runs_per_row(plant, monkeypatch):
     y, x0, u = _stack(plant, 8)
     model, cost = builtin_model(plant), _cost(plant)
     priors = np.linspace(-1.5, 1.5, len(y))
-    problems = [EstimationProblem(model, cost, [p], u, y[c], 8, 1.05)
+    problems = [EstimationProblem(model, cost, [p], u, y[c], 8)
                 for c, p in enumerate(priors)]
     real = E._max_feasible
     guarded = []

@@ -310,7 +310,7 @@ def test_prop_decrease_end_to_end():
                 x0 = gen.uniform(-0.5, 0.5, 1)
                 sol = simulate(model, x0, u, w, v, K)
                 prior = x0 + gen.uniform(-1.0, 1.0, 1)
-                problem = EstimationProblem(model, cost, prior, u, sol.y, K, a_factor)
+                problem = EstimationProblem(model, cost, prior, u, sol.y, K)
                 result = solve_window(problem, SolverConfig())
                 record = certify_suboptimality(result, sol, cost, a_factor)
                 if not record.passed:

@@ -20,7 +20,6 @@ from mhestab.certificates import (
     default_cost_from_certificate,
 )
 from mhestab.estimator import (
-    BoxBounds,
     EstimationProblem,
     HorizonCapError,
     InfeasibleWindowError,
@@ -223,7 +222,7 @@ def test_s4_window_certifiable():
     v = gen.uniform(-0.05, 0.05, (K, 1))
     u = gen.uniform(-0.5, 0.5, (K, 1))
     sol = simulate(model, [0.3, -0.2], u, w, v, K)
-    problem = EstimationProblem(model, cost, np.array([0.3, -0.2]), u, sol.y, K, 1.5)
+    problem = EstimationProblem(model, cost, np.array([0.3, -0.2]), u, sol.y, K)
     res = solve_window(problem, SolverConfig(method="multistart_local",
                                              multistart=4, max_iter=250))
     record = certify_suboptimality(res, sol, cost, 1.5, model=model)
@@ -258,22 +257,31 @@ def test_penalty_path_for_noninvertible_output():
     assert res.cost < 1.0
 
 
-def test_box_bounds_respected_and_infeasibility():
-    model = builtin_model("s1")
-    cost = _cost("s1", PlusMode.MAX)
-    T = 3
-    u = np.zeros((T, 1))
-    sol = simulate(model, [0.5], u, np.zeros((T, 1)), np.zeros((T, 1)), T)
-    box = BoxBounds(chi=(np.array([0.1]), np.array([0.4])))
-    problem = EstimationProblem(model, cost, np.array([0.5]), u, sol.y, T, bounds=box)
-    res = solve_window(problem, SolverConfig())
-    assert np.all(res.xhat[:-1, 0] >= 0.1 - 1e-9)
-    assert np.all(res.xhat[:-1, 0] <= 0.4 + 1e-9)
-    empty = BoxBounds(chi=(np.array([2.0]), np.array([3.0])),
-                      nu=(np.array([-0.01]), np.array([0.01])))
-    bad = EstimationProblem(model, cost, np.array([0.5]), u, sol.y, T, bounds=empty)
-    with pytest.raises(InfeasibleWindowError):
-        solve_window(bad, SolverConfig())
+@pytest.mark.parametrize("plant", ["s1", "s2", "s3"])
+def test_max_window_without_a_finite_cost_candidate_is_infeasible(plant):
+    # outputs of 1e308 overflow every candidate's cost to inf, so the
+    # bisection has no upper bracket
+    model = builtin_model(plant)
+    problem = EstimationProblem(model, _cost(plant, PlusMode.MAX), [0.5], np.zeros((3, 1)),
+                                np.full((3, 1), 1e308), 3)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(InfeasibleWindowError, match="no finite-cost candidate trajectory"):
+        solve_window(problem, SolverConfig())
+
+
+@pytest.mark.parametrize("plant, mode, prior, u, y", [
+    ("s1", PlusMode.SUM, [0.5, 0.5], np.zeros((3, 1)), np.zeros((3, 1))),
+    ("s1", PlusMode.MAX, [0.5, 0.5], np.zeros((3, 1)), np.zeros((3, 1))),
+    ("s4", PlusMode.SUM, [0.5, 0.5, 0.5], np.zeros((3, 1)), np.zeros((3, 1))),
+    ("s4", PlusMode.MAX, [0.5], np.zeros((3, 1)), np.zeros((3, 1))),
+    ("s1", PlusMode.MAX, [0.5], np.zeros((3, 2)), np.zeros((3, 1))),
+    ("s1", PlusMode.MAX, [0.5], np.zeros((3, 1)), np.zeros((3, 2))),
+    ("s4", PlusMode.SUM, [0.5, 0.5], np.zeros((3, 1)), np.zeros((3, 2))),
+], ids=["s1-sum-prior", "s1-max-prior", "s4-sum-prior", "s4-max-prior", "s1-inputs",
+        "s1-outputs", "s4-outputs"])
+def test_window_of_the_wrong_width_is_a_domain_error(plant, mode, prior, u, y):
+    with pytest.raises(DomainError, match="do not fit plant"):
+        EstimationProblem(builtin_model(plant), _cost(plant, mode), prior, u, y, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +294,7 @@ def test_run_fie_zero_disturbance_tracking():
     T = 10
     u = np.zeros((T + 1, 1))
     sol = simulate(model, [0.8], u, np.zeros((T + 1, 1)), np.zeros((T + 1, 1)), T + 1)
-    results = run_fie(model, cost, [0.8], u[:T], sol.y[None, :T], 1.0, SolverConfig())[0]
+    results = run_fie(model, cost, [0.8], u[:T], sol.y[None, :T], SolverConfig())[0]
     assert len(results) == T + 1
     assert results[0].published[0] == 0.8
     for t in range(T + 1):
@@ -304,7 +312,7 @@ def test_run_fie_prior_offset_decay_bound():
     T = 12
     u = np.zeros((T + 1, 1))
     sol = simulate(model, [0.5], u, np.zeros((T + 1, 1)), np.zeros((T + 1, 1)), T + 1)
-    results = run_fie(model, cost, [1.5], u[:T], sol.y[None, :T], 1.0, SolverConfig())[0]
+    results = run_fie(model, cost, [1.5], u[:T], sol.y[None, :T], SolverConfig())[0]
     d0 = abs(sol.x[0, 0] - 1.5)
     for t in range(T + 1):
         err = abs(sol.x[t, 0] - results[t].published[0])
@@ -317,7 +325,7 @@ def test_run_fie_horizon_cap():
     cost = _cost("s1", PlusMode.MAX)
     y = np.zeros((1, 300, 1))
     with pytest.raises(HorizonCapError):
-        run_fie(model, cost, [0.0], np.zeros((300, 1)), y, 1.0, SolverConfig(), t_max=200)
+        run_fie(model, cost, [0.0], np.zeros((300, 1)), y, SolverConfig(), t_max=200)
 
 
 def test_run_mhe_equals_fie_for_long_horizon():
@@ -329,8 +337,8 @@ def test_run_mhe_equals_fie_for_long_horizon():
     v = gen.uniform(-0.1, 0.1, (T, 1))
     u = np.zeros((T, 1))
     sol = simulate(model, [0.4], u, w, v, T)
-    fie = run_fie(model, cost, [0.9], u, sol.y[None], 1.0, SolverConfig())[0]
-    mhe = run_mhe(model, cost, [0.9], u, sol.y[None], T + 2, 1.0, SolverConfig())[0]
+    fie = run_fie(model, cost, [0.9], u, sol.y[None], SolverConfig())[0]
+    mhe = run_mhe(model, cost, [0.9], u, sol.y[None], T + 2, SolverConfig())[0]
     for a, b in zip(fie, mhe):
         assert a.published[0] == b.published[0]
 
@@ -344,7 +352,7 @@ def test_run_mhe_uses_filtering_prior():
     v = gen.uniform(-0.05, 0.05, (T, 1))
     u = np.zeros((T, 1))
     sol = simulate(model, [0.4], u, w, v, T)
-    results = run_mhe(model, cost, [0.9], u, sol.y[None], K, 1.0, SolverConfig())[0]
+    results = run_mhe(model, cost, [0.9], u, sol.y[None], K, SolverConfig())[0]
     for t in range(K + 1, T + 1):
         assert results[t].prior[0] == results[t - K].published[0]
         assert results[t].horizon == K

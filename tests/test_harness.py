@@ -293,6 +293,20 @@ def test_window_step_margins_recorded(tmp_path):
     assert all(r["window_margin"] >= -1e-9 for r in checked)
 
 
+@pytest.mark.parametrize("mode", ["max", "sum"])
+def test_mhe_cell_run_alone_checks_its_hat_bounds(mode):
+    # without hat bounds a moving-horizon cell must not fall back to the
+    # full-information bound, nor skip the one-window inequality
+    cfg = ExperimentConfig(name="alone", plant="s1", mode=mode, estimator="mhe",
+                           horizon=2, t_final=30, seeds=(0,),
+                           scenarios=[ScenarioSpec("noise", "bounded_uniform", amplitude=0.1)])
+    resolved = resolve(cfg)
+    alone = run_cell(resolved, cfg.scenarios[0], 0)
+    with_hat = run_cell(resolved, cfg.scenarios[0], 0, harness._cell_hat(resolved, 2))
+    assert alone == with_hat
+    assert sum(r["window_margin"] is not None for r in alone.rows) == alone.certified_steps - 3
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -7,18 +7,15 @@ import pytest
 import mhestab as M
 from mhestab.comparison import (
     DomainError,
-    IteratedKL,
     LinearK,
     N_TWO,
     PlusMode,
     PowerK,
     SeparableGeometric,
-    check_summable,
     log_grid,
 )
 from mhestab.certificates import (
     DerivedBounds,
-    IossCertificate,
     builtin_certificate,
     check_compatibility,
     default_cost_from_certificate,
@@ -27,13 +24,11 @@ from mhestab.certificates import (
 from mhestab.stability import (
     build_bar_bounds,
     build_hat_bounds,
-    check_eventually_exponential,
     check_sum_to_max_lemma,
     equality_threshold,
     eval_mhe_bound,
     find_contraction_max,
     find_contraction_sum,
-    preserve_inner_discounting,
     rges_envelope,
 )
 
@@ -270,65 +265,6 @@ def test_conservative_sum_bound_equality_case():
     lhs = sum(fn(r, tau) for tau in range(1, T + 1))
     rhs = max(sum(fn(r, s) for s in range(1, T + 1)) for tau in range(1, T + 1))
     assert lhs == pytest.approx(rhs)
-
-
-def test_preserve_inner_discounting():
-    gamma = IteratedKL(LinearK(0.5), LinearK(1.0))
-    gains = {"gamma": gamma, "delta": gamma,
-             "epsilon": gamma, "phi": gamma}
-    summ = {k: check_summable(v, LinearK(2.0)) for k, v in gains.items()}
-    cert = IossCertificate("synthetic", PlusMode.SUM, ALPHA, SeparableGeometric(1, 1, 0.5),
-                           gamma, gamma, gamma, gamma, validity="declared",
-                           summability=summ)
-    K = 2
-    c_tilde, report = preserve_inner_discounting(cert, K, n_sequences=300)
-    assert report.passed, report.worst_margin
-    # hand value: c_tilde(r, tau) = 2 * sum_{s=1..2} kappa^{floor(s/2)}(gamma(2r, floor(tau/2)))
-    r = 1.0
-    inner0 = gamma(2 * r, 0)          # tau = 1 -> floor = 0
-    expect = 2 * (inner0 + 0.5 * inner0)
-    assert c_tilde(r, 1) == pytest.approx(expect)
-    # nonincreasing in tau and zero at r = 0
-    assert c_tilde(1.0, 0) >= c_tilde(1.0, 3)
-    assert c_tilde(0.0, 2) == 0.0
-    # direct summation oracle on a constant sequence
-    c_fn = lambda rr, t: 2 * gamma(2 * rr, t)
-    lhs = sum(c_fn(r, tau) for tau in range(1, K + 1))
-    rhs = max(c_tilde(r, tau) for tau in range(1, K + 1))
-    assert lhs <= rhs + 1e-12
-
-
-def test_preserve_inner_discounting_rejects_wrong_family():
-    cert = builtin_certificate("s1", PlusMode.SUM)   # geometric gamma, not iterated
-    with pytest.raises(M.CapabilityError):
-        preserve_inner_discounting(cert, 2)
-
-
-# ---------------------------------------------------------------------------
-# Eventually-exponential classification
-# ---------------------------------------------------------------------------
-
-def test_eventually_exponential_geometric():
-    beta = SeparableGeometric(2.0, 1.0, 0.5)
-    witness = check_eventually_exponential(beta)
-    assert witness.passed and not witness.diverging
-    assert witness.lipschitz_at_origin == pytest.approx(2.0)
-    # L * sigma_s(K) < 1 from K = 2 on
-    assert witness.exponential_from == 2
-
-
-def test_eventually_exponential_sqrt_fails():
-    beta = SeparableGeometric(1.0, 0.5, 0.5)   # 0.5^s sqrt(r)
-    witness = check_eventually_exponential(beta)
-    assert not witness.passed
-    assert witness.diverging
-
-
-def test_eventually_exponential_zero_edge():
-    beta = SeparableGeometric(0.0, 1.0, 0.5)
-    witness = check_eventually_exponential(beta)
-    assert witness.passed
-    assert witness.lipschitz_at_origin == 0.0
 
 
 # ---------------------------------------------------------------------------
