@@ -309,23 +309,29 @@ def derive_bcd(cert: IossCertificate, cost: CostSpec, witness: CompatibilityWitn
                          a_factor, witness.B, (cert.name, cost.name))
 
 
-def bound_trace(mode: PlusMode, b: KLFn, c: KLFn, d: KLFn, init_dist: float,
+def bound_trace(mode: PlusMode, b: KLFn, c: KLFn, d: KLFn, init_dist,
                 w_norms: np.ndarray, v_norms: np.ndarray) -> np.ndarray:
     """The bound b(init_dist, t) (+) c(|w(t - tau)|, tau) (+) d(|v(t - tau)|,
     tau) over tau = 1..t for t = 0..T, from the T disturbance norms at times
     0..T-1: :func:`gain_terms` with slope tables up to age T, folded by
-    :func:`fold_terms`."""
-    T = len(w_norms)
-    if len(v_norms) != T:
+    :func:`fold_terms`.
+
+    For C runs at once, ``init_dist`` is (C,) and the norms are (C, T): the
+    result is (C, T + 1), one head call per t and one row-wise term and fold
+    pass, and each row is the trace of its run alone.
+    """
+    w = np.asarray(w_norms, dtype=float)
+    v = np.asarray(v_norms, dtype=float)
+    if w.shape != v.shape:
         raise DomainError("w and v norm sequences must share one length")
-    w_rev = np.asarray(w_norms, dtype=float)[::-1]
-    v_rev = np.asarray(v_norms, dtype=float)[::-1]
-    out = np.empty(T + 1)
-    out[0] = b(init_dist, 0)
+    T = w.shape[-1]
+    w_rev, v_rev = w[..., ::-1], v[..., ::-1]
+    out = np.empty(np.shape(init_dist) + (T + 1,))
+    out[..., 0] = b(init_dist, 0)
     for t in range(1, T + 1):
         ages = range(1, t + 1)         # the disturbance at time t - tau has age tau
-        out[t] = fold_terms(mode, b(init_dist, t), gain_terms(c, ages, w_rev[T - t:], T),
-                            gain_terms(d, ages, v_rev[T - t:], T))
+        out[..., t] = fold_terms(mode, b(init_dist, t), gain_terms(c, ages, w_rev[..., T - t:], T),
+                                 gain_terms(d, ages, v_rev[..., T - t:], T))
     return out
 
 

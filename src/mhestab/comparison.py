@@ -82,6 +82,16 @@ def plus_reduce(mode: PlusMode, values: Sequence[float]) -> float:
     return total_sum if mode is PlusMode.SUM else total_max
 
 
+def plus_fold(mode: PlusMode, terms) -> np.ndarray:
+    """:func:`plus_reduce` elementwise over a sequence of arrays of one
+    shape, folded from 0.0 in the order given exactly as it folds: left to
+    right in sum mode, by ``>`` in max mode.  Terms are not checked."""
+    total = np.zeros(np.shape(terms[0]))
+    for term in terms:
+        total = total + term if mode is PlusMode.SUM else np.where(term > total, term, total)
+    return total
+
+
 def _plus_outer(mode: PlusMode, values: np.ndarray) -> np.ndarray:
     """The matrix of ``plus_reduce(mode, (values[i], values[j]))``, folded
     exactly as :func:`plus_reduce` folds the pair."""

@@ -28,12 +28,14 @@ exist because the acceptance sweeps solve tens of thousands of windows.
 
 The drivers ``run_fie``/``run_mhe`` step a stack of cells in lock-step: at
 each t the windows of all cells share the plant, cost, inputs and length
-and differ in their outputs and priors.  The max-mode engine solves them as
-one group, one row per window, with levels of shape (C, 48); its per-window
-branches are masks over the rows, and every row uses exactly the arithmetic
-of its window solved alone; a failing row raises ``InfeasibleWindowError``
-for its whole group.  ``solve_window`` is a group of one.  The sum-mode and
-generic engines take the windows one at a time.
+and differ in their outputs and priors.  Both structured engines solve them
+as one group, one row per window, and every row uses exactly the arithmetic
+of its window solved alone.  The max-mode engine bisects levels of shape
+(C, 48); its per-window branches are masks over the rows, and a failing row
+raises ``InfeasibleWindowError`` for its whole group.  The sum-mode engine
+holds the C value functions as padded (C, M) breakpoint and slope arrays
+with a count per row.  ``solve_window`` is a group of one.  The generic
+engines take the windows one at a time.
 
 The iterative methods evaluate their candidates in batches: one array pass
 rolls the plant forward for every candidate and calls each cost gain once
@@ -69,6 +71,7 @@ from .comparison import (
     PlusMode,
     fold_terms,
     gain_terms,
+    plus_fold,
     plus_reduce,
     seq_norms,
     slope_table,
@@ -479,133 +482,166 @@ def _solve_max_scalar(problems: Sequence[EstimationProblem]) -> List[EstimateRes
 # Engine B: sum-mode L1 dynamic programming on scalar affine plants
 # ---------------------------------------------------------------------------
 
-class _PWL:
-    """Convex piecewise-linear function.
+def _compact(keep: np.ndarray, fill: float, *arrays: np.ndarray):
+    """The kept entries of each row of each array moved to the front of the
+    row, in order, the rest of the row ``fill``; then the count kept per
+    row."""
+    counts = keep.sum(axis=1)
+    r, c = np.nonzero(keep)
+    pos = (np.cumsum(keep, axis=1) - 1)[r, c]
+    out = []
+    for values in arrays:
+        packed = np.full((len(values), max(int(counts.max()), 1)), fill)
+        packed[r, pos] = values[r, c]
+        out.append(packed)
+    return (*out, counts)
 
-    ``xs`` are breakpoints (ascending), ``slopes`` the segment slopes with one
-    extra leading entry for the left arm, ``y0`` the value at xs[0].  Slopes
-    are nondecreasing; the minimum is attained because every function built
-    here includes at least one coercive absolute-value term.
+
+class _PWLRows:
+    """Convex piecewise-linear functions, one per row.
+
+    Row r has ``n[r]`` ascending breakpoints ``xs[r, :n[r]]``, the ``n[r] +
+    1`` segment slopes ``slopes[r, :n[r] + 1]`` with a leading entry for the
+    left arm, and the value ``y0[r]`` at its first breakpoint.  Entries past
+    a row's count are padding (breakpoints +inf) and are never read.  Every
+    operation takes each row through the arithmetic of one function alone:
+    the values at the breakpoints are the left fold of slope times gap (a
+    row-wise ``np.cumsum``), and a breakpoint set with one point added is the
+    sorted union that keeps the first of equal entries, the function's own
+    before the new point.  Slopes are nondecreasing; the minimum is attained
+    because every function built here includes a coercive absolute-value
+    term.
     """
 
-    __slots__ = ("xs", "slopes", "y0")
-
-    def __init__(self, xs, slopes, y0):
-        self.xs = list(xs)
-        self.slopes = list(slopes)
-        self.y0 = float(y0)
+    def __init__(self, xs: np.ndarray, slopes: np.ndarray, y0: np.ndarray, n: np.ndarray):
+        self.xs, self.slopes, self.y0, self.n = xs, slopes, y0, n
+        self.rows = np.arange(len(xs))[:, None]
+        self._knot_values = None
 
     @staticmethod
-    def abs_term(center: float, weight: float) -> "_PWL":
-        return _PWL([center], [-weight, weight], 0.0)
+    def abs_terms(centers: np.ndarray, weight: float) -> "_PWLRows":
+        """weight * |x - centers[r]| per row."""
+        R = len(centers)
+        return _PWLRows(centers[:, None].astype(float), np.tile([-weight, weight], (R, 1)),
+                        np.zeros(R), np.ones(R, dtype=int))
 
-    def value(self, x: float) -> float:
-        if x <= self.xs[0]:
-            return self.y0 - self.slopes[0] * (self.xs[0] - x)
-        v = self.y0
-        prev = self.xs[0]
-        for i in range(1, len(self.xs)):
-            if x <= self.xs[i]:
-                return v + self.slopes[i] * (x - prev)
-            v += self.slopes[i] * (self.xs[i] - prev)
-            prev = self.xs[i]
-        return v + self.slopes[-1] * (x - prev)
+    def _knots(self) -> np.ndarray:
+        """Values at the breakpoints (R, M)."""
+        if self._knot_values is None:
+            xs = self.xs
+            with np.errstate(invalid="ignore"):         # padding: inf - inf
+                gaps = self.slopes[:, 1:xs.shape[1]] * (xs[:, 1:] - xs[:, :-1])
+            self._knot_values = np.cumsum(np.concatenate([self.y0[:, None], gaps], axis=1),
+                                          axis=1)
+        return self._knot_values
 
-    def add(self, other: "_PWL") -> "_PWL":
-        xs = sorted(set(self.xs) | set(other.xs))
-        slopes = []
-        for i in range(len(xs) + 1):
-            probe_left = xs[0] - 1.0 if i == 0 else xs[i - 1]
-            slopes.append(self._slope_right(probe_left) + other._slope_right(probe_left))
-        y0 = self.value(xs[0]) + other.value(xs[0])
-        return _PWL(xs, slopes, y0)._pruned()
+    def _arm(self, x: np.ndarray) -> np.ndarray:
+        """Values at points x (R,) no greater than the first breakpoint."""
+        return self.y0 - self.slopes[:, 0] * (self.xs[:, 0] - x)
 
-    def _slope_right(self, x: float) -> float:
-        # slope of the segment containing points just right of x
-        idx = 0
-        for i, bp in enumerate(self.xs):
-            if x >= bp:
-                idx = i + 1
-            else:
-                break
-        return self.slopes[idx]
+    def value(self, x: np.ndarray) -> np.ndarray:
+        """Values at the points x (R, P): the left arm up to the first
+        breakpoint, else the segment that ends at the first breakpoint >= x
+        continued from the value at its left end."""
+        xs, s, rows = self.xs, self.slopes, self.rows
+        k = (xs[:, None, :] < x[:, :, None]).sum(axis=2)
+        left = np.maximum(k - 1, 0)
+        inner = self._knots()[rows, left] + s[rows, k] * (x - xs[rows, left])
+        return np.where(k == 0, self.y0[:, None] - s[:, :1] * (xs[:, :1] - x), inner)
 
-    def scale_shift_arg(self, a: float, off: float) -> "_PWL":
+    def with_point(self, extra: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The sorted union of each row's breakpoints with extra[r], without
+        repeats, and its count per row."""
+        R, M = self.xs.shape
+        cat = np.full((R, M + 1), np.inf)
+        cat[:, :M] = self.xs
+        cat[np.arange(R), self.n] = extra
+        srt = np.sort(cat, axis=1, kind="stable")
+        first = np.ones(srt.shape, dtype=bool)
+        first[:, 1:] = srt[:, 1:] != srt[:, :-1]
+        n = self.n + 1
+        keep = first & (np.arange(M + 1) < n[:, None])
+        if np.array_equal(keep.sum(axis=1), n):        # no repeats
+            return srt, n
+        return _compact(keep, np.inf, srt)
+
+    def add_abs(self, centers: np.ndarray, weight: float) -> "_PWLRows":
+        """The sum with weight * |x - centers[r]| per row."""
+        xs, n = self.with_point(centers)
+        # slope right of each probe: left of the first breakpoint, then at each
+        probes = np.concatenate([xs[:, :1] - 1.0, xs], axis=1)
+        idx = (self.xs[:, None, :] <= probes[:, :, None]).sum(axis=2)
+        slopes = (self.slopes[self.rows, idx]
+                  + np.where(centers[:, None] <= probes, weight, -weight))
+        x0, c = xs[:, 0], centers
+        term = np.where(x0 <= c, 0.0 - (-weight) * (c - x0), 0.0 + weight * (x0 - c))
+        return _PWLRows(xs, slopes, self._arm(x0) + term, n)._pruned()
+
+    def scale_shift_arg(self, a: float, off: float) -> "_PWLRows":
         """W(z) = V((z - off) / a) for a != 0."""
         if a == 0.0:
             raise DomainError("argument scaling needs a nonzero coefficient")
-        xs = [a * x + off for x in self.xs]
-        slopes = [s / a for s in self.slopes]
+        xs = a * self.xs + off
+        slopes = self.slopes / a
         if a > 0:
-            return _PWL(xs, slopes, self.value(self.xs[0]))
-        xs = xs[::-1]
-        slopes = slopes[::-1]
-        return _PWL(xs, slopes, self.value(self.xs[-1]))
+            return _PWLRows(xs, slopes, self._arm(self.xs[:, 0]), self.n)
+        M, n, rows = self.xs.shape[1], self.n[:, None], self.rows
+        rev_xs = np.where(np.arange(M) < n, xs[rows, (n - 1 - np.arange(M)) % M], np.inf)
+        rev_slopes = slopes[rows, (n - np.arange(M + 1)) % (M + 1)]
+        last = self.xs[rows, n - 1]
+        return _PWLRows(rev_xs, rev_slopes, self.value(last)[:, 0], self.n)
 
-    def min(self) -> Tuple[float, float, float]:
-        """(vmin, arg_lo, arg_hi) over the breakpoints; assumes the function
-        is coercive, i.e. slopes[0] <= 0 <= slopes[-1]."""
-        vals = [self.y0]
-        v = self.y0
-        for i in range(1, len(self.xs)):
-            v += self.slopes[i] * (self.xs[i] - self.xs[i - 1])
-            vals.append(v)
-        best = min(vals)
-        attain = [x for x, val in zip(self.xs, vals) if val == best]
-        return best, attain[0], attain[-1]
+    def min(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(vmin, arg_lo, arg_hi) per row over the breakpoints: the least
+        value and its first and last breakpoint."""
+        M, rows = self.xs.shape[1], self.rows[:, 0]
+        valid = np.arange(M) < self.n[:, None]
+        knots = np.where(valid, self._knots(), np.inf)
+        best = knots.min(axis=1)
+        at = (knots == best[:, None]) & valid
+        return (best, self.xs[rows, np.argmax(at, axis=1)],
+                self.xs[rows, M - 1 - np.argmax(at[:, ::-1], axis=1)])
 
-    def infconv_abs(self, w: float) -> "_PWL":
+    def infconv_abs(self, w: float) -> "_PWLRows":
         """Infimal convolution with w * |.| == slope clipping to [-w, w],
         anchored so values in the unclipped region are preserved."""
         vmin, arg_lo, _ = self.min()
+        R = len(vmin)
         if w <= 0.0:
             # zero-weight stage: the stage variable is free, leaving a constant
-            return _PWL([arg_lo], [0.0, 0.0], vmin)
-        slopes = [min(max(s, -w), w) for s in self.slopes]
-        y0 = self.value_with(slopes, arg_lo, vmin, self.xs[0])
-        return _PWL(self.xs, slopes, y0)._pruned()
+            return _PWLRows(arg_lo[:, None], np.zeros((R, 2)), vmin, np.ones(R, dtype=int))
+        s = np.where(-w > self.slopes, -w, self.slopes)
+        s = np.where(w < s, w, s)
+        return _PWLRows(self.xs, s, self._anchored(s, arg_lo, vmin), self.n)._pruned()
 
-    def value_with(self, slopes, anchor_x: float, anchor_v: float, x: float) -> float:
-        """Value at x of the function with these slopes anchored at anchor."""
-        if x == anchor_x:
-            return anchor_v
-        v = anchor_v
-        if x < anchor_x:
-            cur = anchor_x
-            for i in range(len(self.xs) - 1, -1, -1):
-                bp = self.xs[i]
-                if bp >= cur:
-                    continue
-                lo = max(bp, x)
-                v -= slopes[i + 1] * (cur - lo)
-                cur = lo
-                if cur <= x:
-                    return v
-            return v - slopes[0] * (cur - x)
-        cur = anchor_x
-        for i in range(len(self.xs)):
-            bp = self.xs[i]
-            if bp <= cur:
-                continue
-            hi = min(bp, x)
-            v += slopes[i] * (hi - cur)
-            cur = hi
-            if cur >= x:
-                return v
-        return v + slopes[-1] * (x - cur)
+    def _anchored(self, slopes: np.ndarray, anchor_x: np.ndarray,
+                  anchor_v: np.ndarray) -> np.ndarray:
+        """Value at the first breakpoint of the function with these slopes
+        that takes anchor_v at the breakpoint anchor_x: walked down from the
+        anchor one distinct breakpoint at a time, subtracting slope times
+        gap; a run of equal breakpoints takes the slope right of its last."""
+        xs = self.xs
+        anchor = anchor_x[:, None]
+        above = np.concatenate([xs[:, 1:], np.full((len(xs), 1), np.inf)], axis=1)
+        walked = (xs < anchor) & (above != xs)
+        cur = np.where(above < anchor, above, anchor)
+        with np.errstate(invalid="ignore"):             # padding: inf - inf
+            steps = np.where(walked, slopes[:, 1:] * (cur - xs), 0.0)
+        return np.cumsum(np.concatenate([anchor_v[:, None], -steps[:, ::-1]], axis=1),
+                         axis=1)[:, -1]
 
-    def _pruned(self) -> "_PWL":
-        xs, slopes = self.xs, self.slopes
-        new_xs = []
-        new_slopes = [slopes[0]]
-        for i, bp in enumerate(xs):
-            if slopes[i + 1] != new_slopes[-1]:
-                new_xs.append(bp)
-                new_slopes.append(slopes[i + 1])
-        if not new_xs:
-            new_xs = [xs[0]]
-            new_slopes = [slopes[0], slopes[0]]
-        return _PWL(new_xs, new_slopes, self.value(new_xs[0]))
+    def _pruned(self) -> "_PWLRows":
+        """Without the breakpoints where the slope does not change."""
+        xs, s, n = self.xs, self.slopes, self.n
+        keep = (s[:, 1:] != s[:, :-1]) & (np.arange(xs.shape[1]) < n[:, None])
+        if np.array_equal(keep.sum(axis=1), n):        # every slope changes
+            return _PWLRows(xs, s, self._arm(xs[:, 0]), n)
+        new_xs, tail, counts = _compact(keep, np.inf, xs, s[:, 1:])
+        new_s = np.concatenate([s[:, :1], tail], axis=1)
+        flat = counts == 0              # one linear piece: keep the first breakpoint
+        new_xs[flat, 0] = xs[flat, 0]
+        new_s[flat, 1] = s[flat, 0]
+        return _PWLRows(new_xs, new_s, self.value(new_xs[:, :1])[:, 0], np.maximum(counts, 1))
 
 
 def _sum_weights(problem: EstimationProblem):
@@ -619,37 +655,58 @@ def _sum_weights(problem: EstimationProblem):
     return float(b_table[K]), [float(g_table[a]) for a in ages], [float(d_table[a]) for a in ages]
 
 
-def _solve_sum_scalar(problem: EstimationProblem, cfg: SolverConfig) -> EstimateResult:
-    model, K = problem.model, problem.horizon
+def _first_best(cands: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Per row, the candidate taken by a scan in order that starts at the
+    first and moves to a candidate whose value is below the best so far less
+    1e-300.  NaN values must be +inf.  Unless a value is nonzero and within
+    1e-280 of zero, where subtracting 1e-300 changes a float, that is the
+    first least value."""
+    rows = np.arange(len(cands))
+    if not ((vals != 0.0) & (np.abs(vals) < 1e-280)).any():
+        return cands[rows, np.argmin(vals, axis=1)]
+    best_x, best_v = cands[:, 0], np.full(len(cands), math.inf)
+    for x, val in zip(cands.T, vals.T):
+        take = val < best_v - 1e-300
+        best_x, best_v = np.where(take, x, best_x), np.where(take, val, best_v)
+    return best_x
+
+
+def _solve_sum_pwl(problems: Sequence[EstimationProblem]) -> List[EstimateResult]:
+    """Sum-mode dynamic programming for a group of windows (see
+    :class:`_Rows`), one row per window.
+
+    The forward pass builds each step's value function as a convex
+    piecewise-linear function of the state; the backward pass picks, from
+    the last step's midpoint of minimizers back, the smallest state among
+    the breakpoints and the kink that minimizes stage value plus transition
+    cost.  Every row ends with the result of its window solved alone.
+    """
+    rows = _Rows(problems)
+    model, K, R = rows.model, rows.K, len(rows)
     a = float(model.linear_a)
-    y = problem.y_win[:, 0]
-    p_w, g_w, d_w = _sum_weights(problem)
-    offs = [float(np.atleast_1d(model.f_nominal(np.zeros(1), problem.u_win[j]))[0])
+    y = rows.y[:, :, 0]
+    p_w, g_w, d_w = _sum_weights(problems[0])
+    offs = [float(np.atleast_1d(model.f_nominal(np.zeros(1), rows.u_win[j]))[0])
             for j in range(K)]
-    stages = []
-    V = _PWL.abs_term(float(problem.prior[0]), p_w).add(_PWL.abs_term(y[0], d_w[0]))
+    with np.errstate(invalid="ignore", over="ignore"):    # as Python floats, silently
+        stages = []
+        V = _PWLRows.abs_terms(rows.prior[:, 0], p_w).add_abs(y[:, 0], d_w[0])
+        for j in range(K - 1):
+            stages.append(V)
+            V = V.scale_shift_arg(a, offs[j]).infconv_abs(g_w[j]).add_abs(y[:, j + 1], d_w[j + 1])
+        _, arg_lo, arg_hi = V.min()
+        chis = np.empty((R, K))
+        chis[:, K - 1] = np.where(np.isfinite(arg_lo), 0.5 * (arg_lo + arg_hi), arg_hi)
+        for j in range(K - 2, -1, -1):
+            Vj, nxt = stages[j], chis[:, j + 1]
+            cands, counts = Vj.with_point((nxt - offs[j]) / a)
+            vals = Vj.value(cands) + g_w[j] * np.abs(nxt[:, None] - a * cands - offs[j])
+            vals[(np.arange(cands.shape[1]) >= counts[:, None]) | np.isnan(vals)] = math.inf
+            chis[:, j] = _first_best(cands, vals)
+    omega = np.zeros((R, K, 1))
     for j in range(K - 1):
-        stages.append(V)
-        V = V.scale_shift_arg(a, offs[j]).infconv_abs(g_w[j])
-        V = V.add(_PWL.abs_term(y[j + 1], d_w[j + 1]))
-    _, arg_lo, arg_hi = V.min()
-    chis = np.empty(K)
-    chis[K - 1] = 0.5 * (arg_lo + arg_hi) if math.isfinite(arg_lo) else arg_hi
-    for j in range(K - 2, -1, -1):
-        Vj = stages[j]
-        kink = (chis[j + 1] - offs[j]) / a
-        cands = sorted(set(Vj.xs) | {kink})
-        best_x, best_v = cands[0], math.inf
-        for x in cands:
-            val = Vj.value(x) + g_w[j] * abs(chis[j + 1] - a * x - offs[j])
-            if val < best_v - 1e-300 or (val == best_v and x < best_x):
-                best_v, best_x = val, x
-        chis[j] = best_x
-    omega = np.zeros((K, 1))
-    for j in range(K - 1):
-        omega[j, 0] = chis[j + 1] - (a * chis[j] + offs[j])
-    return _results_from_decisions(_Rows([problem]), chis[None, :1], omega[None],
-                                   "sum-pwl-dp")[0]
+        omega[:, j, 0] = chis[:, j + 1] - (a * chis[:, j] + offs[j])
+    return _results_from_decisions(rows, chis[:, :1], omega, "sum-pwl-dp")
 
 
 # ---------------------------------------------------------------------------
@@ -762,15 +819,8 @@ class _Objective:
 
     def values(self, terms: np.ndarray, pen: np.ndarray, mu: float) -> np.ndarray:
         """``plus_reduce`` of each row of terms plus mu times its penalty,
-        folded one column at a time from 0.0 as ``plus_reduce`` folds."""
-        total = np.zeros(len(terms))
-        if self.problem.cost.mode is PlusMode.SUM:
-            for col in terms.T:
-                total = total + col
-        else:
-            for col in terms.T:
-                total = np.where(col > total, col, total)
-        return total + mu * pen
+        folded one column at a time (:func:`plus_fold`)."""
+        return plus_fold(self.problem.cost.mode, terms.T) + mu * pen
 
     def residual_rows(self, terms: np.ndarray, pen: np.ndarray, power: float,
                       mu: float) -> np.ndarray:
@@ -1021,7 +1071,7 @@ def solve_window(problem: EstimationProblem, solver: SolverConfig) -> EstimateRe
         if kind == "max":
             return _solve_max_scalar([problem])[0]
         if kind == "sum":
-            return _solve_sum_scalar(problem, solver)
+            return _solve_sum_pwl([problem])[0]
     if solver.method == "gauss_newton_penalty":
         return _solve_gauss_newton(problem, solver)
     return _solve_multistart_local(problem, solver)
@@ -1029,10 +1079,14 @@ def solve_window(problem: EstimationProblem, solver: SolverConfig) -> EstimateRe
 
 def _solve_group(problems: List[EstimationProblem], solver: SolverConfig) -> List[EstimateResult]:
     """Solve windows that share everything but their priors and outputs: the
-    max-mode engine takes them as one group, every other engine one window
-    at a time through :func:`solve_window`."""
-    if solver.use_structured and _structured_applicable(problems[0]) == "max":
-        return _solve_max_scalar(problems)
+    max-mode and sum-mode engines take them as one group, the generic
+    engines one window at a time through :func:`solve_window`."""
+    if solver.use_structured:
+        kind = _structured_applicable(problems[0])
+        if kind == "max":
+            return _solve_max_scalar(problems)
+        if kind == "sum":
+            return _solve_sum_pwl(problems)
     return [solve_window(problem, solver) for problem in problems]
 
 
@@ -1110,14 +1164,21 @@ def certify_suboptimality(result: EstimateResult, reference: SolutionTuple, cost
     This inequality (achieved cost at most A times the reference cost) is the
     exact hypothesis under which the error bounds are asserted downstream; a
     failed certification excludes the step from bound checks rather than
-    weakening them.
+    weakening them.  The harness certifies a group of cells at once: one
+    :func:`_window_costs` call per step gives the reference costs, and
+    :func:`certification_record` judges each.
     """
     if model is not None:
         rep = verify_solution(model, reference, tol_dyn=1e-6)
         if not rep.passed:
             raise DomainError(f"reference window infeasible (residual {rep.worst_residual:.3e})")
     j_ref = eval_cost(cost, result.prior, reference.x[0], reference.w, reference.v)
-    j_res = result.cost
+    return certification_record(result.cost, j_ref, a_factor, tol_cert)
+
+
+def certification_record(j_res: float, j_ref: float, a_factor: float,
+                         tol_cert: float = 1e-9) -> CertificationRecord:
+    """The verdict on an achieved cost j_res against a reference cost j_ref."""
     passed = j_res <= a_factor * j_ref + tol_cert
     if j_ref > 0:
         ratio = j_res / j_ref

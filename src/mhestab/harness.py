@@ -28,6 +28,7 @@ from .comparison import (
     PlusMode,
     TriangleGrowth,
     parse_klfn,
+    plus_fold,
     plus_reduce,
     seq_norms,
     triangle_constant,
@@ -36,6 +37,7 @@ from .systems import (
     DisturbanceScenario,
     SolutionTuple,
     SystemModel,
+    _euclidean,
     builtin_model,
     generate_scenario,
     simulate,
@@ -54,7 +56,9 @@ from .certificates import (
 from .estimator import (
     CertificationRecord,
     SolverConfig,
-    certify_suboptimality,
+    _row_sqnorms,
+    _window_costs,
+    certification_record,
     run_fie,
     run_mhe,
 )
@@ -460,88 +464,126 @@ def _window_start(config: ExperimentConfig, K: int, t: int) -> int:
     return t - K if config.estimator == "mhe" and t > K else 0
 
 
-def run_cell(resolved: ResolvedExperiment, scenario: ScenarioSpec, seed: int,
-             hat: Optional[HatBounds] = None, horizon: Optional[int] = None,
-             estimated: Optional[Tuple[SolutionTuple, list]] = None) -> CellResult:
-    """Certify and evaluate bounds for one sweep cell, from its truth and
-    estimator results as :func:`_estimate_group` gives them; without
-    ``estimated`` the cell is simulated and estimated alone.  A moving-horizon
-    cell is checked against the hat bounds of its horizon, ``hat`` or, when
-    that is None, those :func:`_cell_hat` builds."""
+def _distances(model: SystemModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``model.dist`` of the rows of a (..., n) against those of b: Euclidean
+    norms rounded as ``np.linalg.norm`` rounds them, or one metric call per
+    row for a plant with a metric of its own."""
+    if model.metric is _euclidean:
+        return np.sqrt(_row_sqnorms(a - b))
+    a, b = np.broadcast_arrays(a, b)
+    flat = zip(a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1]))
+    return np.array([model.dist(p, q) for p, q in flat]).reshape(a.shape[:-1])
+
+
+def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], K: int,
+                 estimated: List[Tuple[SolutionTuple, list]]) -> List[CellResult]:
+    """Certify and evaluate the bounds of the (scenario, seed) cells of
+    horizon K, from each cell's truth and estimator results.
+
+    Each quantity takes one array pass over the C cells: alpha of the
+    estimation error at every (cell, t); the reference cost of every step,
+    one :func:`_window_costs` call per t; the bound traces, one
+    :func:`bound_trace` call; and each moving-horizon window bound, one gain
+    call per age.  Every number is what the cell gives alone, and a cell's
+    NaN bound or NaN or negative window term at a certified step raises
+    :class:`DomainError` as that cell alone raises it.
+    """
     config = resolved.config
     model, cert, cost, bounds = resolved.model, resolved.cert, resolved.cost, resolved.bounds
     T = config.t_final
-    K = horizon if horizon is not None else config.horizon
-    if hat is None:
-        hat = _cell_hat(resolved, K)
-    sol, results = estimated or _estimate_group(resolved, [(scenario, seed)], K)[0]
     is_mhe = config.estimator == "mhe"
-    d0 = model.dist(sol.x[0], _initial(config, model)[1])
-    w_norms = seq_norms(sol.w)
-    v_norms = seq_norms(sol.v)
+    truths = [sol for sol, _ in estimated]
+    runs = [run for _, run in estimated]
+    x = np.stack([sol.x[:T + 1] for sol in truths])                  # (C, T + 1, n)
+    w = np.stack([sol.w for sol in truths])
+    v = np.stack([sol.v for sol in truths])
+    published = np.array([[res.published for res in run] for run in runs])
+    w_norms, v_norms = seq_norms(w), seq_norms(v)
+    d0 = _distances(model, x[:, 0], _initial(config, model)[1])
     if is_mhe:
         # the sum formulation's outer combination is a maximum, as in max mode
-        rhs_trace = bound_trace(PlusMode.MAX, hat.b_hat, hat.c_hat, hat.d_hat, d0,
-                                w_norms[:T], v_norms[:T])
+        rhs = bound_trace(PlusMode.MAX, hat.b_hat, hat.c_hat, hat.d_hat, d0,
+                          w_norms[:, :T], v_norms[:, :T])
     else:
-        rhs_trace = bound_trace(bounds.mode, bounds.b, bounds.c, bounds.d, d0,
-                                w_norms[:T], v_norms[:T])
-    if np.isnan(rhs_trace).any():       # a NaN margin would never count as violated
-        raise DomainError(f"error bound is NaN at t = {int(np.argmax(np.isnan(rhs_trace)))}")
-    rows = []
-    chain_certified = True
-    certified_steps = 0
-    min_margin = math.inf
-    worst = {}
-    errors = []
-    for t in range(T + 1):
-        res = results[t]
-        err = cert.alpha(model.dist(sol.x[t], res.published))
-        errors.append(err)
-        if t == 0:
-            record = CertificationRecord(True, 1.0, 0.0, 0.0)
-        else:
-            reference = sol.window(_window_start(config, K, t), t)
-            record = certify_suboptimality(res, reference, cost, config.a_factor)
-        if is_mhe:
-            chain_certified = chain_certified and record.passed
-            certified = chain_certified
-        else:
-            certified = record.passed
-        rhs = float(rhs_trace[t])
-        margin = rhs - err
-        window_margin = None
-        if is_mhe and t > K and certified:
-            prev_err = errors[t - K]
-            terms = [hat.analysis.kappa(prev_err)]
-            for tau in range(1, K + 1):
-                j = t - tau
-                terms.append(bounds.c(float(w_norms[j]), tau))
-                terms.append(bounds.d(float(v_norms[j]), tau))
-            window_margin = plus_reduce(bounds.mode, terms) - err
-        if certified:
-            certified_steps += 1
-            eff = margin if window_margin is None else min(margin, window_margin)
-            if eff < min_margin:
-                min_margin = eff
-                worst = {"t": t, "scenario": scenario.name, "seed": seed,
-                         "margin": eff, "error": err, "rhs": rhs}
-        rows.append({
-            "t": t,
-            "xhat": list(map(float, res.published)),
-            "x_true": list(map(float, sol.x[t])),
-            "error": err,
-            "rhs": rhs,
-            "margin": margin,
-            "window_margin": window_margin,
-            "achieved_cost": res.cost,
-            "certified_ratio": record.ratio if math.isfinite(record.ratio) else -1.0,
-            "certified": certified,
-            "status": res.status,
-        })
-    return CellResult(scenario.name, seed, K if is_mhe else 0, rows,
-                      min_margin if certified_steps else math.inf,
-                      certified_steps, T + 1, worst)
+        rhs = bound_trace(bounds.mode, bounds.b, bounds.c, bounds.d, d0,
+                          w_norms[:, :T], v_norms[:, :T])
+    errors = cert.alpha(_distances(model, x, published))
+    records = [[CertificationRecord(True, 1.0, 0.0, 0.0)] for _ in cells]
+    for t in range(1, T + 1):
+        start = _window_start(config, K, t)
+        j_refs = _window_costs(cost, np.array([run[t].prior for run in runs]), x[:, start],
+                               w[:, start:t], v[:, start:t])
+        for run, recs, j_ref in zip(runs, records, j_refs):
+            recs.append(certification_record(run[t].cost, j_ref, config.a_factor))
+    window_terms = None
+    if is_mhe and T > K:
+        # the terms of window_margin at t = K+1..T: kappa of the error K
+        # steps back, then c and d of the disturbances at ages 1..K
+        window_terms = [hat.analysis.kappa(errors[:, 1:T - K + 1])]
+        for tau in range(1, K + 1):
+            window_terms.append(bounds.c(w_norms[:, K + 1 - tau:T + 1 - tau], tau))
+            window_terms.append(bounds.d(v_norms[:, K + 1 - tau:T + 1 - tau], tau))
+        window_bounds = plus_fold(bounds.mode, window_terms).tolist()
+        bad_terms = ~np.all([term >= 0.0 for term in window_terms], axis=0)
+    out = []
+    for c, (scenario, seed) in enumerate(cells):
+        if np.isnan(rhs[c]).any():      # a NaN margin would never count as violated
+            raise DomainError(f"error bound is NaN at t = {int(np.argmax(np.isnan(rhs[c])))}")
+        rows = []
+        chain_certified = True
+        certified_steps = 0
+        min_margin = math.inf
+        worst = {}
+        for t, (xhat, x_true, err, rhs_t, record, res) in enumerate(zip(
+                published[c].tolist(), x[c].tolist(), errors[c].tolist(), rhs[c].tolist(),
+                records[c], runs[c])):
+            if is_mhe:
+                chain_certified = chain_certified and record.passed
+                certified = chain_certified
+            else:
+                certified = record.passed
+            margin = rhs_t - err
+            window_margin = None
+            if window_terms is not None and t > K and certified:
+                if bad_terms[c, t - K - 1]:
+                    plus_reduce(bounds.mode, [term[c, t - K - 1] for term in window_terms])
+                window_margin = window_bounds[c][t - K - 1] - err
+            if certified:
+                certified_steps += 1
+                eff = margin if window_margin is None else min(margin, window_margin)
+                if eff < min_margin:
+                    min_margin = eff
+                    worst = {"t": t, "scenario": scenario.name, "seed": seed,
+                             "margin": eff, "error": err, "rhs": rhs_t}
+            rows.append({
+                "t": t,
+                "xhat": xhat,
+                "x_true": x_true,
+                "error": err,
+                "rhs": rhs_t,
+                "margin": margin,
+                "window_margin": window_margin,
+                "achieved_cost": res.cost,
+                "certified_ratio": record.ratio if math.isfinite(record.ratio) else -1.0,
+                "certified": certified,
+                "status": res.status,
+            })
+        out.append(CellResult(scenario.name, seed, K if is_mhe else 0, rows,
+                              min_margin if certified_steps else math.inf,
+                              certified_steps, T + 1, worst))
+    return out
+
+
+def run_cell(resolved: ResolvedExperiment, scenario: ScenarioSpec, seed: int,
+             hat: Optional[HatBounds] = None, horizon: Optional[int] = None) -> CellResult:
+    """Simulate, estimate, certify and check one sweep cell: a group of one
+    (see :func:`_check_group`).  A moving-horizon cell is checked against the
+    hat bounds of its horizon, ``hat`` or, when that is None, those
+    :func:`_cell_hat` builds."""
+    K = horizon if horizon is not None else resolved.config.horizon
+    if hat is None:
+        hat = _cell_hat(resolved, K)
+    return _run_group(resolved, [(scenario, seed)], hat, K)[0]
 
 
 def _cell_hat(resolved: ResolvedExperiment, K: int) -> Optional[HatBounds]:
@@ -551,14 +593,9 @@ def _cell_hat(resolved: ResolvedExperiment, K: int) -> Optional[HatBounds]:
 
 def _run_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds],
                K: int) -> List[CellResult]:
-    """The (scenario, seed) cells of horizon K: one group estimate, then
-    each cell's certification and bounds."""
-    estimated = _estimate_group(resolved, cells, K)
-    out = []
-    for i, (scenario, seed) in enumerate(cells):
-        out.append(run_cell(resolved, scenario, seed, hat, K, estimated[i]))
-        estimated[i] = None         # a cell's estimates are not needed past its rows
-    return out
+    """The (scenario, seed) cells of horizon K: one group estimate, then one
+    group check."""
+    return _check_group(resolved, cells, hat, K, _estimate_group(resolved, cells, K))
 
 
 def _group_worker(payload) -> List[CellResult]:
@@ -572,10 +609,10 @@ def _group_worker(payload) -> List[CellResult]:
 def run_cells(resolved: ResolvedExperiment, horizons,
               hats: Optional[Dict[int, Optional[HatBounds]]] = None) -> List[CellResult]:
     """Run every (horizon, scenario, seed) cell of the experiment, sorted by
-    cell key.  The cells of one horizon are estimated as one group.  With
-    ``config.jobs > 1`` each group is split into that many chunks, which run
-    on that many worker processes; otherwise the groups run here, with the
-    hat bounds ``hats[K]`` when given."""
+    cell key.  The cells of one horizon are estimated and checked as one
+    group.  With ``config.jobs > 1`` each group is split into that many
+    chunks, which run on that many worker processes; otherwise the groups
+    run here, with the hat bounds ``hats[K]`` when given."""
     config = resolved.config
     cells = [(scenario, seed) for scenario in config.scenarios for seed in config.seeds]
     if config.jobs > 1:

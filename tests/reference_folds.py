@@ -19,8 +19,13 @@ gain call per term, folded with ``plus_reduce``.  ``test_bound_path.py``
 holds ``bound_trace`` and ``eval_cost`` to them.
 
 ``max_interval_window`` is the max-mode level bisection of one window, as
-the engine solved it before it took a group of windows at once;
-``test_cell_axis.py`` pins every row of a group to it.
+the engine solved it before it took a group of windows at once, and
+``sum_pwl_window`` the sum-mode dynamic program of one window on Python
+lists, as the engine solved it before it held a group of value functions
+as arrays; ``test_cell_axis.py`` pins every row of a group to them.
+``check_cell`` is the certification and bound check of one cell, one step
+at a time, as the harness ran it before it checked a horizon group at
+once; ``test_cell_axis.py`` pins the group check to it.
 """
 
 import math
@@ -467,3 +472,255 @@ def max_interval_window(problem):
             return result
         bump = bump * (1 + 1e-9) + 1e-300
     raise E.InfeasibleWindowError("level reconstruction failed")
+
+
+# ---------------------------------------------------------------------------
+# The check stage of one cell, one step at a time
+# ---------------------------------------------------------------------------
+
+def check_cell(resolved, scenario, seed, hat, K, estimated):
+    """Certification and bounds of one cell from its truth and estimator
+    results, one step and one scalar gain call at a time, as the harness
+    checked a cell before it took a horizon group at once.  Returns the
+    cell's (rows, min_margin, certified_steps, worst)."""
+    from mhestab.certificates import bound_trace
+    from mhestab.comparison import seq_norms
+    from mhestab.harness import _initial, _window_start
+
+    config = resolved.config
+    model, cert, cost, bounds = resolved.model, resolved.cert, resolved.cost, resolved.bounds
+    T = config.t_final
+    sol, results = estimated
+    is_mhe = config.estimator == "mhe"
+    d0 = model.dist(sol.x[0], _initial(config, model)[1])
+    w_norms = seq_norms(sol.w)
+    v_norms = seq_norms(sol.v)
+    if is_mhe:
+        rhs_trace = bound_trace(PlusMode.MAX, hat.b_hat, hat.c_hat, hat.d_hat, d0,
+                                w_norms[:T], v_norms[:T])
+    else:
+        rhs_trace = bound_trace(bounds.mode, bounds.b, bounds.c, bounds.d, d0,
+                                w_norms[:T], v_norms[:T])
+    if np.isnan(rhs_trace).any():
+        raise E.DomainError(f"error bound is NaN at t = {int(np.argmax(np.isnan(rhs_trace)))}")
+    rows = []
+    chain_certified = True
+    certified_steps = 0
+    min_margin = math.inf
+    worst = {}
+    errors = []
+    for t in range(T + 1):
+        res = results[t]
+        err = cert.alpha(model.dist(sol.x[t], res.published))
+        errors.append(err)
+        if t == 0:
+            record = E.CertificationRecord(True, 1.0, 0.0, 0.0)
+        else:
+            reference = sol.window(_window_start(config, K, t), t)
+            record = E.certify_suboptimality(res, reference, cost, config.a_factor)
+        if is_mhe:
+            chain_certified = chain_certified and record.passed
+            certified = chain_certified
+        else:
+            certified = record.passed
+        rhs = float(rhs_trace[t])
+        margin = rhs - err
+        window_margin = None
+        if is_mhe and t > K and certified:
+            prev_err = errors[t - K]
+            terms = [hat.analysis.kappa(prev_err)]
+            for tau in range(1, K + 1):
+                j = t - tau
+                terms.append(bounds.c(float(w_norms[j]), tau))
+                terms.append(bounds.d(float(v_norms[j]), tau))
+            window_margin = plus_reduce(bounds.mode, terms) - err
+        if certified:
+            certified_steps += 1
+            eff = margin if window_margin is None else min(margin, window_margin)
+            if eff < min_margin:
+                min_margin = eff
+                worst = {"t": t, "scenario": scenario.name, "seed": seed,
+                         "margin": eff, "error": err, "rhs": rhs}
+        rows.append({
+            "t": t,
+            "xhat": list(map(float, res.published)),
+            "x_true": list(map(float, sol.x[t])),
+            "error": err,
+            "rhs": rhs,
+            "margin": margin,
+            "window_margin": window_margin,
+            "achieved_cost": res.cost,
+            "certified_ratio": record.ratio if math.isfinite(record.ratio) else -1.0,
+            "certified": certified,
+            "status": res.status,
+        })
+    return rows, min_margin if certified_steps else math.inf, certified_steps, worst
+
+
+# ---------------------------------------------------------------------------
+# The sum-mode dynamic program, one window at a time
+# ---------------------------------------------------------------------------
+
+class _PWL:
+    """Convex piecewise-linear function.
+
+    ``xs`` are breakpoints (ascending), ``slopes`` the segment slopes with one
+    extra leading entry for the left arm, ``y0`` the value at xs[0].  Slopes
+    are nondecreasing; the minimum is attained because every function built
+    here includes at least one coercive absolute-value term.
+    """
+
+    __slots__ = ("xs", "slopes", "y0")
+
+    def __init__(self, xs, slopes, y0):
+        self.xs = list(xs)
+        self.slopes = list(slopes)
+        self.y0 = float(y0)
+
+    @staticmethod
+    def abs_term(center, weight):
+        return _PWL([center], [-weight, weight], 0.0)
+
+    def value(self, x: float) -> float:
+        if x <= self.xs[0]:
+            return self.y0 - self.slopes[0] * (self.xs[0] - x)
+        v = self.y0
+        prev = self.xs[0]
+        for i in range(1, len(self.xs)):
+            if x <= self.xs[i]:
+                return v + self.slopes[i] * (x - prev)
+            v += self.slopes[i] * (self.xs[i] - prev)
+            prev = self.xs[i]
+        return v + self.slopes[-1] * (x - prev)
+
+    def add(self, other: "_PWL") -> "_PWL":
+        xs = sorted(set(self.xs) | set(other.xs))
+        slopes = []
+        for i in range(len(xs) + 1):
+            probe_left = xs[0] - 1.0 if i == 0 else xs[i - 1]
+            slopes.append(self._slope_right(probe_left) + other._slope_right(probe_left))
+        y0 = self.value(xs[0]) + other.value(xs[0])
+        return _PWL(xs, slopes, y0)._pruned()
+
+    def _slope_right(self, x: float) -> float:
+        # slope of the segment containing points just right of x
+        idx = 0
+        for i, bp in enumerate(self.xs):
+            if x >= bp:
+                idx = i + 1
+            else:
+                break
+        return self.slopes[idx]
+
+    def scale_shift_arg(self, a: float, off: float) -> "_PWL":
+        """W(z) = V((z - off) / a) for a != 0."""
+        if a == 0.0:
+            raise E.DomainError("argument scaling needs a nonzero coefficient")
+        xs = [a * x + off for x in self.xs]
+        slopes = [s / a for s in self.slopes]
+        if a > 0:
+            return _PWL(xs, slopes, self.value(self.xs[0]))
+        xs = xs[::-1]
+        slopes = slopes[::-1]
+        return _PWL(xs, slopes, self.value(self.xs[-1]))
+
+    def min(self):
+        """(vmin, arg_lo, arg_hi) over the breakpoints; assumes the function
+        is coercive, i.e. slopes[0] <= 0 <= slopes[-1]."""
+        vals = [self.y0]
+        v = self.y0
+        for i in range(1, len(self.xs)):
+            v += self.slopes[i] * (self.xs[i] - self.xs[i - 1])
+            vals.append(v)
+        best = min(vals)
+        attain = [x for x, val in zip(self.xs, vals) if val == best]
+        return best, attain[0], attain[-1]
+
+    def infconv_abs(self, w: float) -> "_PWL":
+        """Infimal convolution with w * |.| == slope clipping to [-w, w],
+        anchored so values in the unclipped region are preserved."""
+        vmin, arg_lo, _ = self.min()
+        if w <= 0.0:
+            # zero-weight stage: the stage variable is free, leaving a constant
+            return _PWL([arg_lo], [0.0, 0.0], vmin)
+        slopes = [min(max(s, -w), w) for s in self.slopes]
+        y0 = self.value_with(slopes, arg_lo, vmin, self.xs[0])
+        return _PWL(self.xs, slopes, y0)._pruned()
+
+    def value_with(self, slopes, anchor_x: float, anchor_v: float, x: float) -> float:
+        """Value at x of the function with these slopes anchored at anchor."""
+        if x == anchor_x:
+            return anchor_v
+        v = anchor_v
+        if x < anchor_x:
+            cur = anchor_x
+            for i in range(len(self.xs) - 1, -1, -1):
+                bp = self.xs[i]
+                if bp >= cur:
+                    continue
+                lo = max(bp, x)
+                v -= slopes[i + 1] * (cur - lo)
+                cur = lo
+                if cur <= x:
+                    return v
+            return v - slopes[0] * (cur - x)
+        cur = anchor_x
+        for i in range(len(self.xs)):
+            bp = self.xs[i]
+            if bp <= cur:
+                continue
+            hi = min(bp, x)
+            v += slopes[i] * (hi - cur)
+            cur = hi
+            if cur >= x:
+                return v
+        return v + slopes[-1] * (x - cur)
+
+    def _pruned(self) -> "_PWL":
+        xs, slopes = self.xs, self.slopes
+        new_xs = []
+        new_slopes = [slopes[0]]
+        for i, bp in enumerate(xs):
+            if slopes[i + 1] != new_slopes[-1]:
+                new_xs.append(bp)
+                new_slopes.append(slopes[i + 1])
+        if not new_xs:
+            new_xs = [xs[0]]
+            new_slopes = [slopes[0], slopes[0]]
+        return _PWL(new_xs, new_slopes, self.value(new_xs[0]))
+
+
+def sum_pwl_window(problem):
+    """The sum-mode dynamic program of one scalar window, one Python
+    piecewise-linear function at a time: the engine's algorithm without the
+    row axis.  Returns the EstimateResult the engine gives that window."""
+    model, K = problem.model, problem.horizon
+    a = float(model.linear_a)
+    y = problem.y_win[:, 0]
+    p_w, g_w, d_w = E._sum_weights(problem)
+    offs = [float(np.atleast_1d(model.f_nominal(np.zeros(1), problem.u_win[j]))[0])
+            for j in range(K)]
+    stages = []
+    V = _PWL.abs_term(float(problem.prior[0]), p_w).add(_PWL.abs_term(y[0], d_w[0]))
+    for j in range(K - 1):
+        stages.append(V)
+        V = V.scale_shift_arg(a, offs[j]).infconv_abs(g_w[j])
+        V = V.add(_PWL.abs_term(y[j + 1], d_w[j + 1]))
+    _, arg_lo, arg_hi = V.min()
+    chis = np.empty(K)
+    chis[K - 1] = 0.5 * (arg_lo + arg_hi) if math.isfinite(arg_lo) else arg_hi
+    for j in range(K - 2, -1, -1):
+        Vj = stages[j]
+        kink = (chis[j + 1] - offs[j]) / a
+        cands = sorted(set(Vj.xs) | {kink})
+        best_x, best_v = cands[0], math.inf
+        for x in cands:
+            val = Vj.value(x) + g_w[j] * abs(chis[j + 1] - a * x - offs[j])
+            if val < best_v - 1e-300 or (val == best_v and x < best_x):
+                best_v, best_x = val, x
+        chis[j] = best_x
+    omega = np.zeros((K, 1))
+    for j in range(K - 1):
+        omega[j, 0] = chis[j + 1] - (a * chis[j] + offs[j])
+    return E._results_from_decisions(E._Rows([problem]), chis[None, :1], omega[None],
+                                     "sum-pwl-dp")[0]

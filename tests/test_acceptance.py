@@ -28,7 +28,7 @@ from mhestab.certificates import (
     default_cost_from_certificate,
     derive_bcd,
 )
-from mhestab.estimator import EstimationProblem, SolverConfig, eval_cost, solve_window
+from mhestab.estimator import EstimationProblem, SolverConfig, _window_costs, solve_window
 from mhestab.harness import (
     ExperimentConfig,
     ScenarioSpec,
@@ -108,9 +108,9 @@ def test_criterion_2_oracle_equivalence():
             problem = EstimationProblem(model, cost, np.array([prior]),
                                         np.zeros((1, 1)), np.array([[y0]]), 1)
             result = solve_window(problem, SolverConfig())
-            scan = min(
-                eval_cost(cost, [prior], [c0], np.zeros((1, 1)), np.array([[y0 - c0]]))
-                for c0 in grid)
+            # eval_cost of every grid point, one row each
+            scan = min(_window_costs(cost, np.full((len(grid), 1), prior), grid[:, None],
+                                     np.zeros((len(grid), 1, 1)), (y0 - grid)[:, None, None]))
             worst = max(worst, abs(result.cost - scan))
     _report("2 (K=1 oracle equivalence, both modes)", worst <= 1e-3,
             f"max |solver - scan| = {worst:.3e}")

@@ -1,25 +1,34 @@
-"""The cell axis of the max-interval engine.
+"""The cell axis: the structured engines and the check stage.
 
 ``run_fie``/``run_mhe`` step a stack of cells in lock-step, and the max-mode
-engine solves the windows of one step as one group, one row per window.
-Every row must be its cell run alone, byte for byte, and every window must
-be what the one-window bisection of ``reference_folds.max_interval_window``
-gives.  The row-equality facts of numpy that the engine relies on are
+and sum-mode engines solve the windows of one step as one group, one row
+per window.  Every row must be its cell run alone, byte for byte, and every
+window must be what the one-window references give:
+``reference_folds.max_interval_window`` for the level bisection and
+``reference_folds.sum_pwl_window`` for the dynamic program.  The harness
+checks the cells of a horizon group at once; every row, margin and
+certified count must be what ``reference_folds.check_cell`` gives for the
+cell alone.  The row-equality facts of numpy that the engines rely on are
 pinned at the end, with the row forms of the cost's terms and fold, and
 the fitted exponential envelopes.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import mhestab.estimator as E
+import mhestab.harness as H
 from mhestab.comparison import (
+    DomainError,
     IteratedKL,
+    KLFn,
     LinearK,
     PlusMode,
     PowerK,
+    SeparableGeometric,
     fold_terms,
     gain_terms,
     seq_norms,
@@ -32,11 +41,24 @@ from mhestab.estimator import (
     run_mhe,
     solve_window,
 )
-from mhestab.harness import ExperimentConfig, ScenarioSpec, hat_bounds_for, resolve
+from mhestab.harness import (
+    AnalysisError,
+    ExperimentConfig,
+    ScenarioSpec,
+    hat_bounds_for,
+    resolve,
+    run_cell,
+)
 from mhestab.stability import rges_envelope
-from mhestab.systems import PLANT_NAMES, builtin_model, generate_scenario, simulate
+from mhestab.systems import (
+    PLANT_NAMES,
+    _linear_scalar,
+    builtin_model,
+    generate_scenario,
+    simulate,
+)
 
-from reference_folds import max_interval_window
+from reference_folds import _PWL, check_cell, max_interval_window, sum_pwl_window
 
 SCENARIOS = (
     ScenarioSpec("zero", "zero"),
@@ -169,6 +191,232 @@ def test_top_level_guard_runs_per_row(plant, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The sum-mode dynamic program: every row is the one-window reference
+# ---------------------------------------------------------------------------
+
+def _sum_cost(plant="s1", **gains):
+    cost = resolve(ExperimentConfig(plant=plant, mode="sum")).cost
+    return dataclasses.replace(cost, **gains)
+
+
+def _sum_rows_equal_the_reference(model, cost, priors, ys):
+    K = ys.shape[1]
+    u = np.zeros((K, 1))
+    problems = [EstimationProblem(model, cost, [p], u, y, K) for p, y in zip(priors, ys)]
+    assert E._structured_applicable(problems[0]) == "sum"
+    rows = E._solve_sum_pwl(problems)
+    for problem, row in zip(problems, rows):
+        assert _signature(row) == _signature(sum_pwl_window(problem))
+    return rows
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+@pytest.mark.parametrize("plant", ["s1", "s2"])
+def test_every_sum_row_is_the_one_window_program(plant, K):
+    gen = np.random.default_rng(K)
+    model, cost = builtin_model(plant), _sum_cost(plant)
+    for scale in (1.0, 1e-300):      # tiny costs, where 1e-300 moves a comparison
+        ys = gen.normal(0.0, 1.0, (24, K, 1)) * scale
+        priors = gen.normal(0.0, 1.0, 24) * scale
+        _sum_rows_equal_the_reference(model, cost, priors, ys)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 5, 8])
+def test_sum_rows_with_tied_minima(K):
+    # integer data: flat minima, breakpoints that coincide, kinks on breakpoints
+    gen = np.random.default_rng(10 + K)
+    model, cost = builtin_model("s1"), _sum_cost()
+    ys = gen.integers(-2, 3, (30, K, 1)).astype(float)
+    ys[:4] = 0.0
+    ys[4:8] = -0.0
+    priors = gen.integers(-2, 3, 30).astype(float)
+    priors[:2] = 0.0
+    priors[2:4] = -0.0
+    _sum_rows_equal_the_reference(model, cost, priors, ys)
+
+
+@pytest.mark.parametrize("K", [2, 4, 7])
+def test_sum_rows_with_zero_weight_stages(K):
+    gen = np.random.default_rng(20 + K)
+    model = builtin_model("s1")
+    free = SeparableGeometric(1.0, 1.0, 0.0)        # slope 0 at every age >= 1
+    for gains in ({"gamma_hat": free}, {"delta_hat": free}, {"gamma_hat": free,
+                                                               "delta_hat": free}):
+        cost = _sum_cost(**gains)
+        ys = gen.normal(0.0, 1.0, (12, K, 1))
+        _sum_rows_equal_the_reference(model, cost, gen.normal(0.0, 1.0, 12), ys)
+
+
+@pytest.mark.parametrize("a", [-0.7, -1.3, 0.4])
+def test_sum_rows_on_a_custom_plant(a):
+    gen = np.random.default_rng(30)
+    model = _linear_scalar("custom", a)
+    cost = _sum_cost()
+    for K in (1, 2, 5, 8):
+        ys = np.round(gen.normal(0.0, 1.0, (16, K, 1)), 1)
+        _sum_rows_equal_the_reference(model, cost, np.round(gen.normal(0.0, 1.0, 16), 1), ys)
+
+
+def _same_functions(rows, functions):
+    for r, fn in enumerate(functions):
+        n = int(rows.n[r])
+        assert [repr(float(x)) for x in rows.xs[r, :n]] == [repr(float(x)) for x in fn.xs]
+        assert ([repr(float(v)) for v in rows.slopes[r, :n + 1]]
+                == [repr(float(v)) for v in fn.slopes])
+        assert repr(float(rows.y0[r])) == repr(fn.y0)
+
+
+@pytest.mark.parametrize("a", [0.5, -0.7])
+def test_every_operation_on_rows_is_the_scalar_operation(a):
+    # every value function of the forward pass, breakpoints, slopes and
+    # value at the first breakpoint, with the signs of zeros
+    gen = np.random.default_rng(40)
+    R = 60
+    weights = [0.0, 0.3, 1.0, 2.5, 0.7 / 3.0, 1.9 / 7.0]
+    centers = gen.normal(0.0, 1.0, (12, R))
+    centers[:, :30] = np.round(centers[:, :30], 1)
+    centers[:, :5] = 0.0
+    centers[:, 5:10] = -0.0
+    rows = E._PWLRows.abs_terms(centers[0], 1.5).add_abs(centers[1], 0.8)
+    fns = [_PWL.abs_term(c0, 1.5).add(_PWL.abs_term(c1, 0.8))
+           for c0, c1 in zip(centers[0], centers[1])]
+    _same_functions(rows, fns)
+    for j in range(2, 12):
+        off, w = float(gen.normal()), weights[j % len(weights)]
+        rows = rows.scale_shift_arg(a, off)
+        fns = [fn.scale_shift_arg(a, off) for fn in fns]
+        _same_functions(rows, fns)
+        vmin, lo, hi = rows.min()
+        assert [repr(v) for v in zip(vmin.tolist(), lo.tolist(), hi.tolist())] == \
+            [repr(tuple(map(float, fn.min()))) for fn in fns]
+        rows, fns = rows.infconv_abs(w), [fn.infconv_abs(w) for fn in fns]
+        _same_functions(rows, fns)
+        x = np.concatenate([rows.xs[:, :1] - 1.0, centers[j - 2:j].T], axis=1)
+        assert rows.value(x).tolist() == [[fn.value(v) for v in xr] for fn, xr in zip(fns, x)]
+        d = 0.0 if j == 5 else 1.1 / j
+        rows = rows.add_abs(centers[j], d)
+        fns = [fn.add(_PWL.abs_term(c, d)) for fn, c in zip(fns, centers[j])]
+        _same_functions(rows, fns)
+
+
+@pytest.mark.parametrize("K", [None, 2, 5])
+def test_a_sum_group_equals_each_cell_run_alone(K):
+    y, x0, u = _stack("s1", 12)
+    model, cost = builtin_model("s1"), _sum_cost()
+    prior0 = np.where(np.arange(len(y))[:, None] < 2, x0, x0 + 1.0)
+    run = (lambda yy, p: run_fie(model, cost, p, u, yy, SolverConfig())) if K is None else \
+        (lambda yy, p: run_mhe(model, cost, p, u, yy, K, SolverConfig()))
+    group = run(y, prior0)
+    for c in range(len(y)):
+        alone = run(y[c:c + 1], prior0[c])[0]
+        assert [_signature(r) for r in group[c]] == [_signature(r) for r in alone]
+    assert {r.engine for cell in group for r in cell[1:]} == {"sum-pwl-dp"}
+
+
+# ---------------------------------------------------------------------------
+# The group check: every cell is the one-cell loop
+# ---------------------------------------------------------------------------
+
+CHECK_SCENARIOS = [
+    ScenarioSpec("zero", "zero"),
+    ScenarioSpec("uniform", "bounded_uniform", amplitude=0.1),
+    ScenarioSpec("decay", "decaying_geometric", amplitude=1.0, rate=0.8),
+    ScenarioSpec("impulse", "impulse", time=3, magnitude=1.0),
+]
+
+
+def _check_against_the_loop(resolved, K):
+    config = resolved.config
+    hat = H._cell_hat(resolved, K)
+    cells = [(scenario, seed) for scenario in config.scenarios for seed in config.seeds]
+    estimated = H._estimate_group(resolved, cells, K)
+    group = H._check_group(resolved, cells, hat, K, estimated)
+    for (scenario, seed), cell, est in zip(cells, group, estimated):
+        rows, min_margin, certified, worst = check_cell(resolved, scenario, seed, hat, K, est)
+        assert [{k: repr(v) for k, v in row.items()} for row in cell.rows] == \
+            [{k: repr(v) for k, v in row.items()} for row in rows]
+        assert (repr(cell.min_margin), cell.certified_steps, repr(cell.worst)) == \
+            (repr(min_margin), certified, repr(worst))
+    return group
+
+
+@pytest.mark.parametrize("mode", ["max", "sum"])
+@pytest.mark.parametrize("K", [None, 2, 4, 8], ids=["fie", "mhe2", "mhe4", "mhe8"])
+@pytest.mark.parametrize("plant", PLANT_NAMES)
+def test_the_group_check_equals_the_one_cell_loop(plant, K, mode):
+    structured = plant in ("s1", "s2") or (plant == "s3" and mode == "max")
+    T = 20 if structured else 4            # the generic engines are slow
+    config = ExperimentConfig(plant=plant, mode=mode, estimator="fie" if K is None else "mhe",
+                              horizon=K or 4, t_final=T, seeds=(0, 1) if structured else (0,),
+                              scenarios=CHECK_SCENARIOS if structured else CHECK_SCENARIOS[1:3])
+    try:
+        group = _check_against_the_loop(resolve(config), K or 4)
+    except AnalysisError:
+        assert plant == "s4" and K is not None          # s4 contracts from K = 16
+        return
+    assert sum(cell.certified_steps for cell in group) > 0
+
+
+@pytest.mark.parametrize("estimator", ["fie", "mhe"])
+def test_the_group_check_uses_a_plant_metric_of_its_own(estimator):
+    def metric(a, b):
+        return 2.0 * float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
+
+    config = ExperimentConfig(plant="s1", mode="max", estimator=estimator, horizon=2,
+                              t_final=10, seeds=(0, 1), scenarios=CHECK_SCENARIOS)
+    resolved = resolve(config)
+    model = dataclasses.replace(resolved.model, metric=metric)
+    group = _check_against_the_loop(dataclasses.replace(resolved, model=model), 2)
+    plain = H._run_group(resolved, [(CHECK_SCENARIOS[1], 0)], H._cell_hat(resolved, 2), 2)
+    assert group[2].rows[5]["error"] != plain[0].rows[5]["error"]
+
+
+@dataclasses.dataclass(frozen=True)
+class _BadAtAge(KLFn):
+    """``base`` with every value at one age replaced by ``bad``."""
+
+    base: KLFn
+    age: int
+    bad: float
+
+    def __call__(self, r, s):
+        out = self.base(r, s)
+        return out * 0.0 + self.bad if s == self.age else out
+
+
+def _mhe_with_a_bad_window_term(bad, monkeypatch, break_chain):
+    config = ExperimentConfig(plant="s1", mode="max", estimator="mhe", horizon=2, t_final=8)
+    resolved = resolve(config)
+    hat = H._cell_hat(resolved, 2)                     # from the unpatched bounds
+    bounds = dataclasses.replace(resolved.bounds, c=_BadAtAge(resolved.bounds.c, 2, bad))
+    if break_chain:
+        real = H.run_mhe
+
+        def failing_first_step(*args):
+            runs = real(*args)
+            for run in runs:
+                run[1].cost = math.inf              # fails its certification
+            return runs
+
+        monkeypatch.setattr(H, "run_mhe", failing_first_step)
+    scenario = ScenarioSpec("uniform", "bounded_uniform", amplitude=0.1)
+    return run_cell(dataclasses.replace(resolved, bounds=bounds), scenario, 0, hat, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0], ids=["nan", "negative"])
+def test_a_bad_window_term_at_a_certified_step_is_an_error(bad, monkeypatch):
+    with pytest.raises(DomainError, match=f"nonnegative values, got {bad}"):
+        _mhe_with_a_bad_window_term(bad, monkeypatch, break_chain=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0], ids=["nan", "negative"])
+def test_a_bad_window_term_after_the_chain_breaks_is_not_read(bad, monkeypatch):
+    cell = _mhe_with_a_bad_window_term(bad, monkeypatch, break_chain=True)
+    assert cell.certified_steps == 1                   # t = 0 only
+    assert all(row["window_margin"] is None for row in cell.rows)
+
+
+# ---------------------------------------------------------------------------
 # Row-equality facts the engine relies on
 # ---------------------------------------------------------------------------
 
@@ -235,6 +483,46 @@ def test_terms_norms_and_folds_of_rows_equal_each_row_alone(mode):
         alone = [fold_terms(mode, h, c, d) for h, c, d in zip(heads, c_terms, d_terms)]
         assert np.array_equal(folded, alone, equal_nan=True)
         assert np.isnan(folded[3]) and not np.isnan(np.delete(folded, 3)).any()
+
+
+def test_cumsum_along_rows_is_the_python_left_fold():
+    gen = np.random.default_rng(5)
+    for width in (1, 2, 7, 8, 9, 40, 200):
+        x = gen.normal(0.0, 1.0, (300, width)) * 10.0 ** gen.uniform(-8, 8, (300, width))
+        x[::7] = np.round(x[::7], 1)
+        folds = []
+        for row in x.tolist():
+            total, out = 0.0, []
+            for i, v in enumerate(row):
+                total = v if i == 0 else total + v
+                out.append(total)
+            folds.append(out)
+        assert np.cumsum(x, axis=1).tolist() == folds
+        # v - a - b is v + (-a) + (-b), bit for bit
+        v = gen.normal(0.0, 1.0, 300)
+        walked = v.tolist()
+        for col in x.T.tolist():
+            walked = [w - a for w, a in zip(walked, col)]
+        cat = np.concatenate([v[:, None], -x], axis=1)
+        assert np.cumsum(cat, axis=1)[:, -1].tolist() == walked
+
+
+def test_stable_sort_keeps_the_first_of_equal_entries_as_a_set_union_does():
+    gen = np.random.default_rng(6)
+    for _ in range(200):
+        xs = sorted(gen.choice([-1.0, -0.0, 0.0, 0.5, 2.0], gen.integers(1, 6)).tolist())
+        extra = float(gen.choice([-0.0, 0.0, 0.5, 3.0]))
+        srt = np.sort(np.array(xs + [extra]), kind="stable")
+        first = np.concatenate([[True], srt[1:] != srt[:-1]])
+        union = sorted(set(xs) | {extra})
+        assert [repr(v) for v in srt[first].tolist()] == [repr(v) for v in union]
+
+
+def test_argmin_takes_the_first_least_entry():
+    gen = np.random.default_rng(7)
+    x = gen.integers(0, 3, (500, 9)).astype(float)
+    x[x == 1.0] = np.inf
+    assert np.argmin(x, axis=1).tolist() == [row.index(min(row)) for row in x.tolist()]
 
 
 def test_plant_interval_maps_work_elementwise():

@@ -214,15 +214,16 @@ def test_horizon_sweep_excludes_failing_k(tmp_path):
 
 
 def test_fie_sweep_runs_each_cell_once(tmp_path, monkeypatch):
-    calls = []
-    real = harness.run_cell
-    monkeypatch.setattr(harness, "run_cell", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    checked = []
+    real = harness._check_group
+    monkeypatch.setattr(harness, "_check_group",
+                        lambda res, cells, *a: checked.extend(cells) or real(res, cells, *a))
     cfg = ExperimentConfig(name="fsweep", plant="s1", mode="max", estimator="fie",
                            sweep=(2, 3, 4), t_final=8, seeds=(0,),
                            scenarios=[ScenarioSpec("noise", "bounded_uniform", amplitude=0.1)],
                            out_dir=str(tmp_path))
     horizon_sweep(cfg)
-    assert len(calls) == 1
+    assert len(checked) == 1
     traces = sorted(n for n in os.listdir(tmp_path / "fsweep") if n.startswith("trace_"))
     assert traces == ["trace_noise-seed0.csv"]
     # the same full-information cell that `run` writes
