@@ -23,19 +23,22 @@ Three engines back ``solve_window``:
   Gauss-Newton on smoothed residuals with escalating output penalties, or a
   deterministic multistart compass search.
 
-The structured engines are fast paths used by both configured methods; they
-exist because the acceptance sweeps solve tens of thousands of windows.
+A window whose shape fits a structured engine always goes there, whatever
+the configured method; they exist because the acceptance sweeps solve tens
+of thousands of windows.
 
 The drivers ``run_fie``/``run_mhe`` step a stack of cells in lock-step: at
 each t the windows of all cells share the plant, cost, inputs and length
-and differ in their outputs and priors.  Both structured engines solve them
-as one group, one row per window, and every row uses exactly the arithmetic
+and differ in their outputs and priors.  The drivers check their stacks
+once and hand the engines one window group per step (:class:`_Rows`), cut
+from the stacks and the published anchors.  Both structured engines solve a
+group as one, one row per window, and every row uses exactly the arithmetic
 of its window solved alone.  The max-mode engine bisects levels of shape
 (C, 48); its per-window branches are masks over the rows, and a failing row
 raises ``InfeasibleWindowError`` for its whole group.  The sum-mode engine
 holds the C value functions as padded (C, M) breakpoint and slope arrays
-with a count per row.  ``solve_window`` is a group of one.  The generic
-engines take the windows one at a time.
+with a count per row.  ``solve_window`` is a group of one for a structured
+window.  The generic engines take the windows one at a time.
 
 The iterative methods evaluate their candidates in batches: one array pass
 rolls the plant forward for every candidate and calls each cost gain once
@@ -50,9 +53,10 @@ leading batch axis (see :mod:`mhestab.systems`).
 the error bounds in :mod:`mhestab.certificates`: ``gain_terms`` evaluates
 each gain over the window's ages (a slope product when every slice is
 linear in r, otherwise one call per term), and ``fold_terms`` combines
-them.  The engines' objective stays separate: it calls each gain once per
-age on a column of candidates and folds left to right like ``plus_reduce``,
-and moving it onto the slope products would move the iterates pinned by
+them.  The engines' objective shares the rollout and the noise elimination
+but keeps its own fold: it calls each gain once per age on a column of
+candidates and folds left to right like ``plus_reduce``, and moving it onto
+the slope products would move the iterates pinned by
 ``tests/golden_generic.json``.
 """
 
@@ -149,11 +153,10 @@ class EstimateResult:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Deterministic solver settings.
+    """Deterministic settings of the generic methods.
 
-    ``use_structured`` lets both methods take the exact scalar engines when
-    the window has the right shape; switching it off forces the generic
-    iteration, which the tests use to cross-check the fast paths.
+    They apply to windows no structured engine takes: a scalar window with
+    the right shape always goes to an exact scalar engine.
     """
 
     method: str = "gauss_newton_penalty"
@@ -162,7 +165,6 @@ class SolverConfig:
     penalty_schedule: Tuple[float, ...] = (1e2, 1e4, 1e6, 1e8)
     tol: float = 1e-10
     seed: int = 0
-    use_structured: bool = True
 
     METHODS = ("gauss_newton_penalty", "multistart_local")
 
@@ -226,42 +228,58 @@ def _window_costs(cost: CostSpec, prior: np.ndarray, chi0: np.ndarray, omega: np
 # ---------------------------------------------------------------------------
 
 class _Rows:
-    """A group of windows, one row each, that share the plant, cost,
-    horizon and inputs and differ in their priors (R, n) and outputs
+    """A group of windows, one row each, that share the plant, cost and
+    inputs u_win (K, du) and differ in their priors (R, n) and outputs
     (R, K, p).  Every helper below works elementwise along the rows, so a
-    row's numbers are those of its window solved alone."""
+    row's numbers are those of its window solved alone.  The drivers cut
+    one group per step from their stacks; :meth:`of` groups windows given
+    one at a time, and :meth:`window` gives one back."""
 
-    def __init__(self, problems: Sequence[EstimationProblem]):
+    def __init__(self, model: SystemModel, cost: CostSpec, u_win: np.ndarray,
+                 prior: np.ndarray, y: np.ndarray):
+        self.model, self.cost, self.u_win, self.prior, self.y = model, cost, u_win, prior, y
+        self.K = len(u_win)
+
+    @classmethod
+    def of(cls, problems: Sequence[EstimationProblem]) -> "_Rows":
         first = problems[0]
-        self.problems = list(problems)
-        self.model, self.cost, self.K = first.model, first.cost, first.horizon
-        self.u_win = first.u_win
-        self.prior = np.array([p.prior for p in problems])
-        self.y = np.array([p.y_win for p in problems])
+        return cls(first.model, first.cost, first.u_win, np.array([p.prior for p in problems]),
+                   np.array([p.y_win for p in problems]))
 
     def __len__(self) -> int:
-        return len(self.problems)
+        return len(self.prior)
 
     def take(self, idx) -> "_Rows":
-        return _Rows([self.problems[i] for i in idx])
+        return _Rows(self.model, self.cost, self.u_win, self.prior[idx], self.y[idx])
+
+    def window(self, i: int) -> EstimationProblem:
+        return EstimationProblem(self.model, self.cost, self.prior[i], self.u_win, self.y[i],
+                                 self.K)
 
 
-def _rollout(rows: _Rows, chi0: np.ndarray, omega: np.ndarray
-             ) -> Tuple[np.ndarray, np.ndarray]:
-    """States (R, K, n) from chi0 (R, n) under omega (R, K, q), plus the
-    one-step endpoints (R, n)."""
+def _rollout(rows: _Rows, chi0: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """The K scored states (B, K, n) from chi0 (B, n) under omega (B, K, q):
+    B rows of the group, or B candidates of a group of one."""
     model, K = rows.model, rows.K
-    xs = np.empty((len(rows), K, model.state_dim))
+    xs = np.empty((len(chi0), K, model.state_dim))
     x = chi0
     for j in range(K):
         xs[:, j] = x
-        x = model.f(x, rows.u_win[j], omega[:, j])
-    return xs, x
+        if j < K - 1:           # the endpoint is not scored
+            x = model.f(x, rows.u_win[j], omega[:, j])
+    return xs
+
+
+def _with_endpoint(rows: _Rows, xs: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """The states xs (B, K, n) and the published endpoint, one transition
+    past the last of them: (B, K + 1, n)."""
+    end = rows.model.f(xs[:, -1], rows.u_win[-1], omega[:, -1])
+    return np.concatenate([xs, end[:, None]], axis=1)
 
 
 def _eliminated_nu(rows: _Rows, xs: np.ndarray) -> np.ndarray:
     model, K = rows.model, rows.K
-    nu = np.empty((len(rows), K, model.meas_noise_dim))
+    nu = np.empty((len(xs), K, model.meas_noise_dim))
     for j in range(K):
         nu[:, j] = rows.y[:, j] - model.h_nominal(xs[:, j], rows.u_win[j])
     return nu
@@ -287,14 +305,14 @@ def _results_from_decisions(rows: _Rows, chi0: np.ndarray, omega: np.ndarray, en
     # dynamics hold exactly by construction (states rolled forward, noise read
     # off the transitions); the residual field records output mismatch only,
     # which elimination makes zero
-    xs, endpoint = _rollout(rows, chi0, omega)
+    xs = _rollout(rows, chi0, omega)
     nu = _eliminated_nu(rows, xs)
     costs = _window_costs(rows.cost, rows.prior, xs[:, 0], omega, nu)
-    xhat = np.concatenate([xs, endpoint[:, None]], axis=1)
+    xhat = _with_endpoint(rows, xs, omega)
     return [EstimateResult(xhat[i], omega[i], nu[i], costs[i], "ok", engine,
-                           problem.prior.copy(), rows.K,
+                           rows.prior[i].copy(), rows.K,
                            iterations=iterations, starts_used=starts_used)
-            for i, problem in enumerate(rows.problems)]
+            for i in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -419,22 +437,20 @@ def _spaced_rows(space, lo: np.ndarray, hi: np.ndarray, spans: np.ndarray) -> np
     return out
 
 
-def _solve_max_scalar(problems: Sequence[EstimationProblem]) -> List[EstimateResult]:
-    """Max-mode level bisection for a group of windows (see :class:`_Rows`).
+def _solve_max_scalar(rows: _Rows) -> List[EstimateResult]:
+    """Max-mode level bisection for a group of windows.
 
     The per-row branches -- the zero-level exit, the top-level guard and
     the bump loop -- are masks over the rows, and every row ends with the
     result of its window solved alone.  A row without a finite-cost
     candidate, or whose reconstruction fails, raises for the whole group.
     """
-    rows = _Rows(problems)
     prep = _max_prepare(rows)
     # guaranteed-feasible upper bracket from candidate trajectories
     s_hi = np.full(len(rows), math.inf)
     for chi0, omega in _candidate_starts(rows):
-        xs, _ = _rollout(rows, chi0, omega)
         val = np.array(_window_costs(rows.cost, rows.prior, chi0, omega,
-                                     _eliminated_nu(rows, xs)))
+                                     _eliminated_nu(rows, _rollout(rows, chi0, omega))))
         s_hi = np.where(np.isfinite(val) & (val < s_hi), val, s_hi)
     if not np.isfinite(s_hi).all():
         raise InfeasibleWindowError("no finite-cost candidate trajectory")
@@ -644,8 +660,7 @@ class _PWLRows:
         return _PWLRows(new_xs, new_s, self.value(new_xs[:, :1])[:, 0], np.maximum(counts, 1))
 
 
-def _sum_weights(problem: EstimationProblem):
-    cost, K = problem.cost, problem.horizon
+def _sum_weights(cost: CostSpec, K: int):
     b_table = slope_table(cost.beta_hat, K)
     g_table = slope_table(cost.gamma_hat, K)
     d_table = slope_table(cost.delta_hat, K)
@@ -671,9 +686,9 @@ def _first_best(cands: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return best_x
 
 
-def _solve_sum_pwl(problems: Sequence[EstimationProblem]) -> List[EstimateResult]:
-    """Sum-mode dynamic programming for a group of windows (see
-    :class:`_Rows`), one row per window.
+def _solve_sum_pwl(rows: _Rows) -> List[EstimateResult]:
+    """Sum-mode dynamic programming for a group of windows, one row per
+    window.
 
     The forward pass builds each step's value function as a convex
     piecewise-linear function of the state; the backward pass picks, from
@@ -681,11 +696,10 @@ def _solve_sum_pwl(problems: Sequence[EstimationProblem]) -> List[EstimateResult
     the breakpoints and the kink that minimizes stage value plus transition
     cost.  Every row ends with the result of its window solved alone.
     """
-    rows = _Rows(problems)
     model, K, R = rows.model, rows.K, len(rows)
     a = float(model.linear_a)
     y = rows.y[:, :, 0]
-    p_w, g_w, d_w = _sum_weights(problems[0])
+    p_w, g_w, d_w = _sum_weights(rows.cost, K)
     offs = [float(np.atleast_1d(model.f_nominal(np.zeros(1), rows.u_win[j]))[0])
             for j in range(K)]
     with np.errstate(invalid="ignore", over="ignore"):    # as Python floats, silently
@@ -750,14 +764,14 @@ class _Objective:
 
     def __init__(self, problem: EstimationProblem):
         model = problem.model
-        self.problem = problem
+        self.rows = _Rows.of([problem])
         self.eliminate = model.additive_v
         self.n, self.q, self.m = model.state_dim, model.process_noise_dim, model.meas_noise_dim
         self.n_omega = problem.horizon * self.q
         self.dim = self.n + self.n_omega + (0 if self.eliminate else problem.horizon * self.m)
 
     def unpack(self, z: np.ndarray):
-        K, n, end = self.problem.horizon, self.n, self.n + self.n_omega
+        K, n, end = self.rows.K, self.n, self.n + self.n_omega
         nu = None if self.eliminate else z[end:].reshape(K, self.m)
         return z[:n], z[n:end].reshape(K, self.q), nu
 
@@ -771,39 +785,32 @@ class _Objective:
             # the engine reads: mask every row, so each read recomputes its
             # row alone and the failing one raises there
             B = len(Z)
-            return (np.full((B, 2 * self.problem.horizon + 1), np.nan), np.full(B, np.nan),
+            return (np.full((B, 2 * self.rows.K + 1), np.nan), np.full(B, np.nan),
                     np.ones(B, dtype=bool))
 
     def strict(self, z: np.ndarray):
         """``(terms, penalties)`` of the one candidate z, as one-row arrays;
         raises what evaluating z alone raises."""
         terms, pen, _ = self._evaluate(z[None, :], strict=True)
-        plus_reduce(self.problem.cost.mode, terms[0])      # NaN or negative terms
+        plus_reduce(self.rows.cost.mode, terms[0])      # NaN or negative terms
         return terms, pen
 
     def _evaluate(self, Z: np.ndarray, strict: bool):
-        problem = self.problem
-        model, cost, K = problem.model, problem.cost, problem.horizon
+        rows = self.rows
+        model, cost, K = rows.model, rows.cost, rows.K
         B, n, end = len(Z), self.n, self.n + self.n_omega
         chi0 = Z[:, :n]
         omega = Z[:, n:end].reshape(B, K, self.q)
-        xs = np.empty((B, K, n))
-        x = chi0
-        for j in range(K):
-            xs[:, j] = x
-            if j < K - 1:           # the endpoint is not scored
-                x = model.f(x, problem.u_win[j], omega[:, j])
+        xs = _rollout(rows, chi0, omega)
         pen = np.zeros(B)
         if self.eliminate:
-            nu = np.empty((B, K, self.m))
-            for j in range(K):
-                nu[:, j] = problem.y_win[j] - model.h_nominal(xs[:, j], problem.u_win[j])
+            nu = _eliminated_nu(rows, xs)
         else:
             nu = Z[:, end:].reshape(B, K, self.m)
             for j in range(K):
-                res = problem.y_win[j] - model.h(xs[:, j], problem.u_win[j], nu[:, j])
+                res = rows.y[0, j] - model.h(xs[:, j], rows.u_win[j], nu[:, j])
                 pen = pen + _row_sqnorms(res)
-        dist = np.sqrt(_row_sqnorms(chi0 - problem.prior))
+        dist = np.sqrt(_row_sqnorms(chi0 - rows.prior))
         wn = np.sqrt(_row_sqnorms(omega))
         vn = np.sqrt(_row_sqnorms(nu))
         masked = np.isnan(dist) | np.isnan(wn).any(axis=1) | np.isnan(vn).any(axis=1)
@@ -820,7 +827,7 @@ class _Objective:
     def values(self, terms: np.ndarray, pen: np.ndarray, mu: float) -> np.ndarray:
         """``plus_reduce`` of each row of terms plus mu times its penalty,
         folded one column at a time (:func:`plus_fold`)."""
-        return plus_fold(self.problem.cost.mode, terms.T) + mu * pen
+        return plus_fold(self.rows.cost.mode, terms.T) + mu * pen
 
     def residual_rows(self, terms: np.ndarray, pen: np.ndarray, power: float,
                       mu: float) -> np.ndarray:
@@ -851,17 +858,16 @@ class _Batch:
         return self.rows[k]
 
 
-def _generic_starts(problem: EstimationProblem, cfg: SolverConfig, dim: int) -> List[np.ndarray]:
-    model, K = problem.model, problem.horizon
-    n, q = model.state_dim, model.process_noise_dim
+def _generic_starts(objective: _Objective, cfg: SolverConfig) -> List[np.ndarray]:
+    rows, n, dim = objective.rows, objective.n, objective.dim
     base = []
-    for chi0, omega in _candidate_starts(_Rows([problem])):
+    for chi0, omega in _candidate_starts(rows):
         z = np.zeros(dim)
         z[:n] = chi0[0]
-        z[n:n + K * q] = omega[0].ravel()
+        z[n:n + objective.n_omega] = omega[0].ravel()
         base.append(z)
     gen = np.random.Generator(np.random.Philox(key=cfg.seed))
-    spread = max(1.0, float(np.max(np.abs(problem.y_win))), float(np.max(np.abs(problem.prior))))
+    spread = max(1.0, float(np.max(np.abs(rows.y))), float(np.max(np.abs(rows.prior))))
     while len(base) < max(1, cfg.multistart):
         z = base[0] + gen.normal(0.0, 0.3 * spread, dim)
         base.append(z)
@@ -917,7 +923,7 @@ def _solve_multistart_local(problem: EstimationProblem, cfg: SolverConfig) -> Es
     schedule = (0.0,) if objective.eliminate else cfg.penalty_schedule
 
     best = None
-    for idx, z0 in enumerate(_generic_starts(problem, cfg, objective.dim)):
+    for idx, z0 in enumerate(_generic_starts(objective, cfg)):
         z = z0
         iters = 0
         for mu in schedule:
@@ -932,23 +938,21 @@ def _solve_multistart_local(problem: EstimationProblem, cfg: SolverConfig) -> Es
 
 def _generic_result(objective: _Objective, z: np.ndarray, engine: str, iters: int,
                     starts: int) -> EstimateResult:
-    problem = objective.problem
-    rows = _Rows([problem])
+    rows = objective.rows
     chi0, omega, nu = objective.unpack(z)
     if objective.eliminate:
         return _results_from_decisions(rows, chi0[None], omega[None], engine, iters, starts)[0]
-    model, K = problem.model, problem.horizon
-    xs, endpoint = _rollout(rows, chi0[None], omega[None])
-    xs = xs[0]
-    j_val = plus_reduce(problem.cost.mode, objective.strict(z)[0][0])
-    xhat = np.vstack([xs, endpoint])
+    model, K = rows.model, rows.K
+    xs = _rollout(rows, chi0[None], omega[None])
+    xhat = _with_endpoint(rows, xs, omega[None])[0]
+    j_val = plus_reduce(rows.cost.mode, objective.strict(z)[0][0])
     res = EstimateResult(xhat, np.asarray(omega, float), np.asarray(nu, float), j_val,
-                         "ok", engine, problem.prior.copy(), K,
+                         "ok", engine, rows.prior[0].copy(), K,
                          iterations=iters, starts_used=starts)
     worst = 0.0
     for j in range(K):
-        out = np.atleast_1d(model.h(xs[j], problem.u_win[j], nu[j]))
-        worst = max(worst, float(np.linalg.norm(problem.y_win[j] - out)))
+        out = np.atleast_1d(model.h(xs[0, j], rows.u_win[j], nu[j]))
+        worst = max(worst, float(np.linalg.norm(rows.y[0, j] - out)))
     res.residual = worst
     if worst > 1e-6:
         res.status = "penalty-residual"
@@ -1006,7 +1010,7 @@ def _solve_gauss_newton(problem: EstimationProblem, cfg: SolverConfig) -> Estima
 
     best = None
     schedule = (0.0,) if objective.eliminate else cfg.penalty_schedule
-    for idx, z0 in enumerate(_generic_starts(problem, cfg, dim)):
+    for idx, z0 in enumerate(_generic_starts(objective, cfg)):
         z = z0.astype(float)
         iters = 0
         for mu in schedule:
@@ -1046,79 +1050,79 @@ def _solve_gauss_newton(problem: EstimationProblem, cfg: SolverConfig) -> Estima
 # Dispatch and drivers
 # ---------------------------------------------------------------------------
 
-def _structured_applicable(problem: EstimationProblem) -> Optional[str]:
-    model = problem.model
+def _structured_engine(rows: _Rows):
+    """The exact engine for the group's windows, :func:`_solve_max_scalar`
+    or :func:`_solve_sum_pwl`, or None when only a generic method fits."""
+    model = rows.model
     if not (model.is_scalar and model.additive_v and model.additive_w):
         return None
-    if problem.cost.mode is PlusMode.MAX:
+    if rows.cost.mode is PlusMode.MAX:
         if model.f_image is not None and model.f_solve is not None:
-            return "max"
+            return _solve_max_scalar
         return None
-    if model.linear_a is not None and _sum_weights(problem) is not None:
-        return "sum"
+    if model.linear_a is not None and _sum_weights(rows.cost, rows.K) is not None:
+        return _solve_sum_pwl
     return None
 
 
 def solve_window(problem: EstimationProblem, solver: SolverConfig) -> EstimateResult:
-    """Solve one estimation window.
+    """Solve one estimation window: a group of one for a structured engine,
+    else the configured generic method.
 
     The returned trajectory always satisfies the window dynamics exactly (the
     disturbances are read off the transitions); the achieved cost is the
     certified upper envelope over the attempted starts.
     """
-    if solver.use_structured:
-        kind = _structured_applicable(problem)
-        if kind == "max":
-            return _solve_max_scalar([problem])[0]
-        if kind == "sum":
-            return _solve_sum_pwl([problem])[0]
+    rows = _Rows.of([problem])
+    engine = _structured_engine(rows)
+    if engine is not None:
+        return engine(rows)[0]
     if solver.method == "gauss_newton_penalty":
         return _solve_gauss_newton(problem, solver)
     return _solve_multistart_local(problem, solver)
 
 
-def _solve_group(problems: List[EstimationProblem], solver: SolverConfig) -> List[EstimateResult]:
-    """Solve windows that share everything but their priors and outputs: the
-    max-mode and sum-mode engines take them as one group, the generic
-    engines one window at a time through :func:`solve_window`."""
-    if solver.use_structured:
-        kind = _structured_applicable(problems[0])
-        if kind == "max":
-            return _solve_max_scalar(problems)
-        if kind == "sum":
-            return _solve_sum_pwl(problems)
-    return [solve_window(problem, solver) for problem in problems]
-
-
-def _initial_result(prior0: np.ndarray, model: SystemModel) -> EstimateResult:
-    prior0 = np.atleast_1d(np.asarray(prior0, dtype=float))
-    return EstimateResult(prior0[None, :].copy(), np.zeros((0, model.process_noise_dim)),
-                          np.zeros((0, model.meas_noise_dim)), 0.0, "ok", "init",
-                          prior0.copy(), 0)
+def _solve_group(rows: _Rows, solver: SolverConfig) -> List[EstimateResult]:
+    """Solve a group of windows: a structured engine takes it as one, the
+    generic engines one window at a time through :func:`solve_window`."""
+    engine = _structured_engine(rows)
+    if engine is not None:
+        return engine(rows)
+    return [solve_window(rows.window(i), solver) for i in range(len(rows))]
 
 
 def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: SolverConfig,
            horizon: Optional[int]) -> List[List[EstimateResult]]:
-    """Step every cell of the stack in lock-step over t; the window ending at
-    t starts at max(0, t - horizon), or at 0 without a horizon, and is
-    anchored at the cell's prior0 or at its own estimate from its start."""
-    u_seq = np.asarray(u_seq, dtype=float)
+    """Step every cell of the stack in lock-step over t, one window group
+    per step; the window ending at t starts at max(0, t - horizon), or at 0
+    without a horizon, and is anchored at the cell's prior0 or at its own
+    estimate from its start."""
     y = np.asarray(y_seq, dtype=float)
     if y.ndim == 2:
         y = y[:, :, None]
     if y.ndim != 3 or y.shape[2] != model.output_dim:
         raise DomainError(f"measurement stack of shape {np.shape(y_seq)} is not (C, T) "
                           f"or (C, T, {model.output_dim})")
-    priors = np.broadcast_to(np.asarray(prior0, dtype=float).reshape(-1, model.state_dim),
-                             (len(y), model.state_dim))
-    runs = [[_initial_result(prior, model)] for prior in priors]
-    for t in range(1, y.shape[1] + 1 if runs else 0):
+    (C, T), n = y.shape[:2], model.state_dim
+    u = np.asarray(u_seq, dtype=float)
+    if u.ndim == 1:
+        u = u[:, None]
+    if u.ndim != 2 or u.shape[1] != model.input_dim or len(u) < T:
+        raise DomainError(f"input sequence of shape {np.shape(u_seq)} does not cover {T} "
+                          f"steps of {model.input_dim} inputs")
+    priors = np.atleast_1d(np.asarray(prior0, dtype=float))
+    if priors.shape == (n,):
+        priors = np.broadcast_to(priors, (C, n))
+    elif priors.shape != (C, n):
+        raise DomainError(f"prior of shape {np.shape(prior0)} is neither ({n},) nor ({C}, {n})")
+    runs = [[EstimateResult(prior[None, :].copy(), np.zeros((0, model.process_noise_dim)),
+                            np.zeros((0, model.meas_noise_dim)), 0.0, "ok", "init",
+                            prior.copy(), 0)] for prior in priors]
+    for t in range(1, T + 1 if runs else 0):
         start = 0 if horizon is None else max(0, t - horizon)
-        u_win = u_seq[start:t]
-        problems = [EstimationProblem(model, cost, run[start].published if start else prior,
-                                      u_win, y[c, start:t], t - start)
-                    for c, (run, prior) in enumerate(zip(runs, priors))]
-        for run, result in zip(runs, _solve_group(problems, solver)):
+        anchors = np.array([run[start].published for run in runs]) if start else priors
+        rows = _Rows(model, cost, u[start:t], anchors, y[:, start:t])
+        for run, result in zip(runs, _solve_group(rows, solver)):
             run.append(result)
     return runs
 

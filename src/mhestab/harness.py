@@ -193,7 +193,7 @@ CONFIG_KEYS = {
                    "horizon", "sweep", "t_final", "seeds", "x0", "prior_offset", "t_max_fie"),
     "cost": ("beta_hat", "gamma_hat", "delta_hat"),
     "scenario": ("kind", "amplitude", "rate", "time", "magnitude"),
-    "solver": ("method", "multistart", "max_iter", "tol", "seed", "use_structured"),
+    "solver": ("method", "multistart", "max_iter", "tol", "seed"),
     "probe": ("delta", "step"),
     "output": ("dir",),
 }
@@ -276,7 +276,6 @@ def _read_config(path: str) -> ExperimentConfig:
             max_iter=sec.getint("max_iter", 60),
             tol=sec.getfloat("tol", 1e-10),
             seed=sec.getint("seed", 0),
-            use_structured=sec.getboolean("use_structured", True),
         )
     if parser.has_section("probe"):
         sec = parser["probe"]
@@ -459,11 +458,6 @@ def _estimate_group(resolved: ResolvedExperiment, cells, K: int
     return list(zip(truths, runs))
 
 
-def _window_start(config: ExperimentConfig, K: int, t: int) -> int:
-    """First step of the estimator's window that ends at t."""
-    return t - K if config.estimator == "mhe" and t > K else 0
-
-
 def _distances(model: SystemModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``model.dist`` of the rows of a (..., n) against those of b: Euclidean
     norms rounded as ``np.linalg.norm`` rounds them, or one metric call per
@@ -510,7 +504,7 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
     errors = cert.alpha(_distances(model, x, published))
     records = [[CertificationRecord(True, 1.0, 0.0, 0.0)] for _ in cells]
     for t in range(1, T + 1):
-        start = _window_start(config, K, t)
+        start = t - runs[0][t].horizon
         j_refs = _window_costs(cost, np.array([run[t].prior for run in runs]), x[:, start],
                                w[:, start:t], v[:, start:t])
         for run, recs, j_ref in zip(runs, records, j_refs):
@@ -610,9 +604,10 @@ def run_cells(resolved: ResolvedExperiment, horizons,
               hats: Optional[Dict[int, Optional[HatBounds]]] = None) -> List[CellResult]:
     """Run every (horizon, scenario, seed) cell of the experiment, sorted by
     cell key.  The cells of one horizon are estimated and checked as one
-    group.  With ``config.jobs > 1`` each group is split into that many
-    chunks, which run on that many worker processes; otherwise the groups
-    run here, with the hat bounds ``hats[K]`` when given."""
+    group.  With ``config.jobs > 1`` each group is split into at most that
+    many chunks, on a pool of one worker process per chunk (it may fork
+    them all up front); otherwise the groups run here, with the hat bounds
+    ``hats[K]`` when given."""
     config = resolved.config
     cells = [(scenario, seed) for scenario in config.scenarios for seed in config.seeds]
     if config.jobs > 1:
@@ -620,7 +615,7 @@ def run_cells(resolved: ResolvedExperiment, horizons,
         size = math.ceil(len(cells) / config.jobs)
         payloads = [(config, K, cells[i:i + size])
                     for K in horizons for i in range(0, len(cells), size)]
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(payloads))) as pool:
             out = [cell for group in pool.map(_group_worker, payloads) for cell in group]
     else:
         if hats is None:
@@ -808,13 +803,13 @@ def deviant_output_probe(config: ExperimentConfig, out_dir: Optional[str] = None
     out = os.path.join(out_dir or config.out_dir, config.name)
     step = min(max(config.probe_step, 0), T - 1)
     t = min(step + K, T) if config.estimator == "mhe" else T
-    start = _window_start(config, K, t)
     results = {}
     for scenario in config.scenarios:
         sol = _truth(config, model, scenario, config.seeds[0])
         y_pert = sol.y[:t].copy()
         y_pert[step, 0] += config.probe_delta
         solved = _estimate(resolved, sol.u[:t], y_pert[None], K)[0][t]
+        start = t - solved.horizon
         margin = check_ioss_on_pair(cert, model, sol.window(start, t),
                                     solved.as_solution(model, sol.u[start:t]))
         out_of_range = abs(config.probe_delta) > cert.r_range[1]

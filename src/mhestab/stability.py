@@ -33,6 +33,7 @@ from .comparison import (
     KLFn,
     LinearK,
     PlusMode,
+    ScaledShiftKL,
     SeparableGeometric,
     check_kl_on_grid,
     first_max,
@@ -235,7 +236,8 @@ def find_contraction_sum(bounds: DerivedBounds, alpha: KFn, K: int,
 
 @dataclass(frozen=True)
 class _MaxHatKL(KLFn):
-    """Iterated window bound, max formulation.
+    """Iterated window bound of the max formulation, and of the initial
+    error of the sum formulation with theta = 2 b (the factor-2 split).
 
     value(r, t) = max( kappa^{floor(t/K)}(theta(r, t mod K)),
                        kappa^{floor(t/K)+1}(theta(r, 0)) );
@@ -261,31 +263,6 @@ class _MaxHatKL(KLFn):
         if s_m is None or s_0 is None:
             return None
         return max(self.kappa.c ** n * s_m, self.kappa.c ** (n + 1) * s_0)
-
-
-@dataclass(frozen=True)
-class _SumHatBKL(KLFn):
-    """Initial-error bound of the sum formulation (factor-2 split)."""
-
-    b: KLFn
-    kappa: KFn
-    K: int
-
-    def __call__(self, r, t):
-        r, t = self._check_args(r, t)
-        n, m = divmod(t, self.K)
-        a = iterate_k(self.kappa, n, 2.0 * self.b(r, m))
-        b = iterate_k(self.kappa, n + 1, 2.0 * self.b(r, 0))
-        return max(a, b) if type(r) is float else np.maximum(a, b)
-
-    def r_slope(self, t):
-        if not isinstance(self.kappa, LinearK):
-            return None
-        n, m = divmod(int(t), self.K)
-        s_m, s_0 = self.b.r_slope(m), self.b.r_slope(0)
-        if s_m is None or s_0 is None:
-            return None
-        return max(self.kappa.c ** n * 2.0 * s_m, self.kappa.c ** (n + 1) * 2.0 * s_0)
 
 
 @dataclass(frozen=True)
@@ -346,7 +323,7 @@ def build_hat_bounds(analysis: ContractionAnalysis, bounds: DerivedBounds,
         c_hat = _MaxHatKL(bounds.c, analysis.kappa, K)
         d_hat = _MaxHatKL(bounds.d, analysis.kappa, K)
     else:
-        b_hat = _SumHatBKL(bounds.b, analysis.kappa, K)
+        b_hat = _MaxHatKL(ScaledShiftKL(bounds.b, out_scale=2.0), analysis.kappa, K)
         c_hat = _SumHatGainKL(bounds.c, analysis.kappa, analysis.zeta, K)
         d_hat = _SumHatGainKL(bounds.d, analysis.kappa, analysis.zeta, K)
     evidence = ()

@@ -485,7 +485,7 @@ def check_cell(resolved, scenario, seed, hat, K, estimated):
     cell's (rows, min_margin, certified_steps, worst)."""
     from mhestab.certificates import bound_trace
     from mhestab.comparison import seq_norms
-    from mhestab.harness import _initial, _window_start
+    from mhestab.harness import _initial
 
     config = resolved.config
     model, cert, cost, bounds = resolved.model, resolved.cert, resolved.cost, resolved.bounds
@@ -516,7 +516,9 @@ def check_cell(resolved, scenario, seed, hat, K, estimated):
         if t == 0:
             record = E.CertificationRecord(True, 1.0, 0.0, 0.0)
         else:
-            reference = sol.window(_window_start(config, K, t), t)
+            # the driver's window rule, restated: an oracle imports no copy of it
+            start = t - K if is_mhe and t > K else 0
+            reference = sol.window(start, t)
             record = E.certify_suboptimality(res, reference, cost, config.a_factor)
         if is_mhe:
             chain_certified = chain_certified and record.passed
@@ -697,7 +699,7 @@ def sum_pwl_window(problem):
     model, K = problem.model, problem.horizon
     a = float(model.linear_a)
     y = problem.y_win[:, 0]
-    p_w, g_w, d_w = E._sum_weights(problem)
+    p_w, g_w, d_w = E._sum_weights(problem.cost, K)
     offs = [float(np.atleast_1d(model.f_nominal(np.zeros(1), problem.u_win[j]))[0])
             for j in range(K)]
     stages = []
@@ -722,5 +724,5 @@ def sum_pwl_window(problem):
     omega = np.zeros((K, 1))
     for j in range(K - 1):
         omega[j, 0] = chis[j + 1] - (a * chis[j] + offs[j])
-    return E._results_from_decisions(E._Rows([problem]), chis[None, :1], omega[None],
+    return E._results_from_decisions(E._Rows.of([problem]), chis[None, :1], omega[None],
                                      "sum-pwl-dp")[0]

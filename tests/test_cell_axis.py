@@ -127,7 +127,7 @@ def test_every_row_is_the_one_window_bisection(plant):
         priors = [x0, x0] + [x0 + off for off in np.linspace(-2.0, 2.0, len(y) - 2)]
         problems = [EstimationProblem(model, cost, [p], u[:K], y[c, :K], K)
                     for c, p in enumerate(priors)]
-        rows = E._solve_max_scalar(problems)
+        rows = E._solve_max_scalar(E._Rows.of(problems))
         for problem, row in zip(problems, rows):
             assert _signature(row) == _signature(max_interval_window(problem))
 
@@ -138,8 +138,28 @@ def test_a_group_of_one_is_solve_window():
     for c in range(len(y)):
         problem = EstimationProblem(model, cost, [x0 + 0.7], u, y[c], 6)
         one = solve_window(problem, SolverConfig())
-        assert _signature(one) == _signature(E._solve_max_scalar([problem])[0])
+        assert _signature(one) == _signature(E._solve_max_scalar(E._Rows.of([problem]))[0])
         assert _signature(one) == _signature(max_interval_window(problem))
+
+
+@pytest.mark.parametrize("mode", [PlusMode.MAX, PlusMode.SUM], ids=["max", "sum"])
+def test_structured_runs_build_no_window_problem(mode, monkeypatch):
+    # the drivers hand the engines array groups; a window problem is built
+    # only for a window that goes one at a time to a generic engine
+    built = []
+    real = EstimationProblem.__post_init__
+    monkeypatch.setattr(EstimationProblem, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    y, x0, u = _stack("s1", 8)
+    model = builtin_model("s1")
+    cost = resolve(ExperimentConfig(plant="s1", mode=mode.value)).cost
+    engine = "max-interval" if mode is PlusMode.MAX else "sum-pwl-dp"
+    for runs in (run_fie(model, cost, [x0 + 1.0], u, y, SolverConfig()),
+                 run_mhe(model, cost, [x0 + 1.0], u, y, 3, SolverConfig())):
+        assert {r.engine for run in runs for r in run[1:]} == {engine}
+    assert built == []
+    EstimationProblem(model, cost, [x0], u, y[0], 8)      # the counter counts
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +173,13 @@ def test_a_row_without_a_finite_cost_candidate_fails_its_group(plant):
     model, cost = builtin_model(plant), _cost(plant)
     finite = EstimationProblem(model, cost, [x0 + 0.5], u, y[1], 3)
     huge = EstimationProblem(model, cost, [x0 + 0.5], u, np.full((3, 1), 1e308), 3)
-    assert _signature(E._solve_max_scalar([finite])[0]) == _signature(max_interval_window(finite))
+    assert (_signature(E._solve_max_scalar(E._Rows.of([finite]))[0])
+            == _signature(max_interval_window(finite)))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InfeasibleWindowError, match="no finite-cost candidate trajectory"):
             max_interval_window(huge)
         with pytest.raises(InfeasibleWindowError, match="no finite-cost candidate trajectory"):
-            E._solve_max_scalar([finite, huge])
+            E._solve_max_scalar(E._Rows.of([finite, huge]))
 
 
 @pytest.mark.parametrize("plant", ["s1", "s3"])
@@ -182,8 +203,8 @@ def test_top_level_guard_runs_per_row(plant, monkeypatch):
         return alive, intervals
 
     monkeypatch.setattr(E, "_max_feasible", first_pass_top_dead)
-    group = E._solve_max_scalar(problems)
-    alone = [E._solve_max_scalar([p])[0] for p in problems]
+    group = E._solve_max_scalar(E._Rows.of(problems))
+    alone = [E._solve_max_scalar(E._Rows.of([p]))[0] for p in problems]
     monkeypatch.undo()
     assert guarded[0] == int((priors > 0).sum()) > 0
     assert [_signature(r) for r in group] == [_signature(r) for r in alone]
@@ -203,8 +224,9 @@ def _sum_rows_equal_the_reference(model, cost, priors, ys):
     K = ys.shape[1]
     u = np.zeros((K, 1))
     problems = [EstimationProblem(model, cost, [p], u, y, K) for p, y in zip(priors, ys)]
-    assert E._structured_applicable(problems[0]) == "sum"
-    rows = E._solve_sum_pwl(problems)
+    group = E._Rows.of(problems)
+    assert E._structured_engine(group) is E._solve_sum_pwl
+    rows = E._solve_sum_pwl(group)
     for problem, row in zip(problems, rows):
         assert _signature(row) == _signature(sum_pwl_window(problem))
     return rows

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mhestab as M
+import mhestab.estimator as E
 from mhestab.comparison import (
     DomainError,
     LinearK,
@@ -185,10 +186,10 @@ def test_structured_vs_generic_engines_agree():
         sol = simulate(model, [0.3], u, w, v, K)
         problem = EstimationProblem(model, cost, np.array([0.6]), u, sol.y, K)
         exact = solve_window(problem, SolverConfig())
-        compass = solve_window(problem, SolverConfig(
-            method="multistart_local", use_structured=False, multistart=6, max_iter=400))
-        gnp = solve_window(problem, SolverConfig(
-            method="gauss_newton_penalty", use_structured=False, multistart=4, max_iter=40))
+        compass = E._solve_multistart_local(problem, SolverConfig(
+            method="multistart_local", multistart=6, max_iter=400))
+        gnp = E._solve_gauss_newton(problem, SolverConfig(
+            method="gauss_newton_penalty", multistart=4, max_iter=40))
         # the level engine is exact up to its bisection resolution
         assert exact.cost <= compass.cost * (1 + 1e-4) + 1e-12
         assert exact.cost <= gnp.cost * (1 + 1e-4) + 1e-12
@@ -356,6 +357,41 @@ def test_run_mhe_uses_filtering_prior():
     for t in range(K + 1, T + 1):
         assert results[t].prior[0] == results[t - K].published[0]
         assert results[t].horizon == K
+
+
+def _two_cells(T=4):
+    model, cost = builtin_model("s1"), _cost("s1", PlusMode.MAX)
+    return model, cost, np.zeros((T, 1)), np.linspace(-0.2, 0.2, 2 * T).reshape(2, T)
+
+
+@pytest.mark.parametrize("horizon", [None, 2], ids=["fie", "mhe"])
+@pytest.mark.parametrize("prior, u", [
+    ([1.0, 2.0], np.zeros((4, 1))),
+    (np.zeros((3, 1)), np.zeros((4, 1))),
+    (np.zeros((2, 2)), np.zeros((4, 1))),
+    ([0.5], np.zeros((4, 2))),
+    ([0.5], np.zeros((3, 1))),
+    ([0.5], np.zeros((4, 1, 1))),
+], ids=["flat-prior-per-cell", "prior-3x1", "prior-too-wide", "inputs-too-wide",
+        "inputs-too-short", "inputs-3d"])
+def test_driver_inputs_of_the_wrong_shape_are_domain_errors(horizon, prior, u):
+    # two cells of the one-state plant: priors must be (1,) or (2, 1), and
+    # the inputs must cover the 4 steps of one input
+    model, cost, _, y = _two_cells()
+    with pytest.raises(DomainError):
+        if horizon is None:
+            run_fie(model, cost, prior, u, y, SolverConfig())
+        else:
+            run_mhe(model, cost, prior, u, y, horizon, SolverConfig())
+
+
+def test_driver_takes_a_0d_prior_and_flat_inputs_on_a_one_state_plant():
+    model, cost, u, y = _two_cells()
+    shared = run_fie(model, cost, [0.5], u, y, SolverConfig())
+    for prior in (0.5, np.full((2, 1), 0.5)):
+        runs = run_fie(model, cost, prior, u[:, 0], y, SolverConfig())
+        assert [[r.published.tolist() for r in run] for run in runs] == \
+            [[r.published.tolist() for r in run] for run in shared]
 
 
 # ---------------------------------------------------------------------------

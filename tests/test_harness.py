@@ -50,7 +50,6 @@ amplitude = 0.1
 
 [solver]
 method = gauss_newton_penalty
-use_structured = true
 
 [output]
 dir = {out}
@@ -233,6 +232,37 @@ def test_fie_sweep_runs_each_cell_once(tmp_path, monkeypatch):
             == open(tmp_path / "frun" / traces[0], "rb").read())
 
 
+def test_jobs_pool_has_no_more_workers_than_chunks(tmp_path, monkeypatch):
+    # the fork start method forks every worker up front; an in-process fake
+    # pool records the size asked for and starts no process
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    from concurrent.futures import ProcessPoolExecutor
+    assert ProcessPoolExecutor is InProcessPool     # as run_cells imports it
+    cfg = load_config(_write_config(tmp_path, t_final=4))       # 2 scenarios x 2 seeds
+    serial = harness.run_cells(resolve(cfg), (cfg.horizon,))
+    cfg.jobs = 5000
+    pooled = harness.run_cells(resolve(cfg), (cfg.horizon,))
+    assert sizes == [4]
+    assert [(c.key(), c.rows) for c in pooled] == [(c.key(), c.rows) for c in serial]
+
+
 def test_mhe_probe_checks_a_window_holding_the_perturbed_step(tmp_path):
     # step 2 lies before the final window [6, 8): the probe checks the window
     # solved at t = 4, [2, 4), so the size of the perturbation shows
@@ -392,7 +422,6 @@ multistart = 2
 max_iter = 30
 tol = 1e-8
 seed = 3
-use_structured = false
 
 [probe]
 delta = 0.25
@@ -408,7 +437,7 @@ def test_every_allowed_config_key_loads(tmp_path):
     path.write_text(FULL_CONFIG)
     cfg = load_config(str(path))
     assert (cfg.sweep, cfg.seeds, cfg.t_max_fie, cfg.cost) == ((2, 3), (1, 2), 50, "explicit")
-    assert (cfg.solver.method, cfg.solver.use_structured) == ("multistart_local", False)
+    assert (cfg.solver.method, cfg.solver.seed) == ("multistart_local", 3)
     assert (cfg.probe_step, cfg.out_dir, cfg.scenarios[0].time) == (1, "somewhere", 2)
 
 
@@ -425,9 +454,10 @@ def test_every_allowed_config_key_loads(tmp_path):
     ("seeds = 0,1", "seeds = 1:2:3"),
     ("[solver]", "[grid]\nr_min = 1e-2\n\n[solver]"),
     ("[solver]", "[solver]\nlevel_passes = 2"),
+    ("[solver]", "[solver]\nuse_structured = false"),
 ], ids=["empty-seed-range", "no-seeds", "sweep-zero", "sweep-empty-entry", "sweep-empty",
         "unknown-key", "unknown-scenario-key", "unknown-section", "bad-int", "bad-range",
-        "grid-section", "level-passes"])
+        "grid-section", "level-passes", "use-structured"])
 def test_invalid_configs_are_config_errors(tmp_path, capsys, old, new):
     path = _edit_config(tmp_path, old, new)
     with pytest.raises(ConfigError):
