@@ -69,7 +69,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config.seeds = (args.seed,)
         if args.jobs is not None:
-            config.jobs = max(1, args.jobs)
+            config.jobs = args.jobs
         if args.verb == "analyze":
             summary = analyze(config, args.out)
             print(f"analysis pass: {config.name} "

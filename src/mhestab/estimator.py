@@ -8,7 +8,8 @@ discounted stage cost.  Measurement-noise variables are eliminated exactly
 whenever the output map is additive in the noise (all built-in plants), so
 window solutions satisfy the solution-set constraint to rounding error.
 Nothing else constrains a window, and no engine reads the suboptimality
-factor A: ``certify_suboptimality`` applies it to each solved window.
+factor A: a run applies it to each solved window in ``harness._check_group``,
+through ``certification_record``.
 
 Three engines back ``solve_window``:
 

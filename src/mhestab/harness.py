@@ -98,7 +98,7 @@ class BoundViolationError(RuntimeError):
 @dataclass
 class ScenarioSpec:
     name: str
-    kind: str
+    kind: str = "zero"
     amplitude: float = 0.0
     rate: float = 0.0
     time: int = 0
@@ -153,10 +153,21 @@ class ExperimentConfig:
                               f"horizon cap t_max_fie = {self.t_max_fie}")
         if not self.seeds:
             raise ConfigError("seeds selects no seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be unique, got {list(self.seeds)}")
         if any(k < 1 for k in self.sweep):
             raise ConfigError(f"sweep horizons must be >= 1, got {list(self.sweep)}")
+        floats = {"a_factor": self.a_factor, "x0": self.x0, "prior_offset": self.prior_offset,
+                  "probe delta": self.probe_delta}
+        floats.update((f"scenario {s.name} {key}", getattr(s, key)) for s in self.scenarios
+                      for key in ("amplitude", "rate", "magnitude"))
+        for key, value in floats.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.a_factor < 1.0:
             raise ConfigError("a_factor must be >= 1")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if not self.scenarios:
             raise ConfigError("at least one scenario is required")
         kinds = {s.name for s in self.scenarios}
@@ -186,27 +197,28 @@ def _parse_sweep(text: str) -> Tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-#: The keys :func:`load_config` reads, per section; ``scenario`` stands for
-#: every ``[scenario.NAME]`` section.  Any other key or section is an error.
+def _named_as_fields(**parsers) -> dict:
+    """Schema entries for keys named as the fields they set."""
+    return {key: (key, parse) for key, parse in parsers.items()}
+
+
+#: The config schema: per section, each key maps to the field it sets and the
+#: parser of its text.  ``scenario`` stands for every ``[scenario.NAME]``
+#: section and sets a :class:`ScenarioSpec`, ``solver`` sets the
+#: :class:`SolverConfig` and the rest set :class:`ExperimentConfig`.  Any
+#: other section or key is an error; a missing key keeps its field's default.
 CONFIG_KEYS = {
-    "experiment": ("name", "plant", "certificate", "mode", "cost", "a_factor", "estimator",
-                   "horizon", "sweep", "t_final", "seeds", "x0", "prior_offset", "t_max_fie"),
-    "cost": ("beta_hat", "gamma_hat", "delta_hat"),
-    "scenario": ("kind", "amplitude", "rate", "time", "magnitude"),
-    "solver": ("method", "multistart", "max_iter", "tol", "seed"),
-    "probe": ("delta", "step"),
-    "output": ("dir",),
+    "experiment": _named_as_fields(
+        name=str, plant=str, certificate=str, mode=str, cost=str, a_factor=float,
+        estimator=str, horizon=int, sweep=_parse_sweep, t_final=int, seeds=_parse_seeds,
+        x0=float, prior_offset=float, t_max_fie=int),
+    "cost": {key: ("cost_" + key, str) for key in ("beta_hat", "gamma_hat", "delta_hat")},
+    "scenario": _named_as_fields(kind=str, amplitude=float, rate=float, time=int,
+                                 magnitude=float),
+    "solver": _named_as_fields(method=str, multistart=int, max_iter=int, tol=float, seed=int),
+    "probe": {"delta": ("probe_delta", float), "step": ("probe_step", int)},
+    "output": {"dir": ("out_dir", str)},
 }
-
-
-def _check_keys(parser: configparser.ConfigParser, path: str):
-    for section in parser.sections():
-        kind = "scenario" if section.startswith("scenario.") else section
-        if kind not in CONFIG_KEYS:
-            raise ConfigError(f"unknown section [{section}] in {path!r}")
-        unknown = sorted(set(parser[section]) - set(CONFIG_KEYS[kind]))
-        if unknown:
-            raise ConfigError(f"unknown key {unknown[0]!r} in section [{section}] of {path!r}")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -223,66 +235,35 @@ def load_config(path: str) -> ExperimentConfig:
 
 def _read_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
     if not parser.has_section("experiment"):
         raise ConfigError(f"config file {path!r} has no [experiment] section")
-    _check_keys(parser, path)
-    cfg = ExperimentConfig()
-    sec = parser["experiment"]
-    cfg.name = sec.get("name", cfg.name)
-    cfg.plant = sec.get("plant", cfg.plant)
-    cfg.certificate = sec.get("certificate", cfg.certificate)
-    cfg.mode = sec.get("mode", cfg.mode)
-    cfg.cost = sec.get("cost", cfg.cost)
-    cfg.a_factor = sec.getfloat("a_factor", cfg.a_factor)
-    cfg.estimator = sec.get("estimator", cfg.estimator)
-    cfg.horizon = sec.getint("horizon", cfg.horizon)
-    if "sweep" in sec:
-        cfg.sweep = _parse_sweep(sec["sweep"])
-    cfg.t_final = sec.getint("t_final", cfg.t_final)
-    if "seeds" in sec:
-        cfg.seeds = _parse_seeds(sec["seeds"])
-    cfg.x0 = sec.getfloat("x0", cfg.x0)
-    cfg.prior_offset = sec.getfloat("prior_offset", cfg.prior_offset)
-    cfg.t_max_fie = sec.getint("t_max_fie", cfg.t_max_fie)
-    if parser.has_section("cost"):
-        sec = parser["cost"]
-        cfg.cost_beta_hat = sec.get("beta_hat", "")
-        cfg.cost_gamma_hat = sec.get("gamma_hat", "")
-        cfg.cost_delta_hat = sec.get("delta_hat", "")
-        if cfg.cost_beta_hat:
-            cfg.cost = "explicit"
-    scen = []
+    fields, scenarios = {}, []
     for section in parser.sections():
-        if section.startswith("scenario."):
-            sec = parser[section]
-            scen.append(ScenarioSpec(
-                section.split(".", 1)[1],
-                sec.get("kind", "zero"),
-                sec.getfloat("amplitude", 0.0),
-                sec.getfloat("rate", 0.0),
-                sec.getint("time", 0),
-                sec.getfloat("magnitude", 0.0),
-            ))
-    if scen:
-        cfg.scenarios = scen
-    if parser.has_section("solver"):
-        sec = parser["solver"]
-        cfg.solver = SolverConfig(
-            method=sec.get("method", "gauss_newton_penalty"),
-            multistart=sec.getint("multistart", 4),
-            max_iter=sec.getint("max_iter", 60),
-            tol=sec.getfloat("tol", 1e-10),
-            seed=sec.getint("seed", 0),
-        )
-    if parser.has_section("probe"):
-        sec = parser["probe"]
-        cfg.probe_delta = sec.getfloat("delta", cfg.probe_delta)
-        cfg.probe_step = sec.getint("step", cfg.probe_step)
-    if parser.has_section("output"):
-        cfg.out_dir = parser["output"].get("dir", cfg.out_dir)
+        kind, _, name = section.partition(".")
+        if kind != "scenario":
+            kind, name = section, ""
+        if kind not in CONFIG_KEYS or (kind == "scenario") != bool(name):
+            raise ConfigError(f"unknown section [{section}] in {path!r}")
+        schema = CONFIG_KEYS[kind]
+        values = {}
+        for key, text in parser[section].items():
+            if key not in schema:
+                raise ConfigError(f"unknown key {key!r} in section [{section}] of {path!r}")
+            target, parse = schema[key]
+            values[target] = parse(text)
+        if name:
+            scenarios.append(ScenarioSpec(name, **values))
+        elif kind == "solver":
+            fields["solver"] = SolverConfig(**values)
+        else:
+            fields.update(values)
+    if scenarios:
+        fields["scenarios"] = scenarios
+    cfg = ExperimentConfig(**fields)
+    if cfg.cost_beta_hat:
+        cfg.cost = "explicit"
     cfg.validate()
     return cfg
 
@@ -799,9 +780,10 @@ def deviant_output_probe(config: ExperimentConfig, out_dir: Optional[str] = None
     """
     resolved = resolve(config)
     model, cert = resolved.model, resolved.cert
-    T, K = config.t_final, config.horizon
+    T, K, step = config.t_final, config.horizon, config.probe_step
+    if not 0 <= step < T:
+        raise ConfigError(f"probe step must be in [0, t_final = {T}), got {step}")
     out = os.path.join(out_dir or config.out_dir, config.name)
-    step = min(max(config.probe_step, 0), T - 1)
     t = min(step + K, T) if config.estimator == "mhe" else T
     results = {}
     for scenario in config.scenarios:

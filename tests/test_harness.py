@@ -1,6 +1,7 @@
 """Experiment harness: config parsing, runs, sweeps, probes, determinism,
 and the CLI exit-code contract."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -10,7 +11,9 @@ import pytest
 
 from mhestab import harness
 from mhestab.cli import main as cli_main
+from mhestab.estimator import SolverConfig
 from mhestab.harness import (
+    CONFIG_KEYS,
     AnalysisError,
     ConfigError,
     ExperimentConfig,
@@ -300,7 +303,6 @@ def test_deviant_output_probe(tmp_path):
 def test_vector_plant_end_to_end():
     # two-state plant through the generic solver: certified windows must
     # still satisfy the derived bound
-    from mhestab.estimator import SolverConfig
     cfg = ExperimentConfig(name="s4", plant="s4", mode="sum", estimator="fie",
                            t_final=8, seeds=(0,), a_factor=1.5,
                            scenarios=[ScenarioSpec("noise", "bounded_uniform",
@@ -455,15 +457,64 @@ def test_every_allowed_config_key_loads(tmp_path):
     ("[solver]", "[grid]\nr_min = 1e-2\n\n[solver]"),
     ("[solver]", "[solver]\nlevel_passes = 2"),
     ("[solver]", "[solver]\nuse_structured = false"),
+    ("[solver]", "[scenario]\nkind = impulse\n\n[solver]"),
+    ("[solver]", "[scenario.]\nkind = zero\n\n[solver]"),
+    ("seeds = 0,1", "seeds = 0,0"),
+    ("a_factor = 1.05", "a_factor = inf"),
+    ("a_factor = 1.05", "a_factor = nan"),
+    ("x0 = 0.5", "x0 = nan"),
+    ("prior_offset = 1.0", "prior_offset = -inf"),
+    ("[solver]", "[probe]\ndelta = inf\n\n[solver]"),
+    ("amplitude = 0.1", "amplitude = nan"),
+    ("amplitude = 0.1", "amplitude = 0.1\nrate = inf"),
+    ("kind = zero", "kind = impulse\nmagnitude = inf"),
 ], ids=["empty-seed-range", "no-seeds", "sweep-zero", "sweep-empty-entry", "sweep-empty",
         "unknown-key", "unknown-scenario-key", "unknown-section", "bad-int", "bad-range",
-        "grid-section", "level-passes", "use-structured"])
+        "grid-section", "level-passes", "use-structured", "bare-scenario", "unnamed-scenario",
+        "repeated-seeds", "a-factor-inf", "a-factor-nan", "x0-nan", "prior-offset-inf",
+        "probe-delta-inf", "amplitude-nan", "rate-inf", "magnitude-inf"])
 def test_invalid_configs_are_config_errors(tmp_path, capsys, old, new):
     path = _edit_config(tmp_path, old, new)
     with pytest.raises(ConfigError):
         load_config(path)
     assert cli_main(["run", "--config", path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("step", ["-5", "12"])
+def test_cli_probe_step_outside_the_run_exits_2_before_simulating(tmp_path, capsys,
+                                                                  monkeypatch, step):
+    monkeypatch.setattr(harness, "_truth", lambda *args: pytest.fail("simulated"))
+    path = _edit_config(tmp_path, "[solver]", f"[probe]\nstep = {step}\n\n[solver]")
+    assert cli_main(["probe", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: probe step must be in [0, t_final = 12)")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_jobs_below_one_exits_2_before_simulating(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.setattr(harness, "_truth", lambda *args: pytest.fail("simulated"))
+    path = _write_config(tmp_path, t_final=6)
+    assert cli_main(["run", "--config", path, "--jobs", jobs]) == 2
+    assert capsys.readouterr().err.startswith("error: jobs must be >= 1")
+
+
+def test_config_keys_name_fields_of_their_dataclasses():
+    owners = {"scenario": ScenarioSpec, "solver": SolverConfig}
+    for section, schema in CONFIG_KEYS.items():
+        names = {f.name for f in dataclasses.fields(owners.get(section, ExperimentConfig))}
+        for key, (target, parse) in schema.items():
+            assert target in names, (section, key, target)
+            assert callable(parse)
+
+
+def test_missing_config_keys_keep_their_dataclass_defaults(tmp_path):
+    path = tmp_path / "sparse.ini"
+    path.write_text("[experiment]\n\n[solver]\n\n[scenario.s]\nkind = impulse\n")
+    cfg = load_config(str(path))
+    # dataclass equality compares field for field
+    assert cfg.solver == SolverConfig()
+    assert cfg.scenarios == [ScenarioSpec("s", "impulse")]
+    assert cfg == ExperimentConfig(scenarios=[ScenarioSpec("s", "impulse")])
 
 
 def test_cli_fie_beyond_its_horizon_cap_is_rejected_before_running(tmp_path, capsys):
