@@ -32,23 +32,27 @@ The drivers ``run_fie``/``run_mhe`` step a stack of cells in lock-step: at
 each t the windows of all cells share the plant, cost, inputs and length
 and differ in their outputs and priors.  The drivers check their stacks
 once and hand the engines one window group per step (:class:`_Rows`), cut
-from the stacks and the published anchors.  Both structured engines solve a
-group as one, one row per window, and every row uses exactly the arithmetic
-of its window solved alone.  The max-mode engine bisects levels of shape
-(C, 48); its per-window branches are masks over the rows, and a failing row
-raises ``InfeasibleWindowError`` for its whole group.  The sum-mode engine
-holds the C value functions as padded (C, M) breakpoint and slope arrays
-with a count per row.  ``solve_window`` is a group of one for a structured
-window.  The generic engines take the windows one at a time.
+from the stacks and the published anchors.  Every engine solves a group as
+one, one row per window, and every row uses exactly the arithmetic of its
+window solved alone.  The max-mode engine bisects levels of shape (C, 48);
+its per-window branches are masks over the rows, and a failing row raises
+``InfeasibleWindowError`` for its whole group.  The sum-mode engine holds
+the C value functions as padded (C, M) breakpoint and slope arrays with a
+count per row.  The generic engines run every (window, start) pair of the
+group in lock-step (:func:`_lockstep`): each pair is the one-candidate
+algorithm of one start on one window, and each tick evaluates the
+candidates that all live pairs read next in one objective pass.
+Gauss-Newton asks for its Jacobian points, then for step length 1 with its
+Jacobian points and the step's halvings; compass asks for the rest of a
+sweep.  A pair leaves the group when it converges, breaks or runs out of
+iterations.  ``solve_window`` is a group of one.
 
-The iterative methods evaluate their candidates in batches: one array pass
-rolls the plant forward for every candidate and calls each cost gain once
-per age.  Gauss-Newton evaluates step length 1 with its Jacobian points and
-the step's halvings in one batch, and compass evaluates the rest of a sweep
-in one batch.  The iterates are those of evaluating one candidate at a
-time, bit for bit; a candidate that algorithm would not have evaluated can
-neither raise nor change the result.  This needs plant maps that accept a
-leading batch axis (see :mod:`mhestab.systems`).
+A pair reads the rows of a pass in the order its algorithm evaluates
+candidates, and only those, so the iterates are those of evaluating one
+candidate at a time on one window, bit for bit; a candidate that algorithm
+would not have evaluated can neither raise nor change the result.  This
+needs plant maps that accept a leading batch axis (see
+:mod:`mhestab.systems`).
 
 ``eval_cost``, the cost that is reported and certified, follows the rule of
 the error bounds in :mod:`mhestab.certificates`: ``gain_terms`` evaluates
@@ -63,7 +67,6 @@ the slope products would move the iterates pinned by
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -172,6 +175,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in self.METHODS:
             raise DomainError(f"unknown solver method {self.method!r}")
+        if self.multistart < 1:
+            raise DomainError(f"solver multistart must be >= 1, got {self.multistart}")
+        if self.max_iter < 1:
+            raise DomainError(f"solver max_iter must be >= 1, got {self.max_iter}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise DomainError(f"solver tol must be finite and positive, got {self.tol}")
+        if not self.penalty_schedule:
+            raise DomainError("solver penalty_schedule must not be empty")
 
 
 @dataclass(frozen=True)
@@ -233,8 +244,8 @@ class _Rows:
     inputs u_win (K, du) and differ in their priors (R, n) and outputs
     (R, K, p).  Every helper below works elementwise along the rows, so a
     row's numbers are those of its window solved alone.  The drivers cut
-    one group per step from their stacks; :meth:`of` groups windows given
-    one at a time, and :meth:`window` gives one back."""
+    one group per step from their stacks, and :meth:`of` groups windows
+    given one at a time."""
 
     def __init__(self, model: SystemModel, cost: CostSpec, u_win: np.ndarray,
                  prior: np.ndarray, y: np.ndarray):
@@ -252,10 +263,6 @@ class _Rows:
 
     def take(self, idx) -> "_Rows":
         return _Rows(self.model, self.cost, self.u_win, self.prior[idx], self.y[idx])
-
-    def window(self, i: int) -> EstimationProblem:
-        return EstimationProblem(self.model, self.cost, self.prior[i], self.u_win, self.y[i],
-                                 self.K)
 
 
 def _rollout(rows: _Rows, chi0: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -746,41 +753,45 @@ def _row_sqnorms(a: np.ndarray) -> np.ndarray:
 
 
 class _Objective:
-    """The window objective of the generic engines, over a batch of candidates.
+    """The window objective of the generic engines, over candidates of a
+    window group.
 
     A candidate z stacks the initial state chi0 (n), the disturbances omega
     (K x q) and, when the output map is not additive in the noise, the
     measurement noise nu (K x m); otherwise nu is read off the outputs.
-    :meth:`evaluate` maps candidates Z (B, dim) to their cost terms
-    (B, 2K+1), ordered beta_hat, then gamma_hat and delta_hat of each window
-    step in time order; their output penalties (B,); and the mask of rows
-    whose evaluation alone raises (a NaN distance, a NaN or negative term).
-    Each gain is called once per age on the whole column, and every row is
-    computed by exactly the arithmetic of evaluating that candidate alone,
-    so batching moves no iterate.  A masked row raises only when an engine
+    :meth:`evaluate` maps candidates Z (B, dim) of the windows ``owner``
+    (B,) of the group to their cost terms (B, 2K+1), ordered beta_hat, then
+    gamma_hat and delta_hat of each window step in time order; their output
+    penalties (B,); and the mask of rows whose evaluation alone raises (a
+    NaN distance, a NaN or negative term).  Each row reads its own window's
+    prior and outputs, each gain is called once per age on the whole
+    column, and every row is computed by exactly the arithmetic of
+    evaluating that candidate alone on its window, so neither batching nor
+    grouping moves an iterate.  A masked row raises only when an engine
     reads it: :class:`_Batch` then recomputes it alone through
     :meth:`strict`.  A row that is never read can neither raise nor change
     the result.
     """
 
-    def __init__(self, problem: EstimationProblem):
-        model = problem.model
-        self.rows = _Rows.of([problem])
+    def __init__(self, rows: _Rows):
+        model = rows.model
+        self.rows = rows
         self.eliminate = model.additive_v
         self.n, self.q, self.m = model.state_dim, model.process_noise_dim, model.meas_noise_dim
-        self.n_omega = problem.horizon * self.q
-        self.dim = self.n + self.n_omega + (0 if self.eliminate else problem.horizon * self.m)
+        self.n_omega = rows.K * self.q
+        self.dim = self.n + self.n_omega + (0 if self.eliminate else rows.K * self.m)
 
     def unpack(self, z: np.ndarray):
         K, n, end = self.rows.K, self.n, self.n + self.n_omega
         nu = None if self.eliminate else z[end:].reshape(K, self.m)
         return z[:n], z[n:end].reshape(K, self.q), nu
 
-    def evaluate(self, Z: np.ndarray):
-        """``(terms, penalties, masked)`` of the candidate rows Z."""
+    def evaluate(self, Z: np.ndarray, owner: np.ndarray):
+        """``(terms, penalties, masked)`` of the candidate rows Z, row b a
+        candidate of window ``owner[b]``."""
         try:
             with np.errstate(all="ignore"):
-                return self._evaluate(Z, strict=False)
+                return self._evaluate(Z, owner, strict=False)
         except Exception:
             # a plant map or gain failed on some row, which need not be one
             # the engine reads: mask every row, so each read recomputes its
@@ -789,15 +800,15 @@ class _Objective:
             return (np.full((B, 2 * self.rows.K + 1), np.nan), np.full(B, np.nan),
                     np.ones(B, dtype=bool))
 
-    def strict(self, z: np.ndarray):
-        """``(terms, penalties)`` of the one candidate z, as one-row arrays;
-        raises what evaluating z alone raises."""
-        terms, pen, _ = self._evaluate(z[None, :], strict=True)
+    def strict(self, z: np.ndarray, window: int):
+        """``(terms, penalties)`` of the one candidate z of a window, as
+        one-row arrays; raises what evaluating z alone raises."""
+        terms, pen, _ = self._evaluate(z[None, :], np.array([window]), strict=True)
         plus_reduce(self.rows.cost.mode, terms[0])      # NaN or negative terms
         return terms, pen
 
-    def _evaluate(self, Z: np.ndarray, strict: bool):
-        rows = self.rows
+    def _evaluate(self, Z: np.ndarray, owner: np.ndarray, strict: bool):
+        rows = self.rows.take(owner)            # each candidate's own window
         model, cost, K = rows.model, rows.cost, rows.K
         B, n, end = len(Z), self.n, self.n + self.n_omega
         chi0 = Z[:, :n]
@@ -809,7 +820,7 @@ class _Objective:
         else:
             nu = Z[:, end:].reshape(B, K, self.m)
             for j in range(K):
-                res = rows.y[0, j] - model.h(xs[:, j], rows.u_win[j], nu[:, j])
+                res = rows.y[:, j] - model.h(xs[:, j], rows.u_win[j], nu[:, j])
                 pen = pen + _row_sqnorms(res)
         dist = np.sqrt(_row_sqnorms(chi0 - rows.prior))
         wn = np.sqrt(_row_sqnorms(omega))
@@ -841,210 +852,320 @@ class _Objective:
 
 
 class _Batch:
-    """Candidate rows Z and what an engine reads of them, ``derive(terms,
-    penalties)`` row by row.  ``row(k)`` reads row k; a masked row is
-    recomputed alone there, raising what evaluating it alone raises.  Rows
-    must be read in the order the one-candidate algorithm evaluates them."""
+    """The candidate rows Z that one pair asked for in a pass, and what its
+    engine reads of them: their cost ``terms``, the derived ``rows`` and
+    their ``scores``, from ``derive(objective, terms, penalties, stage)``.
+    ``row(k)`` reads row k; a masked row is recomputed alone there, raising
+    what evaluating it alone raises.  Rows must be read in the order the
+    one-candidate algorithm evaluates them.  The arrays are views of the
+    pass."""
 
-    def __init__(self, objective: _Objective, Z: np.ndarray, derive):
-        self.objective, self.Z, self.derive = objective, Z, derive
-        terms, pen, self.masked = objective.evaluate(Z)
-        with np.errstate(all="ignore"):
-            self.rows = derive(terms, pen)
+    def __init__(self, objective: _Objective, derive, window: int, stage, Z: np.ndarray,
+                 terms: np.ndarray, rows: np.ndarray, scores: np.ndarray, masked: np.ndarray):
+        self.objective, self.derive, self.window, self.stage = objective, derive, window, stage
+        self.Z, self.terms, self.rows, self.scores, self.masked = Z, terms, rows, scores, masked
 
     def row(self, k: int):
         if self.masked[k]:
-            self.rows[k] = self.derive(*self.objective.strict(self.Z[k]))[0]
+            terms, pen = self.objective.strict(self.Z[k], self.window)
+            rows, scores = self.derive(self.objective, terms, pen, self.stage)
+            self.terms[k], self.rows[k], self.scores[k] = terms[0], rows[0], scores[0]
             self.masked[k] = False
         return self.rows[k]
 
+    def first_below(self, order: np.ndarray, bound: float) -> Optional[int]:
+        """The first j whose row ``order[j]`` scores below bound when the
+        rows are read in that order, or None; rows after it are not read."""
+        j = 0
+        while True:
+            ks = order[j:]
+            hit = self.masked[ks] | (self.scores[ks] < bound)
+            if not hit.any():
+                return None
+            j += int(np.argmax(hit))
+            if not self.masked[order[j]]:
+                return j
+            self.row(order[j])
 
-def _generic_starts(objective: _Objective, cfg: SolverConfig) -> List[np.ndarray]:
+
+def _evaluate_pass(objective: _Objective, derive, asks) -> List[_Batch]:
+    """One objective pass over the candidate rows that pairs ask for, each
+    ask ``(Z, window, stage)``; the rows of each stage are derived in one
+    call.  Returns one :class:`_Batch` per ask."""
+    sizes = [len(Z) for Z, _, _ in asks]
+    Z = np.concatenate([Z for Z, _, _ in asks])
+    terms, pen, masked = objective.evaluate(Z, np.repeat([w for _, w, _ in asks], sizes))
+    stages = list(dict.fromkeys(stage for _, _, stage in asks))
+    stage_of = np.repeat([stages.index(stage) for _, _, stage in asks], sizes)
+    rows, scores = None, np.empty(len(Z))
+    with np.errstate(all="ignore"):
+        for s, stage in enumerate(stages):
+            sel = np.flatnonzero(stage_of == s) if len(stages) > 1 else slice(None)
+            derived, scores[sel] = derive(objective, terms[sel], pen[sel], stage)
+            if rows is None:
+                rows = np.empty((len(Z),) + derived.shape[1:])
+            rows[sel] = derived
+    spans = [slice(end - size, end) for end, size in zip(np.cumsum(sizes), sizes)]
+    return [_Batch(objective, derive, window, stage, Z[span], terms[span], rows[span],
+                   scores[span], masked[span])
+            for span, (_, window, stage) in zip(spans, asks)]
+
+
+def _lockstep(objective: _Objective, derive, pairs) -> list:
+    """Run the (window, start) pairs of a group together; returns what each
+    pair returns.
+
+    A pair is a generator: it yields the candidate rows it reads next as
+    ``(Z, window, stage)`` and is sent them back as a :class:`_Batch`.
+    Each tick evaluates the rows of every live pair in one objective pass
+    (:func:`_evaluate_pass`).  A pair leaves when it returns, or when a read
+    raises; once every pair has left, the first pair in the order given
+    that raised makes the whole group raise, which is what solving the
+    pairs one after another would have raised.
+    """
+    out, errors = [None] * len(pairs), {}
+    sent = dict.fromkeys(range(len(pairs)))
+    while sent:
+        asks = {}
+        for p, batch in sent.items():
+            try:
+                asks[p] = pairs[p].send(batch)
+            except StopIteration as stop:
+                out[p] = stop.value
+            except Exception as exc:
+                errors[p] = exc
+        if not asks:
+            break
+        sent = dict(zip(asks, _evaluate_pass(objective, derive, list(asks.values()))))
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
+def _generic_starts(objective: _Objective, cfg: SolverConfig) -> List[List[np.ndarray]]:
+    """The ``cfg.multistart`` starts of each window of the group: the
+    deterministic initializations, then perturbations of the first, drawn
+    for each window from its own generator keyed ``cfg.seed`` and scaled by
+    that window's spread."""
     rows, n, dim = objective.rows, objective.n, objective.dim
-    base = []
-    for chi0, omega in _candidate_starts(rows):
-        z = np.zeros(dim)
-        z[:n] = chi0[0]
-        z[n:n + objective.n_omega] = omega[0].ravel()
-        base.append(z)
-    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
-    spread = max(1.0, float(np.max(np.abs(rows.y))), float(np.max(np.abs(rows.prior))))
-    while len(base) < max(1, cfg.multistart):
-        z = base[0] + gen.normal(0.0, 0.3 * spread, dim)
-        base.append(z)
-    return base[: max(1, cfg.multistart)]
+    base = _candidate_starts(rows)
+    out = []
+    for i in range(len(rows)):
+        starts = []
+        for chi0, omega in base:
+            z = np.zeros(dim)
+            z[:n] = chi0[i]
+            z[n:n + objective.n_omega] = omega[i].ravel()
+            starts.append(z)
+        gen = np.random.Generator(np.random.Philox(key=cfg.seed))
+        spread = max(1.0, float(np.max(np.abs(rows.y[i]))), float(np.max(np.abs(rows.prior[i]))))
+        while len(starts) < cfg.multistart:
+            starts.append(starts[0] + gen.normal(0.0, 0.3 * spread, dim))
+        out.append(starts[:cfg.multistart])
+    return out
 
 
-def _compass_search(objective: _Objective, z0: np.ndarray, mu: float, max_iter: int,
-                      tol: float) -> Tuple[np.ndarray, int]:
-    """Compass search on the objective plus mu times the output penalty.
+def _solve_pairs(objective: _Objective, cfg: SolverConfig, pair, derive, stages,
+                 engine: str) -> List[EstimateResult]:
+    """Run ``pair(objective, window, z0, stages, cfg)`` from every start of
+    every window of the group in :func:`_lockstep` and keep, per window,
+    the start whose end point costs least (the first of equal costs).  A
+    pair returns its end point's cost, the end point and its iterations."""
+    starts = _generic_starts(objective, cfg)
+    keys = [(i, idx) for i, zs in enumerate(starts) for idx in range(len(zs))]
+    ends = _lockstep(objective, derive, [pair(objective, i, starts[i][idx], stages, cfg)
+                                         for i, idx in keys])
+    best = {}
+    for (i, idx), (cost, z, iters) in zip(keys, ends):
+        if i not in best or cost < best[i][0]:
+            best[i] = (cost, z, iters, idx)
+    return _generic_results(objective, [best[i] for i in range(len(starts))], engine)
+
+
+def _generic_results(objective: _Objective, picks, engine: str) -> List[EstimateResult]:
+    """The results of the group from each window's ``(cost, z, iterations,
+    start index)``."""
+    rows = objective.rows
+    chi0, omega, nu = zip(*(objective.unpack(z) for _, z, _, _ in picks))
+    chi0, omega = np.array(chi0), np.array(omega)
+    if objective.eliminate:
+        results = _results_from_decisions(rows, chi0, omega, "")
+    else:
+        model, K = rows.model, rows.K
+        xs = _rollout(rows, chi0, omega)
+        xhat = _with_endpoint(rows, xs, omega)
+        results = []
+        for i, (cost, *_) in enumerate(picks):
+            res = EstimateResult(xhat[i], np.asarray(omega[i], float), np.asarray(nu[i], float),
+                                 cost, "ok", "", rows.prior[i].copy(), K)
+            worst = 0.0
+            for j in range(K):
+                out = np.atleast_1d(model.h(xs[i, j], rows.u_win[j], nu[i][j]))
+                worst = max(worst, float(np.linalg.norm(rows.y[i, j] - out)))
+            res.residual = worst
+            if worst > 1e-6:
+                res.status = "penalty-residual"
+            results.append(res)
+    for res, (_, _, iters, idx) in zip(results, picks):
+        res.engine, res.iterations, res.starts_used = engine, iters, idx + 1
+    return results
+
+
+def _compass_pair(objective: _Objective, window: int, z0: np.ndarray, schedule,
+                  cfg: SolverConfig):
+    """Compass search from z0 on one window, on the objective plus mu times
+    the output penalty for each mu of the schedule in turn, as a
+    :func:`_lockstep` pair.
 
     Each sweep tries every coordinate in turn, a step up and then a step
     down, and moves to the first candidate that improves, growing that
     coordinate's step; a sweep without a move halves every step.  The rest
-    of a sweep is evaluated from the current point in one batch and read in
+    of a sweep is asked for from the current point in one batch and read in
     order; after a move the batch is dropped and a new one starts at the
     next coordinate.
     """
-    dim = len(z0)
-    z = z0.copy()
-    derive = lambda terms, pen: objective.values(terms, pen, mu)
-    best = _Batch(objective, z[None, :], derive).row(0)
-    step = np.maximum(0.25, 0.1 * np.abs(z))
+    dim = objective.dim
     signs = np.tile([1.0, -1.0], dim)
-    iters = 0
-    for _ in range(max_iter):
-        improved = False
-        i = 0
-        while i < dim:
-            coords = np.repeat(np.arange(i, dim), 2)
-            rows = np.arange(len(coords))
-            cands = np.repeat(z[None, :], len(coords), axis=0)
-            cands[rows, coords] += signs[2 * i:] * step[coords]
-            batch = _Batch(objective, cands, derive)
-            i = dim
-            for k in rows:
-                val = batch.row(k)
-                iters += 1
-                if val < best - 1e-300:
-                    z, best = cands[k], val
-                    step[coords[k]] *= 1.6
-                    improved = True
-                    i = coords[k] + 1
+    z, iters = z0.copy(), 0
+    for mu in schedule:
+        batch = yield z[None, :], window, mu
+        best, at = batch.row(0), batch.terms[0]
+        step = np.maximum(0.25, 0.1 * np.abs(z))
+        for _ in range(cfg.max_iter):
+            improved = False
+            i = 0
+            while i < dim:
+                coords = np.repeat(np.arange(i, dim), 2)
+                cands = np.repeat(z[None, :], len(coords), axis=0)
+                cands[np.arange(len(coords)), coords] += signs[2 * i:] * step[coords]
+                batch = yield cands, window, mu
+                k = batch.first_below(np.arange(len(coords)), best - 1e-300)
+                if k is None:
+                    iters += len(coords)
                     break
-        if not improved:
-            step *= 0.5
-            if float(np.max(step)) < tol:
-                break
-    return z, iters
+                iters += k + 1
+                z, best, at = cands[k], batch.scores[k], batch.terms[k]
+                step[coords[k]] *= 1.6
+                improved = True
+                i = coords[k] + 1
+            if not improved:
+                step *= 0.5
+                if float(np.max(step)) < cfg.tol:
+                    break
+    return plus_reduce(objective.rows.cost.mode, at), z, iters
 
 
-def _solve_multistart_local(problem: EstimationProblem, cfg: SolverConfig) -> EstimateResult:
-    objective = _Objective(problem)
+def _compass_derive(objective: _Objective, terms: np.ndarray, pen: np.ndarray, mu: float):
+    """The rows a compass search reads at penalty weight mu, and their
+    scores: both the objective values."""
+    values = objective.values(terms, pen, mu)
+    return values, values
+
+
+def _solve_multistart_local(rows: _Rows, cfg: SolverConfig) -> List[EstimateResult]:
+    """Deterministic multistart compass search for a group of windows."""
+    objective = _Objective(rows)
     schedule = (0.0,) if objective.eliminate else cfg.penalty_schedule
-
-    best = None
-    for idx, z0 in enumerate(_generic_starts(objective, cfg)):
-        z = z0
-        iters = 0
-        for mu in schedule:
-            z, it = _compass_search(objective, z, mu, cfg.max_iter, cfg.tol)
-            iters += it
-        key = (plus_reduce(problem.cost.mode, objective.strict(z)[0][0]), idx)
-        if best is None or key < best[0]:
-            best = (key, z, iters, idx)
-    _, z, iters, idx = best
-    return _generic_result(objective, z, "compass", iters, idx + 1)
-
-
-def _generic_result(objective: _Objective, z: np.ndarray, engine: str, iters: int,
-                    starts: int) -> EstimateResult:
-    rows = objective.rows
-    chi0, omega, nu = objective.unpack(z)
-    if objective.eliminate:
-        return _results_from_decisions(rows, chi0[None], omega[None], engine, iters, starts)[0]
-    model, K = rows.model, rows.K
-    xs = _rollout(rows, chi0[None], omega[None])
-    xhat = _with_endpoint(rows, xs, omega[None])[0]
-    j_val = plus_reduce(rows.cost.mode, objective.strict(z)[0][0])
-    res = EstimateResult(xhat, np.asarray(omega, float), np.asarray(nu, float), j_val,
-                         "ok", engine, rows.prior[0].copy(), K,
-                         iterations=iters, starts_used=starts)
-    worst = 0.0
-    for j in range(K):
-        out = np.atleast_1d(model.h(xs[0, j], rows.u_win[j], nu[j]))
-        worst = max(worst, float(np.linalg.norm(rows.y[0, j] - out)))
-    res.residual = worst
-    if worst > 1e-6:
-        res.status = "penalty-residual"
-    return res
+    return _solve_pairs(objective, cfg, _compass_pair, _compass_derive, schedule, "compass")
 
 
 def _fd_steps(z: np.ndarray) -> np.ndarray:
     return 1e-6 * np.maximum(1.0, np.abs(z))
 
 
-def _with_probes(z: np.ndarray) -> np.ndarray:
+def _with_probes(z: np.ndarray, extra: int = 0) -> np.ndarray:
     """The rows z, z + h_0 e_0, ..., z + h_{dim-1} e_{dim-1}: a point and the
-    points of its forward-difference Jacobian."""
+    points of its forward-difference Jacobian; then ``extra`` rows left for
+    the caller to fill."""
     dim = len(z)
-    Z = np.repeat(z[None, :], dim + 1, axis=0)
-    Z[np.arange(1, dim + 1), np.arange(dim)] += _fd_steps(z)
+    Z = np.empty((dim + 1 + extra, dim))
+    Z[:dim + 1] = z
+    Z[1:dim + 1].reshape(-1)[::dim + 1] += _fd_steps(z)       # the diagonal
     return Z
 
 
-def _line_search(objective: _Objective, z: np.ndarray, step: np.ndarray, f0: float,
-                 derive):
-    """``(alpha, batch, k)`` for the first alpha of 1, 1/2, ..., 2**-24 whose
-    candidate z + alpha step, row k of the batch, has a squared residual
-    below f0; None if there is none.
+def _line_search_rows(z: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The candidates of a line search from z along step: z + step and its
+    Jacobian points (rows 0..dim), which the next iteration reads when step
+    length 1 is accepted, then z + alpha step for the 24 halvings alpha =
+    1/2, ..., 2**-24 (rows dim + 1..dim + 24)."""
+    Z = _with_probes(z + step, len(_HALVINGS))
+    Z[len(z) + 1:] = z + _HALVINGS[:, None] * step
+    return Z
 
-    One batch holds z + step and its Jacobian points (rows 0..dim), which
-    the next iteration reads when step length 1 is accepted, then the 24
-    halvings.  Rows are read in the order the candidates are tried, so rows
-    after the accepted one are never read.
+
+def _line_search_order(dim: int) -> np.ndarray:
+    """The rows of :func:`_line_search_rows` in the order the step lengths
+    1, 1/2, ..., 2**-24 are tried."""
+    return np.concatenate([[0], np.arange(dim + 1, dim + 25)])
+
+
+def _gauss_newton_derive(objective: _Objective, terms: np.ndarray, pen: np.ndarray, stage):
+    """The rows Gauss-Newton reads at stage (mu, power), the residual
+    vectors, and their scores, the squared residual norms."""
+    mu, power = stage
+    residuals = objective.residual_rows(terms, pen, power, mu)
+    return residuals, _row_sqnorms(residuals)
+
+
+def _gauss_newton_pair(objective: _Objective, window: int, z: np.ndarray, stages,
+                       cfg: SolverConfig):
+    """Damped Gauss-Newton from z on one window, through the
+    ``(mu, power)`` stages in turn, as a :func:`_lockstep` pair.
+
+    The finite-difference Jacobian is taken from dim + 1 rows, which the
+    line search asks for ahead for step length 1.  The first step length of
+    1, 1/2, ..., 2**-24 whose squared residual is below the current one is
+    accepted; a stage ends when none is, when ``lstsq`` fails, when the
+    accepted step is shorter than ``cfg.tol`` or after ``cfg.max_iter``
+    iterations.
     """
-    probes = _with_probes(z + step)
-    batch = _Batch(objective, np.vstack([probes, z + _HALVINGS[:, None] * step]), derive)
-    tries = [(0, 1.0)] + [(len(probes) + k, float(a)) for k, a in enumerate(_HALVINGS)]
-    for k, alpha in tries:
-        rc = batch.row(k)
-        if float(rc @ rc) < f0 - 1e-300:
-            return alpha, batch, k
-    return None
+    dim = objective.dim
+    order = _line_search_order(dim)
+    alphas = np.concatenate([[1.0], _HALVINGS])
+    iters = 0
+    for stage in stages:
+        batch = None
+        for _ in range(cfg.max_iter):
+            if batch is None:
+                batch = yield _with_probes(z), window, stage
+            for k in np.flatnonzero(batch.masked[:dim + 1]):
+                batch.row(k)     # in order: z, then each Jacobian point
+            r, f0, at = batch.rows[0], batch.scores[0], batch.terms[0]
+            jac = ((batch.rows[1:dim + 1] - r) / _fd_steps(z)[:, None]).T
+            try:
+                step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+            except np.linalg.LinAlgError:
+                break
+            batch = yield _line_search_rows(z, step), window, stage
+            j = batch.first_below(order, f0 - 1e-300)
+            iters += 1
+            if j is None:
+                break
+            k = order[j]
+            z, at = batch.Z[k], batch.terms[k]
+            if k:       # a halving: its Jacobian points are not in the batch
+                batch = None
+            if float(np.linalg.norm(alphas[j] * step)) < cfg.tol:
+                break
+    return plus_reduce(objective.rows.cost.mode, at), z, iters
 
 
-def _solve_gauss_newton(problem: EstimationProblem, cfg: SolverConfig) -> EstimateResult:
-    """Damped Gauss-Newton on smoothed residuals.
+def _solve_gauss_newton(rows: _Rows, cfg: SolverConfig) -> List[EstimateResult]:
+    """Damped Gauss-Newton on smoothed residuals for a group of windows.
 
     Sum-mode costs are minimized directly via sqrt-term residuals (so the
     squared residual norm is the cost); max-mode costs go through escalating
     power-mean surrogates, which squeeze the iterate toward the minimax point,
     with the true max cost reported.  Output equations enter as escalating
-    quadratic penalties when measurement noise cannot be eliminated.  The
-    finite-difference Jacobian is taken from one batch of dim + 1 points,
-    which the line search evaluates ahead for step length 1.
+    quadratic penalties when measurement noise cannot be eliminated.
     """
-    objective = _Objective(problem)
-    dim = objective.dim
-    powers = (1.0,) if problem.cost.mode is PlusMode.SUM else (2.0, 8.0)
-
-    best = None
+    objective = _Objective(rows)
+    powers = (1.0,) if rows.cost.mode is PlusMode.SUM else (2.0, 8.0)
     schedule = (0.0,) if objective.eliminate else cfg.penalty_schedule
-    for idx, z0 in enumerate(_generic_starts(objective, cfg)):
-        z = z0.astype(float)
-        iters = 0
-        for mu in schedule:
-            for power in powers:
-                derive = functools.partial(objective.residual_rows, power=power, mu=mu)
-                batch = None
-                for _ in range(cfg.max_iter):
-                    if batch is None:
-                        batch = _Batch(objective, _with_probes(z), derive)
-                    for i in np.flatnonzero(batch.masked[:dim + 1]):
-                        batch.row(i)     # in order: z, then each Jacobian point
-                    r = batch.rows[0]
-                    f0 = float(r @ r)
-                    jac = ((batch.rows[1:dim + 1] - r) / _fd_steps(z)[:, None]).T
-                    try:
-                        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-                    except np.linalg.LinAlgError:
-                        break
-                    found = _line_search(objective, z, step, f0, derive)
-                    iters += 1
-                    if found is None:
-                        break
-                    alpha, batch, k = found
-                    z = batch.Z[k]
-                    if k:       # a halving: its Jacobian points are not in the batch
-                        batch = None
-                    if float(np.linalg.norm(alpha * step)) < cfg.tol:
-                        break
-        key = (plus_reduce(problem.cost.mode, objective.strict(z)[0][0]), idx)
-        if best is None or key < best[0]:
-            best = (key, z, iters, idx)
-    _, z, iters, idx = best
-    return _generic_result(objective, z, "gauss-newton", iters, idx + 1)
+    stages = [(mu, power) for mu in schedule for power in powers]
+    return _solve_pairs(objective, cfg, _gauss_newton_pair, _gauss_newton_derive, stages,
+                        "gauss-newton")
 
 
 # ---------------------------------------------------------------------------
@@ -1067,29 +1188,24 @@ def _structured_engine(rows: _Rows):
 
 
 def solve_window(problem: EstimationProblem, solver: SolverConfig) -> EstimateResult:
-    """Solve one estimation window: a group of one for a structured engine,
-    else the configured generic method.
+    """Solve one estimation window: :func:`_solve_group` on a group of one.
 
     The returned trajectory always satisfies the window dynamics exactly (the
     disturbances are read off the transitions); the achieved cost is the
     certified upper envelope over the attempted starts.
     """
-    rows = _Rows.of([problem])
-    engine = _structured_engine(rows)
-    if engine is not None:
-        return engine(rows)[0]
-    if solver.method == "gauss_newton_penalty":
-        return _solve_gauss_newton(problem, solver)
-    return _solve_multistart_local(problem, solver)
+    return _solve_group(_Rows.of([problem]), solver)[0]
 
 
 def _solve_group(rows: _Rows, solver: SolverConfig) -> List[EstimateResult]:
-    """Solve a group of windows: a structured engine takes it as one, the
-    generic engines one window at a time through :func:`solve_window`."""
+    """Solve a group of windows as one: a structured engine when one fits,
+    else the configured generic method."""
     engine = _structured_engine(rows)
     if engine is not None:
         return engine(rows)
-    return [solve_window(rows.window(i), solver) for i in range(len(rows))]
+    if solver.method == "gauss_newton_penalty":
+        return _solve_gauss_newton(rows, solver)
+    return _solve_multistart_local(rows, solver)
 
 
 def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: SolverConfig,

@@ -12,6 +12,10 @@ plain left-to-right addition the array versions use.
 ``generic_objective`` is the window objective of the generic engines, one
 candidate at a time, as the engines evaluated it before they batched their
 candidates; ``test_generic_engines.py`` pins the batched rows to it.
+``generic_window`` is the Gauss-Newton or compass solve of one window on
+that objective, each start after the other, as the engines ran before they
+took a group's windows and starts in lock-step; ``test_cell_axis.py`` pins
+every row of a group to it.
 
 ``rgas_rhs``, ``mhe_bound`` and ``window_cost`` are the scalar folds of the
 full-information bound, the moving-horizon bound and the window cost: one
@@ -329,6 +333,127 @@ def generic_objective(problem, z):
     terms = np.array(terms)
     plus_reduce(cost.mode, terms)      # raises on NaN terms, as the engines did
     return terms, pen
+
+
+def _generic_value(problem, z, mu):
+    terms, pen = generic_objective(problem, z)
+    return plus_reduce(problem.cost.mode, terms) + mu * pen
+
+
+def _generic_residual(problem, z, power, mu):
+    terms, pen = generic_objective(problem, z)
+    r = np.sqrt(np.power(terms + 1e-12, power))
+    if problem.model.additive_v:
+        return r
+    return np.append(r, np.sqrt(mu * pen + 1e-12))
+
+
+def _gauss_newton_one(problem, z, stages, cfg):
+    dim, iters = len(z), 0
+    for mu, power in stages:
+        for _ in range(cfg.max_iter):
+            r = _generic_residual(problem, z, power, mu)
+            f0 = float(r @ r)
+            h = 1e-6 * np.maximum(1.0, np.abs(z))
+            jac = np.empty((len(r), dim))
+            for i in range(dim):
+                probe = z.copy()
+                probe[i] += h[i]
+                jac[:, i] = (_generic_residual(problem, probe, power, mu) - r) / h[i]
+            try:
+                step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+            except np.linalg.LinAlgError:
+                break
+            alpha, accepted = 1.0, None
+            for _ in range(25):
+                cand = z + alpha * step
+                rc = _generic_residual(problem, cand, power, mu)
+                if float(rc @ rc) < f0 - 1e-300:
+                    accepted = cand
+                    break
+                alpha *= 0.5
+            iters += 1
+            if accepted is None:
+                break
+            z = accepted
+            if float(np.linalg.norm(alpha * step)) < cfg.tol:
+                break
+    return z, iters
+
+
+def _compass_one(problem, z, mu, cfg):
+    best = _generic_value(problem, z, mu)
+    step = np.maximum(0.25, 0.1 * np.abs(z))
+    iters = 0
+    for _ in range(cfg.max_iter):
+        improved = False
+        for i in range(len(z)):
+            for sign in (1.0, -1.0):
+                cand = z.copy()
+                cand[i] += sign * step[i]
+                val = _generic_value(problem, cand, mu)
+                iters += 1
+                if val < best - 1e-300:
+                    z, best = cand, val
+                    step[i] *= 1.6
+                    improved = True
+                    break
+        if not improved:
+            step *= 0.5
+            if float(np.max(step)) < cfg.tol:
+                break
+    return z, iters
+
+
+def generic_window(problem, cfg):
+    """The configured generic method on one window, one candidate at a time
+    through :func:`generic_objective`: every start solved in turn, the
+    first of the least end costs kept.  Returns the EstimateResult the
+    engine gives that window."""
+    model, cost, K = problem.model, problem.cost, problem.horizon
+    n, q, m = model.state_dim, model.process_noise_dim, model.meas_noise_dim
+    dim = n + K * q + (0 if model.additive_v else K * m)
+    starts = [np.concatenate([problem.prior, np.zeros(dim - n)])]
+    if model.is_scalar and model.additive_v and model.additive_w:
+        y = problem.y_win
+        omega = [y[j + 1] - np.atleast_1d(model.f_nominal(y[j], problem.u_win[j]))
+                 for j in range(K - 1)] + [np.zeros(1)]
+        starts.append(np.concatenate([y[0]] + omega))
+    gen = np.random.Generator(np.random.Philox(key=cfg.seed))
+    spread = max(1.0, float(np.max(np.abs(problem.y_win))), float(np.max(np.abs(problem.prior))))
+    while len(starts) < cfg.multistart:
+        starts.append(starts[0] + gen.normal(0.0, 0.3 * spread, dim))
+    schedule = (0.0,) if model.additive_v else cfg.penalty_schedule
+    powers = (1.0,) if cost.mode is PlusMode.SUM else (2.0, 8.0)
+    best = None
+    for idx, z in enumerate(starts[:cfg.multistart]):
+        if cfg.method == "gauss_newton_penalty":
+            engine = "gauss-newton"
+            z, iters = _gauss_newton_one(problem, z, [(mu, p) for mu in schedule for p in powers],
+                                         cfg)
+        else:
+            engine, iters = "compass", 0
+            for mu in schedule:
+                z, it = _compass_one(problem, z, mu, cfg)
+                iters += it
+        key = (plus_reduce(cost.mode, generic_objective(problem, z)[0]), idx)
+        if best is None or key < best[0]:
+            best = (key, z, iters)
+    (j_val, idx), z, iters = best
+    chi0, omega = z[:n], z[n:n + K * q].reshape(K, q)
+    if model.additive_v:
+        return E._results_from_decisions(E._Rows.of([problem]), chi0[None], omega[None], engine,
+                                         iters, idx + 1)[0]
+    nu = z[n + K * q:].reshape(K, m)
+    xs, endpoint, _ = _rollout_one(problem, chi0, omega)
+    res = E.EstimateResult(np.vstack([xs, endpoint[None, :]]), omega, nu, j_val, "ok", engine,
+                           problem.prior.copy(), K, iterations=iters, starts_used=idx + 1)
+    res.residual = max([0.0] + [float(np.linalg.norm(
+        problem.y_win[j] - np.atleast_1d(model.h(xs[j], problem.u_win[j], nu[j]))))
+        for j in range(K)])
+    if res.residual > 1e-6:
+        res.status = "penalty-residual"
+    return res
 
 
 def rgas_rhs(bounds, init_dist, w_seq, v_seq, t):

@@ -15,6 +15,7 @@ the fitted exponential envelopes.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from mhestab.comparison import (
     gain_terms,
     seq_norms,
 )
+from mhestab.certificates import CostSpec
 from mhestab.estimator import (
     EstimationProblem,
     InfeasibleWindowError,
@@ -52,13 +54,21 @@ from mhestab.harness import (
 from mhestab.stability import rges_envelope
 from mhestab.systems import (
     PLANT_NAMES,
+    SystemModel,
     _linear_scalar,
     builtin_model,
     generate_scenario,
     simulate,
 )
 
-from reference_folds import _PWL, check_cell, max_interval_window, sum_pwl_window
+from reference_folds import (
+    _PWL,
+    check_cell,
+    generic_window,
+    max_interval_window,
+    sum_pwl_window,
+)
+from test_generic_engines import _cost as _generic_cost, _cubic, _snapshot
 
 SCENARIOS = (
     ScenarioSpec("zero", "zero"),
@@ -162,6 +172,22 @@ def test_structured_runs_build_no_window_problem(mode, monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("method", SolverConfig.METHODS)
+def test_generic_runs_build_no_window_problem(method, monkeypatch):
+    built = []
+    real = EstimationProblem.__post_init__
+    monkeypatch.setattr(EstimationProblem, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    model = builtin_model("s4")
+    cost = resolve(ExperimentConfig(plant="s4", mode="max")).cost
+    y = np.array([[0.1, 0.3, -0.2], [0.4, -0.1, 0.2]])
+    solver = SolverConfig(method=method, multistart=2, max_iter=5)
+    runs = run_fie(model, cost, [0.2, -0.1], np.zeros(3), y, solver)
+    engine = "gauss-newton" if method == "gauss_newton_penalty" else "compass"
+    assert [{r.engine for r in run[1:]} for run in runs] == [{engine}, {engine}]
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # Per-row branches: an infeasible row, the top-level guard
 # ---------------------------------------------------------------------------
@@ -213,6 +239,127 @@ def test_top_level_guard_runs_per_row(plant, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # The sum-mode dynamic program: every row is the one-window reference
+# ---------------------------------------------------------------------------
+# The generic engines: every row is its window solved alone
+# ---------------------------------------------------------------------------
+
+GENERIC_ENGINES = {"gn": E._solve_gauss_newton, "compass": E._solve_multistart_local}
+GENERIC_METHODS = {"gn": "gauss_newton_penalty", "compass": "multistart_local"}
+
+
+def _generic_windows(plant, mode, K, key, offsets=(0.3, -0.6, 1.2)):
+    """Windows of one plant and cost that share their inputs and differ in
+    their truths, noise draws and priors (the truth plus an offset)."""
+    model = _cubic() if plant == "cubic" else builtin_model(plant)
+    cost = _generic_cost("s1" if plant == "cubic" else plant, mode)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    u = gen.uniform(-0.5, 0.5, (K, model.input_dim))
+    problems = []
+    for offset in offsets:
+        w = gen.uniform(-0.1, 0.1, (K, model.process_noise_dim))
+        v = gen.uniform(-0.1, 0.1, (K, model.meas_noise_dim))
+        x0 = gen.uniform(-0.5, 0.5, model.state_dim)
+        sol = simulate(model, x0, u, w, v, K)
+        problems.append(EstimationProblem(model, cost, x0 + offset, u, sol.y, K))
+    return problems
+
+
+@pytest.mark.parametrize("tag", ["gn", "compass"])
+@pytest.mark.parametrize("plant,mode,K", [("s3", PlusMode.SUM, 4), ("s4", PlusMode.MAX, 3),
+                                          ("s4", PlusMode.SUM, 3), ("cubic", PlusMode.SUM, 3)],
+                         ids=["s3-sum", "s4-max", "s4-sum", "cubic-sum"])
+def test_every_generic_row_is_its_window_solved_alone(plant, mode, K, tag, monkeypatch):
+    problems = _generic_windows(plant, mode, K, 7)
+    multistart, max_iter = (2, 100) if plant == "cubic" else (3, 25)
+    solver = SolverConfig(method=GENERIC_METHODS[tag], multistart=multistart, max_iter=max_iter)
+    engine = GENERIC_ENGINES[tag]
+    pairs = []
+    real = E._lockstep
+
+    def recorded(objective, derive, gens):
+        ends = real(objective, derive, gens)
+        pairs.append([iters for _, _, iters in ends])
+        return ends
+
+    monkeypatch.setattr(E, "_lockstep", recorded)
+    group = engine(E._Rows.of(problems), solver)
+    alone = [engine(E._Rows.of([p]), solver)[0] for p in problems]
+    monkeypatch.undo()
+    # the pairs of the group left it after different iteration counts
+    assert len(pairs[0]) == len(problems) * multistart
+    assert len(set(pairs[0])) > 1
+    assert pairs[0] == [i for run in pairs[1:] for i in run]
+    for problem, row, one in zip(problems, group, alone):
+        assert _snapshot(row) == _snapshot(one) == _snapshot(generic_window(problem, solver))
+
+
+def _edge_plant():
+    # 0 * log(x + 5) is NaN below x = -5: a candidate state there makes its
+    # row NaN, so evaluating it alone raises
+    def f_nominal(x, u):
+        return 0.5 * x + 0.0 * np.log(x + 5.0)
+
+    return SystemModel("edge", 1, 1, 1, 1, 1, lambda x, u, w: f_nominal(x, u) + w,
+                       lambda x, u, v: x + v, f_nominal, lambda x, u: x)
+
+
+@pytest.mark.parametrize("tag", ["gn", "compass"])
+def test_a_masked_row_that_is_read_fails_its_group(tag, monkeypatch):
+    model, cost = _edge_plant(), _generic_cost("s1", PlusMode.SUM)
+    u = np.zeros((3, 1))
+    problems = []
+    for x0, offset in ((-1.0, 0.5), (-4.9, 1.5), (0.5, -0.3)):
+        sol = simulate(model, [x0], u, np.full((3, 1), 0.05), np.full((3, 1), -0.05), 3)
+        problems.append(EstimationProblem(model, cost, [x0 + offset], u, sol.y, 3))
+    solver = SolverConfig(method=GENERIC_METHODS[tag], multistart=2, max_iter=30)
+    engine = GENERIC_ENGINES[tag]
+    masked = []
+    real = E._Objective.evaluate
+
+    def recorded(objective, Z, owner):
+        out = real(objective, Z, owner)
+        masked.append(int(out[2].sum()))
+        return out
+
+    monkeypatch.setattr(E._Objective, "evaluate", recorded)
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fine = [engine(E._Rows.of([p]), solver)[0] for p in (problems[0], problems[2])]
+        assert sum(masked) == 0
+        with pytest.raises(DomainError):
+            generic_window(problems[1], solver)
+        with pytest.raises(DomainError):
+            engine(E._Rows.of([problems[1]]), solver)
+        assert sum(masked) > 0
+        with pytest.raises(DomainError):
+            engine(E._Rows.of(problems), solver)
+    for problem, one in zip((problems[0], problems[2]), fine):
+        assert _snapshot(one) == _snapshot(generic_window(problem, solver))
+
+
+def test_the_first_window_that_raises_decides_what_its_group_raises():
+    # a cubic gain raises OverflowError on a huge distance (Python floats
+    # do), and an edge state makes a NaN term, which raises DomainError
+    model = _edge_plant()
+    cube = SeparableGeometric(1.0, 3.0, 0.5)
+    cost = CostSpec(PlusMode.MAX, cube, cube, cube)
+    u = np.zeros((2, 1))
+    y = np.array([[0.1], [0.05]])
+    fine = EstimationProblem(model, cost, [0.2], u, y, 2)
+    huge = EstimationProblem(model, cost, [1e150], u, y, 2)
+    edge = EstimationProblem(model, cost, [-4.99], u, np.array([[-4.9], [-2.5]]), 2)
+    solver = SolverConfig(method="multistart_local", multistart=2, max_iter=30)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for problem, error in ((huge, OverflowError), (edge, DomainError)):
+            with pytest.raises(error):
+                generic_window(problem, solver)
+        with pytest.raises(OverflowError):
+            E._solve_multistart_local(E._Rows.of([fine, huge, edge]), solver)
+        with pytest.raises(DomainError):
+            E._solve_multistart_local(E._Rows.of([fine, edge, huge]), solver)
+
+
 # ---------------------------------------------------------------------------
 
 def _sum_cost(plant="s1", **gains):

@@ -186,10 +186,11 @@ def test_structured_vs_generic_engines_agree():
         sol = simulate(model, [0.3], u, w, v, K)
         problem = EstimationProblem(model, cost, np.array([0.6]), u, sol.y, K)
         exact = solve_window(problem, SolverConfig())
-        compass = E._solve_multistart_local(problem, SolverConfig(
-            method="multistart_local", multistart=6, max_iter=400))
-        gnp = E._solve_gauss_newton(problem, SolverConfig(
-            method="gauss_newton_penalty", multistart=4, max_iter=40))
+        rows = E._Rows.of([problem])
+        compass = E._solve_multistart_local(rows, SolverConfig(
+            method="multistart_local", multistart=6, max_iter=400))[0]
+        gnp = E._solve_gauss_newton(rows, SolverConfig(
+            method="gauss_newton_penalty", multistart=4, max_iter=40))[0]
         # the level engine is exact up to its bisection resolution
         assert exact.cost <= compass.cost * (1 + 1e-4) + 1e-12
         assert exact.cost <= gnp.cost * (1 + 1e-4) + 1e-12
@@ -256,6 +257,13 @@ def test_penalty_path_for_noninvertible_output():
     if res.residual > 1e-6:
         assert res.status == "penalty-residual"
     assert res.cost < 1.0
+
+
+def test_solver_without_a_penalty_stage_is_a_domain_error():
+    # a window whose output noise is a decision variable would never be
+    # pushed onto its outputs
+    with pytest.raises(DomainError, match="penalty_schedule"):
+        SolverConfig(penalty_schedule=())
 
 
 @pytest.mark.parametrize("plant", ["s1", "s2", "s3"])

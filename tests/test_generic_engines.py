@@ -98,9 +98,9 @@ def _snapshot(res):
 def _generic(problem, solver):
     """The configured generic engine's solve, also on windows a structured
     engine would take."""
-    if solver.method == "gauss_newton_penalty":
-        return E._solve_gauss_newton(problem, solver)
-    return E._solve_multistart_local(problem, solver)
+    engine = E._solve_gauss_newton if solver.method == "gauss_newton_penalty" \
+        else E._solve_multistart_local
+    return engine(E._Rows.of([problem]), solver)[0]
 
 
 def _record():
@@ -132,12 +132,12 @@ _finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
        K=st.integers(1, 5), key=st.integers(0, 50), data=st.data())
 def test_batched_rows_equal_the_scalar_fold(plant, mode, K, key, data):
     problem = _window(plant, mode, K, key)
-    objective = E._Objective(problem)
+    objective = E._Objective(E._Rows.of([problem]))
     B = data.draw(st.integers(1, 6))
     Z = np.array(data.draw(st.lists(st.lists(_finite, min_size=objective.dim,
                                              max_size=objective.dim),
                                     min_size=B, max_size=B)), dtype=float).reshape(B, -1)
-    terms, pen, bad = objective.evaluate(Z)
+    terms, pen, bad = objective.evaluate(Z, np.zeros(B, dtype=int))
     assert not bad.any()
     values = objective.values(terms, pen, 1e4)
     for b in range(B):
@@ -171,20 +171,25 @@ def test_plant_maps_accept_a_batch_axis(plant):
 # Rows the one-candidate algorithm would not evaluate stay invisible
 # ---------------------------------------------------------------------------
 
+def _one_batch(objective, Z, derive, stage):
+    """The batch of one pass over the candidates Z of window 0."""
+    return E._evaluate_pass(objective, derive, [(Z, 0, stage)])[0]
+
+
 def test_non_finite_rows_are_flagged_and_raise_only_when_read():
     problem = _window("s3", PlusMode.SUM, 3, 1)
-    objective = E._Objective(problem)
+    objective = E._Objective(E._Rows.of([problem]))
     good = np.linspace(-0.4, 0.4, objective.dim)
     nan_row = good.copy()
     nan_row[1] = math.inf           # sin(inf) makes every later state NaN
     inf_row = good.copy()
     inf_row[-1] = 1e308             # the last disturbance only overflows its cost term
     Z = np.array([good, nan_row, inf_row])
-    terms, pen, masked = objective.evaluate(Z)
+    terms, pen, masked = objective.evaluate(Z, np.zeros(3, dtype=int))
     assert masked.tolist() == [False, True, False]
     ref_terms, _ = generic_objective(problem, good)
     assert terms[0].tolist() == ref_terms.tolist()
-    batch = E._Batch(objective, Z, lambda terms, pen: objective.values(terms, pen, 0.0))
+    batch = _one_batch(objective, Z, E._compass_derive, 0.0)
     assert batch.row(0) == plus_reduce(PlusMode.SUM, ref_terms)
     assert batch.row(2) == math.inf
     with np.errstate(all="ignore"), pytest.raises(DomainError):
@@ -200,17 +205,17 @@ def test_a_gain_that_fails_on_the_batch_defers_to_the_rows():
     cube = SeparableGeometric(1.0, 3.0, 0.5)
     problem = EstimationProblem(problem.model, CostSpec(PlusMode.MAX, cube, cube, cube),
                                 problem.prior, problem.u_win, problem.y_win, 2)
-    objective = E._Objective(problem)
+    objective = E._Objective(E._Rows.of([problem]))
     good = np.array([0.1, 0.2, -0.1])
     huge = np.array([1e150, 0.0, 0.0])
-    terms, pen, masked = objective.evaluate(np.array([good, huge]))
+    terms, pen, masked = objective.evaluate(np.array([good, huge]), np.zeros(2, dtype=int))
     assert masked.all()
     ref_terms, _ = generic_objective(problem, good)
-    assert objective.strict(good)[0][0].tolist() == ref_terms.tolist()
+    assert objective.strict(good, 0)[0][0].tolist() == ref_terms.tolist()
     with pytest.raises(OverflowError):
         generic_objective(problem, huge)
     with pytest.raises(OverflowError):
-        objective.strict(huge)
+        objective.strict(huge, 0)
 
 
 def _reference_line_search(problem, z, step, f0, power):
@@ -231,21 +236,24 @@ def test_far_line_search_candidates_that_go_non_finite_change_nothing():
     # which is accepted.  The other 23 halvings, evaluated in the same batch,
     # overflow too; the one-candidate search never evaluates them.
     problem = _window("s3", PlusMode.MAX, 3, 2)
-    objective = E._Objective(problem)
-    derive = lambda terms, pen: objective.residual_rows(terms, pen, 8.0, 0.0)
+    objective = E._Objective(E._Rows.of([problem]))
+    derive = E._gauss_newton_derive
+    stage = (0.0, 8.0)
     z = np.full(objective.dim, 1e100)
     step = -2.0 * z
-    r = E._Batch(objective, z[None, :], derive).row(0)
+    r = _one_batch(objective, z[None, :], derive, stage).row(0)
     f0 = float(r @ r)
     assert f0 == math.inf
-    far = E._Batch(objective, z + np.array([[0.25], [2.0 ** -24]]) * step, derive)
+    far = _one_batch(objective, z + np.array([[0.25], [2.0 ** -24]]) * step, derive, stage)
     assert not far.masked.any() and not np.isfinite(far.rows).any()
     with np.errstate(all="ignore"):
         expected = _reference_line_search(problem, z, step, f0, 8.0)
-    alpha, batch, k = E._line_search(objective, z, step, f0, derive)
-    assert alpha == expected[0] == 0.5
-    assert batch.Z[k].tolist() == expected[1].tolist()
-    assert batch.rows[k].tolist() == expected[2].tolist()
+    batch = _one_batch(objective, E._line_search_rows(z, step), derive, stage)
+    order = E._line_search_order(objective.dim)
+    j = batch.first_below(order, f0 - 1e-300)
+    assert j == 1 and expected[0] == 0.5          # step length 1/2
+    assert batch.Z[order[j]].tolist() == expected[1].tolist()
+    assert batch.rows[order[j]].tolist() == expected[2].tolist()
 
 
 if __name__ == "__main__":

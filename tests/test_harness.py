@@ -468,11 +468,20 @@ def test_every_allowed_config_key_loads(tmp_path):
     ("amplitude = 0.1", "amplitude = nan"),
     ("amplitude = 0.1", "amplitude = 0.1\nrate = inf"),
     ("kind = zero", "kind = impulse\nmagnitude = inf"),
+    ("method = gauss_newton_penalty", "multistart = 0"),
+    ("method = gauss_newton_penalty", "multistart = -2"),
+    ("method = gauss_newton_penalty", "max_iter = 0"),
+    ("method = gauss_newton_penalty", "tol = nan"),
+    ("method = gauss_newton_penalty", "tol = inf"),
+    ("method = gauss_newton_penalty", "tol = 0"),
+    ("method = gauss_newton_penalty", "tol = -1e-10"),
 ], ids=["empty-seed-range", "no-seeds", "sweep-zero", "sweep-empty-entry", "sweep-empty",
         "unknown-key", "unknown-scenario-key", "unknown-section", "bad-int", "bad-range",
         "grid-section", "level-passes", "use-structured", "bare-scenario", "unnamed-scenario",
         "repeated-seeds", "a-factor-inf", "a-factor-nan", "x0-nan", "prior-offset-inf",
-        "probe-delta-inf", "amplitude-nan", "rate-inf", "magnitude-inf"])
+        "probe-delta-inf", "amplitude-nan", "rate-inf", "magnitude-inf", "multistart-zero",
+        "multistart-negative", "max-iter-zero", "tol-nan", "tol-inf", "tol-zero",
+        "tol-negative"])
 def test_invalid_configs_are_config_errors(tmp_path, capsys, old, new):
     path = _edit_config(tmp_path, old, new)
     with pytest.raises(ConfigError):
