@@ -123,6 +123,27 @@ def _check_array(x, what: str) -> np.ndarray:
     return x
 
 
+def _check_arg(r, what: str):
+    """A comparison-function argument as a Python float, or an array as
+    floats, rejecting a negative or NaN value."""
+    if type(r) is float or not isinstance(r, _ndarray):
+        r = float(r)
+        if not r >= 0:          # negative or NaN
+            raise DomainError(f"{what} must be nonnegative, got {r}")
+        return r
+    return _check_array(r, what)
+
+
+def _check_age(s, what: str) -> int:
+    """An age as a Python int, rejecting a negative or non-integral one
+    rather than truncating it."""
+    if type(s) is not int and float(s).is_integer():
+        s = int(s)
+    if type(s) is not int or s < 0:
+        raise DomainError(f"{what} must be a nonnegative integer, got {s}")
+    return s
+
+
 def _check_target(y):
     """Reject negative inverse targets, scalar or array."""
     if isinstance(y, _ndarray):
@@ -219,10 +240,21 @@ class KFn:
     elementwise array, each element computed by the arithmetic of the scalar
     call; a scalar argument returns a Python float.  ``inverse`` follows the
     same contract.
+
+    ``__call__`` checks the argument once and passes it, as a float or a
+    float array, to the family's ``_eval``, which is all a family implements.
+    A composite calls a part's ``_eval`` only with its own checked argument,
+    unchanged or scaled by a constant checked positive at construction; a
+    value another part computed goes through the part's checked call.
     """
 
     def __call__(self, r: float) -> float:
-        raise NotImplementedError
+        return self._eval(self._check_domain(r))
+
+    def _eval(self, r):
+        """The value at a checked argument.  By default the checked call, so
+        a subclass that defines only ``__call__`` still composes."""
+        return self(r)
 
     @property
     def is_unbounded(self) -> bool:
@@ -236,12 +268,7 @@ class KFn:
         return _bisect_inverse(self.__call__, y)
 
     def _check_domain(self, r: float) -> float:
-        if type(r) is float or not isinstance(r, _ndarray):
-            r = float(r)
-            if not r >= 0:          # negative or NaN
-                raise DomainError(f"K-function argument must be nonnegative, got {r}")
-            return r
-        return _check_array(r, "K-function argument")
+        return _check_arg(r, "K-function argument")
 
 
 @dataclass(frozen=True)
@@ -254,8 +281,8 @@ class LinearK(KFn):
         if not (self.c > 0):
             raise DomainError("LinearK needs c > 0")
 
-    def __call__(self, r):
-        return self.c * self._check_domain(r)
+    def _eval(self, r):
+        return self.c * r
 
     @property
     def is_unbounded(self):
@@ -276,8 +303,8 @@ class PowerK(KFn):
         if not (self.c > 0 and self.p > 0):
             raise DomainError("PowerK needs c > 0 and p > 0")
 
-    def __call__(self, r):
-        return self.c * _pow(self._check_domain(r), self.p)
+    def _eval(self, r):
+        return self.c * _pow(r, self.p)
 
     @property
     def is_unbounded(self):
@@ -321,8 +348,7 @@ class PiecewiseLinearK(KFn):
         ys = [0.0] + [p[1] for p in self.knots]
         return xs, ys
 
-    def __call__(self, r):
-        r = self._check_domain(r)
+    def _eval(self, r):
         xs, ys = self._segments()
         slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
         if type(r) is not float:
@@ -367,9 +393,9 @@ class ComposedK(KFn):
             raise DomainError("ComposedK needs at least one part")
         object.__setattr__(self, "parts", tuple(self.parts))
 
-    def __call__(self, r):
-        v = self._check_domain(r)
-        for f in reversed(self.parts):
+    def _eval(self, r):
+        v = self.parts[-1]._eval(r)
+        for f in reversed(self.parts[:-1]):
             v = f(v)
         return v
 
@@ -395,9 +421,8 @@ class SumK(KFn):
             raise DomainError("SumK needs at least one part")
         object.__setattr__(self, "parts", tuple(self.parts))
 
-    def __call__(self, r):
-        r = self._check_domain(r)
-        return sum(f(r) for f in self.parts)
+    def _eval(self, r):
+        return sum(f._eval(r) for f in self.parts)
 
     @property
     def is_unbounded(self):
@@ -415,7 +440,7 @@ class IterK(KFn):
         if self.n < 0:
             raise DomainError("IterK needs n >= 0")
 
-    def __call__(self, r):
+    def _eval(self, r):
         return iterate_k(self.kappa, self.n, r)
 
     @property
@@ -479,10 +504,7 @@ class TriangleGrowth:
         object.__setattr__(self, "values", vals)
 
     def __call__(self, s: int) -> float:
-        s = int(s)
-        if s < 0:
-            raise DomainError("TriangleGrowth index must be nonnegative")
-        return self.values[min(s, len(self.values) - 1)]
+        return self.values[min(_check_age(s, "TriangleGrowth index"), len(self.values) - 1)]
 
 
 N_ONE = TriangleGrowth((1.0,))
@@ -509,10 +531,17 @@ class KLFn:
     numpy array of any shape, with ``s`` still one Python int: the result is
     the elementwise array, each element computed by the arithmetic of the
     scalar call.  A scalar ``r`` returns a Python float.
+
+    As for :class:`KFn`, ``__call__`` and ``sum_tail`` check their arguments
+    once (a negative or non-integral age is rejected too) and call the
+    family's ``_eval`` and ``_tail``, which are all a family implements.
     """
 
     def __call__(self, r: float, s: int) -> float:
-        raise NotImplementedError
+        return self._eval(*self._check_args(r, s))
+
+    def _eval(self, r, s):
+        return self(r, s)      # as KFn._eval
 
     def r_slope(self, s: int) -> Optional[float]:
         return None
@@ -520,26 +549,16 @@ class KLFn:
     def r_inverse(self, y: float, s: int) -> float:
         if isinstance(y, _ndarray):
             return _elementwise(lambda v: self.r_inverse(v, s), y)
-        if y < 0:
-            raise DomainError("inverse target must be nonnegative")
-        if y == 0:
-            return 0.0
         return _bisect_inverse(lambda r: self(r, s), y)
 
     def sum_tail(self, r: float, start: int) -> float:
+        return self._tail(*self._check_args(r, start))
+
+    def _tail(self, r, start):
         raise CapabilityError(f"{type(self).__name__} has no analytic tail bound")
 
     def _check_args(self, r: float, s: int):
-        if type(r) is float or not isinstance(r, _ndarray):
-            r = float(r)
-            if not r >= 0:          # negative or NaN
-                raise DomainError(f"KL first argument must be nonnegative, got {r}")
-        else:
-            r = _check_array(r, "KL first argument")
-        s = int(s)
-        if s < 0:
-            raise DomainError("KL second argument must be a nonnegative integer")
-        return r, s
+        return _check_arg(r, "KL first argument"), _check_age(s, "KL second argument")
 
 
 @dataclass(frozen=True)
@@ -554,8 +573,7 @@ class SeparableGeometric(KLFn):
         if self.c < 0 or not (self.p > 0) or not (0.0 <= self.lam < 1.0):
             raise DomainError("SeparableGeometric needs c >= 0, p > 0, 0 <= lam < 1")
 
-    def __call__(self, r, s):
-        r, s = self._check_args(r, s)
+    def _eval(self, r, s):
         return self.c * self.lam ** s * (r if self.p == 1.0 else _pow(r, self.p))
 
     def r_slope(self, s):
@@ -570,9 +588,8 @@ class SeparableGeometric(KLFn):
             raise CapabilityError("zero slice has no inverse")
         return _pow(y / coef, 1.0 / self.p)
 
-    def sum_tail(self, r, start):
+    def _tail(self, r, start):
         # sum_{tau >= start} c lam^tau r^p = c r^p lam^start / (1 - lam)
-        r, start = self._check_args(r, start)
         return self.c * _pow(r, self.p) * self.lam ** start / (1.0 - self.lam)
 
 
@@ -595,17 +612,16 @@ class ScaledShiftKL(KLFn):
             raise DomainError("s_shift must be nonnegative")
         if self.out_scale < 0:
             raise DomainError("out_scale must be nonnegative")
-        if isinstance(self.r_scale, (int, float)) and not (self.r_scale > 0):
-            raise DomainError("r_scale must be positive")
+        if isinstance(self.r_scale, (int, float)) and not (0 < self.r_scale < math.inf):
+            raise DomainError("r_scale must be positive and finite")
 
     def scale_at(self, s: int) -> float:
         if isinstance(self.r_scale, TriangleGrowth):
             return self.r_scale(s)
         return float(self.r_scale)
 
-    def __call__(self, r, s):
-        r, s = self._check_args(r, s)
-        return self.out_scale * self.base(self.scale_at(s) * r, s + self.s_shift)
+    def _eval(self, r, s):
+        return self.out_scale * self.base._eval(self.scale_at(s) * r, s + self.s_shift)
 
     def r_slope(self, s):
         inner = self.base.r_slope(s + self.s_shift)
@@ -618,11 +634,10 @@ class ScaledShiftKL(KLFn):
             raise CapabilityError("zero slice has no inverse")
         return self.base.r_inverse(y / self.out_scale, s + self.s_shift) / self.scale_at(s)
 
-    def sum_tail(self, r, start):
+    def _tail(self, r, start):
         # r_scale is nonincreasing in s, so scaling by its value at the tail
         # start bounds every later term.
-        r, start = self._check_args(r, start)
-        return self.out_scale * self.base.sum_tail(self.scale_at(start) * r, start + self.s_shift)
+        return self.out_scale * self.base._tail(self.scale_at(start) * r, start + self.s_shift)
 
 
 @dataclass(frozen=True)
@@ -636,9 +651,8 @@ class PointwiseMaxKL(KLFn):
             raise DomainError("PointwiseMaxKL needs at least one part")
         object.__setattr__(self, "parts", tuple(self.parts))
 
-    def __call__(self, r, s):
-        r, s = self._check_args(r, s)
-        values = (f(r, s) for f in self.parts)
+    def _eval(self, r, s):
+        values = (f._eval(r, s) for f in self.parts)
         if type(r) is float:
             return max(values)
         return functools.reduce(np.maximum, values)
@@ -656,8 +670,8 @@ class PointwiseMaxKL(KLFn):
             return functools.reduce(np.minimum, values)
         return min(values)
 
-    def sum_tail(self, r, start):
-        return sum(f.sum_tail(r, start) for f in self.parts)
+    def _tail(self, r, start):
+        return sum(f._tail(r, start) for f in self.parts)
 
 
 @dataclass(frozen=True)
@@ -671,9 +685,8 @@ class PointwiseSumKL(KLFn):
             raise DomainError("PointwiseSumKL needs at least one part")
         object.__setattr__(self, "parts", tuple(self.parts))
 
-    def __call__(self, r, s):
-        r, s = self._check_args(r, s)
-        return sum(f(r, s) for f in self.parts)
+    def _eval(self, r, s):
+        return sum(f._eval(r, s) for f in self.parts)
 
     def r_slope(self, s):
         slopes = [f.r_slope(s) for f in self.parts]
@@ -681,8 +694,8 @@ class PointwiseSumKL(KLFn):
             return None
         return sum(slopes)
 
-    def sum_tail(self, r, start):
-        return sum(f.sum_tail(r, start) for f in self.parts)
+    def _tail(self, r, start):
+        return sum(f._tail(r, start) for f in self.parts)
 
 
 @dataclass(frozen=True)
@@ -696,9 +709,8 @@ class IteratedKL(KLFn):
     kappa: KFn
     sigma: KFn
 
-    def __call__(self, r, s):
-        r, s = self._check_args(r, s)
-        return iterate_k(self.kappa, s, self.sigma(r))
+    def _eval(self, r, s):
+        return iterate_k(self.kappa, s, self.sigma._eval(r))
 
     def r_slope(self, s):
         if isinstance(self.kappa, LinearK) and isinstance(self.sigma, LinearK):
@@ -711,10 +723,9 @@ class IteratedKL(KLFn):
             v = self.kappa.inverse(v)
         return self.sigma.inverse(v)
 
-    def sum_tail(self, r, start):
-        r, start = self._check_args(r, start)
+    def _tail(self, r, start):
         if isinstance(self.kappa, LinearK) and self.kappa.c < 1.0:
-            return self.sigma(r) * self.kappa.c ** start / (1.0 - self.kappa.c)
+            return self.sigma._eval(r) * self.kappa.c ** start / (1.0 - self.kappa.c)
         raise CapabilityError("IteratedKL tail bound needs a linear contraction")
 
 
@@ -725,9 +736,8 @@ class KOfKL(KLFn):
     outer: KFn
     inner: KLFn
 
-    def __call__(self, r, s):
-        r, s = self._check_args(r, s)
-        return self.outer(self.inner(r, s))
+    def _eval(self, r, s):
+        return self.outer(self.inner._eval(r, s))
 
     def r_slope(self, s):
         if isinstance(self.outer, LinearK):
@@ -739,9 +749,9 @@ class KOfKL(KLFn):
     def r_inverse(self, y, s):
         return self.inner.r_inverse(self.outer.inverse(y), s)
 
-    def sum_tail(self, r, start):
+    def _tail(self, r, start):
         if isinstance(self.outer, LinearK):
-            return self.outer.c * self.inner.sum_tail(r, start)
+            return self.outer.c * self.inner._tail(r, start)
         raise CapabilityError("KOfKL tail bound needs a linear outer function")
 
 
@@ -756,9 +766,8 @@ class SFloorKL(KLFn):
         if self.divisor < 1:
             raise DomainError("divisor must be >= 1")
 
-    def __call__(self, r, s):
-        r, s = self._check_args(r, s)
-        return self.base(r, s // self.divisor)
+    def _eval(self, r, s):
+        return self.base._eval(r, s // self.divisor)
 
     def r_slope(self, s):
         return self.base.r_slope(int(s) // self.divisor)
@@ -766,10 +775,9 @@ class SFloorKL(KLFn):
     def r_inverse(self, y, s):
         return self.base.r_inverse(y, int(s) // self.divisor)
 
-    def sum_tail(self, r, start):
-        r, start = self._check_args(r, start)
+    def _tail(self, r, start):
         m = start // self.divisor
-        return self.divisor * (self.base(r, m) + self.base.sum_tail(r, m + 1))
+        return self.divisor * (self.base._eval(r, m) + self.base._tail(r, m + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -795,8 +803,7 @@ class TabulatedKL(KLFn):
         object.__setattr__(self, "s_grid", s)
         object.__setattr__(self, "values", v)
 
-    def __call__(self, r, s):
-        r, s = self._check_args(r, s)
+    def _eval(self, r, s):
         x = np.asarray(r)
         ri = np.clip(np.searchsorted(self.r_grid, x), 1, len(self.r_grid) - 1)
         si = np.clip(np.searchsorted(self.s_grid, s), 1, len(self.s_grid) - 1)

@@ -65,8 +65,8 @@ class BoundAlphaInvK(KFn):
     alpha: KFn
     K: int
 
-    def __call__(self, r):
-        return self.b(self.alpha.inverse(self._check_domain(r)), self.K)
+    def _eval(self, r):
+        return self.b(self.alpha.inverse(r), self.K)
 
     @property
     def is_unbounded(self):
@@ -80,9 +80,8 @@ class GapSlackK(KFn):
     theta: float
     g: KFn
 
-    def __call__(self, r):
-        r = self._check_domain(r)
-        return self.theta * (r - self.g(r))
+    def _eval(self, r):
+        return self.theta * (r - self.g._eval(r))
 
     @property
     def is_unbounded(self):
@@ -96,9 +95,8 @@ class PlusSlackK(KFn):
     g: KFn
     rho: KFn
 
-    def __call__(self, r):
-        r = self._check_domain(r)
-        return self.g(r) + self.rho(r)
+    def _eval(self, r):
+        return self.g._eval(r) + self.rho._eval(r)
 
     @property
     def is_unbounded(self):
@@ -112,8 +110,7 @@ class ZetaK(KFn):
     kappa: KFn
     rho: KFn
 
-    def __call__(self, r):
-        r = self._check_domain(r)
+    def _eval(self, r):
         return r + self.kappa(self.rho.inverse(r))
 
     @property
@@ -248,11 +245,10 @@ class _MaxHatKL(KLFn):
     kappa: KFn
     K: int
 
-    def __call__(self, r, t):
-        r, t = self._check_args(r, t)
+    def _eval(self, r, t):
         n, m = divmod(t, self.K)
-        a = iterate_k(self.kappa, n, self.theta(r, m))
-        b = iterate_k(self.kappa, n + 1, self.theta(r, 0))
+        a = iterate_k(self.kappa, n, self.theta._eval(r, m))
+        b = iterate_k(self.kappa, n + 1, self.theta._eval(r, 0))
         return max(a, b) if type(r) is float else np.maximum(a, b)
 
     def r_slope(self, t):
@@ -278,13 +274,9 @@ class _SumHatGainKL(KLFn):
     zeta: KFn
     K: int
 
-    def window_sum(self, r: float) -> float:
-        return sum(self.base(r, tau) for tau in range(1, self.K + 1))
-
-    def __call__(self, r, t):
-        r, t = self._check_args(r, t)
-        n = t // self.K
-        return iterate_k(self.kappa, n, self.zeta(2.0 * self.window_sum(r)))
+    def _eval(self, r, t):
+        window_sum = sum(self.base._eval(r, tau) for tau in range(1, self.K + 1))
+        return iterate_k(self.kappa, t // self.K, self.zeta(2.0 * window_sum))
 
     def r_slope(self, t):
         if not (isinstance(self.kappa, LinearK) and isinstance(self.zeta, LinearK)):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_folds as ref
-from mhestab import certificates
+from mhestab import certificates, comparison
 from mhestab.comparison import (
     CapabilityError,
     ComposedK,
@@ -51,6 +51,7 @@ from mhestab.certificates import (
     default_cost_from_certificate,
     derive_bcd,
 )
+from mhestab.harness import ExperimentConfig, hat_bounds_for, resolve
 from mhestab.stability import (
     ANALYSIS_R_MAX,
     ANALYSIS_R_MIN,
@@ -467,6 +468,47 @@ def test_check_summable_makes_one_call_per_age(grid, tail_horizon):
     f = _Counting(SeparableGeometric(2.0, 1.0, 0.5))
     assert check_summable(f, LinearK(4.0), grid, tail_horizon=tail_horizon).passed
     assert f.calls == tail_horizon + 1
+
+
+@pytest.mark.parametrize("mode", ["max", "sum"])
+def test_each_public_call_checks_its_argument_once(mode, monkeypatch):
+    """A composite skips the re-check of its own checked argument: one array
+    check per call, plus one for the computed zeta argument of a sum-mode
+    disturbance hat gain."""
+    resolved = resolve(ExperimentConfig(plant="s1", mode=mode, estimator="mhe", horizon=4))
+    hat = hat_bounds_for(resolved, 4)
+    checks, check_array = [], comparison._check_array
+
+    def counting(x, what):
+        checks.append(what)
+        return check_array(x, what)
+
+    monkeypatch.setattr(comparison, "_check_array", counting)
+    gains = {"gamma_hat": resolved.cost.gamma_hat, "b": resolved.bounds.b,
+             "b_hat": hat.b_hat, "c_hat": hat.c_hat}
+    for name, fn in gains.items():
+        checks.clear()
+        fn(np.geomspace(1e-3, 1e3, 7), 5)
+        assert len(checks) == (2 if (mode, name) == ("sum", "c_hat") else 1), name
+
+
+class _NegativeK(KFn):
+    def __call__(self, r):
+        return -1.0 - r
+
+
+class _NegativeKL(KLFn):
+    def __call__(self, r, s):
+        return -1.0 - r
+
+
+@pytest.mark.parametrize("fn", [KOfKL(LinearK(1.0), _NegativeKL()),
+                                ComposedK((LinearK(1.0), _NegativeK()))],
+                         ids=["k-of-kl", "composed"])
+@pytest.mark.parametrize("r", [1.0, np.array([0.0, 1.0])], ids=["scalar", "array"])
+def test_a_computed_argument_is_still_checked(fn, r):
+    with pytest.raises(DomainError):
+        fn(r, 0) if isinstance(fn, KLFn) else fn(r)
 
 
 def test_catalog_build_calls_check_summable_sixteen_times(monkeypatch):

@@ -152,6 +152,24 @@ def test_kl_eval_examples():
         f(-1.0, 0)
 
 
+@pytest.mark.parametrize("age", [-0.5, 2.7, -1, float("nan")])
+def test_kl_rejects_a_bad_age_instead_of_truncating_it(age):
+    f = SeparableGeometric(1.0, 1.0, 0.5)
+    for call in (f, f.sum_tail, ScaledShiftKL(f, 2.0)):
+        for r in (1.0, np.array([1.0, 2.0])):
+            with pytest.raises(DomainError):
+                call(r, age)
+    with pytest.raises(DomainError):
+        TriangleGrowth((2.0, 1.0))(age)
+    assert f(1.0, 2.0) == f(1.0, np.int64(2)) == 0.25
+
+
+def test_scaled_shift_rejects_an_infinite_scale():
+    # the base is evaluated unchecked, and inf * 0 would hand it a NaN
+    with pytest.raises(DomainError):
+        ScaledShiftKL(SeparableGeometric(1.0, 1.0, 0.5), float("inf"))
+
+
 def test_kl_grid_invariants():
     fns = [
         SeparableGeometric(2.0, 1.0, 0.5),
