@@ -55,6 +55,8 @@ from .comparison import (
     check_summable,
     first_max,
     fold_terms,
+    format_kfn,
+    format_klfn,
     gain_terms,
     log_grid,
     plus_reduce,
@@ -489,18 +491,13 @@ def builtin_certificate(name: str, mode: PlusMode) -> IossCertificate:
 
 def certificate_to_text(cert: IossCertificate) -> Dict[str, str]:
     """Declarative text form of a certificate (embeddable in config files)."""
-    from .comparison import format_kfn, format_klfn
-    out = {"name": cert.name, "mode": cert.mode.value, "validity": cert.validity,
-           "alpha": format_kfn(cert.alpha)}
-    for key, fn in cert.gains().items():
-        out[key] = format_klfn(fn)
-    return out
+    return {"name": cert.name, "mode": cert.mode.value, "validity": cert.validity,
+            "alpha": format_kfn(cert.alpha),
+            **{key: format_klfn(fn) for key, fn in cert.gains().items()}}
 
 
 def cost_to_text(cost: CostSpec) -> Dict[str, str]:
-    """Declarative text form of a cost specification."""
-    from .comparison import format_klfn
+    """Declarative text form of a cost specification, as a ``[cost]``
+    section takes it."""
     return {"name": cost.name, "mode": cost.mode.value,
-            "beta_hat": format_klfn(cost.beta_hat),
-            "gamma_hat": format_klfn(cost.gamma_hat),
-            "delta_hat": format_klfn(cost.delta_hat)}
+            **{key: format_klfn(getattr(cost, key)) for key in ("beta_hat", "gamma_hat", "delta_hat")}}

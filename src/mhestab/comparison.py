@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import Callable, Optional, Sequence, Union
 
@@ -336,17 +336,13 @@ class PiecewiseLinearK(KFn):
     knots: tuple
 
     def __post_init__(self):
-        pts = tuple((float(x), float(y)) for x, y in self.knots)
-        object.__setattr__(self, "knots", pts)
-        xs = [0.0] + [p[0] for p in pts]
-        ys = [0.0] + [p[1] for p in pts]
-        if any(b <= a for a, b in zip(xs, xs[1:])) or any(b <= a for a, b in zip(ys, ys[1:])):
-            raise DomainError("PiecewiseLinearK knots must be strictly increasing in x and y")
+        object.__setattr__(self, "knots", tuple((float(x), float(y)) for x, y in self.knots))
+        xs, ys = self._segments()
+        if not self.knots or any(b <= a for v in (xs, ys) for a, b in zip(v, v[1:])):
+            raise DomainError("PiecewiseLinearK needs knots, strictly increasing in x and y")
 
     def _segments(self):
-        xs = [0.0] + [p[0] for p in self.knots]
-        ys = [0.0] + [p[1] for p in self.knots]
-        return xs, ys
+        return [0.0] + [x for x, _ in self.knots], [0.0] + [y for _, y in self.knots]
 
     def _eval(self, r):
         xs, ys = self._segments()
@@ -448,7 +444,7 @@ class IterK(KFn):
         return self.n == 0 or self.kappa.is_unbounded
 
     def inverse(self, y):
-        v = y
+        v = _check_target(y)
         for _ in range(self.n):
             v = self.kappa.inverse(v)
         return v
@@ -533,8 +529,9 @@ class KLFn:
     scalar call.  A scalar ``r`` returns a Python float.
 
     As for :class:`KFn`, ``__call__`` and ``sum_tail`` check their arguments
-    once (a negative or non-integral age is rejected too) and call the
-    family's ``_eval`` and ``_tail``, which are all a family implements.
+    once, and ``r_slope`` and ``r_inverse`` their age (a negative or
+    non-integral age is rejected); they call the family's ``_eval``,
+    ``_tail``, ``_slope`` and ``_inverse``, which are all a family implements.
     """
 
     def __call__(self, r: float, s: int) -> float:
@@ -544,11 +541,17 @@ class KLFn:
         return self(r, s)      # as KFn._eval
 
     def r_slope(self, s: int) -> Optional[float]:
+        return self._slope(_check_age(s, "KL slice age"))
+
+    def _slope(self, s):
         return None
 
     def r_inverse(self, y: float, s: int) -> float:
+        return self._inverse(y, _check_age(s, "KL second argument"))
+
+    def _inverse(self, y, s):
         if isinstance(y, _ndarray):
-            return _elementwise(lambda v: self.r_inverse(v, s), y)
+            return _elementwise(lambda v: self._inverse(v, s), y)
         return _bisect_inverse(lambda r: self(r, s), y)
 
     def sum_tail(self, r: float, start: int) -> float:
@@ -576,12 +579,12 @@ class SeparableGeometric(KLFn):
     def _eval(self, r, s):
         return self.c * self.lam ** s * (r if self.p == 1.0 else _pow(r, self.p))
 
-    def r_slope(self, s):
+    def _slope(self, s):
         if self.p == 1.0:
             return self.c * self.lam ** s
         return None
 
-    def r_inverse(self, y, s):
+    def _inverse(self, y, s):
         _check_target(y)
         coef = self.c * self.lam ** s
         if coef == 0.0:
@@ -623,16 +626,16 @@ class ScaledShiftKL(KLFn):
     def _eval(self, r, s):
         return self.out_scale * self.base._eval(self.scale_at(s) * r, s + self.s_shift)
 
-    def r_slope(self, s):
-        inner = self.base.r_slope(s + self.s_shift)
+    def _slope(self, s):
+        inner = self.base._slope(s + self.s_shift)
         if inner is None:
             return None
         return self.out_scale * self.scale_at(s) * inner
 
-    def r_inverse(self, y, s):
+    def _inverse(self, y, s):
         if self.out_scale == 0.0:
             raise CapabilityError("zero slice has no inverse")
-        return self.base.r_inverse(y / self.out_scale, s + self.s_shift) / self.scale_at(s)
+        return self.base._inverse(y / self.out_scale, s + self.s_shift) / self.scale_at(s)
 
     def _tail(self, r, start):
         # r_scale is nonincreasing in s, so scaling by its value at the tail
@@ -657,15 +660,15 @@ class PointwiseMaxKL(KLFn):
             return max(values)
         return functools.reduce(np.maximum, values)
 
-    def r_slope(self, s):
-        slopes = [f.r_slope(s) for f in self.parts]
+    def _slope(self, s):
+        slopes = [f._slope(s) for f in self.parts]
         if any(sl is None for sl in slopes):
             return None
         return max(slopes)
 
-    def r_inverse(self, y, s):
+    def _inverse(self, y, s):
         # (max f_i)^{-1} = min f_i^{-1} for increasing slices
-        values = (f.r_inverse(y, s) for f in self.parts)
+        values = (f._inverse(y, s) for f in self.parts)
         if isinstance(y, _ndarray):
             return functools.reduce(np.minimum, values)
         return min(values)
@@ -688,8 +691,8 @@ class PointwiseSumKL(KLFn):
     def _eval(self, r, s):
         return sum(f._eval(r, s) for f in self.parts)
 
-    def r_slope(self, s):
-        slopes = [f.r_slope(s) for f in self.parts]
+    def _slope(self, s):
+        slopes = [f._slope(s) for f in self.parts]
         if any(sl is None for sl in slopes):
             return None
         return sum(slopes)
@@ -712,14 +715,14 @@ class IteratedKL(KLFn):
     def _eval(self, r, s):
         return iterate_k(self.kappa, s, self.sigma._eval(r))
 
-    def r_slope(self, s):
+    def _slope(self, s):
         if isinstance(self.kappa, LinearK) and isinstance(self.sigma, LinearK):
             return self.kappa.c ** s * self.sigma.c
         return None
 
-    def r_inverse(self, y, s):
+    def _inverse(self, y, s):
         v = y
-        for _ in range(int(s)):
+        for _ in range(s):
             v = self.kappa.inverse(v)
         return self.sigma.inverse(v)
 
@@ -739,15 +742,15 @@ class KOfKL(KLFn):
     def _eval(self, r, s):
         return self.outer(self.inner._eval(r, s))
 
-    def r_slope(self, s):
+    def _slope(self, s):
         if isinstance(self.outer, LinearK):
-            inner = self.inner.r_slope(s)
+            inner = self.inner._slope(s)
             if inner is not None:
                 return self.outer.c * inner
         return None
 
-    def r_inverse(self, y, s):
-        return self.inner.r_inverse(self.outer.inverse(y), s)
+    def _inverse(self, y, s):
+        return self.inner._inverse(self.outer.inverse(y), s)
 
     def _tail(self, r, start):
         if isinstance(self.outer, LinearK):
@@ -769,11 +772,11 @@ class SFloorKL(KLFn):
     def _eval(self, r, s):
         return self.base._eval(r, s // self.divisor)
 
-    def r_slope(self, s):
-        return self.base.r_slope(int(s) // self.divisor)
+    def _slope(self, s):
+        return self.base._slope(s // self.divisor)
 
-    def r_inverse(self, y, s):
-        return self.base.r_inverse(y, int(s) // self.divisor)
+    def _inverse(self, y, s):
+        return self.base._inverse(y, s // self.divisor)
 
     def _tail(self, r, start):
         m = start // self.divisor
@@ -1060,163 +1063,156 @@ def check_triangle(beta: KLFn, n: TriangleGrowth, mode: PlusMode, s_max: int = 3
 
 
 # ---------------------------------------------------------------------------
-# Serialization: declarative text format used inside harness config files
+# Text forms: the declarative syntax of config files and reports
 # ---------------------------------------------------------------------------
 
+#: Each argument kind: what it reads, and the class that a form given for it
+#: must build (None: no form).  A starred kind (``"K*"``) reads the remaining
+#: arguments, one or more, into the field's tuple.
+_KINDS = {
+    "number": ("a finite number", None),
+    "integer": ("an integer", None),
+    "knot": ("an x:y knot", None),
+    "K": ("a K-function form", KFn),
+    "KL": ("a KL-function form", KLFn),
+    "scale": ("a number or a tria form", TriangleGrowth),
+}
+
+#: Every text form: its name, the class it builds and the kind of each
+#: constructor argument, in dataclass field order.  The formatter and the
+#: parser are both driven from this table.
+TEXT_FORMS = {
+    "linear": (LinearK, ("number",)),
+    "power": (PowerK, ("number", "number")),
+    "pwl": (PiecewiseLinearK, ("knot*",)),
+    "comp": (ComposedK, ("K*",)),
+    "ksum": (SumK, ("K*",)),
+    "kiter": (IterK, ("K", "integer")),
+    "tria": (TriangleGrowth, ("number*",)),
+    "sepgeo": (SeparableGeometric, ("number", "number", "number")),
+    "scaled": (ScaledShiftKL, ("KL", "scale", "integer", "number")),
+    "klmax": (PointwiseMaxKL, ("KL*",)),
+    "klsum": (PointwiseSumKL, ("KL*",)),
+    "kliter": (IteratedKL, ("K", "K")),
+    "kofkl": (KOfKL, ("K", "KL")),
+    "sfloor": (SFloorKL, ("KL", "integer")),
+}
+
+_FORM_NAMES = {cls: name for name, (cls, _) in TEXT_FORMS.items()}
+
+
+def _format_arg(value, kind: str) -> str:
+    if kind.endswith("*"):
+        return ", ".join(_format_arg(v, kind[:-1]) for v in value)
+    base = _KINDS[kind][1]
+    if base is not None and isinstance(value, base) and type(value) in _FORM_NAMES:
+        name = _FORM_NAMES[type(value)]
+        args = (_format_arg(getattr(value, f.name), k)
+                for f, k in zip(fields(value), TEXT_FORMS[name][1]))
+        return f"{name}({', '.join(args)})"
+    if kind in ("number", "scale"):
+        return repr(value)
+    if kind == "integer":
+        return str(value)
+    if kind == "knot":
+        return f"{value[0]!r}:{value[1]!r}"
+    raise CapabilityError(f"no text form for {type(value).__name__}")
+
+
 def format_kfn(f: KFn) -> str:
-    if isinstance(f, LinearK):
-        return f"linear({f.c!r})"
-    if isinstance(f, PowerK):
-        return f"power({f.c!r}, {f.p!r})"
-    if isinstance(f, PiecewiseLinearK):
-        pts = ", ".join(f"{x!r}:{y!r}" for x, y in f.knots)
-        return f"pwl({pts})"
-    if isinstance(f, ComposedK):
-        return "comp(" + ", ".join(format_kfn(p) for p in f.parts) + ")"
-    if isinstance(f, SumK):
-        return "ksum(" + ", ".join(format_kfn(p) for p in f.parts) + ")"
-    if isinstance(f, IterK):
-        return f"kiter({format_kfn(f.kappa)}, {f.n})"
-    raise CapabilityError(f"no text form for {type(f).__name__}")
+    """The text form of a K-function (see :data:`TEXT_FORMS`)."""
+    return _format_arg(f, "K")
 
 
 def format_klfn(f: KLFn) -> str:
-    if isinstance(f, SeparableGeometric):
-        return f"sepgeo({f.c!r}, {f.p!r}, {f.lam!r})"
-    if isinstance(f, ScaledShiftKL):
-        if isinstance(f.r_scale, TriangleGrowth):
-            scale = "tria(" + ", ".join(repr(v) for v in f.r_scale.values) + ")"
-        else:
-            scale = repr(f.r_scale)
-        return f"scaled({format_klfn(f.base)}, {scale}, {f.s_shift}, {f.out_scale!r})"
-    if isinstance(f, PointwiseMaxKL):
-        return "klmax(" + ", ".join(format_klfn(p) for p in f.parts) + ")"
-    if isinstance(f, PointwiseSumKL):
-        return "klsum(" + ", ".join(format_klfn(p) for p in f.parts) + ")"
-    if isinstance(f, IteratedKL):
-        return f"kliter({format_kfn(f.kappa)}, {format_kfn(f.sigma)})"
-    if isinstance(f, KOfKL):
-        return f"kofkl({format_kfn(f.outer)}, {format_klfn(f.inner)})"
-    if isinstance(f, SFloorKL):
-        return f"sfloor({format_klfn(f.base)}, {f.divisor})"
-    raise CapabilityError(f"no text form for {type(f).__name__}")
+    """The text form of a KL function (see :data:`TEXT_FORMS`)."""
+    return _format_arg(f, "KL")
 
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[(),:]|[-+]?[0-9.eE+-]+)")
+_NUMBER = r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+#: One token per match, as groups: a number and the y of a knot; a form's name
+#: with its ``(`` and a ``)`` if it has no arguments; ``,`` or ``)``; else.
+_TOKEN = re.compile(rf"\s*(?:({_NUMBER})(?:\s*:\s*({_NUMBER}))?"
+                    rf"|([A-Za-z_]\w*)\s*\((\s*\))?|([,)])|([A-Za-z_]\w*|\S))")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise DomainError(f"cannot tokenize comparison function: {text[pos:]!r}")
-                break
-            self.tokens.append(m.group(1))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise DomainError("unexpected end of comparison-function text")
-        self.i += 1
-        return tok
-
-    def expect(self, tok):
-        got = self.next()
-        if got != tok:
-            raise DomainError(f"expected {tok!r}, got {got!r}")
-
-    def number(self):
-        return float(self.next())
-
-    def args(self):
-        self.expect("(")
-        out = []
-        if self.peek() == ")":
-            self.next()
-            return out
-        while True:
-            out.append(self.value())
-            tok = self.next()
-            if tok == ")":
-                return out
-            if tok != ",":
-                raise DomainError(f"expected ',' or ')', got {tok!r}")
-
-    def value(self):
-        tok = self.peek()
-        if tok is None:
-            raise DomainError("unexpected end of comparison-function text")
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            name = self.next().lower()
-            args = self.args()
-            return (name, args)
-        v = self.number()
-        if self.peek() == ":":
-            self.next()
-            return (v, self.number())
-        return v
+def _number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise DomainError(f"numbers must be finite, got {text}")
+    return value
 
 
-def _build_kfn(node) -> KFn:
-    if not isinstance(node, tuple) or not isinstance(node[0], str):
-        raise DomainError(f"expected a K-function expression, got {node!r}")
-    name, args = node
-    if name == "linear":
-        return LinearK(args[0])
-    if name == "power":
-        return PowerK(args[0], args[1])
-    if name == "pwl":
-        return PiecewiseLinearK(tuple(args))
-    if name == "comp":
-        return ComposedK(tuple(_build_kfn(a) for a in args))
-    if name == "ksum":
-        return SumK(tuple(_build_kfn(a) for a in args))
-    if name == "kiter":
-        return IterK(_build_kfn(args[0]), int(args[1]))
-    raise DomainError(f"unknown K-function family {name!r}")
+def _read(tokens: list, i: int):
+    """The node at ``tokens[i]`` and the index after it: ``("number", v)``,
+    ``("knot", (x, y))`` or ``("form", (name, nodes))``."""
+    if i == len(tokens):
+        raise DomainError("comparison-function text ends where an argument should be")
+    x, y, name, empty, sep, other = tokens[i].groups()
+    if x is not None:
+        return (("number", _number(x)) if y is None else ("knot", (_number(x), _number(y)))), i + 1
+    if name is None:
+        raise DomainError(f"expected an argument, got {sep or other!r}")
+    nodes, i, closed = [], i + 1, empty is not None
+    while not closed:
+        node, i = _read(tokens, i)
+        nodes.append(node)
+        if i == len(tokens) or tokens[i].group(5) is None:
+            raise DomainError(f"expected ',' or ')' after argument {len(nodes)} of {name}")
+        closed, i = tokens[i].group(5) == ")", i + 1
+    return ("form", (name.lower(), nodes)), i
 
 
-def _build_klfn(node) -> KLFn:
-    if not isinstance(node, tuple) or not isinstance(node[0], str):
-        raise DomainError(f"expected a KL-function expression, got {node!r}")
-    name, args = node
-    if name == "sepgeo":
-        return SeparableGeometric(args[0], args[1], args[2])
-    if name == "scaled":
-        base = _build_klfn(args[0])
-        scale = args[1]
-        if isinstance(scale, tuple) and scale[0] == "tria":
-            scale = TriangleGrowth(tuple(scale[1]))
-        s_shift = int(args[2]) if len(args) > 2 else 0
-        out_scale = float(args[3]) if len(args) > 3 else 1.0
-        return ScaledShiftKL(base, scale, s_shift, out_scale)
-    if name == "klmax":
-        return PointwiseMaxKL(tuple(_build_klfn(a) for a in args))
-    if name == "klsum":
-        return PointwiseSumKL(tuple(_build_klfn(a) for a in args))
-    if name == "kliter":
-        return IteratedKL(_build_kfn(args[0]), _build_kfn(args[1]))
-    if name == "kofkl":
-        return KOfKL(_build_kfn(args[0]), _build_klfn(args[1]))
-    if name == "sfloor":
-        return SFloorKL(_build_klfn(args[0]), int(args[1]))
-    raise DomainError(f"unknown KL-function family {name!r}")
+def _value(node, kind: str, where: str):
+    """The value of a parsed node given as an argument of this kind."""
+    tag, value = node
+    what, base = _KINDS[kind]
+    if tag == "form" and base is not None:
+        if value[0] not in TEXT_FORMS:
+            raise DomainError(f"unknown comparison-function family {value[0]!r}")
+        if issubclass(TEXT_FORMS[value[0]][0], base):
+            return _construct(*value)
+    elif tag == "number" and kind == "integer":
+        if not value.is_integer():
+            raise DomainError(f"{where} must be an integer, got {value!r}")
+        return int(value)
+    elif tag == kind or (tag, kind) == ("number", "scale"):
+        return value
+    got = f"{value[0]}(...)" if tag == "form" else f"a {tag}"
+    raise DomainError(f"{where} must be {what}, got {got}")
+
+
+def _construct(name: str, nodes: list):
+    """Build a form from the table, checking the count and kind of its
+    arguments."""
+    cls, kinds = TEXT_FORMS[name]
+    fixed, starred = len(kinds) - 1, kinds[-1].endswith("*")
+    if starred:
+        least, most, count = len(kinds), math.inf, f"at least {len(kinds)}"
+        kinds = kinds[:fixed] + (kinds[-1][:-1],) * (len(nodes) - fixed)
+    else:
+        least, most = sum(f.default is MISSING for f in fields(cls)), len(kinds)
+        count = most if least == most else f"{least} to {most}"
+    if not least <= len(nodes) <= most:
+        raise DomainError(f"{name} takes {count} argument(s), got {len(nodes)}")
+    args = [_value(n, k, f"argument {i} of {name}") for i, (n, k) in enumerate(zip(nodes, kinds), 1)]
+    return cls(*args[:fixed], tuple(args[fixed:])) if starred else cls(*args)
+
+
+def _parse(text: str, kind: str):
+    tokens = list(_TOKEN.finditer(text))
+    node, i = _read(tokens, 0)
+    if i < len(tokens):
+        raise DomainError("unexpected text after the comparison function: "
+                          f"{text[tokens[i].start():].strip()!r}")
+    return _value(node, kind, "comparison-function text")
 
 
 def parse_kfn(text: str) -> KFn:
-    """Parse the declarative text form of a scalar K-function."""
-    return _build_kfn(_Parser(text).value())
+    """Parse the text form of a K-function (see :data:`TEXT_FORMS`)."""
+    return _parse(text, "K")
 
 
 def parse_klfn(text: str) -> KLFn:
-    """Parse the declarative text form of a KL function."""
-    return _build_klfn(_Parser(text).value())
+    """Parse the text form of a KL function (see :data:`TEXT_FORMS`)."""
+    return _parse(text, "KL")

@@ -262,7 +262,7 @@ def _read_config(path: str) -> ExperimentConfig:
     if scenarios:
         fields["scenarios"] = scenarios
     cfg = ExperimentConfig(**fields)
-    if cfg.cost_beta_hat:
+    if cfg.cost_beta_hat or cfg.cost_gamma_hat or cfg.cost_delta_hat:
         cfg.cost = "explicit"
     cfg.validate()
     return cfg
@@ -300,14 +300,14 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
     if config.cost == "default":
         cost = default_cost_from_certificate(cert, n_map)
     else:
-        if not (config.cost_beta_hat and config.cost_gamma_hat and config.cost_delta_hat):
-            raise ConfigError("explicit cost needs beta_hat, gamma_hat, delta_hat")
+        texts = {key: getattr(config, "cost_" + key) for key in ("beta_hat", "gamma_hat", "delta_hat")}
+        if not all(texts.values()):
+            raise ConfigError("explicit cost needs beta_hat, gamma_hat, delta_hat; [cost] lacks "
+                              + ", ".join(key for key, text in texts.items() if not text))
         try:
-            cost = CostSpec(mode, parse_klfn(config.cost_beta_hat),
-                            parse_klfn(config.cost_gamma_hat),
-                            parse_klfn(config.cost_delta_hat),
-                            summability=None if mode is PlusMode.MAX else _explicit_summability(
-                                config.cost_gamma_hat, config.cost_delta_hat))
+            gains = {key: parse_klfn(text) for key, text in texts.items()}
+            cost = CostSpec(mode, **gains, summability=None if mode is PlusMode.MAX
+                            else _explicit_summability(gains))
         except DomainError as exc:
             raise ConfigError(f"invalid explicit cost: {exc}") from None
     witness = check_compatibility(cert, cost, n_map)
@@ -318,11 +318,11 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
     return ResolvedExperiment(config, model, cert, cost, n_map, bounds, witness.B)
 
 
-def _explicit_summability(gamma_text: str, delta_text: str):
+def _explicit_summability(gains: dict):
     from .comparison import LinearK, check_summable
     out = {}
-    for key, text in (("gamma_hat", gamma_text), ("delta_hat", delta_text)):
-        fn = parse_klfn(text)
+    for key in ("gamma_hat", "delta_hat"):
+        fn = gains[key]
         # derive a cheap geometric cap from the tail at zero horizon
         cap = fn(1.0, 0) + fn.sum_tail(1.0, 0)
         record = check_summable(fn, LinearK(max(cap * 4.0, 1e-9)))

@@ -251,11 +251,11 @@ class _MaxHatKL(KLFn):
         b = iterate_k(self.kappa, n + 1, self.theta._eval(r, 0))
         return max(a, b) if type(r) is float else np.maximum(a, b)
 
-    def r_slope(self, t):
+    def _slope(self, t):
         if not isinstance(self.kappa, LinearK):
             return None
-        n, m = divmod(int(t), self.K)
-        s_m, s_0 = self.theta.r_slope(m), self.theta.r_slope(0)
+        n, m = divmod(t, self.K)
+        s_m, s_0 = self.theta._slope(m), self.theta._slope(0)
         if s_m is None or s_0 is None:
             return None
         return max(self.kappa.c ** n * s_m, self.kappa.c ** (n + 1) * s_0)
@@ -278,13 +278,13 @@ class _SumHatGainKL(KLFn):
         window_sum = sum(self.base._eval(r, tau) for tau in range(1, self.K + 1))
         return iterate_k(self.kappa, t // self.K, self.zeta(2.0 * window_sum))
 
-    def r_slope(self, t):
+    def _slope(self, t):
         if not (isinstance(self.kappa, LinearK) and isinstance(self.zeta, LinearK)):
             return None
-        slopes = [self.base.r_slope(tau) for tau in range(1, self.K + 1)]
+        slopes = [self.base._slope(tau) for tau in range(1, self.K + 1)]
         if any(s is None for s in slopes):
             return None
-        n = int(t) // self.K
+        n = t // self.K
         return self.kappa.c ** n * self.zeta.c * 2.0 * sum(slopes)
 
 

@@ -1,16 +1,23 @@
 """Comparison-function calculus: folds, inverses, summability, triangle
 growth, and the serialization format."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mhestab.comparison
 from mhestab.comparison import (
+    TEXT_FORMS,
     CapabilityError,
     ComposedK,
     DomainError,
     IterK,
     IteratedKL,
+    KFn,
+    KLFn,
     KOfKL,
     LinearK,
     N_TWO,
@@ -132,10 +139,26 @@ def test_iterate_k_examples():
     assert iterate_k(PowerK(1.0, 0.5), 2, 16.0) == 2.0
 
 
+@pytest.mark.parametrize("knots", [(), ((1.0, 1.0), (1.0, 2.0)), ((1.0, 1.0), (2.0, 0.5))])
+def test_piecewise_linear_needs_increasing_knots(knots):
+    with pytest.raises(DomainError):
+        PiecewiseLinearK(knots)
+
+
 def test_iter_k_object_matches_function():
     f = IterK(LinearK(0.5), 4)
     assert f(32.0) == 2.0
     assert f.inverse(2.0) == 32.0
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_iter_k_inverse_rejects_a_negative_target(n):
+    f = IterK(LinearK(2.0), n)
+    with pytest.raises(DomainError):
+        f.inverse(-1.0)
+    with pytest.raises(DomainError):
+        f.inverse(np.array([1.0, -1.0]))
+    assert f.inverse(8.0) == k_inverse(f, 8.0) == 8.0 / 2.0 ** n
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +185,22 @@ def test_kl_rejects_a_bad_age_instead_of_truncating_it(age):
     with pytest.raises(DomainError):
         TriangleGrowth((2.0, 1.0))(age)
     assert f(1.0, 2.0) == f(1.0, np.int64(2)) == 0.25
+
+
+@pytest.mark.parametrize("age", [-0.5, 2.7, 4.9, -1, float("nan")])
+def test_slices_reject_a_bad_age_instead_of_truncating_it(age):
+    iterated = IteratedKL(LinearK(0.5), LinearK(1.0))
+    floored = SFloorKL(SeparableGeometric(1.0, 1.0, 0.5), 2)
+    bisected = PointwiseSumKL((SeparableGeometric(1.0, 1.0, 0.5),))
+    for f in (iterated, floored, bisected, ScaledShiftKL(floored, 2.0)):
+        for y in (0.25, np.array([0.25, 1.0])):
+            with pytest.raises(DomainError):
+                f.r_inverse(y, age)
+        with pytest.raises(DomainError):
+            f.r_slope(age)
+    assert iterated.r_inverse(1.0, 2.0) == iterated.r_inverse(1.0, np.int64(2)) == 4.0
+    assert iterated.r_slope(2.0) == 0.25
+    assert floored.r_inverse(0.25, 4) == 1.0
 
 
 def test_scaled_shift_rejects_an_infinite_scale():
@@ -345,3 +384,102 @@ def test_parse_rejects_garbage():
         parse_klfn("sepgeo(1.0, 1.0")
     with pytest.raises(DomainError):
         parse_klfn("mystery(1.0)")
+
+
+#: One instance of every text form; ``tria`` rides in a ``scaled``.
+TEXT_FORM_EXAMPLES = {
+    "linear": LinearK(2.5),
+    "power": PowerK(1.5, 2.0),
+    "pwl": PiecewiseLinearK(((0.5, 0.25), (2.0, 4.0))),
+    "comp": ComposedK((LinearK(2.0), PowerK(1.0, 0.5))),
+    "ksum": SumK((LinearK(1.0), PowerK(0.5, 3.0))),
+    "kiter": IterK(LinearK(0.5), 3),
+    "tria": ScaledShiftKL(SeparableGeometric(1.0, 1.0, 0.5), TriangleGrowth((2.0, 1.5, 1.0)), 1, 3.0),
+    "sepgeo": SeparableGeometric(2.0, 1.0, 0.5),
+    "scaled": ScaledShiftKL(SeparableGeometric(1.0, 2.0, 0.5), 2.0),
+    "klmax": PointwiseMaxKL((SeparableGeometric(1.0, 1.0, 0.5), SeparableGeometric(2.0, 1.0, 0.25))),
+    "klsum": PointwiseSumKL((SeparableGeometric(1.0, 1.0, 0.5), SeparableGeometric(2.0, 1.0, 0.25))),
+    "kliter": IteratedKL(LinearK(0.5), PowerK(2.0, 1.5)),
+    "kofkl": KOfKL(PowerK(2.0, 1.0), SeparableGeometric(1.0, 1.0, 0.5)),
+    "sfloor": SFloorKL(SeparableGeometric(1.0, 1.0, 0.5), 2),
+}
+
+#: Families with no text form, and why.
+NO_TEXT_FORM = {TabulatedKL: "holds sampled arrays, not parameters"}
+
+
+def test_every_text_form_has_an_example():
+    assert set(TEXT_FORM_EXAMPLES) == set(TEXT_FORMS)
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_FORM_EXAMPLES))
+def test_every_text_form_round_trips_to_an_equal_object(name):
+    f = TEXT_FORM_EXAMPLES[name]
+    fmt, parse = (format_kfn, parse_kfn) if isinstance(f, KFn) else (format_klfn, parse_klfn)
+    text = fmt(f)
+    assert f"{name}(" in text
+    assert parse(text) == f
+    assert fmt(parse(text)) == text
+
+
+def test_trailing_defaults_may_be_left_out_and_names_are_case_insensitive():
+    base = SeparableGeometric(1.0, 1.0, 0.5)
+    assert parse_klfn("scaled(sepgeo(1, 1, 0.5))") == ScaledShiftKL(base)
+    assert parse_klfn("Scaled(SEPGEO(1, 1, 0.5), Tria(2, 1), 1)") == \
+        ScaledShiftKL(base, TriangleGrowth((2.0, 1.0)), 1, 1.0)
+    assert format_klfn(ScaledShiftKL(base, 2.0)) == "scaled(sepgeo(1.0, 1.0, 0.5), 2.0, 0, 1.0)"
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_FORMS))
+def test_text_forms_declare_one_kind_per_dataclass_field(name):
+    cls, kinds = TEXT_FORMS[name]
+    assert len(dataclasses.fields(cls)) == len(kinds)
+    assert all(k.rstrip("*") in ("number", "integer", "knot", "K", "KL", "scale") for k in kinds)
+    assert all(not k.endswith("*") for k in kinds[:-1])
+
+
+def test_every_comparison_family_has_a_text_form_or_is_listed_without_one():
+    families = {cls for _, cls in inspect.getmembers(mhestab.comparison, inspect.isclass)
+                if issubclass(cls, (KFn, KLFn)) and cls not in (KFn, KLFn)
+                and cls.__module__ == mhestab.comparison.__name__}
+    with_text = {cls for cls, _ in TEXT_FORMS.values()}
+    assert families - with_text == set(NO_TEXT_FORM)
+
+
+def test_a_family_without_a_text_form_cannot_be_formatted():
+    table = TabulatedKL(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros((2, 2)))
+    with pytest.raises(CapabilityError):
+        format_klfn(table)
+    with pytest.raises(CapabilityError):
+        format_klfn(KOfKL(LinearK(1.0), table))
+    with pytest.raises(CapabilityError):
+        format_kfn(SeparableGeometric(1.0, 1.0, 0.5))
+
+
+#: Malformed text that used to raise IndexError, TypeError or ValueError, or
+#: was accepted silently (extra arguments dropped, a fraction truncated,
+#: trailing text ignored, an overflow kept as inf).
+MALFORMED_KL_TEXT = [
+    "sepgeo(1.0)", "kliter(linear(0.5))", "sepgeo(1:2, 1, 0.5)", "sepgeo(linear(1), 1, 0.5)",
+    "scaled(sepgeo(1,1,0.5), linear(2))", "sepgeo(1e, 1, 0.5)", "sepgeo(1,,1,0.5)",
+    "sepgeo(1,1,0.5,9)", "sfloor(sepgeo(1,1,0.5), 2.7)", "sepgeo(1,1,0.5) junk",
+    "sepgeo(1, 1, 0.5))", "sepgeo(1e400, 1, 0.5)",
+]
+MALFORMED_K_TEXT = ["power(1)", "linear()", "pwl(1:2, 3)", "linear(1, 2)",
+                    "kiter(linear(0.5), 2.5)"]
+
+
+@pytest.mark.parametrize("text", MALFORMED_KL_TEXT + [
+    "klmax()", "scaled(sepgeo(1,1,0.5), tria())", "sepgeo(1, 1, nan)", "1.0",
+    "linear(1.0)", "tria(2.0)", "sepgeo(1, 1, 0.5) $", "sepgeo 1", "sepgeo(1 1)",
+    "pwl(1:abc)", "kofkl(sepgeo(1, 1, 0.5), sepgeo(1, 1, 0.5))"])
+def test_malformed_kl_text_is_a_domain_error(text):
+    with pytest.raises(DomainError):
+        parse_klfn(text)
+
+
+@pytest.mark.parametrize("text", MALFORMED_K_TEXT + ["sepgeo(1, 1, 0.5)", "comp()", "pwl()",
+                                                     "kiter(linear(0.5), -1)"])
+def test_malformed_k_text_is_a_domain_error(text):
+    with pytest.raises(DomainError):
+        parse_kfn(text)

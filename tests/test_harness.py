@@ -11,6 +11,8 @@ import pytest
 
 from mhestab import harness
 from mhestab.cli import main as cli_main
+from mhestab.certificates import cost_to_text
+from mhestab.comparison import parse_klfn
 from mhestab.estimator import SolverConfig
 from mhestab.harness import (
     CONFIG_KEYS,
@@ -27,6 +29,7 @@ from mhestab.harness import (
     run_cell,
     run_experiment,
 )
+from test_comparison import MALFORMED_K_TEXT, MALFORMED_KL_TEXT
 
 BASE_CONFIG = """
 [experiment]
@@ -488,6 +491,54 @@ def test_invalid_configs_are_config_errors(tmp_path, capsys, old, new):
         load_config(path)
     assert cli_main(["run", "--config", path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+EXPLICIT_COST = """
+[cost]
+beta_hat = {beta}
+gamma_hat = sepgeo(2.0, 1.0, 0.5)
+delta_hat = sepgeo(2.0, 1.0, 0.5)
+
+[solver]"""
+
+
+@pytest.mark.parametrize("mode", ["max", "sum"])
+def test_the_default_cost_text_given_as_an_explicit_cost_resolves_alike(tmp_path, capsys,
+                                                                        monkeypatch, mode):
+    default = resolve(load_config(_edit_config(tmp_path, "mode = max", f"mode = {mode}")))
+    text = cost_to_text(default.cost)
+    section = "[cost]\n" + "".join(f"{key} = {text[key]}\n"
+                                  for key in ("beta_hat", "gamma_hat", "delta_hat"))
+    path = _edit_config(tmp_path, "[solver]", section + "\n[solver]")
+    with open(path) as fh:
+        config = fh.read()
+    with open(path, "w") as fh:
+        fh.write(config.replace("mode = max", f"mode = {mode}"))
+    parsed = []
+    monkeypatch.setattr(harness, "parse_klfn", lambda t: parsed.append(t) or parse_klfn(t))
+    explicit = resolve(load_config(path))
+    assert parsed == [text["beta_hat"], text["gamma_hat"], text["delta_hat"]]
+    assert (explicit.cost.beta_hat, explicit.cost.gamma_hat, explicit.cost.delta_hat) == \
+        (default.cost.beta_hat, default.cost.gamma_hat, default.cost.delta_hat)
+    assert [getattr(explicit.bounds, k) for k in "bcd"] == [getattr(default.bounds, k) for k in "bcd"]
+    assert cli_main(["analyze", "--config", path]) == 0
+
+
+@pytest.mark.parametrize("beta", MALFORMED_KL_TEXT + [f"kofkl({text}, sepgeo(1.0, 1.0, 0.5))"
+                                                      for text in MALFORMED_K_TEXT])
+def test_cli_malformed_cost_text_exits_2(tmp_path, capsys, beta):
+    path = _edit_config(tmp_path, "[solver]", EXPLICIT_COST.format(beta=beta))
+    assert cli_main(["analyze", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["beta_hat", "gamma_hat", "delta_hat"])
+def test_cli_partial_cost_section_exits_2(tmp_path, capsys, key):
+    path = _edit_config(tmp_path, "[solver]", f"[cost]\n{key} = sepgeo(99.0, 1.0, 0.5)\n\n[solver]")
+    assert load_config(path).cost == "explicit"
+    assert cli_main(["analyze", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: explicit cost needs beta_hat")
 
 
 @pytest.mark.parametrize("step", ["-5", "12"])

@@ -1,14 +1,18 @@
 """The README's library examples run as written: every block fenced as
-``python`` is executed, so an API change that leaves one stale fails here."""
+``python`` is executed, so an API change that leaves one stale fails here.
+Its table of comparison-function text forms lists exactly the forms the
+parser knows."""
 
 import re
 from pathlib import Path
 
 import pytest
 
+from mhestab.comparison import TEXT_FORMS
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                    re.MULTILINE | re.DOTALL)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.MULTILINE | re.DOTALL)
 
 
 def test_readme_has_a_python_example():
@@ -18,3 +22,10 @@ def test_readme_has_a_python_example():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_readme_python_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+def test_readme_lists_exactly_the_text_forms():
+    section = TEXT.split("## Comparison-function text forms\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `([a-z]+)\(", section, re.MULTILINE)
+    assert len(names) == len(set(names))
+    assert set(names) == set(TEXT_FORMS)
