@@ -31,10 +31,13 @@ of thousands of windows.
 The drivers ``run_fie``/``run_mhe`` step a stack of cells in lock-step: at
 each t the windows of all cells share the plant, cost, inputs and length
 and differ in their outputs and priors.  The drivers check their stacks
-once and hand the engines one window group per step (:class:`_Rows`), cut
-from the stacks and the published anchors.  Every engine solves a group as
-one, one row per window, and every row uses exactly the arithmetic of its
-window solved alone.  The max-mode engine bisects levels of shape (C, 48);
+once and hand the engines window groups (:class:`_Rows`), cut from the
+stacks and the published anchors: a growing window goes one group per
+step, and the full moving windows of up to K consecutive steps that share
+their inputs go as one group, since each is anchored at an estimate
+published K steps before it.  Every engine solves a group as one, one row
+per window, and every row uses exactly the arithmetic of its window solved
+alone.  The max-mode engine bisects levels of shape (C, 48);
 its per-window branches are masks over the rows, and a failing row raises
 ``InfeasibleWindowError`` for its whole group.  The sum-mode engine holds
 the C value functions as padded (C, M) breakpoint and slope arrays with a
@@ -244,8 +247,9 @@ class _Rows:
     inputs u_win (K, du) and differ in their priors (R, n) and outputs
     (R, K, p).  Every helper below works elementwise along the rows, so a
     row's numbers are those of its window solved alone.  The drivers cut
-    one group per step from their stacks, and :meth:`of` groups windows
-    given one at a time."""
+    the groups from their stacks, the C windows of one step or of several
+    consecutive moving-horizon steps that share their inputs (stacked
+    step-major), and :meth:`of` groups windows given one at a time."""
 
     def __init__(self, model: SystemModel, cost: CostSpec, u_win: np.ndarray,
                  prior: np.ndarray, y: np.ndarray):
@@ -1210,10 +1214,17 @@ def _solve_group(rows: _Rows, solver: SolverConfig) -> List[EstimateResult]:
 
 def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: SolverConfig,
            horizon: Optional[int]) -> List[List[EstimateResult]]:
-    """Step every cell of the stack in lock-step over t, one window group
-    per step; the window ending at t starts at max(0, t - horizon), or at 0
-    without a horizon, and is anchored at the cell's prior0 or at its own
-    estimate from its start."""
+    """Step every cell of the stack in lock-step over t; the window ending
+    at t starts at max(0, t - horizon), or at 0 without a horizon, and is
+    anchored at the cell's prior0 or at its own estimate from its start.
+
+    Growing windows (every full-information step, and the moving-horizon
+    steps t <= K) differ in length and go one group per step.  A full
+    moving window ending at t reads estimates published at t - K and
+    before, so the windows ending at t .. t + K - 1 (up to T) are known at t
+    and go as one group of C rows per step (:func:`_solve_steps`), as long
+    as their inputs u[s - K:s] equal those of the window ending at t; the
+    group stops before the first step whose inputs differ."""
     y = np.asarray(y_seq, dtype=float)
     if y.ndim == 2:
         y = y[:, :, None]
@@ -1235,13 +1246,46 @@ def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: Sol
     runs = [[EstimateResult(prior[None, :].copy(), np.zeros((0, model.process_noise_dim)),
                             np.zeros((0, model.meas_noise_dim)), 0.0, "ok", "init",
                             prior.copy(), 0)] for prior in priors]
-    for t in range(1, T + 1 if runs else 0):
-        start = 0 if horizon is None else max(0, t - horizon)
+
+    def window(s: int) -> _Rows:
+        start = 0 if horizon is None else max(0, s - horizon)
         anchors = np.array([run[start].published for run in runs]) if start else priors
-        rows = _Rows(model, cost, u[start:t], anchors, y[:, start:t])
-        for run, result in zip(runs, _solve_group(rows, solver)):
-            run.append(result)
+        return _Rows(model, cost, u[start:s], anchors, y[:, start:s])
+
+    t = 1
+    while runs and t <= T:
+        group = [window(t)]
+        if horizon is not None and t > horizon:
+            # the windows ending at t + 1 .. t + K - 1 are anchored at
+            # estimates published before t: they join while their inputs match
+            for s in range(t + 1, min(T, t + horizon - 1) + 1):
+                later = window(s)
+                if not np.array_equal(later.u_win, group[0].u_win):
+                    break
+                group.append(later)
+        for results in _solve_steps(group, solver):
+            for run, result in zip(runs, results):
+                run.append(result)
+        t += len(group)
     return runs
+
+
+def _solve_steps(groups: List[_Rows], solver: SolverConfig) -> List[List[EstimateResult]]:
+    """The results of the window groups of consecutive steps, which share
+    their inputs and length, solved as one group stacked step-major.  When
+    that raises, the steps are solved one group each, in order, so the first
+    failing step raises what it raises alone."""
+    if len(groups) == 1:
+        return [_solve_group(groups[0], solver)]
+    first, C = groups[0], len(groups[0])
+    stacked = _Rows(first.model, first.cost, first.u_win,
+                    np.concatenate([g.prior for g in groups]),
+                    np.concatenate([g.y for g in groups]))
+    try:
+        results = _solve_group(stacked, solver)
+    except Exception:
+        return [_solve_group(g, solver) for g in groups]
+    return [results[i * C:(i + 1) * C] for i in range(len(groups))]
 
 
 def run_fie(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq,
@@ -1270,7 +1314,9 @@ def run_mhe(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, horizon: i
     Takes the stacks of :func:`run_fie` and returns one result list per cell.
     For t <= K this is exactly the growing-window scheme; afterwards each
     cell's window is anchored at that cell's own published estimate from K
-    steps earlier.
+    steps earlier, so the windows of up to K consecutive steps whose inputs
+    match are solved as one group (see :func:`_drive`).  Every result, and
+    every error raised, is that of solving the steps one after another.
     """
     if horizon < 1:
         raise DomainError("moving horizon must be >= 1")
@@ -1286,7 +1332,8 @@ def certify_suboptimality(result: EstimateResult, reference: SolutionTuple, cost
     exact hypothesis under which the error bounds are asserted downstream; a
     failed certification excludes the step from bound checks rather than
     weakening them.  The harness certifies a group of cells at once: one
-    :func:`_window_costs` call per step gives the reference costs, and
+    :func:`_window_costs` call per window length, over the stacked (step,
+    cell) rows of that length, gives the reference costs, and
     :func:`certification_record` judges each.
     """
     if model is not None:

@@ -144,6 +144,8 @@ class ExperimentConfig:
     def validate(self):
         if self.estimator not in ("fie", "mhe"):
             raise ConfigError(f"unknown estimator kind {self.estimator!r}")
+        if self.cost not in ("default", "explicit"):
+            raise ConfigError(f"unknown cost {self.cost!r}: choose default or explicit")
         if self.estimator == "mhe" and self.horizon < 1:
             raise ConfigError("moving-horizon estimator needs horizon >= 1")
         if self.t_final < 1:
@@ -262,9 +264,12 @@ def _read_config(path: str) -> ExperimentConfig:
     if scenarios:
         fields["scenarios"] = scenarios
     cfg = ExperimentConfig(**fields)
-    if cfg.cost_beta_hat or cfg.cost_gamma_hat or cfg.cost_delta_hat:
-        cfg.cost = "explicit"
     cfg.validate()
+    if cfg.cost_beta_hat or cfg.cost_gamma_hat or cfg.cost_delta_hat:
+        if cfg.cost == "default" and parser.has_option("experiment", "cost"):
+            raise ConfigError(f"cost = default conflicts with the [cost] section of {path!r}: "
+                              "set cost = explicit, or drop one of them")
+        cfg.cost = "explicit"
     return cfg
 
 
@@ -456,8 +461,9 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
     horizon K, from each cell's truth and estimator results.
 
     Each quantity takes one array pass over the C cells: alpha of the
-    estimation error at every (cell, t); the reference cost of every step,
-    one :func:`_window_costs` call per t; the bound traces, one
+    estimation error at every (cell, t); the reference costs, one
+    :func:`_window_costs` call per window length over the stacked (step,
+    cell) rows of that length; the bound traces, one
     :func:`bound_trace` call; and each moving-horizon window bound, one gain
     call per age.  Every number is what the cell gives alone, and a cell's
     NaN bound or NaN or negative window term at a certified step raises
@@ -483,13 +489,20 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
         rhs = bound_trace(bounds.mode, bounds.b, bounds.c, bounds.d, d0,
                           w_norms[:, :T], v_norms[:, :T])
     errors = cert.alpha(_distances(model, x, published))
-    records = [[CertificationRecord(True, 1.0, 0.0, 0.0)] for _ in cells]
+    records = [[CertificationRecord(True, 1.0, 0.0, 0.0)] * (T + 1) for _ in cells]
+    by_length: Dict[int, List[int]] = {}
     for t in range(1, T + 1):
-        start = t - runs[0][t].horizon
-        j_refs = _window_costs(cost, np.array([run[t].prior for run in runs]), x[:, start],
-                               w[:, start:t], v[:, start:t])
-        for run, recs, j_ref in zip(runs, records, j_refs):
-            recs.append(certification_record(run[t].cost, j_ref, config.a_factor))
+        by_length.setdefault(runs[0][t].horizon, []).append(t)
+    for L, steps in by_length.items():
+        # the reference windows of every step of length L, stacked step-major
+        j_refs = _window_costs(cost, np.array([run[t].prior for t in steps for run in runs]),
+                               np.concatenate([x[:, t - L] for t in steps]),
+                               np.concatenate([w[:, t - L:t] for t in steps]),
+                               np.concatenate([v[:, t - L:t] for t in steps]))
+        for i, t in enumerate(steps):
+            for c, run in enumerate(runs):
+                records[c][t] = certification_record(run[t].cost, j_refs[i * len(runs) + c],
+                                                     config.a_factor)
     window_terms = None
     if is_mhe and T > K:
         # the terms of window_margin at t = K+1..T: kappa of the error K

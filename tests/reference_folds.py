@@ -30,6 +30,10 @@ as arrays; ``test_cell_axis.py`` pins every row of a group to them.
 ``check_cell`` is the certification and bound check of one cell, one step
 at a time, as the harness ran it before it checked a horizon group at
 once; ``test_cell_axis.py`` pins the group check to it.
+``drive_step_by_step`` is the driver of ``run_fie``/``run_mhe`` with one
+window group per step, as it ran before the moving-horizon steps that
+share their inputs went as one group; ``test_cell_axis.py`` pins the
+drivers to it.
 """
 
 import math
@@ -851,3 +855,30 @@ def sum_pwl_window(problem):
         omega[j, 0] = chis[j + 1] - (a * chis[j] + offs[j])
     return E._results_from_decisions(E._Rows.of([problem]), chis[None, :1], omega[None],
                                      "sum-pwl-dp")[0]
+
+
+# ---------------------------------------------------------------------------
+# The drivers, one window group per step
+# ---------------------------------------------------------------------------
+
+def drive_step_by_step(model, cost, prior0, u_seq, y_seq, solver, horizon=None):
+    """The results of ``run_mhe`` (or of ``run_fie`` without a horizon) on
+    a (C, T) or (C, T, p) measurement stack, solving the C windows that end
+    at t as one group for t = 1, 2, ..., T in turn."""
+    y = np.asarray(y_seq, dtype=float)
+    y = y[:, :, None] if y.ndim == 2 else y
+    u = np.asarray(u_seq, dtype=float)
+    u = u[:, None] if u.ndim == 1 else u
+    C, T = y.shape[:2]
+    priors = np.broadcast_to(np.atleast_1d(np.asarray(prior0, dtype=float)),
+                             (C, model.state_dim))
+    runs = [[E.EstimateResult(prior[None, :].copy(), np.zeros((0, model.process_noise_dim)),
+                              np.zeros((0, model.meas_noise_dim)), 0.0, "ok", "init",
+                              prior.copy(), 0)] for prior in priors]
+    for t in range(1, T + 1):
+        start = 0 if horizon is None else max(0, t - horizon)
+        anchors = np.array([run[start].published for run in runs]) if start else priors
+        rows = E._Rows(model, cost, u[start:t], anchors, y[:, start:t])
+        for run, result in zip(runs, E._solve_group(rows, solver)):
+            run.append(result)
+    return runs

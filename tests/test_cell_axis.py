@@ -2,7 +2,11 @@
 
 ``run_fie``/``run_mhe`` step a stack of cells in lock-step, and the max-mode
 and sum-mode engines solve the windows of one step as one group, one row
-per window.  Every row must be its cell run alone, byte for byte, and every
+per window; ``run_mhe`` also stacks the full windows of up to K consecutive
+steps that share their inputs into one group.  The drivers must give what
+``reference_folds.drive_step_by_step``, one group per step, gives, byte for
+byte, raise what it raises, and make the group calls pinned here.  Every
+row must be its cell run alone, byte for byte, and every
 window must be what the one-window references give:
 ``reference_folds.max_interval_window`` for the level bisection and
 ``reference_folds.sum_pwl_window`` for the dynamic program.  The harness
@@ -64,6 +68,7 @@ from mhestab.systems import (
 from reference_folds import (
     _PWL,
     check_cell,
+    drive_step_by_step,
     generic_window,
     max_interval_window,
     sum_pwl_window,
@@ -186,6 +191,142 @@ def test_generic_runs_build_no_window_problem(method, monkeypatch):
     engine = "gauss-newton" if method == "gauss_newton_penalty" else "compass"
     assert [{r.engine for r in run[1:]} for run in runs] == [{engine}, {engine}]
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# The time axis: moving-horizon steps that share their inputs as one group
+# ---------------------------------------------------------------------------
+
+def _full_signature(result):
+    return _signature(result) + (repr(result.prior.tolist()), result.horizon,
+                                 repr(result.residual), result.starts_used)
+
+
+def _assert_same_runs(runs, reference):
+    assert [[_full_signature(r) for r in run] for run in runs] == \
+        [[_full_signature(r) for r in run] for run in reference]
+
+
+def _group_sizes(monkeypatch):
+    """The row count of every ``_solve_group`` call from now on."""
+    sizes = []
+    real = E._solve_group
+    monkeypatch.setattr(E, "_solve_group", lambda rows, solver: sizes.append(len(rows))
+                        or real(rows, solver))
+    return sizes
+
+
+@pytest.mark.parametrize("K", [1, 2, 4, 8])
+@pytest.mark.parametrize("mode", ["max", "sum"])
+def test_mhe_runs_equal_the_step_by_step_driver(mode, K):
+    y, x0, u = _stack("s1", 17)
+    model = builtin_model("s1")
+    cost = resolve(ExperimentConfig(plant="s1", mode=mode)).cost
+    prior0 = np.where(np.arange(len(y))[:, None] < 2, x0, x0 + 1.0)
+    for T in (K - 1, K, 2 * K + 1, 13):
+        runs = run_mhe(model, cost, prior0, u[:T], y[:, :T], K, SolverConfig())
+        _assert_same_runs(runs, drive_step_by_step(model, cost, prior0, u[:T], y[:, :T],
+                                                   SolverConfig(), K))
+        assert [len(run) for run in runs] == [T + 1] * len(y)
+
+
+@pytest.mark.parametrize("plant,mode,method,K,T", [
+    ("s3", "sum", "gauss_newton_penalty", 2, 6), ("s3", "sum", "multistart_local", 3, 7),
+    ("s4", "max", "gauss_newton_penalty", 2, 5), ("s4", "max", "multistart_local", 2, 4)],
+    ids=["s3-sum-gn", "s3-sum-compass", "s4-max-gn", "s4-max-compass"])
+def test_generic_mhe_runs_equal_the_step_by_step_driver(plant, mode, method, K, T,
+                                                        monkeypatch):
+    config = ExperimentConfig(plant=plant, mode=mode, estimator="mhe", horizon=K, t_final=T)
+    resolved = resolve(config)
+    model, cost = resolved.model, resolved.cost
+    truths = [H._truth(config, model, scenario, seed)
+              for scenario in CHECK_SCENARIOS[1:3] for seed in (0, 1)]
+    y, u = np.stack([sol.y[:T] for sol in truths]), truths[0].u[:T]
+    prior0 = H._initial(config, model)[1]
+    solver = SolverConfig(method=method, multistart=2, max_iter=15)
+    reference = drive_step_by_step(model, cost, prior0, u, y, solver, K)
+    sizes = _group_sizes(monkeypatch)
+    runs = run_mhe(model, cost, prior0, u, y, K, solver)
+    _assert_same_runs(runs, reference)
+    assert max(sizes) > len(y)                  # some steps went as one group
+    assert sum(sizes) == T * len(y)
+
+
+@pytest.mark.parametrize("mode", ["max", "sum"])
+def test_steps_whose_inputs_differ_go_alone(mode, monkeypatch):
+    # s1 ignores its input, so only the grouping sees it
+    y, x0, u = _stack("s1", 20)
+    model = builtin_model("s1")
+    cost = resolve(ExperimentConfig(plant="s1", mode=mode)).cost
+    C, K = len(y), 4
+    varying = np.sin(np.arange(20.0))[:, None]
+    switched = np.where(np.arange(20)[:, None] < 10, 0.0, 1.0)
+    # windows u[s-4:s]: all zero up to s = 10, all one from s = 14
+    expected = {"varying": [C] * 20,
+                "switched": [C] * 4 + [4 * C, 2 * C, C, C, C, 4 * C, 3 * C]}
+    for name, inputs in (("varying", varying), ("switched", switched)):
+        reference = drive_step_by_step(model, cost, [x0 + 1.0], inputs, y, SolverConfig(), K)
+        sizes = _group_sizes(monkeypatch)
+        runs = run_mhe(model, cost, [x0 + 1.0], inputs, y, K, SolverConfig())
+        monkeypatch.undo()
+        _assert_same_runs(runs, reference)
+        assert sizes == expected[name], name
+
+
+def test_the_group_calls_of_a_run(monkeypatch):
+    y, x0, u = _stack("s1", 60, seeds=(0, 1, 2, 3))
+    model, cost = builtin_model("s1"), _cost("s1")
+    C = len(y)
+    assert C == 16
+    sizes = _group_sizes(monkeypatch)
+    run_mhe(model, cost, [x0 + 1.0], u, y, 4, SolverConfig())
+    assert sizes == [16] * 4 + [64] * 14
+    sizes.clear()
+    run_mhe(model, cost, [x0 + 1.0], np.sin(np.arange(60.0)), y, 4, SolverConfig())
+    assert sizes == [16] * 60
+    sizes.clear()
+    run_fie(model, cost, [x0 + 1.0], u[:20], y[:, :20], SolverConfig())
+    assert sizes == [16] * 20
+
+
+def _failing_at_a_later_step(case):
+    """(model, cost, y, u, K, solver, s): a run whose windows are fine up to
+    step s - 1 and whose window ending at s fails, with s inside a group of
+    several steps."""
+    if case == "infeasible":
+        # an output of 1e308 overflows every candidate's cost to inf
+        y, x0, u = _stack("s1", 10)
+        y[3, 6] = 1e308
+        return builtin_model("s1"), _cost("s1"), y, u, 4, SolverConfig(), 7
+    # states below -5 make the edge plant NaN, and a NaN cost term raises
+    model, T = _edge_plant(), 9
+    u = np.zeros((T, 1))
+    y = np.stack([simulate(model, [x0], u, np.full((T, 1), 0.05), np.full((T, 1), -0.05), T).y
+                  for x0 in (0.5, -1.0)])
+    y[1, 4] = -20.0
+    method = "gauss_newton_penalty" if case == "generic-gn" else "multistart_local"
+    solver = SolverConfig(method=method, multistart=2, max_iter=10)
+    return model, _generic_cost("s1", PlusMode.SUM), y, u, 3, solver, 6
+
+
+@pytest.mark.parametrize("case", ["infeasible", "generic-gn", "generic-compass"])
+def test_a_step_failing_inside_a_group_raises_what_the_step_loop_raises(case, monkeypatch):
+    model, cost, y, u, K, solver, s = _failing_at_a_later_step(case)
+    C = len(y)
+    assert s > K + 1
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        drive_step_by_step(model, cost, [0.5], u[:s - 1], y[:, :s - 1], solver, K)
+        with pytest.raises(Exception) as expected:
+            drive_step_by_step(model, cost, [0.5], u, y, solver, K)
+        sizes = _group_sizes(monkeypatch)
+        with pytest.raises(Exception) as raised:
+            run_mhe(model, cost, [0.5], u, y, K, solver)
+    assert expected.type in (InfeasibleWindowError, DomainError)
+    assert (raised.type, str(raised.value)) == (expected.type, str(expected.value))
+    # the group of steps K + 1 .. 2K raised, then its steps went one by one
+    # up to the failing one
+    assert sizes == [C] * K + [K * C] + [C] * (s - K)
 
 
 # ---------------------------------------------------------------------------

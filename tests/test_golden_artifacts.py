@@ -1,0 +1,82 @@
+"""Byte identity of the written artifacts.
+
+``golden_artifacts.json`` holds the sha256 of every file that a small
+moving-horizon sweep on ``s1`` (max and sum, K in {2, 4}, T = 12, the four
+acceptance scenarios) and an ``s3`` sum-mode moving-horizon run write.  A
+change that claims the same numbers must leave every digest as it is.
+Re-record the file only for a change that is meant to move these bytes::
+
+    PYTHONPATH=src python tests/test_golden_artifacts.py
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from mhestab.harness import ExperimentConfig, ScenarioSpec, horizon_sweep, run_experiment
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_artifacts.json")
+
+ACCEPTANCE = [
+    ScenarioSpec("zero", "zero"),
+    ScenarioSpec("uniform", "bounded_uniform", amplitude=0.1),
+    ScenarioSpec("decay", "decaying_geometric", amplitude=1.0, rate=0.8),
+    ScenarioSpec("impulse", "impulse", time=5, magnitude=1.0),
+]
+
+
+def _experiments():
+    """(verb, config) of every pinned experiment."""
+    out = [(horizon_sweep, ExperimentConfig(
+        name=f"s1-{mode}-sweep", plant="s1", mode=mode, estimator="mhe", sweep=(2, 4),
+        t_final=12, seeds=(0, 1), scenarios=list(ACCEPTANCE))) for mode in ("max", "sum")]
+    out.append((run_experiment, ExperimentConfig(
+        name="s3-sum-mhe", plant="s3", mode="sum", estimator="mhe", horizon=4, t_final=7,
+        seeds=(0,), scenarios=[ScenarioSpec("uniform", "bounded_uniform", amplitude=0.1)])))
+    return out
+
+
+def _digests(out_dir):
+    """{relative path: sha256} of every file the pinned experiments write."""
+    for verb, config in _experiments():
+        verb(config, out_dir)
+    digests = {}
+    for root, _, files in os.walk(out_dir):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                rel = os.path.relpath(path, out_dir).replace(os.sep, "/")
+                digests[rel] = hashlib.sha256(fh.read()).hexdigest()
+    return dict(sorted(digests.items()))
+
+
+def _record(out_dir):
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(_digests(out_dir), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return _digests(str(tmp_path_factory.mktemp("artifacts")))
+
+
+def test_every_pinned_file_is_written(digests):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert sorted(digests) == sorted(expected)
+
+
+def test_every_artifact_has_its_pinned_bytes(digests):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    moved = [path for path in expected if digests.get(path) != expected[path]]
+    assert not moved, moved
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        _record(tmp)

@@ -398,7 +398,7 @@ name = full
 plant = s1
 certificate = default
 mode = sum
-cost = default
+cost = explicit
 a_factor = 1.1
 estimator = mhe
 horizon = 3
@@ -493,13 +493,21 @@ def test_invalid_configs_are_config_errors(tmp_path, capsys, old, new):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _cost_config(tmp_path, section, **kw):
+    """The base config with ``cost = explicit`` and the ``[cost]`` section
+    given (its text up to the ``[solver]`` header)."""
+    path = _edit_config(tmp_path, "cost = default", "cost = explicit", **kw)
+    text = open(path).read()
+    open(path, "w").write(text.replace("[solver]", section + "\n[solver]"))
+    return path
+
+
 EXPLICIT_COST = """
 [cost]
 beta_hat = {beta}
 gamma_hat = sepgeo(2.0, 1.0, 0.5)
 delta_hat = sepgeo(2.0, 1.0, 0.5)
-
-[solver]"""
+"""
 
 
 @pytest.mark.parametrize("mode", ["max", "sum"])
@@ -509,7 +517,7 @@ def test_the_default_cost_text_given_as_an_explicit_cost_resolves_alike(tmp_path
     text = cost_to_text(default.cost)
     section = "[cost]\n" + "".join(f"{key} = {text[key]}\n"
                                   for key in ("beta_hat", "gamma_hat", "delta_hat"))
-    path = _edit_config(tmp_path, "[solver]", section + "\n[solver]")
+    path = _cost_config(tmp_path, section)
     with open(path) as fh:
         config = fh.read()
     with open(path, "w") as fh:
@@ -527,7 +535,7 @@ def test_the_default_cost_text_given_as_an_explicit_cost_resolves_alike(tmp_path
 @pytest.mark.parametrize("beta", MALFORMED_KL_TEXT + [f"kofkl({text}, sepgeo(1.0, 1.0, 0.5))"
                                                       for text in MALFORMED_K_TEXT])
 def test_cli_malformed_cost_text_exits_2(tmp_path, capsys, beta):
-    path = _edit_config(tmp_path, "[solver]", EXPLICIT_COST.format(beta=beta))
+    path = _cost_config(tmp_path, EXPLICIT_COST.format(beta=beta))
     assert cli_main(["analyze", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -535,10 +543,38 @@ def test_cli_malformed_cost_text_exits_2(tmp_path, capsys, beta):
 
 @pytest.mark.parametrize("key", ["beta_hat", "gamma_hat", "delta_hat"])
 def test_cli_partial_cost_section_exits_2(tmp_path, capsys, key):
-    path = _edit_config(tmp_path, "[solver]", f"[cost]\n{key} = sepgeo(99.0, 1.0, 0.5)\n\n[solver]")
+    path = _cost_config(tmp_path, f"[cost]\n{key} = sepgeo(99.0, 1.0, 0.5)\n")
     assert load_config(path).cost == "explicit"
     assert cli_main(["analyze", "--config", path]) == 2
     assert capsys.readouterr().err.startswith("error: explicit cost needs beta_hat")
+
+
+@pytest.mark.parametrize("verb", ["analyze", "run"])
+def test_an_unknown_cost_value_is_named(tmp_path, capsys, verb):
+    path = _edit_config(tmp_path, "cost = default", "cost = defualt")
+    with pytest.raises(ConfigError, match="unknown cost 'defualt'"):
+        load_config(path)
+    assert cli_main([verb, "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown cost 'defualt'")
+    with pytest.raises(ConfigError, match="unknown cost 'explict'"):
+        ExperimentConfig(cost="explict").validate()
+
+
+def test_cost_default_next_to_a_cost_section_is_an_error(tmp_path, capsys):
+    path = _edit_config(tmp_path, "[solver]", EXPLICIT_COST.format(beta="sepgeo(1.0, 1.0, 0.5)")
+                        + "\n[solver]")
+    with pytest.raises(ConfigError, match=r"cost = default conflicts with the \[cost\] section"):
+        load_config(path)
+    assert cli_main(["analyze", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: cost = default conflicts")
+
+
+def test_a_cost_section_without_a_cost_key_makes_the_cost_explicit(tmp_path):
+    path = _cost_config(tmp_path, EXPLICIT_COST.format(beta="sepgeo(1.0, 1.0, 0.5)"))
+    text = open(path).read()
+    open(path, "w").write(text.replace("cost = explicit\n", ""))
+    assert "cost =" not in open(path).read()
+    assert load_config(path).cost == "explicit"
 
 
 @pytest.mark.parametrize("step", ["-5", "12"])
@@ -606,11 +642,11 @@ def test_cli_probe_runs_the_configured_estimator(tmp_path, capsys):
 
 def test_cli_capability_error_exits_2(tmp_path, capsys):
     # a sum-mode cost gain without an analytic tail bound
-    path = _edit_config(tmp_path, "mode = max", "mode = sum", t_final=6)
-    with open(path, "a") as fh:
-        fh.write("\n[cost]\nbeta_hat = sepgeo(1.0, 1.0, 0.5)\n"
-                 "gamma_hat = kliter(power(0.5, 2.0), linear(1.0))\n"
-                 "delta_hat = sepgeo(1.0, 1.0, 0.5)\n")
+    path = _cost_config(tmp_path, "[cost]\nbeta_hat = sepgeo(1.0, 1.0, 0.5)\n"
+                        "gamma_hat = kliter(power(0.5, 2.0), linear(1.0))\n"
+                        "delta_hat = sepgeo(1.0, 1.0, 0.5)\n", t_final=6)
+    text = open(path).read()
+    open(path, "w").write(text.replace("mode = max", "mode = sum"))
     assert cli_main(["run", "--config", path]) == 2
     assert "tail bound" in capsys.readouterr().err
 
