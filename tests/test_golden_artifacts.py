@@ -2,9 +2,12 @@
 
 ``golden_artifacts.json`` holds the sha256 of every file that a small
 moving-horizon sweep on ``s1`` (max and sum, K in {2, 4}, T = 12, the four
-acceptance scenarios) and an ``s3`` sum-mode moving-horizon run write.  A
-change that claims the same numbers must leave every digest as it is.
-Re-record the file only for a change that is meant to move these bytes::
+acceptance scenarios) and an ``s3`` sum-mode moving-horizon run write.
+``golden_probe.json`` holds the same for the ``probe.json`` of three
+max-mode deviant-output probes: ``s1`` moving horizon (K = 2), ``s2`` and
+``s4`` full information.  A change that claims the same numbers must leave
+every digest as it is.  Re-record the files only for a change that is meant
+to move these bytes::
 
     PYTHONPATH=src python tests/test_golden_artifacts.py
 """
@@ -15,9 +18,16 @@ import os
 
 import pytest
 
-from mhestab.harness import ExperimentConfig, ScenarioSpec, horizon_sweep, run_experiment
+from mhestab.harness import (
+    ExperimentConfig,
+    ScenarioSpec,
+    deviant_output_probe,
+    horizon_sweep,
+    run_experiment,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_artifacts.json")
+GOLDEN_PROBE = os.path.join(os.path.dirname(__file__), "golden_probe.json")
 
 ACCEPTANCE = [
     ScenarioSpec("zero", "zero"),
@@ -38,9 +48,17 @@ def _experiments():
     return out
 
 
-def _digests(out_dir):
-    """{relative path: sha256} of every file the pinned experiments write."""
-    for verb, config in _experiments():
+def _probes():
+    """(verb, config) of every pinned probe."""
+    return [(deviant_output_probe, ExperimentConfig(
+        name=f"{plant}-{estimator}-probe", plant=plant, mode="max", estimator=estimator,
+        horizon=2, t_final=t_final, scenarios=list(ACCEPTANCE)))
+        for plant, estimator, t_final in (("s1", "mhe", 12), ("s2", "fie", 10), ("s4", "fie", 8))]
+
+
+def _digests(out_dir, experiments):
+    """{relative path: sha256} of every file the given experiments write."""
+    for verb, config in experiments:
         verb(config, out_dir)
     digests = {}
     for root, _, files in os.walk(out_dir):
@@ -53,14 +71,16 @@ def _digests(out_dir):
 
 
 def _record(out_dir):
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(_digests(out_dir), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    for path, experiments in ((GOLDEN, _experiments()), (GOLDEN_PROBE, _probes())):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(_digests(os.path.join(out_dir, os.path.basename(path)), experiments),
+                      fh, indent=1, sort_keys=True)
+            fh.write("\n")
 
 
 @pytest.fixture(scope="module")
 def digests(tmp_path_factory):
-    return _digests(str(tmp_path_factory.mktemp("artifacts")))
+    return _digests(str(tmp_path_factory.mktemp("artifacts")), _experiments())
 
 
 def test_every_pinned_file_is_written(digests):
@@ -74,6 +94,12 @@ def test_every_artifact_has_its_pinned_bytes(digests):
         expected = json.load(fh)
     moved = [path for path in expected if digests.get(path) != expected[path]]
     assert not moved, moved
+
+
+def test_every_probe_has_its_pinned_bytes(tmp_path):
+    with open(GOLDEN_PROBE, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert _digests(str(tmp_path), _probes()) == expected
 
 
 if __name__ == "__main__":
