@@ -8,8 +8,12 @@ solutions can be tested against the inequality, and candidate certificates
 without a derivation are validated by falsification sampling only.
 
 From a certificate and a compatible cost the module derives the bound triple
-(b, c, d) that drives every stability statement downstream, and evaluates the
-full-information error bound along disturbance sequences.
+(b, c, d) that drives every stability statement downstream.
+
+Every discounted inequality goes through :func:`bound_trace`, for every t
+of a run at once: the full-information bound, the moving-horizon bound and
+the right side of the certificate inequality, which the pair check and the
+falsifier evaluate over stacks of pairs.
 
 Shipped fixtures
 ----------------
@@ -54,15 +58,14 @@ from .comparison import (
     TriangleGrowth,
     check_summable,
     first_max,
+    first_min,
     fold_terms,
     format_kfn,
     format_klfn,
     gain_terms,
     log_grid,
-    plus_reduce,
-    seq_norms,
 )
-from .systems import SolutionTuple, SystemModel, simulate
+from .systems import SolutionTuple, SystemModel, row_distances, simulate
 
 TOL_CERT = 1e-9
 
@@ -177,37 +180,34 @@ def check_ioss_on_pair(cert: IossCertificate, model: SystemModel,
     """Test the certificate inequality on a concrete pair of solutions.
 
     For every t the left side alpha(|x(t), chi(t)|) is compared against the
-    folded right side; the minimum margin over t is returned and the check
-    passes when it stays above -tol_cert.  The input and output discrepancy
-    terms are evaluated exactly like the disturbance ones, so pairs with
-    deviant inputs or outputs exercise the full inequality.
+    right side, entry t of one :func:`bound_trace` over the four discrepancy
+    sequences; the minimum margin over t is returned, at its first t, and
+    the check passes when it stays above -tol_cert.  The input and output
+    discrepancy terms are evaluated exactly like the disturbance ones, so
+    pairs with deviant inputs or outputs exercise the full inequality.
     """
     if sol1.length != sol2.length:
         raise DomainError("paired solutions must have equal length")
     if sol1.x.shape[1] != model.state_dim:
         raise DomainError("solution does not match model dimensions")
-    T = sol1.length
-    d_x = np.array([model.dist(sol1.x[t], sol2.x[t]) for t in range(T)])
-    d_w = np.array([model.dist(sol1.w[t], sol2.w[t]) for t in range(T)])
-    d_v = np.array([model.dist(sol1.v[t], sol2.v[t]) for t in range(T)])
-    d_u = np.array([model.dist(sol1.u[t], sol2.u[t]) for t in range(T)])
-    d_y = np.array([model.dist(sol1.y[t], sol2.y[t]) for t in range(T)])
-    margins = np.empty(T)
-    for t in range(T):
-        terms = [cert.beta(d_x[0], t)]
-        for tau in range(1, t + 1):
-            j = t - tau
-            terms.append(plus_reduce(cert.mode, (
-                cert.gamma(d_w[j], tau),
-                cert.delta(d_v[j], tau),
-                cert.epsilon(d_u[j], tau),
-                cert.phi(d_y[j], tau),
-            )))
-        rhs = plus_reduce(cert.mode, terms)
-        margins[t] = rhs - cert.alpha(d_x[t])
+    margins = _pair_margins(cert, [sol1], [sol2])[0]
     worst_t = int(np.argmin(margins))
     return PairMargin(bool(margins[worst_t] >= -tol_cert), float(margins[worst_t]),
                       worst_t, margins)
+
+
+def _pair_margins(cert: IossCertificate, firsts: Sequence[SolutionTuple],
+                  seconds: Sequence[SolutionTuple]) -> np.ndarray:
+    """The (P, T) margins rhs - alpha(|x(t), chi(t)|) of P pairs of solutions
+    of one length T, from one :func:`bound_trace` call: the discrepancy at
+    time j enters at t > j with age t - j."""
+    dist = {key: row_distances(np.stack([getattr(sol, key) for sol in firsts]),
+                               np.stack([getattr(sol, key) for sol in seconds]))
+            for key in "xwvuy"}
+    discounted = ((cert.gamma, "w"), (cert.delta, "v"), (cert.epsilon, "u"), (cert.phi, "y"))
+    rhs = bound_trace(cert.mode, cert.beta, dist["x"][:, 0],
+                      *((gain, dist[key][:, :-1]) for gain, key in discounted))
+    return rhs - cert.alpha(dist["x"])
 
 
 def default_cost_from_certificate(cert: IossCertificate, n: TriangleGrowth) -> CostSpec:
@@ -311,52 +311,32 @@ def derive_bcd(cert: IossCertificate, cost: CostSpec, witness: CompatibilityWitn
                          a_factor, witness.B, (cert.name, cost.name))
 
 
-def bound_trace(mode: PlusMode, b: KLFn, c: KLFn, d: KLFn, init_dist,
-                w_norms: np.ndarray, v_norms: np.ndarray) -> np.ndarray:
-    """The bound b(init_dist, t) (+) c(|w(t - tau)|, tau) (+) d(|v(t - tau)|,
-    tau) over tau = 1..t for t = 0..T, from the T disturbance norms at times
-    0..T-1: :func:`gain_terms` with slope tables up to age T, folded by
-    :func:`fold_terms`.
+def bound_trace(mode: PlusMode, head: KLFn, init_dist, *terms) -> np.ndarray:
+    """The bound head(init_dist, t) (+) g(|r(t - tau)|, tau) over tau = 1..t
+    and every ``(g, r)`` of ``terms``, for t = 0..T, from T norms per
+    sequence at times 0..T-1: :func:`gain_terms` with slope tables up to age
+    T, folded by :func:`fold_terms`.
 
-    For C runs at once, ``init_dist`` is (C,) and the norms are (C, T): the
-    result is (C, T + 1), one head call per t and one row-wise term and fold
-    pass, and each row is the trace of its run alone.
+    With the bound triple, ``bound_trace(mode, b, d0, (c, |w|), (d, |v|))``
+    is the full-information error bound, and with the hat bounds and max the
+    moving-horizon one; with a certificate's five gains it is the right side
+    of the certificate inequality (:func:`check_ioss_on_pair`).  For C runs
+    at once, ``init_dist`` is (C,) and the norms are (C, T): the result is
+    (C, T + 1), one head call per t and one row-wise term and fold pass, and
+    each row is the trace of its run alone.
     """
-    w = np.asarray(w_norms, dtype=float)
-    v = np.asarray(v_norms, dtype=float)
-    if w.shape != v.shape:
-        raise DomainError("w and v norm sequences must share one length")
-    T = w.shape[-1]
-    w_rev, v_rev = w[..., ::-1], v[..., ::-1]
+    reversed_seqs = [(gain, np.asarray(norms, dtype=float)[..., ::-1]) for gain, norms in terms]
+    if len({r.shape for _, r in reversed_seqs}) != 1:
+        raise DomainError("the norm sequences of a bound must share one shape")
+    T = reversed_seqs[0][1].shape[-1]
     out = np.empty(np.shape(init_dist) + (T + 1,))
-    out[..., 0] = b(init_dist, 0)
+    out[..., 0] = head(init_dist, 0)
     for t in range(1, T + 1):
-        ages = range(1, t + 1)         # the disturbance at time t - tau has age tau
-        out[..., t] = fold_terms(mode, b(init_dist, t), gain_terms(c, ages, w_rev[..., T - t:], T),
-                                 gain_terms(d, ages, v_rev[..., T - t:], T))
+        ages = range(1, t + 1)         # the entry at time t - tau has age tau
+        out[..., t] = fold_terms(mode, head(init_dist, t),
+                                 *(gain_terms(gain, ages, r[..., T - t:], T)
+                                   for gain, r in reversed_seqs))
     return out
-
-
-def _window_norms(seq, t: int) -> np.ndarray:
-    """Row norms of entries 0..t-1 of a (t', d) or (t',) sequence."""
-    arr = np.asarray(seq, dtype=float)
-    arr = arr[:, None] if arr.ndim == 1 else arr
-    if not 0 <= t <= len(arr):
-        raise DomainError(f"time index {t} outside a sequence of length {len(arr)}")
-    return seq_norms(arr[:t])
-
-
-def eval_rgas_rhs(bounds: DerivedBounds, init_dist: float,
-                  w_seq: np.ndarray, v_seq: np.ndarray, t: int) -> float:
-    """Right side of the full-information error bound at time t: entry t of
-    :func:`bound_trace` with the run's plus.
-
-    ``w_seq``/``v_seq`` must cover indices 0..t-1; the disturbance at time
-    t - tau enters with discount tau.
-    """
-    trace = bound_trace(bounds.mode, bounds.b, bounds.c, bounds.d, init_dist,
-                        _window_norms(w_seq, t), _window_norms(v_seq, t))
-    return float(trace[t])
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +368,15 @@ def falsify_certificate(cert: IossCertificate, model: SystemModel, n_pairs: int 
 
     Pairs draw independent initial states and disturbance sequences (uniform
     with random per-pair amplitude, plus occasional impulses), so deviant
-    inputs and outputs are exercised as well.  Used to validate candidate
-    certificates that have no closed-form derivation.
+    inputs and outputs are exercised as well.  All pairs are drawn first and
+    then checked in one :func:`bound_trace` pass; the worst pair is the first
+    one whose minimum margin is the smallest, and within it the first t.
+    Used to validate candidate certificates that have no closed-form
+    derivation.
     """
     gen = np.random.Generator(np.random.Philox(key=seed))
-    worst = math.inf
-    worst_seed = -1
-    worst_t = -1
-    for k in range(n_pairs):
+    pairs = []
+    for _ in range(n_pairs):
         amp_w = scale * 0.1 * gen.uniform(0, 1)
         amp_v = scale * 0.1 * gen.uniform(0, 1)
         sols = []
@@ -407,11 +388,14 @@ def falsify_certificate(cert: IossCertificate, model: SystemModel, n_pairs: int 
             if gen.uniform() < 0.25:
                 w[gen.integers(0, horizon), 0] += gen.uniform(-scale, scale)
             sols.append(simulate(model, x0, u, w, v, horizon))
-        margin = check_ioss_on_pair(cert, model, sols[0], sols[1], tol_cert)
-        if margin.min_margin < worst:
-            worst = margin.min_margin
-            worst_seed = k
-            worst_t = margin.worst_t
+        pairs.append(sols)
+    worst, worst_seed, worst_t = math.inf, -1, -1
+    if pairs:
+        margins = _pair_margins(cert, [a for a, _ in pairs], [b for _, b in pairs])
+        worst_ts = np.argmin(margins, axis=1)
+        k, worst = first_min(margins[np.arange(n_pairs), worst_ts])
+        if k is not None:
+            worst_seed, worst_t = k, int(worst_ts[k])
     return FalsificationReport(worst >= -tol_cert, n_pairs, worst, worst_seed, worst_t)
 
 

@@ -463,12 +463,12 @@ def iterate_k(kappa: KFn, n: int, r: float) -> float:
     return v
 
 
-def k_inverse(f: KFn, y: float, tol: float = TOL_INV) -> float:
+def k_inverse(f: KFn, y: float) -> float:
     """Invert a K-infinity function at y (a scalar or an array).
 
     Closed forms are used where the family has one; otherwise bracketed
-    bisection to ``tol`` relative, capped at 200 iterations.  Non-K-infinity
-    inputs raise :class:`CapabilityError`.
+    bisection to ``TOL_INV`` relative, capped at ``MAX_BISECT`` iterations.
+    Non-K-infinity inputs raise :class:`CapabilityError`.
     """
     if not f.is_unbounded:
         raise CapabilityError("k_inverse requires a K-infinity function")
@@ -880,14 +880,15 @@ def gain_terms(fn: KLFn, ages: range, r, s_max: Optional[int] = None) -> np.ndar
     return table[ages.start:stop:ages.step] * r
 
 
-def fold_terms(mode: PlusMode, head, c_terms: np.ndarray, d_terms: np.ndarray):
-    """``head`` combined with two nonempty term sequences by the mode's plus:
-    ``head + (sum c + sum d)`` or ``max(head, max c, max d)``.  A NaN term
-    makes the result NaN in both modes.  With a leading row axis, head (C,)
-    and terms (C, K), each row is folded alone."""
+def fold_terms(mode: PlusMode, head, *terms: np.ndarray):
+    """``head`` combined with one or more nonempty term sequences by the
+    mode's plus: ``head + (sum c + sum d + ...)``, the sequence sums added
+    left to right, or ``max(head, max c, max d, ...)``.  A NaN term makes
+    the result NaN in both modes.  With a leading row axis, head (C,) and
+    terms (C, K), each row is folded alone."""
     if mode is PlusMode.SUM:
-        return head + (c_terms.sum(axis=-1) + d_terms.sum(axis=-1))
-    return np.maximum(head, np.maximum(c_terms.max(axis=-1), d_terms.max(axis=-1)))
+        return head + functools.reduce(np.add, [t.sum(axis=-1) for t in terms])
+    return np.maximum(head, functools.reduce(np.maximum, [t.max(axis=-1) for t in terms]))
 
 
 # ---------------------------------------------------------------------------
@@ -995,11 +996,12 @@ def check_summable(f: KLFn, sigma: KFn, r_grid: Optional[np.ndarray] = None,
     tail (e.g. tabulated ones) raise :class:`CapabilityError`.
     """
     grid = log_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
+    tail = f.sum_tail(grid, tail_horizon + 1)      # first: a family without one raises
     # one array call per age, accumulated in age order
     partial = 0.0
     for tau in range(tail_horizon + 1):
         partial = partial + f(grid, tau)
-    total = partial + f.sum_tail(grid, tail_horizon + 1)
+    total = partial + tail
     i, worst = first_min(sigma(grid) - total)
     worst_r = float(grid[0 if i is None else i])
     tol = 1e-9 * max(1.0, abs(sigma(worst_r)))

@@ -88,7 +88,14 @@ from .comparison import (
     slope_table,
 )
 from .certificates import CostSpec
-from .systems import SolutionTuple, SystemModel, clamp, verify_solution
+from .systems import (
+    SolutionTuple,
+    SystemModel,
+    _row_sqnorms,
+    clamp,
+    row_distances,
+    verify_solution,
+)
 
 WIDTH_CAP = 1e18
 LEVEL_PASSES = 4          # level-grid refinements of the max-mode bisection
@@ -231,7 +238,7 @@ def _window_costs(cost: CostSpec, prior: np.ndarray, chi0: np.ndarray, omega: np
     call, and each row's cost is its window's alone."""
     K = omega.shape[1]
     ages = range(K, 0, -1)             # entry j acts at age K - j
-    dist = np.sqrt(_row_sqnorms(chi0 - prior))        # np.linalg.norm of each row
+    dist = row_distances(chi0, prior)
     heads = gain_terms(cost.beta_hat, range(K, K + 1), dist[:, None])[:, 0]
     c_terms = gain_terms(cost.gamma_hat, ages, seq_norms(omega))
     d_terms = gain_terms(cost.delta_hat, ages, seq_norms(nu))
@@ -745,17 +752,6 @@ _EPS = 1e-12
 _HALVINGS = np.ldexp(1.0, -np.arange(1, 25))
 
 
-def _row_sqnorms(a: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norms over the last axis, rounded as numpy rounds
-    the dot product of one row (``np.linalg.norm``, ``@``): a product for one
-    column, else a stacked ``matmul``, which takes the same BLAS dot per row.
-    ``einsum`` and ``(a * a).sum(-1)`` round differently."""
-    if a.shape[-1] == 1:
-        return a[..., 0] * a[..., 0]
-    a = np.ascontiguousarray(a)
-    return np.matmul(a[..., None, :], a[..., :, None])[..., 0, 0]
-
-
 class _Objective:
     """The window objective of the generic engines, over candidates of a
     window group.
@@ -826,7 +822,7 @@ class _Objective:
             for j in range(K):
                 res = rows.y[:, j] - model.h(xs[:, j], rows.u_win[j], nu[:, j])
                 pen = pen + _row_sqnorms(res)
-        dist = np.sqrt(_row_sqnorms(chi0 - rows.prior))
+        dist = row_distances(chi0, rows.prior)
         wn = np.sqrt(_row_sqnorms(omega))
         vn = np.sqrt(_row_sqnorms(nu))
         masked = np.isnan(dist) | np.isnan(wn).any(axis=1) | np.isnan(vn).any(axis=1)

@@ -25,8 +25,11 @@ import numpy as np
 
 from .comparison import (
     DomainError,
+    KFn,
+    KLFn,
     PlusMode,
     TriangleGrowth,
+    check_summable,
     parse_klfn,
     plus_fold,
     plus_reduce,
@@ -37,9 +40,9 @@ from .systems import (
     DisturbanceScenario,
     SolutionTuple,
     SystemModel,
-    _euclidean,
     builtin_model,
     generate_scenario,
+    row_distances,
     simulate,
 )
 from .certificates import (
@@ -56,7 +59,6 @@ from .certificates import (
 from .estimator import (
     CertificationRecord,
     SolverConfig,
-    _row_sqnorms,
     _window_costs,
     certification_record,
     run_fie,
@@ -323,14 +325,23 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
     return ResolvedExperiment(config, model, cert, cost, n_map, bounds, witness.B)
 
 
+@dataclass(frozen=True)
+class _TailSigma(KFn):
+    """r -> 2 (f(r, 0) + f.sum_tail(r, 1)): a summability bound that scales
+    in r as the gain f does, with headroom 2 over f's own tail bound.  A
+    gain without an analytic tail raises :class:`CapabilityError`."""
+
+    fn: KLFn
+
+    def _eval(self, r):
+        return 2.0 * (self.fn(r, 0) + self.fn.sum_tail(r, 1))
+
+
 def _explicit_summability(gains: dict):
-    from .comparison import LinearK, check_summable
     out = {}
     for key in ("gamma_hat", "delta_hat"):
         fn = gains[key]
-        # derive a cheap geometric cap from the tail at zero horizon
-        cap = fn(1.0, 0) + fn.sum_tail(1.0, 0)
-        record = check_summable(fn, LinearK(max(cap * 4.0, 1e-9)))
+        record = check_summable(fn, _TailSigma(fn))
         if not record.passed:
             raise ConfigError(f"explicit {key} failed its summability check")
         out[key] = record
@@ -444,17 +455,6 @@ def _estimate_group(resolved: ResolvedExperiment, cells, K: int
     return list(zip(truths, runs))
 
 
-def _distances(model: SystemModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``model.dist`` of the rows of a (..., n) against those of b: Euclidean
-    norms rounded as ``np.linalg.norm`` rounds them, or one metric call per
-    row for a plant with a metric of its own."""
-    if model.metric is _euclidean:
-        return np.sqrt(_row_sqnorms(a - b))
-    a, b = np.broadcast_arrays(a, b)
-    flat = zip(a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1]))
-    return np.array([model.dist(p, q) for p, q in flat]).reshape(a.shape[:-1])
-
-
 def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], K: int,
                  estimated: List[Tuple[SolutionTuple, list]]) -> List[CellResult]:
     """Certify and evaluate the bounds of the (scenario, seed) cells of
@@ -480,15 +480,15 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
     v = np.stack([sol.v for sol in truths])
     published = np.array([[res.published for res in run] for run in runs])
     w_norms, v_norms = seq_norms(w), seq_norms(v)
-    d0 = _distances(model, x[:, 0], _initial(config, model)[1])
+    d0 = row_distances(x[:, 0], _initial(config, model)[1])
     if is_mhe:
         # the sum formulation's outer combination is a maximum, as in max mode
-        rhs = bound_trace(PlusMode.MAX, hat.b_hat, hat.c_hat, hat.d_hat, d0,
-                          w_norms[:, :T], v_norms[:, :T])
+        rhs = bound_trace(PlusMode.MAX, hat.b_hat, d0, (hat.c_hat, w_norms[:, :T]),
+                          (hat.d_hat, v_norms[:, :T]))
     else:
-        rhs = bound_trace(bounds.mode, bounds.b, bounds.c, bounds.d, d0,
-                          w_norms[:, :T], v_norms[:, :T])
-    errors = cert.alpha(_distances(model, x, published))
+        rhs = bound_trace(bounds.mode, bounds.b, d0, (bounds.c, w_norms[:, :T]),
+                          (bounds.d, v_norms[:, :T]))
+    errors = cert.alpha(row_distances(x, published))
     records = [[CertificationRecord(True, 1.0, 0.0, 0.0)] * (T + 1) for _ in cells]
     by_length: Dict[int, List[int]] = {}
     for t in range(1, T + 1):

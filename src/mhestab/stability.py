@@ -42,7 +42,7 @@ from .comparison import (
     iterate_k,
     log_grid,
 )
-from .certificates import DerivedBounds, _window_norms, bound_trace
+from .certificates import DerivedBounds
 
 ANALYSIS_R_MIN = 1e-6
 ANALYSIS_R_MAX = 1e3
@@ -327,16 +327,6 @@ def build_hat_bounds(analysis: ContractionAnalysis, bounds: DerivedBounds,
         if bad:
             raise DomainError(f"hat bound failed KL grid check: {bad[0].description}")
     return HatBounds(analysis.mode, K, b_hat, c_hat, d_hat, analysis.kappa, analysis, evidence)
-
-
-def eval_mhe_bound(hat: HatBounds, init_dist: float, w_seq: np.ndarray,
-                   v_seq: np.ndarray, t: int) -> float:
-    """Right side of the moving-horizon error bound at time t: entry t of
-    :func:`bound_trace` folded with max, the outer combination of both
-    formulations (by construction of the sum-to-max conversion step)."""
-    trace = bound_trace(PlusMode.MAX, hat.b_hat, hat.c_hat, hat.d_hat, init_dist,
-                        _window_norms(w_seq, t), _window_norms(v_seq, t))
-    return float(trace[t])
 
 
 # ---------------------------------------------------------------------------

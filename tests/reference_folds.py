@@ -20,7 +20,12 @@ every row of a group to it.
 ``rgas_rhs``, ``mhe_bound`` and ``window_cost`` are the scalar folds of the
 full-information bound, the moving-horizon bound and the window cost: one
 gain call per term, folded with ``plus_reduce``.  ``test_bound_path.py``
-holds ``bound_trace`` and ``eval_cost`` to them.
+holds ``bound_trace`` and ``eval_cost`` to them.  ``ioss_pair_margins`` is
+the same fold of the certificate inequality on one pair of solutions, as
+``check_ioss_on_pair`` evaluated it before it went through
+``bound_trace``, and ``falsify_pair_by_pair`` the falsifier that checks its
+pairs one at a time; ``test_certificates.py`` holds the pair check and the
+falsifier to them.  Distances here are ``np.linalg.norm`` of one row.
 
 ``max_interval_window`` is the max-mode level bisection of one window, as
 the engine solved it before it took a group of windows at once, and
@@ -486,6 +491,59 @@ def mhe_bound(hat, init_dist, w_seq, v_seq, t):
     return plus_reduce(PlusMode.MAX, terms)
 
 
+def _dist(a, b):
+    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+
+
+def ioss_pair_margins(cert, sol1, sol2):
+    """The margins rhs - alpha(|x(t), chi(t)|) of the certificate inequality
+    for t = 0..T-1: one gain call per term, the four discrepancy terms of an
+    age folded first, then the terms of all ages after the initial one."""
+    T = sol1.length
+    d = {key: [_dist(getattr(sol1, key)[t], getattr(sol2, key)[t]) for t in range(T)]
+         for key in "xwvuy"}
+    margins = np.empty(T)
+    for t in range(T):
+        terms = [cert.beta(d["x"][0], t)]
+        for tau in range(1, t + 1):
+            j = t - tau
+            terms.append(plus_reduce(cert.mode, (
+                cert.gamma(d["w"][j], tau),
+                cert.delta(d["v"][j], tau),
+                cert.epsilon(d["u"][j], tau),
+                cert.phi(d["y"][j], tau),
+            )))
+        margins[t] = plus_reduce(cert.mode, terms) - cert.alpha(d["x"][t])
+    return margins
+
+
+def falsify_pair_by_pair(cert, model, n_pairs, horizon, seed, scale=2.0):
+    """``falsify_certificate``'s draws, each pair checked alone by
+    ``check_ioss_on_pair`` as soon as it is drawn, the worst pair kept by a
+    strict ``<`` scan.  Returns the report's fields as a tuple."""
+    from mhestab.certificates import TOL_CERT, check_ioss_on_pair
+    from mhestab.systems import simulate
+
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    worst, worst_seed, worst_t = math.inf, -1, -1
+    for k in range(n_pairs):
+        amp_w = scale * 0.1 * gen.uniform(0, 1)
+        amp_v = scale * 0.1 * gen.uniform(0, 1)
+        sols = []
+        for _ in range(2):
+            x0 = gen.uniform(-scale, scale, model.state_dim)
+            u = gen.uniform(-1.0, 1.0, (horizon, model.input_dim))
+            w = gen.uniform(-amp_w, amp_w, (horizon, model.process_noise_dim))
+            v = gen.uniform(-amp_v, amp_v, (horizon, model.meas_noise_dim))
+            if gen.uniform() < 0.25:
+                w[gen.integers(0, horizon), 0] += gen.uniform(-scale, scale)
+            sols.append(simulate(model, x0, u, w, v, horizon))
+        margin = check_ioss_on_pair(cert, model, sols[0], sols[1])
+        if margin.min_margin < worst:
+            worst, worst_seed, worst_t = margin.min_margin, k, margin.worst_t
+    return (worst >= -TOL_CERT, n_pairs, worst, worst_seed, worst_t)
+
+
 def window_cost(cost, prior, chi0, omega, nu):
     """The window cost of (chi0, omega, nu) against the prior; omega/nu are
     (K, d) in time order, entry j at age K - j."""
@@ -621,15 +679,15 @@ def check_cell(resolved, scenario, seed, hat, K, estimated):
     T = config.t_final
     sol, results = estimated
     is_mhe = config.estimator == "mhe"
-    d0 = model.dist(sol.x[0], _initial(config, model)[1])
+    d0 = _dist(sol.x[0], _initial(config, model)[1])
     w_norms = seq_norms(sol.w)
     v_norms = seq_norms(sol.v)
     if is_mhe:
-        rhs_trace = bound_trace(PlusMode.MAX, hat.b_hat, hat.c_hat, hat.d_hat, d0,
-                                w_norms[:T], v_norms[:T])
+        rhs_trace = bound_trace(PlusMode.MAX, hat.b_hat, d0, (hat.c_hat, w_norms[:T]),
+                                (hat.d_hat, v_norms[:T]))
     else:
-        rhs_trace = bound_trace(bounds.mode, bounds.b, bounds.c, bounds.d, d0,
-                                w_norms[:T], v_norms[:T])
+        rhs_trace = bound_trace(bounds.mode, bounds.b, d0, (bounds.c, w_norms[:T]),
+                                (bounds.d, v_norms[:T]))
     if np.isnan(rhs_trace).any():
         raise E.DomainError(f"error bound is NaN at t = {int(np.argmax(np.isnan(rhs_trace)))}")
     rows = []
@@ -640,7 +698,7 @@ def check_cell(resolved, scenario, seed, hat, K, estimated):
     errors = []
     for t in range(T + 1):
         res = results[t]
-        err = cert.alpha(model.dist(sol.x[t], res.published))
+        err = cert.alpha(_dist(sol.x[t], res.published))
         errors.append(err)
         if t == 0:
             record = E.CertificationRecord(True, 1.0, 0.0, 0.0)

@@ -19,7 +19,7 @@ import pytest
 
 import mhestab.harness
 from mhestab import certificates, estimator
-from mhestab.certificates import CostSpec, DerivedBounds, bound_trace, eval_rgas_rhs
+from mhestab.certificates import CostSpec, DerivedBounds, bound_trace
 from mhestab.comparison import (
     IteratedKL,
     KLFn,
@@ -40,7 +40,6 @@ from mhestab.harness import (
     resolve,
     run_cell,
 )
-from mhestab.stability import eval_mhe_bound
 from mhestab.systems import DisturbanceScenario, builtin_model, generate_scenario
 
 from reference_folds import mhe_bound, rgas_rhs, window_cost
@@ -69,14 +68,14 @@ def _norms(draw):
 
 
 def _fie_trace(bounds, d0, w_norms, v_norms):
-    return certificates.bound_trace(bounds.mode, bounds.b, bounds.c, bounds.d,
-                                    d0, w_norms, v_norms)
+    return certificates.bound_trace(bounds.mode, bounds.b, d0, (bounds.c, w_norms),
+                                    (bounds.d, v_norms))
 
 
 def _mhe_trace(hat, d0, w_norms, v_norms):
     # the sum formulation's outer combination is a maximum, as in max mode
-    return certificates.bound_trace(PlusMode.MAX, hat.b_hat, hat.c_hat,
-                                    hat.d_hat, d0, w_norms, v_norms)
+    return certificates.bound_trace(PlusMode.MAX, hat.b_hat, d0, (hat.c_hat, w_norms),
+                                    (hat.d_hat, v_norms))
 
 
 def _cost_window(plant, K):
@@ -155,24 +154,19 @@ def test_bounds_match_the_scalar_folds_on_nonlinear_gains(mode, dim):
     w, v = _draw(dim, T, dim)
     bounds = DerivedBounds(mode, GEOMETRIC, SQUARE, ITERATED, 1.0, 1.0, ("test", "test"))
     hat = SimpleNamespace(b_hat=ITERATED, c_hat=ITERATED, d_hat=SQUARE)
-    fie = bound_trace(mode, bounds.b, bounds.c, bounds.d, 0.7,
-                      estimator.seq_norms(w), estimator.seq_norms(v))
-    mhe = bound_trace(PlusMode.MAX, hat.b_hat, hat.c_hat, hat.d_hat, 0.7,
-                      estimator.seq_norms(w), estimator.seq_norms(v))
+    fie = _fie_trace(bounds, 0.7, estimator.seq_norms(w), estimator.seq_norms(v))
+    mhe = _mhe_trace(hat, 0.7, estimator.seq_norms(w), estimator.seq_norms(v))
     for t in range(T + 1):
         assert _close(fie[t], rgas_rhs(bounds, 0.7, w, v, t))
-        assert _close(eval_rgas_rhs(bounds, 0.7, w, v, t), rgas_rhs(bounds, 0.7, w, v, t))
         assert _close(mhe[t], mhe_bound(hat, 0.7, w, v, t))
 
 
 def test_time_zero_and_empty_windows_give_the_initial_term():
     bounds = DerivedBounds(PlusMode.SUM, ITERATED, SQUARE, SQUARE, 1.0, 1.0, ("test", "test"))
-    empty = np.zeros((0, 2))
-    assert eval_rgas_rhs(bounds, 0.7, empty, empty, 0) == ITERATED(0.7, 0)
-    assert list(bound_trace(PlusMode.MAX, ITERATED, SQUARE, SQUARE, 0.7,
-                            np.zeros(0), np.zeros(0))) == [ITERATED(0.7, 0)]
+    empty = np.zeros(0)
+    assert list(_fie_trace(bounds, 0.7, empty, empty)) == [ITERATED(0.7, 0)]
     hat = SimpleNamespace(b_hat=SQUARE, c_hat=ITERATED, d_hat=ITERATED)
-    assert eval_mhe_bound(hat, 0.7, empty, empty, 0) == SQUARE(0.7, 0)
+    assert list(_mhe_trace(hat, 0.7, empty, empty)) == [SQUARE(0.7, 0)]
 
 
 def _nan_gain():
@@ -183,7 +177,7 @@ def _nan_gain():
 
 @pytest.mark.parametrize("mode", [PlusMode.MAX, PlusMode.SUM])
 def test_a_nan_term_makes_the_bound_nan(mode):
-    trace = bound_trace(mode, GEOMETRIC, _nan_gain(), GEOMETRIC, 0.7, np.ones(6), np.zeros(6))
+    trace = bound_trace(mode, GEOMETRIC, 0.7, (_nan_gain(), np.ones(6)), (GEOMETRIC, np.zeros(6)))
     assert trace[0] == GEOMETRIC(0.7, 0)
     assert np.isnan(trace[1:]).all()
 
@@ -242,7 +236,7 @@ def test_catalog_gains_are_never_called_term_by_term(plant, mode):
     bounds, cost = resolved.bounds, resolved.cost
     wn, vn = _norms("uniform")
     gains = [_Counting(fn) for fn in (bounds.c, bounds.d, cost.gamma_hat, cost.delta_hat)]
-    trace = bound_trace(bounds.mode, bounds.b, gains[0], gains[1], D0, wn, vn)
+    trace = bound_trace(bounds.mode, bounds.b, D0, (gains[0], wn), (gains[1], vn))
     assert list(trace) == list(_fie_trace(bounds, D0, wn, vn))
     counted = CostSpec(cost.mode, cost.beta_hat, gains[2], gains[3], cost.summability)
     window = _cost_window(plant, 5)
@@ -250,7 +244,7 @@ def test_catalog_gains_are_never_called_term_by_term(plant, mode):
     if plant != "s4":
         hat = hat_bounds_for(resolved, 4)
         hat_gains = [_Counting(hat.c_hat), _Counting(hat.d_hat)]
-        bound_trace(PlusMode.MAX, hat.b_hat, *hat_gains, D0, wn, vn)
+        bound_trace(PlusMode.MAX, hat.b_hat, D0, (hat_gains[0], wn), (hat_gains[1], vn))
         gains += hat_gains
     assert [g.calls for g in gains] == [0] * len(gains)
 

@@ -667,20 +667,6 @@ def test_the_group_check_equals_the_one_cell_loop(plant, K, mode):
     assert sum(cell.certified_steps for cell in group) > 0
 
 
-@pytest.mark.parametrize("estimator", ["fie", "mhe"])
-def test_the_group_check_uses_a_plant_metric_of_its_own(estimator):
-    def metric(a, b):
-        return 2.0 * float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-
-    config = ExperimentConfig(plant="s1", mode="max", estimator=estimator, horizon=2,
-                              t_final=10, seeds=(0, 1), scenarios=CHECK_SCENARIOS)
-    resolved = resolve(config)
-    model = dataclasses.replace(resolved.model, metric=metric)
-    group = _check_against_the_loop(dataclasses.replace(resolved, model=model), 2)
-    plain = H._run_group(resolved, [(CHECK_SCENARIOS[1], 0)], H._cell_hat(resolved, 2), 2)
-    assert group[2].rows[5]["error"] != plain[0].rows[5]["error"]
-
-
 @dataclasses.dataclass(frozen=True)
 class _BadAtAge(KLFn):
     """``base`` with every value at one age replaced by ``bad``."""
@@ -789,10 +775,11 @@ def test_terms_norms_and_folds_of_rows_equal_each_row_alone(mode):
             assert np.array_equal(terms, [gain_terms(fn, ages, row) for row in r], equal_nan=True)
         heads = gen.uniform(0.0, 5.0, 12)
         c_terms, d_terms = gain_terms(linear, ages, norms), gen.uniform(0.0, 5.0, (12, K))
-        folded = fold_terms(mode, heads, c_terms, d_terms)
-        alone = [fold_terms(mode, h, c, d) for h, c, d in zip(heads, c_terms, d_terms)]
-        assert np.array_equal(folded, alone, equal_nan=True)
-        assert np.isnan(folded[3]) and not np.isnan(np.delete(folded, 3)).any()
+        for seqs in ((c_terms, d_terms), (c_terms, d_terms, d_terms[:, ::-1], c_terms)):
+            folded = fold_terms(mode, heads, *seqs)
+            alone = [fold_terms(mode, h, *row) for h, *row in zip(heads, *seqs)]
+            assert np.array_equal(folded, alone, equal_nan=True)
+            assert np.isnan(folded[3]) and not np.isnan(np.delete(folded, 3)).any()
 
 
 def test_cumsum_along_rows_is_the_python_left_fold():

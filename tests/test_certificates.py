@@ -12,18 +12,24 @@ from mhestab.comparison import (
     PlusMode,
     SeparableGeometric,
     check_summable,
+    seq_norms,
 )
 from mhestab.certificates import (
+    CERTIFICATE_NAMES,
     IossCertificate,
+    bound_trace,
     builtin_certificate,
     check_compatibility,
     check_ioss_on_pair,
     default_cost_from_certificate,
     derive_bcd,
-    eval_rgas_rhs,
     falsify_certificate,
 )
-from mhestab.systems import builtin_model, simulate
+from mhestab.systems import builtin_model, row_distances, simulate
+
+from reference_folds import falsify_pair_by_pair, ioss_pair_margins
+
+FIXTURES = [(name, mode) for name in CERTIFICATE_NAMES for mode in PlusMode]
 
 
 def _pair(model, x0a, x0b, wa, wb, va, vb, T, u=None):
@@ -98,6 +104,48 @@ def test_pair_check_rejects_mismatched_lengths():
                  np.zeros((5, 1)), np.zeros((5, 1)), 5)
     with pytest.raises(DomainError):
         check_ioss_on_pair(cert, model, a, b)
+
+
+def _random_pairs(model, T, key, count):
+    """Pairs of solutions with independent initial states, inputs and
+    disturbances, so that every discrepancy term of the inequality is live."""
+    gen = np.random.Generator(np.random.Philox(key=key))
+    pairs = []
+    for _ in range(count):
+        pairs.append([simulate(model, gen.uniform(-2.0, 2.0, model.state_dim),
+                               gen.uniform(-1.0, 1.0, (T, model.input_dim)),
+                               gen.uniform(-0.3, 0.3, (T, model.process_noise_dim)),
+                               gen.uniform(-0.3, 0.3, (T, model.meas_noise_dim)), T)
+                      for _ in range(2)])
+    return pairs
+
+
+@pytest.mark.parametrize("T", [1, 2, 24])
+@pytest.mark.parametrize("name,mode", FIXTURES)
+def test_pair_check_matches_the_scalar_fold(name, mode, T):
+    cert = builtin_certificate(name, mode)
+    model = builtin_model("s1" if name == "s1-shared" else name)
+    for a, b in _random_pairs(model, T, key=T, count=12):
+        margin = check_ioss_on_pair(cert, model, a, b)
+        ref = ioss_pair_margins(cert, a, b)
+        assert np.abs(a.u - b.u).max() > 0 and np.abs(a.y - b.y).max() > 0
+        if mode is PlusMode.MAX:
+            assert margin.margins.tobytes() == ref.tobytes()
+        else:
+            rhs = ref + cert.alpha(row_distances(a.x, b.x))
+            assert np.all(np.abs(margin.margins - ref) <= 1e-14 * rhs), (margin.margins, ref)
+        assert margin.worst_t == int(np.argmin(ref))
+        assert margin.min_margin == margin.margins[margin.worst_t]
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.0])      # 0.0: every pair's minimum is 0 at t = 0
+@pytest.mark.parametrize("name,mode", FIXTURES)
+def test_falsifier_matches_the_pair_by_pair_loop(name, mode, scale):
+    cert = builtin_certificate(name, mode)
+    model = builtin_model("s1" if name == "s1-shared" else name)
+    rep = falsify_certificate(cert, model, n_pairs=60, horizon=12, seed=5, scale=scale)
+    got = (rep.passed, rep.pairs, rep.worst_margin, rep.worst_pair_seed, rep.worst_t)
+    assert got == falsify_pair_by_pair(cert, model, 60, 12, seed=5, scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +253,19 @@ def _shared_bounds():
     return M.DerivedBounds(PlusMode.MAX, fn, fn, fn, 1.0, 1.0, ("direct", "direct"))
 
 
+def _fie_bound(bounds, init_dist, w, v):
+    """The full-information bound at t = 0..len(w), from (t, d) sequences."""
+    return bound_trace(bounds.mode, bounds.b, init_dist, (bounds.c, seq_norms(np.asarray(w))),
+                       (bounds.d, seq_norms(np.asarray(v))))
+
+
 def test_eval_rgas_rhs_examples():
     bounds = _shared_bounds()   # b = c = d = 2 * 0.5^s r
-    zeros = np.zeros((8, 1))
-    assert eval_rgas_rhs(bounds, 1.0, zeros[:3], zeros[:3], 3) == pytest.approx(0.25)
-    assert eval_rgas_rhs(bounds, 1.0, zeros[:0], zeros[:0], 0) == pytest.approx(2.0)
+    zeros = np.zeros((3, 1))
+    assert list(_fie_bound(bounds, 1.0, zeros, zeros)) == pytest.approx([2.0, 1.0, 0.5, 0.25])
     w = np.zeros((2, 1))
     w[1, 0] = 1.0   # impulse at t-1 for t = 2
-    val = eval_rgas_rhs(bounds, 1.0, w, np.zeros((2, 1)), 2)
-    assert val == pytest.approx(max(0.5, 1.0))
+    assert _fie_bound(bounds, 1.0, w, np.zeros((2, 1)))[2] == pytest.approx(max(0.5, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +368,6 @@ def test_prop_decrease_end_to_end():
                 if not record.passed:
                     continue
                 x_true_end = model.f(sol.x[-1], u[-1], w[-1])
-                err = cert.alpha(model.dist(x_true_end, result.published))
-                rhs = eval_rgas_rhs(bounds, model.dist(sol.x[0], prior), w, v, K)
+                err = cert.alpha(row_distances(x_true_end, result.published))
+                rhs = _fie_bound(bounds, row_distances(sol.x[0], prior), w, v)[K]
                 assert err <= rhs + 1e-9, (plant, mode, trial, err, rhs)

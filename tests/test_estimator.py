@@ -312,7 +312,7 @@ def test_run_fie_zero_disturbance_tracking():
 
 
 def test_run_fie_prior_offset_decay_bound():
-    from mhestab.certificates import derive_bcd, eval_rgas_rhs
+    from mhestab.certificates import bound_trace, derive_bcd
     model = builtin_model("s1")
     cert = builtin_certificate("s1", PlusMode.MAX)
     cost = default_cost_from_certificate(cert, N_TWO)
@@ -323,10 +323,11 @@ def test_run_fie_prior_offset_decay_bound():
     sol = simulate(model, [0.5], u, np.zeros((T + 1, 1)), np.zeros((T + 1, 1)), T + 1)
     results = run_fie(model, cost, [1.5], u[:T], sol.y[None, :T], SolverConfig())[0]
     d0 = abs(sol.x[0, 0] - 1.5)
+    rhs = bound_trace(bounds.mode, bounds.b, d0, (bounds.c, np.abs(sol.w[:T, 0])),
+                      (bounds.d, np.abs(sol.v[:T, 0])))
     for t in range(T + 1):
         err = abs(sol.x[t, 0] - results[t].published[0])
-        rhs = eval_rgas_rhs(bounds, d0, sol.w[:t], sol.v[:t], t)
-        assert err <= rhs + 1e-9
+        assert err <= rhs[t] + 1e-9
 
 
 def test_run_fie_horizon_cap():

@@ -560,6 +560,16 @@ def test_an_unknown_cost_value_is_named(tmp_path, capsys, verb):
         ExperimentConfig(cost="explict").validate()
 
 
+@pytest.mark.parametrize("text", ["sepgeo(2.0, 2.0, 0.5)", "sepgeo(2.0, 0.5, 0.5)",
+                                  "sepgeo(2.0, 1.0, 0.5)"])
+def test_an_explicit_sum_gain_summable_in_any_power_of_r_passes(text):
+    # sum_s 2 * 0.5^s r^p = 4 r^p; a sigma linear in r, fitted at r = 1,
+    # rejected the powers 2 and 0.5
+    gain = parse_klfn(text)
+    evidence = harness._explicit_summability({"gamma_hat": gain, "delta_hat": gain})
+    assert [ev.passed for ev in evidence.values()] == [True, True]
+
+
 def test_cost_default_next_to_a_cost_section_is_an_error(tmp_path, capsys):
     path = _edit_config(tmp_path, "[solver]", EXPLICIT_COST.format(beta="sepgeo(1.0, 1.0, 0.5)")
                         + "\n[solver]")

@@ -16,6 +16,7 @@ from mhestab.comparison import (
 )
 from mhestab.certificates import (
     DerivedBounds,
+    bound_trace,
     builtin_certificate,
     check_compatibility,
     default_cost_from_certificate,
@@ -26,7 +27,6 @@ from mhestab.stability import (
     build_hat_bounds,
     check_sum_to_max_lemma,
     equality_threshold,
-    eval_mhe_bound,
     find_contraction_max,
     find_contraction_sum,
     rges_envelope,
@@ -155,15 +155,18 @@ def test_build_hat_requires_passing_analysis():
 def test_eval_mhe_bound_examples():
     bounds = _s1_bounds()
     hat = build_hat_bounds(find_contraction_max(bounds, ALPHA, 2), bounds)
-    zeros = np.zeros((6, 1))
+
+    def mhe_bound(w_norms, v_norms):
+        return bound_trace(PlusMode.MAX, hat.b_hat, 1.0, (hat.c_hat, w_norms),
+                           (hat.d_hat, v_norms))
+
+    zeros = np.zeros(4)
     # zero disturbances leave the initial-error term
-    assert eval_mhe_bound(hat, 1.0, zeros[:4], zeros[:4], 4) == hat.b_hat(1.0, 4)
+    assert mhe_bound(zeros, zeros)[4] == hat.b_hat(1.0, 4)
     # t = 0 in max mode equals b(r, 0)
-    assert eval_mhe_bound(hat, 1.0, zeros[:0], zeros[:0], 0) == bounds.b(1.0, 0)
-    # a single impulse contributes its c_hat term
-    w = np.zeros((2, 1))
-    w[1, 0] = 1.0
-    val = eval_mhe_bound(hat, 1.0, w, np.zeros((2, 1)), 2)
+    assert mhe_bound(zeros, zeros)[0] == bounds.b(1.0, 0)
+    # a single impulse at t = 1 contributes its c_hat term at t = 2
+    val = mhe_bound(np.array([0.0, 1.0]), np.zeros(2))[2]
     assert val == pytest.approx(max(hat.b_hat(1.0, 2), hat.c_hat(1.0, 1)))
 
 

@@ -9,6 +9,7 @@ from mhestab.systems import (
     SolutionTuple,
     builtin_model,
     generate_scenario,
+    row_distances,
     simulate,
     solution_to_csv,
     verify_solution,
@@ -121,13 +122,23 @@ def test_long_horizon_round_trip():
 
 
 def test_metric_properties_spot_checks():
-    model = builtin_model("s4")
     gen = np.random.Generator(np.random.Philox(key=4))
     for _ in range(50):
         a, b, c = gen.normal(size=(3, 2))
-        assert model.dist(a, b) == model.dist(b, a)
-        assert model.dist(a, a) == 0.0
-        assert model.dist(a, c) <= model.dist(a, b) + model.dist(b, c) + 1e-12
+        assert row_distances(a, b) == row_distances(b, a) == np.linalg.norm(a - b)
+        assert row_distances(a, a) == 0.0
+        assert row_distances(a, c) <= row_distances(a, b) + row_distances(b, c) + 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_row_distances_of_a_stack_are_the_norms_of_each_row(dim):
+    gen = np.random.Generator(np.random.Philox(key=dim))
+    a, b = gen.normal(size=(2, 3, 7, dim))
+    got = row_distances(a, b)
+    assert got.shape == (3, 7)
+    assert got.tolist() == [[np.linalg.norm(p - q) for p, q in zip(*rows)] for rows in zip(a, b)]
+    assert row_distances(a, b[0, 0]).tolist() == [[np.linalg.norm(p - b[0, 0]) for p in row]
+                                                  for row in a]
 
 
 def test_sin_interval_image_exact():
