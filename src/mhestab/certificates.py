@@ -372,8 +372,10 @@ def falsify_certificate(cert: IossCertificate, model: SystemModel, n_pairs: int 
     then checked in one :func:`bound_trace` pass; the worst pair is the first
     one whose minimum margin is the smallest, and within it the first t.
     Used to validate candidate certificates that have no closed-form
-    derivation.
+    derivation.  ``n_pairs`` must be at least 1: no pair is no evidence.
     """
+    if n_pairs < 1:
+        raise DomainError(f"falsification needs n_pairs >= 1, got {n_pairs}")
     gen = np.random.Generator(np.random.Philox(key=seed))
     pairs = []
     for _ in range(n_pairs):
@@ -389,13 +391,12 @@ def falsify_certificate(cert: IossCertificate, model: SystemModel, n_pairs: int 
                 w[gen.integers(0, horizon), 0] += gen.uniform(-scale, scale)
             sols.append(simulate(model, x0, u, w, v, horizon))
         pairs.append(sols)
-    worst, worst_seed, worst_t = math.inf, -1, -1
-    if pairs:
-        margins = _pair_margins(cert, [a for a, _ in pairs], [b for _, b in pairs])
-        worst_ts = np.argmin(margins, axis=1)
-        k, worst = first_min(margins[np.arange(n_pairs), worst_ts])
-        if k is not None:
-            worst_seed, worst_t = k, int(worst_ts[k])
+    worst_seed, worst_t = -1, -1
+    margins = _pair_margins(cert, [a for a, _ in pairs], [b for _, b in pairs])
+    worst_ts = np.argmin(margins, axis=1)
+    k, worst = first_min(margins[np.arange(n_pairs), worst_ts])
+    if k is not None:
+        worst_seed, worst_t = k, int(worst_ts[k])
     return FalsificationReport(worst >= -tol_cert, n_pairs, worst, worst_seed, worst_t)
 
 

@@ -910,25 +910,6 @@ class GridEvidence:
         return self.passed
 
 
-def check_k_on_grid(f: KFn, r_grid: Optional[np.ndarray] = None,
-                    probe_unbounded: bool = False) -> GridEvidence:
-    """Verify f(0) = 0, strict increase, and continuity proxies on a log grid."""
-    grid = log_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    if f(0.0) != 0.0:
-        return GridEvidence(False, -abs(f(0.0)), (0.0,), "f(0) != 0")
-    vals = f(grid)
-    diffs = np.diff(vals)
-    worst = float(diffs.min()) if len(diffs) else 0.0
-    if worst <= 0.0:
-        idx = int(np.argmin(diffs))
-        return GridEvidence(False, worst, (float(grid[idx]),), "not strictly increasing")
-    if probe_unbounded:
-        probe = f(1e12)
-        if probe <= vals[-1]:
-            return GridEvidence(False, probe - vals[-1], (1e12,), "unboundedness probe failed")
-    return GridEvidence(True, worst, (float(grid[int(np.argmin(diffs))]),), "K grid checks passed")
-
-
 def check_kl_on_grid(f: KLFn, r_grid: Optional[np.ndarray] = None,
                      s_max: int = 64, rel_tol: float = 1e-9) -> GridEvidence:
     """Verify KL membership on a grid: K in r per slice, nonincreasing in s.

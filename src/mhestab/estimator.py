@@ -193,6 +193,8 @@ class SolverConfig:
             raise DomainError(f"solver tol must be finite and positive, got {self.tol}")
         if not self.penalty_schedule:
             raise DomainError("solver penalty_schedule must not be empty")
+        if not 0 <= self.seed < 2 ** 128:
+            raise DomainError(f"solver seed must be in [0, 2**128), got {self.seed}")
 
 
 @dataclass(frozen=True)

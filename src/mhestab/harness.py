@@ -7,6 +7,10 @@ and check the claimed error bound at every certified step.  Everything an
 experiment writes is deterministic in (config, seed), down to the bytes of
 the CSV artifacts, so regressions show up as diffs.
 
+:func:`load_config` builds each ``[scenario.NAME]`` section as a
+:class:`DisturbanceScenario`, whose constructor checks it, so a bad scenario
+fails as a :class:`ConfigError` under every verb, before any simulation.
+
 Exit-code contract (enforced by the CLI): 0 all margins and analyses pass,
 2 configuration/fixture/analysis failure (before any simulation), 3 solver
 infeasibility, 4 bound violation with the worst step recorded.
@@ -98,20 +102,6 @@ class BoundViolationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ScenarioSpec:
-    name: str
-    kind: str = "zero"
-    amplitude: float = 0.0
-    rate: float = 0.0
-    time: int = 0
-    magnitude: float = 0.0
-
-    def instantiate(self, seed: int, horizon: int) -> DisturbanceScenario:
-        return DisturbanceScenario(self.kind, seed, horizon, self.amplitude,
-                                   self.rate, self.time, self.magnitude)
-
-
-@dataclass
 class ExperimentConfig:
     name: str = "experiment"
     plant: str = "s1"
@@ -130,7 +120,8 @@ class ExperimentConfig:
     x0: float = 0.5
     prior_offset: float = 1.0
     t_max_fie: int = 200
-    scenarios: List[ScenarioSpec] = field(default_factory=lambda: [ScenarioSpec("zero", "zero")])
+    scenarios: List[DisturbanceScenario] = field(
+        default_factory=lambda: [DisturbanceScenario("zero")])
     solver: SolverConfig = field(default_factory=SolverConfig)
     probe_delta: float = 0.5
     probe_step: int = 2
@@ -159,12 +150,12 @@ class ExperimentConfig:
             raise ConfigError("seeds selects no seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be unique, got {list(self.seeds)}")
+        if not all(0 <= seed < 2 ** 128 for seed in self.seeds):
+            raise ConfigError(f"seeds must be in [0, 2**128), got {list(self.seeds)}")
         if any(k < 1 for k in self.sweep):
             raise ConfigError(f"sweep horizons must be >= 1, got {list(self.sweep)}")
         floats = {"a_factor": self.a_factor, "x0": self.x0, "prior_offset": self.prior_offset,
                   "probe delta": self.probe_delta}
-        floats.update((f"scenario {s.name} {key}", getattr(s, key)) for s in self.scenarios
-                      for key in ("amplitude", "rate", "magnitude"))
         for key, value in floats.items():
             if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
@@ -180,10 +171,7 @@ class ExperimentConfig:
         self.plus_mode()
 
     def echo(self) -> dict:
-        d = asdict(self)
-        d["solver"] = asdict(self.solver)
-        d["scenarios"] = [asdict(s) for s in self.scenarios]
-        return d
+        return asdict(self)
 
 
 def _parse_seeds(text: str) -> Tuple[int, ...]:
@@ -208,7 +196,7 @@ def _named_as_fields(**parsers) -> dict:
 
 #: The config schema: per section, each key maps to the field it sets and the
 #: parser of its text.  ``scenario`` stands for every ``[scenario.NAME]``
-#: section and sets a :class:`ScenarioSpec`, ``solver`` sets the
+#: section and sets a :class:`DisturbanceScenario`, ``solver`` sets the
 #: :class:`SolverConfig` and the rest set :class:`ExperimentConfig`.  Any
 #: other section or key is an error; a missing key keeps its field's default.
 CONFIG_KEYS = {
@@ -258,7 +246,7 @@ def _read_config(path: str) -> ExperimentConfig:
             target, parse = schema[key]
             values[target] = parse(text)
         if name:
-            scenarios.append(ScenarioSpec(name, **values))
+            scenarios.append(DisturbanceScenario(name, **values))
         elif kind == "solver":
             fields["solver"] = SolverConfig(**values)
         else:
@@ -423,13 +411,13 @@ def _initial(config: ExperimentConfig, model: SystemModel) -> Tuple[np.ndarray, 
     return x0, x0 + config.prior_offset
 
 
-def _truth(config: ExperimentConfig, model: SystemModel, scenario: ScenarioSpec,
+def _truth(config: ExperimentConfig, model: SystemModel, scenario: DisturbanceScenario,
            seed: int) -> SolutionTuple:
     """The simulated true solution of one scenario and seed over t_final + 1
     steps, with zero inputs."""
     T = config.t_final
-    spec = scenario.instantiate(seed, T + 1)
-    w, v = generate_scenario(spec, model.process_noise_dim, model.meas_noise_dim)
+    w, v = generate_scenario(scenario, seed, T + 1, model.process_noise_dim,
+                             model.meas_noise_dim)
     return simulate(model, _initial(config, model)[0], np.zeros((T + 1, model.input_dim)),
                     w, v, T + 1)
 
@@ -562,7 +550,7 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
     return out
 
 
-def run_cell(resolved: ResolvedExperiment, scenario: ScenarioSpec, seed: int,
+def run_cell(resolved: ResolvedExperiment, scenario: DisturbanceScenario, seed: int,
              hat: Optional[HatBounds] = None, horizon: Optional[int] = None) -> CellResult:
     """Simulate, estimate, certify and check one sweep cell: a group of one
     (see :func:`_check_group`).  A moving-horizon cell is checked against the

@@ -17,6 +17,10 @@ Four test plants ship with the package:
 The scalar plants expose exact interval images and preimages of their noise-
 free transition maps; the window solvers use those for structured solves.
 
+A :class:`DisturbanceScenario` is a named recipe for the process and
+measurement disturbances, checked when built; :func:`generate_scenario`
+draws its sequences for a seed and horizon.
+
 Plant maps accept a leading batch axis: ``f(X, u, W)`` with X (B, n) and
 W (B, q) returns the (B, n) stack of ``f(X[b], u, W[b])``, bit for bit, and
 ``h``, ``f_nominal`` and ``h_nominal`` do the same; u is the one input of
@@ -178,17 +182,22 @@ class ResidualReport:
 
 
 def verify_solution(model: SystemModel, sol: SolutionTuple, tol_dyn: float = TOL_DYN) -> ResidualReport:
-    """Check tuple membership in the solution set, reporting the worst residual."""
-    worst = 0.0
-    worst_t = -1
+    """Check tuple membership in the solution set, reporting the worst
+    residual: the first largest, dynamics before outputs.  A NaN residual
+    fails, reported as the worst at the first step that has one."""
+    residuals = []
     for t in range(sol.length - 1):
         pred = np.atleast_1d(model.f(sol.x[t], sol.u[t], sol.w[t]))
-        res = float(row_distances(sol.x[t + 1], pred))
-        if res > worst:
-            worst, worst_t = res, t
+        residuals.append((t, float(row_distances(sol.x[t + 1], pred))))
     for t in range(sol.length):
         pred = np.atleast_1d(model.h(sol.x[t], sol.u[t], sol.v[t]))
-        res = float(row_distances(sol.y[t], pred))
+        residuals.append((t, float(row_distances(sol.y[t], pred))))
+    nan_steps = [t for t, res in residuals if math.isnan(res)]
+    if nan_steps:
+        return ResidualReport(False, math.nan, min(nan_steps))
+    worst = 0.0
+    worst_t = -1
+    for t, res in residuals:
         if res > worst:
             worst, worst_t = res, t
     return ResidualReport(worst <= tol_dyn, worst, worst_t)
@@ -200,17 +209,18 @@ def verify_solution(model: SystemModel, sol: SolutionTuple, tol_dyn: float = TOL
 
 @dataclass(frozen=True)
 class DisturbanceScenario:
-    """Deterministic disturbance recipe.
+    """A named deterministic disturbance recipe, checked when built.
 
     kinds: ``zero``; ``bounded_uniform`` (amplitude); ``decaying_geometric``
     (amplitude, rate); ``impulse`` (time, magnitude -- applied to the process
-    channel only).  Generation is keyed by a counter-based generator, so the
-    same (scenario, seed) pair always reproduces the same sequences.
+    channel only).  amplitude, rate and magnitude must be finite, amplitude
+    nonnegative, rate in [0, 1] and time a nonnegative integer, whatever the
+    kind; a violation raises :class:`DomainError`.  :func:`generate_scenario`
+    draws the sequences for a seed and horizon.
     """
 
-    kind: str
-    seed: int = 0
-    horizon: int = 0
+    name: str
+    kind: str = "zero"
     amplitude: float = 0.0
     rate: float = 0.0
     time: int = 0
@@ -220,9 +230,19 @@ class DisturbanceScenario:
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
-            raise DomainError(f"unknown scenario kind {self.kind!r}")
-        if self.horizon < 0:
-            raise DomainError("scenario horizon must be nonnegative")
+            raise DomainError(f"scenario {self.name} has unknown kind {self.kind!r}; "
+                              f"choose one of {', '.join(self.KINDS)}")
+        for key in ("amplitude", "rate", "magnitude"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise DomainError(f"scenario {self.name} {key} must be finite, got {value}")
+        if self.amplitude < 0.0:
+            raise DomainError(f"scenario {self.name} amplitude must be >= 0, got {self.amplitude}")
+        if not 0.0 <= self.rate <= 1.0:
+            raise DomainError(f"scenario {self.name} rate must be in [0, 1], got {self.rate}")
+        if not (isinstance(self.time, int) and self.time >= 0):
+            raise DomainError(f"scenario {self.name} time must be a nonnegative integer, "
+                              f"got {self.time!r}")
 
 
 def _clip_norm(rows: np.ndarray, caps) -> np.ndarray:
@@ -234,30 +254,32 @@ def _clip_norm(rows: np.ndarray, caps) -> np.ndarray:
     return rows * scale[:, None]
 
 
-def generate_scenario(spec: DisturbanceScenario, process_dim: int, meas_dim: int
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """Produce (w_seq, v_seq) of shape (T, q) and (T, m) for the scenario."""
-    T = spec.horizon
-    gen = np.random.Generator(np.random.Philox(key=spec.seed))
-    if spec.kind == "zero":
+def generate_scenario(scenario: DisturbanceScenario, seed: int, horizon: int,
+                      process_dim: int, meas_dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Produce (w_seq, v_seq) of shape (horizon, q) and (horizon, m) for the
+    scenario.  The draws are keyed by a counter-based generator, so the same
+    (scenario, seed, horizon) always reproduces the same sequences."""
+    if horizon < 0:
+        raise DomainError("scenario horizon must be nonnegative")
+    T = horizon
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    if scenario.kind == "zero":
         return np.zeros((T, process_dim)), np.zeros((T, meas_dim))
-    if spec.kind == "bounded_uniform":
-        w = _clip_norm(gen.uniform(-spec.amplitude, spec.amplitude, (T, process_dim)),
-                       spec.amplitude)
-        v = _clip_norm(gen.uniform(-spec.amplitude, spec.amplitude, (T, meas_dim)),
-                       spec.amplitude)
+    if scenario.kind == "bounded_uniform":
+        amp = scenario.amplitude
+        w = _clip_norm(gen.uniform(-amp, amp, (T, process_dim)), amp)
+        v = _clip_norm(gen.uniform(-amp, amp, (T, meas_dim)), amp)
         return w, v
-    if spec.kind == "decaying_geometric":
-        caps = spec.amplitude * spec.rate ** np.arange(T)
+    if scenario.kind == "decaying_geometric":
+        caps = scenario.amplitude * scenario.rate ** np.arange(T)
         w = _clip_norm(gen.uniform(-1.0, 1.0, (T, process_dim)) * caps[:, None], caps)
         v = _clip_norm(gen.uniform(-1.0, 1.0, (T, meas_dim)) * caps[:, None], caps)
         return w, v
-    if spec.kind == "impulse":
-        w = np.zeros((T, process_dim))
-        if 0 <= spec.time < T:
-            w[spec.time, 0] = spec.magnitude
-        return w, np.zeros((T, meas_dim))
-    raise DomainError(f"unknown scenario kind {spec.kind!r}")
+    # impulse
+    w = np.zeros((T, process_dim))
+    if scenario.time < T:
+        w[scenario.time, 0] = scenario.magnitude
+    return w, np.zeros((T, meas_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -402,26 +424,3 @@ _PLANTS = {
 }
 
 PLANT_NAMES = tuple(sorted(_PLANTS))
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def solution_to_csv(sol: SolutionTuple) -> str:
-    """Render a solution tuple as CSV text (stable formatting for diffing)."""
-    cols = ["t"]
-    for name in ("x", "u", "w", "v", "y"):
-        arr = getattr(sol, name)
-        cols += [f"{name}{i}" for i in range(arr.shape[1])]
-    lines = [",".join(cols)]
-    for t in range(sol.length):
-        row = [str(t)]
-        for name in ("x", "u", "w", "v", "y"):
-            row += [_fmt(val) for val in getattr(sol, name)[t]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

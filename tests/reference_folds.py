@@ -73,23 +73,6 @@ def _plus2(mode, a, b):
     return plus_reduce(mode, (a, b))
 
 
-def check_k_on_grid(f, r_grid=None, probe_unbounded=False):
-    grid = log_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    if f(0.0) != 0.0:
-        return GridEvidence(False, -abs(f(0.0)), (0.0,), "f(0) != 0")
-    vals = np.array([f(r) for r in grid])
-    diffs = np.diff(vals)
-    worst = float(diffs.min()) if len(diffs) else 0.0
-    if worst <= 0.0:
-        idx = int(np.argmin(diffs))
-        return GridEvidence(False, worst, (float(grid[idx]),), "not strictly increasing")
-    if probe_unbounded:
-        probe = f(1e12)
-        if probe <= vals[-1]:
-            return GridEvidence(False, probe - vals[-1], (1e12,), "unboundedness probe failed")
-    return GridEvidence(True, worst, (float(grid[int(np.argmin(diffs))]),), "K grid checks passed")
-
-
 def check_kl_on_grid(f, r_grid=None, s_max=64, rel_tol=1e-9):
     grid = log_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
     worst = math.inf

@@ -31,7 +31,6 @@ from mhestab.certificates import (
 from mhestab.estimator import EstimationProblem, SolverConfig, _window_costs, solve_window
 from mhestab.harness import (
     ExperimentConfig,
-    ScenarioSpec,
     contraction_for,
     resolve,
     run_cell,
@@ -46,7 +45,7 @@ from mhestab.stability import (
     find_contraction_max,
     find_contraction_sum,
 )
-from mhestab.systems import builtin_model
+from mhestab.systems import DisturbanceScenario, builtin_model
 
 MARGIN_TOL = 1e-9
 A_FACTOR = 1.05
@@ -54,10 +53,10 @@ SEEDS = tuple(range(50))
 JOBS = min(2, os.cpu_count() or 1)
 
 SCENARIOS = [
-    ScenarioSpec("zero", "zero"),
-    ScenarioSpec("uniform", "bounded_uniform", amplitude=0.1),
-    ScenarioSpec("decay", "decaying_geometric", amplitude=1.0, rate=0.8),
-    ScenarioSpec("impulse", "impulse", time=5, magnitude=1.0),
+    DisturbanceScenario("zero", "zero"),
+    DisturbanceScenario("uniform", "bounded_uniform", amplitude=0.1),
+    DisturbanceScenario("decay", "decaying_geometric", amplitude=1.0, rate=0.8),
+    DisturbanceScenario("impulse", "impulse", time=5, magnitude=1.0),
 ]
 
 
@@ -276,7 +275,7 @@ def test_criterion_7_sum_to_max_lemma():
 
 def test_criterion_8_convergence_under_decay():
     T = 120
-    decay = [ScenarioSpec("decay", "decaying_geometric", amplitude=1.0, rate=0.8)]
+    decay = [DisturbanceScenario("decay", "decaying_geometric", amplitude=1.0, rate=0.8)]
     ok = True
     details = []
     for estimator, horizon in (("fie", 4), ("mhe", 4)):
@@ -372,8 +371,8 @@ def test_criterion_10_determinism(tmp_path):
     config = ExperimentConfig(
         name="acc10", plant="s1", mode="sum", estimator="mhe", horizon=3,
         a_factor=A_FACTOR, t_final=25, seeds=(0, 1, 2),
-        scenarios=[ScenarioSpec("uniform", "bounded_uniform", amplitude=0.1),
-                   ScenarioSpec("decay", "decaying_geometric", amplitude=1.0, rate=0.8)])
+        scenarios=[DisturbanceScenario("uniform", "bounded_uniform", amplitude=0.1),
+                   DisturbanceScenario("decay", "decaying_geometric", amplitude=1.0, rate=0.8)])
     run_experiment(config, str(tmp_path / "a"))
     run_experiment(config, str(tmp_path / "b"))
     identical = True

@@ -35,7 +35,6 @@ from mhestab.estimator import eval_cost
 from mhestab.harness import (
     AnalysisError,
     ExperimentConfig,
-    ScenarioSpec,
     hat_bounds_for,
     resolve,
     run_cell,
@@ -47,9 +46,9 @@ from reference_folds import mhe_bound, rgas_rhs, window_cost
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_bounds.json")
 T_TRACE = 30
 D0 = 0.7
-DRAWS = {
-    "uniform": DisturbanceScenario("bounded_uniform", 3, T_TRACE, amplitude=0.1),
-    "impulse": DisturbanceScenario("impulse", 0, T_TRACE, time=4, magnitude=1.0),
+DRAWS = {  # (scenario, seed) of each draw
+    "uniform": (DisturbanceScenario("uniform", "bounded_uniform", amplitude=0.1), 3),
+    "impulse": (DisturbanceScenario("impulse", "impulse", time=4, magnitude=1.0), 0),
 }
 TRACE_PLANTS = ("s1", "s2", "s3")
 COST_PLANTS = ("s1", "s2", "s3", "s4")
@@ -63,7 +62,8 @@ def _reprs(values):
 
 
 def _norms(draw):
-    w, v = generate_scenario(DRAWS[draw], 1, 1)
+    scenario, seed = DRAWS[draw]
+    w, v = generate_scenario(scenario, seed, T_TRACE, 1, 1)
     return estimator.seq_norms(w), estimator.seq_norms(v)
 
 
@@ -186,7 +186,7 @@ def test_a_cell_with_a_nan_bound_is_an_error():
     config = ExperimentConfig(plant="s1", mode="sum", t_final=8)
     resolved = resolve(config)
     nan_bounds = dataclasses.replace(resolved.bounds, c=_nan_gain())
-    noise = ScenarioSpec("uniform", "bounded_uniform", amplitude=0.1)
+    noise = DisturbanceScenario("uniform", "bounded_uniform", amplitude=0.1)
     with pytest.raises(DomainError, match="NaN at t = 1"):
         run_cell(dataclasses.replace(resolved, bounds=nan_bounds), noise, 0)
 

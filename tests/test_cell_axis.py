@@ -50,7 +50,6 @@ from mhestab.estimator import (
 from mhestab.harness import (
     AnalysisError,
     ExperimentConfig,
-    ScenarioSpec,
     hat_bounds_for,
     resolve,
     run_cell,
@@ -58,6 +57,7 @@ from mhestab.harness import (
 from mhestab.stability import rges_envelope
 from mhestab.systems import (
     PLANT_NAMES,
+    DisturbanceScenario,
     SystemModel,
     _linear_scalar,
     builtin_model,
@@ -76,10 +76,10 @@ from reference_folds import (
 from test_generic_engines import _cost as _generic_cost, _cubic, _snapshot
 
 SCENARIOS = (
-    ScenarioSpec("zero", "zero"),
-    ScenarioSpec("uniform", "bounded_uniform", amplitude=0.1),
-    ScenarioSpec("decay", "decaying_geometric", amplitude=1.0, rate=0.8),
-    ScenarioSpec("impulse", "impulse", time=3, magnitude=1.0),
+    DisturbanceScenario("zero", "zero"),
+    DisturbanceScenario("uniform", "bounded_uniform", amplitude=0.1),
+    DisturbanceScenario("decay", "decaying_geometric", amplitude=1.0, rate=0.8),
+    DisturbanceScenario("impulse", "impulse", time=3, magnitude=1.0),
 )
 
 
@@ -100,7 +100,7 @@ def _stack(plant, T, seeds=(0, 1)):
     ys = []
     for scenario in SCENARIOS:
         for seed in seeds:
-            w, v = generate_scenario(scenario.instantiate(seed, T), 1, 1)
+            w, v = generate_scenario(scenario, seed, T, 1, 1)
             ys.append(simulate(model, [x0], np.zeros((T, 1)), w, v, T).y)
     return np.stack(ys), x0, np.zeros((T, 1))
 
@@ -628,10 +628,10 @@ def test_a_sum_group_equals_each_cell_run_alone(K):
 # ---------------------------------------------------------------------------
 
 CHECK_SCENARIOS = [
-    ScenarioSpec("zero", "zero"),
-    ScenarioSpec("uniform", "bounded_uniform", amplitude=0.1),
-    ScenarioSpec("decay", "decaying_geometric", amplitude=1.0, rate=0.8),
-    ScenarioSpec("impulse", "impulse", time=3, magnitude=1.0),
+    DisturbanceScenario("zero", "zero"),
+    DisturbanceScenario("uniform", "bounded_uniform", amplitude=0.1),
+    DisturbanceScenario("decay", "decaying_geometric", amplitude=1.0, rate=0.8),
+    DisturbanceScenario("impulse", "impulse", time=3, magnitude=1.0),
 ]
 
 
@@ -695,7 +695,7 @@ def _mhe_with_a_bad_window_term(bad, monkeypatch, break_chain):
             return runs
 
         monkeypatch.setattr(H, "run_mhe", failing_first_step)
-    scenario = ScenarioSpec("uniform", "bounded_uniform", amplitude=0.1)
+    scenario = DisturbanceScenario("uniform", "bounded_uniform", amplitude=0.1)
     return run_cell(dataclasses.replace(resolved, bounds=bounds), scenario, 0, hat, 2)
 
 

@@ -148,6 +148,13 @@ def test_falsifier_matches_the_pair_by_pair_loop(name, mode, scale):
     assert got == falsify_pair_by_pair(cert, model, 60, 12, seed=5, scale=scale)
 
 
+@pytest.mark.parametrize("n_pairs", [0, -1])
+def test_falsifier_without_a_pair_is_a_domain_error(n_pairs):
+    cert = builtin_certificate("s1-shared", PlusMode.MAX)
+    with pytest.raises(DomainError, match="n_pairs"):
+        falsify_certificate(cert, builtin_model("s1"), n_pairs=n_pairs)
+
+
 # ---------------------------------------------------------------------------
 # Default cost, compatibility, derived bounds
 # ---------------------------------------------------------------------------

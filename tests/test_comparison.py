@@ -32,7 +32,6 @@ from mhestab.comparison import (
     SumK,
     TabulatedKL,
     TriangleGrowth,
-    check_k_on_grid,
     check_kl_on_grid,
     check_summable,
     check_triangle,
@@ -126,11 +125,6 @@ def test_k_inverse_round_trip_on_log_grid():
         for y in np.geomspace(1e-9, 1e3, 40):
             x = k_inverse(f, y)
             assert abs(f(x) - y) <= 1e-9 * max(1.0, y)
-
-
-def test_k_grid_checks():
-    assert check_k_on_grid(LinearK(2.0), probe_unbounded=True).passed
-    assert check_k_on_grid(PowerK(1.0, 0.5)).passed
 
 
 def test_iterate_k_examples():

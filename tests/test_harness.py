@@ -19,7 +19,6 @@ from mhestab.harness import (
     AnalysisError,
     ConfigError,
     ExperimentConfig,
-    ScenarioSpec,
     _group_worker,
     analyze,
     deviant_output_probe,
@@ -29,6 +28,7 @@ from mhestab.harness import (
     run_cell,
     run_experiment,
 )
+from mhestab.systems import DisturbanceScenario
 from test_comparison import MALFORMED_K_TEXT, MALFORMED_KL_TEXT
 
 BASE_CONFIG = """
@@ -138,7 +138,8 @@ def test_run_experiment_mhe_passes(tmp_path):
 def test_determinism_byte_identical(tmp_path):
     cfg = ExperimentConfig(name="det", plant="s3", mode="max", estimator="fie",
                            t_final=10, seeds=(0, 1),
-                           scenarios=[ScenarioSpec("noise", "bounded_uniform", amplitude=0.1)])
+                           scenarios=[DisturbanceScenario("noise", "bounded_uniform",
+                                                          amplitude=0.1)])
     run_experiment(cfg, str(tmp_path / "a"))
     run_experiment(cfg, str(tmp_path / "b"))
     for name in ("trace_noise-seed0.csv", "trace_noise-seed1.csv", "report.json", "plots.json"):
@@ -175,8 +176,9 @@ def test_parallel_jobs_match_serial(tmp_path, monkeypatch):
     # the horizon sweep fans its cells out over the same pool
     sweep = ExperimentConfig(name="psweep", plant="s1", mode="max", estimator="mhe",
                              sweep=(2, 3), t_final=8, seeds=(0, 1),
-                             scenarios=[ScenarioSpec("zero", "zero"),
-                                        ScenarioSpec("noise", "bounded_uniform", amplitude=0.1)])
+                             scenarios=[DisturbanceScenario("zero", "zero"),
+                                        DisturbanceScenario("noise", "bounded_uniform",
+                                                            amplitude=0.1)])
     horizon_sweep(sweep, str(tmp_path / "serial"))
     sweep.jobs = 2
     horizon_sweep(sweep, str(tmp_path / "parallel"))
@@ -225,7 +227,8 @@ def test_fie_sweep_runs_each_cell_once(tmp_path, monkeypatch):
                         lambda res, cells, *a: checked.extend(cells) or real(res, cells, *a))
     cfg = ExperimentConfig(name="fsweep", plant="s1", mode="max", estimator="fie",
                            sweep=(2, 3, 4), t_final=8, seeds=(0,),
-                           scenarios=[ScenarioSpec("noise", "bounded_uniform", amplitude=0.1)],
+                           scenarios=[DisturbanceScenario("noise", "bounded_uniform",
+                                                          amplitude=0.1)],
                            out_dir=str(tmp_path))
     horizon_sweep(cfg)
     assert len(checked) == 1
@@ -274,7 +277,8 @@ def test_mhe_probe_checks_a_window_holding_the_perturbed_step(tmp_path):
     # solved at t = 4, [2, 4), so the size of the perturbation shows
     cfg = ExperimentConfig(name="mprobe", plant="s1", mode="max", estimator="mhe",
                            horizon=2, t_final=8, seeds=(0,), probe_step=2,
-                           scenarios=[ScenarioSpec("noise", "bounded_uniform", amplitude=0.1)],
+                           scenarios=[DisturbanceScenario("noise", "bounded_uniform",
+                                                          amplitude=0.1)],
                            out_dir=str(tmp_path))
     margins = []
     for delta in (0.0, 0.5, 5.0):
@@ -288,7 +292,8 @@ def test_mhe_probe_checks_a_window_holding_the_perturbed_step(tmp_path):
 def test_deviant_output_probe(tmp_path):
     cfg = ExperimentConfig(name="probe", plant="s2", mode="max", estimator="fie",
                            t_final=10, seeds=(0,), probe_delta=0.4, probe_step=3,
-                           scenarios=[ScenarioSpec("noise", "bounded_uniform", amplitude=0.05)],
+                           scenarios=[DisturbanceScenario("noise", "bounded_uniform",
+                                                          amplitude=0.05)],
                            out_dir=str(tmp_path))
     summary = deviant_output_probe(cfg)
     assert summary["status"] == "pass"
@@ -308,8 +313,8 @@ def test_vector_plant_end_to_end():
     # still satisfy the derived bound
     cfg = ExperimentConfig(name="s4", plant="s4", mode="sum", estimator="fie",
                            t_final=8, seeds=(0,), a_factor=1.5,
-                           scenarios=[ScenarioSpec("noise", "bounded_uniform",
-                                                   amplitude=0.05)])
+                           scenarios=[DisturbanceScenario("noise", "bounded_uniform",
+                                                          amplitude=0.05)])
     cfg.solver = SolverConfig(method="multistart_local", multistart=3, max_iter=150)
     resolved = resolve(cfg)
     cell = run_cell(resolved, cfg.scenarios[0], 0)
@@ -320,7 +325,8 @@ def test_vector_plant_end_to_end():
 def test_window_step_margins_recorded(tmp_path):
     cfg = ExperimentConfig(name="win", plant="s1", mode="max", estimator="mhe",
                            horizon=2, t_final=14, seeds=(0,),
-                           scenarios=[ScenarioSpec("noise", "bounded_uniform", amplitude=0.1)],
+                           scenarios=[DisturbanceScenario("noise", "bounded_uniform",
+                                                          amplitude=0.1)],
                            out_dir=str(tmp_path))
     report = run_experiment(cfg)
     rows = report.cells[0].rows
@@ -335,7 +341,8 @@ def test_mhe_cell_run_alone_checks_its_hat_bounds(mode):
     # full-information bound, nor skip the one-window inequality
     cfg = ExperimentConfig(name="alone", plant="s1", mode=mode, estimator="mhe",
                            horizon=2, t_final=30, seeds=(0,),
-                           scenarios=[ScenarioSpec("noise", "bounded_uniform", amplitude=0.1)])
+                           scenarios=[DisturbanceScenario("noise", "bounded_uniform",
+                                                          amplitude=0.1)])
     resolved = resolve(cfg)
     alone = run_cell(resolved, cfg.scenarios[0], 0)
     with_hat = run_cell(resolved, cfg.scenarios[0], 0, harness._cell_hat(resolved, 2))
@@ -478,19 +485,29 @@ def test_every_allowed_config_key_loads(tmp_path):
     ("method = gauss_newton_penalty", "tol = inf"),
     ("method = gauss_newton_penalty", "tol = 0"),
     ("method = gauss_newton_penalty", "tol = -1e-10"),
+    ("method = gauss_newton_penalty", "seed = -1"),
+    ("seeds = 0,1", "seeds = -1,0"),
+    ("amplitude = 0.1", "amplitude = -0.1"),
+    ("kind = zero", "kind = zer0"),
+    ("kind = bounded_uniform", "kind = decaying_geometric\nrate = -0.8"),
+    ("kind = bounded_uniform", "kind = decaying_geometric\nrate = 1.5"),
+    ("kind = zero", "kind = impulse\ntime = -2\nmagnitude = 1.0"),
 ], ids=["empty-seed-range", "no-seeds", "sweep-zero", "sweep-empty-entry", "sweep-empty",
         "unknown-key", "unknown-scenario-key", "unknown-section", "bad-int", "bad-range",
         "grid-section", "level-passes", "use-structured", "bare-scenario", "unnamed-scenario",
         "repeated-seeds", "a-factor-inf", "a-factor-nan", "x0-nan", "prior-offset-inf",
         "probe-delta-inf", "amplitude-nan", "rate-inf", "magnitude-inf", "multistart-zero",
         "multistart-negative", "max-iter-zero", "tol-nan", "tol-inf", "tol-zero",
-        "tol-negative"])
-def test_invalid_configs_are_config_errors(tmp_path, capsys, old, new):
+        "tol-negative", "solver-seed-negative", "seed-negative", "amplitude-negative",
+        "unknown-scenario-kind", "rate-negative", "rate-above-one", "time-negative"])
+def test_invalid_configs_are_config_errors(tmp_path, capsys, monkeypatch, old, new):
+    monkeypatch.setattr(harness, "simulate", lambda *args: pytest.fail("simulated"))
     path = _edit_config(tmp_path, old, new)
     with pytest.raises(ConfigError):
         load_config(path)
-    assert cli_main(["run", "--config", path]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    for verb in ("run", "analyze"):
+        assert cli_main([verb, "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def _cost_config(tmp_path, section, **kw):
@@ -605,7 +622,7 @@ def test_cli_jobs_below_one_exits_2_before_simulating(tmp_path, capsys, monkeypa
 
 
 def test_config_keys_name_fields_of_their_dataclasses():
-    owners = {"scenario": ScenarioSpec, "solver": SolverConfig}
+    owners = {"scenario": DisturbanceScenario, "solver": SolverConfig}
     for section, schema in CONFIG_KEYS.items():
         names = {f.name for f in dataclasses.fields(owners.get(section, ExperimentConfig))}
         for key, (target, parse) in schema.items():
@@ -619,8 +636,8 @@ def test_missing_config_keys_keep_their_dataclass_defaults(tmp_path):
     cfg = load_config(str(path))
     # dataclass equality compares field for field
     assert cfg.solver == SolverConfig()
-    assert cfg.scenarios == [ScenarioSpec("s", "impulse")]
-    assert cfg == ExperimentConfig(scenarios=[ScenarioSpec("s", "impulse")])
+    assert cfg.scenarios == [DisturbanceScenario("s", "impulse")]
+    assert cfg == ExperimentConfig(scenarios=[DisturbanceScenario("s", "impulse")])
 
 
 def test_cli_fie_beyond_its_horizon_cap_is_rejected_before_running(tmp_path, capsys):
@@ -697,7 +714,7 @@ def test_cell_worker_uses_the_hat_bounds_of_each_horizon(mode):
     # runs many chunks, so a K=8 group after a K=2 group must equal a fresh one
     config = ExperimentConfig(name="cache", plant="s1", mode=mode, estimator="mhe",
                               t_final=20, seeds=(0, 1),
-                              scenarios=[ScenarioSpec("uniform", "bounded_uniform",
+                              scenarios=[DisturbanceScenario("uniform", "bounded_uniform",
                                                       amplitude=0.1)])
     cells = [(config.scenarios[0], seed) for seed in config.seeds]
     fresh = _group_worker((config, 8, cells))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mhestab.comparison import DomainError
 from mhestab.systems import (
     DisturbanceScenario,
     DivergenceError,
@@ -11,7 +12,6 @@ from mhestab.systems import (
     generate_scenario,
     row_distances,
     simulate,
-    solution_to_csv,
     verify_solution,
 )
 
@@ -67,6 +67,17 @@ def test_verify_solution_detects_injected_defect():
     assert rep.worst_residual == pytest.approx(1e-3, rel=1e-6)
 
 
+@pytest.mark.parametrize("channel,t", [("y", 0), ("x", 2)])
+def test_verify_solution_fails_a_nan_residual_at_its_first_step(channel, t):
+    model = builtin_model("s1")
+    sol = simulate(model, [1.0], np.zeros((5, 1)), np.zeros((5, 1)), np.zeros((5, 1)), 5)
+    parts = {name: getattr(sol, name).copy() for name in ("x", "u", "w", "v", "y")}
+    parts[channel][3 if channel == "x" else slice(None)] = np.nan
+    rep = verify_solution(model, SolutionTuple(**parts))
+    assert not rep.passed
+    assert np.isnan(rep.worst_residual) and rep.worst_t == t
+
+
 def test_verify_empty_is_vacuous():
     model = builtin_model("s1")
     empty = SolutionTuple(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 1)),
@@ -75,37 +86,51 @@ def test_verify_empty_is_vacuous():
 
 
 def test_scenarios_contracts():
-    zero = DisturbanceScenario("zero", seed=0, horizon=5)
-    w, v = generate_scenario(zero, 1, 1)
+    zero = DisturbanceScenario("zero", "zero")
+    w, v = generate_scenario(zero, 0, 5, 1, 1)
     assert np.all(w == 0.0) and np.all(v == 0.0)
 
-    uni = DisturbanceScenario("bounded_uniform", seed=3, horizon=64, amplitude=0.1)
-    w, v = generate_scenario(uni, 2, 1)
+    uni = DisturbanceScenario("uni", "bounded_uniform", amplitude=0.1)
+    w, v = generate_scenario(uni, 3, 64, 2, 1)
     assert np.all(np.linalg.norm(w, axis=1) <= 0.1 + 1e-15)
     assert np.all(np.abs(v) <= 0.1 + 1e-15)
 
-    dec = DisturbanceScenario("decaying_geometric", seed=5, horizon=32, amplitude=1.0, rate=0.5)
-    w, v = generate_scenario(dec, 1, 1)
+    dec = DisturbanceScenario("dec", "decaying_geometric", amplitude=1.0, rate=0.5)
+    w, v = generate_scenario(dec, 5, 32, 1, 1)
     caps = 1.0 * 0.5 ** np.arange(32)
     assert np.all(np.abs(w[:, 0]) <= caps + 1e-15)
     assert np.all(np.abs(v[:, 0]) <= caps + 1e-15)
 
-    imp = DisturbanceScenario("impulse", seed=0, horizon=10, time=4, magnitude=2.0)
-    w, v = generate_scenario(imp, 1, 1)
+    imp = DisturbanceScenario("imp", "impulse", time=4, magnitude=2.0)
+    w, v = generate_scenario(imp, 0, 10, 1, 1)
     assert w[4, 0] == 2.0 and np.count_nonzero(w) == 1 and np.all(v == 0.0)
 
 
+@pytest.mark.parametrize("kw", [
+    {"kind": "zer0"}, {"amplitude": -0.1}, {"amplitude": float("nan")}, {"rate": -0.8},
+    {"rate": 1.5}, {"rate": float("inf")}, {"magnitude": float("-inf")}, {"time": -2},
+    {"time": 1.5}], ids=repr)
+def test_scenario_rules_are_checked_when_built(kw):
+    with pytest.raises(DomainError, match="scenario s "):
+        DisturbanceScenario("s", **{"kind": "decaying_geometric", **kw})
+
+
+def test_scenario_negative_horizon_is_a_domain_error():
+    with pytest.raises(DomainError):
+        generate_scenario(DisturbanceScenario("zero"), 0, -1, 1, 1)
+
+
 def test_scenario_determinism():
-    spec = DisturbanceScenario("bounded_uniform", seed=11, horizon=20, amplitude=0.3)
-    w1, v1 = generate_scenario(spec, 1, 1)
-    w2, v2 = generate_scenario(spec, 1, 1)
+    spec = DisturbanceScenario("uni", "bounded_uniform", amplitude=0.3)
+    w1, v1 = generate_scenario(spec, 11, 20, 1, 1)
+    w2, v2 = generate_scenario(spec, 11, 20, 1, 1)
     assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
 
 
 def test_simulation_determinism_bit_identical():
     model = builtin_model("s3")
-    spec = DisturbanceScenario("bounded_uniform", seed=2, horizon=100, amplitude=0.1)
-    w, v = generate_scenario(spec, 1, 1)
+    spec = DisturbanceScenario("uni", "bounded_uniform", amplitude=0.1)
+    w, v = generate_scenario(spec, 2, 100, 1, 1)
     u = np.zeros((100, 1))
     a = simulate(model, [0.4], u, w, v, 100)
     b = simulate(model, [0.4], u, w, v, 100)
@@ -115,8 +140,8 @@ def test_simulation_determinism_bit_identical():
 def test_long_horizon_round_trip():
     model = builtin_model("s1")
     T = 10_000
-    spec = DisturbanceScenario("bounded_uniform", seed=9, horizon=T, amplitude=0.1)
-    w, v = generate_scenario(spec, 1, 1)
+    spec = DisturbanceScenario("uni", "bounded_uniform", amplitude=0.1)
+    w, v = generate_scenario(spec, 9, T, 1, 1)
     sol = simulate(model, [0.2], np.zeros((T, 1)), w, v, T)
     assert verify_solution(model, sol, tol_dyn=1e-12).passed
 
@@ -169,10 +194,3 @@ def test_sin_solve_finds_root():
         assert lo - 1e-9 <= x <= hi + 1e-9
         assert 0.5 * np.sin(x) == pytest.approx(c, abs=1e-9)
 
-
-def test_solution_csv_stable():
-    model = builtin_model("s1")
-    sol = simulate(model, [1.0], np.zeros((3, 1)), np.zeros((3, 1)), np.zeros((3, 1)), 3)
-    text = solution_to_csv(sol)
-    assert text.splitlines()[0] == "t,x0,u0,w0,v0,y0"
-    assert text == solution_to_csv(sol)
