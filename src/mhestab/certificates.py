@@ -17,7 +17,10 @@ falsifier evaluate over stacks of pairs.
 
 Shipped fixtures
 ----------------
-Per plant and mode the catalog records how the certificate was obtained:
+:func:`builtin_certificate` builds each fixture, with its summability
+evidence, on its first request and keeps it; importing the module builds
+none.  Per plant and mode the catalog records how the certificate was
+obtained:
 
 * ``s1`` / ``s3`` sum mode: closed-form error recursion (proven);
   x-difference obeys e+ = 0.5 e + dw, so beta(r,s) = 0.5^s r and
@@ -372,10 +375,13 @@ def falsify_certificate(cert: IossCertificate, model: SystemModel, n_pairs: int 
     then checked in one :func:`bound_trace` pass; the worst pair is the first
     one whose minimum margin is the smallest, and within it the first t.
     Used to validate candidate certificates that have no closed-form
-    derivation.  ``n_pairs`` must be at least 1: no pair is no evidence.
+    derivation.  ``n_pairs`` and ``horizon`` must be at least 1: no pair, or
+    pairs of no step, are no evidence.
     """
     if n_pairs < 1:
         raise DomainError(f"falsification needs n_pairs >= 1, got {n_pairs}")
+    if horizon < 1:
+        raise DomainError(f"falsification needs horizon >= 1, got {horizon}")
     gen = np.random.Generator(np.random.Philox(key=seed))
     pairs = []
     for _ in range(n_pairs):
@@ -426,52 +432,66 @@ def _make_cert(name, mode, beta, gamma, delta, epsilon, phi, validity):
                            validity=validity, summability=summ)
 
 
-def _catalog() -> Dict[Tuple[str, PlusMode], IossCertificate]:
+def _recipes() -> Dict[Tuple[str, PlusMode], tuple]:
+    """The :func:`_make_cert` arguments of every fixture but an alias."""
     cat = {}
     # shared contractive gains: e+ = 0.5 e + dw (s1 exactly, s3 by Lipschitz 0.5)
     for plant in ("s1", "s3"):
-        cat[(plant, PlusMode.SUM)] = _make_cert(
+        cat[(plant, PlusMode.SUM)] = (
             plant, PlusMode.SUM,
             _geom(1.0, 0.5), _geom(2.0, 0.5), _geom(2.0, 0.5),
             _geom(1.0, 0.5), _geom(1.0, 0.5), "proven")
         # max mode pays the sum-to-max conversion: split 1.5/3, tail rate 0.75
-        cat[(plant, PlusMode.MAX)] = _make_cert(
+        cat[(plant, PlusMode.MAX)] = (
             plant, PlusMode.MAX,
             _geom(1.5, 0.5), _geom(12.0, 0.75), _geom(12.0, 0.75),
             _geom(1.0, 0.75), _geom(1.0, 0.75), "proven")
     # s2: one-step output injection, valid verbatim in both modes
     for mode in (PlusMode.MAX, PlusMode.SUM):
-        cat[("s2", mode)] = _make_cert(
+        cat[("s2", mode)] = (
             "s2", mode,
             _geom(1.0, 0.5), _geom(6.0, 0.5), _geom(12.0, 0.5),
             _geom(1.0, 0.5), _geom(12.0, 0.5), "proven")
     # analysis fixture: shared gains tagged max; not a proven max certificate
-    cat[("s1-shared", PlusMode.MAX)] = _make_cert(
+    cat[("s1-shared", PlusMode.MAX)] = (
         "s1-shared", PlusMode.MAX,
         _geom(1.0, 0.5), _geom(2.0, 0.5), _geom(2.0, 0.5),
         _geom(1.0, 0.5), _geom(1.0, 0.5), "declared")
-    cat[("s1-shared", PlusMode.SUM)] = cat[("s1", PlusMode.SUM)]
     # s4 candidates: Lipschitz estimate 0.87 with sum-to-max headroom; sampled only
     for mode in (PlusMode.MAX, PlusMode.SUM):
-        cat[("s4", mode)] = _make_cert(
+        cat[("s4", mode)] = (
             "s4", mode,
             _geom(3.0, 0.87), _geom(45.0, 0.93), _geom(1.0, 0.9),
             _geom(3.0, 0.93), _geom(1.0, 0.9), "sampled")
     return cat
 
 
-_CERTS = _catalog()
+_RECIPES = _recipes()
+#: fixtures that are another fixture: ``s1-shared`` sum mode is ``s1``'s
+_ALIASES = {("s1-shared", PlusMode.SUM): ("s1", PlusMode.SUM)}
+#: the fixtures built so far, each on its first request
+_CERTS: Dict[Tuple[str, PlusMode], IossCertificate] = {}
 
-CERTIFICATE_NAMES = tuple(sorted({k for k, _ in _CERTS}))
+CERTIFICATE_NAMES = tuple(sorted({name for name, _ in (*_RECIPES, *_ALIASES)}))
+
+
+def _catalog() -> Dict[Tuple[str, PlusMode], IossCertificate]:
+    """Every fixture, built now: what :func:`builtin_certificate` gives."""
+    cat = {key: _make_cert(*recipe) for key, recipe in _RECIPES.items()}
+    cat.update((alias, cat[key]) for alias, key in _ALIASES.items())
+    return cat
 
 
 def builtin_certificate(name: str, mode: PlusMode) -> IossCertificate:
-    try:
-        return _CERTS[(name, mode)]
-    except KeyError:
-        raise DomainError(
-            f"no certificate {name!r} for mode {mode.value}; available: "
-            f"{sorted(set(k for k, _ in _CERTS))}") from None
+    """The catalog fixture (name, mode), built with its summability evidence
+    on its first request and kept."""
+    key = _ALIASES.get((name, mode), (name, mode))
+    if key not in _CERTS:
+        if key not in _RECIPES:
+            raise DomainError(f"no certificate {name!r} for mode {mode.value}; available: "
+                              f"{list(CERTIFICATE_NAMES)}")
+        _CERTS[key] = _make_cert(*_RECIPES[key])
+    return _CERTS[key]
 
 
 def certificate_to_text(cert: IossCertificate) -> Dict[str, str]:

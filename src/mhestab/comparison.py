@@ -917,27 +917,45 @@ def check_kl_on_grid(f: KLFn, r_grid: Optional[np.ndarray] = None,
     The limit-to-zero requirement is testable only up to the horizon bound;
     the terminal ratio f(r, s_max) / f(r, 0) is folded into the description.
     A violation of the s-monotonicity is reported at the first r of the
-    probe subgrid that has one, and at its first s.
+    probe subgrid that has one, and at its first s.  Each slice is one
+    array call f(grid, s) (see :func:`check_kl_slices`).
     """
     grid = log_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
+    return check_kl_slices(grid, (f(grid, s) for s in range(s_max + 1)), s_max, rel_tol)
+
+
+def check_kl_slices(grid: np.ndarray, slices, s_max: int,
+                    rel_tol: float = 1e-9) -> GridEvidence:
+    """:func:`check_kl_on_grid` of the slices f(grid, s), s = 0..s_max,
+    given in order.  Every 1/16th slice must increase strictly in r; the
+    values on every 1/16th grid point, the probe subgrid, must not increase
+    in s.  The probe values are slices of the grid values, which the
+    :class:`KLFn` array contract makes each what a call on the probe gives.
+    The first slice that is not increasing in r fails the check before any
+    later slice is read.  ``s_max`` below 0 is a :class:`DomainError`."""
+    if s_max < 0:
+        raise DomainError(f"KL grid check needs s_max >= 0, got {s_max}")
     worst = math.inf
     worst_pt = (0.0, 0)
-    for s in range(0, s_max + 1, max(1, s_max // 16)):
-        vals = f(grid, s)
-        diffs = np.diff(vals)
-        if len(diffs):
-            m = float(diffs.min())
-            if m < worst:
-                worst = m
-                worst_pt = (float(grid[int(np.argmin(diffs))]), s)
-            if m <= 0.0:
-                return GridEvidence(False, m, worst_pt, f"slice s={s} not strictly increasing in r")
-    probe = grid[:: max(1, len(grid) // 16)]
-    base = prev = f(probe, 0)
+    step, stride = max(1, s_max // 16), max(1, len(grid) // 16)
+    probe = grid[::stride]
     first_s = np.zeros(len(probe), dtype=int)     # 0: no violation yet
     first_margin = np.zeros(len(probe))
-    for s in range(1, s_max + 1):
-        cur = f(probe, s)
+    for s, vals in enumerate(slices):
+        if s % step == 0:
+            diffs = np.diff(vals)
+            if len(diffs):
+                m = float(diffs.min())
+                if m < worst:
+                    worst = m
+                    worst_pt = (float(grid[int(np.argmin(diffs))]), s)
+                if m <= 0.0:
+                    return GridEvidence(False, m, worst_pt,
+                                        f"slice s={s} not strictly increasing in r")
+        cur = vals[::stride]
+        if s == 0:
+            base = prev = cur
+            continue
         new = (cur > prev * (1 + rel_tol) + 1e-300) & (first_s == 0)
         first_s[new] = s
         first_margin[new] = (prev - cur)[new]

@@ -411,15 +411,15 @@ def _initial(config: ExperimentConfig, model: SystemModel) -> Tuple[np.ndarray, 
     return x0, x0 + config.prior_offset
 
 
-def _truth(config: ExperimentConfig, model: SystemModel, scenario: DisturbanceScenario,
-           seed: int) -> SolutionTuple:
-    """The simulated true solution of one scenario and seed over t_final + 1
-    steps, with zero inputs."""
+def _truths(config: ExperimentConfig, model: SystemModel, cells) -> SolutionTuple:
+    """The simulated true solutions of the (scenario, seed) cells over
+    t_final + 1 steps, with zero inputs: one :func:`simulate` of the stack."""
     T = config.t_final
-    w, v = generate_scenario(scenario, seed, T + 1, model.process_noise_dim,
-                             model.meas_noise_dim)
-    return simulate(model, _initial(config, model)[0], np.zeros((T + 1, model.input_dim)),
-                    w, v, T + 1)
+    draws = [generate_scenario(scenario, seed, T + 1, model.process_noise_dim,
+                               model.meas_noise_dim) for scenario, seed in cells]
+    x0 = np.tile(_initial(config, model)[0], (len(cells), 1))
+    return simulate(model, x0, np.zeros((T + 1, model.input_dim)),
+                    np.stack([w for w, _ in draws]), np.stack([v for _, v in draws]), T + 1)
 
 
 def _estimate(resolved: ResolvedExperiment, u: np.ndarray, y: np.ndarray, K: int):
@@ -432,21 +432,11 @@ def _estimate(resolved: ResolvedExperiment, u: np.ndarray, y: np.ndarray, K: int
     return run_fie(model, cost, prior0, u, y, config.solver, t_max=config.t_max_fie)
 
 
-def _estimate_group(resolved: ResolvedExperiment, cells, K: int
-                    ) -> List[Tuple[SolutionTuple, list]]:
-    """Simulate each (scenario, seed) cell, then estimate all of them as one
-    group; returns each cell's truth and estimator results."""
-    config, model = resolved.config, resolved.model
-    T = config.t_final
-    truths = [_truth(config, model, scenario, seed) for scenario, seed in cells]
-    runs = _estimate(resolved, truths[0].u[:T], np.stack([sol.y[:T] for sol in truths]), K)
-    return list(zip(truths, runs))
-
-
 def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], K: int,
-                 estimated: List[Tuple[SolutionTuple, list]]) -> List[CellResult]:
+                 truths: SolutionTuple, runs: List[list]) -> List[CellResult]:
     """Certify and evaluate the bounds of the (scenario, seed) cells of
-    horizon K, from each cell's truth and estimator results.
+    horizon K, from the stack of their truths and each cell's estimator
+    results.
 
     Each quantity takes one array pass over the C cells: alpha of the
     estimation error at every (cell, t); the reference costs, one
@@ -461,11 +451,7 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
     model, cert, cost, bounds = resolved.model, resolved.cert, resolved.cost, resolved.bounds
     T = config.t_final
     is_mhe = config.estimator == "mhe"
-    truths = [sol for sol, _ in estimated]
-    runs = [run for _, run in estimated]
-    x = np.stack([sol.x[:T + 1] for sol in truths])                  # (C, T + 1, n)
-    w = np.stack([sol.w for sol in truths])
-    v = np.stack([sol.v for sol in truths])
+    x, w, v = truths.x, truths.w, truths.v                             # (C, T + 1, .)
     published = np.array([[res.published for res in run] for run in runs])
     w_norms, v_norms = seq_norms(w), seq_norms(v)
     d0 = row_distances(x[:, 0], _initial(config, model)[1])
@@ -559,7 +545,7 @@ def run_cell(resolved: ResolvedExperiment, scenario: DisturbanceScenario, seed: 
     K = horizon if horizon is not None else resolved.config.horizon
     if hat is None:
         hat = _cell_hat(resolved, K)
-    return _run_group(resolved, [(scenario, seed)], hat, K)[0]
+    return _run_group(resolved, [(scenario, seed)], {K: hat})[0]
 
 
 def _cell_hat(resolved: ResolvedExperiment, K: int) -> Optional[HatBounds]:
@@ -567,42 +553,53 @@ def _cell_hat(resolved: ResolvedExperiment, K: int) -> Optional[HatBounds]:
     return hat_bounds_for(resolved, K) if resolved.config.estimator == "mhe" else None
 
 
-def _run_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds],
-               K: int) -> List[CellResult]:
-    """The (scenario, seed) cells of horizon K: one group estimate, then one
-    group check."""
-    return _check_group(resolved, cells, hat, K, _estimate_group(resolved, cells, K))
+def _run_group(resolved: ResolvedExperiment, cells,
+               hats: Dict[int, Optional[HatBounds]]) -> List[CellResult]:
+    """The (scenario, seed) cells at every horizon K of ``hats``: one
+    simulation of the cells, then per horizon one group estimate and one
+    group check against the hat bounds ``hats[K]``."""
+    T = resolved.config.t_final
+    truths = _truths(resolved.config, resolved.model, cells)
+    out = []
+    for K, hat in hats.items():
+        # the estimates of one horizon go once it is checked, before the next
+        out += _check_group(resolved, cells, hat, K, truths,
+                            _estimate(resolved, truths.u[:T], truths.y[:, :T], K))
+    return out
 
 
 def _group_worker(payload) -> List[CellResult]:
     """Process-pool entry point: resolves the (picklable) config and runs one
-    chunk of a horizon group; results reduce deterministically by cell key."""
-    config, K, cells = payload
+    chunk of cells at every horizon; results reduce deterministically by
+    cell key."""
+    config, horizons, cells = payload
     resolved = resolve(config)
-    return _run_group(resolved, cells, _cell_hat(resolved, K), K)
+    return _run_group(resolved, cells, {K: _cell_hat(resolved, K) for K in horizons})
 
 
 def run_cells(resolved: ResolvedExperiment, horizons,
               hats: Optional[Dict[int, Optional[HatBounds]]] = None) -> List[CellResult]:
     """Run every (horizon, scenario, seed) cell of the experiment, sorted by
-    cell key.  The cells of one horizon are estimated and checked as one
-    group.  With ``config.jobs > 1`` each group is split into at most that
-    many chunks, on a pool of one worker process per chunk (it may fork
-    them all up front); otherwise the groups run here, with the hat bounds
-    ``hats[K]`` when given."""
+    cell key.  Each (scenario, seed) cell is simulated once, and its truth
+    serves every horizon; the cells of one horizon are estimated and checked
+    as one group.  With ``config.jobs > 1`` the cells are split into at most
+    that many chunks, each run at every horizon on a pool of one worker
+    process per chunk (it may fork them all up front); otherwise they run
+    here, with the hat bounds ``hats[K]`` when given.  A diverging truth
+    raises the :class:`DivergenceError` of the first diverging cell."""
     config = resolved.config
     cells = [(scenario, seed) for scenario in config.scenarios for seed in config.seeds]
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         size = math.ceil(len(cells) / config.jobs)
-        payloads = [(config, K, cells[i:i + size])
-                    for K in horizons for i in range(0, len(cells), size)]
+        payloads = [(config, tuple(horizons), cells[i:i + size])
+                    for i in range(0, len(cells), size)]
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(payloads))) as pool:
             out = [cell for group in pool.map(_group_worker, payloads) for cell in group]
     else:
         if hats is None:
             hats = {K: _cell_hat(resolved, K) for K in horizons}
-        out = [cell for K in horizons for cell in _run_group(resolved, cells, hats[K], K)]
+        out = _run_group(resolved, cells, {K: hats[K] for K in horizons})
     out.sort(key=CellResult.key)
     return out
 
@@ -731,7 +728,9 @@ def analyze(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
 def horizon_sweep(config: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     """Sweep the moving horizon: per-K analyses, bar-bound envelopes, and
     overlaid empirical traces; failing horizons are excluded and reported.
-    Writes one trace CSV per cell and ``sweep.json``."""
+    Each (scenario, seed) cell is simulated once and its truth checked at
+    every passing horizon (see :func:`run_cells`).  Writes one trace CSV per
+    cell and horizon and ``sweep.json``."""
     if not config.sweep:
         raise ConfigError("horizon sweep needs a sweep = K1,K2,... entry")
     resolved = resolve(config)
@@ -787,8 +786,9 @@ def deviant_output_probe(config: ExperimentConfig, out_dir: Optional[str] = None
     out = os.path.join(out_dir or config.out_dir, config.name)
     t = min(step + K, T) if config.estimator == "mhe" else T
     results = {}
-    for scenario in config.scenarios:
-        sol = _truth(config, model, scenario, config.seeds[0])
+    truths = _truths(config, model, [(scenario, config.seeds[0]) for scenario in config.scenarios])
+    for c, scenario in enumerate(config.scenarios):
+        sol = truths.cell(c)
         y_pert = sol.y[:t].copy()
         y_pert[step, 0] += config.probe_delta
         solved = _estimate(resolved, sol.u[:t], y_pert[None], K)[0][t]

@@ -36,6 +36,7 @@ from .comparison import (
     ScaledShiftKL,
     SeparableGeometric,
     check_kl_on_grid,
+    check_kl_slices,
     first_max,
     first_min,
     gain_terms,
@@ -382,17 +383,15 @@ def build_bar_bounds(hat_family: Dict[int, HatBounds], K0: int, K_max: int,
         if rising.any():
             r = grid[int(np.argmax(rising))]
             raise DomainError(f"kappa family not pointwise decreasing at K={k}, r={r}")
-    bar = BarBounds(K0, K_max, dict(hat_family), 0.0,
-                    GridEvidence(True, math.inf, (0.0, 0), "pending"), ())
     # The worst monotonicity margin is the first in (r, t, K) order: keep the
     # first minimum over (t, K) per grid point, then the first grid point.
     worst_per_r = np.full(len(grid), math.inf)
     worst_t = np.zeros(len(grid), dtype=int)
     gap = 0.0
+    b_bars = _envelope_table(hat_family, "b_hat", K0, K_max, grid, t_max)
     for t in range(t_max + 1):
         prev = None
-        for k in range(K0, K_max + 1):
-            cur = bar.b_bar(k, grid, t)
+        for cur in b_bars[t]:
             if prev is not None:
                 margin = prev - cur
                 lower = margin < worst_per_r
@@ -408,9 +407,27 @@ def build_bar_bounds(hat_family: Dict[int, HatBounds], K0: int, K_max: int,
     if not mono.passed:
         raise DomainError("bar bounds are not monotone in the horizon")
     kl_grid = log_grid(1e-3, 1e2, 3)
-    kl_ev = [check_kl_on_grid(functools.partial(envelope, K0), kl_grid, s_max=t_max)
-             for envelope in (bar.b_bar, bar.c_bar, bar.d_bar)]
+    kl_ev = [check_kl_slices(kl_grid, _envelope_table(hat_family, name, K0, K_max, kl_grid,
+                                                      t_max)[:, 0], t_max)
+             for name in ("b_hat", "c_hat", "d_hat")]
     return BarBounds(K0, K_max, dict(hat_family), gap, mono, tuple(kl_ev))
+
+
+def _envelope_table(hat_family: Dict[int, HatBounds], name: str, K0: int, K_max: int,
+                    grid: np.ndarray, t_max: int) -> np.ndarray:
+    """The envelopes of the hat bound ``name`` on the grid: entry [t, K - K0]
+    is what :class:`BarBounds` gives at (K, grid, t) for t = 0..t_max and
+    K = K0..K_max.  Each hat is evaluated once per t, and the envelopes are
+    a running maximum from K_max down; the maximum is exact, so each entry
+    is the envelope's own value."""
+    table = np.empty((t_max + 1, K_max - K0 + 1, len(grid)))
+    for t in range(t_max + 1):
+        env = None
+        for k in range(K_max, K0 - 1, -1):
+            val = getattr(hat_family[k], name)(grid, t)
+            env = val if env is None else np.maximum(val, env)
+            table[t, k - K0] = env
+    return table
 
 
 def equality_threshold(hat_family: Dict[int, HatBounds], bounds: DerivedBounds,

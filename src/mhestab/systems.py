@@ -27,8 +27,9 @@ W (B, q) returns the (B, n) stack of ``f(X[b], u, W[b])``, bit for bit, and
 the step.  ``f_image(lo, hi, u)`` and ``f_solve(c, lo, hi, u)`` take arrays
 of one shape and work elementwise, each element bit for bit what the call
 on that element alone returns.  The generic window solvers evaluate their
-candidates that way, and the max-mode engine solves a group of windows, one
-row per window, that way.
+candidates that way, the max-mode engine solves a group of windows, one
+row per window, that way, and :func:`simulate` steps a stack of cells, one
+row per cell, that way.
 """
 
 from __future__ import annotations
@@ -106,19 +107,21 @@ class SystemModel:
 
 @dataclass(frozen=True, eq=False)
 class SolutionTuple:
-    """A length-K solution {x, u, w, v, y} of a plant.
+    """A length-K solution {x, u, w, v, y} of a plant, or a stack of C such
+    solutions that share their inputs.
 
     ``x[t+1] = f(x[t], u[t], w[t])`` holds for t < K-1 and
     ``y[t] = h(x[t], u[t], v[t])`` for all t; the final w maps the last stored
     state one step past the tuple and is kept because estimator windows
-    penalize it.
+    penalize it.  A stack holds x (C, K, n), w (C, K, q), v (C, K, m) and
+    y (C, K, p) with the one u (K, du); :meth:`cell` gives its solution c.
     """
 
-    x: np.ndarray  # (K, n)
+    x: np.ndarray  # (K, n) or (C, K, n)
     u: np.ndarray  # (K, du)
-    w: np.ndarray  # (K, q)
-    v: np.ndarray  # (K, m)
-    y: np.ndarray  # (K, p)
+    w: np.ndarray  # (K, q) or (C, K, q)
+    v: np.ndarray  # (K, m) or (C, K, m)
+    y: np.ndarray  # (K, p) or (C, K, p)
 
     def __post_init__(self):
         for name in ("x", "u", "w", "v", "y"):
@@ -126,17 +129,22 @@ class SolutionTuple:
             if arr.ndim == 1:
                 arr = arr[:, None]
             object.__setattr__(self, name, arr)
-        k = len(self.x)
-        if any(len(getattr(self, name)) != k for name in ("u", "w", "v", "y")):
+        k = self.length
+        if any(getattr(self, name).shape[-2] != k for name in ("u", "w", "v", "y")):
             raise DomainError("solution sequences must share one length")
 
     @property
     def length(self) -> int:
-        return len(self.x)
+        return self.x.shape[-2]
 
     def window(self, start: int, stop: int) -> "SolutionTuple":
-        return SolutionTuple(self.x[start:stop], self.u[start:stop], self.w[start:stop],
-                             self.v[start:stop], self.y[start:stop])
+        return SolutionTuple(self.x[..., start:stop, :], self.u[start:stop],
+                             self.w[..., start:stop, :], self.v[..., start:stop, :],
+                             self.y[..., start:stop, :])
+
+    def cell(self, c: int) -> "SolutionTuple":
+        """Solution c of a stack."""
+        return SolutionTuple(self.x[c], self.u, self.w[c], self.v[c], self.y[c])
 
 
 def simulate(model: SystemModel, x0, u_seq, w_seq, v_seq, T: int) -> SolutionTuple:
@@ -145,29 +153,50 @@ def simulate(model: SystemModel, x0, u_seq, w_seq, v_seq, T: int) -> SolutionTup
     Sequences must have length T; the tuple stores states x(0..T-1) and the
     outputs they generate.  A non-finite intermediate state raises
     :class:`DivergenceError` with the failing time index.
+
+    With a leading cell axis, x0 (C, n), w_seq (C, T, q) and v_seq (C, T, m)
+    with the one u_seq (T, du), every step maps the C states at once and
+    the result is the stack of the C solutions, each bit for bit what its
+    cell gives alone (see the plant maps' batch contract).  A diverging
+    stack raises the :class:`DivergenceError` of its first diverging cell.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    u_seq = _as_seq(u_seq, T, model.input_dim)
-    w_seq = _as_seq(w_seq, T, model.process_noise_dim)
-    v_seq = _as_seq(v_seq, T, model.meas_noise_dim)
-    xs = np.empty((T, model.state_dim))
-    ys = np.empty((T, model.output_dim))
-    x = x0
+    if x0.ndim > 2 or x0.shape[-1] != model.state_dim:
+        raise DomainError(f"initial state shape {x0.shape} is not ({model.state_dim},) "
+                          f"or (C, {model.state_dim})")
+    lead = x0.shape[:-1]
+    u_seq = _as_seq(u_seq, (), T, model.input_dim)
+    w_seq = _as_seq(w_seq, lead, T, model.process_noise_dim)
+    v_seq = _as_seq(v_seq, lead, T, model.meas_noise_dim)
+    # one cell goes as a stack of one
+    x = x0.reshape(-1, model.state_dim)
+    C = len(x)
+    w_rows = w_seq.reshape(C, T, model.process_noise_dim)
+    v_rows = v_seq.reshape(C, T, model.meas_noise_dim)
+    xs = np.empty((C, T, model.state_dim))
+    ys = np.empty((C, T, model.output_dim))
+    diverged = np.full(C, T)             # each cell's first non-finite t; T: none
     for t in range(T):
-        xs[t] = x
-        ys[t] = np.atleast_1d(model.h(x, u_seq[t], v_seq[t]))
-        x = np.atleast_1d(model.f(x, u_seq[t], w_seq[t]))
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(t)
-    return SolutionTuple(xs, u_seq, w_seq, v_seq, ys)
+        xs[:, t] = x
+        ys[:, t] = model.h(x, u_seq[t], v_rows[:, t])
+        x = model.f(x, u_seq[t], w_rows[:, t])
+        bad = ~np.isfinite(x).all(axis=1)
+        if bad.any():
+            diverged[bad] = np.minimum(diverged[bad], t)
+            # a diverged cell raises at its first t; its later states are not read
+            x = np.where(bad[:, None], 0.0, x)
+    if (diverged < T).any():
+        raise DivergenceError(int(diverged[np.argmax(diverged < T)]))
+    return SolutionTuple(xs.reshape(*lead, T, model.state_dim), u_seq, w_seq, v_seq,
+                         ys.reshape(*lead, T, model.output_dim))
 
 
-def _as_seq(seq, T: int, dim: int) -> np.ndarray:
+def _as_seq(seq, lead: tuple, T: int, dim: int) -> np.ndarray:
     arr = np.asarray(seq, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.shape != (T, dim):
-        raise DomainError(f"sequence shape {arr.shape} does not match ({T}, {dim})")
+    if arr.ndim == len(lead) + 1:
+        arr = arr[..., None]
+    if arr.shape != (*lead, T, dim):
+        raise DomainError(f"sequence shape {arr.shape} does not match {(*lead, T, dim)}")
     return arr
 
 

@@ -6,6 +6,11 @@ did before they were rewritten to make one array call per age.  The
 differential tests in ``test_array_eval.py`` assert that the library's array
 versions return the same evidence, field for field, with ``==``.
 
+``check_kl_two_loops`` is the array KL check as it ran before it took
+each slice f(grid, s) once: the strided slices on the grid, then every
+slice again on the probe subgrid; ``test_array_eval.py`` holds
+``check_kl_on_grid`` to it.
+
 Partial sums are folded with explicit ``partial = partial + term`` loops, the
 plain left-to-right addition the array versions use.
 
@@ -51,6 +56,7 @@ from mhestab.comparison import (
     PlusMode,
     SummabilityEvidence,
     TriangleGrowth,
+    first_max,
     log_grid,
     plus_reduce,
 )
@@ -98,6 +104,43 @@ def check_kl_on_grid(f, r_grid=None, s_max=64, rel_tol=1e-9):
         base = f(r, 0)
         if base > 0:
             terminal = max(terminal, f(r, s_max) / base)
+    return GridEvidence(True, worst, worst_pt,
+                        f"KL grid checks passed; terminal decay ratio {terminal:.3e}")
+
+
+def check_kl_two_loops(f, r_grid=None, s_max=64, rel_tol=1e-9):
+    """The array check of KL membership as two loops: the strided slices
+    f(grid, s) first, then f(probe, s) for every s, each a call of its own."""
+    grid = log_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
+    worst = math.inf
+    worst_pt = (0.0, 0)
+    for s in range(0, s_max + 1, max(1, s_max // 16)):
+        vals = f(grid, s)
+        diffs = np.diff(vals)
+        if len(diffs):
+            m = float(diffs.min())
+            if m < worst:
+                worst = m
+                worst_pt = (float(grid[int(np.argmin(diffs))]), s)
+            if m <= 0.0:
+                return GridEvidence(False, m, worst_pt, f"slice s={s} not strictly increasing in r")
+    probe = grid[:: max(1, len(grid) // 16)]
+    base = prev = f(probe, 0)
+    first_s = np.zeros(len(probe), dtype=int)     # 0: no violation yet
+    first_margin = np.zeros(len(probe))
+    for s in range(1, s_max + 1):
+        cur = f(probe, s)
+        new = (cur > prev * (1 + rel_tol) + 1e-300) & (first_s == 0)
+        first_s[new] = s
+        first_margin[new] = (prev - cur)[new]
+        prev = cur
+    hit = np.flatnonzero(first_s)
+    if len(hit):
+        i = hit[0]
+        return GridEvidence(False, float(first_margin[i]), (float(probe[i]), int(first_s[i])),
+                            "not nonincreasing in s")
+    positive = base > 0
+    terminal = max(0.0, first_max(prev[positive] / base[positive])[1])
     return GridEvidence(True, worst, worst_pt,
                         f"KL grid checks passed; terminal decay ratio {terminal:.3e}")
 

@@ -8,6 +8,8 @@ nonlinear families and on failing inputs, where the worst point reported must
 match too.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,8 +73,9 @@ def _catalog_pairs():
     """One certificate per distinct (mode, gains) of the shipped catalog:
     ``s3`` repeats the gains of ``s1`` and ``s1-shared`` sum mode is ``s1``."""
     seen, out = set(), []
-    for (plant, mode), cert in sorted(certificates._CERTS.items(),
-                                      key=lambda kv: (kv[0][0], kv[0][1].value)):
+    for plant, mode in sorted(((plant, mode) for plant in certificates.CERTIFICATE_NAMES
+                               for mode in PlusMode), key=lambda pm: (pm[0], pm[1].value)):
+        cert = certificates.builtin_certificate(plant, mode)
         key = (mode, tuple(repr(g) for g in cert.gains().values()))
         if key not in seen:
             seen.add(key)
@@ -162,6 +165,39 @@ def test_hat_and_bar_bounds_match_reference_on_catalog(name, cert):
     assert (bar.convergence_gap, bar.monotone_evidence, bar.kl_evidence) == (gap, mono, kl_ev)
 
 
+@pytest.mark.parametrize("name,cert", CATALOG, ids=CATALOG_IDS)
+def test_kl_grid_check_matches_the_two_loop_version(name, cert):
+    # the catalog gains, then the hat bounds at s_max = 10 K on a grid of
+    # more than 31 points, where the probe is strided, then the envelopes
+    for key, fn in cert.gains().items():
+        assert check_kl_on_grid(fn) == ref.check_kl_two_loops(fn), key
+    _, _, _, bounds = _chain(cert)
+    find = find_contraction_max if cert.mode is PlusMode.MAX else find_contraction_sum
+    grid = log_grid(ANALYSIS_R_MIN, ANALYSIS_R_MAX, 6)
+    assert len(grid) > 31
+    hats = {}
+    for K in range(1, 9):
+        analysis = find(bounds, cert.alpha, K)
+        if not analysis.passed:
+            continue
+        hats[K] = hat = build_hat_bounds(analysis, bounds, check_grid=False)
+        for fn in (hat.b_hat, hat.c_hat, hat.d_hat):
+            assert (check_kl_on_grid(fn, grid, s_max=10 * K)
+                    == ref.check_kl_two_loops(fn, grid, s_max=10 * K)), K
+    if len(hats) < 2:
+        return
+    K0, K_max = min(hats), max(hats)
+    bar = build_bar_bounds(hats, K0, K_max, bounds)
+    kl_grid = log_grid(1e-3, 1e2, 3)
+    assert bar.kl_evidence == tuple(
+        ref.check_kl_two_loops(functools.partial(envelope, K0), kl_grid, s_max=12)
+        for envelope in (bar.b_bar, bar.c_bar, bar.d_bar))
+    for envelope in (bar.b_bar, bar.c_bar, bar.d_bar):
+        f = functools.partial(envelope, K0)
+        assert check_kl_on_grid(f, kl_grid, s_max=12) == ref.check_kl_two_loops(f, kl_grid,
+                                                                               s_max=12)
+
+
 # ---------------------------------------------------------------------------
 # Nonlinear families
 # ---------------------------------------------------------------------------
@@ -232,6 +268,26 @@ class _RisingThenDecaying(KLFn):
     def __call__(self, r, s):
         r, s = self._check_args(r, s)
         return r * (1.0 + 0.01 * s * (r > 1.0)) if s < 5 else r * 0.5 ** s
+
+
+class _FlatAboveOne(KLFn):
+    """Constant in r above r = 1, so a slice fails the r check."""
+
+    def __call__(self, r, s):
+        r, s = self._check_args(r, s)
+        return np.minimum(r, 1.0) * 0.5 ** s
+
+
+@pytest.mark.parametrize("fn", [_RisingThenDecaying(), _FlatAboveOne()],
+                         ids=["rising-in-s", "flat-in-r"])
+def test_failing_kl_checks_match_the_two_loop_version(fn):
+    ev = check_kl_on_grid(fn)
+    assert not ev.passed and ev == ref.check_kl_two_loops(fn)
+
+
+def test_kl_grid_check_without_a_slice_is_a_domain_error():
+    with pytest.raises(DomainError, match="s_max >= 0"):
+        check_kl_on_grid(SeparableGeometric(1.0, 1.0, 0.5), SMALL_GRID, s_max=-1)
 
 
 def test_failing_checks_report_the_reference_worst_point():

@@ -239,9 +239,9 @@ def test_generic_mhe_runs_equal_the_step_by_step_driver(plant, mode, method, K, 
     config = ExperimentConfig(plant=plant, mode=mode, estimator="mhe", horizon=K, t_final=T)
     resolved = resolve(config)
     model, cost = resolved.model, resolved.cost
-    truths = [H._truth(config, model, scenario, seed)
-              for scenario in CHECK_SCENARIOS[1:3] for seed in (0, 1)]
-    y, u = np.stack([sol.y[:T] for sol in truths]), truths[0].u[:T]
+    truths = H._truths(config, model, [(scenario, seed) for scenario in CHECK_SCENARIOS[1:3]
+                                       for seed in (0, 1)])
+    y, u = truths.y[:, :T], truths.u[:T]
     prior0 = H._initial(config, model)[1]
     solver = SolverConfig(method=method, multistart=2, max_iter=15)
     reference = drive_step_by_step(model, cost, prior0, u, y, solver, K)
@@ -639,10 +639,13 @@ def _check_against_the_loop(resolved, K):
     config = resolved.config
     hat = H._cell_hat(resolved, K)
     cells = [(scenario, seed) for scenario in config.scenarios for seed in config.seeds]
-    estimated = H._estimate_group(resolved, cells, K)
-    group = H._check_group(resolved, cells, hat, K, estimated)
-    for (scenario, seed), cell, est in zip(cells, group, estimated):
-        rows, min_margin, certified, worst = check_cell(resolved, scenario, seed, hat, K, est)
+    T = config.t_final
+    truths = H._truths(config, resolved.model, cells)
+    runs = H._estimate(resolved, truths.u[:T], truths.y[:, :T], K)
+    group = H._check_group(resolved, cells, hat, K, truths, runs)
+    for c, ((scenario, seed), cell, run) in enumerate(zip(cells, group, runs)):
+        rows, min_margin, certified, worst = check_cell(resolved, scenario, seed, hat, K,
+                                                        (truths.cell(c), run))
         assert [{k: repr(v) for k, v in row.items()} for row in cell.rows] == \
             [{k: repr(v) for k, v in row.items()} for row in rows]
         assert (repr(cell.min_margin), cell.certified_steps, repr(cell.worst)) == \

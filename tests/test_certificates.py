@@ -1,9 +1,14 @@
 """Certificate checks, cost compatibility, and the derived bound triple."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import mhestab as M
+from mhestab import certificates
 from mhestab.comparison import (
     DomainError,
     LinearK,
@@ -153,6 +158,34 @@ def test_falsifier_without_a_pair_is_a_domain_error(n_pairs):
     cert = builtin_certificate("s1-shared", PlusMode.MAX)
     with pytest.raises(DomainError, match="n_pairs"):
         falsify_certificate(cert, builtin_model("s1"), n_pairs=n_pairs)
+
+
+def test_importing_the_package_builds_no_certificate():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(M.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import mhestab; from mhestab import certificates; print(len(certificates._CERTS))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.split() == ["0"]
+
+
+def test_every_fixture_is_what_the_eager_catalog_builds():
+    eager = certificates._catalog()
+    assert sorted(eager, key=lambda key: (key[0], key[1].value)) == sorted(
+        FIXTURES, key=lambda key: (key[0], key[1].value))
+    for (name, mode), cert in eager.items():
+        assert builtin_certificate(name, mode) == cert, (name, mode)
+        assert builtin_certificate(name, mode) is builtin_certificate(name, mode)
+    assert builtin_certificate("s1-shared", PlusMode.SUM) is builtin_certificate("s1", PlusMode.SUM)
+    with pytest.raises(DomainError, match="available: \\['s1', 's1-shared', 's2', 's3', 's4'\\]"):
+        builtin_certificate("s5", PlusMode.MAX)
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_falsifier_over_no_step_is_a_domain_error(horizon):
+    cert = builtin_certificate("s1-shared", PlusMode.MAX)
+    with pytest.raises(DomainError, match="horizon"):
+        falsify_certificate(cert, builtin_model("s1"), n_pairs=3, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------

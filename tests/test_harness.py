@@ -241,9 +241,10 @@ def test_fie_sweep_runs_each_cell_once(tmp_path, monkeypatch):
             == open(tmp_path / "frun" / traces[0], "rb").read())
 
 
-def test_jobs_pool_has_no_more_workers_than_chunks(tmp_path, monkeypatch):
-    # the fork start method forks every worker up front; an in-process fake
-    # pool records the size asked for and starts no process
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace the process pool by one that maps here and starts no process;
+    yields the list of pool sizes asked for."""
     import concurrent.futures
 
     sizes = []
@@ -264,12 +265,41 @@ def test_jobs_pool_has_no_more_workers_than_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     from concurrent.futures import ProcessPoolExecutor
     assert ProcessPoolExecutor is InProcessPool     # as run_cells imports it
+    yield sizes
+
+
+def test_jobs_pool_has_no_more_workers_than_chunks(tmp_path, in_process_pool):
+    # the fork start method forks every worker up front; an in-process fake
+    # pool records the size asked for and starts no process
     cfg = load_config(_write_config(tmp_path, t_final=4))       # 2 scenarios x 2 seeds
     serial = harness.run_cells(resolve(cfg), (cfg.horizon,))
     cfg.jobs = 5000
     pooled = harness.run_cells(resolve(cfg), (cfg.horizon,))
-    assert sizes == [4]
+    assert in_process_pool == [4]
     assert [(c.key(), c.rows) for c in pooled] == [(c.key(), c.rows) for c in serial]
+
+
+def test_a_sweep_simulates_each_cell_once(tmp_path, monkeypatch, in_process_pool):
+    stacked = []
+    simulate = harness.simulate
+    monkeypatch.setattr(harness, "simulate",
+                        lambda model, x0, *args: stacked.append(len(x0))
+                        or simulate(model, x0, *args))
+    # 2 scenarios x 2 seeds at three horizons
+    cfg = load_config(_write_config(tmp_path, estimator="mhe", t_final=10, extra="sweep = 2,4,8"))
+    horizon_sweep(cfg, str(tmp_path / "serial"))
+    assert stacked == [4]
+    cfg.jobs = 2
+    horizon_sweep(cfg, str(tmp_path / "pooled"))
+    assert stacked == [4, 2, 2] and in_process_pool == [2]
+    serial, pooled = tmp_path / "serial" / "demo", tmp_path / "pooled" / "demo"
+    names = sorted(os.listdir(serial))
+    assert names == sorted(os.listdir(pooled)) and len(names) == 13
+    for name in names:
+        a, b = open(serial / name, "rb").read(), open(pooled / name, "rb").read()
+        if name == "sweep.json":            # the config echo names its jobs
+            a, b = a.replace(b'"jobs": 1', b'"jobs": 2'), b
+        assert a == b, name
 
 
 def test_mhe_probe_checks_a_window_holding_the_perturbed_step(tmp_path):
@@ -607,7 +637,7 @@ def test_a_cost_section_without_a_cost_key_makes_the_cost_explicit(tmp_path):
 @pytest.mark.parametrize("step", ["-5", "12"])
 def test_cli_probe_step_outside_the_run_exits_2_before_simulating(tmp_path, capsys,
                                                                   monkeypatch, step):
-    monkeypatch.setattr(harness, "_truth", lambda *args: pytest.fail("simulated"))
+    monkeypatch.setattr(harness, "simulate", lambda *args: pytest.fail("simulated"))
     path = _edit_config(tmp_path, "[solver]", f"[probe]\nstep = {step}\n\n[solver]")
     assert cli_main(["probe", "--config", path]) == 2
     assert capsys.readouterr().err.startswith("error: probe step must be in [0, t_final = 12)")
@@ -615,7 +645,7 @@ def test_cli_probe_step_outside_the_run_exits_2_before_simulating(tmp_path, caps
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_cli_jobs_below_one_exits_2_before_simulating(tmp_path, capsys, monkeypatch, jobs):
-    monkeypatch.setattr(harness, "_truth", lambda *args: pytest.fail("simulated"))
+    monkeypatch.setattr(harness, "simulate", lambda *args: pytest.fail("simulated"))
     path = _write_config(tmp_path, t_final=6)
     assert cli_main(["run", "--config", path, "--jobs", jobs]) == 2
     assert capsys.readouterr().err.startswith("error: jobs must be >= 1")
@@ -710,15 +740,16 @@ def test_benchmark_workload_configs_load(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["max", "sum"])
 def test_cell_worker_uses_the_hat_bounds_of_each_horizon(mode):
-    # the pool's worker runs one chunk of a horizon group; a worker process
-    # runs many chunks, so a K=8 group after a K=2 group must equal a fresh one
+    # the pool's worker runs one chunk of cells at its horizons; a worker
+    # process runs many chunks, so a K=8 chunk after a K=2 chunk must equal a
+    # fresh one
     config = ExperimentConfig(name="cache", plant="s1", mode=mode, estimator="mhe",
                               t_final=20, seeds=(0, 1),
                               scenarios=[DisturbanceScenario("uniform", "bounded_uniform",
                                                       amplitude=0.1)])
     cells = [(config.scenarios[0], seed) for seed in config.seeds]
-    fresh = _group_worker((config, 8, cells))
-    _group_worker((config, 2, cells))
-    after_k2 = _group_worker((config, 8, cells))
+    fresh = _group_worker((config, (8,), cells))
+    _group_worker((config, (2,), cells))
+    after_k2 = _group_worker((config, (8,), cells))
     assert [cell.horizon for cell in after_k2] == [8, 8]
     assert after_k2 == fresh

@@ -1,5 +1,7 @@
 """Plant simulation, solution verification, and disturbance scenarios."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,78 @@ def test_simulate_divergence_reports_index():
     w = np.full((2000, 1), 1.0)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError):
         simulate(model, [1.0], np.zeros((2000, 1)), w, np.zeros((2000, 1)), 2000)
+
+
+SCENARIO_KINDS = [
+    DisturbanceScenario("zero"),
+    DisturbanceScenario("uniform", "bounded_uniform", amplitude=0.2),
+    DisturbanceScenario("decay", "decaying_geometric", amplitude=1.0, rate=0.8),
+    DisturbanceScenario("impulse", "impulse", time=3, magnitude=1.5),
+]
+
+
+@pytest.mark.parametrize("plant", ["s1", "s2", "s3", "s4"])
+def test_a_stacked_simulation_is_each_cell_alone(plant):
+    model = builtin_model(plant)
+    T = 25
+    gen = np.random.Generator(np.random.Philox(key=3))
+    cells = [(scenario, seed) for scenario in SCENARIO_KINDS for seed in (0, 1)]
+    draws = [generate_scenario(scenario, seed, T, model.process_noise_dim, model.meas_noise_dim)
+             for scenario, seed in cells]
+    x0 = gen.uniform(-1.0, 1.0, (len(cells), model.state_dim))
+    u = gen.uniform(-1.0, 1.0, (T, model.input_dim))
+    stack = simulate(model, x0, u, np.stack([w for w, _ in draws]),
+                     np.stack([v for _, v in draws]), T)
+    assert stack.length == T and stack.x.shape == (len(cells), T, model.state_dim)
+    for c, (w, v) in enumerate(draws):
+        alone = simulate(model, x0[c], u, w, v, T)
+        cell = stack.cell(c)
+        for name in ("x", "u", "w", "v", "y"):
+            assert getattr(cell, name).tobytes() == getattr(alone, name).tobytes(), (c, name)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_diverging_stack_raises_at_its_first_diverging_cell():
+    # s2 doubles its state: an impulse of 1e308 at time k is inf at t = k + 1
+    model = builtin_model("s2")
+    T = 12
+    impulses = [None, 6, 1, None]
+    w = np.zeros((len(impulses), T, 1))
+    for c, k in enumerate(impulses):
+        if k is not None:
+            w[c, k, 0] = 1e308
+    x0, u, v = np.zeros((len(impulses), 1)), np.zeros((T, 1)), np.zeros((len(impulses), T, 1))
+    for c in (1, 2):
+        with pytest.raises(DivergenceError) as alone:
+            simulate(model, x0[c], u, w[c], v[c], T)
+        assert alone.value.t == impulses[c] + 1
+    with pytest.raises(DivergenceError) as stacked:
+        simulate(model, x0, u, w, v, T)
+    assert stacked.value.t == impulses[1] + 1       # cell 1, though cell 2 diverges first
+    with pytest.raises(DivergenceError) as swapped:
+        simulate(model, x0[::-1], u, w[::-1], v[::-1], T)
+    assert swapped.value.t == impulses[2] + 1
+
+
+def test_a_diverged_cell_is_not_stepped_on():
+    # s3 takes the sine of its state: sin(inf) would warn, which the cell
+    # alone never computes, since it raises first
+    model = builtin_model("s3")
+    T = 6
+    w = np.zeros((2, T, 1))
+    w[1, 2, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as stacked:
+            simulate(model, np.zeros((2, 1)), np.zeros((T, 1)), w, np.zeros((2, T, 1)), T)
+    assert stacked.value.t == 2
+
+
+@pytest.mark.parametrize("x0", [[1.0, 2.0], np.zeros((2, 3, 1))], ids=["too-wide", "3-d"])
+def test_simulate_rejects_an_initial_state_of_the_wrong_shape(x0):
+    model = builtin_model("s1")
+    with pytest.raises(DomainError, match="initial state"):
+        simulate(model, x0, np.zeros((4, 1)), np.zeros((4, 1)), np.zeros((4, 1)), 4)
 
 
 def test_verify_solution_round_trip_all_plants():
