@@ -45,6 +45,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .comparison import (
+    GRID_REL_TOL,
     CapabilityError,
     ComposedK,
     DomainError,
@@ -71,6 +72,9 @@ from .comparison import (
 from .systems import SolutionTuple, SystemModel, row_distances, simulate
 
 TOL_CERT = 1e-9
+
+#: the compatibility constants B that :func:`check_compatibility` tries, in order
+B_CANDIDATES = (1.0, 2.0, 4.0, 8.0)
 
 #: how a certificate's validity was established
 VALIDITY_TAGS = ("proven", "sampled", "declared")
@@ -178,14 +182,13 @@ class PairMargin:
 
 
 def check_ioss_on_pair(cert: IossCertificate, model: SystemModel,
-                       sol1: SolutionTuple, sol2: SolutionTuple,
-                       tol_cert: float = TOL_CERT) -> PairMargin:
+                       sol1: SolutionTuple, sol2: SolutionTuple) -> PairMargin:
     """Test the certificate inequality on a concrete pair of solutions.
 
     For every t the left side alpha(|x(t), chi(t)|) is compared against the
     right side, entry t of one :func:`bound_trace` over the four discrepancy
     sequences; the minimum margin over t is returned, at its first t, and
-    the check passes when it stays above -tol_cert.  The input and output
+    the check passes when it stays above -TOL_CERT.  The input and output
     discrepancy terms are evaluated exactly like the disturbance ones, so
     pairs with deviant inputs or outputs exercise the full inequality.
     """
@@ -195,7 +198,7 @@ def check_ioss_on_pair(cert: IossCertificate, model: SystemModel,
         raise DomainError("solution does not match model dimensions")
     margins = _pair_margins(cert, [sol1], [sol2])[0]
     worst_t = int(np.argmin(margins))
-    return PairMargin(bool(margins[worst_t] >= -tol_cert), float(margins[worst_t]),
+    return PairMargin(bool(margins[worst_t] >= -TOL_CERT), float(margins[worst_t]),
                       worst_t, margins)
 
 
@@ -241,12 +244,11 @@ def default_cost_from_certificate(cert: IossCertificate, n: TriangleGrowth) -> C
                     name=f"default({cert.name})")
 
 
-def check_compatibility(cert: IossCertificate, cost: CostSpec, n: TriangleGrowth,
-                        r_grid: Optional[np.ndarray] = None, s_max: int = 32,
-                        b_candidates: Sequence[float] = (1.0, 2.0, 4.0, 8.0),
-                        rel_tol: float = 1e-9) -> CompatibilityWitness:
-    """Find the smallest B from a candidate list dominating all three gain
-    inequalities on the (r, s) grid; report the worst ratio otherwise.
+def check_compatibility(cert: IossCertificate, cost: CostSpec,
+                        n: TriangleGrowth) -> CompatibilityWitness:
+    """Find the smallest B of ``B_CANDIDATES`` dominating all three gain
+    inequalities on the (r, s) grid, s = 0..32; report the worst ratio
+    otherwise.
 
     The worst point of each ratio is the first one in (s, r) order, and a
     zero cost gain under a nonzero certificate gain ends that gain's scan
@@ -254,7 +256,7 @@ def check_compatibility(cert: IossCertificate, cost: CostSpec, n: TriangleGrowth
     """
     if cert.mode is not cost.mode:
         raise DomainError("certificate and cost must share one plus mode")
-    grid = log_grid(per_decade=8) if r_grid is None else np.asarray(r_grid, dtype=float)
+    grid = log_grid(per_decade=8)
     pairs = (
         ("beta", cert.beta, cost.beta_hat),
         ("gamma", cert.gamma, cost.gamma_hat),
@@ -265,7 +267,7 @@ def check_compatibility(cert: IossCertificate, cost: CostSpec, n: TriangleGrowth
     for name, base, hat in pairs:
         ratio = 0.0
         worst_pt = (float(grid[0]), 0)
-        for s in range(s_max + 1):
+        for s in range(33):
             num = base(n(s) * grid, s)
             den = hat(grid, s)
             active = num != 0.0
@@ -285,9 +287,9 @@ def check_compatibility(cert: IossCertificate, cost: CostSpec, n: TriangleGrowth
         worst_ratio = max(worst_ratio, ratio)
         evidence.append(GridEvidence(True, ratio, worst_pt, f"{name} ratio",
                                      (float(grid[0]), float(grid[-1]))))
-    for b_cand in sorted(b_candidates):
-        if worst_ratio <= b_cand * (1 + rel_tol):
-            return CompatibilityWitness(True, float(b_cand), n, worst_ratio, tuple(evidence))
+    for b_cand in B_CANDIDATES:
+        if worst_ratio <= b_cand * (1 + GRID_REL_TOL):
+            return CompatibilityWitness(True, b_cand, n, worst_ratio, tuple(evidence))
     return CompatibilityWitness(False, None, n, worst_ratio, tuple(evidence))
 
 
@@ -365,8 +367,8 @@ class FalsificationReport:
 
 
 def falsify_certificate(cert: IossCertificate, model: SystemModel, n_pairs: int = 1000,
-                        horizon: int = 24, seed: int = 0, scale: float = 2.0,
-                        tol_cert: float = TOL_CERT) -> FalsificationReport:
+                        horizon: int = 24, seed: int = 0,
+                        scale: float = 2.0) -> FalsificationReport:
     """Search for trajectory pairs violating the certificate inequality.
 
     Pairs draw independent initial states and disturbance sequences (uniform
@@ -403,7 +405,7 @@ def falsify_certificate(cert: IossCertificate, model: SystemModel, n_pairs: int 
     k, worst = first_min(margins[np.arange(n_pairs), worst_ts])
     if k is not None:
         worst_seed, worst_t = k, int(worst_ts[k])
-    return FalsificationReport(worst >= -tol_cert, n_pairs, worst, worst_seed, worst_t)
+    return FalsificationReport(worst >= -TOL_CERT, n_pairs, worst, worst_seed, worst_t)
 
 
 # ---------------------------------------------------------------------------

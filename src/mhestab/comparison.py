@@ -11,7 +11,10 @@ Functions are closed parametric families rather than opaque callables.  That
 choice is deliberate: inverses, summability tails, and serialization all have
 to be *checkable*, so the admissible shapes are enumerated and each family
 carries the analytic structure it needs (closed-form inverse where available,
-bisection otherwise, geometric tail bounds for summability evidence).
+bisection otherwise, geometric tail bounds for summability evidence).  Every
+family defined here has a text form (:data:`TEXT_FORMS`), which is how a
+config names a gain.  A K-function is inverted by its own ``inverse``,
+which raises :class:`CapabilityError` for one that is not K-infinity.
 
 All objects are immutable after construction and safe to share between
 workers.
@@ -30,6 +33,7 @@ import numpy as np
 
 TOL_INV = 1e-12           # relative tolerance for bisection inverses
 MAX_BISECT = 200          # iteration cap for bisection
+GRID_REL_TOL = 1e-9       # relative slack of the grid inequality checks
 GRID_R_MIN = 1e-9
 GRID_R_MAX = 1e3
 GRID_POINTS_PER_DECADE = 64
@@ -197,8 +201,7 @@ def first_max(values: np.ndarray):
     return i, float(values.flat[i])
 
 
-def _bisect_inverse(f: Callable[[float], float], y: float,
-                    tol: float = TOL_INV, max_iter: int = MAX_BISECT) -> float:
+def _bisect_inverse(f: Callable[[float], float], y: float) -> float:
     """Solve f(x) = y for increasing f with f(0) = 0 by bracketed bisection."""
     if y < 0:
         raise DomainError("inverse target must be nonnegative")
@@ -214,13 +217,13 @@ def _bisect_inverse(f: Callable[[float], float], y: float,
     else:
         raise CapabilityError("could not bracket inverse; function appears bounded")
     lo = 0.0
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if f(mid) < y:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * hi:
+        if hi - lo <= TOL_INV * hi:
             break
     return 0.5 * (lo + hi)
 
@@ -461,18 +464,6 @@ def iterate_k(kappa: KFn, n: int, r: float) -> float:
     for _ in range(n):
         v = kappa(v)
     return v
-
-
-def k_inverse(f: KFn, y: float) -> float:
-    """Invert a K-infinity function at y (a scalar or an array).
-
-    Closed forms are used where the family has one; otherwise bracketed
-    bisection to ``TOL_INV`` relative, capped at ``MAX_BISECT`` iterations.
-    Non-K-infinity inputs raise :class:`CapabilityError`.
-    """
-    if not f.is_unbounded:
-        raise CapabilityError("k_inverse requires a K-infinity function")
-    return f.inverse(_check_target(y))
 
 
 # ---------------------------------------------------------------------------
@@ -783,47 +774,6 @@ class SFloorKL(KLFn):
         return self.divisor * (self.base._eval(r, m) + self.base._tail(r, m + 1))
 
 
-@dataclass(frozen=True, eq=False)
-class TabulatedKL(KLFn):
-    """Grid-sampled KL function with bilinear interpolation in (log r, s).
-
-    Carries no analytic structure: summability checks reject it and inverses
-    fall back to bisection.  Exists so externally fitted gains can still be
-    evaluated and grid-checked.
-    """
-
-    r_grid: np.ndarray
-    s_grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r_grid, dtype=float)
-        s = np.asarray(self.s_grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (len(r), len(s)):
-            raise DomainError("TabulatedKL values must be (len(r_grid), len(s_grid))")
-        object.__setattr__(self, "r_grid", r)
-        object.__setattr__(self, "s_grid", s)
-        object.__setattr__(self, "values", v)
-
-    def _eval(self, r, s):
-        x = np.asarray(r)
-        ri = np.clip(np.searchsorted(self.r_grid, x), 1, len(self.r_grid) - 1)
-        si = np.clip(np.searchsorted(self.s_grid, s), 1, len(self.s_grid) - 1)
-        r0, r1 = self.r_grid[ri - 1], self.r_grid[ri]
-        s0, s1 = self.s_grid[si - 1], self.s_grid[si]
-        tr = np.divide(np.minimum(np.maximum(x, r0), r1) - r0, r1 - r0,
-                       out=np.zeros(x.shape), where=r1 != r0)
-        ts = 0.0 if s1 == s0 else (min(max(s, s0), s1) - s0) / (s1 - s0)
-        v00 = self.values[ri - 1, si - 1]
-        v10 = self.values[ri, si - 1]
-        v01 = self.values[ri - 1, si]
-        v11 = self.values[ri, si]
-        out = (1 - tr) * (1 - ts) * v00 + tr * (1 - ts) * v10 + (1 - tr) * ts * v01 + tr * ts * v11
-        out = np.where(x == 0.0, 0.0, out)
-        return float(out) if type(r) is float else out
-
-
 # ---------------------------------------------------------------------------
 # Gain terms: the discounted window sequences of costs and bounds
 # ---------------------------------------------------------------------------
@@ -911,7 +861,7 @@ class GridEvidence:
 
 
 def check_kl_on_grid(f: KLFn, r_grid: Optional[np.ndarray] = None,
-                     s_max: int = 64, rel_tol: float = 1e-9) -> GridEvidence:
+                     s_max: int = 64) -> GridEvidence:
     """Verify KL membership on a grid: K in r per slice, nonincreasing in s.
 
     The limit-to-zero requirement is testable only up to the horizon bound;
@@ -921,11 +871,10 @@ def check_kl_on_grid(f: KLFn, r_grid: Optional[np.ndarray] = None,
     array call f(grid, s) (see :func:`check_kl_slices`).
     """
     grid = log_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
-    return check_kl_slices(grid, (f(grid, s) for s in range(s_max + 1)), s_max, rel_tol)
+    return check_kl_slices(grid, (f(grid, s) for s in range(s_max + 1)), s_max)
 
 
-def check_kl_slices(grid: np.ndarray, slices, s_max: int,
-                    rel_tol: float = 1e-9) -> GridEvidence:
+def check_kl_slices(grid: np.ndarray, slices, s_max: int) -> GridEvidence:
     """:func:`check_kl_on_grid` of the slices f(grid, s), s = 0..s_max,
     given in order.  Every 1/16th slice must increase strictly in r; the
     values on every 1/16th grid point, the probe subgrid, must not increase
@@ -956,7 +905,7 @@ def check_kl_slices(grid: np.ndarray, slices, s_max: int,
         if s == 0:
             base = prev = cur
             continue
-        new = (cur > prev * (1 + rel_tol) + 1e-300) & (first_s == 0)
+        new = (cur > prev * (1 + GRID_REL_TOL) + 1e-300) & (first_s == 0)
         first_s[new] = s
         first_margin[new] = (prev - cur)[new]
         prev = cur
@@ -992,7 +941,8 @@ def check_summable(f: KLFn, sigma: KFn, r_grid: Optional[np.ndarray] = None,
 
     The partial sum to ``tail_horizon`` plus the family's analytic tail bound
     must stay below sigma on every grid point.  Families without an analytic
-    tail (e.g. tabulated ones) raise :class:`CapabilityError`.
+    tail (e.g. the hat bounds of :mod:`mhestab.stability`) raise
+    :class:`CapabilityError`.
     """
     grid = log_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
     tail = f.sum_tail(grid, tail_horizon + 1)      # first: a family without one raises
@@ -1009,32 +959,25 @@ def check_summable(f: KLFn, sigma: KFn, r_grid: Optional[np.ndarray] = None,
 
 
 def triangle_constant(beta: KLFn, mode: PlusMode, s_max: int = 32,
-                      a_grid: Optional[np.ndarray] = None,
-                      candidates: Sequence[float] = (1.0, 2.0),
-                      rel_tol: float = 1e-9) -> TriangleGrowth:
-    """Find the smallest triangle-growth map N(s) from a finite candidate set.
+                      a_grid: Optional[np.ndarray] = None) -> TriangleGrowth:
+    """Find the smallest triangle-growth map N(s) with values in {1, 2}.
 
-    For every s the smallest candidate N satisfying
+    For every s, N = 1 is kept where
 
         beta(a1 + a2, s) <= beta(N a1, s) (+) beta(N a2, s)
 
-    on the probe grid is kept, then the map is repaired to be nonincreasing
-    (larger N is always admissible).  N = 2 is guaranteed feasible, so there
-    is no failure path.
+    holds on the probe grid, and N = 2 elsewhere; the map is then repaired
+    to be nonincreasing (larger N is always admissible).  N = 2 needs no
+    check: a1 + a2 <= 2 max(a1, a2) and beta is increasing in r, so there is
+    no failure path.
     """
     grid = np.geomspace(1e-6, 1e3, 40) if a_grid is None else np.asarray(a_grid, dtype=float)
-    cands = sorted(set(float(c) for c in candidates) | {2.0})
     pair_sums = np.add.outer(grid, grid)
     chosen = []
     for s in range(s_max + 1):
-        lhs = beta(pair_sums, s)
-        pick = 2.0
-        for cand in cands:
-            rhs = _plus_outer(mode, beta(cand * grid, s))
-            if not np.any(lhs > rhs * (1 + rel_tol) + 1e-300):
-                pick = cand
-                break
-        chosen.append(pick)
+        rhs = _plus_outer(mode, beta(grid, s))
+        split = not np.any(beta(pair_sums, s) > rhs * (1 + GRID_REL_TOL) + 1e-300)
+        chosen.append(1.0 if split else 2.0)
     # repair to nonincreasing: a larger N only weakens the split
     for s in range(s_max - 1, -1, -1):
         chosen[s] = max(chosen[s], chosen[s + 1])
@@ -1044,7 +987,7 @@ def triangle_constant(beta: KLFn, mode: PlusMode, s_max: int = 32,
 
 
 def check_triangle(beta: KLFn, n: TriangleGrowth, mode: PlusMode, s_max: int = 32,
-                   a_grid: Optional[np.ndarray] = None, rel_tol: float = 1e-9) -> GridEvidence:
+                   a_grid: Optional[np.ndarray] = None) -> GridEvidence:
     """Grid evidence for the triangle-growth inequality with a given N."""
     grid = np.geomspace(1e-6, 1e3, 40) if a_grid is None else np.asarray(a_grid, dtype=float)
     pair_sums = np.add.outer(grid, grid)     # [i, j] = a1 + a2 for a1 = grid[i], a2 = grid[j]
@@ -1059,7 +1002,7 @@ def check_triangle(beta: KLFn, n: TriangleGrowth, mode: PlusMode, s_max: int = 3
         if m < worst:
             worst = m
             worst_pt = (float(grid[i // len(grid)]), float(grid[i % len(grid)]), s)
-    return GridEvidence(worst >= -rel_tol, worst, worst_pt, "triangle-growth inequality",
+    return GridEvidence(worst >= -GRID_REL_TOL, worst, worst_pt, "triangle-growth inequality",
                         (float(grid[0]), float(grid[-1])))
 
 

@@ -57,11 +57,13 @@ would not have evaluated can neither raise nor change the result.  This
 needs plant maps that accept a leading batch axis (see
 :mod:`mhestab.systems`).
 
-``eval_cost``, the cost that is reported and certified, follows the rule of
-the error bounds in :mod:`mhestab.certificates`: ``gain_terms`` evaluates
-each gain over the window's ages (a slope product when every slice is
-linear in r, otherwise one call per term), and ``fold_terms`` combines
-them.  The engines' objective shares the rollout and the noise elimination
+``_window_costs``, the cost that is reported and certified, prices a stack
+of windows of one length by the rule of the error bounds in
+:mod:`mhestab.certificates`: ``gain_terms`` evaluates each gain over the
+windows' ages (a slope product when every slice is linear in r, otherwise
+one call per term), and ``fold_terms`` combines them.  A solved window's
+cost and the reference cost of :func:`certify_suboptimality` are rows of
+it.  The engines' objective shares the rollout and the noise elimination
 but keeps its own fold: it calls each gain once per age on a column of
 candidates and folds left to right like ``plus_reduce``, and moving it onto
 the slope products would move the iterates pinned by
@@ -87,7 +89,7 @@ from .comparison import (
     seq_norms,
     slope_table,
 )
-from .certificates import CostSpec
+from .certificates import TOL_CERT, CostSpec
 from .systems import (
     SolutionTuple,
     SystemModel,
@@ -212,31 +214,12 @@ class CertificationRecord:
 # Cost evaluation
 # ---------------------------------------------------------------------------
 
-def eval_cost(cost: CostSpec, prior, chi0, omega_seq, nu_seq) -> float:
-    """Discounted window cost of a candidate (initial state, disturbances).
-
-    Window sequences are in time order: entry j of ``omega_seq`` acts at age
-    K - j, the prior mismatch is discounted by the full window length K.
-    """
-    prior = np.atleast_1d(np.asarray(prior, dtype=float))
-    chi0 = np.atleast_1d(np.asarray(chi0, dtype=float))
-    omega = np.asarray(omega_seq, dtype=float)
-    nu = np.asarray(nu_seq, dtype=float)
-    if omega.ndim == 1:
-        omega = omega[:, None]
-    if nu.ndim == 1:
-        nu = nu[:, None]
-    if len(omega) != len(nu):
-        raise DomainError("omega and nu sequences must share the window length")
-    if len(omega) < 1:
-        raise DomainError("window must contain at least one step")
-    return _window_costs(cost, prior[None], chi0[None], omega[None], nu[None])[0]
-
-
 def _window_costs(cost: CostSpec, prior: np.ndarray, chi0: np.ndarray, omega: np.ndarray,
                   nu: np.ndarray) -> List[float]:
-    """:func:`eval_cost` of C windows of one length: prior and chi0 (C, n),
-    omega (C, K, q), nu (C, K, m).  Each gain and the fold take one array
+    """The discounted costs of C candidate windows of one length K: prior
+    and chi0 (C, n), omega (C, K, q), nu (C, K, m), in time order.  Entry j
+    of a window's omega and nu acts at age K - j, and the prior mismatch is
+    discounted by the full length K.  Each gain and the fold take one array
     call, and each row's cost is its window's alone."""
     K = omega.shape[1]
     ages = range(K, 0, -1)             # entry j acts at age K - j
@@ -1322,32 +1305,35 @@ def run_mhe(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, horizon: i
 
 
 def certify_suboptimality(result: EstimateResult, reference: SolutionTuple, cost: CostSpec,
-                          a_factor: float, tol_cert: float = 1e-9,
+                          a_factor: float,
                           model: Optional[SystemModel] = None) -> CertificationRecord:
     """Check the suboptimality hypothesis against a feasible reference window.
 
     This inequality (achieved cost at most A times the reference cost) is the
     exact hypothesis under which the error bounds are asserted downstream; a
     failed certification excludes the step from bound checks rather than
-    weakening them.  The harness certifies a group of cells at once: one
-    :func:`_window_costs` call per window length, over the stacked (step,
-    cell) rows of that length, gives the reference costs, and
+    weakening them.  The reference is priced by a one-row
+    :func:`_window_costs` call.  The harness certifies a group of cells at
+    once: one :func:`_window_costs` call per window length, over the stacked
+    (step, cell) rows of that length, gives the reference costs, and
     :func:`certification_record` judges each.
     """
     if model is not None:
         rep = verify_solution(model, reference, tol_dyn=1e-6)
         if not rep.passed:
             raise DomainError(f"reference window infeasible (residual {rep.worst_residual:.3e})")
-    j_ref = eval_cost(cost, result.prior, reference.x[0], reference.w, reference.v)
-    return certification_record(result.cost, j_ref, a_factor, tol_cert)
+    if reference.length < 1:
+        raise DomainError("reference window must contain at least one step")
+    j_ref = _window_costs(cost, result.prior[None], reference.x[:1], reference.w[None],
+                          reference.v[None])[0]
+    return certification_record(result.cost, j_ref, a_factor)
 
 
-def certification_record(j_res: float, j_ref: float, a_factor: float,
-                         tol_cert: float = 1e-9) -> CertificationRecord:
+def certification_record(j_res: float, j_ref: float, a_factor: float) -> CertificationRecord:
     """The verdict on an achieved cost j_res against a reference cost j_ref."""
-    passed = j_res <= a_factor * j_ref + tol_cert
+    passed = j_res <= a_factor * j_ref + TOL_CERT
     if j_ref > 0:
         ratio = j_res / j_ref
     else:
-        ratio = 1.0 if j_res <= tol_cert else math.inf
+        ratio = 1.0 if j_res <= TOL_CERT else math.inf
     return CertificationRecord(passed, ratio, j_res, j_ref)

@@ -570,36 +570,35 @@ def _run_group(resolved: ResolvedExperiment, cells,
 
 def _group_worker(payload) -> List[CellResult]:
     """Process-pool entry point: resolves the (picklable) config and runs one
-    chunk of cells at every horizon; results reduce deterministically by
-    cell key."""
-    config, horizons, cells = payload
-    resolved = resolve(config)
-    return _run_group(resolved, cells, {K: _cell_hat(resolved, K) for K in horizons})
+    chunk of cells at every horizon of ``hats``, against the hat bounds the
+    parent built; results reduce deterministically by cell key."""
+    config, hats, cells = payload
+    return _run_group(resolve(config), cells, hats)
 
 
 def run_cells(resolved: ResolvedExperiment, horizons,
               hats: Optional[Dict[int, Optional[HatBounds]]] = None) -> List[CellResult]:
     """Run every (horizon, scenario, seed) cell of the experiment, sorted by
-    cell key.  Each (scenario, seed) cell is simulated once, and its truth
+    cell key, against the hat bounds ``hats[K]``, or those :func:`_cell_hat`
+    builds when ``hats`` is None; they are built here once, however the
+    cells run.  Each (scenario, seed) cell is simulated once, and its truth
     serves every horizon; the cells of one horizon are estimated and checked
     as one group.  With ``config.jobs > 1`` the cells are split into at most
     that many chunks, each run at every horizon on a pool of one worker
     process per chunk (it may fork them all up front); otherwise they run
-    here, with the hat bounds ``hats[K]`` when given.  A diverging truth
-    raises the :class:`DivergenceError` of the first diverging cell."""
+    here.  A diverging truth raises the :class:`DivergenceError` of the
+    first diverging cell."""
     config = resolved.config
     cells = [(scenario, seed) for scenario in config.scenarios for seed in config.seeds]
+    hats = {K: _cell_hat(resolved, K) if hats is None else hats[K] for K in horizons}
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         size = math.ceil(len(cells) / config.jobs)
-        payloads = [(config, tuple(horizons), cells[i:i + size])
-                    for i in range(0, len(cells), size)]
+        payloads = [(config, hats, cells[i:i + size]) for i in range(0, len(cells), size)]
         with ProcessPoolExecutor(max_workers=min(config.jobs, len(payloads))) as pool:
             out = [cell for group in pool.map(_group_worker, payloads) for cell in group]
     else:
-        if hats is None:
-            hats = {K: _cell_hat(resolved, K) for K in horizons}
-        out = _run_group(resolved, cells, {K: hats[K] for K in horizons})
+        out = _run_group(resolved, cells, hats)
     out.sort(key=CellResult.key)
     return out
 

@@ -150,8 +150,7 @@ class ContractionAnalysis:
         return self.linear_rate is not None
 
 
-def find_contraction_max(bounds: DerivedBounds, alpha: KFn, K: int,
-                         r_grid: Optional[np.ndarray] = None) -> ContractionAnalysis:
+def find_contraction_max(bounds: DerivedBounds, alpha: KFn, K: int) -> ContractionAnalysis:
     """Max-mode contraction: kappa(r) = b(alpha^{-1}(r), K), checked strictly
     below the identity on the grid.
 
@@ -162,7 +161,7 @@ def find_contraction_max(bounds: DerivedBounds, alpha: KFn, K: int,
     """
     if bounds.mode is not PlusMode.MAX:
         raise DomainError("find_contraction_max requires max-mode bounds")
-    grid = analysis_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
+    grid = analysis_grid()
     eta = _linear_coefficient(bounds.b, K, alpha)
     kappa: KFn = LinearK(eta) if eta is not None else BoundAlphaInvK(bounds.b, alpha, K)
     margins = (grid - kappa(grid)) / grid
@@ -177,7 +176,6 @@ def find_contraction_max(bounds: DerivedBounds, alpha: KFn, K: int,
 
 
 def find_contraction_sum(bounds: DerivedBounds, alpha: KFn, K: int,
-                         r_grid: Optional[np.ndarray] = None,
                          thetas: Sequence[float] = (0.25, 0.5)) -> ContractionAnalysis:
     """Sum-mode contraction with proportional slack.
 
@@ -188,7 +186,7 @@ def find_contraction_sum(bounds: DerivedBounds, alpha: KFn, K: int,
     """
     if bounds.mode is not PlusMode.SUM:
         raise DomainError("find_contraction_sum requires sum-mode bounds")
-    grid = analysis_grid() if r_grid is None else np.asarray(r_grid, dtype=float)
+    grid = analysis_grid()
     eta = _linear_coefficient(bounds.b, K, alpha)
     g: KFn = LinearK(eta) if eta is not None else BoundAlphaInvK(bounds.b, alpha, K)
     g_values = g(grid)
@@ -337,7 +335,9 @@ def build_hat_bounds(analysis: ContractionAnalysis, bounds: DerivedBounds,
 @dataclass(frozen=True)
 class BarBounds:
     """Envelopes over the horizon sweep: theta_bar_K = sup over k >= K of the
-    hat bounds, truncated at the largest swept horizon (recorded)."""
+    hat bounds, truncated at the largest swept horizon (recorded).  ``b_bar``
+    evaluates the envelope of b_hat; ``kl_evidence`` holds the grid checks of
+    all three envelopes, in (b, c, d) order."""
 
     K0: int
     K_max: int
@@ -346,26 +346,15 @@ class BarBounds:
     monotone_evidence: GridEvidence
     kl_evidence: Tuple[GridEvidence, ...]
 
-    def _envelope(self, name: str, K: int, r, t: int):
-        lo = max(K, self.K0)
-        values = (getattr(self.hat_family[k], name)(r, t) for k in range(lo, self.K_max + 1))
+    def b_bar(self, K: int, r: float, t: int) -> float:
+        values = (self.hat_family[k].b_hat(r, t) for k in range(max(K, self.K0), self.K_max + 1))
         if isinstance(r, np.ndarray):
             return functools.reduce(np.maximum, values)
         return max(values)
 
-    def b_bar(self, K: int, r: float, t: int) -> float:
-        return self._envelope("b_hat", K, r, t)
-
-    def c_bar(self, K: int, r: float, t: int) -> float:
-        return self._envelope("c_hat", K, r, t)
-
-    def d_bar(self, K: int, r: float, t: int) -> float:
-        return self._envelope("d_hat", K, r, t)
-
 
 def build_bar_bounds(hat_family: Dict[int, HatBounds], K0: int, K_max: int,
-                     bounds: DerivedBounds, r_grid: Optional[np.ndarray] = None,
-                     t_max: int = 12) -> BarBounds:
+                     bounds: DerivedBounds, t_max: int = 12) -> BarBounds:
     """Construct the envelopes and verify their contract on a grid.
 
     Requires a hat bound for every horizon in [K0, K_max] and a kappa family
@@ -376,7 +365,7 @@ def build_bar_bounds(hat_family: Dict[int, HatBounds], K0: int, K_max: int,
     for k in range(K0, K_max + 1):
         if k not in hat_family:
             raise DomainError(f"hat family must cover horizons {K0}..{K_max}; missing {k}")
-    grid = log_grid(ANALYSIS_R_MIN, ANALYSIS_R_MAX, 4) if r_grid is None else np.asarray(r_grid)
+    grid = log_grid(ANALYSIS_R_MIN, ANALYSIS_R_MAX, 4)
     for k in range(K0, K_max):
         ka, kb = hat_family[k].kappa, hat_family[k + 1].kappa
         rising = kb(grid) > ka(grid) * (1 + 1e-12)
@@ -459,8 +448,8 @@ class LemmaReport:
 
 
 def check_sum_to_max_lemma(kappa: KFn, rho: KFn, zeta: KFn, n_samples: int = 100_000,
-                           n_sequences: int = 1000, kls: Optional[Sequence[KLFn]] = None,
-                           seed: int = 0, tol: float = 1e-12) -> LemmaReport:
+                           n_sequences: int = 1000, seed: int = 0,
+                           tol: float = 1e-12) -> LemmaReport:
     """Verify the two inequalities behind the sum-to-max conversion.
 
     (a) For random (e, D): kappa(e) - rho(e) + D <= max(kappa(e), zeta(D)).
@@ -475,11 +464,10 @@ def check_sum_to_max_lemma(kappa: KFn, rho: KFn, zeta: KFn, n_samples: int = 100
     worst = float(((rhs - lhs) / np.maximum(1.0, rhs)).min())
     if worst < -tol:
         return LemmaReport(False, n_samples, worst, "case-split inequality violated")
-    if kls is None:
-        # representative summable gains: geometric and iterated-composition
-        kls = (SeparableGeometric(1.0, 1.0, 0.5),
-               SeparableGeometric(2.0, 1.0, 0.75),
-               IteratedKL(LinearK(0.5), LinearK(1.0)))
+    # representative summable gains: geometric and iterated-composition
+    kls = (SeparableGeometric(1.0, 1.0, 0.5),
+           SeparableGeometric(2.0, 1.0, 0.75),
+           IteratedKL(LinearK(0.5), LinearK(1.0)))
     worst_seq = math.inf
     for _ in range(n_sequences):
         T = int(gen.integers(1, 40))
@@ -511,8 +499,7 @@ class ExponentialEnvelope:
         return bool(self.C >= 1.0 and 0.0 < self.lam < 1.0 and self.worst_margin >= -1e-9)
 
 
-def rges_envelope(hat: HatBounds, bounds: DerivedBounds,
-                  r_grid: Optional[np.ndarray] = None, t_max: int = 60) -> ExponentialEnvelope:
+def rges_envelope(hat: HatBounds, bounds: DerivedBounds, t_max: int = 60) -> ExponentialEnvelope:
     """For a linear contraction, fit C, lam with b_hat(r, t) <= C lam^t r.
 
     lam combines the per-window contraction rate with the within-window decay
@@ -522,7 +509,7 @@ def rges_envelope(hat: HatBounds, bounds: DerivedBounds,
     if analysis.linear_rate is None:
         raise DomainError("exponential envelope requires a linear contraction")
     K = hat.K
-    grid = log_grid(ANALYSIS_R_MIN, ANALYSIS_R_MAX, 4) if r_grid is None else np.asarray(r_grid)
+    grid = log_grid(ANALYSIS_R_MIN, ANALYSIS_R_MAX, 4)
     probes = grid[:: max(1, len(grid) // 8)].tolist()      # Python floats: C is a float
     eta = analysis.linear_rate
     decay = 0.0

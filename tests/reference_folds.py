@@ -25,7 +25,7 @@ every row of a group to it.
 ``rgas_rhs``, ``mhe_bound`` and ``window_cost`` are the scalar folds of the
 full-information bound, the moving-horizon bound and the window cost: one
 gain call per term, folded with ``plus_reduce``.  ``test_bound_path.py``
-holds ``bound_trace`` and ``eval_cost`` to them.  ``ioss_pair_margins`` is
+holds ``bound_trace`` and ``_window_costs`` to them.  ``ioss_pair_margins`` is
 the same fold of the certificate inequality on one pair of solutions, as
 ``check_ioss_on_pair`` evaluated it before it went through
 ``bound_trace``, and ``falsify_pair_by_pair`` the falsifier that checks its
@@ -617,6 +617,12 @@ def _feasible_one(problem, prep, levels, record=False):
     return alive, intervals
 
 
+def _cost(problem, chi0, omega, nu):
+    """The cost of one window of the problem: a one-row ``_window_costs`` call."""
+    return E._window_costs(problem.cost, problem.prior[None], chi0[None], omega[None],
+                           nu[None])[0]
+
+
 def _reconstruct_one(problem, prep, level):
     model, K = problem.model, problem.horizon
     alive, intervals = _feasible_one(problem, prep, np.array([level]), record=True)
@@ -636,7 +642,7 @@ def _reconstruct_one(problem, prep, level):
         omega[j, 0] = chis[j + 1] - pred
     xs, endpoint, nu = _rollout_one(problem, chis[:1], omega)
     return E.EstimateResult(np.vstack([xs, endpoint[None, :]]), omega, nu,
-                            E.eval_cost(problem.cost, problem.prior, xs[0], omega, nu),
+                            _cost(problem, xs[0], omega, nu),
                             "ok", "max-interval", problem.prior.copy(), K)
 
 
@@ -658,7 +664,7 @@ def max_interval_window(problem):
     s_hi = math.inf
     for chi0, omega in starts:
         _, _, nu = _rollout_one(problem, chi0, omega)
-        val = E.eval_cost(problem.cost, problem.prior, chi0, omega, nu)
+        val = _cost(problem, chi0, omega, nu)
         if math.isfinite(val):
             s_hi = min(s_hi, val)
     if not math.isfinite(s_hi):

@@ -1,5 +1,5 @@
 """The one evaluation path of the discounted window quantities: the error
-bounds (``bound_trace``) and the window cost (``eval_cost``).
+bounds (``bound_trace``) and the window cost (``_window_costs``).
 
 ``golden_bounds.json`` pins the full-information and moving-horizon bound
 traces and the window costs of the catalog fixtures: every float as its
@@ -28,10 +28,8 @@ from mhestab.comparison import (
     DomainError,
     PowerK,
     SeparableGeometric,
-    TabulatedKL,
     check_summable,
 )
-from mhestab.estimator import eval_cost
 from mhestab.harness import (
     AnalysisError,
     ExperimentConfig,
@@ -42,6 +40,7 @@ from mhestab.harness import (
 from mhestab.systems import DisturbanceScenario, builtin_model, generate_scenario
 
 from reference_folds import mhe_bound, rgas_rhs, window_cost
+from test_estimator import one_window_cost
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_bounds.json")
 T_TRACE = 30
@@ -94,7 +93,7 @@ def _snapshots():
             resolved = resolve(ExperimentConfig(plant=plant, mode=mode))
             for K in COST_WINDOWS:
                 out[f"cost-{plant}-{mode}-K{K}"] = _reprs(
-                    [estimator.eval_cost(resolved.cost, *_cost_window(plant, K))])
+                    [one_window_cost(resolved.cost, *_cost_window(plant, K))])
             if plant not in TRACE_PLANTS:
                 continue
             hats = {}
@@ -169,15 +168,17 @@ def test_time_zero_and_empty_windows_give_the_initial_term():
     assert list(_mhe_trace(hat, 0.7, empty, empty)) == [SQUARE(0.7, 0)]
 
 
-def _nan_gain():
-    # one NaN cell in the table: every slice from age 1 to 49 is NaN at r = 1
-    return TabulatedKL(np.array([0.0, 1.0, 10.0]), np.array([0.0, 5.0, 50.0]),
-                       np.array([[0.0, 0.0, 0.0], [1.0, np.nan, 0.5], [10.0, 5.0, 1.0]]))
+class _NanGain(KLFn):
+    """A gain with a hole: r at age 0, and NaN at every r > 0 from age 1 on."""
+
+    def _eval(self, r, s):
+        out = np.where(r > 0.0, np.nan, 0.0) if s > 0 else r
+        return float(out) if type(r) is float else out
 
 
 @pytest.mark.parametrize("mode", [PlusMode.MAX, PlusMode.SUM])
 def test_a_nan_term_makes_the_bound_nan(mode):
-    trace = bound_trace(mode, GEOMETRIC, 0.7, (_nan_gain(), np.ones(6)), (GEOMETRIC, np.zeros(6)))
+    trace = bound_trace(mode, GEOMETRIC, 0.7, (_NanGain(), np.ones(6)), (GEOMETRIC, np.zeros(6)))
     assert trace[0] == GEOMETRIC(0.7, 0)
     assert np.isnan(trace[1:]).all()
 
@@ -185,7 +186,7 @@ def test_a_nan_term_makes_the_bound_nan(mode):
 def test_a_cell_with_a_nan_bound_is_an_error():
     config = ExperimentConfig(plant="s1", mode="sum", t_final=8)
     resolved = resolve(config)
-    nan_bounds = dataclasses.replace(resolved.bounds, c=_nan_gain())
+    nan_bounds = dataclasses.replace(resolved.bounds, c=_NanGain())
     noise = DisturbanceScenario("uniform", "bounded_uniform", amplitude=0.1)
     with pytest.raises(DomainError, match="NaN at t = 1"):
         run_cell(dataclasses.replace(resolved, bounds=nan_bounds), noise, 0)
@@ -207,7 +208,7 @@ def test_cost_matches_the_scalar_fold_on_nonlinear_gains(mode, dim):
     for K in (1, 2, 5):
         omega, nu = _draw(10 * K + dim, K, dim)
         chi0 = omega[0] + 0.3
-        assert _close(eval_cost(cost, prior, chi0, omega, nu),
+        assert _close(one_window_cost(cost, prior, chi0, omega, nu),
                       window_cost(cost, prior, chi0, omega, nu))
 
 
@@ -240,7 +241,7 @@ def test_catalog_gains_are_never_called_term_by_term(plant, mode):
     assert list(trace) == list(_fie_trace(bounds, D0, wn, vn))
     counted = CostSpec(cost.mode, cost.beta_hat, gains[2], gains[3], cost.summability)
     window = _cost_window(plant, 5)
-    assert eval_cost(counted, *window) == eval_cost(cost, *window)
+    assert one_window_cost(counted, *window) == one_window_cost(cost, *window)
     if plant != "s4":
         hat = hat_bounds_for(resolved, 4)
         hat_gains = [_Counting(hat.c_hat), _Counting(hat.d_hat)]

@@ -30,7 +30,6 @@ from mhestab.comparison import (
     SeparableGeometric,
     SFloorKL,
     SumK,
-    TabulatedKL,
     TriangleGrowth,
     check_kl_on_grid,
     check_summable,
@@ -38,7 +37,6 @@ from mhestab.comparison import (
     format_kfn,
     format_klfn,
     iterate_k,
-    k_inverse,
     log_grid,
     parse_kfn,
     parse_klfn,
@@ -96,26 +94,30 @@ def test_sum_distribution_inequality(values, kappa):
 # ---------------------------------------------------------------------------
 
 def test_k_inverse_examples():
-    assert k_inverse(LinearK(1.0), 3.0) == 3.0
-    assert k_inverse(LinearK(2.0), 5.0) == 2.5
-    assert abs(k_inverse(PowerK(1.0, 2.0), 9.0) - 3.0) <= 1e-9
+    assert LinearK(1.0).inverse(3.0) == 3.0
+    assert LinearK(2.0).inverse(5.0) == 2.5
+    assert abs(PowerK(1.0, 2.0).inverse(9.0) - 3.0) <= 1e-9
 
 
-def test_k_inverse_requires_k_infinity():
-    bounded = PiecewiseLinearK(((1.0, 1.0), (2.0, 1.5)))
-    # extended slope is positive here, so force a flat tail via composition check
-    assert bounded.is_unbounded
-    with pytest.raises(CapabilityError):
-        k_inverse(_Bounded(), 2.0)
+class _Saturating(KFn):
+    """r / (1 + r): a K-function that is not K-infinity, with the default
+    (bisection) inverse."""
 
-
-class _Bounded(PiecewiseLinearK):
-    def __init__(self):
-        super().__init__(knots=((1.0, 1.0),))
+    def _eval(self, r):
+        return r / (1.0 + r)
 
     @property
     def is_unbounded(self):
         return False
+
+
+def test_k_inverse_requires_k_infinity():
+    for f in (_Saturating(), ComposedK((LinearK(2.0), _Saturating()))):
+        assert not f.is_unbounded
+        with pytest.raises(CapabilityError):
+            f.inverse(0.5)
+        with pytest.raises(CapabilityError):
+            f.inverse(np.array([0.5]))
 
 
 def test_k_inverse_round_trip_on_log_grid():
@@ -123,7 +125,7 @@ def test_k_inverse_round_trip_on_log_grid():
            ComposedK((PowerK(1.0, 2.0), LinearK(0.5))), SumK((LinearK(1.0), PowerK(1.0, 2.0)))]
     for f in fns:
         for y in np.geomspace(1e-9, 1e3, 40):
-            x = k_inverse(f, y)
+            x = f.inverse(y)
             assert abs(f(x) - y) <= 1e-9 * max(1.0, y)
 
 
@@ -152,7 +154,7 @@ def test_iter_k_inverse_rejects_a_negative_target(n):
         f.inverse(-1.0)
     with pytest.raises(DomainError):
         f.inverse(np.array([1.0, -1.0]))
-    assert f.inverse(8.0) == k_inverse(f, 8.0) == 8.0 / 2.0 ** n
+    assert f.inverse(8.0) == 8.0 / 2.0 ** n
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +278,22 @@ def test_check_summable_partial_sum_oracle():
     assert g.sum_tail(r, 200) <= 1e-9
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class Tabulated(KLFn):
+    """A gain known only by samples: ``values[:, a]`` on ``r_grid`` at age
+    a, interpolated linearly in r and held from the last age on.  It has no
+    slope, tail bound or text form."""
+
+    r_grid: np.ndarray
+    values: np.ndarray
+
+    def _eval(self, r, s):
+        out = np.interp(r, self.r_grid, self.values[:, min(s, self.values.shape[1] - 1)])
+        return float(out) if type(r) is float else out
+
+
 def test_tabulated_rejected_by_summability():
-    tab = TabulatedKL(np.array([0.1, 1.0, 10.0]), np.array([0.0, 1.0, 2.0]),
-                      np.ones((3, 3)))
+    tab = Tabulated(np.array([0.0, 0.1, 1.0, 10.0]), np.outer([0.0, 0.1, 1.0, 10.0], [1.0] * 3))
     with pytest.raises(CapabilityError):
         check_summable(tab, LinearK(100.0))
 
@@ -398,10 +413,6 @@ TEXT_FORM_EXAMPLES = {
     "sfloor": SFloorKL(SeparableGeometric(1.0, 1.0, 0.5), 2),
 }
 
-#: Families with no text form, and why.
-NO_TEXT_FORM = {TabulatedKL: "holds sampled arrays, not parameters"}
-
-
 def test_every_text_form_has_an_example():
     assert set(TEXT_FORM_EXAMPLES) == set(TEXT_FORMS)
 
@@ -432,16 +443,15 @@ def test_text_forms_declare_one_kind_per_dataclass_field(name):
     assert all(not k.endswith("*") for k in kinds[:-1])
 
 
-def test_every_comparison_family_has_a_text_form_or_is_listed_without_one():
+def test_every_comparison_family_has_a_text_form():
     families = {cls for _, cls in inspect.getmembers(mhestab.comparison, inspect.isclass)
                 if issubclass(cls, (KFn, KLFn)) and cls not in (KFn, KLFn)
                 and cls.__module__ == mhestab.comparison.__name__}
-    with_text = {cls for cls, _ in TEXT_FORMS.values()}
-    assert families - with_text == set(NO_TEXT_FORM)
+    assert families == {cls for cls, _ in TEXT_FORMS.values() if cls is not TriangleGrowth}
 
 
 def test_a_family_without_a_text_form_cannot_be_formatted():
-    table = TabulatedKL(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros((2, 2)))
+    table = Tabulated(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]))
     with pytest.raises(CapabilityError):
         format_klfn(table)
     with pytest.raises(CapabilityError):

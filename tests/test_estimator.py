@@ -26,7 +26,6 @@ from mhestab.estimator import (
     InfeasibleWindowError,
     SolverConfig,
     certify_suboptimality,
-    eval_cost,
     run_fie,
     run_mhe,
     solve_window,
@@ -47,17 +46,23 @@ def _max_cost_shared():
 
 
 # ---------------------------------------------------------------------------
-# eval_cost
+# Window cost
 # ---------------------------------------------------------------------------
+
+def one_window_cost(cost, prior, chi0, omega, nu):
+    """The cost of one window: a one-row ``_window_costs`` call."""
+    return E._window_costs(cost, np.array([prior], dtype=float), np.array([chi0], dtype=float),
+                           omega[None], nu[None])[0]
+
 
 def test_eval_cost_examples():
     cost = _max_cost_shared()
     K = 2
     zero = np.zeros((K, 1))
     # chi0 = prior, no disturbances
-    assert eval_cost(cost, [1.0], [1.0], zero, zero) == 0.0
+    assert one_window_cost(cost, [1.0], [1.0], zero, zero) == 0.0
     # prior mismatch 1 discounted by K = 2: beta_hat = 2 * 0.25 * 1
-    assert eval_cost(cost, [0.0], [1.0], zero, zero) == pytest.approx(0.5)
+    assert one_window_cost(cost, [0.0], [1.0], zero, zero) == pytest.approx(0.5)
 
     sum_cost = M.CostSpec(PlusMode.SUM, SeparableGeometric(1.0, 1.0, 0.5),
                           SeparableGeometric(1.0, 1.0, 0.5),
@@ -67,14 +72,16 @@ def test_eval_cost_examples():
                               "delta_hat": M.check_summable(SeparableGeometric(1, 1, 0.5), LinearK(2.0)),
                           })
     omega = np.array([[1.0], [1.0]])   # ages 2 and 1
-    val = eval_cost(sum_cost, [0.0], [0.0], omega, zero)
+    val = one_window_cost(sum_cost, [0.0], [0.0], omega, zero)
     assert val == pytest.approx(0.25 + 0.5)
 
 
 def test_eval_cost_length_mismatch():
-    cost = _max_cost_shared()
+    # a reference window, the one a cost is certified on, cannot pair
+    # disturbance and noise sequences of unequal length
+    K2, K3 = np.zeros((2, 1)), np.zeros((3, 1))
     with pytest.raises(DomainError):
-        eval_cost(cost, [0.0], [0.0], np.zeros((2, 1)), np.zeros((3, 1)))
+        M.SolutionTuple(K2, K2, K2, K3, K2)
 
 
 def test_eval_cost_zero_lower_bound():
@@ -84,7 +91,7 @@ def test_eval_cost_zero_lower_bound():
         omega = gen.uniform(-1, 1, (3, 1))
         nu = gen.uniform(-1, 1, (3, 1))
         chi0 = gen.uniform(-1, 1, 1)
-        val = eval_cost(cost, [0.2], chi0, omega, nu)
+        val = one_window_cost(cost, [0.2], chi0, omega, nu)
         assert val >= 0.0
         zero = val == 0.0
         expect_zero = (chi0[0] == 0.2) and not omega.any() and not nu.any()
@@ -98,7 +105,7 @@ def test_eval_cost_zero_lower_bound():
 def _scan_oracle(model, cost, prior, y0, grid):
     best = math.inf
     for chi0 in grid:
-        val = eval_cost(cost, prior, [chi0], np.zeros((1, 1)), np.array([[y0 - chi0]]))
+        val = one_window_cost(cost, prior, [chi0], np.zeros((1, 1)), np.array([[y0 - chi0]]))
         best = min(best, val)
     return best
 
@@ -422,7 +429,7 @@ def test_certify_examples():
     assert record.passed and record.ratio <= 1.05
 
     # result with cost equal to the reference passes with ratio 1
-    j_ref = eval_cost(cost, result.prior, sol.x[0], sol.w, sol.v)
+    j_ref = one_window_cost(cost, result.prior, sol.x[0], sol.w, sol.v)
     result.cost = j_ref
     assert certify_suboptimality(result, sol, cost, 1.05).ratio == pytest.approx(1.0)
 
@@ -444,3 +451,29 @@ def test_certify_rejects_infeasible_reference():
     bad = M.SolutionTuple(x_bad, sol.u, sol.w, sol.v, sol.y)
     with pytest.raises(DomainError):
         certify_suboptimality(result, bad, cost, 1.05, model=model)
+    with pytest.raises(DomainError, match="at least one step"):
+        certify_suboptimality(result, sol.window(0, 0), cost, 1.05)
+
+
+@pytest.mark.parametrize("plant,mode,estimator,T", [("s1", "max", "mhe", 20),
+                                                     ("s4", "max", "fie", 6)])
+def test_single_window_certification_is_what_a_run_records(plant, mode, estimator, T):
+    # the run prices its reference windows as stacked rows; one window alone,
+    # through certify_suboptimality, must give each step's recorded ratio
+    from mhestab import harness as H
+    config = M.ExperimentConfig(plant=plant, mode=mode, estimator=estimator, horizon=4,
+                                t_final=T, seeds=(0,),
+                                scenarios=[M.DisturbanceScenario("uniform", "bounded_uniform",
+                                                                 amplitude=0.1)])
+    resolved = H.resolve(config)
+    cells = [(config.scenarios[0], 0)]
+    truths = H._truths(config, resolved.model, cells)
+    runs = H._estimate(resolved, truths.u[:T], truths.y[:, :T], 4)
+    rows = H._check_group(resolved, cells, H._cell_hat(resolved, 4), 4, truths, runs)[0].rows
+    assert sum(row["certified"] for row in rows[1:]) > 0
+    for t in range(1, T + 1):
+        res = runs[0][t]
+        record = certify_suboptimality(res, truths.cell(0).window(t - res.horizon, t),
+                                       resolved.cost, config.a_factor)
+        assert (record.ratio if math.isfinite(record.ratio) else -1.0) == \
+            rows[t]["certified_ratio"], t

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from mhestab import harness
+from mhestab import harness, stability
 from mhestab.cli import main as cli_main
 from mhestab.certificates import cost_to_text
 from mhestab.comparison import parse_klfn
@@ -300,6 +300,29 @@ def test_a_sweep_simulates_each_cell_once(tmp_path, monkeypatch, in_process_pool
         if name == "sweep.json":            # the config echo names its jobs
             a, b = a.replace(b'"jobs": 1', b'"jobs": 2'), b
         assert a == b, name
+
+
+@pytest.mark.parametrize("mode", ["max", "sum"])
+def test_a_pooled_sweep_checks_what_the_serial_sweep_checks(tmp_path, monkeypatch,
+                                                            in_process_pool, mode):
+    # the hat bounds are built once, in the parent, and sent to the workers
+    calls = []
+    for module, name in ((stability, "check_kl_on_grid"), (harness, "find_contraction_max"),
+                         (harness, "find_contraction_sum")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, _fn=fn, _name=name, **kw: calls.append(_name)
+                            or _fn(*args, **kw))
+    cfg = load_config(_write_config(tmp_path, estimator="mhe", t_final=6, extra="sweep = 2,4,8"))
+    cfg.mode = mode
+    horizon_sweep(cfg, str(tmp_path / "serial"))
+    serial = sorted(calls)
+    calls.clear()
+    cfg.jobs = 2
+    horizon_sweep(cfg, str(tmp_path / "pooled"))
+    assert in_process_pool == [2]
+    assert sorted(calls) == serial
+    assert "check_kl_on_grid" not in serial and len(serial) == 7    # K = 2..8, once each
 
 
 def test_mhe_probe_checks_a_window_holding_the_perturbed_step(tmp_path):
@@ -748,8 +771,9 @@ def test_cell_worker_uses_the_hat_bounds_of_each_horizon(mode):
                               scenarios=[DisturbanceScenario("uniform", "bounded_uniform",
                                                       amplitude=0.1)])
     cells = [(config.scenarios[0], seed) for seed in config.seeds]
-    fresh = _group_worker((config, (8,), cells))
-    _group_worker((config, (2,), cells))
-    after_k2 = _group_worker((config, (8,), cells))
+    hats = {K: harness._cell_hat(resolve(config), K) for K in (2, 8)}
+    fresh = _group_worker((config, {8: hats[8]}, cells))
+    _group_worker((config, {2: hats[2]}, cells))
+    after_k2 = _group_worker((config, {8: hats[8]}, cells))
     assert [cell.horizon for cell in after_k2] == [8, 8]
     assert after_k2 == fresh
