@@ -201,6 +201,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class CertificationRecord:
+    """Verdicts of :func:`certification_record`: arrays, or one step's scalars."""
+
     passed: bool
     ratio: float
     achieved: float
@@ -1313,10 +1315,9 @@ def certify_suboptimality(result: EstimateResult, reference: SolutionTuple, cost
     exact hypothesis under which the error bounds are asserted downstream; a
     failed certification excludes the step from bound checks rather than
     weakening them.  The reference is priced by a one-row
-    :func:`_window_costs` call.  The harness certifies a group of cells at
-    once: one :func:`_window_costs` call per window length, over the stacked
-    (step, cell) rows of that length, gives the reference costs, and
-    :func:`certification_record` judges each.
+    :func:`_window_costs` call and judged by element 0 of
+    :func:`certification_record`, which judges the reference costs of all
+    the (cell, step) rows of a harness group in one call.
     """
     if model is not None:
         rep = verify_solution(model, reference, tol_dyn=1e-6)
@@ -1326,14 +1327,17 @@ def certify_suboptimality(result: EstimateResult, reference: SolutionTuple, cost
         raise DomainError("reference window must contain at least one step")
     j_ref = _window_costs(cost, result.prior[None], reference.x[:1], reference.w[None],
                           reference.v[None])[0]
-    return certification_record(result.cost, j_ref, a_factor)
+    record = certification_record(np.array([result.cost]), np.array([j_ref]), a_factor)
+    return CertificationRecord(bool(record.passed[0]), float(record.ratio[0]), result.cost, j_ref)
 
 
-def certification_record(j_res: float, j_ref: float, a_factor: float) -> CertificationRecord:
-    """The verdict on an achieved cost j_res against a reference cost j_ref."""
+def certification_record(j_res: np.ndarray, j_ref: np.ndarray,
+                         a_factor: float) -> CertificationRecord:
+    """The verdicts on the achieved costs j_res against the reference costs
+    j_ref, elementwise over arrays of one shape: passed where j_res <= A j_ref
+    + TOL_CERT; the ratio j_res / j_ref where j_ref > 0, and elsewhere 1.0 if
+    j_res <= TOL_CERT and inf if not."""
     passed = j_res <= a_factor * j_ref + TOL_CERT
-    if j_ref > 0:
-        ratio = j_res / j_ref
-    else:
-        ratio = 1.0 if j_res <= TOL_CERT else math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(j_ref > 0, j_res / j_ref, np.where(j_res <= TOL_CERT, 1.0, math.inf))
     return CertificationRecord(passed, ratio, j_res, j_ref)

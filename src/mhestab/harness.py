@@ -61,7 +61,6 @@ from .certificates import (
     derive_bcd,
 )
 from .estimator import (
-    CertificationRecord,
     SolverConfig,
     _window_costs,
     certification_record,
@@ -360,12 +359,26 @@ def hat_bounds_for(resolved: ResolvedExperiment, K: int,
 # Cells
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class CellResult:
+    """One cell's check as columns over t = 0..T: ``xhat`` and ``x_true`` of
+    shape (T + 1, n), the other arrays of length T + 1, and ``status``.
+    ``window_margin`` holds a value only where ``window_mask`` is set."""
+
     scenario: str
     seed: int
     horizon: int           # 0 for FIE
-    rows: List[dict]
+    xhat: np.ndarray
+    x_true: np.ndarray
+    error: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    window_margin: np.ndarray
+    window_mask: np.ndarray
+    achieved_cost: np.ndarray
+    certified_ratio: np.ndarray
+    certified: np.ndarray
+    status: List[str]
     min_margin: float
     certified_steps: int
     total_steps: int
@@ -380,27 +393,23 @@ class CellResult:
         return f"{self.scenario}-seed{self.seed}" + (f"-K{self.horizon}" if self.horizon else "")
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
+def trace_to_csv(cell: CellResult) -> str:
+    """The cell's trace CSV, each column formatted once (floats by ``repr``)."""
+    n = cell.xhat.shape[1]
+    header = ["t", *(f"xhat{i}" for i in range(n)), *(f"x_true{i}" for i in range(n)),
+              "error", "rhs", "margin", "window_margin", "achieved_cost", "certified_ratio",
+              "certified", "status"]
 
+    def fmt(col: np.ndarray):
+        return map(repr, col.tolist())
 
-def trace_to_csv(rows: List[dict], state_dim: int) -> str:
-    header = ["t"]
-    header += [f"xhat{i}" for i in range(state_dim)]
-    header += [f"x_true{i}" for i in range(state_dim)]
-    header += ["error", "rhs", "margin", "window_margin", "achieved_cost",
-               "certified_ratio", "certified", "status"]
-    lines = [",".join(header)]
-    for row in rows:
-        parts = [str(row["t"])]
-        parts += [_fmt(v) for v in row["xhat"]]
-        parts += [_fmt(v) for v in row["x_true"]]
-        parts += [_fmt(row["error"]), _fmt(row["rhs"]), _fmt(row["margin"]),
-                  _fmt(row.get("window_margin")), _fmt(row["achieved_cost"]),
-                  _fmt(row["certified_ratio"]), str(int(row["certified"])), row["status"]]
-        lines.append(",".join(parts))
+    window = [repr(m) if checked else "" for m, checked in
+              zip(cell.window_margin.tolist(), cell.window_mask.tolist())]
+    columns = [map(str, range(cell.total_steps)), *map(fmt, cell.xhat.T),
+               *map(fmt, cell.x_true.T), fmt(cell.error), fmt(cell.rhs), fmt(cell.margin),
+               window, fmt(cell.achieved_cost), fmt(cell.certified_ratio),
+               map(str, cell.certified.astype(int).tolist()), cell.status]
+    lines = [",".join(header), *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -436,16 +445,18 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
                  truths: SolutionTuple, runs: List[list]) -> List[CellResult]:
     """Certify and evaluate the bounds of the (scenario, seed) cells of
     horizon K, from the stack of their truths and each cell's estimator
-    results.
+    results, as one :class:`CellResult` of columns per cell.
 
-    Each quantity takes one array pass over the C cells: alpha of the
-    estimation error at every (cell, t); the reference costs, one
-    :func:`_window_costs` call per window length over the stacked (step,
-    cell) rows of that length; the bound traces, one
-    :func:`bound_trace` call; and each moving-horizon window bound, one gain
-    call per age.  Every number is what the cell gives alone, and a cell's
-    NaN bound or NaN or negative window term at a certified step raises
-    :class:`DomainError` as that cell alone raises it.
+    Each per-step quantity is one array pass over the (C, T + 1) steps: alpha
+    of the error; the reference costs, one :func:`_window_costs` call per
+    window length over the stacked (step, cell) rows of that length, judged
+    by one :func:`certification_record`; the moving-horizon chain, a running
+    AND; the bound traces, one :func:`bound_trace` call; each window bound,
+    one gain call per age; and the margins, as Python's ``min`` takes them.
+    A cell's worst step is its first certified step of least margin, never
+    a NaN one.  Every number is what the cell gives alone, and a cell's NaN
+    bound or NaN or negative window term at a certified step raises
+    :class:`DomainError` as that cell alone raises it, the first cell first.
     """
     config = resolved.config
     model, cert, cost, bounds = resolved.model, resolved.cert, resolved.cost, resolved.bounds
@@ -453,6 +464,7 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
     is_mhe = config.estimator == "mhe"
     x, w, v = truths.x, truths.w, truths.v                             # (C, T + 1, .)
     published = np.array([[res.published for res in run] for run in runs])
+    achieved = np.array([[res.cost for res in run] for run in runs])
     w_norms, v_norms = seq_norms(w), seq_norms(v)
     d0 = row_distances(x[:, 0], _initial(config, model)[1])
     if is_mhe:
@@ -463,21 +475,25 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
         rhs = bound_trace(bounds.mode, bounds.b, d0, (bounds.c, w_norms[:, :T]),
                           (bounds.d, v_norms[:, :T]))
     errors = cert.alpha(row_distances(x, published))
-    records = [[CertificationRecord(True, 1.0, 0.0, 0.0)] * (T + 1) for _ in cells]
+    j_ref = np.zeros_like(achieved)
     by_length: Dict[int, List[int]] = {}
     for t in range(1, T + 1):
         by_length.setdefault(runs[0][t].horizon, []).append(t)
     for L, steps in by_length.items():
         # the reference windows of every step of length L, stacked step-major
-        j_refs = _window_costs(cost, np.array([run[t].prior for t in steps for run in runs]),
-                               np.concatenate([x[:, t - L] for t in steps]),
-                               np.concatenate([w[:, t - L:t] for t in steps]),
-                               np.concatenate([v[:, t - L:t] for t in steps]))
-        for i, t in enumerate(steps):
-            for c, run in enumerate(runs):
-                records[c][t] = certification_record(run[t].cost, j_refs[i * len(runs) + c],
-                                                     config.a_factor)
-    window_terms = None
+        j_ref[:, steps] = np.reshape(_window_costs(
+            cost, np.array([run[t].prior for t in steps for run in runs]),
+            np.concatenate([x[:, t - L] for t in steps]),
+            np.concatenate([w[:, t - L:t] for t in steps]),
+            np.concatenate([v[:, t - L:t] for t in steps])), (len(steps), -1)).T
+    # t = 0 publishes the prior: no cost against none, it passes with ratio 1
+    record = certification_record(np.insert(achieved[:, 1:], 0, 0.0, axis=1), j_ref,
+                                  config.a_factor)
+    certified = np.logical_and.accumulate(record.passed, axis=1) if is_mhe else record.passed
+    margin = rhs - errors
+    window_margin = np.full_like(margin, math.nan)
+    window_mask = np.zeros(margin.shape, dtype=bool)
+    bad_terms = np.zeros_like(window_mask)      # a NaN or negative term at a checked step
     if is_mhe and T > K:
         # the terms of window_margin at t = K+1..T: kappa of the error K
         # steps back, then c and d of the disturbances at ages 1..K
@@ -485,54 +501,32 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
         for tau in range(1, K + 1):
             window_terms.append(bounds.c(w_norms[:, K + 1 - tau:T + 1 - tau], tau))
             window_terms.append(bounds.d(v_norms[:, K + 1 - tau:T + 1 - tau], tau))
-        window_bounds = plus_fold(bounds.mode, window_terms).tolist()
-        bad_terms = ~np.all([term >= 0.0 for term in window_terms], axis=0)
+        window_mask[:, K + 1:] = certified[:, K + 1:]
+        window_margin[:, K + 1:] = np.where(window_mask[:, K + 1:], plus_fold(
+            bounds.mode, window_terms) - errors[:, K + 1:], math.nan)
+        bad_terms[:, K + 1:] = window_mask[:, K + 1:] & ~np.all(
+            [term >= 0.0 for term in window_terms], axis=0)
+    # Python's min(margin, window_margin): NaN where no window was checked
+    effective = np.where(window_margin < margin, window_margin, margin)
+    ranked = np.where(certified & (effective < math.inf), effective, math.inf)
+    worst_t = np.argmin(ranked, axis=1).tolist()
+    ratio = np.where(np.isfinite(record.ratio), record.ratio, -1.0)
     out = []
     for c, (scenario, seed) in enumerate(cells):
         if np.isnan(rhs[c]).any():      # a NaN margin would never count as violated
             raise DomainError(f"error bound is NaN at t = {int(np.argmax(np.isnan(rhs[c])))}")
-        rows = []
-        chain_certified = True
-        certified_steps = 0
-        min_margin = math.inf
-        worst = {}
-        for t, (xhat, x_true, err, rhs_t, record, res) in enumerate(zip(
-                published[c].tolist(), x[c].tolist(), errors[c].tolist(), rhs[c].tolist(),
-                records[c], runs[c])):
-            if is_mhe:
-                chain_certified = chain_certified and record.passed
-                certified = chain_certified
-            else:
-                certified = record.passed
-            margin = rhs_t - err
-            window_margin = None
-            if window_terms is not None and t > K and certified:
-                if bad_terms[c, t - K - 1]:
-                    plus_reduce(bounds.mode, [term[c, t - K - 1] for term in window_terms])
-                window_margin = window_bounds[c][t - K - 1] - err
-            if certified:
-                certified_steps += 1
-                eff = margin if window_margin is None else min(margin, window_margin)
-                if eff < min_margin:
-                    min_margin = eff
-                    worst = {"t": t, "scenario": scenario.name, "seed": seed,
-                             "margin": eff, "error": err, "rhs": rhs_t}
-            rows.append({
-                "t": t,
-                "xhat": xhat,
-                "x_true": x_true,
-                "error": err,
-                "rhs": rhs_t,
-                "margin": margin,
-                "window_margin": window_margin,
-                "achieved_cost": res.cost,
-                "certified_ratio": record.ratio if math.isfinite(record.ratio) else -1.0,
-                "certified": certified,
-                "status": res.status,
-            })
-        out.append(CellResult(scenario.name, seed, K if is_mhe else 0, rows,
-                              min_margin if certified_steps else math.inf,
-                              certified_steps, T + 1, worst))
+        if bad_terms[c].any():
+            i = int(np.argmax(bad_terms[c])) - K - 1
+            plus_reduce(bounds.mode, [term[c, i] for term in window_terms])
+        t = worst_t[c]
+        min_margin = float(ranked[c, t])
+        worst = {} if min_margin == math.inf else {
+            "t": t, "scenario": scenario.name, "seed": seed, "margin": min_margin,
+            "error": float(errors[c, t]), "rhs": float(rhs[c, t])}
+        out.append(CellResult(scenario.name, seed, K if is_mhe else 0, published[c], x[c],
+                              errors[c], rhs[c], margin[c], window_margin[c], window_mask[c],
+                              achieved[c], ratio[c], certified[c], [res.status for res in runs[c]],
+                              min_margin, int(certified[c].sum()), T + 1, worst))
     return out
 
 
@@ -651,11 +645,11 @@ def _write_json(path: str, obj: dict):
     _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_traces(out: str, cells: List[CellResult], state_dim: int) -> dict:
+def _write_traces(out: str, cells: List[CellResult]) -> dict:
     """Write every cell's trace CSV; return the report's violations (the
     worst step of every cell with a negative certified margin) and status."""
     for cell in cells:
-        _write(os.path.join(out, f"trace_{cell.label}.csv"), trace_to_csv(cell.rows, state_dim))
+        _write(os.path.join(out, f"trace_{cell.label}.csv"), trace_to_csv(cell))
     violations = [c.worst for c in cells if c.certified_steps and c.min_margin < -MARGIN_TOL]
     return {"violations": violations, "status": "bound-violation" if violations else "pass"}
 
@@ -697,7 +691,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None) -> E
     out = os.path.join(out_dir or config.out_dir, config.name)
     hat = _cell_hat(resolved, config.horizon)
     cells = run_cells(resolved, (config.horizon,), {config.horizon: hat})
-    verdict = _write_traces(out, cells, resolved.model.state_dim)
+    verdict = _write_traces(out, cells)
     _write_json(os.path.join(out, "plots.json"), _plot_spec(cells, config.name))
     analysis = _analysis_summary(resolved, {hat.K: hat.analysis} if hat else {})
     _write_report(out, "report.json", config, analysis=analysis, cells=[{
@@ -755,7 +749,7 @@ def horizon_sweep(config: ExperimentConfig, out_dir: Optional[str] = None) -> di
     # full-information cells do not depend on the horizon: run them once
     cells = run_cells(resolved, passing if config.estimator == "mhe" else passing[:1],
                       hat_family)
-    verdict = _write_traces(out, cells, resolved.model.state_dim)
+    verdict = _write_traces(out, cells)
     return _write_report(
         out, "sweep.json", config,
         analysis=_analysis_summary(resolved, analyses),

@@ -292,8 +292,7 @@ def test_criterion_8_convergence_under_decay():
         for seed in config.seeds:
             cell = run_cell(resolved, decay[0], seed, hat)
             assert cell.certified_steps == cell.total_steps
-            errors = np.array([row["error"] for row in cell.rows])
-            rhs = np.array([row["rhs"] for row in cell.rows])
+            errors, rhs = cell.error, cell.rhs
             if errors[q:].max() > rhs[q] + MARGIN_TOL:
                 ok = False
             worst_ratio = max(worst_ratio, rhs[T] / rhs[0])

@@ -1,9 +1,11 @@
 """The per-layer benchmark (``bench/tracer.py``) wraps mhestab functions by
-name and reports a missing one only as ``not traced (absent)``.  This test
-fails instead when a rename in ``src`` leaves one of its bindings behind."""
+name and reports a missing one only as ``not traced (absent)``.  These tests
+fail instead when a rename in ``src`` leaves one of its bindings behind, or
+when ``harness._write`` no longer takes the text the tracer measures."""
 
 import ast
 import importlib
+import inspect
 import os
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
@@ -25,3 +27,10 @@ def test_every_traced_binding_resolves_to_a_callable():
     missing = [f"{module}.{name}" for module, name in targets
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert not missing, missing
+
+
+def test_the_write_binding_takes_the_artifact_text_as_text():
+    # the tracer sizes each artifact from _write's second argument, read by
+    # position or as the keyword text
+    from mhestab import harness
+    assert list(inspect.signature(harness._write).parameters)[1] == "text"

@@ -10,11 +10,11 @@ row must be its cell run alone, byte for byte, and every
 window must be what the one-window references give:
 ``reference_folds.max_interval_window`` for the level bisection and
 ``reference_folds.sum_pwl_window`` for the dynamic program.  The harness
-checks the cells of a horizon group at once; every row, margin and
+checks the cells of a horizon group at once; every column, margin and
 certified count must be what ``reference_folds.check_cell`` gives for the
-cell alone.  The row-equality facts of numpy that the engines rely on are
-pinned at the end, with the row forms of the cost's terms and fold, and
-the fitted exponential envelopes.
+cell alone, one row per step.  The row-equality facts of numpy that the
+engines rely on are pinned at the end, with the row forms of the cost's
+terms and fold, and the fitted exponential envelopes.
 """
 
 import dataclasses
@@ -38,7 +38,7 @@ from mhestab.comparison import (
     gain_terms,
     seq_norms,
 )
-from mhestab.certificates import CostSpec
+from mhestab.certificates import TOL_CERT, CostSpec
 from mhestab.estimator import (
     EstimationProblem,
     InfeasibleWindowError,
@@ -635,19 +635,36 @@ CHECK_SCENARIOS = [
 ]
 
 
-def _check_against_the_loop(resolved, K):
+def _columns(cell):
+    """A cell's columns under the field names of the reference's rows, with
+    a window margin of None where no window was checked."""
+    return {"t": list(range(cell.total_steps)), "xhat": cell.xhat.tolist(),
+            "x_true": cell.x_true.tolist(), "error": cell.error.tolist(),
+            "rhs": cell.rhs.tolist(), "margin": cell.margin.tolist(),
+            "window_margin": [m if checked else None for m, checked in
+                              zip(cell.window_margin.tolist(), cell.window_mask.tolist())],
+            "achieved_cost": cell.achieved_cost.tolist(),
+            "certified_ratio": cell.certified_ratio.tolist(),
+            "certified": cell.certified.tolist(), "status": cell.status}
+
+
+def _check_against_the_loop(resolved, K, patch=lambda runs: None):
+    """The group check of the configured cells at horizon K, after ``patch``
+    edits their estimator results, each cell held to the one-cell loop by
+    repr, column by column."""
     config = resolved.config
     hat = H._cell_hat(resolved, K)
     cells = [(scenario, seed) for scenario in config.scenarios for seed in config.seeds]
     T = config.t_final
     truths = H._truths(config, resolved.model, cells)
     runs = H._estimate(resolved, truths.u[:T], truths.y[:, :T], K)
+    patch(runs)
     group = H._check_group(resolved, cells, hat, K, truths, runs)
     for c, ((scenario, seed), cell, run) in enumerate(zip(cells, group, runs)):
         rows, min_margin, certified, worst = check_cell(resolved, scenario, seed, hat, K,
                                                         (truths.cell(c), run))
-        assert [{k: repr(v) for k, v in row.items()} for row in cell.rows] == \
-            [{k: repr(v) for k, v in row.items()} for row in rows]
+        assert {name: repr(column) for name, column in _columns(cell).items()} == \
+            {name: repr([row[name] for row in rows]) for name in rows[0]}
         assert (repr(cell.min_margin), cell.certified_steps, repr(cell.worst)) == \
             (repr(min_margin), certified, repr(worst))
     return group
@@ -668,6 +685,47 @@ def test_the_group_check_equals_the_one_cell_loop(plant, K, mode):
         assert plant == "s4" and K is not None          # s4 contracts from K = 16
         return
     assert sum(cell.certified_steps for cell in group) > 0
+
+
+def _noise_free_from_the_true_state(K, T):
+    """An s1 cell with zero disturbances whose prior is its true state."""
+    return resolve(ExperimentConfig(plant="s1", mode="max",
+                                    estimator="fie" if K is None else "mhe", horizon=K or 4,
+                                    t_final=T, prior_offset=0.0, scenarios=CHECK_SCENARIOS[:1]))
+
+
+@pytest.mark.parametrize("K", [None, 2], ids=["fie", "mhe2"])
+def test_a_noise_free_cell_from_the_true_state_is_exact_to_the_bit(K):
+    T = 12
+    cell, = _check_against_the_loop(_noise_free_from_the_true_state(K, T), K or 4)
+    # every cost is 0, so a ratio of 1.0 is the zero-reference rule's, and
+    # every margin is exactly 0.0
+    assert cell.achieved_cost.tolist() == [0.0] * (T + 1)
+    assert cell.certified_ratio.tolist() == [1.0] * (T + 1)
+    assert cell.certified.all()
+    margins = np.concatenate([cell.margin, cell.window_margin[cell.window_mask]])
+    assert [repr(m) for m in margins.tolist()] == ["0.0"] * margins.size
+    assert cell.window_mask.sum() == (0 if K is None else T - K)
+    # the least margin ties at every step: the first one is the worst
+    assert (cell.min_margin, cell.worst["t"]) == (0.0, 0)
+
+
+@pytest.mark.parametrize("K", [None, 2], ids=["fie", "mhe2"])
+def test_a_cost_above_a_zero_reference_is_uncertified(K):
+    T, bad = 12, 5
+
+    def overpriced_step(runs):
+        runs[0][bad].cost = 2 * TOL_CERT
+
+    cell, = _check_against_the_loop(_noise_free_from_the_true_state(K, T), K or 4,
+                                    overpriced_step)
+    # the ratio to a zero reference is inf, written as -1.0
+    assert cell.certified_ratio.tolist() == [1.0] * bad + [-1.0] + [1.0] * (T - bad)
+    if K is None:
+        assert cell.certified.tolist() == [True] * bad + [False] + [True] * (T - bad)
+    else:                               # the chain is broken from that step on
+        assert cell.certified.tolist() == [True] * bad + [False] * (T + 1 - bad)
+        assert cell.window_mask.sum() == bad - K - 1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -712,7 +770,7 @@ def test_a_bad_window_term_at_a_certified_step_is_an_error(bad, monkeypatch):
 def test_a_bad_window_term_after_the_chain_breaks_is_not_read(bad, monkeypatch):
     cell = _mhe_with_a_bad_window_term(bad, monkeypatch, break_chain=True)
     assert cell.certified_steps == 1                   # t = 0 only
-    assert all(row["window_margin"] is None for row in cell.rows)
+    assert not cell.window_mask.any()
 
 
 # ---------------------------------------------------------------------------

@@ -469,11 +469,11 @@ def test_single_window_certification_is_what_a_run_records(plant, mode, estimato
     cells = [(config.scenarios[0], 0)]
     truths = H._truths(config, resolved.model, cells)
     runs = H._estimate(resolved, truths.u[:T], truths.y[:, :T], 4)
-    rows = H._check_group(resolved, cells, H._cell_hat(resolved, 4), 4, truths, runs)[0].rows
-    assert sum(row["certified"] for row in rows[1:]) > 0
+    cell = H._check_group(resolved, cells, H._cell_hat(resolved, 4), 4, truths, runs)[0]
+    assert cell.certified[1:].any()
     for t in range(1, T + 1):
         res = runs[0][t]
         record = certify_suboptimality(res, truths.cell(0).window(t - res.horizon, t),
                                        resolved.cost, config.a_factor)
         assert (record.ratio if math.isfinite(record.ratio) else -1.0) == \
-            rows[t]["certified_ratio"], t
+            cell.certified_ratio[t], t

@@ -2,11 +2,14 @@
 and the CLI exit-code contract."""
 
 import dataclasses
+import gc
 import importlib.util
 import json
 import os
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from mhestab import harness, stability
@@ -30,6 +33,15 @@ from mhestab.harness import (
 )
 from mhestab.systems import DisturbanceScenario
 from test_comparison import MALFORMED_K_TEXT, MALFORMED_KL_TEXT
+
+
+def _exact(cell):
+    """Every field of a cell result: its columns by dtype, shape and bytes,
+    which tell -0.0 from 0.0, and the rest by repr."""
+    return [(f.name, (value.dtype.str, value.shape, value.tobytes())
+             if isinstance(value, np.ndarray) else repr(value))
+            for f in dataclasses.fields(cell) for value in [getattr(cell, f.name)]]
+
 
 BASE_CONFIG = """
 [experiment]
@@ -276,7 +288,7 @@ def test_jobs_pool_has_no_more_workers_than_chunks(tmp_path, in_process_pool):
     cfg.jobs = 5000
     pooled = harness.run_cells(resolve(cfg), (cfg.horizon,))
     assert in_process_pool == [4]
-    assert [(c.key(), c.rows) for c in pooled] == [(c.key(), c.rows) for c in serial]
+    assert [_exact(c) for c in pooled] == [_exact(c) for c in serial]
 
 
 def test_a_sweep_simulates_each_cell_once(tmp_path, monkeypatch, in_process_pool):
@@ -382,10 +394,10 @@ def test_window_step_margins_recorded(tmp_path):
                                                           amplitude=0.1)],
                            out_dir=str(tmp_path))
     report = run_experiment(cfg)
-    rows = report.cells[0].rows
-    checked = [r for r in rows if r["window_margin"] is not None]
-    assert checked, "window-step inequality should be evaluated after the horizon fills"
-    assert all(r["window_margin"] >= -1e-9 for r in checked)
+    cell = report.cells[0]
+    checked = cell.window_margin[cell.window_mask]
+    assert checked.size, "window-step inequality should be evaluated after the horizon fills"
+    assert (checked >= -1e-9).all()
 
 
 @pytest.mark.parametrize("mode", ["max", "sum"])
@@ -399,8 +411,34 @@ def test_mhe_cell_run_alone_checks_its_hat_bounds(mode):
     resolved = resolve(cfg)
     alone = run_cell(resolved, cfg.scenarios[0], 0)
     with_hat = run_cell(resolved, cfg.scenarios[0], 0, harness._cell_hat(resolved, 2))
-    assert alone == with_hat
-    assert sum(r["window_margin"] is not None for r in alone.rows) == alone.certified_steps - 3
+    assert _exact(alone) == _exact(with_hat)
+    assert alone.window_mask.sum() == alone.certified_steps - 3
+
+
+def test_the_cell_results_of_a_sweep_hold_columns_not_rows():
+    # one max-mode sweep of the benchmark's s1 shape: 4 scenarios x 4 seeds at
+    # horizons 2, 4 and 8, T = 60.  The columns take about 0.3 MB; the bound
+    # is under a quarter of the 2.3 MB that one dict per step takes.
+    scenarios = [DisturbanceScenario("zero", "zero"),
+                 DisturbanceScenario("uniform", "bounded_uniform", amplitude=0.1),
+                 DisturbanceScenario("decay", "decaying_geometric", amplitude=1.0, rate=0.8),
+                 DisturbanceScenario("impulse", "impulse", time=5, magnitude=1.0)]
+    config = ExperimentConfig(plant="s1", mode="max", estimator="mhe", sweep=(2, 4, 8),
+                              t_final=60, seeds=(0, 1, 2, 3), scenarios=scenarios)
+    resolved = resolve(config)
+    hats = {K: harness._cell_hat(resolved, K) for K in config.sweep}
+    harness.run_cells(resolved, config.sweep, hats)     # builds every lazy table first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cells = harness.run_cells(resolved, config.sweep, hats)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cells) == 48
+    assert held < 500_000, held
 
 
 # ---------------------------------------------------------------------------
@@ -776,4 +814,4 @@ def test_cell_worker_uses_the_hat_bounds_of_each_horizon(mode):
     _group_worker((config, {2: hats[2]}, cells))
     after_k2 = _group_worker((config, {8: hats[8]}, cells))
     assert [cell.horizon for cell in after_k2] == [8, 8]
-    assert after_k2 == fresh
+    assert [_exact(cell) for cell in after_k2] == [_exact(cell) for cell in fresh]
