@@ -813,9 +813,9 @@ def gain_terms(fn: KLFn, ages: range, r, s_max: Optional[int] = None) -> np.ndar
 
     When every slice of fn up to ``s_max`` (default: the largest age) is
     linear in r, the terms are one product of a slice of the slope table with
-    r; otherwise each term is one scalar call.  ``r`` may carry a leading
-    axis of windows, (C, len(ages)); each row gets the terms of its window
-    alone.
+    r; otherwise one array call per age, after one check of r.  ``r`` may
+    carry a leading axis of windows, (C, len(ages)); each row gets the terms
+    of its window alone.
     """
     r = np.asarray(r, dtype=float)
     if r.shape[-1] != len(ages):
@@ -824,8 +824,8 @@ def gain_terms(fn: KLFn, ages: range, r, s_max: Optional[int] = None) -> np.ndar
         return np.empty(r.shape)
     table = slope_table(fn, max(ages[0], ages[-1]) if s_max is None else s_max)
     if table is None:
-        return np.array([[fn(float(x), age) for x, age in zip(row, ages)]
-                         for row in r.reshape(-1, len(ages))], dtype=float).reshape(r.shape)
+        rows = _check_array(r, "KL first argument").reshape(-1, len(ages))
+        return np.stack([fn(col, age) for col, age in zip(rows.T, ages)], axis=-1).reshape(r.shape)
     stop = ages.stop if ages.stop >= 0 else None
     return table[ages.start:stop:ages.step] * r
 

@@ -36,9 +36,10 @@ stacks and the published anchors: a growing window goes one group per
 step, and the full moving windows of up to K consecutive steps that share
 their inputs go as one group, since each is anchored at an estimate
 published K steps before it.  Every engine solves a group as one, one row
-per window, and every row uses exactly the arithmetic of its window solved
-alone.  The max-mode engine bisects levels of shape (C, 48);
-its per-window branches are masks over the rows, and a failing row raises
+per window, into one stacked :class:`EstimateResult`, the drivers' result
+of a step, and every row uses exactly the arithmetic of its window solved
+alone.  The max-mode engine bisects levels of shape (C, 48); its
+per-window branches are masks over the rows, and a failing row raises
 ``InfeasibleWindowError`` for its whole group.  The sum-mode engine holds
 the C value functions as padded (C, M) breakpoint and slope arrays with a
 count per row.  The generic engines run every (window, start) pair of the
@@ -61,7 +62,7 @@ needs plant maps that accept a leading batch axis (see
 of windows of one length by the rule of the error bounds in
 :mod:`mhestab.certificates`: ``gain_terms`` evaluates each gain over the
 windows' ages (a slope product when every slice is linear in r, otherwise
-one call per term), and ``fold_terms`` combines them.  A solved window's
+one array call per age), and ``fold_terms`` combines them.  A solved window's
 cost and the reference cost of :func:`certify_suboptimality` are rows of
 it.  The engines' objective shares the rollout and the noise elimination
 but keeps its own fold: it calls each gain once per age on a column of
@@ -73,7 +74,7 @@ the slope products would move the iterates pinned by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -143,6 +144,11 @@ class EstimationProblem:
 
 @dataclass(eq=False)
 class EstimateResult:
+    """The estimate of one window, or the stack of the R windows of a group:
+    a leading row axis on xhat, what, vhat and prior, (R,) arrays of cost,
+    iterations, residual and starts_used, one status per row, and the one
+    engine and horizon.  :meth:`cell` gives window i of a stack."""
+
     xhat: np.ndarray      # (K+1, n) window states including the published endpoint
     what: np.ndarray      # (K, q)
     vhat: np.ndarray      # (K, m)
@@ -157,7 +163,20 @@ class EstimateResult:
 
     @property
     def published(self) -> np.ndarray:
-        return self.xhat[-1]
+        return self.xhat[..., -1, :]
+
+    def cell(self, i: int) -> "EstimateResult":
+        """Window i of a stack, as that window solved alone gives it."""
+        return EstimateResult(self.xhat[i], self.what[i], self.vhat[i], float(self.cost[i]),
+                              self.status[i], self.engine, self.prior[i], self.horizon,
+                              int(self.iterations[i]), float(self.residual[i]),
+                              int(self.starts_used[i]))
+
+    def take(self, rows: slice) -> "EstimateResult":
+        """The stack of a slice of the rows of a stack."""
+        return replace(self, **{name: getattr(self, name)[rows] for name in (
+            "xhat", "what", "vhat", "cost", "status", "prior", "iterations", "residual",
+            "starts_used")})
 
     def as_solution(self, model: SystemModel, u_win: np.ndarray) -> SolutionTuple:
         """The window part of the estimate as a solution tuple (reproduces the
@@ -306,19 +325,23 @@ def _candidate_starts(rows: _Rows) -> List[Tuple[np.ndarray, np.ndarray]]:
     return starts
 
 
-def _results_from_decisions(rows: _Rows, chi0: np.ndarray, omega: np.ndarray, engine: str,
-                            iterations: int = 0, starts_used: int = 1) -> List[EstimateResult]:
+def _stacked(rows: _Rows, xhat: np.ndarray, omega: np.ndarray, nu: np.ndarray,
+             cost: np.ndarray, engine: str) -> EstimateResult:
+    """The group's result, every row "ok" with 0 iterations, 1 start and residual 0.0."""
+    R = len(rows)
+    return EstimateResult(xhat, omega, nu, cost, ["ok"] * R, engine, rows.prior.copy(), rows.K,
+                          np.zeros(R, dtype=int), np.zeros(R), np.ones(R, dtype=int))
+
+
+def _results_from_decisions(rows: _Rows, chi0: np.ndarray, omega: np.ndarray,
+                            engine: str) -> EstimateResult:
     # dynamics hold exactly by construction (states rolled forward, noise read
     # off the transitions); the residual field records output mismatch only,
     # which elimination makes zero
     xs = _rollout(rows, chi0, omega)
     nu = _eliminated_nu(rows, xs)
-    costs = _window_costs(rows.cost, rows.prior, xs[:, 0], omega, nu)
-    xhat = _with_endpoint(rows, xs, omega)
-    return [EstimateResult(xhat[i], omega[i], nu[i], costs[i], "ok", engine,
-                           rows.prior[i].copy(), rows.K,
-                           iterations=iterations, starts_used=starts_used)
-            for i in range(len(rows))]
+    cost = np.asarray(_window_costs(rows.cost, rows.prior, xs[:, 0], omega, nu))
+    return _stacked(rows, _with_endpoint(rows, xs, omega), omega, nu, cost, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -400,31 +423,25 @@ def _max_feasible(rows: _Rows, prep, levels: np.ndarray, record: bool = False):
     return (alive, intervals) if record else (alive, None)
 
 
-def _max_reconstruct(rows: _Rows, prep, levels: np.ndarray) -> List[Optional[EstimateResult]]:
-    """A feasible trajectory per row at its cost level (R,), or None for a
-    row whose level is infeasible."""
+def _max_reconstruct(rows: _Rows, prep, levels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row, whether its cost level (R,) is feasible, and the states
+    (R, K) of a feasible trajectory at that level, NaN where it is not."""
     model, K = rows.model, rows.K
     alive, intervals = _max_feasible(rows, prep, levels[:, None], record=True)
-    ok = np.flatnonzero(alive[:, 0])
-    out: List[Optional[EstimateResult]] = [None] * len(rows)
+    feasible = alive[:, 0]
+    chis = np.full((len(rows), K), math.nan)
+    ok = np.flatnonzero(feasible)
     if not len(ok):
-        return out
+        return feasible, chis
     ivs = [(lo[ok, 0], hi[ok, 0]) for lo, hi in intervals]
     gw = prep[2].widths(levels[ok])
-    chis = np.empty((len(ok), K))
-    chis[:, K - 1] = 0.5 * (ivs[K - 1][0] + ivs[K - 1][1])
+    chis[ok, K - 1] = 0.5 * (ivs[K - 1][0] + ivs[K - 1][1])
     for j in range(K - 2, -1, -1):
         lo_j, hi_j = ivs[j]
         img_lo, img_hi = model.f_image(lo_j, hi_j, rows.u_win[j])
-        target = clamp(chis[:, j + 1], img_lo - gw[j], img_hi + gw[j])
-        chis[:, j] = model.f_solve(clamp(target, img_lo, img_hi), lo_j, hi_j, rows.u_win[j])
-    omega = np.zeros((len(ok), K, 1))
-    for j in range(K - 1):
-        omega[:, j, 0] = chis[:, j + 1] - model.f_nominal(chis[:, j, None], rows.u_win[j])[:, 0]
-    for i, res in zip(ok, _results_from_decisions(rows.take(ok), chis[:, :1], omega,
-                                                  "max-interval")):
-        out[i] = res
-    return out
+        target = clamp(chis[ok, j + 1], img_lo - gw[j], img_hi + gw[j])
+        chis[ok, j] = model.f_solve(clamp(target, img_lo, img_hi), lo_j, hi_j, rows.u_win[j])
+    return feasible, chis
 
 
 def _spaced_rows(space, lo: np.ndarray, hi: np.ndarray, spans: np.ndarray) -> np.ndarray:
@@ -443,7 +460,7 @@ def _spaced_rows(space, lo: np.ndarray, hi: np.ndarray, spans: np.ndarray) -> np
     return out
 
 
-def _solve_max_scalar(rows: _Rows) -> List[EstimateResult]:
+def _solve_max_scalar(rows: _Rows) -> EstimateResult:
     """Max-mode level bisection for a group of windows.
 
     The per-row branches -- the zero-level exit, the top-level guard and
@@ -451,6 +468,7 @@ def _solve_max_scalar(rows: _Rows) -> List[EstimateResult]:
     result of its window solved alone.  A row without a finite-cost
     candidate, or whose reconstruction fails, raises for the whole group.
     """
+    model, K = rows.model, rows.K
     prep = _max_prepare(rows)
     # guaranteed-feasible upper bracket from candidate trajectories
     s_hi = np.full(len(rows), math.inf)
@@ -460,44 +478,46 @@ def _solve_max_scalar(rows: _Rows) -> List[EstimateResult]:
         s_hi = np.where(np.isfinite(val) & (val < s_hi), val, s_hi)
     if not np.isfinite(s_hi).all():
         raise InfeasibleWindowError("no finite-cost candidate trajectory")
-    results: List[Optional[EstimateResult]] = [None] * len(rows)
+    chis = np.empty((len(rows), K))
+    bisected = np.ones(len(rows), dtype=bool)
     zero = np.flatnonzero((s_hi == 0.0)
                           | _max_feasible(rows, prep, np.zeros((len(rows), 1)))[0][:, 0])
     if len(zero):
-        for i, res in zip(zero, _max_reconstruct(rows.take(zero), prep, np.zeros(len(zero)))):
-            results[i] = res
-    todo = np.array([i for i, res in enumerate(results) if res is None], dtype=int)
-    if not len(todo):
-        return results
-    sub = rows.take(todo)
-    at = np.arange(len(todo))
-    lo = np.zeros(len(todo))
-    hi = np.maximum(s_hi[todo], 1e-300)
-    start = np.maximum(hi * 1e-14, 1e-300)
-    levels = _spaced_rows(np.geomspace, start, hi, np.log10(hi) - np.log10(start))
-    for _ in range(LEVEL_PASSES):
-        mask, _ = _max_feasible(sub, prep, levels)
-        top = mask[:, -1]
-        first = np.argmax(mask, axis=1)
-        # numeric guard: the top level should be feasible by construction
-        lo = np.where(top & (first > 0), levels[at, first - 1], lo)
-        hi = np.where(top, levels[at, first], hi * (1 + 1e-9) + 1e-300)
-        levels = _spaced_rows(np.linspace, lo, hi, hi - lo)[:, 1:]
-    bump = hi
-    pending = at
-    for _ in range(6):
-        solved = _max_reconstruct(sub.take(pending), prep, bump[pending])
-        for i, res in zip(pending, solved):
-            results[todo[i]] = res
-        pending = pending[[res is None for res in solved]]
-        if not len(pending):
-            break
-        bump[pending] = bump[pending] * (1 + 1e-9) + 1e-300
-    if len(pending):
-        raise InfeasibleWindowError("level reconstruction failed")
-    for i in todo:
-        results[i].iterations = LEVEL_PASSES
-    return results
+        solved, chis[zero] = _max_reconstruct(rows.take(zero), prep, np.zeros(len(zero)))
+        bisected[zero] = ~solved
+    todo = np.flatnonzero(bisected)
+    if len(todo):
+        sub = rows.take(todo)
+        at = np.arange(len(todo))
+        lo = np.zeros(len(todo))
+        hi = np.maximum(s_hi[todo], 1e-300)
+        start = np.maximum(hi * 1e-14, 1e-300)
+        levels = _spaced_rows(np.geomspace, start, hi, np.log10(hi) - np.log10(start))
+        for _ in range(LEVEL_PASSES):
+            mask, _ = _max_feasible(sub, prep, levels)
+            top = mask[:, -1]
+            first = np.argmax(mask, axis=1)
+            # numeric guard: the top level should be feasible by construction
+            lo = np.where(top & (first > 0), levels[at, first - 1], lo)
+            hi = np.where(top, levels[at, first], hi * (1 + 1e-9) + 1e-300)
+            levels = _spaced_rows(np.linspace, lo, hi, hi - lo)[:, 1:]
+        bump = hi
+        pending = at
+        for _ in range(6):
+            ok, solved = _max_reconstruct(sub.take(pending), prep, bump[pending])
+            chis[todo[pending[ok]]] = solved[ok]
+            pending = pending[~ok]
+            if not len(pending):
+                break
+            bump[pending] = bump[pending] * (1 + 1e-9) + 1e-300
+        if len(pending):
+            raise InfeasibleWindowError("level reconstruction failed")
+    omega = np.zeros((len(rows), K, 1))
+    for j in range(K - 1):
+        omega[:, j, 0] = chis[:, j + 1] - model.f_nominal(chis[:, j, None], rows.u_win[j])[:, 0]
+    result = _results_from_decisions(rows, chis[:, :1], omega, "max-interval")
+    result.iterations = np.where(bisected, LEVEL_PASSES, 0)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +712,7 @@ def _first_best(cands: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return best_x
 
 
-def _solve_sum_pwl(rows: _Rows) -> List[EstimateResult]:
+def _solve_sum_pwl(rows: _Rows) -> EstimateResult:
     """Sum-mode dynamic programming for a group of windows, one row per
     window.
 
@@ -768,10 +788,12 @@ class _Objective:
         self.n_omega = rows.K * self.q
         self.dim = self.n + self.n_omega + (0 if self.eliminate else rows.K * self.m)
 
-    def unpack(self, z: np.ndarray):
-        K, n, end = self.rows.K, self.n, self.n + self.n_omega
-        nu = None if self.eliminate else z[end:].reshape(K, self.m)
-        return z[:n], z[n:end].reshape(K, self.q), nu
+    def unpack(self, Z: np.ndarray):
+        """chi0 (B, n), omega (B, K, q) and nu (B, K, m), or None when it is
+        eliminated, of the candidates Z (B, dim)."""
+        B, K, n, end = len(Z), self.rows.K, self.n, self.n + self.n_omega
+        nu = None if self.eliminate else Z[:, end:].reshape(B, K, self.m)
+        return Z[:, :n], Z[:, n:end].reshape(B, K, self.q), nu
 
     def evaluate(self, Z: np.ndarray, owner: np.ndarray):
         """``(terms, penalties, masked)`` of the candidate rows Z, row b a
@@ -797,15 +819,13 @@ class _Objective:
     def _evaluate(self, Z: np.ndarray, owner: np.ndarray, strict: bool):
         rows = self.rows.take(owner)            # each candidate's own window
         model, cost, K = rows.model, rows.cost, rows.K
-        B, n, end = len(Z), self.n, self.n + self.n_omega
-        chi0 = Z[:, :n]
-        omega = Z[:, n:end].reshape(B, K, self.q)
+        B = len(Z)
+        chi0, omega, nu = self.unpack(Z)
         xs = _rollout(rows, chi0, omega)
         pen = np.zeros(B)
         if self.eliminate:
             nu = _eliminated_nu(rows, xs)
         else:
-            nu = Z[:, end:].reshape(B, K, self.m)
             for j in range(K):
                 res = rows.y[:, j] - model.h(xs[:, j], rows.u_win[j], nu[:, j])
                 pen = pen + _row_sqnorms(res)
@@ -934,16 +954,13 @@ def _generic_starts(objective: _Objective, cfg: SolverConfig) -> List[List[np.nd
     deterministic initializations, then perturbations of the first, drawn
     for each window from its own generator keyed ``cfg.seed`` and scaled by
     that window's spread."""
-    rows, n, dim = objective.rows, objective.n, objective.dim
-    base = _candidate_starts(rows)
+    rows, R, dim = objective.rows, len(objective.rows), objective.dim
+    pad = np.zeros((R, dim - objective.n - objective.n_omega))
+    base = [np.concatenate([chi0, omega.reshape(R, -1), pad], axis=1)
+            for chi0, omega in _candidate_starts(rows)]
     out = []
-    for i in range(len(rows)):
-        starts = []
-        for chi0, omega in base:
-            z = np.zeros(dim)
-            z[:n] = chi0[i]
-            z[n:n + objective.n_omega] = omega[i].ravel()
-            starts.append(z)
+    for i in range(R):
+        starts = [z[i] for z in base]
         gen = np.random.Generator(np.random.Philox(key=cfg.seed))
         spread = max(1.0, float(np.max(np.abs(rows.y[i]))), float(np.max(np.abs(rows.prior[i]))))
         while len(starts) < cfg.multistart:
@@ -953,12 +970,13 @@ def _generic_starts(objective: _Objective, cfg: SolverConfig) -> List[List[np.nd
 
 
 def _solve_pairs(objective: _Objective, cfg: SolverConfig, pair, derive, stages,
-                 engine: str) -> List[EstimateResult]:
+                 engine: str) -> EstimateResult:
     """Run ``pair(objective, window, z0, stages, cfg)`` from every start of
     every window of the group in :func:`_lockstep` and keep, per window,
     the start whose end point costs least (the first of equal costs).  A
-    pair returns its end point's cost, the end point and its iterations."""
-    starts = _generic_starts(objective, cfg)
+    pair returns its end point's cost, the end point and its iterations; a
+    window's residual is its largest output mismatch, as ``max`` folds."""
+    rows, starts = objective.rows, _generic_starts(objective, cfg)
     keys = [(i, idx) for i, zs in enumerate(starts) for idx in range(len(zs))]
     ends = _lockstep(objective, derive, [pair(objective, i, starts[i][idx], stages, cfg)
                                          for i, idx in keys])
@@ -966,36 +984,20 @@ def _solve_pairs(objective: _Objective, cfg: SolverConfig, pair, derive, stages,
     for (i, idx), (cost, z, iters) in zip(keys, ends):
         if i not in best or cost < best[i][0]:
             best[i] = (cost, z, iters, idx)
-    return _generic_results(objective, [best[i] for i in range(len(starts))], engine)
-
-
-def _generic_results(objective: _Objective, picks, engine: str) -> List[EstimateResult]:
-    """The results of the group from each window's ``(cost, z, iterations,
-    start index)``."""
-    rows = objective.rows
-    chi0, omega, nu = zip(*(objective.unpack(z) for _, z, _, _ in picks))
-    chi0, omega = np.array(chi0), np.array(omega)
+    cost, z, iterations, start = zip(*(best[i] for i in range(len(starts))))
+    chi0, omega, nu = objective.unpack(np.array(z))
     if objective.eliminate:
-        results = _results_from_decisions(rows, chi0, omega, "")
+        result = _results_from_decisions(rows, chi0, omega, engine)
     else:
-        model, K = rows.model, rows.K
         xs = _rollout(rows, chi0, omega)
-        xhat = _with_endpoint(rows, xs, omega)
-        results = []
-        for i, (cost, *_) in enumerate(picks):
-            res = EstimateResult(xhat[i], np.asarray(omega[i], float), np.asarray(nu[i], float),
-                                 cost, "ok", "", rows.prior[i].copy(), K)
-            worst = 0.0
-            for j in range(K):
-                out = np.atleast_1d(model.h(xs[i, j], rows.u_win[j], nu[i][j]))
-                worst = max(worst, float(np.linalg.norm(rows.y[i, j] - out)))
-            res.residual = worst
-            if worst > 1e-6:
-                res.status = "penalty-residual"
-            results.append(res)
-    for res, (_, _, iters, idx) in zip(results, picks):
-        res.engine, res.iterations, res.starts_used = engine, iters, idx + 1
-    return results
+        result = _stacked(rows, _with_endpoint(rows, xs, omega), omega, nu, np.array(cost),
+                          engine)
+        result.residual = plus_fold(PlusMode.MAX, [row_distances(
+            rows.y[:, j], rows.model.h(xs[:, j], rows.u_win[j], nu[:, j])) for j in range(rows.K)])
+        result.status = ["penalty-residual" if worst > 1e-6 else "ok"
+                         for worst in result.residual.tolist()]
+    result.iterations, result.starts_used = np.array(iterations), np.array(start) + 1
+    return result
 
 
 def _compass_pair(objective: _Objective, window: int, z0: np.ndarray, schedule,
@@ -1049,7 +1051,7 @@ def _compass_derive(objective: _Objective, terms: np.ndarray, pen: np.ndarray, m
     return values, values
 
 
-def _solve_multistart_local(rows: _Rows, cfg: SolverConfig) -> List[EstimateResult]:
+def _solve_multistart_local(rows: _Rows, cfg: SolverConfig) -> EstimateResult:
     """Deterministic multistart compass search for a group of windows."""
     objective = _Objective(rows)
     schedule = (0.0,) if objective.eliminate else cfg.penalty_schedule
@@ -1138,7 +1140,7 @@ def _gauss_newton_pair(objective: _Objective, window: int, z: np.ndarray, stages
     return plus_reduce(objective.rows.cost.mode, at), z, iters
 
 
-def _solve_gauss_newton(rows: _Rows, cfg: SolverConfig) -> List[EstimateResult]:
+def _solve_gauss_newton(rows: _Rows, cfg: SolverConfig) -> EstimateResult:
     """Damped Gauss-Newton on smoothed residuals for a group of windows.
 
     Sum-mode costs are minimized directly via sqrt-term residuals (so the
@@ -1181,12 +1183,12 @@ def solve_window(problem: EstimationProblem, solver: SolverConfig) -> EstimateRe
     disturbances are read off the transitions); the achieved cost is the
     certified upper envelope over the attempted starts.
     """
-    return _solve_group(_Rows.of([problem]), solver)[0]
+    return _solve_group(_Rows.of([problem]), solver).cell(0)
 
 
-def _solve_group(rows: _Rows, solver: SolverConfig) -> List[EstimateResult]:
-    """Solve a group of windows as one: a structured engine when one fits,
-    else the configured generic method."""
+def _solve_group(rows: _Rows, solver: SolverConfig) -> EstimateResult:
+    """Solve a group of windows as one, into one stacked result: a
+    structured engine when one fits, else the configured generic method."""
     engine = _structured_engine(rows)
     if engine is not None:
         return engine(rows)
@@ -1196,7 +1198,7 @@ def _solve_group(rows: _Rows, solver: SolverConfig) -> List[EstimateResult]:
 
 
 def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: SolverConfig,
-           horizon: Optional[int]) -> List[List[EstimateResult]]:
+           horizon: Optional[int]) -> List[EstimateResult]:
     """Step every cell of the stack in lock-step over t; the window ending
     at t starts at max(0, t - horizon), or at 0 without a horizon, and is
     anchored at the cell's prior0 or at its own estimate from its start.
@@ -1211,9 +1213,9 @@ def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: Sol
     y = np.asarray(y_seq, dtype=float)
     if y.ndim == 2:
         y = y[:, :, None]
-    if y.ndim != 3 or y.shape[2] != model.output_dim:
+    if y.ndim != 3 or y.shape[2] != model.output_dim or not len(y):
         raise DomainError(f"measurement stack of shape {np.shape(y_seq)} is not (C, T) "
-                          f"or (C, T, {model.output_dim})")
+                          f"or (C, T, {model.output_dim}) with C >= 1 cells")
     (C, T), n = y.shape[:2], model.state_dim
     u = np.asarray(u_seq, dtype=float)
     if u.ndim == 1:
@@ -1226,17 +1228,17 @@ def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: Sol
         priors = np.broadcast_to(priors, (C, n))
     elif priors.shape != (C, n):
         raise DomainError(f"prior of shape {np.shape(prior0)} is neither ({n},) nor ({C}, {n})")
-    runs = [[EstimateResult(prior[None, :].copy(), np.zeros((0, model.process_noise_dim)),
-                            np.zeros((0, model.meas_noise_dim)), 0.0, "ok", "init",
-                            prior.copy(), 0)] for prior in priors]
+    steps = [_stacked(_Rows(model, cost, u[:0], priors, y[:, :0]), priors[:, None, :].copy(),
+                      np.zeros((C, 0, model.process_noise_dim)),
+                      np.zeros((C, 0, model.meas_noise_dim)), np.zeros(C), "init")]
 
     def window(s: int) -> _Rows:
         start = 0 if horizon is None else max(0, s - horizon)
-        anchors = np.array([run[start].published for run in runs]) if start else priors
+        anchors = steps[start].published if start else priors
         return _Rows(model, cost, u[start:s], anchors, y[:, start:s])
 
     t = 1
-    while runs and t <= T:
+    while t <= T:
         group = [window(t)]
         if horizon is not None and t > horizon:
             # the windows ending at t + 1 .. t + K - 1 are anchored at
@@ -1246,18 +1248,17 @@ def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: Sol
                 if not np.array_equal(later.u_win, group[0].u_win):
                     break
                 group.append(later)
-        for results in _solve_steps(group, solver):
-            for run, result in zip(runs, results):
-                run.append(result)
+        steps += _solve_steps(group, solver)
         t += len(group)
-    return runs
+    return steps
 
 
-def _solve_steps(groups: List[_Rows], solver: SolverConfig) -> List[List[EstimateResult]]:
+def _solve_steps(groups: List[_Rows], solver: SolverConfig) -> List[EstimateResult]:
     """The results of the window groups of consecutive steps, which share
-    their inputs and length, solved as one group stacked step-major.  When
-    that raises, the steps are solved one group each, in order, so the first
-    failing step raises what it raises alone."""
+    their inputs and length, solved as one group stacked step-major and
+    sliced back into steps.  When that raises, the steps are solved one
+    group each, in order, so the first failing step raises what it does
+    alone."""
     if len(groups) == 1:
         return [_solve_group(groups[0], solver)]
     first, C = groups[0], len(groups[0])
@@ -1265,22 +1266,22 @@ def _solve_steps(groups: List[_Rows], solver: SolverConfig) -> List[List[Estimat
                     np.concatenate([g.prior for g in groups]),
                     np.concatenate([g.y for g in groups]))
     try:
-        results = _solve_group(stacked, solver)
+        result = _solve_group(stacked, solver)
     except Exception:
         return [_solve_group(g, solver) for g in groups]
-    return [results[i * C:(i + 1) * C] for i in range(len(groups))]
+    return [result.take(slice(i * C, (i + 1) * C)) for i in range(len(groups))]
 
 
 def run_fie(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq,
-            solver: SolverConfig, t_max: int = 200) -> List[List[EstimateResult]]:
-    """Full-information estimates for t = 0..T of a stack of C cells.
+            solver: SolverConfig, t_max: int = 200) -> List[EstimateResult]:
+    """Full-information estimates for t = 0..T of a stack of C >= 1 cells.
 
     ``y_seq`` is the (C, T) measurement stack, or (C, T, p) for p outputs;
     the cells share the inputs ``u_seq`` (T, du) and the initial prior
-    ``prior0`` (n,), or each has its own, (C, n).  Returns one list of T + 1
-    results per cell, each what that cell run alone gives.  The window grows
-    with t and the prior stays anchored at the initial estimate; beyond
-    ``t_max`` the run refuses rather than silently switching to a moving
+    ``prior0`` (n,), or each has its own, (C, n).  Returns one stacked
+    result per step, whose row c is what cell c run alone gives.  The window
+    grows with t and the prior stays anchored at the initial estimate;
+    beyond ``t_max`` the run refuses rather than switching to a moving
     horizon.
     """
     T = np.shape(y_seq)[1] if np.ndim(y_seq) > 1 else 0
@@ -1290,20 +1291,19 @@ def run_fie(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq,
 
 
 def run_mhe(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, horizon: int,
-            solver: SolverConfig) -> List[List[EstimateResult]]:
-    """Moving-horizon estimates for t = 0..T of a stack of C cells, with the
-    filtering prior.
+            solver: SolverConfig) -> List[EstimateResult]:
+    """Moving-horizon estimates of the stacks of :func:`run_fie`, returned as
+    it returns them, with the filtering prior.
 
-    Takes the stacks of :func:`run_fie` and returns one result list per cell.
     For t <= K this is exactly the growing-window scheme; afterwards each
     cell's window is anchored at that cell's own published estimate from K
     steps earlier, so the windows of up to K consecutive steps whose inputs
     match are solved as one group (see :func:`_drive`).  Every result, and
     every error raised, is that of solving the steps one after another.
     """
-    if horizon < 1:
-        raise DomainError("moving horizon must be >= 1")
-    return _drive(model, cost, prior0, u_seq, y_seq, solver, horizon)
+    if not (float(horizon).is_integer() and horizon >= 1):
+        raise DomainError(f"moving horizon must be an integer >= 1, got {horizon}")
+    return _drive(model, cost, prior0, u_seq, y_seq, solver, int(horizon))
 
 
 def certify_suboptimality(result: EstimateResult, reference: SolutionTuple, cost: CostSpec,
@@ -1315,9 +1315,7 @@ def certify_suboptimality(result: EstimateResult, reference: SolutionTuple, cost
     exact hypothesis under which the error bounds are asserted downstream; a
     failed certification excludes the step from bound checks rather than
     weakening them.  The reference is priced by a one-row
-    :func:`_window_costs` call and judged by element 0 of
-    :func:`certification_record`, which judges the reference costs of all
-    the (cell, step) rows of a harness group in one call.
+    :func:`_window_costs` call and judged by :func:`certification_record`.
     """
     if model is not None:
         rep = verify_solution(model, reference, tol_dyn=1e-6)

@@ -61,6 +61,7 @@ from .certificates import (
     derive_bcd,
 )
 from .estimator import (
+    EstimateResult,
     SolverConfig,
     _window_costs,
     certification_record,
@@ -433,7 +434,7 @@ def _truths(config: ExperimentConfig, model: SystemModel, cells) -> SolutionTupl
 
 def _estimate(resolved: ResolvedExperiment, u: np.ndarray, y: np.ndarray, K: int):
     """The configured estimator's results for t = 0..T of the (C, T, p)
-    measurement stack y: one list per cell."""
+    measurement stack y: one stacked result of C rows per step."""
     config, model, cost = resolved.config, resolved.model, resolved.cost
     prior0 = _initial(config, model)[1]
     if config.estimator == "mhe":
@@ -442,10 +443,10 @@ def _estimate(resolved: ResolvedExperiment, u: np.ndarray, y: np.ndarray, K: int
 
 
 def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], K: int,
-                 truths: SolutionTuple, runs: List[list]) -> List[CellResult]:
+                 truths: SolutionTuple, estimates: List[EstimateResult]) -> List[CellResult]:
     """Certify and evaluate the bounds of the (scenario, seed) cells of
-    horizon K, from the stack of their truths and each cell's estimator
-    results, as one :class:`CellResult` of columns per cell.
+    horizon K, from the stack of their truths and the estimator's stacked
+    result of each step, as one :class:`CellResult` of columns per cell.
 
     Each per-step quantity is one array pass over the (C, T + 1) steps: alpha
     of the error; the reference costs, one :func:`_window_costs` call per
@@ -463,8 +464,9 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
     T = config.t_final
     is_mhe = config.estimator == "mhe"
     x, w, v = truths.x, truths.w, truths.v                             # (C, T + 1, .)
-    published = np.array([[res.published for res in run] for run in runs])
-    achieved = np.array([[res.cost for res in run] for run in runs])
+    published = np.stack([step.published for step in estimates], axis=1)   # (C, T + 1, n)
+    achieved = np.stack([step.cost for step in estimates], axis=1)
+    status = np.stack([step.status for step in estimates], axis=1).tolist()
     w_norms, v_norms = seq_norms(w), seq_norms(v)
     d0 = row_distances(x[:, 0], _initial(config, model)[1])
     if is_mhe:
@@ -476,13 +478,11 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
                           (bounds.d, v_norms[:, :T]))
     errors = cert.alpha(row_distances(x, published))
     j_ref = np.zeros_like(achieved)
-    by_length: Dict[int, List[int]] = {}
-    for t in range(1, T + 1):
-        by_length.setdefault(runs[0][t].horizon, []).append(t)
-    for L, steps in by_length.items():
+    for L in dict.fromkeys(step.horizon for step in estimates[1:]):
+        steps = [t for t in range(1, T + 1) if estimates[t].horizon == L]
         # the reference windows of every step of length L, stacked step-major
         j_ref[:, steps] = np.reshape(_window_costs(
-            cost, np.array([run[t].prior for t in steps for run in runs]),
+            cost, np.concatenate([estimates[t].prior for t in steps]),
             np.concatenate([x[:, t - L] for t in steps]),
             np.concatenate([w[:, t - L:t] for t in steps]),
             np.concatenate([v[:, t - L:t] for t in steps])), (len(steps), -1)).T
@@ -525,7 +525,7 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
             "error": float(errors[c, t]), "rhs": float(rhs[c, t])}
         out.append(CellResult(scenario.name, seed, K if is_mhe else 0, published[c], x[c],
                               errors[c], rhs[c], margin[c], window_margin[c], window_mask[c],
-                              achieved[c], ratio[c], certified[c], [res.status for res in runs[c]],
+                              achieved[c], ratio[c], certified[c], status[c],
                               min_margin, int(certified[c].sum()), T + 1, worst))
     return out
 
@@ -784,7 +784,7 @@ def deviant_output_probe(config: ExperimentConfig, out_dir: Optional[str] = None
         sol = truths.cell(c)
         y_pert = sol.y[:t].copy()
         y_pert[step, 0] += config.probe_delta
-        solved = _estimate(resolved, sol.u[:t], y_pert[None], K)[0][t]
+        solved = _estimate(resolved, sol.u[:t], y_pert[None], K)[t].cell(0)
         start = t - solved.horizon
         margin = check_ioss_on_pair(cert, model, sol.window(start, t),
                                     solved.as_solution(model, sol.u[start:t]))

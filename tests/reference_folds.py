@@ -477,8 +477,10 @@ def generic_window(problem, cfg):
     (j_val, idx), z, iters = best
     chi0, omega = z[:n], z[n:n + K * q].reshape(K, q)
     if model.additive_v:
-        return E._results_from_decisions(E._Rows.of([problem]), chi0[None], omega[None], engine,
-                                         iters, idx + 1)[0]
+        res = E._results_from_decisions(E._Rows.of([problem]), chi0[None], omega[None],
+                                        engine).cell(0)
+        res.iterations, res.starts_used = iters, idx + 1
+        return res
     nu = z[n + K * q:].reshape(K, m)
     xs, endpoint, _ = _rollout_one(problem, chi0, omega)
     res = E.EstimateResult(np.vstack([xs, endpoint[None, :]]), omega, nu, j_val, "ok", engine,
@@ -944,7 +946,7 @@ def sum_pwl_window(problem):
     for j in range(K - 1):
         omega[j, 0] = chis[j + 1] - (a * chis[j] + offs[j])
     return E._results_from_decisions(E._Rows.of([problem]), chis[None, :1], omega[None],
-                                     "sum-pwl-dp")[0]
+                                     "sum-pwl-dp").cell(0)
 
 
 # ---------------------------------------------------------------------------
@@ -954,7 +956,8 @@ def sum_pwl_window(problem):
 def drive_step_by_step(model, cost, prior0, u_seq, y_seq, solver, horizon=None):
     """The results of ``run_mhe`` (or of ``run_fie`` without a horizon) on
     a (C, T) or (C, T, p) measurement stack, solving the C windows that end
-    at t as one group for t = 1, 2, ..., T in turn."""
+    at t as one group for t = 1, 2, ..., T in turn: one stacked result of C
+    rows per step t = 0..T, as the drivers return them."""
     y = np.asarray(y_seq, dtype=float)
     y = y[:, :, None] if y.ndim == 2 else y
     u = np.asarray(u_seq, dtype=float)
@@ -962,13 +965,14 @@ def drive_step_by_step(model, cost, prior0, u_seq, y_seq, solver, horizon=None):
     C, T = y.shape[:2]
     priors = np.broadcast_to(np.atleast_1d(np.asarray(prior0, dtype=float)),
                              (C, model.state_dim))
-    runs = [[E.EstimateResult(prior[None, :].copy(), np.zeros((0, model.process_noise_dim)),
-                              np.zeros((0, model.meas_noise_dim)), 0.0, "ok", "init",
-                              prior.copy(), 0)] for prior in priors]
+    steps = [E.EstimateResult(priors[:, None, :].copy(), np.zeros((C, 0, model.process_noise_dim)),
+                              np.zeros((C, 0, model.meas_noise_dim)), np.zeros(C), ["ok"] * C,
+                              "init", priors.copy(), 0, np.zeros(C, dtype=int), np.zeros(C),
+                              np.ones(C, dtype=int))]
     for t in range(1, T + 1):
         start = 0 if horizon is None else max(0, t - horizon)
-        anchors = np.array([run[start].published for run in runs]) if start else priors
-        rows = E._Rows(model, cost, u[start:t], anchors, y[:, start:t])
-        for run, result in zip(runs, E._solve_group(rows, solver)):
-            run.append(result)
-    return runs
+        anchors = np.array([steps[start].cell(c).published for c in range(C)]) if start \
+            else priors
+        steps.append(E._solve_group(E._Rows(model, cost, u[start:t], anchors, y[:, start:t]),
+                                    solver))
+    return steps

@@ -88,6 +88,11 @@ def _signature(result):
             repr(result.cost), result.iterations, result.status, result.engine)
 
 
+def _windows(stack):
+    """The one-window results of a stacked result, row by row."""
+    return [stack.cell(i) for i in range(len(stack.cost))]
+
+
 def _cost(plant):
     return resolve(ExperimentConfig(plant=plant, mode="max")).cost
 
@@ -124,13 +129,14 @@ def test_a_group_equals_each_cell_run_alone(plant, K):
     # the bisection at level 0; the others start one unit off
     prior0 = np.where(np.arange(len(y))[:, None] < 2, x0, x0 + 1.0)
     group = _runs(plant, y, prior0, u, K)
-    assert len(group) == len(y)
+    assert [len(step.cost) for step in group] == [len(y)] * 15
     for c in range(len(y)):
-        alone = _runs(plant, y[c:c + 1], prior0[c], u, K)[0]
-        assert [_signature(r) for r in group[c]] == [_signature(r) for r in alone]
-    engines = {r.engine for run in group for r in run[1:]}
+        alone = _runs(plant, y[c:c + 1], prior0[c], u, K)
+        assert [_signature(step.cell(c)) for step in group] == \
+            [_signature(step.cell(0)) for step in alone]
+    engines = {r.engine for step in group[1:] for r in _windows(step)}
     assert engines == {"max-interval"}
-    levels = {r.iterations for run in group for r in run[1:]}
+    levels = {r.iterations for step in group[1:] for r in _windows(step)}
     assert levels == {0, E.LEVEL_PASSES}        # zero-level exits and bisections
 
 
@@ -143,7 +149,7 @@ def test_every_row_is_the_one_window_bisection(plant):
         problems = [EstimationProblem(model, cost, [p], u[:K], y[c, :K], K)
                     for c, p in enumerate(priors)]
         rows = E._solve_max_scalar(E._Rows.of(problems))
-        for problem, row in zip(problems, rows):
+        for problem, row in zip(problems, _windows(rows)):
             assert _signature(row) == _signature(max_interval_window(problem))
 
 
@@ -153,7 +159,7 @@ def test_a_group_of_one_is_solve_window():
     for c in range(len(y)):
         problem = EstimationProblem(model, cost, [x0 + 0.7], u, y[c], 6)
         one = solve_window(problem, SolverConfig())
-        assert _signature(one) == _signature(E._solve_max_scalar(E._Rows.of([problem]))[0])
+        assert _signature(one) == _signature(E._solve_max_scalar(E._Rows.of([problem])).cell(0))
         assert _signature(one) == _signature(max_interval_window(problem))
 
 
@@ -171,7 +177,7 @@ def test_structured_runs_build_no_window_problem(mode, monkeypatch):
     engine = "max-interval" if mode is PlusMode.MAX else "sum-pwl-dp"
     for runs in (run_fie(model, cost, [x0 + 1.0], u, y, SolverConfig()),
                  run_mhe(model, cost, [x0 + 1.0], u, y, 3, SolverConfig())):
-        assert {r.engine for run in runs for r in run[1:]} == {engine}
+        assert {r.engine for step in runs[1:] for r in _windows(step)} == {engine}
     assert built == []
     EstimationProblem(model, cost, [x0], u, y[0], 8)      # the counter counts
     assert len(built) == 1
@@ -189,7 +195,7 @@ def test_generic_runs_build_no_window_problem(method, monkeypatch):
     solver = SolverConfig(method=method, multistart=2, max_iter=5)
     runs = run_fie(model, cost, [0.2, -0.1], np.zeros(3), y, solver)
     engine = "gauss-newton" if method == "gauss_newton_penalty" else "compass"
-    assert [{r.engine for r in run[1:]} for run in runs] == [{engine}, {engine}]
+    assert [{step.cell(c).engine for step in runs[1:]} for c in range(2)] == [{engine}, {engine}]
     assert built == []
 
 
@@ -203,8 +209,8 @@ def _full_signature(result):
 
 
 def _assert_same_runs(runs, reference):
-    assert [[_full_signature(r) for r in run] for run in runs] == \
-        [[_full_signature(r) for r in run] for run in reference]
+    assert [[_full_signature(r) for r in _windows(step)] for step in runs] == \
+        [[_full_signature(r) for r in _windows(step)] for step in reference]
 
 
 def _group_sizes(monkeypatch):
@@ -227,7 +233,7 @@ def test_mhe_runs_equal_the_step_by_step_driver(mode, K):
         runs = run_mhe(model, cost, prior0, u[:T], y[:, :T], K, SolverConfig())
         _assert_same_runs(runs, drive_step_by_step(model, cost, prior0, u[:T], y[:, :T],
                                                    SolverConfig(), K))
-        assert [len(run) for run in runs] == [T + 1] * len(y)
+        assert [len(step.cost) for step in runs] == [len(y)] * (T + 1)
 
 
 @pytest.mark.parametrize("plant,mode,method,K,T", [
@@ -289,6 +295,26 @@ def test_the_group_calls_of_a_run(monkeypatch):
     assert sizes == [16] * 20
 
 
+def test_a_run_builds_no_estimate_per_cell(monkeypatch):
+    # the engines, the drivers and the group check hold the windows of a
+    # step as one stacked result, so the estimates built do not grow with
+    # the cell count
+    built = []
+    real = E.EstimateResult.__init__
+    monkeypatch.setattr(E.EstimateResult, "__init__",
+                        lambda self, *args, **kw: built.append(self) or real(self, *args, **kw))
+    counts = []
+    for seeds in ((0,), (0, 1, 2)):
+        config = ExperimentConfig(plant="s1", mode="max", estimator="mhe", t_final=12,
+                                  seeds=seeds, scenarios=CHECK_SCENARIOS)
+        resolved = resolve(config)
+        built.clear()
+        cells = H.run_cells(resolved, (2, 4))
+        assert len(cells) == 2 * len(CHECK_SCENARIOS) * len(seeds)
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 2 * 2 * 13       # at most two per step and horizon
+
+
 def _failing_at_a_later_step(case):
     """(model, cost, y, u, K, solver, s): a run whose windows are fine up to
     step s - 1 and whose window ending at s fails, with s inside a group of
@@ -340,7 +366,7 @@ def test_a_row_without_a_finite_cost_candidate_fails_its_group(plant):
     model, cost = builtin_model(plant), _cost(plant)
     finite = EstimationProblem(model, cost, [x0 + 0.5], u, y[1], 3)
     huge = EstimationProblem(model, cost, [x0 + 0.5], u, np.full((3, 1), 1e308), 3)
-    assert (_signature(E._solve_max_scalar(E._Rows.of([finite]))[0])
+    assert (_signature(E._solve_max_scalar(E._Rows.of([finite])).cell(0))
             == _signature(max_interval_window(finite)))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InfeasibleWindowError, match="no finite-cost candidate trajectory"):
@@ -370,8 +396,8 @@ def test_top_level_guard_runs_per_row(plant, monkeypatch):
         return alive, intervals
 
     monkeypatch.setattr(E, "_max_feasible", first_pass_top_dead)
-    group = E._solve_max_scalar(E._Rows.of(problems))
-    alone = [E._solve_max_scalar(E._Rows.of([p]))[0] for p in problems]
+    group = _windows(E._solve_max_scalar(E._Rows.of(problems)))
+    alone = [E._solve_max_scalar(E._Rows.of([p])).cell(0) for p in problems]
     monkeypatch.undo()
     assert guarded[0] == int((priors > 0).sum()) > 0
     assert [_signature(r) for r in group] == [_signature(r) for r in alone]
@@ -423,8 +449,8 @@ def test_every_generic_row_is_its_window_solved_alone(plant, mode, K, tag, monke
         return ends
 
     monkeypatch.setattr(E, "_lockstep", recorded)
-    group = engine(E._Rows.of(problems), solver)
-    alone = [engine(E._Rows.of([p]), solver)[0] for p in problems]
+    group = _windows(engine(E._Rows.of(problems), solver))
+    alone = [engine(E._Rows.of([p]), solver).cell(0) for p in problems]
     monkeypatch.undo()
     # the pairs of the group left it after different iteration counts
     assert len(pairs[0]) == len(problems) * multistart
@@ -465,7 +491,7 @@ def test_a_masked_row_that_is_read_fails_its_group(tag, monkeypatch):
     monkeypatch.setattr(E._Objective, "evaluate", recorded)
     with np.errstate(invalid="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        fine = [engine(E._Rows.of([p]), solver)[0] for p in (problems[0], problems[2])]
+        fine = [engine(E._Rows.of([p]), solver).cell(0) for p in (problems[0], problems[2])]
         assert sum(masked) == 0
         with pytest.raises(DomainError):
             generic_window(problems[1], solver)
@@ -514,7 +540,7 @@ def _sum_rows_equal_the_reference(model, cost, priors, ys):
     problems = [EstimationProblem(model, cost, [p], u, y, K) for p, y in zip(priors, ys)]
     group = E._Rows.of(problems)
     assert E._structured_engine(group) is E._solve_sum_pwl
-    rows = E._solve_sum_pwl(group)
+    rows = _windows(E._solve_sum_pwl(group))
     for problem, row in zip(problems, rows):
         assert _signature(row) == _signature(sum_pwl_window(problem))
     return rows
@@ -618,9 +644,10 @@ def test_a_sum_group_equals_each_cell_run_alone(K):
         (lambda yy, p: run_mhe(model, cost, p, u, yy, K, SolverConfig()))
     group = run(y, prior0)
     for c in range(len(y)):
-        alone = run(y[c:c + 1], prior0[c])[0]
-        assert [_signature(r) for r in group[c]] == [_signature(r) for r in alone]
-    assert {r.engine for cell in group for r in cell[1:]} == {"sum-pwl-dp"}
+        alone = run(y[c:c + 1], prior0[c])
+        assert [_signature(step.cell(c)) for step in group] == \
+            [_signature(step.cell(0)) for step in alone]
+    assert {r.engine for step in group[1:] for r in _windows(step)} == {"sum-pwl-dp"}
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +687,8 @@ def _check_against_the_loop(resolved, K, patch=lambda runs: None):
     runs = H._estimate(resolved, truths.u[:T], truths.y[:, :T], K)
     patch(runs)
     group = H._check_group(resolved, cells, hat, K, truths, runs)
-    for c, ((scenario, seed), cell, run) in enumerate(zip(cells, group, runs)):
+    for c, ((scenario, seed), cell) in enumerate(zip(cells, group)):
+        run = [step.cell(c) for step in runs]
         rows, min_margin, certified, worst = check_cell(resolved, scenario, seed, hat, K,
                                                         (truths.cell(c), run))
         assert {name: repr(column) for name, column in _columns(cell).items()} == \
@@ -715,7 +743,7 @@ def test_a_cost_above_a_zero_reference_is_uncertified(K):
     T, bad = 12, 5
 
     def overpriced_step(runs):
-        runs[0][bad].cost = 2 * TOL_CERT
+        runs[bad].cost[0] = 2 * TOL_CERT
 
     cell, = _check_against_the_loop(_noise_free_from_the_true_state(K, T), K or 4,
                                     overpriced_step)
@@ -751,8 +779,7 @@ def _mhe_with_a_bad_window_term(bad, monkeypatch, break_chain):
 
         def failing_first_step(*args):
             runs = real(*args)
-            for run in runs:
-                run[1].cost = math.inf              # fails its certification
+            runs[1].cost[:] = math.inf              # fails its certification
             return runs
 
         monkeypatch.setattr(H, "run_mhe", failing_first_step)
@@ -834,6 +861,15 @@ def test_terms_norms_and_folds_of_rows_equal_each_row_alone(mode):
         for fn, r in ((linear, norms), (nonlinear, finite)):
             terms = gain_terms(fn, ages, r)
             assert np.array_equal(terms, [gain_terms(fn, ages, row) for row in r], equal_nan=True)
+        # without a slope table: one array call per age, each element its
+        # scalar call bit for bit, and the first bad element in row-major
+        # order raises
+        scalar = [[nonlinear(x, age) for x, age in zip(row, ages)] for row in finite.tolist()]
+        assert gain_terms(nonlinear, ages, finite).tobytes() == np.array(scalar).tobytes()
+        bad = finite.copy()
+        bad[3, -1], bad[5, 0] = np.nan, -2.0
+        with pytest.raises(DomainError, match="KL first argument must be nonnegative, got nan"):
+            gain_terms(nonlinear, ages, bad)
         heads = gen.uniform(0.0, 5.0, 12)
         c_terms, d_terms = gain_terms(linear, ages, norms), gen.uniform(0.0, 5.0, (12, K))
         for seqs in ((c_terms, d_terms), (c_terms, d_terms, d_terms[:, ::-1], c_terms)):

@@ -195,9 +195,9 @@ def test_structured_vs_generic_engines_agree():
         exact = solve_window(problem, SolverConfig())
         rows = E._Rows.of([problem])
         compass = E._solve_multistart_local(rows, SolverConfig(
-            method="multistart_local", multistart=6, max_iter=400))[0]
+            method="multistart_local", multistart=6, max_iter=400)).cell(0)
         gnp = E._solve_gauss_newton(rows, SolverConfig(
-            method="gauss_newton_penalty", multistart=4, max_iter=40))[0]
+            method="gauss_newton_penalty", multistart=4, max_iter=40)).cell(0)
         # the level engine is exact up to its bisection resolution
         assert exact.cost <= compass.cost * (1 + 1e-4) + 1e-12
         assert exact.cost <= gnp.cost * (1 + 1e-4) + 1e-12
@@ -310,7 +310,8 @@ def test_run_fie_zero_disturbance_tracking():
     T = 10
     u = np.zeros((T + 1, 1))
     sol = simulate(model, [0.8], u, np.zeros((T + 1, 1)), np.zeros((T + 1, 1)), T + 1)
-    results = run_fie(model, cost, [0.8], u[:T], sol.y[None, :T], SolverConfig())[0]
+    results = [step.cell(0) for step in run_fie(model, cost, [0.8], u[:T], sol.y[None, :T],
+                                                SolverConfig())]
     assert len(results) == T + 1
     assert results[0].published[0] == 0.8
     for t in range(T + 1):
@@ -328,12 +329,12 @@ def test_run_fie_prior_offset_decay_bound():
     T = 12
     u = np.zeros((T + 1, 1))
     sol = simulate(model, [0.5], u, np.zeros((T + 1, 1)), np.zeros((T + 1, 1)), T + 1)
-    results = run_fie(model, cost, [1.5], u[:T], sol.y[None, :T], SolverConfig())[0]
+    results = run_fie(model, cost, [1.5], u[:T], sol.y[None, :T], SolverConfig())
     d0 = abs(sol.x[0, 0] - 1.5)
     rhs = bound_trace(bounds.mode, bounds.b, d0, (bounds.c, np.abs(sol.w[:T, 0])),
                       (bounds.d, np.abs(sol.v[:T, 0])))
     for t in range(T + 1):
-        err = abs(sol.x[t, 0] - results[t].published[0])
+        err = abs(sol.x[t, 0] - results[t].cell(0).published[0])
         assert err <= rhs[t] + 1e-9
 
 
@@ -354,10 +355,10 @@ def test_run_mhe_equals_fie_for_long_horizon():
     v = gen.uniform(-0.1, 0.1, (T, 1))
     u = np.zeros((T, 1))
     sol = simulate(model, [0.4], u, w, v, T)
-    fie = run_fie(model, cost, [0.9], u, sol.y[None], SolverConfig())[0]
-    mhe = run_mhe(model, cost, [0.9], u, sol.y[None], T + 2, SolverConfig())[0]
+    fie = run_fie(model, cost, [0.9], u, sol.y[None], SolverConfig())
+    mhe = run_mhe(model, cost, [0.9], u, sol.y[None], T + 2, SolverConfig())
     for a, b in zip(fie, mhe):
-        assert a.published[0] == b.published[0]
+        assert a.cell(0).published[0] == b.cell(0).published[0]
 
 
 def test_run_mhe_uses_filtering_prior():
@@ -369,9 +370,9 @@ def test_run_mhe_uses_filtering_prior():
     v = gen.uniform(-0.05, 0.05, (T, 1))
     u = np.zeros((T, 1))
     sol = simulate(model, [0.4], u, w, v, T)
-    results = run_mhe(model, cost, [0.9], u, sol.y[None], K, SolverConfig())[0]
+    results = run_mhe(model, cost, [0.9], u, sol.y[None], K, SolverConfig())
     for t in range(K + 1, T + 1):
-        assert results[t].prior[0] == results[t - K].published[0]
+        assert results[t].cell(0).prior[0] == results[t - K].cell(0).published[0]
         assert results[t].horizon == K
 
 
@@ -401,13 +402,31 @@ def test_driver_inputs_of_the_wrong_shape_are_domain_errors(horizon, prior, u):
             run_mhe(model, cost, prior, u, y, horizon, SolverConfig())
 
 
+@pytest.mark.parametrize("horizon", [2.5, 0])
+def test_a_moving_horizon_that_is_not_a_positive_integer_is_a_domain_error(horizon):
+    model, cost = builtin_model("s1"), _cost("s1", PlusMode.MAX)
+    with pytest.raises(DomainError, match="moving horizon must be"):
+        run_mhe(model, cost, [0.5], np.zeros((6, 1)), np.zeros((1, 6)), horizon, SolverConfig())
+
+
+@pytest.mark.parametrize("horizon", [None, 2], ids=["fie", "mhe"])
+def test_a_stack_of_no_cell_is_a_domain_error(horizon):
+    # a run of no cell would pass every check vacuously
+    model, cost, u, _ = _two_cells()
+    with pytest.raises(DomainError, match="with C >= 1 cells"):
+        if horizon is None:
+            run_fie(model, cost, [0.5], u, np.zeros((0, 4)), SolverConfig())
+        else:
+            run_mhe(model, cost, [0.5], u, np.zeros((0, 4)), horizon, SolverConfig())
+
+
 def test_driver_takes_a_0d_prior_and_flat_inputs_on_a_one_state_plant():
     model, cost, u, y = _two_cells()
     shared = run_fie(model, cost, [0.5], u, y, SolverConfig())
     for prior in (0.5, np.full((2, 1), 0.5)):
         runs = run_fie(model, cost, prior, u[:, 0], y, SolverConfig())
-        assert [[r.published.tolist() for r in run] for run in runs] == \
-            [[r.published.tolist() for r in run] for run in shared]
+        assert [step.published.tolist() for step in runs] == \
+            [step.published.tolist() for step in shared]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +491,7 @@ def test_single_window_certification_is_what_a_run_records(plant, mode, estimato
     cell = H._check_group(resolved, cells, H._cell_hat(resolved, 4), 4, truths, runs)[0]
     assert cell.certified[1:].any()
     for t in range(1, T + 1):
-        res = runs[0][t]
+        res = runs[t].cell(0)
         record = certify_suboptimality(res, truths.cell(0).window(t - res.horizon, t),
                                        resolved.cost, config.a_factor)
         assert (record.ratio if math.isfinite(record.ratio) else -1.0) == \

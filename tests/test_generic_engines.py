@@ -100,7 +100,7 @@ def _generic(problem, solver):
     engine would take."""
     engine = E._solve_gauss_newton if solver.method == "gauss_newton_penalty" \
         else E._solve_multistart_local
-    return engine(E._Rows.of([problem]), solver)[0]
+    return engine(E._Rows.of([problem]), solver).cell(0)
 
 
 def _record():
