@@ -15,7 +15,9 @@ Exit codes are part of the contract; every failure maps onto one of them:
     function lacks an operation the run needs), ``HorizonCapError`` (a
     full-information window beyond ``t_max_fie``)
 3   infeasible or divergent run: ``InfeasibleWindowError``,
-    ``DivergenceError`` (the simulated state left the floats)
+    ``DivergenceError`` (the simulated state left the floats),
+    ``NonFiniteStepError`` (a certified step whose error, bound or cost is
+    not finite)
 4   bound violation (``BoundViolationError``), worst step in the report
 ==  ===========================================================================
 """
@@ -31,6 +33,7 @@ from .harness import (
     AnalysisError,
     BoundViolationError,
     ConfigError,
+    NonFiniteStepError,
     analyze,
     deviant_output_probe,
     horizon_sweep,
@@ -90,7 +93,7 @@ def main(argv=None) -> int:
     except (ConfigError, AnalysisError, DomainError, CapabilityError, HorizonCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleWindowError, DivergenceError) as exc:
+    except (InfeasibleWindowError, DivergenceError, NonFiniteStepError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except BoundViolationError as exc:

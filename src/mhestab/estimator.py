@@ -73,6 +73,7 @@ the slope products would move the iterates pinned by
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
@@ -102,6 +103,7 @@ from .systems import (
 
 WIDTH_CAP = 1e18
 LEVEL_PASSES = 4          # level-grid refinements of the max-mode bisection
+GROUP_ROW_STEPS = 1 << 15  # rows times window length of one group of growing windows
 
 
 class HorizonCapError(RuntimeError):
@@ -172,11 +174,17 @@ class EstimateResult:
                               int(self.iterations[i]), float(self.residual[i]),
                               int(self.starts_used[i]))
 
-    def take(self, rows: slice) -> "EstimateResult":
-        """The stack of a slice of the rows of a stack."""
-        return replace(self, **{name: getattr(self, name)[rows] for name in (
+    def take(self, rows: slice, horizon: Optional[int] = None) -> "EstimateResult":
+        """The stack of a slice of the rows of a stack; with a ``horizon``,
+        rows of windows of that length cut from a stack of longer ones."""
+        out = replace(self, **{name: getattr(self, name)[rows] for name in (
             "xhat", "what", "vhat", "cost", "status", "prior", "iterations", "residual",
             "starts_used")})
+        if horizon is not None and horizon != self.horizon:
+            out.xhat, out.what, out.vhat = (out.xhat[:, :horizon + 1], out.what[:, :horizon],
+                                            out.vhat[:, :horizon])
+            out.horizon = horizon
+        return out
 
     def as_solution(self, model: SystemModel, u_win: np.ndarray) -> SolutionTuple:
         """The window part of the estimate as a solution tuple (reproduces the
@@ -236,19 +244,35 @@ class CertificationRecord:
 # ---------------------------------------------------------------------------
 
 def _window_costs(cost: CostSpec, prior: np.ndarray, chi0: np.ndarray, omega: np.ndarray,
-                  nu: np.ndarray) -> List[float]:
-    """The discounted costs of C candidate windows of one length K: prior
-    and chi0 (C, n), omega (C, K, q), nu (C, K, m), in time order.  Entry j
-    of a window's omega and nu acts at age K - j, and the prior mismatch is
-    discounted by the full length K.  Each gain and the fold take one array
-    call, and each row's cost is its window's alone."""
+                  nu: np.ndarray, k: Optional[np.ndarray] = None) -> np.ndarray:
+    """The discounted costs (C,) of C candidate windows: prior and chi0
+    (C, n), omega (C, K, q), nu (C, K, m), in time order.  Row c is a window
+    of length k[c] <= K (all K without ``k``), and entries past it are not
+    read.  Entry j of a window's omega and nu acts at age k - j, and the
+    prior mismatch is discounted by the full length.  The rows of each
+    length take one array call per gain and one fold, so each row's cost is
+    its window's alone."""
     K = omega.shape[1]
-    ages = range(K, 0, -1)             # entry j acts at age K - j
-    dist = row_distances(chi0, prior)
-    heads = gain_terms(cost.beta_hat, range(K, K + 1), dist[:, None])[:, 0]
-    c_terms = gain_terms(cost.gamma_hat, ages, seq_norms(omega))
-    d_terms = gain_terms(cost.delta_hat, ages, seq_norms(nu))
-    return fold_terms(cost.mode, heads, c_terms, d_terms).tolist()
+    if k is None or (k == K).all():
+        ages = range(K, 0, -1)             # entry j acts at age K - j
+        dist = row_distances(chi0, prior)
+        heads = gain_terms(cost.beta_hat, range(K, K + 1), dist[:, None])[:, 0]
+        c_terms = gain_terms(cost.gamma_hat, ages, seq_norms(omega))
+        d_terms = gain_terms(cost.delta_hat, ages, seq_norms(nu))
+        return fold_terms(cost.mode, heads, c_terms, d_terms)
+    out = np.empty(len(k))
+    for L, run in _length_runs(k):
+        out[run] = _window_costs(cost, prior[run], chi0[run], np.ascontiguousarray(omega[run, :L]),
+                                 np.ascontiguousarray(nu[run, :L]))
+    return out
+
+
+def _length_runs(k: np.ndarray) -> List[Tuple[int, slice]]:
+    """``(L, slice)`` of each run of equal window lengths L in k, in order."""
+    if k[0] == k[-1]:
+        return [(int(k[0]), slice(0, len(k)))]
+    cuts = (np.flatnonzero(k[1:] != k[:-1]) + 1).tolist()
+    return [(int(k[a]), slice(a, b)) for a, b in zip([0] + cuts, cuts + [len(k)])]
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +280,31 @@ def _window_costs(cost: CostSpec, prior: np.ndarray, chi0: np.ndarray, omega: np
 # ---------------------------------------------------------------------------
 
 class _Rows:
-    """A group of windows, one row each, that share the plant, cost and
-    inputs u_win (K, du) and differ in their priors (R, n) and outputs
-    (R, K, p).  Every helper below works elementwise along the rows, so a
-    row's numbers are those of its window solved alone.  The drivers cut
-    the groups from their stacks, the C windows of one step or of several
-    consecutive moving-horizon steps that share their inputs (stacked
-    step-major), and :meth:`of` groups windows given one at a time."""
+    """A group of windows, one row each, that share the plant and cost and
+    differ in their priors (R, n), outputs (R, K, p) and lengths k (R,) <=
+    K, in nondecreasing order.  Every window starts at step 0 of the shared
+    inputs u_win (K, du), so row r reads u_win[:k[r]] and y[r, :k[r]], and
+    the entries past its length are padding that no row's numbers read.
+    Every helper below works elementwise along the rows, so a row's numbers
+    are those of its window solved alone.  The drivers cut the groups from
+    their stacks (the growing windows of consecutive steps, or the full
+    moving windows of consecutive steps that share their inputs, stacked
+    step-major), and :meth:`of` groups windows of one length given one at a
+    time.
+
+    ``live[j]`` is the first row longer than j - 1: the rows with a state j,
+    the published endpoint counted, are ``[live[j]:]``, and those with an
+    entry j of their outputs and disturbances are ``[live[j + 1]:]``."""
 
     def __init__(self, model: SystemModel, cost: CostSpec, u_win: np.ndarray,
-                 prior: np.ndarray, y: np.ndarray):
+                 prior: np.ndarray, y: np.ndarray, k: Optional[np.ndarray] = None):
         self.model, self.cost, self.u_win, self.prior, self.y = model, cost, u_win, prior, y
-        self.K = len(u_win)
+        self.K, R = y.shape[1], len(prior)
+        self.k = np.full(R, self.K) if k is None else k
+        if not R or self.k[0] == self.K:
+            self.live = [0] * (self.K + 1) + [R]
+        else:
+            self.live = np.searchsorted(self.k, np.arange(self.K + 2)).tolist()
 
     @classmethod
     def of(cls, problems: Sequence[EstimationProblem]) -> "_Rows":
@@ -275,38 +312,53 @@ class _Rows:
         return cls(first.model, first.cost, first.u_win, np.array([p.prior for p in problems]),
                    np.array([p.y_win for p in problems]))
 
+    @classmethod
+    def stack(cls, groups: Sequence["_Rows"]) -> "_Rows":
+        """The groups of nondecreasing length as one group, in order; each
+        group's inputs are a prefix of the last group's."""
+        last = groups[-1]
+        y = np.zeros((sum(map(len, groups)), last.K, last.y.shape[2]))
+        at = 0
+        for g in groups:
+            y[at:at + len(g), :g.K] = g.y
+            at += len(g)
+        return cls(last.model, last.cost, last.u_win, np.concatenate([g.prior for g in groups]),
+                   y, np.concatenate([g.k for g in groups]))
+
     def __len__(self) -> int:
         return len(self.prior)
 
     def take(self, idx) -> "_Rows":
-        return _Rows(self.model, self.cost, self.u_win, self.prior[idx], self.y[idx])
+        """The rows idx, in nondecreasing length, cut to the longest."""
+        k = self.k[idx]
+        K = int(k[-1]) if len(k) else self.K
+        return _Rows(self.model, self.cost, self.u_win[:K], self.prior[idx], self.y[idx, :K], k)
 
 
-def _rollout(rows: _Rows, chi0: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """The K scored states (B, K, n) from chi0 (B, n) under omega (B, K, q):
-    B rows of the group, or B candidates of a group of one."""
-    model, K = rows.model, rows.K
-    xs = np.empty((len(chi0), K, model.state_dim))
-    x = chi0
-    for j in range(K):
-        xs[:, j] = x
-        if j < K - 1:           # the endpoint is not scored
-            x = model.f(x, rows.u_win[j], omega[:, j])
+def _rollout(rows: _Rows, chi0: np.ndarray, omega: np.ndarray,
+             endpoint: bool = False) -> np.ndarray:
+    """The scored states (B, K, n) of each row's window from chi0 (B, n)
+    under omega (B, K, q), then, with ``endpoint``, the published endpoint,
+    one transition past the last of them: (B, K + 1, n).  B rows of the
+    group, or B candidates of rows of it; padding states are 0."""
+    model, K, live = rows.model, rows.K, rows.live
+    xs = np.zeros((len(chi0), K + endpoint, model.state_dim))
+    xs[:, 0] = x = chi0
+    at = 0
+    for j in range(K - 1 + endpoint):
+        nxt = live[j + 2 - endpoint]            # the rows that take transition j
+        x = model.f(x[nxt - at:], rows.u_win[j], omega[nxt:, j])
+        xs[nxt:, j + 1] = x
+        at = nxt
     return xs
 
 
-def _with_endpoint(rows: _Rows, xs: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """The states xs (B, K, n) and the published endpoint, one transition
-    past the last of them: (B, K + 1, n)."""
-    end = rows.model.f(xs[:, -1], rows.u_win[-1], omega[:, -1])
-    return np.concatenate([xs, end[:, None]], axis=1)
-
-
 def _eliminated_nu(rows: _Rows, xs: np.ndarray) -> np.ndarray:
-    model, K = rows.model, rows.K
-    nu = np.empty((len(xs), K, model.meas_noise_dim))
+    model, K, live = rows.model, rows.K, rows.live
+    nu = np.zeros((len(xs), K, model.meas_noise_dim))
     for j in range(K):
-        nu[:, j] = rows.y[:, j] - model.h_nominal(xs[:, j], rows.u_win[j])
+        a = live[j + 1]
+        nu[a:, j] = rows.y[a:, j] - model.h_nominal(xs[a:, j], rows.u_win[j])
     return nu
 
 
@@ -320,7 +372,8 @@ def _candidate_starts(rows: _Rows) -> List[Tuple[np.ndarray, np.ndarray]]:
         y = rows.y
         omega = np.zeros((len(rows), K, 1))
         for j in range(K - 1):
-            omega[:, j] = y[:, j + 1] - model.f_nominal(y[:, j], rows.u_win[j])
+            a = rows.live[j + 2]
+            omega[a:, j] = y[a:, j + 1] - model.f_nominal(y[a:, j], rows.u_win[j])
         starts.append((y[:, 0].copy(), omega))
     return starts
 
@@ -338,10 +391,10 @@ def _results_from_decisions(rows: _Rows, chi0: np.ndarray, omega: np.ndarray,
     # dynamics hold exactly by construction (states rolled forward, noise read
     # off the transitions); the residual field records output mismatch only,
     # which elimination makes zero
-    xs = _rollout(rows, chi0, omega)
-    nu = _eliminated_nu(rows, xs)
-    cost = np.asarray(_window_costs(rows.cost, rows.prior, xs[:, 0], omega, nu))
-    return _stacked(rows, _with_endpoint(rows, xs, omega), omega, nu, cost, engine)
+    xhat = _rollout(rows, chi0, omega, endpoint=True)
+    nu = _eliminated_nu(rows, xhat)
+    cost = _window_costs(rows.cost, rows.prior, chi0, omega, nu, rows.k)
+    return _stacked(rows, xhat, omega, nu, cost, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -352,80 +405,106 @@ N_LEVELS = 48             # levels per bisection pass
 
 
 class _WidthTable:
-    """Per-age halfwidth evaluator fn(., age)^{-1}(level), slope-cached.
+    """Per-age halfwidth evaluator fn(., age)^{-1}(level), slope-cached, for
+    the windows of a group: the prior's at the age of the window length, or
+    the stages' at ages 1 .. length.
 
-    Linear slices use a vectorized inverse-slope product; general slices fall
-    back to per-level inversion.  Widths are capped: a deeply discounted term
-    is effectively unconstrained at any respectable level.
+    A window length whose slices at those ages are linear with positive
+    slopes takes a vectorized inverse-slope product, as its window alone
+    does; any other falls back to per-level inversion.  Widths are capped: a
+    deeply discounted term is effectively unconstrained at any respectable
+    level.
     """
 
-    def __init__(self, fn, ages: Sequence[int]):
+    def __init__(self, fn, lengths: np.ndarray, prior: bool):
         self.fn = fn
-        self.ages = list(ages)
-        table = slope_table(fn, max(ages))
-        if table is not None and np.all(table[list(ages)] > 0):
-            self.inv = 1.0 / table[list(ages)]
-        else:
-            self.inv = None
+        distinct = sorted(set(lengths.tolist()))
+        self.linear = np.zeros(distinct[-1] + 1, dtype=bool)
+        self.inv = None
+        for L in distinct:
+            table = slope_table(fn, L)
+            ages = [L] if prior else slice(1, L + 1)
+            if table is not None and np.all(table[ages] > 0):
+                self.linear[L] = True
+                with np.errstate(divide="ignore"):
+                    self.inv = 1.0 / table           # the tables of fn are prefixes
+        self.all_linear = bool(self.linear[distinct].all())
 
-    def widths(self, levels: np.ndarray) -> np.ndarray:
-        """Halfwidths (ages, *levels.shape)."""
-        if self.inv is not None:
-            return np.minimum(self.inv.reshape((-1,) + (1,) * levels.ndim) * levels, WIDTH_CAP)
-        out = np.empty((len(self.ages),) + levels.shape)
-        for i, age in enumerate(self.ages):
-            for idx, lev in np.ndenumerate(levels):
+    def widths(self, levels: np.ndarray, ages: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Halfwidths (..., R, L) at the levels (R, L) of rows of window
+        lengths k (R,) and at the ages (..., R) of each row; ages below 1
+        are padding, whose widths are not read."""
+        if self.all_linear:
+            return np.minimum(self.inv[np.maximum(ages, 1)][..., None] * levels, WIDTH_CAP)
+        linear = self.linear[k]
+        out = np.zeros(ages.shape + levels.shape[1:])
+        if linear.any():
+            out[..., linear, :] = np.minimum(
+                self.inv[np.maximum(ages[..., linear], 1)][..., None] * levels[linear], WIDTH_CAP)
+        for idx in zip(*np.nonzero((ages >= 1) & ~linear)):
+            for i, lev in enumerate(levels[idx[-1]]):
                 if lev <= 0.0:
-                    out[(i,) + idx] = 0.0
+                    out[idx + (i,)] = 0.0
                     continue
                 try:
-                    out[(i,) + idx] = min(self.fn.r_inverse(lev, age), WIDTH_CAP)
+                    out[idx + (i,)] = min(self.fn.r_inverse(lev, int(ages[idx])), WIDTH_CAP)
                 except CapabilityError:
-                    out[(i,) + idx] = WIDTH_CAP
+                    out[idx + (i,)] = WIDTH_CAP
         return out
 
 
 def _max_prepare(rows: _Rows):
-    ages = list(range(rows.K, 0, -1))
-    return (_WidthTable(rows.cost.beta_hat, [rows.K]),
-            _WidthTable(rows.cost.delta_hat, ages),
-            _WidthTable(rows.cost.gamma_hat, ages))
+    return (_WidthTable(rows.cost.beta_hat, rows.k, True),
+            _WidthTable(rows.cost.delta_hat, rows.k, False),
+            _WidthTable(rows.cost.gamma_hat, rows.k, False))
 
 
 def _max_feasible(rows: _Rows, prep, levels: np.ndarray, record: bool = False):
     """Interval-propagation feasibility of `max cost <= level` per row and
-    level; ``levels`` is (R, L), one row of levels per window.
+    level; ``levels`` is (R, L), one row of levels per window.  Step j
+    intersects the rows that have an entry j and images the rows that have
+    a state j + 1, so a row stops at its own length; with ``record``, the
+    intervals of step j are those of the rows ``[rows.live[j + 1]:]``.
 
     Once an interval goes empty its level stays dead through the latched
     ``alive`` mask; the interval values themselves keep propagating (they stay
     finite because widths are capped) and are ignored.
     """
-    model, K = rows.model, rows.K
+    model, K, k, live = rows.model, rows.K, rows.k, rows.live
     y = rows.y[:, :, 0].T[:, :, None]          # (K, R, 1)
-    pw = prep[0].widths(levels)[0]
-    dw = prep[1].widths(levels)
-    gw = prep[2].widths(levels)
+    ages = k - np.arange(K)[:, None]           # entry j of row r acts at age k[r] - j
+    if k[0] == K:       # one length: the widths of every step at once, (K, R, L)
+        dw, gw = (table.widths(levels, ages, k) for table in prep[1:])
+    else:               # each step's widths for its live rows only
+        dw = gw = None
+    pw = prep[0].widths(levels, k, k)
     lo = rows.prior - pw
     hi = rows.prior + pw
     alive = np.ones(levels.shape, dtype=bool)
     intervals = []
     for j in range(K):
-        lo = np.maximum(lo, y[j] - dw[j])
-        hi = np.minimum(hi, y[j] + dw[j])
-        alive &= lo <= hi
+        a = live[j + 1]                          # lo and hi hold the rows [a:]
+        dw_j = prep[1].widths(levels[a:], ages[j, a:], k[a:]) if dw is None else dw[j]
+        lo = np.maximum(lo, y[j, a:] - dw_j)
+        hi = np.minimum(hi, y[j, a:] + dw_j)
+        alive[a:] &= lo <= hi
         if record:
-            lo, hi = np.where(alive, lo, 0.0), np.where(alive, hi, 0.0)
+            lo, hi = np.where(alive[a:], lo, 0.0), np.where(alive[a:], hi, 0.0)
             intervals.append((lo, hi))
         if j < K - 1:
-            img_lo, img_hi = model.f_image(lo, hi, rows.u_win[j])
-            lo = img_lo - gw[j]
-            hi = img_hi + gw[j]
+            b = live[j + 2]
+            gw_j = prep[2].widths(levels[b:], ages[j, b:], k[b:]) if gw is None else gw[j]
+            img_lo, img_hi = model.f_image(lo[b - a:], hi[b - a:], rows.u_win[j])
+            lo = img_lo - gw_j
+            hi = img_hi + gw_j
     return (alive, intervals) if record else (alive, None)
 
 
 def _max_reconstruct(rows: _Rows, prep, levels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per row, whether its cost level (R,) is feasible, and the states
-    (R, K) of a feasible trajectory at that level, NaN where it is not."""
+    (R, K) of a feasible trajectory at that level, NaN where it is not or
+    past the row's length.  Each row starts at the middle of its last
+    interval and walks back through its own steps."""
     model, K = rows.model, rows.K
     alive, intervals = _max_feasible(rows, prep, levels[:, None], record=True)
     feasible = alive[:, 0]
@@ -433,14 +512,20 @@ def _max_reconstruct(rows: _Rows, prep, levels: np.ndarray) -> Tuple[np.ndarray,
     ok = np.flatnonzero(feasible)
     if not len(ok):
         return feasible, chis
-    ivs = [(lo[ok, 0], hi[ok, 0]) for lo, hi in intervals]
-    gw = prep[2].widths(levels[ok])
-    chis[ok, K - 1] = 0.5 * (ivs[K - 1][0] + ivs[K - 1][1])
-    for j in range(K - 2, -1, -1):
-        lo_j, hi_j = ivs[j]
-        img_lo, img_hi = model.f_image(lo_j, hi_j, rows.u_win[j])
-        target = clamp(chis[ok, j + 1], img_lo - gw[j], img_hi + gw[j])
-        chis[ok, j] = model.f_solve(clamp(target, img_lo, img_hi), lo_j, hi_j, rows.u_win[j])
+    k, live = rows.k[ok], rows.take(ok).live
+    for j in range(k[-1] - 1, -1, -1):
+        a, b = live[j + 1], live[j + 2]          # the rows with an entry j, j + 1
+        at = ok[a:]
+        lo_j, hi_j = (iv[at - rows.live[j + 1], 0] for iv in intervals[j])
+        if b > a:                                # the rows ending at j
+            chis[at[:b - a], j] = 0.5 * (lo_j[:b - a] + hi_j[:b - a])
+        if b < len(ok):
+            lo_j, hi_j, nxt = lo_j[b - a:], hi_j[b - a:], chis[ok[b:], j + 1]
+            gw = prep[2].widths(levels[ok[b:], None], k[b:] - j, k[b:])[:, 0]
+            img_lo, img_hi = model.f_image(lo_j, hi_j, rows.u_win[j])
+            target = clamp(nxt, img_lo - gw, img_hi + gw)
+            chis[ok[b:], j] = model.f_solve(clamp(target, img_lo, img_hi), lo_j, hi_j,
+                                            rows.u_win[j])
     return feasible, chis
 
 
@@ -473,8 +558,8 @@ def _solve_max_scalar(rows: _Rows) -> EstimateResult:
     # guaranteed-feasible upper bracket from candidate trajectories
     s_hi = np.full(len(rows), math.inf)
     for chi0, omega in _candidate_starts(rows):
-        val = np.array(_window_costs(rows.cost, rows.prior, chi0, omega,
-                                     _eliminated_nu(rows, _rollout(rows, chi0, omega))))
+        val = _window_costs(rows.cost, rows.prior, chi0, omega,
+                            _eliminated_nu(rows, _rollout(rows, chi0, omega)), rows.k)
         s_hi = np.where(np.isfinite(val) & (val < s_hi), val, s_hi)
     if not np.isfinite(s_hi).all():
         raise InfeasibleWindowError("no finite-cost candidate trajectory")
@@ -483,7 +568,8 @@ def _solve_max_scalar(rows: _Rows) -> EstimateResult:
     zero = np.flatnonzero((s_hi == 0.0)
                           | _max_feasible(rows, prep, np.zeros((len(rows), 1)))[0][:, 0])
     if len(zero):
-        solved, chis[zero] = _max_reconstruct(rows.take(zero), prep, np.zeros(len(zero)))
+        solved, found = _max_reconstruct(rows.take(zero), prep, np.zeros(len(zero)))
+        chis[zero, :found.shape[1]] = found
         bisected[zero] = ~solved
     todo = np.flatnonzero(bisected)
     if len(todo):
@@ -505,7 +591,7 @@ def _solve_max_scalar(rows: _Rows) -> EstimateResult:
         pending = at
         for _ in range(6):
             ok, solved = _max_reconstruct(sub.take(pending), prep, bump[pending])
-            chis[todo[pending[ok]]] = solved[ok]
+            chis[todo[pending[ok]], :solved.shape[1]] = solved[ok]
             pending = pending[~ok]
             if not len(pending):
                 break
@@ -514,7 +600,9 @@ def _solve_max_scalar(rows: _Rows) -> EstimateResult:
             raise InfeasibleWindowError("level reconstruction failed")
     omega = np.zeros((len(rows), K, 1))
     for j in range(K - 1):
-        omega[:, j, 0] = chis[:, j + 1] - model.f_nominal(chis[:, j, None], rows.u_win[j])[:, 0]
+        a = rows.live[j + 2]
+        omega[a:, j, 0] = chis[a:, j + 1] - model.f_nominal(chis[a:, j, None],
+                                                            rows.u_win[j])[:, 0]
     result = _results_from_decisions(rows, chis[:, :1], omega, "max-interval")
     result.iterations = np.where(bisected, LEVEL_PASSES, 0)
     return result
@@ -561,11 +649,21 @@ class _PWLRows:
         self._knot_values = None
 
     @staticmethod
-    def abs_terms(centers: np.ndarray, weight: float) -> "_PWLRows":
-        """weight * |x - centers[r]| per row."""
+    def abs_terms(centers: np.ndarray, weight) -> "_PWLRows":
+        """weight[r] * |x - centers[r]| per row (one weight, or one per row)."""
         R = len(centers)
-        return _PWLRows(centers[:, None].astype(float), np.tile([-weight, weight], (R, 1)),
+        weight = np.broadcast_to(weight, (R,))
+        return _PWLRows(centers[:, None].astype(float), np.stack([-weight, weight], axis=1),
                         np.zeros(R), np.ones(R, dtype=int))
+
+    def cut(self, rows: slice) -> "_PWLRows":
+        """The functions of a slice of the rows."""
+        if rows == slice(0, None):
+            return self
+        out = _PWLRows(self.xs[rows], self.slopes[rows], self.y0[rows], self.n[rows])
+        if self._knot_values is not None:
+            out._knot_values = self._knot_values[rows]
+        return out
 
     def _knots(self) -> np.ndarray:
         """Values at the breakpoints (R, M)."""
@@ -607,14 +705,15 @@ class _PWLRows:
             return srt, n
         return _compact(keep, np.inf, srt)
 
-    def add_abs(self, centers: np.ndarray, weight: float) -> "_PWLRows":
-        """The sum with weight * |x - centers[r]| per row."""
+    def add_abs(self, centers: np.ndarray, weight) -> "_PWLRows":
+        """The sum with weight[r] * |x - centers[r]| per row."""
+        weight = np.broadcast_to(weight, centers.shape)
         xs, n = self.with_point(centers)
         # slope right of each probe: left of the first breakpoint, then at each
         probes = np.concatenate([xs[:, :1] - 1.0, xs], axis=1)
         idx = (self.xs[:, None, :] <= probes[:, :, None]).sum(axis=2)
         slopes = (self.slopes[self.rows, idx]
-                  + np.where(centers[:, None] <= probes, weight, -weight))
+                  + np.where(centers[:, None] <= probes, weight[:, None], -weight[:, None]))
         x0, c = xs[:, 0], centers
         term = np.where(x0 <= c, 0.0 - (-weight) * (c - x0), 0.0 + weight * (x0 - c))
         return _PWLRows(xs, slopes, self._arm(x0) + term, n)._pruned()
@@ -644,17 +743,26 @@ class _PWLRows:
         return (best, self.xs[rows, np.argmax(at, axis=1)],
                 self.xs[rows, M - 1 - np.argmax(at[:, ::-1], axis=1)])
 
-    def infconv_abs(self, w: float) -> "_PWLRows":
-        """Infimal convolution with w * |.| == slope clipping to [-w, w],
-        anchored so values in the unclipped region are preserved."""
+    def infconv_abs(self, w) -> "_PWLRows":
+        """Infimal convolution with w[r] * |.| == slope clipping to [-w[r],
+        w[r]], anchored so values in the unclipped region are preserved."""
         vmin, arg_lo, _ = self.min()
         R = len(vmin)
-        if w <= 0.0:
-            # zero-weight stage: the stage variable is free, leaving a constant
+        w = np.broadcast_to(w, (R,))
+        # zero-weight stage: the stage variable is free, leaving a constant
+        free = w <= 0.0
+        if free.all():
             return _PWLRows(arg_lo[:, None], np.zeros((R, 2)), vmin, np.ones(R, dtype=int))
+        w = w[:, None]
         s = np.where(-w > self.slopes, -w, self.slopes)
         s = np.where(w < s, w, s)
-        return _PWLRows(self.xs, s, self._anchored(s, arg_lo, vmin), self.n)._pruned()
+        out = _PWLRows(self.xs, s, self._anchored(s, arg_lo, vmin), self.n)._pruned()
+        if not free.any():
+            return out
+        xs = np.where(free[:, None], np.inf, out.xs)
+        xs[free, 0] = arg_lo[free]
+        return _PWLRows(xs, np.where(free[:, None], 0.0, out.slopes), np.where(free, vmin, out.y0),
+                        np.where(free, 1, out.n))
 
     def _anchored(self, slopes: np.ndarray, anchor_x: np.ndarray,
                   anchor_v: np.ndarray) -> np.ndarray:
@@ -687,13 +795,10 @@ class _PWLRows:
 
 
 def _sum_weights(cost: CostSpec, K: int):
-    b_table = slope_table(cost.beta_hat, K)
-    g_table = slope_table(cost.gamma_hat, K)
-    d_table = slope_table(cost.delta_hat, K)
-    if b_table is None or g_table is None or d_table is None:
-        return None
-    ages = list(range(K, 0, -1))
-    return float(b_table[K]), [float(g_table[a]) for a in ages], [float(d_table[a]) for a in ages]
+    """The slope tables of beta_hat, gamma_hat and delta_hat up to age K, or
+    None when a slice is not linear."""
+    tables = [slope_table(fn, K) for fn in (cost.beta_hat, cost.gamma_hat, cost.delta_hat)]
+    return None if any(table is None for table in tables) else tables
 
 
 def _first_best(cands: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -717,35 +822,43 @@ def _solve_sum_pwl(rows: _Rows) -> EstimateResult:
     window.
 
     The forward pass builds each step's value function as a convex
-    piecewise-linear function of the state; the backward pass picks, from
-    the last step's midpoint of minimizers back, the smallest state among
+    piecewise-linear function of the state, weighted by each row's ages; a
+    row stops at its own length.  The backward pass picks, from the midpoint
+    of the minimizers at a row's last step back, the smallest state among
     the breakpoints and the kink that minimizes stage value plus transition
     cost.  Every row ends with the result of its window solved alone.
     """
-    model, K, R = rows.model, rows.K, len(rows)
+    model, K, R, k, live = rows.model, rows.K, len(rows), rows.k, rows.live
     a = float(model.linear_a)
     y = rows.y[:, :, 0]
-    p_w, g_w, d_w = _sum_weights(rows.cost, K)
+    p_t, g_t, d_t = _sum_weights(rows.cost, K)
     offs = [float(np.atleast_1d(model.f_nominal(np.zeros(1), rows.u_win[j]))[0])
             for j in range(K)]
+    chis = np.empty((R, K))
     with np.errstate(invalid="ignore", over="ignore"):    # as Python floats, silently
-        stages = []
-        V = _PWLRows.abs_terms(rows.prior[:, 0], p_w).add_abs(y[:, 0], d_w[0])
-        for j in range(K - 1):
-            stages.append(V)
-            V = V.scale_shift_arg(a, offs[j]).infconv_abs(g_w[j]).add_abs(y[:, j + 1], d_w[j + 1])
-        _, arg_lo, arg_hi = V.min()
-        chis = np.empty((R, K))
-        chis[:, K - 1] = np.where(np.isfinite(arg_lo), 0.5 * (arg_lo + arg_hi), arg_hi)
+        stages = []                 # step j's functions, of the rows [live[j + 1]:]
+        V = _PWLRows.abs_terms(rows.prior[:, 0], p_t[k]).add_abs(y[:, 0], d_t[k])
+        for j in range(K):
+            lo, hi = live[j + 1], live[j + 2]    # the rows [lo:hi] end at step j
+            if hi > lo:
+                _, arg_lo, arg_hi = V.cut(slice(0, hi - lo) if hi < R else slice(0, None)).min()
+                chis[lo:hi, j] = np.where(np.isfinite(arg_lo), 0.5 * (arg_lo + arg_hi), arg_hi)
+            if hi < R:
+                stages.append(V)
+                V = V.cut(slice(hi - lo, None)).scale_shift_arg(a, offs[j]).infconv_abs(
+                    g_t[k[hi:] - j]).add_abs(y[hi:, j + 1], d_t[k[hi:] - j - 1])
         for j in range(K - 2, -1, -1):
-            Vj, nxt = stages[j], chis[:, j + 1]
+            lo, hi = live[j + 1], live[j + 2]    # the rows [hi:] go on past step j
+            Vj, nxt = stages[j].cut(slice(hi - lo, None)), chis[hi:, j + 1]
             cands, counts = Vj.with_point((nxt - offs[j]) / a)
-            vals = Vj.value(cands) + g_w[j] * np.abs(nxt[:, None] - a * cands - offs[j])
+            vals = Vj.value(cands) + g_t[k[hi:] - j][:, None] * np.abs(
+                nxt[:, None] - a * cands - offs[j])
             vals[(np.arange(cands.shape[1]) >= counts[:, None]) | np.isnan(vals)] = math.inf
-            chis[:, j] = _first_best(cands, vals)
+            chis[hi:, j] = _first_best(cands, vals)
     omega = np.zeros((R, K, 1))
     for j in range(K - 1):
-        omega[:, j, 0] = chis[:, j + 1] - (a * chis[:, j] + offs[j])
+        hi = live[j + 2]
+        omega[hi:, j, 0] = chis[hi:, j + 1] - (a * chis[hi:, j] + offs[j])
     return _results_from_decisions(rows, chis[:, :1], omega, "sum-pwl-dp")
 
 
@@ -763,21 +876,24 @@ class _Objective:
     """The window objective of the generic engines, over candidates of a
     window group.
 
-    A candidate z stacks the initial state chi0 (n), the disturbances omega
-    (K x q) and, when the output map is not additive in the noise, the
-    measurement noise nu (K x m); otherwise nu is read off the outputs.
-    :meth:`evaluate` maps candidates Z (B, dim) of the windows ``owner``
-    (B,) of the group to their cost terms (B, 2K+1), ordered beta_hat, then
-    gamma_hat and delta_hat of each window step in time order; their output
-    penalties (B,); and the mask of rows whose evaluation alone raises (a
-    NaN distance, a NaN or negative term).  Each row reads its own window's
-    prior and outputs, each gain is called once per age on the whole
-    column, and every row is computed by exactly the arithmetic of
-    evaluating that candidate alone on its window, so neither batching nor
-    grouping moves an iterate.  A masked row raises only when an engine
-    reads it: :class:`_Batch` then recomputes it alone through
-    :meth:`strict`.  A row that is never read can neither raise nor change
-    the result.
+    A candidate z of a window of length L stacks the initial state chi0
+    (n), the disturbances omega (L x q) and, when the output map is not
+    additive in the noise, the measurement noise nu (L x m); otherwise nu
+    is read off the outputs.  It has :meth:`dim_of` (L) entries, and a pass
+    lays it out as a candidate of its longest window, with zero disturbance
+    and noise past L (:meth:`columns`).  :meth:`evaluate` maps such
+    candidates Z (B, dim) of the windows ``owner`` (B,) of the group, in
+    nondecreasing length, to their cost terms (B, 2K+1), ordered beta_hat,
+    then gamma_hat and delta_hat of each window step in time order and 0
+    past a row's own 2L+1; their output penalties (B,); and the mask of rows
+    whose evaluation alone raises (a NaN distance, a NaN or negative term).
+    Each row reads its own window's prior, outputs and length, each gain is
+    called once per age on the rows that have a term at that age, and every
+    row is computed by exactly the arithmetic of evaluating that candidate
+    alone on its window, so neither batching nor grouping moves an iterate.
+    A masked row raises only when an engine reads it: :class:`_Batch` then
+    recomputes it alone through :meth:`strict`.  A row that is never read
+    can neither raise nor change the result.
     """
 
     def __init__(self, rows: _Rows):
@@ -785,13 +901,26 @@ class _Objective:
         self.rows = rows
         self.eliminate = model.additive_v
         self.n, self.q, self.m = model.state_dim, model.process_noise_dim, model.meas_noise_dim
-        self.n_omega = rows.K * self.q
-        self.dim = self.n + self.n_omega + (0 if self.eliminate else rows.K * self.m)
+        self.per_step = self.q + (0 if self.eliminate else self.m)
+        self.dim = self.dim_of(rows.K)
+
+    def dim_of(self, L: int) -> int:
+        return self.n + L * self.per_step
+
+    def columns(self, L: int, K: int):
+        """The entries of the layout of windows of length K that a candidate
+        of a window of length L <= K fills."""
+        if self.eliminate or L == K:
+            return slice(0, self.dim_of(L))
+        nu = self.n + K * self.q
+        return np.r_[0:self.n + L * self.q, nu:nu + L * self.m]
 
     def unpack(self, Z: np.ndarray):
         """chi0 (B, n), omega (B, K, q) and nu (B, K, m), or None when it is
-        eliminated, of the candidates Z (B, dim)."""
-        B, K, n, end = len(Z), self.rows.K, self.n, self.n + self.n_omega
+        eliminated, of the candidates Z (B, dim) of windows of length K."""
+        B, n = len(Z), self.n
+        K = (Z.shape[1] - n) // self.per_step
+        end = n + K * self.q
         nu = None if self.eliminate else Z[:, end:].reshape(B, K, self.m)
         return Z[:, :n], Z[:, n:end].reshape(B, K, self.q), nu
 
@@ -805,8 +934,8 @@ class _Objective:
             # a plant map or gain failed on some row, which need not be one
             # the engine reads: mask every row, so each read recomputes its
             # row alone and the failing one raises there
-            B = len(Z)
-            return (np.full((B, 2 * self.rows.K + 1), np.nan), np.full(B, np.nan),
+            B, K = len(Z), (Z.shape[1] - self.n) // self.per_step
+            return (np.full((B, 2 * K + 1), np.nan), np.full(B, np.nan),
                     np.ones(B, dtype=bool))
 
     def strict(self, z: np.ndarray, window: int):
@@ -818,7 +947,7 @@ class _Objective:
 
     def _evaluate(self, Z: np.ndarray, owner: np.ndarray, strict: bool):
         rows = self.rows.take(owner)            # each candidate's own window
-        model, cost, K = rows.model, rows.cost, rows.K
+        model, cost, K, k, live = rows.model, rows.cost, rows.K, rows.k, rows.live
         B = len(Z)
         chi0, omega, nu = self.unpack(Z)
         xs = _rollout(rows, chi0, omega)
@@ -827,19 +956,36 @@ class _Objective:
             nu = _eliminated_nu(rows, xs)
         else:
             for j in range(K):
-                res = rows.y[:, j] - model.h(xs[:, j], rows.u_win[j], nu[:, j])
-                pen = pen + _row_sqnorms(res)
+                a = live[j + 1]
+                res = rows.y[a:, j] - model.h(xs[a:, j], rows.u_win[j], nu[a:, j])
+                pen[a:] = pen[a:] + _row_sqnorms(res)
         dist = row_distances(chi0, rows.prior)
         wn = np.sqrt(_row_sqnorms(omega))
         vn = np.sqrt(_row_sqnorms(nu))
         masked = np.isnan(dist) | np.isnan(wn).any(axis=1) | np.isnan(vn).any(axis=1)
         if not strict and masked.any():
             dist, wn, vn = (np.where(np.isnan(a), 0.0, a) for a in (dist, wn, vn))
-        terms = np.empty((B, 2 * K + 1))
-        terms[:, 0] = cost.beta_hat(dist, K)
-        for j in range(K):
-            terms[:, 1 + 2 * j] = cost.gamma_hat(wn[:, j], K - j)
-            terms[:, 2 + 2 * j] = cost.delta_hat(vn[:, j], K - j)
+        terms = np.zeros((B, 2 * K + 1))
+        if k[0] == K:       # one length: entry j of every row at age K - j
+            terms[:, 0] = cost.beta_hat(dist, K)
+            for j in range(K):
+                terms[:, 1 + 2 * j] = cost.gamma_hat(wn[:, j], K - j)
+                terms[:, 2 + 2 * j] = cost.delta_hat(vn[:, j], K - j)
+        else:
+            for L, run in _length_runs(k):
+                terms[run, 0] = cost.beta_hat(dist[run], L)
+            # each row's entries right-aligned, so that column c holds age K - c
+            shift = (K - k)[:, None]
+            aligned = np.maximum(np.arange(K) - shift, 0)
+            at = np.arange(B)[:, None]
+            wn, vn = wn[at, aligned], vn[at, aligned]
+            gamma, delta = np.zeros((B, K + 1)), np.zeros((B, K + 1))     # column K stays 0
+            for c in range(K):
+                a = live[K - c]                 # the rows with a term at age K - c
+                gamma[a:, c] = cost.gamma_hat(wn[a:, c], K - c)
+                delta[a:, c] = cost.delta_hat(vn[a:, c], K - c)
+            back = np.minimum(np.arange(K) + shift, K)     # time order, 0 past a row's own
+            terms[:, 1::2], terms[:, 2::2] = gamma[at, back], delta[at, back]
         masked |= ~(terms >= 0.0).all(axis=1)
         return terms, pen, masked
 
@@ -848,20 +994,28 @@ class _Objective:
         folded one column at a time (:func:`plus_fold`)."""
         return plus_fold(self.rows.cost.mode, terms.T) + mu * pen
 
-    def residual_rows(self, terms: np.ndarray, pen: np.ndarray, power: float,
-                      mu: float) -> np.ndarray:
-        """The Gauss-Newton residual vectors: sqrt((term + eps)**power) per
-        term, then sqrt(mu * penalty + eps) when nu is a decision variable."""
+    def residual_width(self, L: int) -> int:
+        """The length of the residual vector of a window of length L."""
+        return 2 * L + 1 + (not self.eliminate)
+
+    def residual_rows(self, terms: np.ndarray, pen: np.ndarray, lens: np.ndarray,
+                      power: float, mu: float) -> np.ndarray:
+        """The Gauss-Newton residual vectors of rows of window lengths lens:
+        sqrt((term + eps)**power) per term, then sqrt(mu * penalty + eps)
+        when nu is a decision variable; entries past a row's own
+        :meth:`residual_width` are not its own."""
         rows = np.sqrt(np.power(terms + _EPS, power))
         if self.eliminate:
             return rows
-        return np.concatenate([rows, np.sqrt(mu * pen + _EPS)[:, None]], axis=1)
+        rows = np.concatenate([rows, np.empty((len(rows), 1))], axis=1)
+        rows[np.arange(len(rows)), 2 * lens + 1] = np.sqrt(mu * pen + _EPS)
+        return rows
 
 
 class _Batch:
     """The candidate rows Z that one pair asked for in a pass, and what its
     engine reads of them: their cost ``terms``, the derived ``rows`` and
-    their ``scores``, from ``derive(objective, terms, penalties, stage)``.
+    their ``scores``, from ``derive(objective, terms, penalties, lengths, stage)``.
     ``row(k)`` reads row k; a masked row is recomputed alone there, raising
     what evaluating it alone raises.  Rows must be read in the order the
     one-candidate algorithm evaluates them.  The arrays are views of the
@@ -875,7 +1029,8 @@ class _Batch:
     def row(self, k: int):
         if self.masked[k]:
             terms, pen = self.objective.strict(self.Z[k], self.window)
-            rows, scores = self.derive(self.objective, terms, pen, self.stage)
+            rows, scores = self.derive(self.objective, terms, pen,
+                                       self.objective.rows.k[[self.window]], self.stage)
             self.terms[k], self.rows[k], self.scores[k] = terms[0], rows[0], scores[0]
             self.masked[k] = False
         return self.rows[k]
@@ -897,25 +1052,47 @@ class _Batch:
 
 def _evaluate_pass(objective: _Objective, derive, asks) -> List[_Batch]:
     """One objective pass over the candidate rows that pairs ask for, each
-    ask ``(Z, window, stage)``; the rows of each stage are derived in one
-    call.  Returns one :class:`_Batch` per ask."""
+    ask ``(Z, window, stage)`` with Z of the window's own width, laid out
+    as candidates of the longest window asked for; the asks come in window
+    order.  The rows of each stage are derived in one call.  Returns one
+    :class:`_Batch` per ask, its arrays cut to its window."""
+    k = objective.rows.k
+    lengths = k[[window for _, window, _ in asks]].tolist()
+    K = lengths[-1]
     sizes = [len(Z) for Z, _, _ in asks]
-    Z = np.concatenate([Z for Z, _, _ in asks])
+    ends = list(itertools.accumulate(sizes))
+    spans = [slice(end - size, end) for end, size in zip(ends, sizes)]
+    if lengths[0] == K:
+        Z = np.concatenate([z for z, _, _ in asks])
+    else:
+        Z = np.zeros((ends[-1], objective.dim_of(K)))
+        for first, last in _equal_runs(lengths):
+            Z[spans[first].start:spans[last].stop, objective.columns(lengths[first], K)] = \
+                np.concatenate([z for z, _, _ in asks[first:last + 1]])
     terms, pen, masked = objective.evaluate(Z, np.repeat([w for _, w, _ in asks], sizes))
+    lens = np.repeat(lengths, sizes)
     stages = list(dict.fromkeys(stage for _, _, stage in asks))
     stage_of = np.repeat([stages.index(stage) for _, _, stage in asks], sizes)
     rows, scores = None, np.empty(len(Z))
     with np.errstate(all="ignore"):
         for s, stage in enumerate(stages):
             sel = np.flatnonzero(stage_of == s) if len(stages) > 1 else slice(None)
-            derived, scores[sel] = derive(objective, terms[sel], pen[sel], stage)
+            derived, scores[sel] = derive(objective, terms[sel], pen[sel], lens[sel], stage)
             if rows is None:
                 rows = np.empty((len(Z),) + derived.shape[1:])
             rows[sel] = derived
-    spans = [slice(end - size, end) for end, size in zip(np.cumsum(sizes), sizes)]
-    return [_Batch(objective, derive, window, stage, Z[span], terms[span], rows[span],
+    # a row's residual vector is cut to its own width
+    own = (lambda span, L: rows[span, :objective.residual_width(L)]) if rows.ndim > 1 else \
+        (lambda span, L: rows[span])
+    return [_Batch(objective, derive, window, stage, z, terms[span, :2 * L + 1], own(span, L),
                    scores[span], masked[span])
-            for span, (_, window, stage) in zip(spans, asks)]
+            for span, L, (z, window, stage) in zip(spans, lengths, asks)]
+
+
+def _equal_runs(values: list) -> List[Tuple[int, int]]:
+    """The first and last index of each run of equal values, in order."""
+    cuts = [i for i in range(1, len(values)) if values[i] != values[i - 1]]
+    return list(zip([0] + cuts, [c - 1 for c in cuts] + [len(values) - 1]))
 
 
 def _lockstep(objective: _Objective, derive, pairs) -> list:
@@ -954,17 +1131,18 @@ def _generic_starts(objective: _Objective, cfg: SolverConfig) -> List[List[np.nd
     deterministic initializations, then perturbations of the first, drawn
     for each window from its own generator keyed ``cfg.seed`` and scaled by
     that window's spread."""
-    rows, R, dim = objective.rows, len(objective.rows), objective.dim
-    pad = np.zeros((R, dim - objective.n - objective.n_omega))
+    rows, R, K = objective.rows, len(objective.rows), objective.rows.K
+    pad = np.zeros((R, objective.dim_of(K) - objective.n - K * objective.q))
     base = [np.concatenate([chi0, omega.reshape(R, -1), pad], axis=1)
             for chi0, omega in _candidate_starts(rows)]
     out = []
-    for i in range(R):
-        starts = [z[i] for z in base]
+    for i, L in enumerate(rows.k.tolist()):
+        starts = [z[i, objective.columns(L, K)] for z in base]
         gen = np.random.Generator(np.random.Philox(key=cfg.seed))
-        spread = max(1.0, float(np.max(np.abs(rows.y[i]))), float(np.max(np.abs(rows.prior[i]))))
+        spread = max(1.0, float(np.max(np.abs(rows.y[i, :L]))),
+                     float(np.max(np.abs(rows.prior[i]))))
         while len(starts) < cfg.multistart:
-            starts.append(starts[0] + gen.normal(0.0, 0.3 * spread, dim))
+            starts.append(starts[0] + gen.normal(0.0, 0.3 * spread, objective.dim_of(L)))
         out.append(starts[:cfg.multistart])
     return out
 
@@ -985,15 +1163,20 @@ def _solve_pairs(objective: _Objective, cfg: SolverConfig, pair, derive, stages,
         if i not in best or cost < best[i][0]:
             best[i] = (cost, z, iters, idx)
     cost, z, iterations, start = zip(*(best[i] for i in range(len(starts))))
-    chi0, omega, nu = objective.unpack(np.array(z))
+    Z = np.zeros((len(z), objective.dim_of(rows.K)))
+    for i, L in enumerate(rows.k.tolist()):
+        Z[i, objective.columns(L, rows.K)] = z[i]
+    chi0, omega, nu = objective.unpack(Z)
     if objective.eliminate:
         result = _results_from_decisions(rows, chi0, omega, engine)
     else:
-        xs = _rollout(rows, chi0, omega)
-        result = _stacked(rows, _with_endpoint(rows, xs, omega), omega, nu, np.array(cost),
-                          engine)
-        result.residual = plus_fold(PlusMode.MAX, [row_distances(
-            rows.y[:, j], rows.model.h(xs[:, j], rows.u_win[j], nu[:, j])) for j in range(rows.K)])
+        xhat = _rollout(rows, chi0, omega, endpoint=True)
+        result = _stacked(rows, xhat, omega, nu, np.array(cost), engine)
+        mismatch = np.zeros((rows.K, len(rows)))
+        for j, a in enumerate(rows.live[1:-1]):
+            mismatch[j, a:] = row_distances(rows.y[a:, j], rows.model.h(
+                xhat[a:, j], rows.u_win[j], nu[a:, j]))
+        result.residual = plus_fold(PlusMode.MAX, mismatch)
         result.status = ["penalty-residual" if worst > 1e-6 else "ok"
                          for worst in result.residual.tolist()]
     result.iterations, result.starts_used = np.array(iterations), np.array(start) + 1
@@ -1013,7 +1196,7 @@ def _compass_pair(objective: _Objective, window: int, z0: np.ndarray, schedule,
     order; after a move the batch is dropped and a new one starts at the
     next coordinate.
     """
-    dim = objective.dim
+    dim = objective.dim_of(int(objective.rows.k[window]))
     signs = np.tile([1.0, -1.0], dim)
     z, iters = z0.copy(), 0
     for mu in schedule:
@@ -1044,9 +1227,11 @@ def _compass_pair(objective: _Objective, window: int, z0: np.ndarray, schedule,
     return plus_reduce(objective.rows.cost.mode, at), z, iters
 
 
-def _compass_derive(objective: _Objective, terms: np.ndarray, pen: np.ndarray, mu: float):
+def _compass_derive(objective: _Objective, terms: np.ndarray, pen: np.ndarray,
+                    lens: np.ndarray, mu: float):
     """The rows a compass search reads at penalty weight mu, and their
-    scores: both the objective values."""
+    scores: both the objective values, each folded left to right over its
+    terms and the zeros past them."""
     values = objective.values(terms, pen, mu)
     return values, values
 
@@ -1089,12 +1274,18 @@ def _line_search_order(dim: int) -> np.ndarray:
     return np.concatenate([[0], np.arange(dim + 1, dim + 25)])
 
 
-def _gauss_newton_derive(objective: _Objective, terms: np.ndarray, pen: np.ndarray, stage):
+def _gauss_newton_derive(objective: _Objective, terms: np.ndarray, pen: np.ndarray,
+                         lens: np.ndarray, stage):
     """The rows Gauss-Newton reads at stage (mu, power), the residual
-    vectors, and their scores, the squared residual norms."""
+    vectors, and their scores, the squared residual norms, taken over the
+    rows of each window length apart (one dot product per row of its own
+    width)."""
     mu, power = stage
-    residuals = objective.residual_rows(terms, pen, power, mu)
-    return residuals, _row_sqnorms(residuals)
+    residuals = objective.residual_rows(terms, pen, lens, power, mu)
+    scores = np.empty(len(residuals))
+    for L, run in _length_runs(lens):
+        scores[run] = _row_sqnorms(residuals[run, :objective.residual_width(L)])
+    return residuals, scores
 
 
 def _gauss_newton_pair(objective: _Objective, window: int, z: np.ndarray, stages,
@@ -1109,7 +1300,7 @@ def _gauss_newton_pair(objective: _Objective, window: int, z: np.ndarray, stages
     accepted step is shorter than ``cfg.tol`` or after ``cfg.max_iter``
     iterations.
     """
-    dim = objective.dim
+    dim = objective.dim_of(int(objective.rows.k[window]))
     order = _line_search_order(dim)
     alphas = np.concatenate([[1.0], _HALVINGS])
     iters = 0
@@ -1118,8 +1309,9 @@ def _gauss_newton_pair(objective: _Objective, window: int, z: np.ndarray, stages
         for _ in range(cfg.max_iter):
             if batch is None:
                 batch = yield _with_probes(z), window, stage
-            for k in np.flatnonzero(batch.masked[:dim + 1]):
-                batch.row(k)     # in order: z, then each Jacobian point
+            if batch.masked[:dim + 1].any():
+                for k in np.flatnonzero(batch.masked[:dim + 1]):
+                    batch.row(k)     # in order: z, then each Jacobian point
             r, f0, at = batch.rows[0], batch.scores[0], batch.terms[0]
             jac = ((batch.rows[1:dim + 1] - r) / _fd_steps(z)[:, None]).T
             try:
@@ -1135,7 +1327,8 @@ def _gauss_newton_pair(objective: _Objective, window: int, z: np.ndarray, stages
             z, at = batch.Z[k], batch.terms[k]
             if k:       # a halving: its Jacobian points are not in the batch
                 batch = None
-            if float(np.linalg.norm(alphas[j] * step)) < cfg.tol:
+            taken = alphas[j] * step
+            if math.sqrt(taken.dot(taken)) < cfg.tol:     # np.linalg.norm's arithmetic
                 break
     return plus_reduce(objective.rows.cost.mode, at), z, iters
 
@@ -1203,12 +1396,15 @@ def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: Sol
     at t starts at max(0, t - horizon), or at 0 without a horizon, and is
     anchored at the cell's prior0 or at its own estimate from its start.
 
-    Growing windows (every full-information step, and the moving-horizon
-    steps t <= K) differ in length and go one group per step.  A full
-    moving window ending at t reads estimates published at t - K and
-    before, so the windows ending at t .. t + K - 1 (up to T) are known at t
-    and go as one group of C rows per step (:func:`_solve_steps`), as long
-    as their inputs u[s - K:s] equal those of the window ending at t; the
+    A growing window (every full-information step, and the moving-horizon
+    steps t <= K) starts at step 0 and is anchored at prior0, so all of
+    them are known at t = 1: they go as one ragged group of C rows per
+    step, stacked step-major (:func:`_solve_steps`), cut only where the
+    next step would take the group past ``GROUP_ROW_STEPS`` rows times
+    window length, or to another engine.  A full moving window ending at t
+    reads estimates published at t - K and before, so the windows ending at
+    t .. t + K - 1 (up to T) are known at t and go as one group, as long as
+    their inputs u[s - K:s] equal those of the window ending at t; the
     group stops before the first step whose inputs differ."""
     y = np.asarray(y_seq, dtype=float)
     if y.ndim == 2:
@@ -1237,39 +1433,43 @@ def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: Sol
         anchors = steps[start].published if start else priors
         return _Rows(model, cost, u[start:s], anchors, y[:, start:s])
 
+    grow = T if horizon is None else min(T, horizon)
     t = 1
     while t <= T:
         group = [window(t)]
-        if horizon is not None and t > horizon:
-            # the windows ending at t + 1 .. t + K - 1 are anchored at
-            # estimates published before t: they join while their inputs match
-            for s in range(t + 1, min(T, t + horizon - 1) + 1):
-                later = window(s)
-                if not np.array_equal(later.u_win, group[0].u_win):
+        for s in range(t + 1, (grow if t <= grow else min(T, t + horizon - 1)) + 1):
+            # growing windows join while the group stays small enough and
+            # takes one engine; full windows, anchored at estimates published
+            # before t, while their inputs match
+            later = window(s)
+            if t <= grow:
+                if (len(group) + 1) * C * s > GROUP_ROW_STEPS or \
+                        _structured_engine(later) is not _structured_engine(group[0]):
                     break
-                group.append(later)
+            elif not np.array_equal(later.u_win, group[0].u_win):
+                break
+            group.append(later)
         steps += _solve_steps(group, solver)
         t += len(group)
     return steps
 
 
 def _solve_steps(groups: List[_Rows], solver: SolverConfig) -> List[EstimateResult]:
-    """The results of the window groups of consecutive steps, which share
-    their inputs and length, solved as one group stacked step-major and
-    sliced back into steps.  When that raises, the steps are solved one
-    group each, in order, so the first failing step raises what it does
-    alone."""
+    """The results of the window groups of consecutive steps, solved as one
+    group stacked step-major (:meth:`_Rows.stack`) and sliced back into
+    steps.  When that raises, the steps are solved one group each, in
+    order, so the first failing step raises what it does alone."""
     if len(groups) == 1:
         return [_solve_group(groups[0], solver)]
-    first, C = groups[0], len(groups[0])
-    stacked = _Rows(first.model, first.cost, first.u_win,
-                    np.concatenate([g.prior for g in groups]),
-                    np.concatenate([g.y for g in groups]))
     try:
-        result = _solve_group(stacked, solver)
+        result = _solve_group(_Rows.stack(groups), solver)
     except Exception:
         return [_solve_group(g, solver) for g in groups]
-    return [result.take(slice(i * C, (i + 1) * C)) for i in range(len(groups))]
+    out, at = [], 0
+    for g in groups:
+        out.append(result.take(slice(at, at + len(g)), g.K))
+        at += len(g)
+    return out
 
 
 def run_fie(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq,
@@ -1323,8 +1523,8 @@ def certify_suboptimality(result: EstimateResult, reference: SolutionTuple, cost
             raise DomainError(f"reference window infeasible (residual {rep.worst_residual:.3e})")
     if reference.length < 1:
         raise DomainError("reference window must contain at least one step")
-    j_ref = _window_costs(cost, result.prior[None], reference.x[:1], reference.w[None],
-                          reference.v[None])[0]
+    j_ref = float(_window_costs(cost, result.prior[None], reference.x[:1], reference.w[None],
+                                reference.v[None])[0])
     record = certification_record(np.array([result.cost]), np.array([j_ref]), a_factor)
     return CertificationRecord(bool(record.passed[0]), float(record.ratio[0]), result.cost, j_ref)
 
@@ -1332,10 +1532,10 @@ def certify_suboptimality(result: EstimateResult, reference: SolutionTuple, cost
 def certification_record(j_res: np.ndarray, j_ref: np.ndarray,
                          a_factor: float) -> CertificationRecord:
     """The verdicts on the achieved costs j_res against the reference costs
-    j_ref, elementwise over arrays of one shape: passed where j_res <= A j_ref
-    + TOL_CERT; the ratio j_res / j_ref where j_ref > 0, and elsewhere 1.0 if
-    j_res <= TOL_CERT and inf if not."""
-    passed = j_res <= a_factor * j_ref + TOL_CERT
+    j_ref, elementwise over arrays of one shape: passed where both are finite
+    and j_res <= A j_ref + TOL_CERT; the ratio j_res / j_ref where j_ref > 0,
+    and elsewhere 1.0 if j_res <= TOL_CERT and inf if not."""
+    passed = np.isfinite(j_res) & np.isfinite(j_ref) & (j_res <= a_factor * j_ref + TOL_CERT)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(j_ref > 0, j_res / j_ref, np.where(j_res <= TOL_CERT, 1.0, math.inf))
     return CertificationRecord(passed, ratio, j_res, j_ref)

@@ -89,6 +89,10 @@ class AnalysisError(RuntimeError):
     """A required stability analysis failed before simulation (exit code 2)."""
 
 
+class NonFiniteStepError(RuntimeError):
+    """A certified step whose error, bound or cost is not finite (exit code 3)."""
+
+
 class BoundViolationError(RuntimeError):
     """A certified step violated its error bound (exit code 4)."""
 
@@ -449,9 +453,9 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
     result of each step, as one :class:`CellResult` of columns per cell.
 
     Each per-step quantity is one array pass over the (C, T + 1) steps: alpha
-    of the error; the reference costs, one :func:`_window_costs` call per
-    window length over the stacked (step, cell) rows of that length, judged
-    by one :func:`certification_record`; the moving-horizon chain, a running
+    of the error; the reference costs, one ragged :func:`_window_costs` call
+    over the stacked (step, cell) rows, judged by one
+    :func:`certification_record`; the moving-horizon chain, a running
     AND; the bound traces, one :func:`bound_trace` call; each window bound,
     one gain call per age; and the margins, as Python's ``min`` takes them.
     A cell's worst step is its first certified step of least margin, never
@@ -478,14 +482,18 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
                           (bounds.d, v_norms[:, :T]))
     errors = cert.alpha(row_distances(x, published))
     j_ref = np.zeros_like(achieved)
-    for L in dict.fromkeys(step.horizon for step in estimates[1:]):
-        steps = [t for t in range(1, T + 1) if estimates[t].horizon == L]
-        # the reference windows of every step of length L, stacked step-major
-        j_ref[:, steps] = np.reshape(_window_costs(
-            cost, np.concatenate([estimates[t].prior for t in steps]),
-            np.concatenate([x[:, t - L] for t in steps]),
-            np.concatenate([w[:, t - L:t] for t in steps]),
-            np.concatenate([v[:, t - L:t] for t in steps])), (len(steps), -1)).T
+    if T:
+        # the reference window of every step, stacked step-major: window t
+        # reads w and v at t - L .. t - 1, padded to the longest
+        L = np.array([step.horizon for step in estimates[1:]])
+        start = np.arange(1, T + 1) - L
+        at = np.minimum(start[:, None] + np.arange(L.max()), T)         # (T, Lmax)
+        ref = lambda seq: np.swapaxes(seq[:, at], 0, 1).reshape((-1,) + at.shape[1:] +
+                                                                seq.shape[2:])
+        j_ref[:, 1:] = np.reshape(_window_costs(
+            cost, np.concatenate([step.prior for step in estimates[1:]]),
+            np.swapaxes(x[:, start], 0, 1).reshape(-1, x.shape[2]), ref(w), ref(v),
+            np.repeat(L, len(cells))), (T, -1)).T
     # t = 0 publishes the prior: no cost against none, it passes with ratio 1
     record = certification_record(np.insert(achieved[:, 1:], 0, 0.0, axis=1), j_ref,
                                   config.a_factor)
@@ -512,9 +520,17 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
     worst_t = np.argmin(ranked, axis=1).tolist()
     ratio = np.where(np.isfinite(record.ratio), record.ratio, -1.0)
     out = []
+    # an overflowed error, bound or cost can neither pass nor fail a check
+    overflowed = certified & ~(np.isfinite(errors) & np.isfinite(rhs) & np.isfinite(achieved))
     for c, (scenario, seed) in enumerate(cells):
         if np.isnan(rhs[c]).any():      # a NaN margin would never count as violated
             raise DomainError(f"error bound is NaN at t = {int(np.argmax(np.isnan(rhs[c])))}")
+        if overflowed[c].any():
+            t = int(np.argmax(overflowed[c]))
+            raise NonFiniteStepError(
+                f"cell ({scenario.name}, seed {seed}) step t = {t}: error "
+                f"{float(errors[c, t])!r}, bound {float(rhs[c, t])!r} and cost "
+                f"{float(achieved[c, t])!r} at a certified step")
         if bad_terms[c].any():
             i = int(np.argmax(bad_terms[c])) - K - 1
             plus_reduce(bounds.mode, [term[c, i] for term in window_terms])

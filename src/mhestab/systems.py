@@ -275,7 +275,14 @@ class DisturbanceScenario:
 
 
 def _clip_norm(rows: np.ndarray, caps) -> np.ndarray:
-    norms = np.linalg.norm(rows, axis=1)
+    """The rows scaled down to Euclidean norm caps where they exceed it; a
+    row whose norm overflows is a :class:`DomainError`."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    if not np.isfinite(norms).all():
+        t = int(np.argmax(~np.isfinite(norms)))
+        raise DomainError(f"disturbance draw {t} has a norm that is not finite "
+                          f"({rows[t].tolist()}); lower the scenario amplitude")
     caps = np.broadcast_to(np.asarray(caps, dtype=float), norms.shape)
     scale = np.ones_like(norms)
     over = norms > caps
@@ -296,6 +303,9 @@ def generate_scenario(scenario: DisturbanceScenario, seed: int, horizon: int,
         return np.zeros((T, process_dim)), np.zeros((T, meas_dim))
     if scenario.kind == "bounded_uniform":
         amp = scenario.amplitude
+        if not math.isfinite(2.0 * amp):
+            raise DomainError(f"bounded_uniform amplitude {amp!r} overflows the draw range "
+                              f"[-{amp!r}, {amp!r}]")
         w = _clip_norm(gen.uniform(-amp, amp, (T, process_dim)), amp)
         v = _clip_norm(gen.uniform(-amp, amp, (T, meas_dim)), amp)
         return w, v

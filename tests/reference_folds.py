@@ -600,9 +600,18 @@ def _rollout_one(problem, chi0, omega):
     return xs, x, nu
 
 
+def _widths(table, K, levels, prior=False):
+    """The halfwidths (K, L) of the levels (L,) at the window's ages K .. 1,
+    or (L,) at the prior's age K, of a width table of one window."""
+    ages = np.array([[K]]) if prior else np.arange(K, 0, -1)[:, None]
+    out = table.widths(levels[None, :], ages, np.array([K]))[:, 0]
+    return out[0] if prior else out
+
+
 def _feasible_one(problem, prep, levels, record=False):
     K, y, prior = problem.horizon, problem.y_win[:, 0], float(problem.prior[0])
-    pw, dw, gw = prep[0].widths(levels)[0], prep[1].widths(levels), prep[2].widths(levels)
+    pw, dw, gw = (_widths(prep[0], K, levels, prior=True), _widths(prep[1], K, levels),
+                  _widths(prep[2], K, levels))
     ylo, yhi = y[:, None] - dw, y[:, None] + dw
     lo, hi = prior - pw, prior + pw
     alive = np.ones(len(levels), dtype=bool)
@@ -621,8 +630,8 @@ def _feasible_one(problem, prep, levels, record=False):
 
 def _cost(problem, chi0, omega, nu):
     """The cost of one window of the problem: a one-row ``_window_costs`` call."""
-    return E._window_costs(problem.cost, problem.prior[None], chi0[None], omega[None],
-                           nu[None])[0]
+    return float(E._window_costs(problem.cost, problem.prior[None], chi0[None], omega[None],
+                                 nu[None])[0])
 
 
 def _reconstruct_one(problem, prep, level):
@@ -630,7 +639,7 @@ def _reconstruct_one(problem, prep, level):
     alive, intervals = _feasible_one(problem, prep, np.array([level]), record=True)
     if not alive[0]:
         return None
-    gw = prep[2].widths(np.array([level]))[:, 0]
+    gw = _widths(prep[2], K, np.array([level]))[:, 0]
     chis = np.empty(K)
     chis[K - 1] = 0.5 * (intervals[K - 1][0][0] + intervals[K - 1][1][0])
     for j in range(K - 2, -1, -1):
@@ -653,9 +662,9 @@ def max_interval_window(problem):
     one scalar reconstruction at a time: the engine's algorithm without the
     row axis.  Returns the EstimateResult the engine gives that window."""
     model, K = problem.model, problem.horizon
-    ages = list(range(K, 0, -1))
-    prep = (E._WidthTable(problem.cost.beta_hat, [K]), E._WidthTable(problem.cost.delta_hat, ages),
-            E._WidthTable(problem.cost.gamma_hat, ages))
+    prep = (E._WidthTable(problem.cost.beta_hat, np.array([K]), True),
+            E._WidthTable(problem.cost.delta_hat, np.array([K]), False),
+            E._WidthTable(problem.cost.gamma_hat, np.array([K]), False))
     y = problem.y_win[:, 0]
     starts = [(problem.prior.copy(), np.zeros((K, 1)))]
     omega = np.zeros((K, 1))
@@ -920,7 +929,9 @@ def sum_pwl_window(problem):
     model, K = problem.model, problem.horizon
     a = float(model.linear_a)
     y = problem.y_win[:, 0]
-    p_w, g_w, d_w = E._sum_weights(problem.cost, K)
+    p_t, g_t, d_t = E._sum_weights(problem.cost, K)
+    p_w = float(p_t[K])
+    g_w, d_w = ([float(table[age]) for age in range(K, 0, -1)] for table in (g_t, d_t))
     offs = [float(np.atleast_1d(model.f_nominal(np.zeros(1), problem.u_win[j]))[0])
             for j in range(K)]
     stages = []

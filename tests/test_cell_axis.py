@@ -258,6 +258,43 @@ def test_generic_mhe_runs_equal_the_step_by_step_driver(plant, mode, method, K, 
     assert sum(sizes) == T * len(y)
 
 
+ENGINE_RUNS = {
+    # engine: (plant, mode, method, T, K < T, K >= T)
+    "max-interval-s1": ("s1", "max", "gauss_newton_penalty", 12, 3, 14),
+    "max-interval-s3": ("s3", "max", "gauss_newton_penalty", 12, 5, 12),
+    "sum-pwl-dp": ("s2", "sum", "gauss_newton_penalty", 12, 4, 13),
+    "gauss-newton": ("s4", "sum", "gauss_newton_penalty", 5, 2, 6),
+    "compass": ("s3", "sum", "multistart_local", 4, 2, 4),
+}
+
+
+@pytest.mark.parametrize("horizon", ["fie", "short", "long"])
+@pytest.mark.parametrize("case", sorted(ENGINE_RUNS))
+def test_every_engine_run_equals_the_step_by_step_driver(case, horizon, monkeypatch):
+    # the growing windows of a run go as one ragged group, on inputs that
+    # differ from step to step
+    plant, mode, method, T, short, long = ENGINE_RUNS[case]
+    K = {"fie": None, "short": short, "long": long}[horizon]
+    config = ExperimentConfig(plant=plant, mode=mode, t_final=T)
+    resolved = resolve(config)
+    model, cost = resolved.model, resolved.cost
+    truths = H._truths(config, model, [(scenario, seed) for scenario in CHECK_SCENARIOS[1:3]
+                                       for seed in (0, 1)])
+    y = truths.y[:, :T]
+    u = 0.3 * np.sin(np.arange(T, dtype=float))[:, None]
+    prior0 = H._initial(config, model)[1] + np.linspace(-0.2, 0.2, len(y))[:, None]
+    solver = SolverConfig(method=method, multistart=2, max_iter=15)
+    reference = drive_step_by_step(model, cost, prior0, u, y, solver, K)
+    sizes = _group_sizes(monkeypatch)
+    runs = run_fie(model, cost, prior0, u, y, solver) if K is None else \
+        run_mhe(model, cost, prior0, u, y, K, solver)
+    _assert_same_runs(runs, reference)
+    assert {step.engine for step in runs[1:]} == {case.split("-s")[0]}
+    grown = T if K is None else min(K, T)
+    assert sizes[0] == grown * len(y)                  # every growing window at t = 1
+    assert sum(sizes) == T * len(y)
+
+
 @pytest.mark.parametrize("mode", ["max", "sum"])
 def test_steps_whose_inputs_differ_go_alone(mode, monkeypatch):
     # s1 ignores its input, so only the grouping sees it
@@ -267,9 +304,10 @@ def test_steps_whose_inputs_differ_go_alone(mode, monkeypatch):
     C, K = len(y), 4
     varying = np.sin(np.arange(20.0))[:, None]
     switched = np.where(np.arange(20)[:, None] < 10, 0.0, 1.0)
-    # windows u[s-4:s]: all zero up to s = 10, all one from s = 14
-    expected = {"varying": [C] * 20,
-                "switched": [C] * 4 + [4 * C, 2 * C, C, C, C, 4 * C, 3 * C]}
+    # the growing windows go as one group; full windows u[s-4:s]: all zero
+    # up to s = 10, all one from s = 14
+    expected = {"varying": [4 * C] + [C] * 16,
+                "switched": [4 * C] + [4 * C, 2 * C, C, C, C, 4 * C, 3 * C]}
     for name, inputs in (("varying", varying), ("switched", switched)):
         reference = drive_step_by_step(model, cost, [x0 + 1.0], inputs, y, SolverConfig(), K)
         sizes = _group_sizes(monkeypatch)
@@ -286,13 +324,19 @@ def test_the_group_calls_of_a_run(monkeypatch):
     assert C == 16
     sizes = _group_sizes(monkeypatch)
     run_mhe(model, cost, [x0 + 1.0], u, y, 4, SolverConfig())
-    assert sizes == [16] * 4 + [64] * 14
+    assert sizes == [64] * 15
     sizes.clear()
     run_mhe(model, cost, [x0 + 1.0], np.sin(np.arange(60.0)), y, 4, SolverConfig())
-    assert sizes == [16] * 60
+    assert sizes == [64] + [16] * 56
     sizes.clear()
     run_fie(model, cost, [x0 + 1.0], u[:20], y[:, :20], SolverConfig())
-    assert sizes == [16] * 20
+    assert sizes == [16 * 20]
+    sizes.clear()
+    # growing windows up to t = 45 fit 16 * 45 rows of length 45 into
+    # GROUP_ROW_STEPS; the rest of the run goes as a second group
+    assert E.GROUP_ROW_STEPS == 1 << 15
+    run_fie(model, cost, [x0 + 1.0], u, y, SolverConfig())
+    assert sizes == [16 * 45, 16 * 15]
 
 
 def test_a_run_builds_no_estimate_per_cell(monkeypatch):
@@ -350,9 +394,29 @@ def test_a_step_failing_inside_a_group_raises_what_the_step_loop_raises(case, mo
             run_mhe(model, cost, [0.5], u, y, K, solver)
     assert expected.type in (InfeasibleWindowError, DomainError)
     assert (raised.type, str(raised.value)) == (expected.type, str(expected.value))
-    # the group of steps K + 1 .. 2K raised, then its steps went one by one
-    # up to the failing one
-    assert sizes == [C] * K + [K * C] + [C] * (s - K)
+    # the growing windows went as one group; the group of steps K + 1 .. 2K
+    # raised, then its steps went one by one up to the failing one
+    assert sizes == [K * C] + [K * C] + [C] * (s - K)
+
+
+@pytest.mark.parametrize("case", ["infeasible", "generic-gn", "generic-compass"])
+def test_a_failing_step_in_a_ragged_group_raises_its_own_error(case, monkeypatch):
+    # every full-information window from s on reads the failing output, so
+    # the ragged group of all steps raises, and its steps go one by one up
+    # to the first failing one
+    model, cost, y, u, _, solver, s = _failing_at_a_later_step(case)
+    C, T = y.shape[:2]
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(Exception) as expected:
+            drive_step_by_step(model, cost, [0.5], u, y, solver)
+        drive_step_by_step(model, cost, [0.5], u[:s - 1], y[:, :s - 1], solver)
+        sizes = _group_sizes(monkeypatch)
+        with pytest.raises(Exception) as raised:
+            run_fie(model, cost, [0.5], u, y, solver)
+    assert expected.type in (InfeasibleWindowError, DomainError)
+    assert (raised.type, str(raised.value)) == (expected.type, str(expected.value))
+    assert sizes == [T * C] + [C] * s
 
 
 # ---------------------------------------------------------------------------
@@ -414,20 +478,21 @@ GENERIC_ENGINES = {"gn": E._solve_gauss_newton, "compass": E._solve_multistart_l
 GENERIC_METHODS = {"gn": "gauss_newton_penalty", "compass": "multistart_local"}
 
 
-def _generic_windows(plant, mode, K, key, offsets=(0.3, -0.6, 1.2)):
-    """Windows of one plant and cost that share their inputs and differ in
-    their truths, noise draws and priors (the truth plus an offset)."""
+def _generic_windows(plant, mode, K, key, offsets=(0.3, -0.6, 1.2), lengths=None):
+    """Windows of one plant and cost that start at step 0 of shared inputs
+    and differ in their truths, noise draws, priors (the truth plus an
+    offset) and lengths (all K by default)."""
     model = _cubic() if plant == "cubic" else builtin_model(plant)
     cost = _generic_cost("s1" if plant == "cubic" else plant, mode)
     gen = np.random.Generator(np.random.Philox(key=key))
     u = gen.uniform(-0.5, 0.5, (K, model.input_dim))
     problems = []
-    for offset in offsets:
+    for offset, L in zip(offsets, lengths or [K] * len(offsets)):
         w = gen.uniform(-0.1, 0.1, (K, model.process_noise_dim))
         v = gen.uniform(-0.1, 0.1, (K, model.meas_noise_dim))
         x0 = gen.uniform(-0.5, 0.5, model.state_dim)
         sol = simulate(model, x0, u, w, v, K)
-        problems.append(EstimationProblem(model, cost, x0 + offset, u, sol.y, K))
+        problems.append(EstimationProblem(model, cost, x0 + offset, u[:L], sol.y[:L], L))
     return problems
 
 
@@ -436,7 +501,8 @@ def _generic_windows(plant, mode, K, key, offsets=(0.3, -0.6, 1.2)):
                                           ("s4", PlusMode.SUM, 3), ("cubic", PlusMode.SUM, 3)],
                          ids=["s3-sum", "s4-max", "s4-sum", "cubic-sum"])
 def test_every_generic_row_is_its_window_solved_alone(plant, mode, K, tag, monkeypatch):
-    problems = _generic_windows(plant, mode, K, 7)
+    # one ragged group holds windows of lengths K - 2, K - 1 and K
+    problems = _generic_windows(plant, mode, K, 7, lengths=(K - 2, K - 1, K))
     multistart, max_iter = (2, 100) if plant == "cubic" else (3, 25)
     solver = SolverConfig(method=GENERIC_METHODS[tag], multistart=multistart, max_iter=max_iter)
     engine = GENERIC_ENGINES[tag]
@@ -449,7 +515,8 @@ def test_every_generic_row_is_its_window_solved_alone(plant, mode, K, tag, monke
         return ends
 
     monkeypatch.setattr(E, "_lockstep", recorded)
-    group = _windows(engine(E._Rows.of(problems), solver))
+    stacked = engine(E._Rows.stack([E._Rows.of([p]) for p in problems]), solver)
+    group = [stacked.take(slice(i, i + 1), p.horizon).cell(0) for i, p in enumerate(problems)]
     alone = [engine(E._Rows.of([p]), solver).cell(0) for p in problems]
     monkeypatch.undo()
     # the pairs of the group left it after different iteration counts

@@ -51,8 +51,8 @@ def _max_cost_shared():
 
 def one_window_cost(cost, prior, chi0, omega, nu):
     """The cost of one window: a one-row ``_window_costs`` call."""
-    return E._window_costs(cost, np.array([prior], dtype=float), np.array([chi0], dtype=float),
-                           omega[None], nu[None])[0]
+    return float(E._window_costs(cost, np.array([prior], dtype=float),
+                                 np.array([chi0], dtype=float), omega[None], nu[None])[0])
 
 
 def test_eval_cost_examples():
@@ -303,6 +303,14 @@ def test_window_of_the_wrong_width_is_a_domain_error(plant, mode, prior, u, y):
 # ---------------------------------------------------------------------------
 # Drivers
 # ---------------------------------------------------------------------------
+
+def test_only_finite_costs_certify():
+    inf, nan = math.inf, math.nan
+    j_res = np.array([1.0, inf, inf, 1.0, nan, 0.0])
+    j_ref = np.array([1.0, inf, 1.0, inf, 1.0, 0.0])
+    record = E.certification_record(j_res, j_ref, 2.0)
+    assert record.passed.tolist() == [True, False, False, False, False, True]
+
 
 def test_run_fie_zero_disturbance_tracking():
     model = builtin_model("s1")

@@ -8,6 +8,7 @@ import json
 import os
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -459,6 +460,62 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
     # unreadable config -> exit 2
     assert cli_main(["run", "--config", str(tmp_path / "missing.ini")]) == 2
+
+
+OVERFLOW_CONFIG = """
+[experiment]
+name = overflow
+plant = {plant}
+mode = {mode}
+estimator = {estimator}
+horizon = 4
+t_final = 8
+seeds = 0
+prior_offset = {prior_offset}
+
+[scenario.uniform]
+kind = bounded_uniform
+amplitude = {amplitude}
+
+[output]
+dir = {out}
+"""
+
+
+def _overflow_run(tmp_path, capsys, plant="s2", mode="max", estimator="fie",
+                  prior_offset=1.0, amplitude=0.1):
+    path = tmp_path / "overflow.ini"
+    path.write_text(OVERFLOW_CONFIG.format(plant=plant, mode=mode, estimator=estimator,
+                                           prior_offset=prior_offset, amplitude=amplitude,
+                                           out=tmp_path / "out"))
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = cli_main(["run", "--config", str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_a_disturbance_draw_whose_norm_overflows_is_a_config_error(tmp_path, capsys):
+    # draws of about 1e300 have norms whose squares overflow; they were
+    # clipped to 0, and the run passed on zero disturbances
+    code, err = _overflow_run(tmp_path, capsys, amplitude=1e300)
+    assert code == 2
+    assert "norm that is not finite" in err
+
+
+def test_an_amplitude_whose_draw_range_overflows_is_a_config_error(tmp_path, capsys):
+    # the draw range [-1e308, 1e308] is wider than the floats
+    code, err = _overflow_run(tmp_path, capsys, amplitude=1e308)
+    assert code == 2
+    assert "overflows the draw range" in err
+
+
+def test_an_infinite_cost_or_error_never_certifies(tmp_path, capsys):
+    # the prior distance overflows: every achieved cost is inf, which was
+    # certified against an inf reference, and t = 0 had an inf error and bound
+    code, err = _overflow_run(tmp_path, capsys, plant="s1", mode="sum", estimator="mhe",
+                              prior_offset=1e200)
+    assert code == 3
+    assert "cell (uniform, seed 0) step t = 0: error inf, bound inf" in err
 
 
 def test_cli_sweep_and_probe(tmp_path):
