@@ -32,24 +32,32 @@ The drivers ``run_fie``/``run_mhe`` step a stack of cells in lock-step: at
 each t the windows of all cells share the plant, cost, inputs and length
 and differ in their outputs and priors.  The drivers check their stacks
 once and hand the engines window groups (:class:`_Rows`), cut from the
-stacks and the published anchors: a growing window goes one group per
-step, and the full moving windows of up to K consecutive steps that share
-their inputs go as one group, since each is anchored at an estimate
-published K steps before it.  Every engine solves a group as one, one row
-per window, into one stacked :class:`EstimateResult`, the drivers' result
-of a step, and every row uses exactly the arithmetic of its window solved
-alone.  The max-mode engine bisects levels of shape (C, 48); its
-per-window branches are masks over the rows, and a failing row raises
+stacks and the published anchors.  A group may hold windows of several
+lengths, each row its own length k <= K, as long as every window starts at
+step 0 of the shared inputs: every growing window of a run (each
+full-information step, and the moving-horizon steps t <= K) is anchored at
+the prior, so all of them go as one ragged group, stacked step-major and
+cut only by ``GROUP_ROW_STEPS``.  The full moving windows of up to K
+consecutive steps that share their inputs go as one group of one length,
+since each is anchored at an estimate published K steps before it.  Every
+engine solves a group as one, one row per window, into one stacked
+:class:`EstimateResult`, and every row uses exactly the arithmetic of its
+window solved alone: a step j of an engine's loop runs on the rows longer
+than j, a gain is taken at each row's own age, and a sum over a row's
+terms, whose rounding depends on its length, is taken over the rows of
+each length apart.  The max-mode engine bisects levels of shape (R, 48);
+its per-window branches are masks over the rows, and a failing row raises
 ``InfeasibleWindowError`` for its whole group.  The sum-mode engine holds
-the C value functions as padded (C, M) breakpoint and slope arrays with a
+the R value functions as padded (R, M) breakpoint and slope arrays with a
 count per row.  The generic engines run every (window, start) pair of the
 group in lock-step (:func:`_lockstep`): each pair is the one-candidate
 algorithm of one start on one window, and each tick evaluates the
-candidates that all live pairs read next in one objective pass.
-Gauss-Newton asks for its Jacobian points, then for step length 1 with its
-Jacobian points and the step's halvings; compass asks for the rest of a
-sweep.  A pair leaves the group when it converges, breaks or runs out of
-iterations.  ``solve_window`` is a group of one.
+candidates that all live pairs read next in one objective pass, laid out
+as candidates of the longest window.  Gauss-Newton asks for its Jacobian
+points, then for step length 1 with its Jacobian points and the step's
+halvings; compass asks for the rest of a sweep.  A pair leaves the group
+when it converges, breaks or runs out of iterations.  ``solve_window`` is a
+group of one.
 
 A pair reads the rows of a pass in the order its algorithm evaluates
 candidates, and only those, so the iterates are those of evaluating one
@@ -59,7 +67,7 @@ needs plant maps that accept a leading batch axis (see
 :mod:`mhestab.systems`).
 
 ``_window_costs``, the cost that is reported and certified, prices a stack
-of windows of one length by the rule of the error bounds in
+of windows, each of its own length, by the rule of the error bounds in
 :mod:`mhestab.certificates`: ``gain_terms`` evaluates each gain over the
 windows' ages (a slope product when every slice is linear in r, otherwise
 one array call per age), and ``fold_terms`` combines them.  A solved window's
@@ -103,7 +111,11 @@ from .systems import (
 
 WIDTH_CAP = 1e18
 LEVEL_PASSES = 4          # level-grid refinements of the max-mode bisection
-GROUP_ROW_STEPS = 1 << 15  # rows times window length of one group of growing windows
+# rows times window length of one group of growing windows: for the structured
+# engines, and for the generic ones, whose passes hold some 4 (dim + 25)
+# candidates of dim entries for each row
+GROUP_ROW_STEPS = 1 << 15
+GENERIC_GROUP_ROW_STEPS = 1 << 9
 
 
 class HorizonCapError(RuntimeError):
@@ -432,16 +444,15 @@ class _WidthTable:
 
     def widths(self, levels: np.ndarray, ages: np.ndarray, k: np.ndarray) -> np.ndarray:
         """Halfwidths (..., R, L) at the levels (R, L) of rows of window
-        lengths k (R,) and at the ages (..., R) of each row; ages below 1
-        are padding, whose widths are not read."""
+        lengths k (R,), at the ages (..., R) >= 1 of each row."""
         if self.all_linear:
-            return np.minimum(self.inv[np.maximum(ages, 1)][..., None] * levels, WIDTH_CAP)
+            return np.minimum(self.inv[ages][..., None] * levels, WIDTH_CAP)
         linear = self.linear[k]
-        out = np.zeros(ages.shape + levels.shape[1:])
+        out = np.empty(ages.shape + levels.shape[1:])
         if linear.any():
-            out[..., linear, :] = np.minimum(
-                self.inv[np.maximum(ages[..., linear], 1)][..., None] * levels[linear], WIDTH_CAP)
-        for idx in zip(*np.nonzero((ages >= 1) & ~linear)):
+            out[..., linear, :] = np.minimum(self.inv[ages[..., linear]][..., None]
+                                             * levels[linear], WIDTH_CAP)
+        for idx in zip(*np.nonzero(np.broadcast_to(~linear, ages.shape))):
             for i, lev in enumerate(levels[idx[-1]]):
                 if lev <= 0.0:
                     out[idx + (i,)] = 0.0
@@ -1066,9 +1077,9 @@ def _evaluate_pass(objective: _Objective, derive, asks) -> List[_Batch]:
         Z = np.concatenate([z for z, _, _ in asks])
     else:
         Z = np.zeros((ends[-1], objective.dim_of(K)))
-        for first, last in _equal_runs(lengths):
-            Z[spans[first].start:spans[last].stop, objective.columns(lengths[first], K)] = \
-                np.concatenate([z for z, _, _ in asks[first:last + 1]])
+        for L, run in _length_runs(np.array(lengths)):
+            Z[spans[run.start].start:spans[run.stop - 1].stop, objective.columns(L, K)] = \
+                np.concatenate([z for z, _, _ in asks[run]])
     terms, pen, masked = objective.evaluate(Z, np.repeat([w for _, w, _ in asks], sizes))
     lens = np.repeat(lengths, sizes)
     stages = list(dict.fromkeys(stage for _, _, stage in asks))
@@ -1087,12 +1098,6 @@ def _evaluate_pass(objective: _Objective, derive, asks) -> List[_Batch]:
     return [_Batch(objective, derive, window, stage, z, terms[span, :2 * L + 1], own(span, L),
                    scores[span], masked[span])
             for span, L, (z, window, stage) in zip(spans, lengths, asks)]
-
-
-def _equal_runs(values: list) -> List[Tuple[int, int]]:
-    """The first and last index of each run of equal values, in order."""
-    cuts = [i for i in range(1, len(values)) if values[i] != values[i - 1]]
-    return list(zip([0] + cuts, [c - 1 for c in cuts] + [len(values) - 1]))
 
 
 def _lockstep(objective: _Objective, derive, pairs) -> list:
@@ -1401,7 +1406,8 @@ def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: Sol
     them are known at t = 1: they go as one ragged group of C rows per
     step, stacked step-major (:func:`_solve_steps`), cut only where the
     next step would take the group past ``GROUP_ROW_STEPS`` rows times
-    window length, or to another engine.  A full moving window ending at t
+    window length (``GENERIC_GROUP_ROW_STEPS`` for a generic engine), or to
+    another engine.  A full moving window ending at t
     reads estimates published at t - K and before, so the windows ending at
     t .. t + K - 1 (up to T) are known at t and go as one group, as long as
     their inputs u[s - K:s] equal those of the window ending at t; the
@@ -1437,14 +1443,15 @@ def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: Sol
     t = 1
     while t <= T:
         group = [window(t)]
+        engine = _structured_engine(group[0])
+        cap = GENERIC_GROUP_ROW_STEPS if engine is None else GROUP_ROW_STEPS
         for s in range(t + 1, (grow if t <= grow else min(T, t + horizon - 1)) + 1):
-            # growing windows join while the group stays small enough and
+            # growing windows join while the group stays within its cap and
             # takes one engine; full windows, anchored at estimates published
             # before t, while their inputs match
             later = window(s)
             if t <= grow:
-                if (len(group) + 1) * C * s > GROUP_ROW_STEPS or \
-                        _structured_engine(later) is not _structured_engine(group[0]):
+                if (len(group) + 1) * C * s > cap or _structured_engine(later) is not engine:
                     break
             elif not np.array_equal(later.u_win, group[0].u_win):
                 break
@@ -1480,9 +1487,11 @@ def run_fie(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq,
     the cells share the inputs ``u_seq`` (T, du) and the initial prior
     ``prior0`` (n,), or each has its own, (C, n).  Returns one stacked
     result per step, whose row c is what cell c run alone gives.  The window
-    grows with t and the prior stays anchored at the initial estimate;
-    beyond ``t_max`` the run refuses rather than switching to a moving
-    horizon.
+    grows with t and the prior stays anchored at the initial estimate, so
+    the windows of all steps are known at t = 1 and are solved as ragged
+    groups of several steps (see :func:`_drive`); every result, and every
+    error raised, is that of solving the steps one after another.  Beyond
+    ``t_max`` the run refuses rather than switching to a moving horizon.
     """
     T = np.shape(y_seq)[1] if np.ndim(y_seq) > 1 else 0
     if T > t_max:
@@ -1495,11 +1504,12 @@ def run_mhe(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, horizon: i
     """Moving-horizon estimates of the stacks of :func:`run_fie`, returned as
     it returns them, with the filtering prior.
 
-    For t <= K this is exactly the growing-window scheme; afterwards each
-    cell's window is anchored at that cell's own published estimate from K
-    steps earlier, so the windows of up to K consecutive steps whose inputs
-    match are solved as one group (see :func:`_drive`).  Every result, and
-    every error raised, is that of solving the steps one after another.
+    For t <= K this is exactly the growing-window scheme, and those K steps
+    go as one ragged group; afterwards each cell's window is anchored at
+    that cell's own published estimate from K steps earlier, so the windows
+    of up to K consecutive steps whose inputs match are solved as one group
+    (see :func:`_drive`).  Every result, and every error raised, is that of
+    solving the steps one after another.
     """
     if not (float(horizon).is_integer() and horizon >= 1):
         raise DomainError(f"moving horizon must be an integer >= 1, got {horizon}")

@@ -295,6 +295,70 @@ def test_every_engine_run_equals_the_step_by_step_driver(case, horizon, monkeypa
     assert sum(sizes) == T * len(y)
 
 
+@pytest.mark.parametrize("K", [None, 3], ids=["fie", "mhe3"])
+def test_a_ragged_group_whose_gains_are_not_linear_equals_the_step_by_step_driver(K):
+    # a slice that is not linear in r gives no slope table, and its widths
+    # are per-level inversions at each row's own age
+    model, T = builtin_model("s3"), 7
+    square, linear = SeparableGeometric(1.0, 2.0, 0.7), SeparableGeometric(2.0, 1.0, 0.8)
+    gen = np.random.default_rng(1)
+    y = np.stack([simulate(model, [0.3], np.zeros((T, 1)), gen.uniform(-0.1, 0.1, (T, 1)),
+                           gen.uniform(-0.1, 0.1, (T, 1)), T).y for _ in range(3)])
+    u = np.zeros((T, 1))
+    for cost in (CostSpec(PlusMode.MAX, square, linear, square),
+                 CostSpec(PlusMode.MAX, linear, square, linear)):
+        runs = run_fie(model, cost, [0.5], u, y, SolverConfig()) if K is None else \
+            run_mhe(model, cost, [0.5], u, y, K, SolverConfig())
+        _assert_same_runs(runs, drive_step_by_step(model, cost, [0.5], u, y, SolverConfig(), K))
+        assert runs[-1].engine == "max-interval"
+
+
+@dataclasses.dataclass(frozen=True)
+class _ZeroFromAge(KLFn):
+    """``base`` below one age and 0 from it on: every slice linear in r."""
+
+    base: KLFn
+    age: int
+
+    def _eval(self, r, s):
+        return self.base._eval(r, s) if s < self.age else 0.0 * r
+
+    def _slope(self, s):
+        return self.base._slope(s) if s < self.age else 0.0
+
+
+@pytest.mark.parametrize("K", [None, 4], ids=["fie", "mhe4"])
+def test_a_ragged_sum_group_with_zero_weight_stages_in_some_rows(K):
+    # at a step of a ragged group, the rows of different lengths are at
+    # different ages, so the stage weight is 0 in some rows only
+    y, x0, u = _stack("s1", 7)
+    model, base = builtin_model("s1"), _sum_cost()
+    cost = _sum_cost(gamma_hat=_ZeroFromAge(base.gamma_hat, 3))
+    runs = run_fie(model, cost, [x0 + 1.0], u, y, SolverConfig()) if K is None else \
+        run_mhe(model, cost, [x0 + 1.0], u, y, K, SolverConfig())
+    _assert_same_runs(runs, drive_step_by_step(model, cost, [x0 + 1.0], u, y, SolverConfig(), K))
+    assert runs[-1].engine == "sum-pwl-dp"
+
+
+def test_generic_growing_windows_split_at_their_own_cap(monkeypatch):
+    # a generic pass holds every row's candidates, so generic groups have a
+    # cap of their own: 4 cells of windows up to 3 long (36 row-steps), then
+    # of windows 4 and 5 long (40)
+    plant, mode, method, T, _, _ = ENGINE_RUNS["gauss-newton"]
+    config = ExperimentConfig(plant=plant, mode=mode, t_final=T)
+    resolved = resolve(config)
+    truths = H._truths(config, resolved.model, [(CHECK_SCENARIOS[1], seed)
+                                                for seed in range(4)])
+    y, u = truths.y[:, :T], np.zeros((T, 1))
+    prior0 = H._initial(config, resolved.model)[1]
+    solver = SolverConfig(multistart=2, max_iter=15)
+    reference = drive_step_by_step(resolved.model, resolved.cost, prior0, u, y, solver)
+    monkeypatch.setattr(E, "GENERIC_GROUP_ROW_STEPS", 40)
+    sizes = _group_sizes(monkeypatch)
+    _assert_same_runs(run_fie(resolved.model, resolved.cost, prior0, u, y, solver), reference)
+    assert sizes == [12, 8]
+
+
 @pytest.mark.parametrize("mode", ["max", "sum"])
 def test_steps_whose_inputs_differ_go_alone(mode, monkeypatch):
     # s1 ignores its input, so only the grouping sees it
