@@ -313,7 +313,7 @@ class _Rows:
         self.model, self.cost, self.u_win, self.prior, self.y = model, cost, u_win, prior, y
         self.K, R = y.shape[1], len(prior)
         self.k = np.full(R, self.K) if k is None else k
-        if not R or self.k[0] == self.K:
+        if self.k[0] == self.K:
             self.live = [0] * (self.K + 1) + [R]
         else:
             self.live = np.searchsorted(self.k, np.arange(self.K + 2)).tolist()
@@ -343,7 +343,7 @@ class _Rows:
     def take(self, idx) -> "_Rows":
         """The rows idx, in nondecreasing length, cut to the longest."""
         k = self.k[idx]
-        K = int(k[-1]) if len(k) else self.K
+        K = int(k[-1])
         return _Rows(self.model, self.cost, self.u_win[:K], self.prior[idx], self.y[idx, :K], k)
 
 
