@@ -899,9 +899,11 @@ class _Objective:
     past a row's own 2L+1; their output penalties (B,); and the mask of rows
     whose evaluation alone raises (a NaN distance, a NaN or negative term).
     Each row reads its own window's prior, outputs and length, each gain is
-    called once per age on the rows that have a term at that age, and every
-    row is computed by exactly the arithmetic of evaluating that candidate
-    alone on its window, so neither batching nor grouping moves an iterate.
+    evaluated once per age on the rows that have a term at that age (by the
+    arithmetic of its checked call, whose check a batch's nonnegative
+    arguments would pass), and every row is computed by exactly the
+    arithmetic of evaluating that candidate alone on its window, so neither
+    batching nor grouping moves an iterate.
     A masked row raises only when an engine reads it: :class:`_Batch` then
     recomputes it alone through :meth:`strict`.  A row that is never read
     can neither raise nor change the result.
@@ -976,15 +978,20 @@ class _Objective:
         masked = np.isnan(dist) | np.isnan(wn).any(axis=1) | np.isnan(vn).any(axis=1)
         if not strict and masked.any():
             dist, wn, vn = (np.where(np.isnan(a), 0.0, a) for a in (dist, wn, vn))
+        # the arguments are now nonnegative and not NaN, so a batch evaluates
+        # each gain by the arithmetic of its checked call without the check;
+        # a strict row takes the checked call, which raises as it alone would
+        beta, gamma_hat, delta_hat = (fn if strict else fn._eval
+                                      for fn in (cost.beta_hat, cost.gamma_hat, cost.delta_hat))
         terms = np.zeros((B, 2 * K + 1))
         if k[0] == K:       # one length: entry j of every row at age K - j
-            terms[:, 0] = cost.beta_hat(dist, K)
+            terms[:, 0] = beta(dist, K)
             for j in range(K):
-                terms[:, 1 + 2 * j] = cost.gamma_hat(wn[:, j], K - j)
-                terms[:, 2 + 2 * j] = cost.delta_hat(vn[:, j], K - j)
+                terms[:, 1 + 2 * j] = gamma_hat(wn[:, j], K - j)
+                terms[:, 2 + 2 * j] = delta_hat(vn[:, j], K - j)
         else:
             for L, run in _length_runs(k):
-                terms[run, 0] = cost.beta_hat(dist[run], L)
+                terms[run, 0] = beta(dist[run], L)
             # each row's entries right-aligned, so that column c holds age K - c
             shift = (K - k)[:, None]
             aligned = np.maximum(np.arange(K) - shift, 0)
@@ -993,8 +1000,8 @@ class _Objective:
             gamma, delta = np.zeros((B, K + 1)), np.zeros((B, K + 1))     # column K stays 0
             for c in range(K):
                 a = live[K - c]                 # the rows with a term at age K - c
-                gamma[a:, c] = cost.gamma_hat(wn[a:, c], K - c)
-                delta[a:, c] = cost.delta_hat(vn[a:, c], K - c)
+                gamma[a:, c] = gamma_hat(wn[a:, c], K - c)
+                delta[a:, c] = delta_hat(vn[a:, c], K - c)
             back = np.minimum(np.arange(K) + shift, K)     # time order, 0 past a row's own
             terms[:, 1::2], terms[:, 2::2] = gamma[at, back], delta[at, back]
         masked |= ~(terms >= 0.0).all(axis=1)
