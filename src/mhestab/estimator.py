@@ -981,17 +981,17 @@ class _Objective:
         # the arguments are now nonnegative and not NaN, so a batch evaluates
         # each gain by the arithmetic of its checked call without the check;
         # a strict row takes the checked call, which raises as it alone would
-        beta, gamma_hat, delta_hat = (fn if strict else fn._eval
-                                      for fn in (cost.beta_hat, cost.gamma_hat, cost.delta_hat))
+        beta_hat, gamma_hat, delta_hat = (
+            fn if strict else fn._eval for fn in (cost.beta_hat, cost.gamma_hat, cost.delta_hat))
         terms = np.zeros((B, 2 * K + 1))
         if k[0] == K:       # one length: entry j of every row at age K - j
-            terms[:, 0] = beta(dist, K)
+            terms[:, 0] = beta_hat(dist, K)
             for j in range(K):
                 terms[:, 1 + 2 * j] = gamma_hat(wn[:, j], K - j)
                 terms[:, 2 + 2 * j] = delta_hat(vn[:, j], K - j)
         else:
             for L, run in _length_runs(k):
-                terms[run, 0] = beta(dist[run], L)
+                terms[run, 0] = beta_hat(dist[run], L)
             # each row's entries right-aligned, so that column c holds age K - c
             shift = (K - k)[:, None]
             aligned = np.maximum(np.arange(K) - shift, 0)
@@ -1414,11 +1414,11 @@ def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: Sol
     step, stacked step-major (:func:`_solve_steps`), cut only where the
     next step would take the group past ``GROUP_ROW_STEPS`` rows times
     window length (``GENERIC_GROUP_ROW_STEPS`` for a generic engine), or to
-    another engine.  A full moving window ending at t
-    reads estimates published at t - K and before, so the windows ending at
-    t .. t + K - 1 (up to T) are known at t and go as one group, as long as
-    their inputs u[s - K:s] equal those of the window ending at t; the
-    group stops before the first step whose inputs differ."""
+    another engine.  A full moving window ending at t reads estimates
+    published at t - K and before, so the windows ending at t .. t + K - 1
+    (up to T) are known at t and go as one group, as long as their inputs
+    u[s - K:s] equal those of the window ending at t; the group stops
+    before the first step whose inputs differ."""
     y = np.asarray(y_seq, dtype=float)
     if y.ndim == 2:
         y = y[:, :, None]
