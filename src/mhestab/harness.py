@@ -482,18 +482,18 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
                           (bounds.d, v_norms[:, :T]))
     errors = cert.alpha(row_distances(x, published))
     j_ref = np.zeros_like(achieved)
-    if T:
-        # the reference window of every step, stacked step-major: window t
-        # reads w and v at t - L .. t - 1, padded to the longest
-        L = np.array([step.horizon for step in estimates[1:]])
-        start = np.arange(1, T + 1) - L
-        at = np.minimum(start[:, None] + np.arange(L.max()), T)         # (T, Lmax)
-        ref = lambda seq: np.swapaxes(seq[:, at], 0, 1).reshape((-1,) + at.shape[1:] +
-                                                                seq.shape[2:])
-        j_ref[:, 1:] = np.reshape(_window_costs(
-            cost, np.concatenate([step.prior for step in estimates[1:]]),
-            np.swapaxes(x[:, start], 0, 1).reshape(-1, x.shape[2]), ref(w), ref(v),
-            np.repeat(L, len(cells))), (T, -1)).T
+    # the reference window of every step t, stacked step-major: x at t - L,
+    # and w and v at t - L .. t - 1, padded to the longest
+    L = np.array([step.horizon for step in estimates[1:]])
+    start = np.arange(1, T + 1) - L
+    at = np.minimum(start[:, None] + np.arange(L.max()), T)         # (T, Lmax)
+
+    def step_major(seq, idx):
+        return np.swapaxes(seq[:, idx], 0, 1).reshape((-1,) + idx.shape[1:] + seq.shape[2:])
+
+    j_ref[:, 1:] = _window_costs(
+        cost, np.concatenate([step.prior for step in estimates[1:]]), step_major(x, start),
+        step_major(w, at), step_major(v, at), np.repeat(L, len(cells))).reshape(T, -1).T
     # t = 0 publishes the prior: no cost against none, it passes with ratio 1
     record = certification_record(np.insert(achieved[:, 1:], 0, 0.0, axis=1), j_ref,
                                   config.a_factor)
