@@ -1,9 +1,10 @@
 """The cell axis: the structured engines and the check stage.
 
-``run_fie``/``run_mhe`` step a stack of cells in lock-step, and the max-mode
-and sum-mode engines solve the windows of one step as one group, one row
-per window; ``run_mhe`` also stacks the full windows of up to K consecutive
-steps that share their inputs into one group.  The drivers must give what
+``run_fie``/``run_mhe`` step a stack of cells in lock-step, and every engine
+solves a group of windows as one, one row per window: all the growing
+windows of a run go as one ragged group (each row its own length), and
+``run_mhe`` also stacks the full windows of up to K consecutive steps that
+share their inputs into one group.  The drivers must give what
 ``reference_folds.drive_step_by_step``, one group per step, gives, byte for
 byte, raise what it raises, and make the group calls pinned here.  Every
 row must be its cell run alone, byte for byte, and every
