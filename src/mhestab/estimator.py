@@ -41,8 +41,9 @@ cut only by ``GROUP_ROW_STEPS``.  The full moving windows of up to K
 consecutive steps that share their inputs go as one group of one length,
 since each is anchored at an estimate published K steps before it.  Every
 engine solves a group as one, one row per window, into one stacked
-:class:`EstimateResult`, and every row uses exactly the arithmetic of its
-window solved alone: a step j of an engine's loop runs on the rows longer
+:class:`EstimateResult` padded to the longest window, which
+:func:`_solve_group` cuts into one stack per window length; every row
+uses exactly the arithmetic of its window solved alone: a step j of an engine's loop runs on the rows longer
 than j, a gain is taken at each row's own age, and a sum over a row's
 terms, whose rounding depends on its length, is taken over the rows of
 each length apart.  The max-mode engine bisects levels of shape (R, 48);
@@ -161,7 +162,10 @@ class EstimateResult:
     """The estimate of one window, or the stack of the R windows of a group:
     a leading row axis on xhat, what, vhat and prior, (R,) arrays of cost,
     iterations, residual and starts_used, one status per row, and the one
-    engine and horizon.  :meth:`cell` gives window i of a stack."""
+    engine and horizon.  :meth:`cell` gives window i of a stack.  Every
+    window of a stack has its length; an engine's stack of a group of
+    several lengths is padded to the longest, and :func:`_solve_group` cuts
+    it per length before it leaves the engine layer."""
 
     xhat: np.ndarray      # (K+1, n) window states including the published endpoint
     what: np.ndarray      # (K, q)
@@ -188,7 +192,7 @@ class EstimateResult:
 
     def take(self, rows: slice, horizon: Optional[int] = None) -> "EstimateResult":
         """The stack of a slice of the rows of a stack; with a ``horizon``,
-        rows of windows of that length cut from a stack of longer ones."""
+        rows of windows of that length cut from an engine's padded stack."""
         out = replace(self, **{name: getattr(self, name)[rows] for name in (
             "xhat", "what", "vhat", "cost", "status", "prior", "iterations", "residual",
             "starts_used")})
@@ -264,26 +268,22 @@ def _window_costs(cost: CostSpec, prior: np.ndarray, chi0: np.ndarray, omega: np
     prior mismatch is discounted by the full length.  The rows of each
     length take one array call per gain and one fold, so each row's cost is
     its window's alone."""
-    K = omega.shape[1]
-    if k is None or (k == K).all():
-        ages = range(K, 0, -1)             # entry j acts at age K - j
-        dist = row_distances(chi0, prior)
-        heads = gain_terms(cost.beta_hat, range(K, K + 1), dist[:, None])[:, 0]
-        c_terms = gain_terms(cost.gamma_hat, ages, seq_norms(omega))
-        d_terms = gain_terms(cost.delta_hat, ages, seq_norms(nu))
-        return fold_terms(cost.mode, heads, c_terms, d_terms)
+    k = np.full(len(prior), omega.shape[1]) if k is None else k
     out = np.empty(len(k))
     for L, run in _length_runs(k):
-        out[run] = _window_costs(cost, prior[run], chi0[run], np.ascontiguousarray(omega[run, :L]),
-                                 np.ascontiguousarray(nu[run, :L]))
+        ages = range(L, 0, -1)             # entry j acts at age L - j
+        dist = row_distances(chi0[run], prior[run])
+        heads = gain_terms(cost.beta_hat, range(L, L + 1), dist[:, None])[:, 0]
+        wn, vn = (seq_norms(np.ascontiguousarray(seq[run, :L])) for seq in (omega, nu))
+        c_terms = gain_terms(cost.gamma_hat, ages, wn)
+        d_terms = gain_terms(cost.delta_hat, ages, vn)
+        out[run] = fold_terms(cost.mode, heads, c_terms, d_terms)
     return out
 
 
 def _length_runs(k: np.ndarray) -> List[Tuple[int, slice]]:
     """``(L, slice)`` of each run of equal window lengths L in k, in order."""
-    if k[0] == k[-1]:
-        return [(int(k[0]), slice(0, len(k)))]
-    cuts = (np.flatnonzero(k[1:] != k[:-1]) + 1).tolist()
+    cuts = ((k[1:] != k[:-1]).nonzero()[0] + 1).tolist()
     return [(int(k[a]), slice(a, b)) for a, b in zip([0] + cuts, cuts + [len(k)])]
 
 
@@ -313,10 +313,7 @@ class _Rows:
         self.model, self.cost, self.u_win, self.prior, self.y = model, cost, u_win, prior, y
         self.K, R = y.shape[1], len(prior)
         self.k = np.full(R, self.K) if k is None else k
-        if self.k[0] == self.K:
-            self.live = [0] * (self.K + 1) + [R]
-        else:
-            self.live = np.searchsorted(self.k, np.arange(self.K + 2)).tolist()
+        self.live = np.searchsorted(self.k, np.arange(self.K + 2)).tolist()
 
     @classmethod
     def of(cls, problems: Sequence[EstimationProblem]) -> "_Rows":
@@ -432,35 +429,33 @@ class _WidthTable:
         self.fn = fn
         distinct = sorted(set(lengths.tolist()))
         self.linear = np.zeros(distinct[-1] + 1, dtype=bool)
-        self.inv = None
+        self.inv = np.full(distinct[-1] + 1, math.nan)      # 1 / slope per age
         for L in distinct:
             table = slope_table(fn, L)
             ages = [L] if prior else slice(1, L + 1)
             if table is not None and np.all(table[ages] > 0):
                 self.linear[L] = True
                 with np.errstate(divide="ignore"):
-                    self.inv = 1.0 / table           # the tables of fn are prefixes
-        self.all_linear = bool(self.linear[distinct].all())
+                    self.inv[:L + 1] = 1.0 / table      # the tables of fn are prefixes
+        self.by_level = not self.linear[distinct].all()     # some length is not linear
 
     def widths(self, levels: np.ndarray, ages: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """Halfwidths (..., R, L) at the levels (R, L) of rows of window
-        lengths k (R,), at the ages (..., R) >= 1 of each row."""
-        if self.all_linear:
-            return np.minimum(self.inv[ages][..., None] * levels, WIDTH_CAP)
-        linear = self.linear[k]
-        out = np.empty(ages.shape + levels.shape[1:])
-        if linear.any():
-            out[..., linear, :] = np.minimum(self.inv[ages[..., linear]][..., None]
-                                             * levels[linear], WIDTH_CAP)
-        for idx in zip(*np.nonzero(np.broadcast_to(~linear, ages.shape))):
-            for i, lev in enumerate(levels[idx[-1]]):
+        """Halfwidths (R, L) at the levels (R, L) of rows of window lengths
+        k (R,), at the age (R,) >= 1 of each row: the inverse-slope product
+        for every row, then per-level inversion for the rows whose length
+        is not linear."""
+        out = np.minimum(self.inv[ages][:, None] * levels, WIDTH_CAP)
+        if not self.by_level:
+            return out
+        for r in np.nonzero(~self.linear[k])[0].tolist():
+            for i, lev in enumerate(levels[r]):
                 if lev <= 0.0:
-                    out[idx + (i,)] = 0.0
+                    out[r, i] = 0.0
                     continue
                 try:
-                    out[idx + (i,)] = min(self.fn.r_inverse(lev, int(ages[idx])), WIDTH_CAP)
+                    out[r, i] = min(self.fn.r_inverse(lev, int(ages[r])), WIDTH_CAP)
                 except CapabilityError:
-                    out[idx + (i,)] = WIDTH_CAP
+                    out[r, i] = WIDTH_CAP
         return out
 
 
@@ -484,10 +479,6 @@ def _max_feasible(rows: _Rows, prep, levels: np.ndarray, record: bool = False):
     model, K, k, live = rows.model, rows.K, rows.k, rows.live
     y = rows.y[:, :, 0].T[:, :, None]          # (K, R, 1)
     ages = k - np.arange(K)[:, None]           # entry j of row r acts at age k[r] - j
-    if k[0] == K:       # one length: the widths of every step at once, (K, R, L)
-        dw, gw = (table.widths(levels, ages, k) for table in prep[1:])
-    else:               # each step's widths for its live rows only
-        dw = gw = None
     pw = prep[0].widths(levels, k, k)
     lo = rows.prior - pw
     hi = rows.prior + pw
@@ -495,7 +486,7 @@ def _max_feasible(rows: _Rows, prep, levels: np.ndarray, record: bool = False):
     intervals = []
     for j in range(K):
         a = live[j + 1]                          # lo and hi hold the rows [a:]
-        dw_j = prep[1].widths(levels[a:], ages[j, a:], k[a:]) if dw is None else dw[j]
+        dw_j = prep[1].widths(levels[a:], ages[j, a:], k[a:])
         lo = np.maximum(lo, y[j, a:] - dw_j)
         hi = np.minimum(hi, y[j, a:] + dw_j)
         alive[a:] &= lo <= hi
@@ -504,7 +495,7 @@ def _max_feasible(rows: _Rows, prep, levels: np.ndarray, record: bool = False):
             intervals.append((lo, hi))
         if j < K - 1:
             b = live[j + 2]
-            gw_j = prep[2].widths(levels[b:], ages[j, b:], k[b:]) if gw is None else gw[j]
+            gw_j = prep[2].widths(levels[b:], ages[j, b:], k[b:])
             img_lo, img_hi = model.f_image(lo[b - a:], hi[b - a:], rows.u_win[j])
             lo = img_lo - gw_j
             hi = img_hi + gw_j
@@ -899,11 +890,10 @@ class _Objective:
     past a row's own 2L+1; their output penalties (B,); and the mask of rows
     whose evaluation alone raises (a NaN distance, a NaN or negative term).
     Each row reads its own window's prior, outputs and length, each gain is
-    evaluated once per age on the rows that have a term at that age (by the
-    arithmetic of its checked call, whose check a batch's nonnegative
-    arguments would pass), and every row is computed by exactly the
-    arithmetic of evaluating that candidate alone on its window, so neither
-    batching nor grouping moves an iterate.
+    evaluated once per age on the rows that have a term at that age, and
+    every row is computed by exactly the arithmetic of evaluating that
+    candidate alone on its window, so neither batching nor grouping moves
+    an iterate.
     A masked row raises only when an engine reads it: :class:`_Batch` then
     recomputes it alone through :meth:`strict`.  A row that is never read
     can neither raise nor change the result.
@@ -978,32 +968,21 @@ class _Objective:
         masked = np.isnan(dist) | np.isnan(wn).any(axis=1) | np.isnan(vn).any(axis=1)
         if not strict and masked.any():
             dist, wn, vn = (np.where(np.isnan(a), 0.0, a) for a in (dist, wn, vn))
-        # the arguments are now nonnegative and not NaN, so a batch evaluates
-        # each gain by the arithmetic of its checked call without the check;
-        # a strict row takes the checked call, which raises as it alone would
-        beta_hat, gamma_hat, delta_hat = (
-            fn if strict else fn._eval for fn in (cost.beta_hat, cost.gamma_hat, cost.delta_hat))
         terms = np.zeros((B, 2 * K + 1))
-        if k[0] == K:       # one length: entry j of every row at age K - j
-            terms[:, 0] = beta_hat(dist, K)
-            for j in range(K):
-                terms[:, 1 + 2 * j] = gamma_hat(wn[:, j], K - j)
-                terms[:, 2 + 2 * j] = delta_hat(vn[:, j], K - j)
-        else:
-            for L, run in _length_runs(k):
-                terms[run, 0] = beta_hat(dist[run], L)
-            # each row's entries right-aligned, so that column c holds age K - c
-            shift = (K - k)[:, None]
-            aligned = np.maximum(np.arange(K) - shift, 0)
-            at = np.arange(B)[:, None]
-            wn, vn = wn[at, aligned], vn[at, aligned]
-            gamma, delta = np.zeros((B, K + 1)), np.zeros((B, K + 1))     # column K stays 0
-            for c in range(K):
-                a = live[K - c]                 # the rows with a term at age K - c
-                gamma[a:, c] = gamma_hat(wn[a:, c], K - c)
-                delta[a:, c] = delta_hat(vn[a:, c], K - c)
-            back = np.minimum(np.arange(K) + shift, K)     # time order, 0 past a row's own
-            terms[:, 1::2], terms[:, 2::2] = gamma[at, back], delta[at, back]
+        runs = _length_runs(k)
+        # each row's norms right-aligned, so that column c holds age K - c,
+        # then replaced by their terms, one gain call per age
+        w_age, v_age = np.zeros((B, K)), np.zeros((B, K))
+        for L, run in runs:
+            terms[run, 0] = cost.beta_hat(dist[run], L)
+            w_age[run, K - L:], v_age[run, K - L:] = wn[run, :L], vn[run, :L]
+        for c in range(K):
+            a = live[K - c]                     # the rows with a term at age K - c
+            w_age[a:, c] = cost.gamma_hat(w_age[a:, c], K - c)
+            v_age[a:, c] = cost.delta_hat(v_age[a:, c], K - c)
+        for L, run in runs:                     # back in time order, 0 past a row's own
+            terms[run, 1:2 * L:2] = w_age[run, K - L:]
+            terms[run, 2:2 * L + 1:2] = v_age[run, K - L:]
         masked |= ~(terms >= 0.0).all(axis=1)
         return terms, pen, masked
 
@@ -1080,13 +1059,10 @@ def _evaluate_pass(objective: _Objective, derive, asks) -> List[_Batch]:
     sizes = [len(Z) for Z, _, _ in asks]
     ends = list(itertools.accumulate(sizes))
     spans = [slice(end - size, end) for end, size in zip(ends, sizes)]
-    if lengths[0] == K:
-        Z = np.concatenate([z for z, _, _ in asks])
-    else:
-        Z = np.zeros((ends[-1], objective.dim_of(K)))
-        for L, run in _length_runs(np.array(lengths)):
-            Z[spans[run.start].start:spans[run.stop - 1].stop, objective.columns(L, K)] = \
-                np.concatenate([z for z, _, _ in asks[run]])
+    Z = np.zeros((ends[-1], objective.dim_of(K)))
+    for L, run in _length_runs(np.array(lengths)):
+        Z[spans[run.start].start:spans[run.stop - 1].stop, objective.columns(L, K)] = \
+            np.concatenate([z for z, _, _ in asks[run]])
     terms, pen, masked = objective.evaluate(Z, np.repeat([w for _, w, _ in asks], sizes))
     lens = np.repeat(lengths, sizes)
     stages = list(dict.fromkeys(stage for _, _, stage in asks))
@@ -1321,9 +1297,8 @@ def _gauss_newton_pair(objective: _Objective, window: int, z: np.ndarray, stages
         for _ in range(cfg.max_iter):
             if batch is None:
                 batch = yield _with_probes(z), window, stage
-            if batch.masked[:dim + 1].any():
-                for k in np.flatnonzero(batch.masked[:dim + 1]):
-                    batch.row(k)     # in order: z, then each Jacobian point
+            for k in np.flatnonzero(batch.masked[:dim + 1]):
+                batch.row(k)     # in order: z, then each Jacobian point
             r, f0, at = batch.rows[0], batch.scores[0], batch.terms[0]
             jac = ((batch.rows[1:dim + 1] - r) / _fd_steps(z)[:, None]).T
             try:
@@ -1339,8 +1314,7 @@ def _gauss_newton_pair(objective: _Objective, window: int, z: np.ndarray, stages
             z, at = batch.Z[k], batch.terms[k]
             if k:       # a halving: its Jacobian points are not in the batch
                 batch = None
-            taken = alphas[j] * step
-            if math.sqrt(taken.dot(taken)) < cfg.tol:     # np.linalg.norm's arithmetic
+            if float(np.linalg.norm(alphas[j] * step)) < cfg.tol:
                 break
     return plus_reduce(objective.rows.cost.mode, at), z, iters
 
@@ -1388,18 +1362,22 @@ def solve_window(problem: EstimationProblem, solver: SolverConfig) -> EstimateRe
     disturbances are read off the transitions); the achieved cost is the
     certified upper envelope over the attempted starts.
     """
-    return _solve_group(_Rows.of([problem]), solver).cell(0)
+    return _solve_group(_Rows.of([problem]), solver)[0].cell(0)
 
 
-def _solve_group(rows: _Rows, solver: SolverConfig) -> EstimateResult:
-    """Solve a group of windows as one, into one stacked result: a
-    structured engine when one fits, else the configured generic method."""
+def _solve_group(rows: _Rows, solver: SolverConfig) -> List[EstimateResult]:
+    """Solve a group of windows as one: a structured engine when one fits,
+    else the configured generic method.  The engine's stack holds every row
+    at the longest length; it is returned as one stacked result per run of
+    rows of equal length, cut to that length, in row order."""
     engine = _structured_engine(rows)
-    if engine is not None:
-        return engine(rows)
-    if solver.method == "gauss_newton_penalty":
-        return _solve_gauss_newton(rows, solver)
-    return _solve_multistart_local(rows, solver)
+    if engine is None:
+        engine = (_solve_gauss_newton if solver.method == "gauss_newton_penalty"
+                  else _solve_multistart_local)
+        result = engine(rows, solver)
+    else:
+        result = engine(rows)
+    return [result.take(run, L) for L, run in _length_runs(rows.k)]
 
 
 def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: SolverConfig,
@@ -1474,15 +1452,18 @@ def _solve_steps(groups: List[_Rows], solver: SolverConfig) -> List[EstimateResu
     steps.  When that raises, the steps are solved one group each, in
     order, so the first failing step raises what it does alone."""
     if len(groups) == 1:
-        return [_solve_group(groups[0], solver)]
+        return _solve_group(groups[0], solver)
     try:
-        result = _solve_group(_Rows.stack(groups), solver)
+        lengths = _solve_group(_Rows.stack(groups), solver)
     except Exception:
-        return [_solve_group(g, solver) for g in groups]
-    out, at = [], 0
-    for g in groups:
-        out.append(result.take(slice(at, at + len(g)), g.K))
-        at += len(g)
+        return [result for g in groups for result in _solve_group(g, solver)]
+    out, sizes = [], iter(map(len, groups))
+    for result in lengths:           # the steps of one length, in order
+        at = 0
+        while at < len(result.status):
+            size = next(sizes)
+            out.append(result.take(slice(at, at + size)))
+            at += size
     return out
 
 

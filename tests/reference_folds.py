@@ -603,8 +603,8 @@ def _rollout_one(problem, chi0, omega):
 def _widths(table, K, levels, prior=False):
     """The halfwidths (K, L) of the levels (L,) at the window's ages K .. 1,
     or (L,) at the prior's age K, of a width table of one window."""
-    ages = np.array([[K]]) if prior else np.arange(K, 0, -1)[:, None]
-    out = table.widths(levels[None, :], ages, np.array([K]))[:, 0]
+    out = np.array([table.widths(levels[None, :], np.array([age]), np.array([K]))[0]
+                    for age in ([K] if prior else range(K, 0, -1))])
     return out[0] if prior else out
 
 
@@ -984,6 +984,5 @@ def drive_step_by_step(model, cost, prior0, u_seq, y_seq, solver, horizon=None):
         start = 0 if horizon is None else max(0, t - horizon)
         anchors = np.array([steps[start].cell(c).published for c in range(C)]) if start \
             else priors
-        steps.append(E._solve_group(E._Rows(model, cost, u[start:t], anchors, y[:, start:t]),
-                                    solver))
+        steps += E._solve_group(E._Rows(model, cost, u[start:t], anchors, y[:, start:t]), solver)
     return steps
