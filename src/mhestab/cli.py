@@ -16,8 +16,8 @@ Exit codes are part of the contract; every failure maps onto one of them:
     full-information window beyond ``t_max_fie``)
 3   infeasible or divergent run: ``InfeasibleWindowError``,
     ``DivergenceError`` (the simulated state left the floats),
-    ``NonFiniteStepError`` (a certified step whose error, bound or cost is
-    not finite)
+    ``NonFiniteStepError`` (a step whose achieved or reference cost, or a
+    certified step whose error or bound, is not finite)
 4   bound violation (``BoundViolationError``), worst step in the report
 ==  ===========================================================================
 """

@@ -90,7 +90,8 @@ class AnalysisError(RuntimeError):
 
 
 class NonFiniteStepError(RuntimeError):
-    """A certified step whose error, bound or cost is not finite (exit code 3)."""
+    """A step whose achieved or reference cost, or a certified step whose
+    error or bound, is not finite (exit code 3)."""
 
 
 class BoundViolationError(RuntimeError):
@@ -520,8 +521,10 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
     worst_t = np.argmin(ranked, axis=1).tolist()
     ratio = np.where(np.isfinite(record.ratio), record.ratio, -1.0)
     out = []
-    # an overflowed error, bound or cost can neither pass nor fail a check
-    overflowed = certified & ~(np.isfinite(errors) & np.isfinite(rhs) & np.isfinite(achieved))
+    # an overflowed cost can neither pass nor fail certification, nor an
+    # overflowed error or bound a check
+    overflowed = ~(np.isfinite(achieved) & np.isfinite(j_ref)) | (
+        certified & ~(np.isfinite(errors) & np.isfinite(rhs)))
     for c, (scenario, seed) in enumerate(cells):
         if np.isnan(rhs[c]).any():      # a NaN margin would never count as violated
             raise DomainError(f"error bound is NaN at t = {int(np.argmax(np.isnan(rhs[c])))}")
@@ -529,8 +532,9 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
             t = int(np.argmax(overflowed[c]))
             raise NonFiniteStepError(
                 f"cell ({scenario.name}, seed {seed}) step t = {t}: error "
-                f"{float(errors[c, t])!r}, bound {float(rhs[c, t])!r} and cost "
-                f"{float(achieved[c, t])!r} at a certified step")
+                f"{float(errors[c, t])!r}, bound {float(rhs[c, t])!r}, cost "
+                f"{float(achieved[c, t])!r}, reference cost {float(j_ref[c, t])!r}; a step's "
+                "costs, and a certified step's error and bound, must be finite")
         if bad_terms[c].any():
             i = int(np.argmax(bad_terms[c])) - K - 1
             plus_reduce(bounds.mode, [term[c, i] for term in window_terms])

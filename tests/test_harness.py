@@ -476,18 +476,18 @@ prior_offset = {prior_offset}
 [scenario.uniform]
 kind = bounded_uniform
 amplitude = {amplitude}
-
+{extra}
 [output]
 dir = {out}
 """
 
 
 def _overflow_run(tmp_path, capsys, plant="s2", mode="max", estimator="fie",
-                  prior_offset=1.0, amplitude=0.1):
+                  prior_offset=1.0, amplitude=0.1, extra=""):
     path = tmp_path / "overflow.ini"
     path.write_text(OVERFLOW_CONFIG.format(plant=plant, mode=mode, estimator=estimator,
                                            prior_offset=prior_offset, amplitude=amplitude,
-                                           out=tmp_path / "out"))
+                                           extra=extra, out=tmp_path / "out"))
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         code = cli_main(["run", "--config", str(path)])
@@ -516,6 +516,19 @@ def test_an_infinite_cost_or_error_never_certifies(tmp_path, capsys):
                               prior_offset=1e200)
     assert code == 3
     assert "cell (uniform, seed 0) step t = 0: error inf, bound inf" in err
+
+
+def test_a_reference_cost_that_overflows_is_an_error(tmp_path, capsys):
+    # gains of about 1e308 price the true disturbances of t >= 2 at inf,
+    # while t = 0 and t = 1 are finite: an inf reference cost was certified
+    # and the run passed, and refusing it would have dropped those steps
+    code, err = _overflow_run(tmp_path, capsys, plant="s1", mode="sum", amplitude=1.0,
+                              extra="\n[cost]\nbeta_hat = sepgeo(1.0, 1.0, 0.5)\n"
+                                    "gamma_hat = sepgeo(1e308, 1.0, 0.9)\n"
+                                    "delta_hat = sepgeo(1e308, 1.0, 0.9)\n")
+    assert code == 3
+    assert "cell (uniform, seed 0) step t = 2: error 0.7286115146064854, bound inf, " \
+        "cost 2.0131517379133495e+307, reference cost inf" in err
 
 
 def test_cli_sweep_and_probe(tmp_path):
