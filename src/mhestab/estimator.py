@@ -660,8 +660,6 @@ class _PWLRows:
 
     def cut(self, rows: slice) -> "_PWLRows":
         """The functions of a slice of the rows."""
-        if rows == slice(0, None):
-            return self
         out = _PWLRows(self.xs[rows], self.slopes[rows], self.y0[rows], self.n[rows])
         if self._knot_values is not None:
             out._knot_values = self._knot_values[rows]
@@ -753,14 +751,10 @@ class _PWLRows:
         w = np.broadcast_to(w, (R,))
         # zero-weight stage: the stage variable is free, leaving a constant
         free = w <= 0.0
-        if free.all():
-            return _PWLRows(arg_lo[:, None], np.zeros((R, 2)), vmin, np.ones(R, dtype=int))
         w = w[:, None]
         s = np.where(-w > self.slopes, -w, self.slopes)
         s = np.where(w < s, w, s)
         out = _PWLRows(self.xs, s, self._anchored(s, arg_lo, vmin), self.n)._pruned()
-        if not free.any():
-            return out
         xs = np.where(free[:, None], np.inf, out.xs)
         xs[free, 0] = arg_lo[free]
         return _PWLRows(xs, np.where(free[:, None], 0.0, out.slopes), np.where(free, vmin, out.y0),
@@ -843,7 +837,7 @@ def _solve_sum_pwl(rows: _Rows) -> EstimateResult:
         for j in range(K):
             lo, hi = live[j + 1], live[j + 2]    # the rows [lo:hi] end at step j
             if hi > lo:
-                _, arg_lo, arg_hi = V.cut(slice(0, hi - lo) if hi < R else slice(0, None)).min()
+                _, arg_lo, arg_hi = V.cut(slice(0, hi - lo)).min()
                 chis[lo:hi, j] = np.where(np.isfinite(arg_lo), 0.5 * (arg_lo + arg_hi), arg_hi)
             if hi < R:
                 stages.append(V)
