@@ -42,11 +42,11 @@ consecutive steps that share their inputs go as one group of one length,
 since each is anchored at an estimate published K steps before it.  Every
 engine solves a group as one, one row per window, into one stacked
 :class:`EstimateResult` padded to the longest window, which
-:func:`_solve_group` cuts into one stack per window length; every row
-uses exactly the arithmetic of its window solved alone: a step j of an engine's loop runs on the rows longer
-than j, a gain is taken at each row's own age, and a sum over a row's
-terms, whose rounding depends on its length, is taken over the rows of
-each length apart.  The max-mode engine bisects levels of shape (R, 48);
+:func:`_solve_group` cuts into one stack per window length.  Every row uses
+exactly the arithmetic of its window solved alone: a step j of an engine's
+loop runs on the rows longer than j, a gain is taken at each row's own age,
+and a sum over a row's terms, whose rounding depends on its length, is
+taken over the rows of each length apart.  The max-mode engine bisects levels of shape (R, 48);
 its per-window branches are masks over the rows, and a failing row raises
 ``InfeasibleWindowError`` for its whole group.  The sum-mode engine holds
 the R value functions as padded (R, M) breakpoint and slope arrays with a
