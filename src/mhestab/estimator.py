@@ -30,31 +30,31 @@ of thousands of windows.
 
 The drivers ``run_fie``/``run_mhe`` step a stack of cells in lock-step: at
 each t the windows of all cells share the plant, cost, inputs and length
-and differ in their outputs and priors.  The drivers check their stacks
-once and hand the engines window groups (:class:`_Rows`), cut from the
-stacks and the published anchors.  A group may hold windows of several
-lengths, each row its own length k <= K, as long as every window starts at
-step 0 of the shared inputs: every growing window of a run (each
-full-information step, and the moving-horizon steps t <= K) is anchored at
-the prior, so all of them go as one ragged group, stacked step-major and
-cut only by ``GROUP_ROW_STEPS``.  The full moving windows of up to K
-consecutive steps that share their inputs go as one group of one length,
-since each is anchored at an estimate published K steps before it.  Every
-engine solves a group as one, one row per window, into one stacked
-:class:`EstimateResult` padded to the longest window, which
-:func:`_solve_group` cuts into one stack per window length.  Every row uses
-exactly the arithmetic of its window solved alone: a step j of an engine's
-loop runs on the rows longer than j, a gain is taken at each row's own age,
-and a sum over a row's terms, whose rounding depends on its length, is
-taken over the rows of each length apart.  The max-mode engine bisects levels of shape (R, 48);
-its per-window branches are masks over the rows, and a failing row raises
-``InfeasibleWindowError`` for its whole group.  The sum-mode engine holds
-the R value functions as padded (R, M) breakpoint and slope arrays with a
-count per row.  The generic engines run every (window, start) pair of the
-group in lock-step (:func:`_lockstep`): each pair is the one-candidate
-algorithm of one start on one window, and each tick evaluates the
-candidates that all live pairs read next in one objective pass, laid out
-as candidates of the longest window.  Gauss-Newton asks for its Jacobian
+and differ in their outputs and priors.  The window ending at s is
+[start(s), s) with start(s) = max(0, s - K) (0 for full information),
+anchored at the prior when it starts at 0 and otherwise at the estimate
+published at its start.  So the drivers hand the engines groups of the
+windows of consecutive steps (:class:`_Rows`), gathered step-major from the
+stacks by :func:`_step_windows`, under one rule (:func:`_drive`): a group
+opened at t takes each next step whose anchor was published before t,
+whose inputs start the group's, whose length picks the group's engine, and
+that keeps the group within ``GROUP_ROW_STEPS``.  The rows of a group may
+differ in length, each its own k <= K, and in start; each reads its inputs
+from step 0 of the group's.  Every engine solves a group as one, one row
+per window, into one stacked :class:`EstimateResult` padded to the longest
+window, which :func:`_drive` cuts once per step.  Every row uses exactly
+the arithmetic of its window solved alone: a step j of an engine's loop
+runs on the rows longer than j, a gain is taken at each row's own age, and
+a sum over a row's terms, whose rounding depends on its length, is taken
+over the rows of each length apart.  The max-mode engine bisects levels of
+shape (R, 48); its per-window branches are masks over the rows, and a
+failing row raises ``InfeasibleWindowError`` for its whole group.  The
+sum-mode engine holds the R value functions as padded (R, M) breakpoint and
+slope arrays with a count per row.  The generic engines run every (window,
+start) pair of the group in lock-step (:func:`_lockstep`): each pair is the
+one-candidate algorithm of one start on one window, and each tick
+evaluates the candidates that all live pairs read next in one objective
+pass, laid out as candidates of the longest window.  Gauss-Newton asks for its Jacobian
 points, then for step length 1 with its Jacobian points and the step's
 halvings; compass asks for the rest of a sweep.  A pair leaves the group
 when it converges, breaks or runs out of iterations.  ``solve_window`` is a
@@ -164,8 +164,8 @@ class EstimateResult:
     iterations, residual and starts_used, one status per row, and the one
     engine and horizon.  :meth:`cell` gives window i of a stack.  Every
     window of a stack has its length; an engine's stack of a group of
-    several lengths is padded to the longest, and :func:`_solve_group` cuts
-    it per length before it leaves the engine layer."""
+    several lengths is padded to the longest, and :func:`_drive` cuts it
+    once per step (:meth:`take`) before it leaves this module."""
 
     xhat: np.ndarray      # (K+1, n) window states including the published endpoint
     what: np.ndarray      # (K, q)
@@ -291,18 +291,27 @@ def _length_runs(k: np.ndarray) -> List[Tuple[int, slice]]:
 # Window groups and shared helpers
 # ---------------------------------------------------------------------------
 
+def _step_windows(seq: np.ndarray, stops: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The windows [stop - L, stop) of the (C, T, ...) stack seq, for each
+    step's stop and length L, stacked step-major: (S * C, max L, ...).  The
+    entries past a window's length repeat clipped entries of seq, and no
+    row reads them."""
+    at = np.minimum((stops - lengths)[:, None] + np.arange(lengths.max()), seq.shape[1] - 1)
+    out = seq[np.arange(len(seq))[:, None], at[:, None]]        # (S, C, max L, ...)
+    return out.reshape((-1,) + out.shape[2:])
+
+
 class _Rows:
     """A group of windows, one row each, that share the plant and cost and
     differ in their priors (R, n), outputs (R, K, p) and lengths k (R,) <=
-    K, in nondecreasing order.  Every window starts at step 0 of the shared
-    inputs u_win (K, du), so row r reads u_win[:k[r]] and y[r, :k[r]], and
-    the entries past its length are padding that no row's numbers read.
-    Every helper below works elementwise along the rows, so a row's numbers
-    are those of its window solved alone.  The drivers cut the groups from
-    their stacks (the growing windows of consecutive steps, or the full
-    moving windows of consecutive steps that share their inputs, stacked
-    step-major), and :meth:`of` groups windows of one length given one at a
-    time.
+    K, in nondecreasing order.  Every window reads its inputs from step 0 of
+    the shared inputs u_win (K, du), so row r reads u_win[:k[r]] and y[r,
+    :k[r]], and the entries past its length are padding that no row's
+    numbers read.  Every helper below works elementwise along the rows, so a
+    row's numbers are those of its window solved alone.  The drivers gather
+    the groups from their stacks, the windows of consecutive steps stacked
+    step-major (:func:`_step_windows`), and :meth:`of` groups windows of one
+    length given one at a time.
 
     ``live[j]`` is the first row longer than j - 1: the rows with a state j,
     the published endpoint counted, are ``[live[j]:]``, and those with an
@@ -320,19 +329,6 @@ class _Rows:
         first = problems[0]
         return cls(first.model, first.cost, first.u_win, np.array([p.prior for p in problems]),
                    np.array([p.y_win for p in problems]))
-
-    @classmethod
-    def stack(cls, groups: Sequence["_Rows"]) -> "_Rows":
-        """The groups of nondecreasing length as one group, in order; each
-        group's inputs are a prefix of the last group's."""
-        last = groups[-1]
-        y = np.zeros((sum(map(len, groups)), last.K, last.y.shape[2]))
-        at = 0
-        for g in groups:
-            y[at:at + len(g), :g.K] = g.y
-            at += len(g)
-        return cls(last.model, last.cost, last.u_win, np.concatenate([g.prior for g in groups]),
-                   y, np.concatenate([g.k for g in groups]))
 
     def __len__(self) -> int:
         return len(self.prior)
@@ -709,11 +705,12 @@ class _PWLRows:
         """The sum with weight[r] * |x - centers[r]| per row."""
         weight = np.broadcast_to(weight, centers.shape)
         xs, n = self.with_point(centers)
-        # slope right of each probe: left of the first breakpoint, then at each
-        probes = np.concatenate([xs[:, :1] - 1.0, xs], axis=1)
-        idx = (self.xs[:, None, :] <= probes[:, :, None]).sum(axis=2)
-        slopes = (self.slopes[self.rows, idx]
-                  + np.where(centers[:, None] <= probes, weight[:, None], -weight[:, None]))
+        # the left arm lies left of every breakpoint and of the center; then
+        # the slope right of each breakpoint
+        idx = (self.xs[:, None, :] <= xs[:, :, None]).sum(axis=2)
+        slopes = np.concatenate([self.slopes[:, :1] - weight[:, None], self.slopes[self.rows, idx]
+                                 + np.where(centers[:, None] <= xs, weight[:, None],
+                                            -weight[:, None])], axis=1)
         x0, c = xs[:, 0], centers
         term = np.where(x0 <= c, 0.0 - (-weight) * (c - x0), 0.0 + weight * (x0 - c))
         return _PWLRows(xs, slopes, self._arm(x0) + term, n)._pruned()
@@ -1334,17 +1331,16 @@ def _solve_gauss_newton(rows: _Rows, cfg: SolverConfig) -> EstimateResult:
 # Dispatch and drivers
 # ---------------------------------------------------------------------------
 
-def _structured_engine(rows: _Rows):
-    """The exact engine for the group's windows, :func:`_solve_max_scalar`
+def _structured_engine(model: SystemModel, cost: CostSpec, K: int):
+    """The exact engine for windows of length up to K, :func:`_solve_max_scalar`
     or :func:`_solve_sum_pwl`, or None when only a generic method fits."""
-    model = rows.model
     if not (model.is_scalar and model.additive_v and model.additive_w):
         return None
-    if rows.cost.mode is PlusMode.MAX:
+    if cost.mode is PlusMode.MAX:
         if model.f_image is not None and model.f_solve is not None:
             return _solve_max_scalar
         return None
-    if model.linear_a is not None and _sum_weights(rows.cost, rows.K) is not None:
+    if model.linear_a is not None and _sum_weights(cost, K) is not None:
         return _solve_sum_pwl
     return None
 
@@ -1356,41 +1352,42 @@ def solve_window(problem: EstimationProblem, solver: SolverConfig) -> EstimateRe
     disturbances are read off the transitions); the achieved cost is the
     certified upper envelope over the attempted starts.
     """
-    return _solve_group(_Rows.of([problem]), solver)[0].cell(0)
+    return _solve_group(_Rows.of([problem]), solver).cell(0)
 
 
-def _solve_group(rows: _Rows, solver: SolverConfig) -> List[EstimateResult]:
+def _solve_group(rows: _Rows, solver: SolverConfig) -> EstimateResult:
     """Solve a group of windows as one: a structured engine when one fits,
-    else the configured generic method.  The engine's stack holds every row
-    at the longest length; it is returned as one stacked result per run of
-    rows of equal length, cut to that length, in row order."""
-    engine = _structured_engine(rows)
-    if engine is None:
-        engine = (_solve_gauss_newton if solver.method == "gauss_newton_penalty"
-                  else _solve_multistart_local)
-        result = engine(rows, solver)
-    else:
-        result = engine(rows)
-    return [result.take(run, L) for L, run in _length_runs(rows.k)]
+    else the configured generic method.  The stacked result holds every row
+    padded to the longest window; :meth:`EstimateResult.take` cuts a row to
+    its own length."""
+    engine = _structured_engine(rows.model, rows.cost, rows.K)
+    if engine is not None:
+        return engine(rows)
+    if solver.method == "gauss_newton_penalty":
+        return _solve_gauss_newton(rows, solver)
+    return _solve_multistart_local(rows, solver)
 
 
 def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: SolverConfig,
            horizon: Optional[int]) -> List[EstimateResult]:
     """Step every cell of the stack in lock-step over t; the window ending
-    at t starts at max(0, t - horizon), or at 0 without a horizon, and is
-    anchored at the cell's prior0 or at its own estimate from its start.
+    at s is [start(s), s), start(s) = max(0, s - horizon) or 0 without a
+    horizon, and is anchored at the cell's prior0 when it starts at 0, else
+    at the cell's own estimate published at start(s).
 
-    A growing window (every full-information step, and the moving-horizon
-    steps t <= K) starts at step 0 and is anchored at prior0, so all of
-    them are known at t = 1: they go as one ragged group of C rows per
-    step, stacked step-major (:func:`_solve_steps`), cut only where the
-    next step would take the group past ``GROUP_ROW_STEPS`` rows times
-    window length (``GENERIC_GROUP_ROW_STEPS`` for a generic engine), or to
-    another engine.  A full moving window ending at t reads estimates
-    published at t - K and before, so the windows ending at t .. t + K - 1
-    (up to T) are known at t and go as one group, as long as their inputs
-    u[s - K:s] equal those of the window ending at t; the group stops
-    before the first step whose inputs differ."""
+    A group opened at t takes the steps s = t, t + 1, ... while the anchor
+    of s was published before t (start(s) < t), its inputs u[start(s):s]
+    are the first entries of the group's u[start(t):], its length picks
+    the engine of the window ending at t, and the group's steps times C
+    times its longest length stay within ``GROUP_ROW_STEPS``
+    (``GENERIC_GROUP_ROW_STEPS`` for a generic engine).  So the growing
+    windows (every full-information step, and the moving-horizon steps t <=
+    K) go as ragged groups cut only by the cap, and the full moving windows
+    of up to K consecutive steps that share their inputs go together.  A
+    group's outputs are gathered by :func:`_step_windows`, its stacked
+    result is cut once per step, and when a group of several steps raises,
+    its steps are solved one group each, in order, so the first failing
+    step raises what it does alone."""
     y = np.asarray(y_seq, dtype=float)
     if y.ndim == 2:
         y = y[:, :, None]
@@ -1412,53 +1409,34 @@ def _drive(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, solver: Sol
     steps = [_stacked(_Rows(model, cost, u[:0], priors, y[:, :0]), priors[:, None, :].copy(),
                       np.zeros((C, 0, model.process_noise_dim)),
                       np.zeros((C, 0, model.meas_noise_dim)), np.zeros(C), "init")]
-
-    def window(s: int) -> _Rows:
-        start = 0 if horizon is None else max(0, s - horizon)
-        anchors = steps[start].published if start else priors
-        return _Rows(model, cost, u[start:s], anchors, y[:, start:s])
-
-    grow = T if horizon is None else min(T, horizon)
+    starts = [0 if horizon is None else max(0, s - horizon) for s in range(T + 1)]
+    engines = {L: _structured_engine(model, cost, L)
+               for L in {s - starts[s] for s in range(1, T + 1)}}
     t = 1
     while t <= T:
-        group = [window(t)]
-        engine = _structured_engine(group[0])
+        a = starts[t]
+        engine = engines[t - a]
         cap = GENERIC_GROUP_ROW_STEPS if engine is None else GROUP_ROW_STEPS
-        for s in range(t + 1, (grow if t <= grow else min(T, t + horizon - 1)) + 1):
-            # growing windows join while the group stays within its cap and
-            # takes one engine; full windows, anchored at estimates published
-            # before t, while their inputs match
-            later = window(s)
-            if t <= grow:
-                if (len(group) + 1) * C * s > cap or _structured_engine(later) is not engine:
-                    break
-            elif not np.array_equal(later.u_win, group[0].u_win):
-                break
-            group.append(later)
-        steps += _solve_steps(group, solver)
-        t += len(group)
+        s = t + 1
+        while s <= T and starts[s] < t and (s - t + 1) * C * (s - starts[s]) <= cap \
+                and engines[s - starts[s]] is engine \
+                and np.array_equal(u[starts[s]:s], u[a:a + s - starts[s]]):
+            s += 1
+        stops = np.arange(t, s)
+        lengths = stops - starts[t:s]
+        rows = _Rows(model, cost, u[a:a + lengths[-1]],
+                     np.concatenate([steps[b].published if b else priors for b in starts[t:s]]),
+                     _step_windows(y, stops, lengths), np.repeat(lengths, C))
+        parts = [slice(i * C, (i + 1) * C) for i in range(s - t)]
+        try:
+            result = _solve_group(rows, solver)
+            steps += [result.take(part, L) for part, L in zip(parts, lengths.tolist())]
+        except Exception:
+            if s == t + 1:
+                raise
+            steps += [_solve_group(rows.take(part), solver) for part in parts]
+        t = s
     return steps
-
-
-def _solve_steps(groups: List[_Rows], solver: SolverConfig) -> List[EstimateResult]:
-    """The results of the window groups of consecutive steps, solved as one
-    group stacked step-major (:meth:`_Rows.stack`) and sliced back into
-    steps.  When that raises, the steps are solved one group each, in
-    order, so the first failing step raises what it does alone."""
-    if len(groups) == 1:
-        return _solve_group(groups[0], solver)
-    try:
-        lengths = _solve_group(_Rows.stack(groups), solver)
-    except Exception:
-        return [result for g in groups for result in _solve_group(g, solver)]
-    out, sizes = [], iter(map(len, groups))
-    for result in lengths:           # the steps of one length, in order
-        at = 0
-        while at < len(result.status):
-            size = next(sizes)
-            out.append(result.take(slice(at, at + size)))
-            at += size
-    return out
 
 
 def run_fie(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq,
@@ -1469,11 +1447,12 @@ def run_fie(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq,
     the cells share the inputs ``u_seq`` (T, du) and the initial prior
     ``prior0`` (n,), or each has its own, (C, n).  Returns one stacked
     result per step, whose row c is what cell c run alone gives.  The window
-    grows with t and the prior stays anchored at the initial estimate, so
-    the windows of all steps are known at t = 1 and are solved as ragged
-    groups of several steps (see :func:`_drive`); every result, and every
-    error raised, is that of solving the steps one after another.  Beyond
-    ``t_max`` the run refuses rather than switching to a moving horizon.
+    grows with t and every window is anchored at the prior, so all of them
+    are known at t = 1 and go as ragged groups of consecutive steps, cut
+    only by the group cap and a change of engine (see :func:`_drive`);
+    every result, and every error raised, is that of solving the steps one
+    after another.  Beyond ``t_max`` the run refuses rather than switching
+    to a moving horizon.
     """
     T = np.shape(y_seq)[1] if np.ndim(y_seq) > 1 else 0
     if T > t_max:
@@ -1486,11 +1465,11 @@ def run_mhe(model: SystemModel, cost: CostSpec, prior0, u_seq, y_seq, horizon: i
     """Moving-horizon estimates of the stacks of :func:`run_fie`, returned as
     it returns them, with the filtering prior.
 
-    For t <= K this is exactly the growing-window scheme, and those K steps
-    go as one ragged group; afterwards each cell's window is anchored at
-    that cell's own published estimate from K steps earlier, so the windows
-    of up to K consecutive steps whose inputs match are solved as one group
-    (see :func:`_drive`).  Every result, and every error raised, is that of
+    For t <= K this is exactly the growing-window scheme; afterwards each
+    cell's window is anchored at that cell's own estimate published K steps
+    earlier.  A group opened at t therefore takes the steps up to t + K - 1
+    whose inputs start its own, growing windows and full ones alike (see
+    :func:`_drive`).  Every result, and every error raised, is that of
     solving the steps one after another.
     """
     if not (float(horizon).is_integer() and horizon >= 1):

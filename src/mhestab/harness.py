@@ -63,6 +63,7 @@ from .certificates import (
 from .estimator import (
     EstimateResult,
     SolverConfig,
+    _step_windows,
     _window_costs,
     certification_record,
     run_fie,
@@ -184,13 +185,14 @@ def _parse_seeds(text: str) -> Tuple[int, ...]:
     if ":" in text:
         lo, hi = text.split(":")
         return tuple(range(int(lo), int(hi)))
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    return _parse_list(text, "seeds")
 
 
-def _parse_sweep(text: str) -> Tuple[int, ...]:
+def _parse_list(text: str, key: str = "sweep") -> Tuple[int, ...]:
+    """The integers of the comma list of ``key``; an empty entry is an error."""
     parts = [p.strip() for p in text.split(",")]
     if not all(parts):
-        raise ConfigError(f"sweep has an empty entry: {text!r}")
+        raise ConfigError(f"{key} has an empty entry: {text!r}")
     return tuple(int(p) for p in parts)
 
 
@@ -207,7 +209,7 @@ def _named_as_fields(**parsers) -> dict:
 CONFIG_KEYS = {
     "experiment": _named_as_fields(
         name=str, plant=str, certificate=str, mode=str, cost=str, a_factor=float,
-        estimator=str, horizon=int, sweep=_parse_sweep, t_final=int, seeds=_parse_seeds,
+        estimator=str, horizon=int, sweep=_parse_list, t_final=int, seeds=_parse_seeds,
         x0=float, prior_offset=float, t_max_fie=int),
     "cost": {key: ("cost_" + key, str) for key in ("beta_hat", "gamma_hat", "delta_hat")},
     "scenario": _named_as_fields(kind=str, amplitude=float, rate=float, time=int,
@@ -483,18 +485,14 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
                           (bounds.d, v_norms[:, :T]))
     errors = cert.alpha(row_distances(x, published))
     j_ref = np.zeros_like(achieved)
-    # the reference window of every step t, stacked step-major: x at t - L,
-    # and w and v at t - L .. t - 1, padded to the longest
+    # the reference window of every step t, stacked step-major: x at its
+    # start (a window of one step), and w and v over it
     L = np.array([step.horizon for step in estimates[1:]])
-    start = np.arange(1, T + 1) - L
-    at = np.minimum(start[:, None] + np.arange(L.max()), T)         # (T, Lmax)
-
-    def step_major(seq, idx):
-        return np.swapaxes(seq[:, idx], 0, 1).reshape((-1,) + idx.shape[1:] + seq.shape[2:])
-
+    stops = np.arange(1, T + 1)
     j_ref[:, 1:] = _window_costs(
-        cost, np.concatenate([step.prior for step in estimates[1:]]), step_major(x, start),
-        step_major(w, at), step_major(v, at), np.repeat(L, len(cells))).reshape(T, -1).T
+        cost, np.concatenate([step.prior for step in estimates[1:]]),
+        _step_windows(x, stops - L + 1, np.ones_like(L))[:, 0], _step_windows(w, stops, L),
+        _step_windows(v, stops, L), np.repeat(L, len(cells))).reshape(T, -1).T
     # t = 0 publishes the prior: no cost against none, it passes with ratio 1
     record = certification_record(np.insert(achieved[:, 1:], 0, 0.0, axis=1), j_ref,
                                   config.a_factor)
@@ -783,9 +781,11 @@ def deviant_output_probe(config: ExperimentConfig, out_dir: Optional[str] = None
     discrepancy terms included.  Writes ``probe.json``.
 
     Each scenario runs on the first configured seed only.  The configured
-    estimator consumes the perturbed stream; the certificate inequality is
-    then evaluated between the true solution and the estimator's solution of
-    a window that holds the perturbed step: the whole run for full
+    estimator consumes the perturbed streams of all scenarios as one stack,
+    as a run does, and a failing window raises what that stacked run
+    raises.  The certificate inequality is then evaluated between the true
+    solution and the estimator's solution of a window that holds the
+    perturbed step: the whole run for full
     information; for a moving horizon of length K, the window it solved at
     t = min(step + K, T), which is the last window holding the step.  The
     window solution's output channel reproduces the perturbed measurements,
@@ -800,11 +800,11 @@ def deviant_output_probe(config: ExperimentConfig, out_dir: Optional[str] = None
     t = min(step + K, T) if config.estimator == "mhe" else T
     results = {}
     truths = _truths(config, model, [(scenario, config.seeds[0]) for scenario in config.scenarios])
+    y_pert = truths.y[:, :t].copy()
+    y_pert[:, step, 0] += config.probe_delta
+    final = _estimate(resolved, truths.u[:t], y_pert, K)[t]
     for c, scenario in enumerate(config.scenarios):
-        sol = truths.cell(c)
-        y_pert = sol.y[:t].copy()
-        y_pert[step, 0] += config.probe_delta
-        solved = _estimate(resolved, sol.u[:t], y_pert[None], K)[t].cell(0)
+        sol, solved = truths.cell(c), final.cell(c)
         start = t - solved.horizon
         margin = check_ioss_on_pair(cert, model, sol.window(start, t),
                                     solved.as_solution(model, sol.u[start:t]))

@@ -827,10 +827,9 @@ class _PWL:
 
     def add(self, other: "_PWL") -> "_PWL":
         xs = sorted(set(self.xs) | set(other.xs))
-        slopes = []
-        for i in range(len(xs) + 1):
-            probe_left = xs[0] - 1.0 if i == 0 else xs[i - 1]
-            slopes.append(self._slope_right(probe_left) + other._slope_right(probe_left))
+        slopes = [self.slopes[0] + other.slopes[0]]        # the left arms
+        for x in xs:
+            slopes.append(self._slope_right(x) + other._slope_right(x))
         y0 = self.value(xs[0]) + other.value(xs[0])
         return _PWL(xs, slopes, y0)._pruned()
 
@@ -984,5 +983,6 @@ def drive_step_by_step(model, cost, prior0, u_seq, y_seq, solver, horizon=None):
         start = 0 if horizon is None else max(0, t - horizon)
         anchors = np.array([steps[start].cell(c).published for c in range(C)]) if start \
             else priors
-        steps += E._solve_group(E._Rows(model, cost, u[start:t], anchors, y[:, start:t]), solver)
+        steps.append(E._solve_group(E._Rows(model, cost, u[start:t], anchors, y[:, start:t]),
+                                    solver))
     return steps

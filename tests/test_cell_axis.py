@@ -1,10 +1,11 @@
 """The cell axis: the structured engines and the check stage.
 
 ``run_fie``/``run_mhe`` step a stack of cells in lock-step, and every engine
-solves a group of windows as one, one row per window: all the growing
-windows of a run go as one ragged group (each row its own length), and
-``run_mhe`` also stacks the full windows of up to K consecutive steps that
-share their inputs into one group.  The drivers must give what
+solves a group of windows as one, one row per window.  One rule forms the
+groups: the growing windows of a run go as ragged groups (each row its own
+length), and ``run_mhe`` also stacks the full windows of up to K
+consecutive steps that share their inputs, all within the group cap, with
+entries past a window's length that no row reads.  The drivers must give what
 ``reference_folds.drive_step_by_step``, one group per step, gives, byte for
 byte, raise what it raises, and make the group calls pinned here.  Every
 row must be its cell run alone, byte for byte, and every
@@ -296,6 +297,57 @@ def test_every_engine_run_equals_the_step_by_step_driver(case, horizon, monkeypa
     assert sum(sizes) == T * len(y)
 
 
+def _nan_padding(monkeypatch):
+    """Make ``_step_windows`` fill every entry past a window's length with
+    NaN, in the drivers and in the group check."""
+    real = E._step_windows
+
+    def gather(seq, stops, lengths):
+        out = real(seq, stops, lengths)
+        out[np.arange(out.shape[1]) >= np.repeat(lengths, len(seq))[:, None]] = np.nan
+        return out
+
+    monkeypatch.setattr(E, "_step_windows", gather)
+    monkeypatch.setattr(H, "_step_windows", gather)
+
+
+@pytest.mark.parametrize("horizon", ["fie", "short"])
+@pytest.mark.parametrize("case", sorted(ENGINE_RUNS))
+def test_no_row_of_a_run_reads_the_padding_of_its_group(case, horizon, monkeypatch):
+    plant, mode, method, T, short, _ = ENGINE_RUNS[case]
+    K = short if horizon == "short" else None
+    config = ExperimentConfig(plant=plant, mode=mode, t_final=T)
+    resolved = resolve(config)
+    model, cost = resolved.model, resolved.cost
+    truths = H._truths(config, model, [(scenario, seed) for scenario in CHECK_SCENARIOS[1:3]
+                                       for seed in (0, 1)])
+    y, u = truths.y[:, :T], np.zeros((T, 1))
+    prior0 = H._initial(config, model)[1]
+    solver = SolverConfig(method=method, multistart=2, max_iter=15)
+    reference = drive_step_by_step(model, cost, prior0, u, y, solver, K)
+    _nan_padding(monkeypatch)
+    runs = run_fie(model, cost, prior0, u, y, solver) if K is None else \
+        run_mhe(model, cost, prior0, u, y, K, solver)
+    _assert_same_runs(runs, reference)
+
+
+@pytest.mark.parametrize("mode", ["max", "sum"])
+def test_a_group_cut_before_the_horizon_takes_growing_and_full_windows(mode, monkeypatch):
+    # a cap of 12 row-steps per cell cuts the growing windows after t = 3;
+    # the next group takes the growing window of t = 4 and the full windows
+    # of t = 5 and 6, anchored at the prior and at the estimates of t = 1
+    # and 2, and so on three steps a group
+    y, x0, u = _stack("s1", 12)
+    model = builtin_model("s1")
+    cost = resolve(ExperimentConfig(plant="s1", mode=mode)).cost
+    C, K = len(y), 4
+    reference = drive_step_by_step(model, cost, [x0 + 1.0], u, y, SolverConfig(), K)
+    monkeypatch.setattr(E, "GROUP_ROW_STEPS", 12 * C)
+    sizes = _group_sizes(monkeypatch)
+    _assert_same_runs(run_mhe(model, cost, [x0 + 1.0], u, y, K, SolverConfig()), reference)
+    assert sizes == [3 * C] * 4
+
+
 @pytest.mark.parametrize("K", [None, 3], ids=["fie", "mhe3"])
 def test_a_ragged_group_whose_gains_are_not_linear_equals_the_step_by_step_driver(K):
     # a slice that is not linear in r gives no slope table, and its widths
@@ -580,8 +632,15 @@ def test_every_generic_row_is_its_window_solved_alone(plant, mode, K, tag, monke
         return ends
 
     monkeypatch.setattr(E, "_lockstep", recorded)
-    group = [result.cell(0) for result in E._solve_group(
-        E._Rows.stack([E._Rows.of([p]) for p in problems]), solver)]
+    # the group's outputs padded with NaN, which no row reads
+    y = np.full((len(problems), K, problems[0].model.output_dim), np.nan)
+    for i, p in enumerate(problems):
+        y[i, :p.horizon] = p.y_win
+    lengths = [p.horizon for p in problems]
+    stack = E._solve_group(E._Rows(problems[0].model, problems[0].cost, problems[-1].u_win,
+                                   np.array([p.prior for p in problems]), y,
+                                   np.array(lengths)), solver)
+    group = [stack.take(slice(i, i + 1), L).cell(0) for i, L in enumerate(lengths)]
     alone = [engine(E._Rows.of([p]), solver).cell(0) for p in problems]
     monkeypatch.undo()
     # the pairs of the group left it after different iteration counts
@@ -671,7 +730,7 @@ def _sum_rows_equal_the_reference(model, cost, priors, ys):
     u = np.zeros((K, 1))
     problems = [EstimationProblem(model, cost, [p], u, y, K) for p, y in zip(priors, ys)]
     group = E._Rows.of(problems)
-    assert E._structured_engine(group) is E._solve_sum_pwl
+    assert E._structured_engine(model, cost, K) is E._solve_sum_pwl
     rows = _windows(E._solve_sum_pwl(group))
     for problem, row in zip(problems, rows):
         assert _signature(row) == _signature(sum_pwl_window(problem))
@@ -713,6 +772,21 @@ def test_sum_rows_with_zero_weight_stages(K):
         cost = _sum_cost(**gains)
         ys = gen.normal(0.0, 1.0, (12, K, 1))
         _sum_rows_equal_the_reference(model, cost, gen.normal(0.0, 1.0, 12), ys)
+
+
+@pytest.mark.parametrize("amplitude", [1e17, 1e20, 1e100])
+def test_sum_rows_at_large_states_are_exact(amplitude):
+    # one unit left of a breakpoint this large is that breakpoint, so the
+    # slope of a left arm is read off the slopes, not probed there
+    gen = np.random.default_rng(40)
+    model, cost = builtin_model("s1"), _sum_cost()
+    _sum_rows_equal_the_reference(model, cost, gen.normal(0.0, amplitude, 12),
+                                  gen.normal(0.0, amplitude, (12, 4, 1)))
+    scenario = DisturbanceScenario("uniform", "bounded_uniform", amplitude=amplitude)
+    config = ExperimentConfig(plant="s1", mode="sum", t_final=8, scenarios=(scenario,))
+    with np.errstate(all="ignore"):
+        cell = run_cell(resolve(config), scenario, 0)
+    assert cell.certified.tolist() == [True] * 9
 
 
 @pytest.mark.parametrize("a", [-0.7, -1.3, 0.4])
@@ -828,6 +902,17 @@ def _check_against_the_loop(resolved, K, patch=lambda runs: None):
         assert (repr(cell.min_margin), cell.certified_steps, repr(cell.worst)) == \
             (repr(min_margin), certified, repr(worst))
     return group
+
+
+@pytest.mark.parametrize("mode", ["max", "sum"])
+@pytest.mark.parametrize("K", [None, 4], ids=["fie", "mhe4"])
+def test_the_group_check_reads_no_padding(K, mode, monkeypatch):
+    # the reference windows are gathered as the drivers gather theirs
+    _nan_padding(monkeypatch)
+    config = ExperimentConfig(plant="s1", mode=mode, estimator="fie" if K is None else "mhe",
+                              horizon=K or 4, t_final=12, scenarios=CHECK_SCENARIOS)
+    group = _check_against_the_loop(resolve(config), K or 4)
+    assert sum(cell.certified_steps for cell in group) > 0
 
 
 @pytest.mark.parametrize("mode", ["max", "sum"])

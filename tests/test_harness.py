@@ -625,6 +625,8 @@ def test_every_allowed_config_key_loads(tmp_path):
     ("[solver]", "[solvr]"),
     ("t_final = 12", "t_final = twelve"),
     ("seeds = 0,1", "seeds = 1:2:3"),
+    ("seeds = 0,1", "seeds = 1,,2"),
+    ("seeds = 0,1", "seeds = 1,2,"),
     ("[solver]", "[grid]\nr_min = 1e-2\n\n[solver]"),
     ("[solver]", "[solver]\nlevel_passes = 2"),
     ("[solver]", "[solver]\nuse_structured = false"),
@@ -655,7 +657,8 @@ def test_every_allowed_config_key_loads(tmp_path):
     ("kind = zero", "kind = impulse\ntime = -2\nmagnitude = 1.0"),
 ], ids=["empty-seed-range", "no-seeds", "sweep-zero", "sweep-empty-entry", "sweep-empty",
         "unknown-key", "unknown-scenario-key", "unknown-section", "bad-int", "bad-range",
-        "grid-section", "level-passes", "use-structured", "bare-scenario", "unnamed-scenario",
+        "seeds-empty-entry", "seeds-trailing-comma", "grid-section",
+        "level-passes", "use-structured", "bare-scenario", "unnamed-scenario",
         "repeated-seeds", "a-factor-inf", "a-factor-nan", "x0-nan", "prior-offset-inf",
         "probe-delta-inf", "amplitude-nan", "rate-inf", "magnitude-inf", "multistart-zero",
         "multistart-negative", "max-iter-zero", "tol-nan", "tol-inf", "tol-zero",
