@@ -158,8 +158,18 @@ def _check_target(y):
     return y
 
 
+def _fpow(x: float, p: float) -> float:
+    """``x ** p`` of floats x >= 0, inf where it overflows, as libm's ``pow``
+    gives it: Python's float power raises ``OverflowError`` there instead."""
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
 def _pow(x, p: float):
-    """``x ** p`` with the rounding of the scalar call, elementwise for arrays.
+    """``x ** p`` with the rounding of the scalar call, elementwise for arrays,
+    and inf where it overflows (:func:`_fpow`).
 
     numpy's vector ``power`` does not round like libm's ``pow`` (they differ
     in the last bit for some arguments), so array elements go through Python
@@ -168,8 +178,13 @@ def _pow(x, p: float):
     if p == 1.0:
         return x
     if isinstance(x, _ndarray):
-        return np.array([v ** p for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-    return x ** p
+        values = x.ravel().tolist()
+        try:
+            out = [v ** p for v in values]
+        except OverflowError:           # the rare case: element by element
+            out = [_fpow(v, p) for v in values]
+        return np.array(out, dtype=float).reshape(x.shape)
+    return _fpow(x, p)
 
 
 def _elementwise(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -460,7 +475,7 @@ def iterate_k(kappa: KFn, n: int, r: float) -> float:
         raise DomainError("iteration count must be nonnegative")
     v = r if type(r) is float or isinstance(r, _ndarray) else float(r)
     if isinstance(kappa, LinearK):
-        return kappa.c ** n * v
+        return _fpow(kappa.c, n) * v
     for _ in range(n):
         v = kappa(v)
     return v
@@ -708,7 +723,7 @@ class IteratedKL(KLFn):
 
     def _slope(self, s):
         if isinstance(self.kappa, LinearK) and isinstance(self.sigma, LinearK):
-            return self.kappa.c ** s * self.sigma.c
+            return _fpow(self.kappa.c, s) * self.sigma.c
         return None
 
     def _inverse(self, y, s):
@@ -719,7 +734,7 @@ class IteratedKL(KLFn):
 
     def _tail(self, r, start):
         if isinstance(self.kappa, LinearK) and self.kappa.c < 1.0:
-            return self.sigma._eval(r) * self.kappa.c ** start / (1.0 - self.kappa.c)
+            return self.sigma._eval(r) * _fpow(self.kappa.c, start) / (1.0 - self.kappa.c)
         raise CapabilityError("IteratedKL tail bound needs a linear contraction")
 
 

@@ -3,10 +3,11 @@ moving-horizon drivers.
 
 The optimization problem is always the same shape: pick an initial window
 state and a process-disturbance sequence, roll the dynamics forward, read the
-measurement residuals off the output equations, and score everything with the
-discounted stage cost.  Measurement-noise variables are eliminated exactly
-whenever the output map is additive in the noise (all built-in plants), so
-window solutions satisfy the solution-set constraint to rounding error.
+measurement noise off the output equations, and score everything with the
+discounted stage cost.  Every plant is additive in its disturbances (see
+:mod:`mhestab.systems`), so the noise read off the outputs is exact, and
+every window returned is a solution of the plant to rounding error: its
+decision variables are the initial state and the process disturbances only.
 Nothing else constrains a window, and no engine reads the suboptimality
 factor A: a run applies it to each solved window in ``harness._check_group``,
 through ``certification_record``.
@@ -21,8 +22,8 @@ Three engines back ``solve_window``:
   affine plants reduce to a chain of infimal convolutions of convex
   piecewise-linear value functions, which is solved exactly,
 * everything else goes through the configured iterative method: a damped
-  Gauss-Newton on smoothed residuals with escalating output penalties, or a
-  deterministic multistart compass search.
+  Gauss-Newton on smoothed residuals, or a deterministic multistart compass
+  search.
 
 A window whose shape fits a structured engine always goes there, whatever
 the configured method; they exist because the acceptance sweeps solve tens
@@ -73,10 +74,10 @@ of windows, each of its own length, by the rule of the error bounds in
 windows' ages (a slope product when every slice is linear in r, otherwise
 one array call per age), and ``fold_terms`` combines them.  A solved window's
 cost and the reference cost of :func:`certify_suboptimality` are rows of
-it.  The engines' objective shares the rollout and the noise elimination
-but keeps its own fold: it calls each gain once per age on a column of
-candidates and folds left to right like ``plus_reduce``, and moving it onto
-the slope products would move the iterates pinned by
+it.  The engines' objective shares the rollout and the noise read off the
+outputs but keeps its own fold: it calls each gain once per age on a column
+of candidates and folds left to right like ``plus_reduce``, and moving it
+onto the slope products would move the iterates pinned by
 ``tests/golden_generic.json``.
 """
 
@@ -161,22 +162,20 @@ class EstimationProblem:
 class EstimateResult:
     """The estimate of one window, or the stack of the R windows of a group:
     a leading row axis on xhat, what, vhat and prior, (R,) arrays of cost,
-    iterations, residual and starts_used, one status per row, and the one
-    engine and horizon.  :meth:`cell` gives window i of a stack.  Every
-    window of a stack has its length; an engine's stack of a group of
-    several lengths is padded to the longest, and :func:`_drive` cuts it
-    once per step (:meth:`take`) before it leaves this module."""
+    iterations and starts_used, and the one engine and horizon.
+    :meth:`cell` gives window i of a stack.  Every window of a stack has its
+    length; an engine's stack of a group of several lengths is padded to the
+    longest, and :func:`_drive` cuts it once per step (:meth:`take`) before
+    it leaves this module."""
 
     xhat: np.ndarray      # (K+1, n) window states including the published endpoint
     what: np.ndarray      # (K, q)
     vhat: np.ndarray      # (K, m)
     cost: float
-    status: str
     engine: str
     prior: np.ndarray
     horizon: int
     iterations: int = 0
-    residual: float = 0.0
     starts_used: int = 1
 
     @property
@@ -186,16 +185,14 @@ class EstimateResult:
     def cell(self, i: int) -> "EstimateResult":
         """Window i of a stack, as that window solved alone gives it."""
         return EstimateResult(self.xhat[i], self.what[i], self.vhat[i], float(self.cost[i]),
-                              self.status[i], self.engine, self.prior[i], self.horizon,
-                              int(self.iterations[i]), float(self.residual[i]),
+                              self.engine, self.prior[i], self.horizon, int(self.iterations[i]),
                               int(self.starts_used[i]))
 
     def take(self, rows: slice, horizon: Optional[int] = None) -> "EstimateResult":
         """The stack of a slice of the rows of a stack; with a ``horizon``,
         rows of windows of that length cut from an engine's padded stack."""
         out = replace(self, **{name: getattr(self, name)[rows] for name in (
-            "xhat", "what", "vhat", "cost", "status", "prior", "iterations", "residual",
-            "starts_used")})
+            "xhat", "what", "vhat", "cost", "prior", "iterations", "starts_used")})
         if horizon is not None and horizon != self.horizon:
             out.xhat, out.what, out.vhat = (out.xhat[:, :horizon + 1], out.what[:, :horizon],
                                             out.vhat[:, :horizon])
@@ -221,7 +218,6 @@ class SolverConfig:
     method: str = "gauss_newton_penalty"
     multistart: int = 4
     max_iter: int = 60
-    penalty_schedule: Tuple[float, ...] = (1e2, 1e4, 1e6, 1e8)
     tol: float = 1e-10
     seed: int = 0
 
@@ -236,8 +232,6 @@ class SolverConfig:
             raise DomainError(f"solver max_iter must be >= 1, got {self.max_iter}")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise DomainError(f"solver tol must be finite and positive, got {self.tol}")
-        if not self.penalty_schedule:
-            raise DomainError("solver penalty_schedule must not be empty")
         if not 0 <= self.seed < 2 ** 128:
             raise DomainError(f"solver seed must be in [0, 2**128), got {self.seed}")
 
@@ -369,11 +363,10 @@ def _eliminated_nu(rows: _Rows, xs: np.ndarray) -> np.ndarray:
 
 def _candidate_starts(rows: _Rows) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Deterministic initializations (chi0 (R, n), omega (R, K, q)): prior
-    rollout, then an output-informed start when the plant is scalar with
-    additive measurement noise."""
+    rollout, then an output-informed start when the plant is scalar."""
     model, K = rows.model, rows.K
     starts = [(rows.prior.copy(), np.zeros((len(rows), K, model.process_noise_dim)))]
-    if model.is_scalar and model.additive_v and model.additive_w:
+    if model.is_scalar:
         y = rows.y
         omega = np.zeros((len(rows), K, 1))
         for j in range(K - 1):
@@ -385,17 +378,16 @@ def _candidate_starts(rows: _Rows) -> List[Tuple[np.ndarray, np.ndarray]]:
 
 def _stacked(rows: _Rows, xhat: np.ndarray, omega: np.ndarray, nu: np.ndarray,
              cost: np.ndarray, engine: str) -> EstimateResult:
-    """The group's result, every row "ok" with 0 iterations, 1 start and residual 0.0."""
+    """The group's result, every row with 0 iterations and 1 start."""
     R = len(rows)
-    return EstimateResult(xhat, omega, nu, cost, ["ok"] * R, engine, rows.prior.copy(), rows.K,
-                          np.zeros(R, dtype=int), np.zeros(R), np.ones(R, dtype=int))
+    return EstimateResult(xhat, omega, nu, cost, engine, rows.prior.copy(), rows.K,
+                          np.zeros(R, dtype=int), np.ones(R, dtype=int))
 
 
 def _results_from_decisions(rows: _Rows, chi0: np.ndarray, omega: np.ndarray,
                             engine: str) -> EstimateResult:
-    # dynamics hold exactly by construction (states rolled forward, noise read
-    # off the transitions); the residual field records output mismatch only,
-    # which elimination makes zero
+    # the window is a solution of the plant: states rolled forward, the
+    # measurement noise read off the outputs
     xhat = _rollout(rows, chi0, omega, endpoint=True)
     nu = _eliminated_nu(rows, xhat)
     cost = _window_costs(rows.cost, rows.prior, chi0, omega, nu, rows.k)
@@ -869,58 +861,41 @@ class _Objective:
     """The window objective of the generic engines, over candidates of a
     window group.
 
-    A candidate z of a window of length L stacks the initial state chi0
-    (n), the disturbances omega (L x q) and, when the output map is not
-    additive in the noise, the measurement noise nu (L x m); otherwise nu
-    is read off the outputs.  It has :meth:`dim_of` (L) entries, and a pass
-    lays it out as a candidate of its longest window, with zero disturbance
-    and noise past L (:meth:`columns`).  :meth:`evaluate` maps such
-    candidates Z (B, dim) of the windows ``owner`` (B,) of the group, in
-    nondecreasing length, to their cost terms (B, 2K+1), ordered beta_hat,
-    then gamma_hat and delta_hat of each window step in time order and 0
-    past a row's own 2L+1; their output penalties (B,); and the mask of rows
-    whose evaluation alone raises (a NaN distance, a NaN or negative term).
-    Each row reads its own window's prior, outputs and length, each gain is
-    evaluated once per age on the rows that have a term at that age, and
-    every row is computed by exactly the arithmetic of evaluating that
-    candidate alone on its window, so neither batching nor grouping moves
-    an iterate.
+    A candidate z of a window of length L stacks the initial state chi0 (n)
+    and the disturbances omega (L x q); the measurement noise nu is read off
+    the outputs.  It has :meth:`dim_of` (L) entries, and a pass lays it out
+    as the first entries of a candidate of its longest window, with zero
+    disturbance past L.  :meth:`evaluate` maps such candidates Z (B, dim)
+    of the windows ``owner`` (B,) of the group, in nondecreasing length, to
+    their cost terms (B, 2K+1), ordered beta_hat, then gamma_hat and
+    delta_hat of each window step in time order and 0 past a row's own
+    2L+1; and the mask of rows whose evaluation alone raises (a NaN
+    distance, a NaN or negative term).  Each row reads its own window's
+    prior, outputs and length, each gain is evaluated once per age on the
+    rows that have a term at that age, and every row is computed by exactly
+    the arithmetic of evaluating that candidate alone on its window, so
+    neither batching nor grouping moves an iterate.
     A masked row raises only when an engine reads it: :class:`_Batch` then
     recomputes it alone through :meth:`strict`.  A row that is never read
     can neither raise nor change the result.
     """
 
     def __init__(self, rows: _Rows):
-        model = rows.model
-        self.rows = rows
-        self.eliminate = model.additive_v
-        self.n, self.q, self.m = model.state_dim, model.process_noise_dim, model.meas_noise_dim
-        self.per_step = self.q + (0 if self.eliminate else self.m)
+        self.rows, self.n, self.q = rows, rows.model.state_dim, rows.model.process_noise_dim
         self.dim = self.dim_of(rows.K)
 
     def dim_of(self, L: int) -> int:
-        return self.n + L * self.per_step
-
-    def columns(self, L: int, K: int):
-        """The entries of the layout of windows of length K that a candidate
-        of a window of length L <= K fills."""
-        if self.eliminate or L == K:
-            return slice(0, self.dim_of(L))
-        nu = self.n + K * self.q
-        return np.r_[0:self.n + L * self.q, nu:nu + L * self.m]
+        return self.n + L * self.q
 
     def unpack(self, Z: np.ndarray):
-        """chi0 (B, n), omega (B, K, q) and nu (B, K, m), or None when it is
-        eliminated, of the candidates Z (B, dim) of windows of length K."""
+        """chi0 (B, n) and omega (B, K, q) of the candidates Z (B, dim) of
+        windows of length K."""
         B, n = len(Z), self.n
-        K = (Z.shape[1] - n) // self.per_step
-        end = n + K * self.q
-        nu = None if self.eliminate else Z[:, end:].reshape(B, K, self.m)
-        return Z[:, :n], Z[:, n:end].reshape(B, K, self.q), nu
+        return Z[:, :n], Z[:, n:].reshape(B, (Z.shape[1] - n) // self.q, self.q)
 
     def evaluate(self, Z: np.ndarray, owner: np.ndarray):
-        """``(terms, penalties, masked)`` of the candidate rows Z, row b a
-        candidate of window ``owner[b]``."""
+        """``(terms, masked)`` of the candidate rows Z, row b a candidate of
+        window ``owner[b]``."""
         try:
             with np.errstate(all="ignore"):
                 return self._evaluate(Z, owner, strict=False)
@@ -928,31 +903,22 @@ class _Objective:
             # a plant map or gain failed on some row, which need not be one
             # the engine reads: mask every row, so each read recomputes its
             # row alone and the failing one raises there
-            B, K = len(Z), (Z.shape[1] - self.n) // self.per_step
-            return (np.full((B, 2 * K + 1), np.nan), np.full(B, np.nan),
-                    np.ones(B, dtype=bool))
+            B, K = len(Z), (Z.shape[1] - self.n) // self.q
+            return np.full((B, 2 * K + 1), np.nan), np.ones(B, dtype=bool)
 
-    def strict(self, z: np.ndarray, window: int):
-        """``(terms, penalties)`` of the one candidate z of a window, as
-        one-row arrays; raises what evaluating z alone raises."""
-        terms, pen, _ = self._evaluate(z[None, :], np.array([window]), strict=True)
+    def strict(self, z: np.ndarray, window: int) -> np.ndarray:
+        """The terms of the one candidate z of a window, as a one-row array;
+        raises what evaluating z alone raises."""
+        terms, _ = self._evaluate(z[None, :], np.array([window]), strict=True)
         plus_reduce(self.rows.cost.mode, terms[0])      # NaN or negative terms
-        return terms, pen
+        return terms
 
     def _evaluate(self, Z: np.ndarray, owner: np.ndarray, strict: bool):
         rows = self.rows.take(owner)            # each candidate's own window
-        model, cost, K, k, live = rows.model, rows.cost, rows.K, rows.k, rows.live
+        cost, K, k, live = rows.cost, rows.K, rows.k, rows.live
         B = len(Z)
-        chi0, omega, nu = self.unpack(Z)
-        xs = _rollout(rows, chi0, omega)
-        pen = np.zeros(B)
-        if self.eliminate:
-            nu = _eliminated_nu(rows, xs)
-        else:
-            for j in range(K):
-                a = live[j + 1]
-                res = rows.y[a:, j] - model.h(xs[a:, j], rows.u_win[j], nu[a:, j])
-                pen[a:] = pen[a:] + _row_sqnorms(res)
+        chi0, omega = self.unpack(Z)
+        nu = _eliminated_nu(rows, _rollout(rows, chi0, omega))
         dist = row_distances(chi0, rows.prior)
         wn = np.sqrt(_row_sqnorms(omega))
         vn = np.sqrt(_row_sqnorms(nu))
@@ -975,35 +941,13 @@ class _Objective:
             terms[run, 1:2 * L:2] = w_age[run, K - L:]
             terms[run, 2:2 * L + 1:2] = v_age[run, K - L:]
         masked |= ~(terms >= 0.0).all(axis=1)
-        return terms, pen, masked
-
-    def values(self, terms: np.ndarray, pen: np.ndarray, mu: float) -> np.ndarray:
-        """``plus_reduce`` of each row of terms plus mu times its penalty,
-        folded one column at a time (:func:`plus_fold`)."""
-        return plus_fold(self.rows.cost.mode, terms.T) + mu * pen
-
-    def residual_width(self, L: int) -> int:
-        """The length of the residual vector of a window of length L."""
-        return 2 * L + 1 + (not self.eliminate)
-
-    def residual_rows(self, terms: np.ndarray, pen: np.ndarray, lens: np.ndarray,
-                      power: float, mu: float) -> np.ndarray:
-        """The Gauss-Newton residual vectors of rows of window lengths lens:
-        sqrt((term + eps)**power) per term, then sqrt(mu * penalty + eps)
-        when nu is a decision variable; entries past a row's own
-        :meth:`residual_width` are not its own."""
-        rows = np.sqrt(np.power(terms + _EPS, power))
-        if self.eliminate:
-            return rows
-        rows = np.concatenate([rows, np.empty((len(rows), 1))], axis=1)
-        rows[np.arange(len(rows)), 2 * lens + 1] = np.sqrt(mu * pen + _EPS)
-        return rows
+        return terms, masked
 
 
 class _Batch:
     """The candidate rows Z that one pair asked for in a pass, and what its
     engine reads of them: their cost ``terms``, the derived ``rows`` and
-    their ``scores``, from ``derive(objective, terms, penalties, lengths, stage)``.
+    their ``scores``, from ``derive(objective, terms, lengths, stage)``.
     ``row(k)`` reads row k; a masked row is recomputed alone there, raising
     what evaluating it alone raises.  Rows must be read in the order the
     one-candidate algorithm evaluates them.  The arrays are views of the
@@ -1016,8 +960,8 @@ class _Batch:
 
     def row(self, k: int):
         if self.masked[k]:
-            terms, pen = self.objective.strict(self.Z[k], self.window)
-            rows, scores = self.derive(self.objective, terms, pen,
+            terms = self.objective.strict(self.Z[k], self.window)
+            rows, scores = self.derive(self.objective, terms,
                                        self.objective.rows.k[[self.window]], self.stage)
             self.terms[k], self.rows[k], self.scores[k] = terms[0], rows[0], scores[0]
             self.masked[k] = False
@@ -1052,9 +996,9 @@ def _evaluate_pass(objective: _Objective, derive, asks) -> List[_Batch]:
     spans = [slice(end - size, end) for end, size in zip(ends, sizes)]
     Z = np.zeros((ends[-1], objective.dim_of(K)))
     for L, run in _length_runs(np.array(lengths)):
-        Z[spans[run.start].start:spans[run.stop - 1].stop, objective.columns(L, K)] = \
+        Z[spans[run.start].start:spans[run.stop - 1].stop, :objective.dim_of(L)] = \
             np.concatenate([z for z, _, _ in asks[run]])
-    terms, pen, masked = objective.evaluate(Z, np.repeat([w for _, w, _ in asks], sizes))
+    terms, masked = objective.evaluate(Z, np.repeat([w for _, w, _ in asks], sizes))
     lens = np.repeat(lengths, sizes)
     stages = list(dict.fromkeys(stage for _, _, stage in asks))
     stage_of = np.repeat([stages.index(stage) for _, _, stage in asks], sizes)
@@ -1062,12 +1006,12 @@ def _evaluate_pass(objective: _Objective, derive, asks) -> List[_Batch]:
     with np.errstate(all="ignore"):
         for s, stage in enumerate(stages):
             sel = np.flatnonzero(stage_of == s) if len(stages) > 1 else slice(None)
-            derived, scores[sel] = derive(objective, terms[sel], pen[sel], lens[sel], stage)
+            derived, scores[sel] = derive(objective, terms[sel], lens[sel], stage)
             if rows is None:
                 rows = np.empty((len(Z),) + derived.shape[1:])
             rows[sel] = derived
-    # a row's residual vector is cut to its own width
-    own = (lambda span, L: rows[span, :objective.residual_width(L)]) if rows.ndim > 1 else \
+    # a row's terms, and its residual vector, are cut to its own 2L + 1
+    own = (lambda span, L: rows[span, :2 * L + 1]) if rows.ndim > 1 else \
         (lambda span, L: rows[span])
     return [_Batch(objective, derive, window, stage, z, terms[span, :2 * L + 1], own(span, L),
                    scores[span], masked[span])
@@ -1110,13 +1054,12 @@ def _generic_starts(objective: _Objective, cfg: SolverConfig) -> List[List[np.nd
     deterministic initializations, then perturbations of the first, drawn
     for each window from its own generator keyed ``cfg.seed`` and scaled by
     that window's spread."""
-    rows, R, K = objective.rows, len(objective.rows), objective.rows.K
-    pad = np.zeros((R, objective.dim_of(K) - objective.n - K * objective.q))
-    base = [np.concatenate([chi0, omega.reshape(R, -1), pad], axis=1)
+    rows, R = objective.rows, len(objective.rows)
+    base = [np.concatenate([chi0, omega.reshape(R, -1)], axis=1)
             for chi0, omega in _candidate_starts(rows)]
     out = []
     for i, L in enumerate(rows.k.tolist()):
-        starts = [z[i, objective.columns(L, K)] for z in base]
+        starts = [z[i, :objective.dim_of(L)] for z in base]
         gen = np.random.Generator(np.random.Philox(key=cfg.seed))
         spread = max(1.0, float(np.max(np.abs(rows.y[i, :L]))),
                      float(np.max(np.abs(rows.prior[i]))))
@@ -1126,47 +1069,31 @@ def _generic_starts(objective: _Objective, cfg: SolverConfig) -> List[List[np.nd
     return out
 
 
-def _solve_pairs(objective: _Objective, cfg: SolverConfig, pair, derive, stages,
+def _solve_pairs(objective: _Objective, cfg: SolverConfig, pair, derive,
                  engine: str) -> EstimateResult:
-    """Run ``pair(objective, window, z0, stages, cfg)`` from every start of
-    every window of the group in :func:`_lockstep` and keep, per window,
-    the start whose end point costs least (the first of equal costs).  A
-    pair returns its end point's cost, the end point and its iterations; a
-    window's residual is its largest output mismatch, as ``max`` folds."""
+    """Run ``pair(objective, window, z0, cfg)`` from every start of every
+    window of the group in :func:`_lockstep` and keep, per window, the
+    start whose end point costs least (the first of equal costs).  A pair
+    returns its end point's cost, the end point and its iterations."""
     rows, starts = objective.rows, _generic_starts(objective, cfg)
     keys = [(i, idx) for i, zs in enumerate(starts) for idx in range(len(zs))]
-    ends = _lockstep(objective, derive, [pair(objective, i, starts[i][idx], stages, cfg)
+    ends = _lockstep(objective, derive, [pair(objective, i, starts[i][idx], cfg)
                                          for i, idx in keys])
     best = {}
     for (i, idx), (cost, z, iters) in zip(keys, ends):
         if i not in best or cost < best[i][0]:
             best[i] = (cost, z, iters, idx)
-    cost, z, iterations, start = zip(*(best[i] for i in range(len(starts))))
-    Z = np.zeros((len(z), objective.dim_of(rows.K)))
+    _, z, iterations, start = zip(*(best[i] for i in range(len(starts))))
+    Z = np.zeros((len(z), objective.dim))
     for i, L in enumerate(rows.k.tolist()):
-        Z[i, objective.columns(L, rows.K)] = z[i]
-    chi0, omega, nu = objective.unpack(Z)
-    if objective.eliminate:
-        result = _results_from_decisions(rows, chi0, omega, engine)
-    else:
-        xhat = _rollout(rows, chi0, omega, endpoint=True)
-        result = _stacked(rows, xhat, omega, nu, np.array(cost), engine)
-        mismatch = np.zeros((rows.K, len(rows)))
-        for j, a in enumerate(rows.live[1:-1]):
-            mismatch[j, a:] = row_distances(rows.y[a:, j], rows.model.h(
-                xhat[a:, j], rows.u_win[j], nu[a:, j]))
-        result.residual = plus_fold(PlusMode.MAX, mismatch)
-        result.status = ["penalty-residual" if worst > 1e-6 else "ok"
-                         for worst in result.residual.tolist()]
+        Z[i, :objective.dim_of(L)] = z[i]
+    result = _results_from_decisions(rows, *objective.unpack(Z), engine)
     result.iterations, result.starts_used = np.array(iterations), np.array(start) + 1
     return result
 
 
-def _compass_pair(objective: _Objective, window: int, z0: np.ndarray, schedule,
-                  cfg: SolverConfig):
-    """Compass search from z0 on one window, on the objective plus mu times
-    the output penalty for each mu of the schedule in turn, as a
-    :func:`_lockstep` pair.
+def _compass_pair(objective: _Objective, window: int, z0: np.ndarray, cfg: SolverConfig):
+    """Compass search from z0 on one window, as a :func:`_lockstep` pair.
 
     Each sweep tries every coordinate in turn, a step up and then a step
     down, and moves to the first candidate that improves, growing that
@@ -1178,48 +1105,45 @@ def _compass_pair(objective: _Objective, window: int, z0: np.ndarray, schedule,
     dim = objective.dim_of(int(objective.rows.k[window]))
     signs = np.tile([1.0, -1.0], dim)
     z, iters = z0.copy(), 0
-    for mu in schedule:
-        batch = yield z[None, :], window, mu
-        best, at = batch.row(0), batch.terms[0]
-        step = np.maximum(0.25, 0.1 * np.abs(z))
-        for _ in range(cfg.max_iter):
-            improved = False
-            i = 0
-            while i < dim:
-                coords = np.repeat(np.arange(i, dim), 2)
-                cands = np.repeat(z[None, :], len(coords), axis=0)
-                cands[np.arange(len(coords)), coords] += signs[2 * i:] * step[coords]
-                batch = yield cands, window, mu
-                k = batch.first_below(np.arange(len(coords)), best - 1e-300)
-                if k is None:
-                    iters += len(coords)
-                    break
-                iters += k + 1
-                z, best, at = cands[k], batch.scores[k], batch.terms[k]
-                step[coords[k]] *= 1.6
-                improved = True
-                i = coords[k] + 1
-            if not improved:
-                step *= 0.5
-                if float(np.max(step)) < cfg.tol:
-                    break
+    batch = yield z[None, :], window, None
+    best, at = batch.row(0), batch.terms[0]
+    step = np.maximum(0.25, 0.1 * np.abs(z))
+    for _ in range(cfg.max_iter):
+        improved = False
+        i = 0
+        while i < dim:
+            coords = np.repeat(np.arange(i, dim), 2)
+            cands = np.repeat(z[None, :], len(coords), axis=0)
+            cands[np.arange(len(coords)), coords] += signs[2 * i:] * step[coords]
+            batch = yield cands, window, None
+            k = batch.first_below(np.arange(len(coords)), best - 1e-300)
+            if k is None:
+                iters += len(coords)
+                break
+            iters += k + 1
+            z, best, at = cands[k], batch.scores[k], batch.terms[k]
+            step[coords[k]] *= 1.6
+            improved = True
+            i = coords[k] + 1
+        if not improved:
+            step *= 0.5
+            if float(np.max(step)) < cfg.tol:
+                break
     return plus_reduce(objective.rows.cost.mode, at), z, iters
 
 
-def _compass_derive(objective: _Objective, terms: np.ndarray, pen: np.ndarray,
-                    lens: np.ndarray, mu: float):
-    """The rows a compass search reads at penalty weight mu, and their
-    scores: both the objective values, each folded left to right over its
-    terms and the zeros past them."""
-    values = objective.values(terms, pen, mu)
+def _compass_derive(objective: _Objective, terms: np.ndarray, lens: np.ndarray, stage):
+    """The rows a compass search reads, and their scores: both the
+    objective values, ``plus_reduce`` of each row's terms and the zeros
+    past them, folded left to right (:func:`plus_fold`).  Compass has one
+    stage, None."""
+    values = plus_fold(objective.rows.cost.mode, terms.T)
     return values, values
 
 
 def _solve_multistart_local(rows: _Rows, cfg: SolverConfig) -> EstimateResult:
     """Deterministic multistart compass search for a group of windows."""
-    objective = _Objective(rows)
-    schedule = (0.0,) if objective.eliminate else cfg.penalty_schedule
-    return _solve_pairs(objective, cfg, _compass_pair, _compass_derive, schedule, "compass")
+    return _solve_pairs(_Objective(rows), cfg, _compass_pair, _compass_derive, "compass")
 
 
 def _fd_steps(z: np.ndarray) -> np.ndarray:
@@ -1253,24 +1177,23 @@ def _line_search_order(dim: int) -> np.ndarray:
     return np.concatenate([[0], np.arange(dim + 1, dim + 25)])
 
 
-def _gauss_newton_derive(objective: _Objective, terms: np.ndarray, pen: np.ndarray,
-                         lens: np.ndarray, stage):
-    """The rows Gauss-Newton reads at stage (mu, power), the residual
-    vectors, and their scores, the squared residual norms, taken over the
-    rows of each window length apart (one dot product per row of its own
-    width)."""
-    mu, power = stage
-    residuals = objective.residual_rows(terms, pen, lens, power, mu)
+def _gauss_newton_derive(objective: _Objective, terms: np.ndarray, lens: np.ndarray,
+                         power: float):
+    """The rows Gauss-Newton reads at the surrogate power, the residual
+    vectors sqrt((term + eps)**power), and their scores, the squared
+    residual norms, taken over the rows of each window length apart (one
+    dot product per row of its own 2L + 1 entries)."""
+    residuals = np.sqrt(np.power(terms + _EPS, power))
     scores = np.empty(len(residuals))
     for L, run in _length_runs(lens):
-        scores[run] = _row_sqnorms(residuals[run, :objective.residual_width(L)])
+        scores[run] = _row_sqnorms(residuals[run, :2 * L + 1])
     return residuals, scores
 
 
-def _gauss_newton_pair(objective: _Objective, window: int, z: np.ndarray, stages,
-                       cfg: SolverConfig):
-    """Damped Gauss-Newton from z on one window, through the
-    ``(mu, power)`` stages in turn, as a :func:`_lockstep` pair.
+def _gauss_newton_pair(objective: _Objective, window: int, z: np.ndarray, cfg: SolverConfig):
+    """Damped Gauss-Newton from z on one window, through its surrogate
+    powers in turn (see :func:`_solve_gauss_newton`), as a
+    :func:`_lockstep` pair.
 
     The finite-difference Jacobian is taken from dim + 1 rows, which the
     line search asks for ahead for step length 1.  The first step length of
@@ -1283,11 +1206,11 @@ def _gauss_newton_pair(objective: _Objective, window: int, z: np.ndarray, stages
     order = _line_search_order(dim)
     alphas = np.concatenate([[1.0], _HALVINGS])
     iters = 0
-    for stage in stages:
+    for power in (1.0,) if objective.rows.cost.mode is PlusMode.SUM else (2.0, 8.0):
         batch = None
         for _ in range(cfg.max_iter):
             if batch is None:
-                batch = yield _with_probes(z), window, stage
+                batch = yield _with_probes(z), window, power
             for k in np.flatnonzero(batch.masked[:dim + 1]):
                 batch.row(k)     # in order: z, then each Jacobian point
             r, f0, at = batch.rows[0], batch.scores[0], batch.terms[0]
@@ -1296,7 +1219,7 @@ def _gauss_newton_pair(objective: _Objective, window: int, z: np.ndarray, stages
                 step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
             except np.linalg.LinAlgError:
                 break
-            batch = yield _line_search_rows(z, step), window, stage
+            batch = yield _line_search_rows(z, step), window, power
             j = batch.first_below(order, f0 - 1e-300)
             iters += 1
             if j is None:
@@ -1315,15 +1238,10 @@ def _solve_gauss_newton(rows: _Rows, cfg: SolverConfig) -> EstimateResult:
 
     Sum-mode costs are minimized directly via sqrt-term residuals (so the
     squared residual norm is the cost); max-mode costs go through escalating
-    power-mean surrogates, which squeeze the iterate toward the minimax point,
-    with the true max cost reported.  Output equations enter as escalating
-    quadratic penalties when measurement noise cannot be eliminated.
+    power-mean surrogates, powers 2 and then 8, which squeeze the iterate
+    toward the minimax point, with the true max cost reported.
     """
-    objective = _Objective(rows)
-    powers = (1.0,) if rows.cost.mode is PlusMode.SUM else (2.0, 8.0)
-    schedule = (0.0,) if objective.eliminate else cfg.penalty_schedule
-    stages = [(mu, power) for mu in schedule for power in powers]
-    return _solve_pairs(objective, cfg, _gauss_newton_pair, _gauss_newton_derive, stages,
+    return _solve_pairs(_Objective(rows), cfg, _gauss_newton_pair, _gauss_newton_derive,
                         "gauss-newton")
 
 
@@ -1334,7 +1252,7 @@ def _solve_gauss_newton(rows: _Rows, cfg: SolverConfig) -> EstimateResult:
 def _structured_engine(model: SystemModel, cost: CostSpec, K: int):
     """The exact engine for windows of length up to K, :func:`_solve_max_scalar`
     or :func:`_solve_sum_pwl`, or None when only a generic method fits."""
-    if not (model.is_scalar and model.additive_v and model.additive_w):
+    if not model.is_scalar:
         return None
     if cost.mode is PlusMode.MAX:
         if model.f_image is not None and model.f_solve is not None:

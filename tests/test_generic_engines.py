@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import mhestab.estimator as E
 from mhestab.comparison import (
     DomainError,
+    KLFn,
     N_ONE,
     N_TWO,
     PlusMode,
@@ -31,7 +32,7 @@ from mhestab.comparison import (
 )
 from mhestab.certificates import CostSpec, builtin_certificate, default_cost_from_certificate
 from mhestab.estimator import EstimationProblem, SolverConfig
-from mhestab.systems import PLANT_NAMES, SystemModel, builtin_model, simulate
+from mhestab.systems import PLANT_NAMES, builtin_model, simulate
 
 from reference_folds import generic_objective
 
@@ -43,22 +44,9 @@ def _cost(plant, mode):
     return default_cost_from_certificate(cert, N_TWO if mode is PlusMode.MAX else N_ONE)
 
 
-def _cubic():
-    # the output map is not additive in v, so nu stays a decision variable
-    def f(x, u, w):
-        return 0.5 * x + w
-
-    def h(x, u, v):
-        return x + v ** 3
-
-    return SystemModel("cubic", 1, 1, 1, 1, 1, f, h,
-                       lambda x, u: 0.5 * x, lambda x, u: x,
-                       additive_v=False, linear_a=0.5)
-
-
 def _window(plant, mode, K, key):
-    model = _cubic() if plant == "cubic" else builtin_model(plant)
-    cost = _cost("s1" if plant == "cubic" else plant, mode)
+    model = builtin_model(plant)
+    cost = _cost(plant, mode)
     gen = np.random.Generator(np.random.Philox(key=key))
     n, q = model.state_dim, model.process_noise_dim
     w = gen.uniform(-0.1, 0.1, (K, q))
@@ -81,9 +69,6 @@ def _cases():
             # one start: the prior rollout, whose iterates the result then shows
             solver = SolverConfig(multistart=1, max_iter=40)
             out.append((f"{plant}-{mode.value}-gn-1", _window(plant, mode, K, 7), solver))
-    for tag, method in methods:
-        solver = SolverConfig(method=method, multistart=2, max_iter=30)
-        out.append((f"cubic-sum-{tag}", _window("cubic", PlusMode.SUM, 3, 5), solver))
     return out
 
 
@@ -91,7 +76,6 @@ def _snapshot(res):
     floats = lambda a: [repr(float(x)) for x in np.asarray(a).ravel()]
     return {"engine": res.engine, "xhat": floats(res.xhat), "what": floats(res.what),
             "vhat": floats(res.vhat), "cost": repr(float(res.cost)),
-            "residual": repr(float(res.residual)), "status": res.status,
             "iterations": res.iterations, "starts_used": res.starts_used}
 
 
@@ -127,7 +111,7 @@ _finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=60, deadline=None)
-@given(plant=st.sampled_from(PLANT_NAMES + ("cubic",)),
+@given(plant=st.sampled_from(PLANT_NAMES),
        mode=st.sampled_from((PlusMode.MAX, PlusMode.SUM)),
        K=st.integers(1, 5), key=st.integers(0, 50), data=st.data())
 def test_batched_rows_equal_the_scalar_fold(plant, mode, K, key, data):
@@ -137,14 +121,13 @@ def test_batched_rows_equal_the_scalar_fold(plant, mode, K, key, data):
     Z = np.array(data.draw(st.lists(st.lists(_finite, min_size=objective.dim,
                                              max_size=objective.dim),
                                     min_size=B, max_size=B)), dtype=float).reshape(B, -1)
-    terms, pen, bad = objective.evaluate(Z, np.zeros(B, dtype=int))
+    terms, bad = objective.evaluate(Z, np.zeros(B, dtype=int))
     assert not bad.any()
-    values = objective.values(terms, pen, 1e4)
+    values, _ = E._compass_derive(objective, terms, None, None)
     for b in range(B):
-        ref_terms, ref_pen = generic_objective(problem, Z[b])
+        ref_terms = generic_objective(problem, Z[b])
         assert terms[b].tolist() == ref_terms.tolist()
-        assert pen[b] == ref_pen
-        assert values[b] == plus_reduce(problem.cost.mode, ref_terms) + 1e4 * ref_pen
+        assert values[b] == plus_reduce(problem.cost.mode, ref_terms)
 
 
 @pytest.mark.parametrize("plant", PLANT_NAMES)
@@ -185,11 +168,11 @@ def test_non_finite_rows_are_flagged_and_raise_only_when_read():
     inf_row = good.copy()
     inf_row[-1] = 1e308             # the last disturbance only overflows its cost term
     Z = np.array([good, nan_row, inf_row])
-    terms, pen, masked = objective.evaluate(Z, np.zeros(3, dtype=int))
+    terms, masked = objective.evaluate(Z, np.zeros(3, dtype=int))
     assert masked.tolist() == [False, True, False]
-    ref_terms, _ = generic_objective(problem, good)
+    ref_terms = generic_objective(problem, good)
     assert terms[0].tolist() == ref_terms.tolist()
-    batch = _one_batch(objective, Z, E._compass_derive, 0.0)
+    batch = _one_batch(objective, Z, E._compass_derive, None)
     assert batch.row(0) == plus_reduce(PlusMode.SUM, ref_terms)
     assert batch.row(2) == math.inf
     with np.errstate(all="ignore"), pytest.raises(DomainError):
@@ -198,23 +181,40 @@ def test_non_finite_rows_are_flagged_and_raise_only_when_read():
         batch.row(1)
 
 
-def test_a_gain_that_fails_on_the_batch_defers_to_the_rows():
-    # a cubic gain raises OverflowError on a huge distance (Python floats
-    # do); the batch then reads each row alone, so only that row raises
-    problem = _window("s3", PlusMode.MAX, 2, 1)
+class Refused(Exception):
+    """What :class:`RefusingCube` raises."""
+
+
+class RefusingCube(KLFn):
+    """The gain ``SeparableGeometric(1, 3, 0.5)``, which refuses an r above
+    1e100: it raises :class:`Refused`, for a Python float or for an array
+    that holds one.  A gain that fails on some rows of a pass."""
+
     cube = SeparableGeometric(1.0, 3.0, 0.5)
+
+    def _eval(self, r, s):
+        if np.any(np.asarray(r) > 1e100):
+            raise Refused(f"r above 1e100 at age {s}")
+        return self.cube._eval(r, s)
+
+
+def test_a_gain_that_fails_on_the_batch_defers_to_the_rows():
+    # the gain raises on a huge distance; the batch then reads each row
+    # alone, so only that row raises
+    problem = _window("s3", PlusMode.MAX, 2, 1)
+    cube = RefusingCube()
     problem = EstimationProblem(problem.model, CostSpec(PlusMode.MAX, cube, cube, cube),
                                 problem.prior, problem.u_win, problem.y_win, 2)
     objective = E._Objective(E._Rows.of([problem]))
     good = np.array([0.1, 0.2, -0.1])
     huge = np.array([1e150, 0.0, 0.0])
-    terms, pen, masked = objective.evaluate(np.array([good, huge]), np.zeros(2, dtype=int))
+    terms, masked = objective.evaluate(np.array([good, huge]), np.zeros(2, dtype=int))
     assert masked.all()
-    ref_terms, _ = generic_objective(problem, good)
-    assert objective.strict(good, 0)[0][0].tolist() == ref_terms.tolist()
-    with pytest.raises(OverflowError):
+    ref_terms = generic_objective(problem, good)
+    assert objective.strict(good, 0)[0].tolist() == ref_terms.tolist()
+    with pytest.raises(Refused):
         generic_objective(problem, huge)
-    with pytest.raises(OverflowError):
+    with pytest.raises(Refused):
         objective.strict(huge, 0)
 
 
@@ -222,7 +222,7 @@ def _reference_line_search(problem, z, step, f0, power):
     alpha = 1.0
     for _ in range(25):
         cand = z + alpha * step
-        terms, _ = generic_objective(problem, cand)
+        terms = generic_objective(problem, cand)
         rc = np.sqrt(np.power(terms + 1e-12, power))
         if float(rc @ rc) < f0 - 1e-300:
             return alpha, cand, rc
@@ -238,7 +238,7 @@ def test_far_line_search_candidates_that_go_non_finite_change_nothing():
     problem = _window("s3", PlusMode.MAX, 3, 2)
     objective = E._Objective(E._Rows.of([problem]))
     derive = E._gauss_newton_derive
-    stage = (0.0, 8.0)
+    stage = 8.0                     # the second surrogate power of max mode
     z = np.full(objective.dim, 1e100)
     step = -2.0 * z
     r = _one_batch(objective, z[None, :], derive, stage).row(0)

@@ -469,7 +469,8 @@ plant = {plant}
 mode = {mode}
 estimator = {estimator}
 horizon = 4
-t_final = 8
+t_final = {t_final}
+t_max_fie = 300
 seeds = 0
 prior_offset = {prior_offset}
 
@@ -483,11 +484,11 @@ dir = {out}
 
 
 def _overflow_run(tmp_path, capsys, plant="s2", mode="max", estimator="fie",
-                  prior_offset=1.0, amplitude=0.1, extra=""):
+                  prior_offset=1.0, amplitude=0.1, extra="", t_final=8):
     path = tmp_path / "overflow.ini"
     path.write_text(OVERFLOW_CONFIG.format(plant=plant, mode=mode, estimator=estimator,
                                            prior_offset=prior_offset, amplitude=amplitude,
-                                           extra=extra, out=tmp_path / "out"))
+                                           extra=extra, out=tmp_path / "out", t_final=t_final))
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         code = cli_main(["run", "--config", str(path)])
@@ -529,6 +530,29 @@ def test_a_reference_cost_that_overflows_is_an_error(tmp_path, capsys):
     assert code == 3
     assert "cell (uniform, seed 0) step t = 2: error 0.7286115146064854, bound inf, " \
         "cost 2.0131517379133495e+307, reference cost inf" in err
+
+
+def test_a_gain_power_that_overflows_is_inf_not_a_traceback(tmp_path, capsys):
+    # the prior distance 1e120 cubed leaves the floats: Python's float power
+    # raised OverflowError out of the CLI, where libm's pow gives inf
+    gain = "scaled(sepgeo(12.0, 1.0, 0.75), tria(2.0), 0, 1.0)"
+    code, err = _overflow_run(
+        tmp_path, capsys, plant="s1", prior_offset=1e120, t_final=4,
+        extra="\n[cost]\nbeta_hat = klmax(scaled(sepgeo(1.5, 1.0, 0.5), tria(2.0), 0, 1.0), "
+              f"sepgeo(1, 3, 0.5))\ngamma_hat = {gain}\ndelta_hat = {gain}\n")
+    assert code == 3
+    assert err.startswith("infeasible: ")
+
+
+def test_an_iterated_gain_whose_slope_overflows_is_inf_not_a_traceback(tmp_path, capsys):
+    # 20 ** s leaves the floats past s = 236, inside the slope table of a
+    # 240-step run: Python's float power raised OverflowError out of the CLI
+    code, err = _overflow_run(tmp_path, capsys, plant="s1", t_final=240,
+                              extra="\n[cost]\nbeta_hat = kliter(linear(20), linear(2))\n"
+                                    "gamma_hat = kliter(linear(20), linear(12))\n"
+                                    "delta_hat = kliter(linear(20), linear(12))\n")
+    assert code == 3
+    assert err.startswith("infeasible: ")
 
 
 def test_cli_sweep_and_probe(tmp_path):
@@ -792,6 +816,22 @@ def test_config_keys_name_fields_of_their_dataclasses():
         for key, (target, parse) in schema.items():
             assert target in names, (section, key, target)
             assert callable(parse)
+
+
+def test_every_field_is_set_by_a_config_key_a_section_or_a_flag():
+    # the converse: no field is out of reach of every config and the CLI
+    targets = {section: {target for target, _ in schema.values()}
+               for section, schema in CONFIG_KEYS.items()}
+    experiment = set().union(*(names for section, names in targets.items()
+                               if section not in ("scenario", "solver")))
+
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert fields(SolverConfig) - targets["solver"] == set()
+    assert fields(DisturbanceScenario) - {"name"} - targets["scenario"] == set()
+    # the [scenario.NAME] and [solver] sections, and the --jobs flag
+    assert fields(ExperimentConfig) - experiment - {"scenarios", "solver", "jobs"} == set()
 
 
 def test_missing_config_keys_keep_their_dataclass_defaults(tmp_path):
