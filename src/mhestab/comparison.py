@@ -38,9 +38,9 @@ GRID_R_MIN = 1e-9
 GRID_R_MAX = 1e3
 GRID_POINTS_PER_DECADE = 64
 
-# Scalar calls are hot (the estimators evaluate costs and bounds per step), so
-# the argument checks test ``type(r) is float`` before anything else and use
-# this binding rather than the ``np.ndarray`` attribute lookup.
+# Comparison functions take a Python float or an array, and runs pass arrays (a
+# column of windows or candidates per age) far more often; the argument checks
+# test ``type(r) is float`` first and use this binding, not ``np.ndarray``.
 _ndarray = np.ndarray
 
 
@@ -842,7 +842,8 @@ def gain_terms(fn: KLFn, ages: range, r, s_max: Optional[int] = None) -> np.ndar
         rows = _check_array(r, "KL first argument").reshape(-1, len(ages))
         return np.stack([fn(col, age) for col, age in zip(rows.T, ages)], axis=-1).reshape(r.shape)
     stop = ages.stop if ages.stop >= 0 else None
-    return table[ages.start:stop:ages.step] * r
+    with np.errstate(invalid="ignore", over="ignore"):     # an inf slope times r = 0 is NaN
+        return table[ages.start:stop:ages.step] * r
 
 
 def fold_terms(mode: PlusMode, head, *terms: np.ndarray):

@@ -55,18 +55,21 @@ slope arrays with a count per row.  The generic engines run every (window,
 start) pair of the group in lock-step (:func:`_lockstep`): each pair is the
 one-candidate algorithm of one start on one window, and each tick
 evaluates the candidates that all live pairs read next in one objective
-pass, laid out as candidates of the longest window.  Gauss-Newton asks for its Jacobian
-points, then for step length 1 with its Jacobian points and the step's
-halvings; compass asks for the rest of a sweep.  A pair leaves the group
-when it converges, breaks or runs out of iterations.  ``solve_window`` is a
-group of one.
+pass, laid out as candidates of the longest window.  Gauss-Newton asks for
+a point and its Jacobian points, then for step length 1 with its Jacobian
+points, and only when step length 1 fails, for the step's 24 halvings;
+compass asks for the rest of a sweep.  A pair leaves the group when it
+converges, breaks or runs out of iterations.  ``solve_window`` is a group
+of one.
 
 A pair reads the rows of a pass in the order its algorithm evaluates
 candidates, and only those, so the iterates are those of evaluating one
-candidate at a time on one window, bit for bit; a candidate that algorithm
-would not have evaluated can neither raise nor change the result.  This
-needs plant maps that accept a leading batch axis (see
-:mod:`mhestab.systems`).
+candidate at a time on one window, bit for bit.  A row's numbers do not
+depend on the rows that share its pass: a row the batch cannot take is
+evaluated alone in the pass, and one that fails there raises its own error
+only when a pair reads it, so a candidate that algorithm would not have
+evaluated can neither raise nor change the result.  This needs plant maps
+that accept a leading batch axis (see :mod:`mhestab.systems`).
 
 ``_window_costs``, the cost that is reported and certified, prices a stack
 of windows, each of its own length, by the rule of the error bounds in
@@ -114,8 +117,8 @@ from .systems import (
 WIDTH_CAP = 1e18
 LEVEL_PASSES = 4          # level-grid refinements of the max-mode bisection
 # rows times window length of one group of growing windows: for the structured
-# engines, and for the generic ones, whose passes hold some 4 (dim + 25)
-# candidates of dim entries for each row
+# engines, and for the generic ones, whose passes hold some dim + 1 or 24
+# candidates of dim entries for each start of each row
 GROUP_ROW_STEPS = 1 << 15
 GENERIC_GROUP_ROW_STEPS = 1 << 9
 
@@ -869,15 +872,16 @@ class _Objective:
     of the windows ``owner`` (B,) of the group, in nondecreasing length, to
     their cost terms (B, 2K+1), ordered beta_hat, then gamma_hat and
     delta_hat of each window step in time order and 0 past a row's own
-    2L+1; and the mask of rows whose evaluation alone raises (a NaN
-    distance, a NaN or negative term).  Each row reads its own window's
-    prior, outputs and length, each gain is evaluated once per age on the
-    rows that have a term at that age, and every row is computed by exactly
-    the arithmetic of evaluating that candidate alone on its window, so
-    neither batching nor grouping moves an iterate.
-    A masked row raises only when an engine reads it: :class:`_Batch` then
-    recomputes it alone through :meth:`strict`.  A row that is never read
-    can neither raise nor change the result.
+    2L+1; and the errors of the rows whose evaluation alone raises.  Each
+    row reads its own window's prior, outputs and length, each gain is
+    evaluated once per age on the rows that have a term at that age, and
+    every row is computed by exactly the arithmetic of evaluating that
+    candidate alone on its window, so neither batching nor grouping moves
+    an iterate.  A row the batch cannot take -- a NaN distance or norm,
+    zeroed for the batch, a NaN or negative term, or every row when the
+    batch raises -- is evaluated alone in the pass; a failing one keeps NaN
+    terms and its error, which :class:`_Batch` raises only when an engine
+    reads that row.
     """
 
     def __init__(self, rows: _Rows):
@@ -894,24 +898,27 @@ class _Objective:
         return Z[:, :n], Z[:, n:].reshape(B, (Z.shape[1] - n) // self.q, self.q)
 
     def evaluate(self, Z: np.ndarray, owner: np.ndarray):
-        """``(terms, masked)`` of the candidate rows Z, row b a candidate of
-        window ``owner[b]``."""
-        try:
-            with np.errstate(all="ignore"):
-                return self._evaluate(Z, owner, strict=False)
-        except Exception:
-            # a plant map or gain failed on some row, which need not be one
-            # the engine reads: mask every row, so each read recomputes its
-            # row alone and the failing one raises there
-            B, K = len(Z), (Z.shape[1] - self.n) // self.q
-            return np.full((B, 2 * K + 1), np.nan), np.ones(B, dtype=bool)
-
-    def strict(self, z: np.ndarray, window: int) -> np.ndarray:
-        """The terms of the one candidate z of a window, as a one-row array;
-        raises what evaluating z alone raises."""
-        terms, _ = self._evaluate(z[None, :], np.array([window]), strict=True)
-        plus_reduce(self.rows.cost.mode, terms[0])      # NaN or negative terms
-        return terms
+        """``(terms, errors)`` of the candidate rows Z, row b a candidate of
+        window ``owner[b]``; ``errors`` maps each failing row, in order, to
+        what evaluating it alone raises."""
+        B, K = len(Z), (Z.shape[1] - self.n) // self.q
+        errors = {}
+        with np.errstate(all="ignore"):
+            try:
+                terms, alone = self._evaluate(Z, owner, strict=False)
+            except Exception:
+                # a plant map or gain failed on some row, which need not be
+                # one the engine reads
+                terms, alone = np.zeros((B, 2 * K + 1)), np.ones(B, dtype=bool)
+            for b in np.flatnonzero(alone).tolist():
+                L = int(self.rows.k[owner[b]])
+                try:
+                    one, _ = self._evaluate(Z[b:b + 1, :self.dim_of(L)], owner[b:b + 1], True)
+                    plus_reduce(self.rows.cost.mode, one[0])    # NaN or negative terms
+                    terms[b, :2 * L + 1] = one[0]
+                except Exception as exc:
+                    terms[b], errors[b] = np.nan, exc
+        return terms, errors
 
     def _evaluate(self, Z: np.ndarray, owner: np.ndarray, strict: bool):
         rows = self.rows.take(owner)            # each candidate's own window
@@ -922,8 +929,8 @@ class _Objective:
         dist = row_distances(chi0, rows.prior)
         wn = np.sqrt(_row_sqnorms(omega))
         vn = np.sqrt(_row_sqnorms(nu))
-        masked = np.isnan(dist) | np.isnan(wn).any(axis=1) | np.isnan(vn).any(axis=1)
-        if not strict and masked.any():
+        alone = np.isnan(dist) | np.isnan(wn).any(axis=1) | np.isnan(vn).any(axis=1)
+        if not strict and alone.any():
             dist, wn, vn = (np.where(np.isnan(a), 0.0, a) for a in (dist, wn, vn))
         terms = np.zeros((B, 2 * K + 1))
         runs = _length_runs(k)
@@ -940,46 +947,37 @@ class _Objective:
         for L, run in runs:                     # back in time order, 0 past a row's own
             terms[run, 1:2 * L:2] = w_age[run, K - L:]
             terms[run, 2:2 * L + 1:2] = v_age[run, K - L:]
-        masked |= ~(terms >= 0.0).all(axis=1)
-        return terms, masked
+        alone |= ~(terms >= 0.0).all(axis=1)
+        return terms, alone
 
 
 class _Batch:
     """The candidate rows Z that one pair asked for in a pass, and what its
     engine reads of them: their cost ``terms``, the derived ``rows`` and
-    their ``scores``, from ``derive(objective, terms, lengths, stage)``.
-    ``row(k)`` reads row k; a masked row is recomputed alone there, raising
-    what evaluating it alone raises.  Rows must be read in the order the
-    one-candidate algorithm evaluates them.  The arrays are views of the
+    their ``scores``, from ``derive(objective, terms, lengths, stage)``, and
+    the ``errors`` of the rows whose evaluation alone raises.  A pair reads
+    its rows in the order the one-candidate algorithm evaluates them, and
+    reading a failing row raises its error.  The arrays are views of the
     pass."""
 
-    def __init__(self, objective: _Objective, derive, window: int, stage, Z: np.ndarray,
-                 terms: np.ndarray, rows: np.ndarray, scores: np.ndarray, masked: np.ndarray):
-        self.objective, self.derive, self.window, self.stage = objective, derive, window, stage
-        self.Z, self.terms, self.rows, self.scores, self.masked = Z, terms, rows, scores, masked
+    def __init__(self, Z: np.ndarray, terms: np.ndarray, rows: np.ndarray, scores: np.ndarray,
+                 errors: dict):
+        self.Z, self.terms, self.rows, self.scores, self.errors = Z, terms, rows, scores, errors
 
-    def row(self, k: int):
-        if self.masked[k]:
-            terms = self.objective.strict(self.Z[k], self.window)
-            rows, scores = self.derive(self.objective, terms,
-                                       self.objective.rows.k[[self.window]], self.stage)
-            self.terms[k], self.rows[k], self.scores[k] = terms[0], rows[0], scores[0]
-            self.masked[k] = False
-        return self.rows[k]
+    def read(self, n: int):
+        """Reads rows 0..n-1: raises the error of the first failing one."""
+        first = min(self.errors, default=n)
+        if first < n:
+            raise self.errors[first]
 
-    def first_below(self, order: np.ndarray, bound: float) -> Optional[int]:
-        """The first j whose row ``order[j]`` scores below bound when the
-        rows are read in that order, or None; rows after it are not read."""
-        j = 0
-        while True:
-            ks = order[j:]
-            hit = self.masked[ks] | (self.scores[ks] < bound)
-            if not hit.any():
-                return None
-            j += int(np.argmax(hit))
-            if not self.masked[order[j]]:
-                return j
-            self.row(order[j])
+    def first_below(self, bound: float) -> Optional[int]:
+        """The first row that scores below bound, or None; the rows up to it
+        are read, and the rows after it are not."""
+        hit = self.scores < bound
+        j = int(np.argmax(hit))
+        found = bool(hit[j])
+        self.read(j + 1 if found else len(hit))
+        return j if found else None
 
 
 def _evaluate_pass(objective: _Objective, derive, asks) -> List[_Batch]:
@@ -987,7 +985,8 @@ def _evaluate_pass(objective: _Objective, derive, asks) -> List[_Batch]:
     ask ``(Z, window, stage)`` with Z of the window's own width, laid out
     as candidates of the longest window asked for; the asks come in window
     order.  The rows of each stage are derived in one call.  Returns one
-    :class:`_Batch` per ask, its arrays cut to its window."""
+    :class:`_Batch` per ask, its arrays cut to its window's own 2L + 1
+    terms."""
     k = objective.rows.k
     lengths = k[[window for _, window, _ in asks]].tolist()
     K = lengths[-1]
@@ -998,24 +997,18 @@ def _evaluate_pass(objective: _Objective, derive, asks) -> List[_Batch]:
     for L, run in _length_runs(np.array(lengths)):
         Z[spans[run.start].start:spans[run.stop - 1].stop, :objective.dim_of(L)] = \
             np.concatenate([z for z, _, _ in asks[run]])
-    terms, masked = objective.evaluate(Z, np.repeat([w for _, w, _ in asks], sizes))
+    terms, errors = objective.evaluate(Z, np.repeat([w for _, w, _ in asks], sizes))
     lens = np.repeat(lengths, sizes)
     stages = list(dict.fromkeys(stage for _, _, stage in asks))
     stage_of = np.repeat([stages.index(stage) for _, _, stage in asks], sizes)
-    rows, scores = None, np.empty(len(Z))
+    rows, scores = np.empty(terms.shape), np.empty(len(Z))
     with np.errstate(all="ignore"):
         for s, stage in enumerate(stages):
             sel = np.flatnonzero(stage_of == s) if len(stages) > 1 else slice(None)
-            derived, scores[sel] = derive(objective, terms[sel], lens[sel], stage)
-            if rows is None:
-                rows = np.empty((len(Z),) + derived.shape[1:])
-            rows[sel] = derived
-    # a row's terms, and its residual vector, are cut to its own 2L + 1
-    own = (lambda span, L: rows[span, :2 * L + 1]) if rows.ndim > 1 else \
-        (lambda span, L: rows[span])
-    return [_Batch(objective, derive, window, stage, z, terms[span, :2 * L + 1], own(span, L),
-                   scores[span], masked[span])
-            for span, L, (z, window, stage) in zip(spans, lengths, asks)]
+            rows[sel], scores[sel] = derive(objective, terms[sel], lens[sel], stage)
+    return [_Batch(z, terms[span, :2 * L + 1], rows[span, :2 * L + 1], scores[span],
+                   {b - span.start: e for b, e in errors.items() if span.start <= b < span.stop})
+            for span, L, (z, _, _) in zip(spans, lengths, asks)]
 
 
 def _lockstep(objective: _Objective, derive, pairs) -> list:
@@ -1023,12 +1016,15 @@ def _lockstep(objective: _Objective, derive, pairs) -> list:
     pair returns.
 
     A pair is a generator: it yields the candidate rows it reads next as
-    ``(Z, window, stage)`` and is sent them back as a :class:`_Batch`.
-    Each tick evaluates the rows of every live pair in one objective pass
-    (:func:`_evaluate_pass`).  A pair leaves when it returns, or when a read
-    raises; once every pair has left, the first pair in the order given
-    that raised makes the whole group raise, which is what solving the
-    pairs one after another would have raised.
+    ``(Z, window, stage)`` -- a Gauss-Newton point with its Jacobian
+    points, or a line search's halvings, or the rest of a compass sweep --
+    and is sent them back as a :class:`_Batch`.  Each tick evaluates the
+    rows of every live pair in one objective pass (:func:`_evaluate_pass`).
+    A pair leaves when it returns, or when a read raises the error that a
+    row's evaluation alone raised in the pass; once every pair has left,
+    the first pair in the order given that raised makes the whole group
+    raise, which is what solving the pairs one after another would have
+    raised.
     """
     out, errors = [None] * len(pairs), {}
     sent = dict.fromkeys(range(len(pairs)))
@@ -1106,7 +1102,8 @@ def _compass_pair(objective: _Objective, window: int, z0: np.ndarray, cfg: Solve
     signs = np.tile([1.0, -1.0], dim)
     z, iters = z0.copy(), 0
     batch = yield z[None, :], window, None
-    best, at = batch.row(0), batch.terms[0]
+    batch.read(1)
+    best = batch.scores[0]
     step = np.maximum(0.25, 0.1 * np.abs(z))
     for _ in range(cfg.max_iter):
         improved = False
@@ -1116,12 +1113,12 @@ def _compass_pair(objective: _Objective, window: int, z0: np.ndarray, cfg: Solve
             cands = np.repeat(z[None, :], len(coords), axis=0)
             cands[np.arange(len(coords)), coords] += signs[2 * i:] * step[coords]
             batch = yield cands, window, None
-            k = batch.first_below(np.arange(len(coords)), best - 1e-300)
+            k = batch.first_below(best - 1e-300)
             if k is None:
                 iters += len(coords)
                 break
             iters += k + 1
-            z, best, at = cands[k], batch.scores[k], batch.terms[k]
+            z, best = cands[k], batch.scores[k]
             step[coords[k]] *= 1.6
             improved = True
             i = coords[k] + 1
@@ -1129,16 +1126,15 @@ def _compass_pair(objective: _Objective, window: int, z0: np.ndarray, cfg: Solve
             step *= 0.5
             if float(np.max(step)) < cfg.tol:
                 break
-    return plus_reduce(objective.rows.cost.mode, at), z, iters
+    return best, z, iters
 
 
 def _compass_derive(objective: _Objective, terms: np.ndarray, lens: np.ndarray, stage):
-    """The rows a compass search reads, and their scores: both the
-    objective values, ``plus_reduce`` of each row's terms and the zeros
-    past them, folded left to right (:func:`plus_fold`).  Compass has one
-    stage, None."""
-    values = plus_fold(objective.rows.cost.mode, terms.T)
-    return values, values
+    """The rows a compass search reads, the terms, and their scores, the
+    objective values: ``plus_reduce`` of each row's terms and the zeros
+    past them, folded left to right (:func:`plus_fold`), which the zeros
+    do not change.  Compass has one stage, None."""
+    return terms, plus_fold(objective.rows.cost.mode, terms.T)
 
 
 def _solve_multistart_local(rows: _Rows, cfg: SolverConfig) -> EstimateResult:
@@ -1150,31 +1146,14 @@ def _fd_steps(z: np.ndarray) -> np.ndarray:
     return 1e-6 * np.maximum(1.0, np.abs(z))
 
 
-def _with_probes(z: np.ndarray, extra: int = 0) -> np.ndarray:
+def _with_probes(z: np.ndarray) -> np.ndarray:
     """The rows z, z + h_0 e_0, ..., z + h_{dim-1} e_{dim-1}: a point and the
-    points of its forward-difference Jacobian; then ``extra`` rows left for
-    the caller to fill."""
+    points of its forward-difference Jacobian."""
     dim = len(z)
-    Z = np.empty((dim + 1 + extra, dim))
-    Z[:dim + 1] = z
-    Z[1:dim + 1].reshape(-1)[::dim + 1] += _fd_steps(z)       # the diagonal
+    Z = np.empty((dim + 1, dim))
+    Z[:] = z
+    Z[1:].reshape(-1)[::dim + 1] += _fd_steps(z)       # the diagonal
     return Z
-
-
-def _line_search_rows(z: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """The candidates of a line search from z along step: z + step and its
-    Jacobian points (rows 0..dim), which the next iteration reads when step
-    length 1 is accepted, then z + alpha step for the 24 halvings alpha =
-    1/2, ..., 2**-24 (rows dim + 1..dim + 24)."""
-    Z = _with_probes(z + step, len(_HALVINGS))
-    Z[len(z) + 1:] = z + _HALVINGS[:, None] * step
-    return Z
-
-
-def _line_search_order(dim: int) -> np.ndarray:
-    """The rows of :func:`_line_search_rows` in the order the step lengths
-    1, 1/2, ..., 2**-24 are tried."""
-    return np.concatenate([[0], np.arange(dim + 1, dim + 25)])
 
 
 def _gauss_newton_derive(objective: _Objective, terms: np.ndarray, lens: np.ndarray,
@@ -1195,40 +1174,40 @@ def _gauss_newton_pair(objective: _Objective, window: int, z: np.ndarray, cfg: S
     powers in turn (see :func:`_solve_gauss_newton`), as a
     :func:`_lockstep` pair.
 
-    The finite-difference Jacobian is taken from dim + 1 rows, which the
-    line search asks for ahead for step length 1.  The first step length of
-    1, 1/2, ..., 2**-24 whose squared residual is below the current one is
-    accepted; a stage ends when none is, when ``lstsq`` fails, when the
-    accepted step is shorter than ``cfg.tol`` or after ``cfg.max_iter``
-    iterations.
+    The finite-difference Jacobian is taken from dim + 1 rows.  A line
+    search asks for step length 1 with its Jacobian points, which the next
+    iteration reads when that step is accepted, and only when it is not,
+    for the 24 halvings 1/2, ..., 2**-24.  The first step length whose
+    squared residual is below the current one is accepted; a stage ends
+    when none is, when ``lstsq`` fails, when the accepted step is shorter
+    than ``cfg.tol`` or after ``cfg.max_iter`` iterations.
     """
     dim = objective.dim_of(int(objective.rows.k[window]))
-    order = _line_search_order(dim)
-    alphas = np.concatenate([[1.0], _HALVINGS])
     iters = 0
     for power in (1.0,) if objective.rows.cost.mode is PlusMode.SUM else (2.0, 8.0):
         batch = None
         for _ in range(cfg.max_iter):
             if batch is None:
                 batch = yield _with_probes(z), window, power
-            for k in np.flatnonzero(batch.masked[:dim + 1]):
-                batch.row(k)     # in order: z, then each Jacobian point
+            batch.read(dim + 1)     # z, then each Jacobian point
             r, f0, at = batch.rows[0], batch.scores[0], batch.terms[0]
-            jac = ((batch.rows[1:dim + 1] - r) / _fd_steps(z)[:, None]).T
+            jac = ((batch.rows[1:] - r) / _fd_steps(z)[:, None]).T
             try:
                 step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
             except np.linalg.LinAlgError:
                 break
-            batch = yield _line_search_rows(z, step), window, power
-            j = batch.first_below(order, f0 - 1e-300)
             iters += 1
-            if j is None:
-                break
-            k = order[j]
-            z, at = batch.Z[k], batch.terms[k]
-            if k:       # a halving: its Jacobian points are not in the batch
-                batch = None
-            if float(np.linalg.norm(alphas[j] * step)) < cfg.tol:
+            batch = yield _with_probes(z + step), window, power
+            batch.read(1)
+            if batch.scores[0] < f0 - 1e-300:
+                z, at, alpha = batch.Z[0], batch.terms[0], 1.0
+            else:       # the halvings, without Jacobian points
+                batch = yield z + _HALVINGS[:, None] * step, window, power
+                j = batch.first_below(f0 - 1e-300)
+                if j is None:
+                    break
+                z, at, alpha, batch = batch.Z[j], batch.terms[j], _HALVINGS[j], None
+            if float(np.linalg.norm(alpha * step)) < cfg.tol:
                 break
     return plus_reduce(objective.rows.cost.mode, at), z, iters
 

@@ -121,9 +121,9 @@ def test_batched_rows_equal_the_scalar_fold(plant, mode, K, key, data):
     Z = np.array(data.draw(st.lists(st.lists(_finite, min_size=objective.dim,
                                              max_size=objective.dim),
                                     min_size=B, max_size=B)), dtype=float).reshape(B, -1)
-    terms, bad = objective.evaluate(Z, np.zeros(B, dtype=int))
-    assert not bad.any()
-    values, _ = E._compass_derive(objective, terms, None, None)
+    terms, errors = objective.evaluate(Z, np.zeros(B, dtype=int))
+    assert not errors
+    _, values = E._compass_derive(objective, terms, None, None)
     for b in range(B):
         ref_terms = generic_objective(problem, Z[b])
         assert terms[b].tolist() == ref_terms.tolist()
@@ -168,17 +168,19 @@ def test_non_finite_rows_are_flagged_and_raise_only_when_read():
     inf_row = good.copy()
     inf_row[-1] = 1e308             # the last disturbance only overflows its cost term
     Z = np.array([good, nan_row, inf_row])
-    terms, masked = objective.evaluate(Z, np.zeros(3, dtype=int))
-    assert masked.tolist() == [False, True, False]
+    terms, errors = objective.evaluate(Z, np.zeros(3, dtype=int))
+    assert list(errors) == [1] and isinstance(errors[1], DomainError)
     ref_terms = generic_objective(problem, good)
     assert terms[0].tolist() == ref_terms.tolist()
-    batch = _one_batch(objective, Z, E._compass_derive, None)
-    assert batch.row(0) == plus_reduce(PlusMode.SUM, ref_terms)
-    assert batch.row(2) == math.inf
-    with np.errstate(all="ignore"), pytest.raises(DomainError):
+    with np.errstate(all="ignore"), pytest.raises(DomainError) as alone:
         generic_objective(problem, nan_row)
-    with np.errstate(all="ignore"), pytest.raises(DomainError):
-        batch.row(1)
+    assert str(errors[1]) == str(alone.value)
+    batch = _one_batch(objective, Z, E._compass_derive, None)
+    batch.read(1)
+    assert batch.scores[0] == plus_reduce(PlusMode.SUM, ref_terms)
+    assert batch.scores[2] == math.inf
+    with pytest.raises(DomainError):
+        batch.read(2)
 
 
 class Refused(Exception):
@@ -208,14 +210,12 @@ def test_a_gain_that_fails_on_the_batch_defers_to_the_rows():
     objective = E._Objective(E._Rows.of([problem]))
     good = np.array([0.1, 0.2, -0.1])
     huge = np.array([1e150, 0.0, 0.0])
-    terms, masked = objective.evaluate(np.array([good, huge]), np.zeros(2, dtype=int))
-    assert masked.all()
+    terms, errors = objective.evaluate(np.array([good, huge]), np.zeros(2, dtype=int))
+    assert list(errors) == [1] and isinstance(errors[1], Refused)
     ref_terms = generic_objective(problem, good)
-    assert objective.strict(good, 0)[0].tolist() == ref_terms.tolist()
+    assert terms[0].tolist() == ref_terms.tolist()
     with pytest.raises(Refused):
         generic_objective(problem, huge)
-    with pytest.raises(Refused):
-        objective.strict(huge, 0)
 
 
 def _reference_line_search(problem, z, step, f0, power):
@@ -232,28 +232,75 @@ def _reference_line_search(problem, z, step, f0, power):
 
 def test_far_line_search_candidates_that_go_non_finite_change_nothing():
     # z lies so far out that max mode's power-8 surrogate overflows: f0 is
-    # inf.  Step length 1 lands on -z (inf again, rejected) and 1/2 on 0,
-    # which is accepted.  The other 23 halvings, evaluated in the same batch,
-    # overflow too; the one-candidate search never evaluates them.
+    # inf.  Step length 1 lands on -z (inf again, rejected), so the halvings
+    # are asked for, and 1/2 lands on 0, which is accepted.  The other 23
+    # halvings, evaluated in the same batch, overflow too; the one-candidate
+    # search never evaluates them.
     problem = _window("s3", PlusMode.MAX, 3, 2)
     objective = E._Objective(E._Rows.of([problem]))
     derive = E._gauss_newton_derive
     stage = 8.0                     # the second surrogate power of max mode
     z = np.full(objective.dim, 1e100)
     step = -2.0 * z
-    r = _one_batch(objective, z[None, :], derive, stage).row(0)
-    f0 = float(r @ r)
+    start = _one_batch(objective, z[None, :], derive, stage)
+    start.read(1)
+    f0 = float(start.rows[0] @ start.rows[0])
     assert f0 == math.inf
     far = _one_batch(objective, z + np.array([[0.25], [2.0 ** -24]]) * step, derive, stage)
-    assert not far.masked.any() and not np.isfinite(far.rows).any()
+    assert not far.errors and not np.isfinite(far.rows).any()
     with np.errstate(all="ignore"):
         expected = _reference_line_search(problem, z, step, f0, 8.0)
-    batch = _one_batch(objective, E._line_search_rows(z, step), derive, stage)
-    order = E._line_search_order(objective.dim)
-    j = batch.first_below(order, f0 - 1e-300)
-    assert j == 1 and expected[0] == 0.5          # step length 1/2
-    assert batch.Z[order[j]].tolist() == expected[1].tolist()
-    assert batch.rows[order[j]].tolist() == expected[2].tolist()
+    ahead = _one_batch(objective, E._with_probes(z + step), derive, stage)
+    ahead.read(1)
+    assert ahead.scores[0] == math.inf            # step length 1 is rejected
+    batch = _one_batch(objective, z + E._HALVINGS[:, None] * step, derive, stage)
+    j = batch.first_below(f0 - 1e-300)
+    assert j == 0 and E._HALVINGS[j] == expected[0] == 0.5
+    assert batch.Z[j].tolist() == expected[1].tolist()
+    assert batch.rows[j].tolist() == expected[2].tolist()
+
+
+def test_gauss_newton_asks_for_the_halvings_only_after_step_length_1_fails(monkeypatch):
+    # each pair asks for a point and its Jacobian points (J), step length 1
+    # and its Jacobian points (S), or the 24 halvings (H).  A stage runs J S,
+    # then S while step length 1 is accepted, and H J S when it is not.
+    problem = _window("s4", PlusMode.MAX, 3, 7)
+    dim = E._Objective(E._Rows.of([problem])).dim
+    logs = []
+    real = E._gauss_newton_pair
+
+    def recorded(objective, window, z, cfg):
+        log, pair, batch = [], real(objective, window, z, cfg), None
+        logs.append(log)
+        while True:
+            try:
+                Z, window, stage = pair.send(batch)
+            except StopIteration as stop:
+                return stop.value
+            batch = yield Z, window, stage
+            log.append((len(Z), stage, batch.scores[0]))
+
+    monkeypatch.setattr(E, "_gauss_newton_pair", recorded)
+    E._solve_gauss_newton(E._Rows.of([problem]), SolverConfig(multistart=3, max_iter=40))
+    monkeypatch.undo()
+    kinds = []              # (kind, whether an S ask's point is below f0)
+    for log in logs:
+        assert {size for size, _, _ in log} <= {dim + 1, len(E._HALVINGS)}
+        pair = []
+        for i, (size, stage, score) in enumerate(log):
+            if size == len(E._HALVINGS):
+                kind = "H"
+            elif i == 0 or pair[-1][0] == "H" or stage != log[i - 1][1]:
+                kind = "J"
+            else:
+                kind = "S"
+            pair.append((kind, bool(kind == "S" and score < f0 - 1e-300)))
+            if kind != "H":
+                f0 = score
+        for (kind, below), (following, _) in zip(pair, pair[1:] + [(None, False)]):
+            assert (following == "H") == (kind == "S" and not below)
+        kinds += pair
+    assert ("S", True) in kinds and ("H", False) in kinds
 
 
 if __name__ == "__main__":

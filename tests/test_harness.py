@@ -483,12 +483,17 @@ dir = {out}
 """
 
 
-def _overflow_run(tmp_path, capsys, plant="s2", mode="max", estimator="fie",
-                  prior_offset=1.0, amplitude=0.1, extra="", t_final=8):
+def _overflow_config(tmp_path, plant="s2", mode="max", estimator="fie", prior_offset=1.0,
+                     amplitude=0.1, extra="", t_final=8):
     path = tmp_path / "overflow.ini"
     path.write_text(OVERFLOW_CONFIG.format(plant=plant, mode=mode, estimator=estimator,
                                            prior_offset=prior_offset, amplitude=amplitude,
                                            extra=extra, out=tmp_path / "out", t_final=t_final))
+    return path
+
+
+def _overflow_run(tmp_path, capsys, **kw):
+    path = _overflow_config(tmp_path, **kw)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         code = cli_main(["run", "--config", str(path)])
@@ -544,15 +549,30 @@ def test_a_gain_power_that_overflows_is_inf_not_a_traceback(tmp_path, capsys):
     assert err.startswith("infeasible: ")
 
 
+ITERATED_COST = ("\n[cost]\nbeta_hat = kliter(linear(20), linear(2))\n"
+                 "gamma_hat = kliter(linear(20), linear(12))\n"
+                 "delta_hat = kliter(linear(20), linear(12))\n")
+
+
 def test_an_iterated_gain_whose_slope_overflows_is_inf_not_a_traceback(tmp_path, capsys):
     # 20 ** s leaves the floats past s = 236, inside the slope table of a
     # 240-step run: Python's float power raised OverflowError out of the CLI
-    code, err = _overflow_run(tmp_path, capsys, plant="s1", t_final=240,
-                              extra="\n[cost]\nbeta_hat = kliter(linear(20), linear(2))\n"
-                                    "gamma_hat = kliter(linear(20), linear(12))\n"
-                                    "delta_hat = kliter(linear(20), linear(12))\n")
+    code, err = _overflow_run(tmp_path, capsys, plant="s1", t_final=240, extra=ITERATED_COST)
     assert code == 3
     assert err.startswith("infeasible: ")
+
+
+def test_an_iterated_gain_whose_slope_overflows_warns_nothing(tmp_path, capsys):
+    # an inf slope times a zero norm is NaN: the slope product printed a
+    # RuntimeWarning before the run's one line on stderr
+    path = _overflow_config(tmp_path, plant="s1", t_final=240, extra=ITERATED_COST)
+    with np.errstate(all="warn", under="ignore"), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main(["run", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert err.startswith("infeasible: ") and err.count("\n") == 1
 
 
 def test_cli_sweep_and_probe(tmp_path):
