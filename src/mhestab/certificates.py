@@ -15,6 +15,13 @@ of a run at once: the full-information bound, the moving-horizon bound and
 the right side of the certificate inequality, which the pair check and the
 falsifier evaluate over stacks of pairs.
 
+A sum-mode certificate or cost derives its own summability evidence when it
+is built, by one rule, the tail rule: each discounted gain f must pass
+:func:`~mhestab.comparison.check_summable` against sigma(r) = 2 (f(r, 0) +
+f.sum_tail(r, 1)).  A failing record is a :class:`DomainError`, and a gain
+without an analytic tail bound a :class:`CapabilityError`.  No evidence is
+taken from outside, so none can describe some other gain.
+
 Shipped fixtures
 ----------------
 :func:`builtin_certificate` builds each fixture, with its summability
@@ -39,15 +46,13 @@ obtained:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .comparison import (
     GRID_REL_TOL,
-    CapabilityError,
-    ComposedK,
     DomainError,
     GridEvidence,
     KFn,
@@ -81,8 +86,40 @@ VALIDITY_TAGS = ("proven", "sampled", "declared")
 
 
 @dataclass(frozen=True)
+class _TailSigma(KFn):
+    """r -> 2 (f(r, 0) + f.sum_tail(r, 1)): the summability bound of a
+    sum-mode gain f, which scales in r as f does, with headroom 2 over f's
+    own tail bound.  A gain without an analytic tail raises
+    :class:`CapabilityError`."""
+
+    fn: KLFn
+
+    def _eval(self, r):
+        return 2.0 * (self.fn(r, 0) + self.fn.sum_tail(r, 1))
+
+
+def _tail_evidence(owner, keys: Sequence[str]) -> Optional[Dict[str, SummabilityEvidence]]:
+    """The tail-rule evidence of the gains ``keys`` of a sum-mode certificate
+    or cost; None in max mode.  A failing record is a :class:`DomainError`."""
+    if owner.mode is not PlusMode.SUM:
+        return None
+    out = {}
+    for key in keys:
+        fn = getattr(owner, key)
+        out[key] = record = check_summable(fn, _TailSigma(fn))
+        if not record.passed:
+            raise DomainError(f"sum-mode {key} fails its summability check: its sum exceeds "
+                              f"2 (f(r, 0) + f.sum_tail(r, 1)) by {-record.worst_margin:.3g} "
+                              f"at r = {record.worst_r:.3g}")
+    return out
+
+
+@dataclass(frozen=True)
 class IossCertificate:
-    """Detectability data: alpha K-infinity, five KL gains, one plus mode."""
+    """Detectability data: alpha K-infinity, five KL gains, one plus mode.
+
+    In sum mode ``summability`` holds the evidence of the four discounted
+    gains, derived from the gains themselves by :class:`_TailSigma`."""
 
     name: str
     mode: PlusMode
@@ -93,22 +130,17 @@ class IossCertificate:
     epsilon: KLFn
     phi: KLFn
     validity: str = "declared"
-    summability: Optional[Dict[str, SummabilityEvidence]] = None
     r_range: Tuple[float, float] = (1e-9, 1e3)
+    summability: Optional[Dict[str, SummabilityEvidence]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.validity not in VALIDITY_TAGS:
             raise DomainError(f"unknown validity tag {self.validity!r}")
         if not self.alpha.is_unbounded:
             raise DomainError("certificate alpha must be K-infinity")
-        if self.mode is PlusMode.SUM:
-            ev = self.summability or {}
-            missing = [k for k in ("gamma", "delta", "epsilon", "phi") if k not in ev]
-            if missing:
-                raise DomainError(f"sum-mode certificate lacks summability evidence for {missing}")
-            failing = [k for k, e in ev.items() if not e.passed]
-            if failing:
-                raise DomainError(f"sum-mode summability evidence failing for {failing}")
+        object.__setattr__(self, "summability",
+                           _tail_evidence(self, ("gamma", "delta", "epsilon", "phi")))
 
     def gains(self) -> Dict[str, KLFn]:
         return {"beta": self.beta, "gamma": self.gamma, "delta": self.delta,
@@ -117,24 +149,22 @@ class IossCertificate:
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Stage-cost comparison functions, matched in mode to a certificate."""
+    """Stage-cost comparison functions, matched in mode to a certificate.
+
+    In sum mode ``summability`` holds the evidence of the two discounted
+    gains, derived as a certificate's is."""
 
     mode: PlusMode
     beta_hat: KLFn
     gamma_hat: KLFn
     delta_hat: KLFn
-    summability: Optional[Dict[str, SummabilityEvidence]] = None
     name: str = "cost"
+    summability: Optional[Dict[str, SummabilityEvidence]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode is PlusMode.SUM:
-            ev = self.summability or {}
-            missing = [k for k in ("gamma_hat", "delta_hat") if k not in ev]
-            if missing:
-                raise DomainError(f"sum-mode cost lacks summability evidence for {missing}")
-            failing = [k for k, e in ev.items() if not e.passed]
-            if failing:
-                raise DomainError(f"sum-mode cost summability failing for {failing}")
+        object.__setattr__(self, "summability",
+                           _tail_evidence(self, ("gamma_hat", "delta_hat")))
 
 
 @dataclass(frozen=True)
@@ -219,29 +249,10 @@ def _pair_margins(cert: IossCertificate, firsts: Sequence[SolutionTuple],
 def default_cost_from_certificate(cert: IossCertificate, n: TriangleGrowth) -> CostSpec:
     """The canonical cost: beta_hat(r,s) = beta(N(s) r, s) and likewise for
     the disturbance gains, which meets the compatibility condition with B = 1
-    and equality on the grid.
-
-    In sum mode the scaled gains must still carry a summability bound; if the
-    base evidence cannot be transported a :class:`CapabilityError` is raised.
-    """
-    beta_hat = ScaledShiftKL(cert.beta, n)
-    gamma_hat = ScaledShiftKL(cert.gamma, n)
-    delta_hat = ScaledShiftKL(cert.delta, n)
-    summability = None
-    if cert.mode is PlusMode.SUM:
-        ev = cert.summability or {}
-        summability = {}
-        for key, fn in (("gamma_hat", gamma_hat), ("delta_hat", delta_hat)):
-            base_key = key.replace("_hat", "")
-            if base_key not in ev:
-                raise CapabilityError(f"certificate carries no summability bound for {base_key}")
-            sigma_scaled = ComposedK((ev[base_key].sigma, LinearK(n(0))))
-            record = check_summable(fn, sigma_scaled)
-            if not record.passed:
-                raise CapabilityError(f"scaled {base_key} lost its summability bound")
-            summability[key] = record
-    return CostSpec(cert.mode, beta_hat, gamma_hat, delta_hat, summability,
-                    name=f"default({cert.name})")
+    and equality on the grid.  In sum mode the cost derives its own
+    summability evidence."""
+    return CostSpec(cert.mode, ScaledShiftKL(cert.beta, n), ScaledShiftKL(cert.gamma, n),
+                    ScaledShiftKL(cert.delta, n), name=f"default({cert.name})")
 
 
 def check_compatibility(cert: IossCertificate, cost: CostSpec,
@@ -416,22 +427,9 @@ def _geom(c: float, lam: float) -> SeparableGeometric:
     return SeparableGeometric(c, 1.0, lam)
 
 
-def _sum_evidence(gains: Dict[str, KLFn]) -> Dict[str, SummabilityEvidence]:
-    out = {}
-    for key in ("gamma", "delta", "epsilon", "phi"):
-        fn = gains[key]
-        if not isinstance(fn, SeparableGeometric):
-            raise CapabilityError("sum fixtures use geometric gains")
-        sigma = LinearK(fn.c / (1.0 - fn.lam)) if fn.c > 0 else LinearK(1e-12)
-        out[key] = check_summable(fn, sigma)
-    return out
-
-
 def _make_cert(name, mode, beta, gamma, delta, epsilon, phi, validity):
-    gains = {"beta": beta, "gamma": gamma, "delta": delta, "epsilon": epsilon, "phi": phi}
-    summ = _sum_evidence(gains) if mode is PlusMode.SUM else None
     return IossCertificate(name, mode, LinearK(1.0), beta, gamma, delta, epsilon, phi,
-                           validity=validity, summability=summ)
+                           validity=validity)
 
 
 def _recipes() -> Dict[Tuple[str, PlusMode], tuple]:

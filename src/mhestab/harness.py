@@ -29,11 +29,8 @@ import numpy as np
 
 from .comparison import (
     DomainError,
-    KFn,
-    KLFn,
     PlusMode,
     TriangleGrowth,
-    check_summable,
     parse_klfn,
     plus_fold,
     plus_reduce,
@@ -80,6 +77,15 @@ from .stability import (
 
 REPORT_SCHEMA = "mhestab-report-v1"
 MARGIN_TOL = 1e-9
+
+#: The size rule: the largest value of each size key.  A run keeps every
+#: window it solves: each seed's cells hold t_final steps of windows up to
+#: t_max_fie (full information) or horizon long, and every generic window
+#: holds multistart candidate rows.  Beyond these a run would ask for more
+#: memory than a machine has, so the config is refused before anything is
+#: allocated.
+SIZE_LIMITS = {"t_final": 10_000, "t_max_fie": 2_000, "[solver] multistart": 1_000,
+               "number of seeds": 10_000}
 
 
 class ConfigError(ValueError):
@@ -149,6 +155,10 @@ class ExperimentConfig:
             raise ConfigError("moving-horizon estimator needs horizon >= 1")
         if self.t_final < 1:
             raise ConfigError("t_final must be >= 1")
+        sizes = {"t_final": self.t_final, "t_max_fie": self.t_max_fie,
+                 "[solver] multistart": self.solver.multistart, "number of seeds": len(self.seeds)}
+        for key, value in sizes.items():
+            _check_size(key, value)
         if self.estimator == "fie" and self.t_final > self.t_max_fie:
             raise ConfigError(f"t_final = {self.t_final} exceeds the full-information "
                               f"horizon cap t_max_fie = {self.t_max_fie}")
@@ -180,11 +190,17 @@ class ExperimentConfig:
         return asdict(self)
 
 
+def _check_size(key: str, value: int):
+    if value > SIZE_LIMITS[key]:
+        raise ConfigError(f"{key} = {value} exceeds the size limit {SIZE_LIMITS[key]}")
+
+
 def _parse_seeds(text: str) -> Tuple[int, ...]:
     text = text.strip()
     if ":" in text:
-        lo, hi = text.split(":")
-        return tuple(range(int(lo), int(hi)))
+        lo, hi = (int(part) for part in text.split(":"))
+        _check_size("number of seeds", hi - lo)     # before the range is built
+        return tuple(range(lo, hi))
     return _parse_list(text, "seeds")
 
 
@@ -282,7 +298,6 @@ class ResolvedExperiment:
     cost: CostSpec
     n_map: TriangleGrowth
     bounds: DerivedBounds
-    witness_B: float
 
 
 def resolve(config: ExperimentConfig) -> ResolvedExperiment:
@@ -308,8 +323,7 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
                               + ", ".join(key for key, text in texts.items() if not text))
         try:
             gains = {key: parse_klfn(text) for key, text in texts.items()}
-            cost = CostSpec(mode, **gains, summability=None if mode is PlusMode.MAX
-                            else _explicit_summability(gains))
+            cost = CostSpec(mode, **gains)
         except DomainError as exc:
             raise ConfigError(f"invalid explicit cost: {exc}") from None
     witness = check_compatibility(cert, cost, n_map)
@@ -317,30 +331,7 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
         raise AnalysisError(
             f"cost is not compatible with certificate (worst ratio {witness.worst_ratio:.3g})")
     bounds = derive_bcd(cert, cost, witness, config.a_factor)
-    return ResolvedExperiment(config, model, cert, cost, n_map, bounds, witness.B)
-
-
-@dataclass(frozen=True)
-class _TailSigma(KFn):
-    """r -> 2 (f(r, 0) + f.sum_tail(r, 1)): a summability bound that scales
-    in r as the gain f does, with headroom 2 over f's own tail bound.  A
-    gain without an analytic tail raises :class:`CapabilityError`."""
-
-    fn: KLFn
-
-    def _eval(self, r):
-        return 2.0 * (self.fn(r, 0) + self.fn.sum_tail(r, 1))
-
-
-def _explicit_summability(gains: dict):
-    out = {}
-    for key in ("gamma_hat", "delta_hat"):
-        fn = gains[key]
-        record = check_summable(fn, _TailSigma(fn))
-        if not record.passed:
-            raise ConfigError(f"explicit {key} failed its summability check")
-        out[key] = record
-    return out
+    return ResolvedExperiment(config, model, cert, cost, n_map, bounds)
 
 
 def contraction_for(resolved: ResolvedExperiment, K: int) -> ContractionAnalysis:
@@ -636,7 +627,7 @@ def _analysis_summary(resolved: ResolvedExperiment,
         "certificate": certificate_to_text(resolved.cert),
         "cost": cost_to_text(resolved.cost),
         "triangle_growth": list(resolved.n_map.values),
-        "compat_B": resolved.witness_B,
+        "compat_B": resolved.bounds.B,
         "a_factor": resolved.config.a_factor,
         "contractions": {},
     }

@@ -379,6 +379,9 @@ class _ZeroFromAge(KLFn):
     def _slope(self, s):
         return self.base._slope(s) if s < self.age else 0.0
 
+    def _tail(self, r, start):
+        return sum((self.base._eval(r, s) for s in range(start, self.age)), 0.0 * r)
+
 
 @pytest.mark.parametrize("K", [None, 4], ids=["fie", "mhe4"])
 def test_a_ragged_sum_group_with_zero_weight_stages_in_some_rows(K):

@@ -1,5 +1,6 @@
 """Certificate checks, cost compatibility, and the derived bound triple."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,13 +11,14 @@ import pytest
 import mhestab as M
 from mhestab import certificates
 from mhestab.comparison import (
+    CapabilityError,
     DomainError,
+    KLFn,
     LinearK,
     N_ONE,
     N_TWO,
     PlusMode,
     SeparableGeometric,
-    check_summable,
     seq_norms,
 )
 from mhestab.certificates import (
@@ -87,9 +89,7 @@ def test_shrunk_gamma_fails_on_impulse_pair():
         "s1-shrunk", PlusMode.SUM, base.alpha, base.beta,
         _geom(0.05, 0.5),    # gamma(r, s) = 0.1 * 0.5^{s} * 0.5 r scale: far too small
         base.delta, base.epsilon, base.phi,
-        validity="declared",
-        summability={**base.summability,
-                     "gamma": check_summable(_geom(0.05, 0.5), LinearK(0.1))})
+        validity="declared")
     T = 4
     w_imp = np.zeros((T, 1))
     w_imp[0, 0] = 1.0
@@ -347,6 +347,48 @@ def test_sum_certificates_carry_summability():
         assert cert.summability is not None
         for key in ("gamma", "delta", "epsilon", "phi"):
             assert cert.summability[key].passed
+
+
+class _ShortTail(KLFn):
+    """1.0 * 0.99^s r, whose declared tail from age 1 on is 0: the partial
+    sum, about 100 r, is far above the rule's 2 (r + 0)."""
+
+    def _eval(self, r, s):
+        return 0.99 ** s * r
+
+    def _tail(self, r, start):
+        return 0.0 * r
+
+
+class _NoTail(KLFn):
+    def _eval(self, r, s):
+        return 0.5 ** s * r
+
+
+def test_summability_is_derived_from_the_gains_it_describes():
+    cost = default_cost_from_certificate(builtin_certificate("s1", PlusMode.SUM), N_ONE)
+    gain = SeparableGeometric(3.0, 1.0, 0.5)
+    swapped = dataclasses.replace(cost, gamma_hat=gain)
+    assert swapped.summability["gamma_hat"].sigma.fn is gain
+    assert swapped.summability["gamma_hat"].passed
+    assert swapped.summability["delta_hat"] == cost.summability["delta_hat"]
+    with pytest.raises(TypeError, match="summability"):
+        M.CostSpec(PlusMode.SUM, gain, gain, gain, summability={})
+    with pytest.raises(TypeError, match="summability"):
+        IossCertificate("c", PlusMode.SUM, LinearK(1.0), gain, gain, gain, gain, gain,
+                        summability={})
+    assert M.CostSpec(PlusMode.MAX, gain, _NoTail(), _NoTail()).summability is None
+
+
+@pytest.mark.parametrize("owner,key", [("certificate", "delta"), ("cost", "delta_hat")])
+def test_a_gain_failing_the_tail_rule_is_refused(owner, key):
+    base = builtin_certificate("s1", PlusMode.SUM)
+    if owner == "cost":
+        base = default_cost_from_certificate(base, N_ONE)
+    with pytest.raises(DomainError, match=f"sum-mode {key} fails its summability check"):
+        dataclasses.replace(base, **{key: _ShortTail()})
+    with pytest.raises(CapabilityError, match="no analytic tail bound"):
+        dataclasses.replace(base, **{key: _NoTail()})
 
 
 def test_certificate_text_round_trip():

@@ -9,7 +9,6 @@ import mhestab as M
 import mhestab.estimator as E
 from mhestab.comparison import (
     DomainError,
-    LinearK,
     N_ONE,
     N_TWO,
     PlusMode,
@@ -66,11 +65,7 @@ def test_eval_cost_examples():
 
     sum_cost = M.CostSpec(PlusMode.SUM, SeparableGeometric(1.0, 1.0, 0.5),
                           SeparableGeometric(1.0, 1.0, 0.5),
-                          SeparableGeometric(1.0, 1.0, 0.5),
-                          summability={
-                              "gamma_hat": M.check_summable(SeparableGeometric(1, 1, 0.5), LinearK(2.0)),
-                              "delta_hat": M.check_summable(SeparableGeometric(1, 1, 0.5), LinearK(2.0)),
-                          })
+                          SeparableGeometric(1.0, 1.0, 0.5))
     omega = np.array([[1.0], [1.0]])   # ages 2 and 1
     val = one_window_cost(sum_cost, [0.0], [0.0], omega, zero)
     assert val == pytest.approx(0.25 + 0.5)
@@ -146,11 +141,7 @@ def test_s1_noise_free_v_recovers_disturbances():
     model = builtin_model("s1")
     heavy = SeparableGeometric(100.0, 1.0, 0.9)
     cost = M.CostSpec(PlusMode.SUM, SeparableGeometric(1.0, 1.0, 0.5),
-                      SeparableGeometric(2.0, 1.0, 0.5), heavy,
-                      summability={
-                          "gamma_hat": M.check_summable(SeparableGeometric(2, 1, 0.5), LinearK(4.0)),
-                          "delta_hat": M.check_summable(heavy, LinearK(1000.0)),
-                      })
+                      SeparableGeometric(2.0, 1.0, 0.5), heavy)
     gen = np.random.Generator(np.random.Philox(key=3))
     T = 5
     w = gen.uniform(-0.2, 0.2, (T, 1))

@@ -15,8 +15,8 @@ import pytest
 
 from mhestab import harness, stability
 from mhestab.cli import main as cli_main
-from mhestab.certificates import cost_to_text
-from mhestab.comparison import parse_klfn
+from mhestab.certificates import CostSpec, cost_to_text
+from mhestab.comparison import PlusMode, parse_klfn
 from mhestab.estimator import SolverConfig
 from mhestab.harness import (
     CONFIG_KEYS,
@@ -791,7 +791,7 @@ def test_an_explicit_sum_gain_summable_in_any_power_of_r_passes(text):
     # sum_s 2 * 0.5^s r^p = 4 r^p; a sigma linear in r, fitted at r = 1,
     # rejected the powers 2 and 0.5
     gain = parse_klfn(text)
-    evidence = harness._explicit_summability({"gamma_hat": gain, "delta_hat": gain})
+    evidence = CostSpec(PlusMode.SUM, gain, gain, gain).summability
     assert [ev.passed for ev in evidence.values()] == [True, True]
 
 
