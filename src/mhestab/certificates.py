@@ -116,10 +116,8 @@ def _tail_evidence(owner, keys: Sequence[str]) -> Optional[Dict[str, Summability
 
 @dataclass(frozen=True)
 class IossCertificate:
-    """Detectability data: alpha K-infinity, five KL gains, one plus mode.
-
-    In sum mode ``summability`` holds the evidence of the four discounted
-    gains, derived from the gains themselves by :class:`_TailSigma`."""
+    """Detectability data: alpha K-infinity, five KL gains, one plus mode; in
+    sum mode the tail-rule ``summability`` of its four discounted gains."""
 
     name: str
     mode: PlusMode
@@ -149,10 +147,8 @@ class IossCertificate:
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Stage-cost comparison functions, matched in mode to a certificate.
-
-    In sum mode ``summability`` holds the evidence of the two discounted
-    gains, derived as a certificate's is."""
+    """Stage-cost comparison functions, matched in mode to a certificate; in
+    sum mode the tail-rule ``summability`` of its two discounted gains."""
 
     mode: PlusMode
     beta_hat: KLFn

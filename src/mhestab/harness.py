@@ -23,7 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, asdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,9 +58,11 @@ from .certificates import (
     derive_bcd,
 )
 from .estimator import (
+    GENERIC_GROUP_ROW_STEPS,
     EstimateResult,
     SolverConfig,
     _step_windows,
+    _structured_engine,
     _window_costs,
     certification_record,
     run_fie,
@@ -78,14 +80,8 @@ from .stability import (
 REPORT_SCHEMA = "mhestab-report-v1"
 MARGIN_TOL = 1e-9
 
-#: The size rule: the largest value of each size key.  A run keeps every
-#: window it solves: each seed's cells hold t_final steps of windows up to
-#: t_max_fie (full information) or horizon long, and every generic window
-#: holds multistart candidate rows.  Beyond these a run would ask for more
-#: memory than a machine has, so the config is refused before anything is
-#: allocated.
-SIZE_LIMITS = {"t_final": 10_000, "t_max_fie": 2_000, "[solver] multistart": 1_000,
-               "number of seeds": 10_000}
+#: The size rule refuses a run expected to need more bytes (:func:`_check_size`).
+SIZE_BUDGET = 4 << 30
 
 
 class ConfigError(ValueError):
@@ -155,10 +151,7 @@ class ExperimentConfig:
             raise ConfigError("moving-horizon estimator needs horizon >= 1")
         if self.t_final < 1:
             raise ConfigError("t_final must be >= 1")
-        sizes = {"t_final": self.t_final, "t_max_fie": self.t_max_fie,
-                 "[solver] multistart": self.solver.multistart, "number of seeds": len(self.seeds)}
-        for key, value in sizes.items():
-            _check_size(key, value)
+        _check_size(self)
         if self.estimator == "fie" and self.t_final > self.t_max_fie:
             raise ConfigError(f"t_final = {self.t_final} exceeds the full-information "
                               f"horizon cap t_max_fie = {self.t_max_fie}")
@@ -190,17 +183,36 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _check_size(key: str, value: int):
-    if value > SIZE_LIMITS[key]:
-        raise ConfigError(f"{key} = {value} exceeds the size limit {SIZE_LIMITS[key]}")
+def _check_size(config: ExperimentConfig, model: Optional[SystemModel] = None,
+                cost: Optional[CostSpec] = None):
+    """Refuse a run expected, by peak resident sizes of ``s1`` and ``s4`` runs,
+    to need over ``SIZE_BUDGET`` bytes: 2 kB a step, 256 bytes a cell step and
+    72 per entry of its window, and, where ``model`` and ``cost`` need a generic
+    engine, 9 kB + 384 per window entry for each start and entry of the group
+    being solved (at most ``GENERIC_GROUP_ROW_STEPS`` or one step of the cells)."""
+    T, seeds = config.t_final, config.seeds
+    # a lo:hi range of seeds stays a range until the rule admits it
+    count = max(0, seeds.stop - seeds.start) if isinstance(seeds, range) else len(seeds)
+    cells = len(config.scenarios) * count
+    W = T if config.estimator == "fie" else min(T, max((config.horizon,) + tuple(config.sweep)))
+    need = (T + 1) * (2048 + cells * (256 + 72 * W))
+    generic = model is not None and _structured_engine(model, cost, W) is None
+    if generic:
+        need += config.solver.multistart * (9216 + 384 * W) * min(
+            cells * (T + 1) * W, max(GENERIC_GROUP_ROW_STEPS, cells * W))
+    if need > SIZE_BUDGET:
+        raise ConfigError(
+            f"the run needs about {need >> 30} GiB, beyond the size budget of "
+            f"{SIZE_BUDGET >> 30} GiB: t_final = {T}, {len(config.scenarios)} scenarios x "
+            f"{count} seeds, window {W}"
+            + (f", [solver] multistart = {config.solver.multistart}" if generic else ""))
 
 
-def _parse_seeds(text: str) -> Tuple[int, ...]:
+def _parse_seeds(text: str) -> Sequence[int]:
     text = text.strip()
     if ":" in text:
         lo, hi = (int(part) for part in text.split(":"))
-        _check_size("number of seeds", hi - lo)     # before the range is built
-        return tuple(range(lo, hi))
+        return range(lo, hi)
     return _parse_list(text, "seeds")
 
 
@@ -278,6 +290,7 @@ def _read_config(path: str) -> ExperimentConfig:
         fields["scenarios"] = scenarios
     cfg = ExperimentConfig(**fields)
     cfg.validate()
+    cfg.seeds = tuple(cfg.seeds)
     if cfg.cost_beta_hat or cfg.cost_gamma_hat or cfg.cost_delta_hat:
         if cfg.cost == "default" and parser.has_option("experiment", "cost"):
             raise ConfigError(f"cost = default conflicts with the [cost] section of {path!r}: "
@@ -326,6 +339,7 @@ def resolve(config: ExperimentConfig) -> ResolvedExperiment:
             cost = CostSpec(mode, **gains)
         except DomainError as exc:
             raise ConfigError(f"invalid explicit cost: {exc}") from None
+    _check_size(config, model, cost)
     witness = check_compatibility(cert, cost, n_map)
     if not witness.passed:
         raise AnalysisError(

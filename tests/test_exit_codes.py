@@ -13,7 +13,7 @@ import pytest
 import mhestab as M
 from mhestab import harness
 from mhestab.cli import main as cli_main
-from mhestab.harness import ConfigError, ExperimentConfig, load_config
+from mhestab.harness import ConfigError, ExperimentConfig, load_config, resolve
 
 from test_harness import _cost_config, _edit_config, _write_config
 
@@ -39,42 +39,85 @@ def _s1_sum_mhe(tmp_path, t_final, extra=""):
     return path
 
 
-def _seed_range(tmp_path, count):
-    return _edit_config(tmp_path, "seeds = 0,1", f"seeds = 0:{count}", t_final=4)
+def _seed_range(tmp_path, count, **kw):
+    return _edit_config(tmp_path, "seeds = 0,1", f"seeds = 0:{count}", **kw)
 
 
-@pytest.mark.parametrize("key,make", [
-    ("t_final", lambda tmp, v: _s1_sum_mhe(tmp, v)),
-    ("t_max_fie", lambda tmp, v: _s1_sum_mhe(tmp, 4, extra=f"t_max_fie = {v}")),
-    ("[solver] multistart", _s4_sum_fie),
-    ("number of seeds", _seed_range),
-], ids=["t_final", "t_max_fie", "multistart", "seeds"])
-@pytest.mark.parametrize("value", ["100000000", "1000000000000", str(2 ** 128)])
-def test_an_oversize_config_is_refused_as_it_loads(tmp_path, capsys, monkeypatch, key, make,
+SIZE_MESSAGE = "the run needs about [0-9]+ GiB, beyond the size budget of 4 GiB: "
+
+
+def _refused_before_simulation(path, capsys):
+    for verb in ("run", "analyze"):
+        assert cli_main([verb, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {SIZE_MESSAGE}.*\n", err), err
+
+
+@pytest.mark.parametrize("make,sizes", [
+    (lambda tmp, v: _s1_sum_mhe(tmp, v), "t_final = {v}, 2 scenarios x 2 seeds, window 2"),
+    (lambda tmp, v: _seed_range(tmp, v, t_final=4),
+     "t_final = 4, 2 scenarios x {v} seeds, window 4"),
+], ids=["t_final", "seeds"])
+@pytest.mark.parametrize("value", [10 ** 8, 10 ** 12, 2 ** 128])
+def test_an_oversize_config_is_refused_as_it_loads(tmp_path, capsys, monkeypatch, make, sizes,
                                                    value):
     # the rule is checked, not the allocation: nothing may be simulated
     monkeypatch.setattr(harness, "_truths", lambda *args: pytest.fail("simulated"))
     path = make(tmp_path, value)
-    message = re.escape(f"{key} = {value} exceeds the size limit ") + "[0-9]+"
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=SIZE_MESSAGE + re.escape(sizes.format(v=value)) + "$"):
         load_config(path)
-    for verb in ("run", "analyze"):
-        assert cli_main([verb, "--config", path]) == 2
-        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+    _refused_before_simulation(path, capsys)
 
 
-def test_every_size_key_loads_at_its_limit(tmp_path):
-    limits = harness.SIZE_LIMITS
-    assert load_config(_s1_sum_mhe(tmp_path, limits["t_final"])).t_final == limits["t_final"]
-    cfg = load_config(_s1_sum_mhe(tmp_path, 4, extra=f"t_max_fie = {limits['t_max_fie']}"))
-    assert cfg.t_max_fie == limits["t_max_fie"]
-    cfg = load_config(_s4_sum_fie(tmp_path, limits["[solver] multistart"]))
-    assert cfg.solver.multistart == limits["[solver] multistart"]
-    assert len(load_config(_seed_range(tmp_path, limits["number of seeds"])).seeds) == \
-        limits["number of seeds"]
-    over = limits["number of seeds"] + 1
-    with pytest.raises(ConfigError, match=f"number of seeds = {over} exceeds"):
-        ExperimentConfig(seeds=tuple(range(over))).validate()
+@pytest.mark.parametrize("make", [
+    # no key is large alone: their product is
+    lambda tmp: _seed_range(tmp, 10_000, estimator="mhe", t_final=10_000),
+    lambda tmp: _seed_range(tmp, 100, t_final=2000, extra="t_max_fie = 2000"),
+], ids=["mhe", "fie"])
+def test_a_config_too_large_only_in_its_product_is_refused(tmp_path, capsys, monkeypatch, make):
+    monkeypatch.setattr(harness, "_truths", lambda *args: pytest.fail("simulated"))
+    path = make(tmp_path)
+    with pytest.raises(ConfigError, match=SIZE_MESSAGE):
+        load_config(path)
+    _refused_before_simulation(path, capsys)
+
+
+@pytest.mark.parametrize("value", [10 ** 8, 10 ** 12, 2 ** 128])
+def test_oversize_generic_starts_are_refused_as_the_config_resolves(tmp_path, capsys,
+                                                                    monkeypatch, value):
+    monkeypatch.setattr(harness, "_truths", lambda *args: pytest.fail("simulated"))
+    path = _s4_sum_fie(tmp_path, value)
+    cfg = load_config(path)         # whether the engine is generic is known once it resolves
+    message = re.escape(f"t_final = 2, 2 scenarios x 2 seeds, window 2, [solver] multistart = "
+                        f"{value}")
+    with pytest.raises(ConfigError, match=SIZE_MESSAGE + message + "$"):
+        resolve(cfg)
+    _refused_before_simulation(path, capsys)
+
+
+def test_starts_no_generic_engine_reads_are_not_counted(tmp_path, capsys):
+    path = _edit_config(tmp_path, "method = gauss_newton_penalty", "multistart = 100000000",
+                        t_final=2)
+    assert cli_main(["run", "--config", path]) == 0, capsys.readouterr().err
+
+
+def test_configs_within_the_budget_load(tmp_path):
+    # a long run, a window solved with many starts, many seeds, an unread t_max_fie
+    assert load_config(_s1_sum_mhe(tmp_path, 20_000)).t_final == 20_000
+    assert load_config(_s1_sum_mhe(tmp_path, 4, extra=f"t_max_fie = {2 ** 128}")).t_max_fie == \
+        2 ** 128
+    assert load_config(_seed_range(tmp_path, 20_000, t_final=4)).seeds == tuple(range(20_000))
+    cfg = load_config(_s4_sum_fie(tmp_path, 2000))
+    assert resolve(cfg).config.solver.multistart == 2000
+
+
+def test_the_budget_admits_a_run_up_to_its_expected_size():
+    # one cell of window 1 is expected to need 2048 + 256 + 72 bytes a step
+    last = harness.SIZE_BUDGET // (2048 + 256 + 72) - 1
+    ExperimentConfig(estimator="mhe", horizon=1, t_final=last).validate()
+    with pytest.raises(ConfigError, match=SIZE_MESSAGE + re.escape(
+            f"t_final = {last + 1}, 1 scenarios x 1 seeds, window 1") + "$"):
+        ExperimentConfig(estimator="mhe", horizon=1, t_final=last + 1).validate()
 
 
 # ---------------------------------------------------------------------------
