@@ -16,8 +16,8 @@ family defined here has a text form (:data:`TEXT_FORMS`), which is how a
 config names a gain.  A K-function is inverted by its own ``inverse``,
 which raises :class:`CapabilityError` for one that is not K-infinity.
 
-All objects are immutable after construction and safe to share between
-workers.
+All objects are immutable after construction, but for the slope table a KL
+function grows (:func:`slope_table`), and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -793,26 +793,27 @@ class SFloorKL(KLFn):
 # Gain terms: the discounted window sequences of costs and bounds
 # ---------------------------------------------------------------------------
 
-_SLOPE_TABLES: dict = {}
-
-
 def slope_table(fn: KLFn, s_max: int) -> Optional[np.ndarray]:
     """Slopes of the linear-in-r slices fn(., s) for s = 0..s_max, or None if
     any slice is not exactly linear.
 
-    Keyed by object identity with the function kept alive in the cache entry,
-    so a recycled id can never alias a different function.
+    fn keeps one read-only table of its slopes, grown to the longest age
+    asked for, never past it, and ended at the first slice that is not
+    linear; so ``r_slope`` is asked once per age.  The result is a prefix
+    view of that table.
     """
-    key = (id(fn), s_max)
-    hit = _SLOPE_TABLES.get(key)
-    if hit is not None and hit[0] is fn:
-        return hit[1]
-    slopes = [fn.r_slope(s) for s in range(s_max + 1)]
-    table = None if any(s is None for s in slopes) else np.asarray(slopes, dtype=float)
-    if len(_SLOPE_TABLES) > 4096:
-        _SLOPE_TABLES.clear()
-    _SLOPE_TABLES[key] = (fn, table)
-    return table
+    table, ended = getattr(fn, "_slopes", (np.empty(0), False))
+    if not ended and len(table) <= s_max:
+        grown = []
+        for slope in map(fn.r_slope, range(len(table), s_max + 1)):
+            if slope is None:
+                break
+            grown.append(slope)
+        ended = len(table) + len(grown) <= s_max
+        table = np.concatenate([table, np.asarray(grown, dtype=float)])
+        table.flags.writeable = False
+        object.__setattr__(fn, "_slopes", (table, ended))
+    return table[:s_max + 1] if len(table) > s_max else None
 
 
 def seq_norms(arr: np.ndarray) -> np.ndarray:
@@ -915,8 +916,9 @@ def check_kl_slices(grid: np.ndarray, slices, s_max: int) -> GridEvidence:
                     worst = m
                     worst_pt = (float(grid[int(np.argmin(diffs))]), s)
                 if m <= 0.0:
-                    return GridEvidence(False, m, worst_pt,
-                                        f"slice s={s} not strictly increasing in r")
+                    tiny = np.abs(vals).min() < np.finfo(float).tiny
+                    return GridEvidence(False, m, worst_pt, f"slice s={s} not strictly increasing "
+                                        f"in r{' (its values underflowed)' if tiny else ''}")
         cur = vals[::stride]
         if s == 0:
             base = prev = cur

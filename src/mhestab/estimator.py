@@ -405,37 +405,36 @@ N_LEVELS = 48             # levels per bisection pass
 
 
 class _WidthTable:
-    """Per-age halfwidth evaluator fn(., age)^{-1}(level), slope-cached, for
-    the windows of a group: the prior's at the age of the window length, or
-    the stages' at ages 1 .. length.
+    """Per-age halfwidth evaluator fn(., age)^{-1}(level) for the windows of
+    a group: the prior's at the age of the window length, or the stages' at
+    ages 1 .. length.
 
-    A window length whose slices at those ages are linear with positive
-    slopes takes a vectorized inverse-slope product, as its window alone
-    does; any other falls back to per-level inversion.  Widths are capped: a
-    deeply discounted term is effectively unconstrained at any respectable
-    level.
+    One slope table of fn, to the longest length, serves every length.  A
+    length whose slopes at those ages are positive takes a vectorized
+    inverse-slope product, as its window alone does; any other, and all of
+    them if a slice up to the longest is not linear, per-level inversion.
+    Widths are capped: a deeply discounted term is effectively unconstrained.
     """
 
     def __init__(self, fn, lengths: np.ndarray, prior: bool):
         self.fn = fn
-        distinct = sorted(set(lengths.tolist()))
-        self.linear = np.zeros(distinct[-1] + 1, dtype=bool)
-        self.inv = np.full(distinct[-1] + 1, math.nan)      # 1 / slope per age
-        for L in distinct:
-            table = slope_table(fn, L)
-            ages = [L] if prior else slice(1, L + 1)
-            if table is not None and np.all(table[ages] > 0):
-                self.linear[L] = True
-                with np.errstate(divide="ignore"):
-                    self.inv[:L + 1] = 1.0 / table      # the tables of fn are prefixes
-        self.by_level = not self.linear[distinct].all()     # some length is not linear
+        longest = int(lengths.max())
+        table = slope_table(fn, longest)
+        table = np.zeros(longest + 1) if table is None else table   # None: no length is linear
+        self.linear = table > 0
+        if not prior:       # positive at every stage age 1 .. L
+            self.linear = np.logical_and.accumulate(np.r_[True, self.linear[1:]])
+        with np.errstate(divide="ignore", over="ignore"):   # 0 and subnormal slopes
+            self.inv = 1.0 / table      # 1 / slope per age
+        self.by_level = not self.linear[lengths].all()     # some length is not linear
 
     def widths(self, levels: np.ndarray, ages: np.ndarray, k: np.ndarray) -> np.ndarray:
         """Halfwidths (R, L) at the levels (R, L) of rows of window lengths
         k (R,), at the age (R,) >= 1 of each row: the inverse-slope product
         for every row, then per-level inversion for the rows whose length
         is not linear."""
-        out = np.minimum(self.inv[ages][:, None] * levels, WIDTH_CAP)
+        with np.errstate(over="ignore", invalid="ignore"):     # capped; inf * level 0 is NaN
+            out = np.minimum(self.inv[ages][:, None] * levels, WIDTH_CAP)
         if not self.by_level:
             return out
         for r in np.nonzero(~self.linear[k])[0].tolist():
@@ -1207,7 +1206,8 @@ def _gauss_newton_pair(objective: _Objective, window: int, z: np.ndarray, cfg: S
                 if j is None:
                     break
                 z, at, alpha, batch = batch.Z[j], batch.terms[j], _HALVINGS[j], None
-            if float(np.linalg.norm(alpha * step)) < cfg.tol:
+            x = alpha * step
+            if math.sqrt(x.dot(x)) < cfg.tol:
                 break
     return plus_reduce(objective.rows.cost.mode, at), z, iters
 

@@ -119,9 +119,12 @@ class ZetaK(KFn):
         return True
 
 
-def _linear_coefficient(fn: KLFn, s: int, alpha: KFn) -> Optional[float]:
-    slope = fn.r_slope(s)
+def _linear_coefficient(fn: KLFn, K: int, alpha: KFn) -> Optional[float]:
+    slope = fn.r_slope(K)
     if slope is not None and isinstance(alpha, LinearK):
+        if slope / alpha.c == 0.0:
+            raise DomainError(f"the contraction rate at horizon K={K} underflowed to 0 "
+                              f"(the slope of b at age {K} is {slope!r})")
         return slope / alpha.c
     return None
 
@@ -324,7 +327,8 @@ def build_hat_bounds(analysis: ContractionAnalysis, bounds: DerivedBounds,
                          for fn in (b_hat, c_hat, d_hat))
         bad = [ev for ev in evidence if not ev.passed]
         if bad:
-            raise DomainError(f"hat bound failed KL grid check: {bad[0].description}")
+            raise DomainError(f"hat bound at horizon K={K} failed KL grid check: "
+                              f"{bad[0].description}")
     return HatBounds(analysis.mode, K, b_hat, c_hat, d_hat, analysis.kappa, analysis, evidence)
 
 

@@ -377,35 +377,29 @@ def _sin_half_image(lo, hi, u):
 
 
 def _sin_half_solve(c, lo, hi, u):
-    """Points x in [lo, hi] with 0.5 sin(x) = c, elementwise; one libm solve
-    per element, so each is what the element alone gives."""
-    c, lo, hi = np.broadcast_arrays(c, lo, hi)
-    return np.array([_sin_half_solve_one(*args)
-                     for args in zip(c.ravel().tolist(), lo.ravel().tolist(),
-                                     hi.ravel().tolist())]).reshape(c.shape)
-
-
-def _sin_half_solve_one(c: float, lo: float, hi: float) -> float:
-    """A point x in [lo, hi] with 0.5 sin(x) = c, assuming one exists.
+    """Points x in [lo, hi] with 0.5 sin(x) = c, elementwise, assuming one
+    exists.
 
     Each solution branch repeats with period 2 pi, so only the first period
-    at or above lo needs checking per branch.
+    at or above lo needs checking per branch.  Of the branches in reach, the
+    one whose point solves better wins, the first on a tie; with neither in
+    reach, the endpoint that solves better, lo on a tie (callers only ask for
+    reachable c).  asin is libm's, one element at a time: ``np.arcsin``
+    differs from it in the last bit.
     """
-    t = min(max(2.0 * c, -1.0), 1.0)
-    base = math.asin(t)
-    best = None
+    c, lo, hi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (c, lo, hi)))
+    t = np.clip(2.0 * c, -1.0, 1.0)
+    base = np.array([math.asin(v) for v in t.ravel().tolist()]).reshape(t.shape)
+    cands, reach, errs = [], [], []
     for branch in (base, math.pi - base):
-        k = math.ceil((lo - 1e-12 - branch) / _TWO_PI)
+        k = np.ceil((lo - 1e-12 - branch) / _TWO_PI) + 0.0     # an integer k is never -0.0
         cand = branch + k * _TWO_PI
-        if cand <= hi + 1e-12:
-            cand = min(max(cand, lo), hi)
-            err = abs(0.5 * math.sin(cand) - c)
-            if best is None or err < best[0]:
-                best = (err, cand)
-    if best is None:
-        # fall back to the closest endpoint; callers only ask for reachable c
-        return lo if abs(0.5 * math.sin(lo) - c) <= abs(0.5 * math.sin(hi) - c) else hi
-    return best[1]
+        reach.append(cand <= hi + 1e-12)
+        cands.append(clamp(cand, lo, hi))
+        errs.append(np.abs(0.5 * np.sin(cands[-1]) - c))
+    second = reach[1] & (~reach[0] | (errs[1] < errs[0]))
+    nearer = np.where(np.abs(0.5 * np.sin(lo) - c) <= np.abs(0.5 * np.sin(hi) - c), lo, hi)
+    return np.where(reach[0] | reach[1], np.where(second, cands[1], cands[0]), nearer)
 
 
 def _make_s3() -> SystemModel:

@@ -37,6 +37,9 @@ the engine solved it before it took a group of windows at once, and
 ``sum_pwl_window`` the sum-mode dynamic program of one window on Python
 lists, as the engine solved it before it held a group of value functions
 as arrays; ``test_cell_axis.py`` pins every row of a group to them.
+``sin_half_solve_one`` is the s3 plant's interval solve of one element on
+Python floats, as ``systems`` ran it before it solved arrays at once;
+``test_systems.py`` pins the array solve to it.
 ``check_cell`` is the certification and bound check of one cell, one step
 at a time, as the harness ran it before it checked a horizon group at
 once; ``test_cell_axis.py`` pins the group check to it.
@@ -570,6 +573,31 @@ def _rollout_one(problem, chi0, omega):
     nu = np.array([problem.y_win[j] - np.atleast_1d(model.h_nominal(xs[j], problem.u_win[j]))
                    for j in range(K)])
     return xs, x, nu
+
+
+def sin_half_solve_one(c: float, lo: float, hi: float) -> float:
+    """A point x in [lo, hi] with 0.5 sin(x) = c, assuming one exists: the
+    s3 plant's ``f_solve`` of one element, on Python floats.
+
+    Each solution branch repeats with period 2 pi, so only the first period
+    at or above lo needs checking per branch.
+    """
+    two_pi = 2.0 * math.pi
+    t = min(max(2.0 * c, -1.0), 1.0)
+    base = math.asin(t)
+    best = None
+    for branch in (base, math.pi - base):
+        k = math.ceil((lo - 1e-12 - branch) / two_pi)
+        cand = branch + k * two_pi
+        if cand <= hi + 1e-12:
+            cand = min(max(cand, lo), hi)
+            err = abs(0.5 * math.sin(cand) - c)
+            if best is None or err < best[0]:
+                best = (err, cand)
+    if best is None:
+        # fall back to the closest endpoint; callers only ask for reachable c
+        return lo if abs(0.5 * math.sin(lo) - c) <= abs(0.5 * math.sin(hi) - c) else hi
+    return best[1]
 
 
 def _widths(table, K, levels, prior=False):

@@ -1,6 +1,9 @@
 """Window solves, the growing- and moving-horizon drivers, and certification."""
 
+import collections
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,11 +11,14 @@ import pytest
 import mhestab as M
 import mhestab.estimator as E
 from mhestab.comparison import (
+    CapabilityError,
     DomainError,
+    KLFn,
     N_ONE,
     N_TWO,
     PlusMode,
     SeparableGeometric,
+    slope_table,
 )
 from mhestab.certificates import (
     builtin_certificate,
@@ -309,6 +315,66 @@ def test_run_fie_horizon_cap():
     y = np.zeros((1, 300, 1))
     with pytest.raises(HorizonCapError):
         run_fie(model, cost, [0.0], np.zeros((300, 1)), y, SolverConfig(), t_max=200)
+
+
+class _SlopeCounting(KLFn):
+    """A gain that counts the ages its slope is asked at."""
+
+    def __init__(self, fn):
+        self.fn, self.asked = fn, collections.Counter()
+
+    def _eval(self, r, s):
+        return self.fn._eval(r, s)
+
+    def _slope(self, s):
+        self.asked[s] += 1
+        return self.fn._slope(s)
+
+    def _inverse(self, y, s):
+        return self.fn._inverse(y, s)
+
+
+def test_a_fie_run_asks_each_gain_for_a_slope_once_per_age():
+    # every growing window asks each gain at every age up to its length;
+    # one slope table per gain, grown to the longest, answers them all
+    model, T = builtin_model("s1"), 48
+    base = _cost("s1", PlusMode.MAX)
+    gains = {name: _SlopeCounting(getattr(base, name))
+             for name in ("beta_hat", "gamma_hat", "delta_hat")}
+    cost = dataclasses.replace(base, **gains)
+    gen = np.random.default_rng(3)
+    u = np.zeros((T + 1, 1))
+    sol = simulate(model, [0.8], u, gen.uniform(-0.1, 0.1, (T + 1, 1)),
+                   gen.uniform(-0.1, 0.1, (T + 1, 1)), T + 1)
+    runs = run_fie(model, cost, [1.3], u[:T], sol.y[None, :T], SolverConfig())
+    reference = run_fie(model, base, [1.3], u[:T], sol.y[None, :T], SolverConfig())
+    assert [r.cell(0).published.tolist() for r in runs] == \
+        [r.cell(0).published.tolist() for r in reference]
+    for name, gain in gains.items():
+        assert sorted(gain.asked) == list(range(T + 1)), name
+        assert set(gain.asked.values()) == {1}, name
+
+
+def test_width_table_of_subnormal_and_zero_slopes_is_the_per_level_inverse():
+    # s1 max beta_hat's slopes are subnormal at ages 1070-1074 and 0 from 1075 on
+    beta_hat = _cost("s1", PlusMode.MAX).beta_hat
+    lengths = np.arange(1070, 1081)
+    slopes = slope_table(beta_hat, 1080)[lengths]
+    assert (0.0 < slopes[:5]).all() and (slopes[:5] < np.finfo(float).tiny).all()
+    assert (slopes[5:] == 0.0).all()
+    levels = np.tile(np.geomspace(1e-6, 1e6, 7), (len(lengths), 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = E._WidthTable(beta_hat, lengths, True).widths(levels, lengths, lengths)
+
+    def per_level(level, age):
+        try:
+            return min(beta_hat.r_inverse(level, age), E.WIDTH_CAP)
+        except CapabilityError:
+            return E.WIDTH_CAP
+
+    assert got.tolist() == [[per_level(lev, int(L)) for lev in row]
+                            for row, L in zip(levels.tolist(), lengths)]
 
 
 def test_run_mhe_equals_fie_for_long_horizon():

@@ -146,9 +146,15 @@ def _incompatible_cost(tmp_path):
      "horizon sweep needs a sweep = K1,K2,... entry"),
     ("sweep", lambda tmp: _write_config(tmp, estimator="mhe", t_final=6, extra="sweep = 1"),
      "no swept horizon admits a contraction"),
+    ("analyze", lambda tmp: _write_config(tmp, estimator="mhe", horizon=1100, t_final=2000),
+     "the contraction rate at horizon K=1100 underflowed to 0 (the slope of b at age 1100 "
+     "is 0.0)"),
+    ("run", lambda tmp: _write_config(tmp, estimator="mhe", horizon=1000, t_final=2000),
+     "hat bound at horizon K=1000 failed KL grid check: slice s=1250 not strictly increasing "
+     "in r (its values underflowed)"),
 ], ids=["estimator-foo", "mhe-horizon-0", "t-final-0", "a-factor-half", "certificate-nope",
         "incompatible-cost", "analyze-no-contraction", "sweep-without-sweep",
-        "sweep-no-contraction"])
+        "sweep-no-contraction", "analyze-rate-underflow", "run-hat-bound-underflow"])
 def test_each_failure_before_simulation_exits_2_with_its_message(tmp_path, capsys, monkeypatch,
                                                                  verb, make, message):
     monkeypatch.setattr(harness, "_truths", lambda *args: pytest.fail("simulated"))

@@ -1,5 +1,6 @@
 """Plant simulation, solution verification, and disturbance scenarios."""
 
+import math
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from mhestab.systems import (
     simulate,
     verify_solution,
 )
+from reference_folds import sin_half_solve_one
 
 
 def test_simulate_s1_geometric_decay():
@@ -268,3 +270,34 @@ def test_sin_solve_finds_root():
         assert lo - 1e-9 <= x <= hi + 1e-9
         assert 0.5 * np.sin(x) == pytest.approx(c, abs=1e-9)
 
+
+def _edge_triples():
+    """(c, lo, hi) triples on the edges of the s3 solve: lo == hi, an
+    unreachable |2c| > 1, both branches in reach (the first wins a tie),
+    neither in reach (lo wins a tie), and signed zeros."""
+    rng = np.random.default_rng(5)
+    c = rng.uniform(-0.5, 0.5, 2000)
+    both = [(x, -math.pi, 3 * math.pi) for x in c.tolist()]
+    flat = [(x, lo, lo) for x, lo in zip(c.tolist(), rng.uniform(-9, 9, 2000).tolist())]
+    return both + flat + [
+        (0.7, -1.0, 2.0), (-0.7, -1.0, 2.0), (0.5, 0.0, 7.0), (-0.5, -7.0, 0.0),
+        (0.3, 0.0, 0.1), (-0.3, 2.0, 2.5), (0.0, -0.0, 0.0), (-0.0, -0.0, 0.0),
+        (-0.0, -1.0, 1.0), (0.0, 0.0, 0.0), (0.3, -0.0, 0.0),
+        (0.25, 0.5235987755982988, 0.5235987755982988),
+    ]
+
+
+def test_sin_solve_is_the_one_element_solve_bit_for_bit():
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(-20, 20, 20000)
+    hi = lo + rng.uniform(0, 10, 20000)
+    triples = list(zip(rng.uniform(-0.6, 0.6, 20000).tolist(), lo.tolist(), hi.tolist()))
+    triples += _edge_triples()
+    c, lo, hi = (np.array(col) for col in zip(*triples))
+    got = builtin_model("s3").f_solve(c, lo, hi, np.zeros(1))
+    want = np.array([sin_half_solve_one(*t) for t in triples])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    # the ties of the first edge set are common: the first branch takes them
+    base = np.array([math.asin(2.0 * x) for x in c[20000:22000].tolist()])
+    errs = [np.abs(0.5 * np.sin(b) - c[20000:22000]) for b in (base, math.pi - base)]
+    assert (errs[0] == errs[1]).sum() > 100
