@@ -63,13 +63,17 @@ converges, breaks or runs out of iterations.  ``solve_window`` is a group
 of one.
 
 A pair reads the rows of a pass in the order its algorithm evaluates
-candidates, and only those, so the iterates are those of evaluating one
-candidate at a time on one window, bit for bit.  A row's numbers do not
-depend on the rows that share its pass: a row the batch cannot take is
-evaluated alone in the pass, and one that fails there raises its own error
-only when a pair reads it, so a candidate that algorithm would not have
-evaluated can neither raise nor change the result.  This needs plant maps
-that accept a leading batch axis (see :mod:`mhestab.systems`).
+candidates, and only those, and a row's numbers do not depend on the rows
+that share its pass, so the iterates are those of evaluating one candidate
+at a time on one window, bit for bit.  This needs plant maps that accept a
+leading batch axis (see :mod:`mhestab.systems`).
+
+Every engine rejects a candidate whose cost is not finite: the max-mode
+engine skips a bracket without a finite cost, the sum-mode engine scores
+NaN as +inf, and the generic engines score +inf a candidate with a NaN
+distance, norm or cost term.  A plant map or gain that raises on a pass
+raises its own error for the whole group, and a negative cost term (a
+broken gain) is a ``DomainError``.
 
 ``_window_costs``, the cost that is reported and certified, prices a stack
 of windows, each of its own length, by the rule of the error bounds in
@@ -430,22 +434,21 @@ class _WidthTable:
 
     def widths(self, levels: np.ndarray, ages: np.ndarray, k: np.ndarray) -> np.ndarray:
         """Halfwidths (R, L) at the levels (R, L) of rows of window lengths
-        k (R,), at the age (R,) >= 1 of each row: the inverse-slope product
-        for every row, then per-level inversion for the rows whose length
-        is not linear."""
+        k (R,), at the age (R,) >= 1 of each row: 0 at a level <= 0, else
+        the inverse-slope product for every row, then per-level inversion
+        for the rows whose length is not linear."""
         with np.errstate(over="ignore", invalid="ignore"):     # capped; inf * level 0 is NaN
             out = np.minimum(self.inv[ages][:, None] * levels, WIDTH_CAP)
+        out[levels <= 0.0] = 0.0
         if not self.by_level:
             return out
         for r in np.nonzero(~self.linear[k])[0].tolist():
             for i, lev in enumerate(levels[r]):
-                if lev <= 0.0:
-                    out[r, i] = 0.0
-                    continue
-                try:
-                    out[r, i] = min(self.fn.r_inverse(lev, int(ages[r])), WIDTH_CAP)
-                except CapabilityError:
-                    out[r, i] = WIDTH_CAP
+                if lev > 0.0:
+                    try:
+                        out[r, i] = min(self.fn.r_inverse(lev, int(ages[r])), WIDTH_CAP)
+                    except CapabilityError:
+                        out[r, i] = WIDTH_CAP
         return out
 
 
@@ -871,16 +874,14 @@ class _Objective:
     of the windows ``owner`` (B,) of the group, in nondecreasing length, to
     their cost terms (B, 2K+1), ordered beta_hat, then gamma_hat and
     delta_hat of each window step in time order and 0 past a row's own
-    2L+1; and the errors of the rows whose evaluation alone raises.  Each
-    row reads its own window's prior, outputs and length, each gain is
-    evaluated once per age on the rows that have a term at that age, and
-    every row is computed by exactly the arithmetic of evaluating that
-    candidate alone on its window, so neither batching nor grouping moves
-    an iterate.  A row the batch cannot take -- a NaN distance or norm,
-    zeroed for the batch, a NaN or negative term, or every row when the
-    batch raises -- is evaluated alone in the pass; a failing one keeps NaN
-    terms and its error, which :class:`_Batch` raises only when an engine
-    reads that row.
+    2L+1.  Each row reads its own window's prior, outputs and length, each
+    gain is evaluated once per age on the rows that have a term at that
+    age, and every row is computed by exactly the arithmetic of evaluating
+    that candidate alone on its window, so neither batching nor grouping
+    moves an iterate.  A candidate with a NaN distance, norm or term is
+    rejected: its row is +inf, which every engine scores +inf.  A negative
+    term (a broken gain) raises ``DomainError``, and a plant map or gain
+    that raises on a pass raises its own error.
     """
 
     def __init__(self, rows: _Rows):
@@ -896,30 +897,10 @@ class _Objective:
         B, n = len(Z), self.n
         return Z[:, :n], Z[:, n:].reshape(B, (Z.shape[1] - n) // self.q, self.q)
 
-    def evaluate(self, Z: np.ndarray, owner: np.ndarray):
-        """``(terms, errors)`` of the candidate rows Z, row b a candidate of
-        window ``owner[b]``; ``errors`` maps each failing row, in order, to
-        what evaluating it alone raises."""
-        B, K = len(Z), (Z.shape[1] - self.n) // self.q
-        errors = {}
-        with np.errstate(all="ignore"):
-            try:
-                terms, alone = self._evaluate(Z, owner, strict=False)
-            except Exception:
-                # a plant map or gain failed on some row, which need not be
-                # one the engine reads
-                terms, alone = np.zeros((B, 2 * K + 1)), np.ones(B, dtype=bool)
-            for b in np.flatnonzero(alone).tolist():
-                L = int(self.rows.k[owner[b]])
-                try:
-                    one, _ = self._evaluate(Z[b:b + 1, :self.dim_of(L)], owner[b:b + 1], True)
-                    plus_reduce(self.rows.cost.mode, one[0])    # NaN or negative terms
-                    terms[b, :2 * L + 1] = one[0]
-                except Exception as exc:
-                    terms[b], errors[b] = np.nan, exc
-        return terms, errors
-
-    def _evaluate(self, Z: np.ndarray, owner: np.ndarray, strict: bool):
+    @np.errstate(all="ignore")
+    def evaluate(self, Z: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """The cost terms of the candidate rows Z, row b a candidate of
+        window ``owner[b]``; +inf in every entry of a rejected row."""
         rows = self.rows.take(owner)            # each candidate's own window
         cost, K, k, live = rows.cost, rows.K, rows.k, rows.live
         B = len(Z)
@@ -928,8 +909,8 @@ class _Objective:
         dist = row_distances(chi0, rows.prior)
         wn = np.sqrt(_row_sqnorms(omega))
         vn = np.sqrt(_row_sqnorms(nu))
-        alone = np.isnan(dist) | np.isnan(wn).any(axis=1) | np.isnan(vn).any(axis=1)
-        if not strict and alone.any():
+        rejected = np.isnan(dist) | np.isnan(wn).any(axis=1) | np.isnan(vn).any(axis=1)
+        if rejected.any():                      # the gains refuse a NaN argument
             dist, wn, vn = (np.where(np.isnan(a), 0.0, a) for a in (dist, wn, vn))
         terms = np.zeros((B, 2 * K + 1))
         runs = _length_runs(k)
@@ -946,37 +927,25 @@ class _Objective:
         for L, run in runs:                     # back in time order, 0 past a row's own
             terms[run, 1:2 * L:2] = w_age[run, K - L:]
             terms[run, 2:2 * L + 1:2] = v_age[run, K - L:]
-        alone |= ~(terms >= 0.0).all(axis=1)
-        return terms, alone
+        if (terms < 0.0).any():
+            raise DomainError(f"cost terms must be nonnegative, got {terms[terms < 0.0][0]}")
+        terms[rejected | np.isnan(terms).any(axis=1)] = math.inf
+        return terms
 
 
 class _Batch:
     """The candidate rows Z that one pair asked for in a pass, and what its
     engine reads of them: their cost ``terms``, the derived ``rows`` and
-    their ``scores``, from ``derive(objective, terms, lengths, stage)``, and
-    the ``errors`` of the rows whose evaluation alone raises.  A pair reads
-    its rows in the order the one-candidate algorithm evaluates them, and
-    reading a failing row raises its error.  The arrays are views of the
-    pass."""
+    their ``scores``, from ``derive(objective, terms, lengths, stage)``.  A
+    rejected candidate scores +inf.  The arrays are views of the pass."""
 
-    def __init__(self, Z: np.ndarray, terms: np.ndarray, rows: np.ndarray, scores: np.ndarray,
-                 errors: dict):
-        self.Z, self.terms, self.rows, self.scores, self.errors = Z, terms, rows, scores, errors
-
-    def read(self, n: int):
-        """Reads rows 0..n-1: raises the error of the first failing one."""
-        first = min(self.errors, default=n)
-        if first < n:
-            raise self.errors[first]
+    def __init__(self, Z: np.ndarray, terms: np.ndarray, rows: np.ndarray, scores: np.ndarray):
+        self.Z, self.terms, self.rows, self.scores = Z, terms, rows, scores
 
     def first_below(self, bound: float) -> Optional[int]:
-        """The first row that scores below bound, or None; the rows up to it
-        are read, and the rows after it are not."""
-        hit = self.scores < bound
-        j = int(np.argmax(hit))
-        found = bool(hit[j])
-        self.read(j + 1 if found else len(hit))
-        return j if found else None
+        """The first row that scores below bound, or None."""
+        hit = np.flatnonzero(self.scores < bound)
+        return int(hit[0]) if len(hit) else None
 
 
 def _evaluate_pass(objective: _Objective, derive, asks) -> List[_Batch]:
@@ -996,7 +965,7 @@ def _evaluate_pass(objective: _Objective, derive, asks) -> List[_Batch]:
     for L, run in _length_runs(np.array(lengths)):
         Z[spans[run.start].start:spans[run.stop - 1].stop, :objective.dim_of(L)] = \
             np.concatenate([z for z, _, _ in asks[run]])
-    terms, errors = objective.evaluate(Z, np.repeat([w for _, w, _ in asks], sizes))
+    terms = objective.evaluate(Z, np.repeat([w for _, w, _ in asks], sizes))
     lens = np.repeat(lengths, sizes)
     stages = list(dict.fromkeys(stage for _, _, stage in asks))
     stage_of = np.repeat([stages.index(stage) for _, _, stage in asks], sizes)
@@ -1005,8 +974,7 @@ def _evaluate_pass(objective: _Objective, derive, asks) -> List[_Batch]:
         for s, stage in enumerate(stages):
             sel = np.flatnonzero(stage_of == s) if len(stages) > 1 else slice(None)
             rows[sel], scores[sel] = derive(objective, terms[sel], lens[sel], stage)
-    return [_Batch(z, terms[span, :2 * L + 1], rows[span, :2 * L + 1], scores[span],
-                   {b - span.start: e for b, e in errors.items() if span.start <= b < span.stop})
+    return [_Batch(z, terms[span, :2 * L + 1], rows[span, :2 * L + 1], scores[span])
             for span, L, (z, _, _) in zip(spans, lengths, asks)]
 
 
@@ -1018,15 +986,10 @@ def _lockstep(objective: _Objective, derive, pairs) -> list:
     ``(Z, window, stage)`` -- a Gauss-Newton point with its Jacobian
     points, or a line search's halvings, or the rest of a compass sweep --
     and is sent them back as a :class:`_Batch`.  Each tick evaluates the
-    rows of every live pair in one objective pass (:func:`_evaluate_pass`).
-    A pair leaves when it returns, or when a read raises the error that a
-    row's evaluation alone raised in the pass; once every pair has left,
-    the first pair in the order given that raised makes the whole group
-    raise, which is what solving the pairs one after another would have
-    raised.
+    rows of every live pair in one objective pass (:func:`_evaluate_pass`),
+    and a pair leaves when it returns; a pass that raises ends the group.
     """
-    out, errors = [None] * len(pairs), {}
-    sent = dict.fromkeys(range(len(pairs)))
+    out, sent = [None] * len(pairs), dict.fromkeys(range(len(pairs)))
     while sent:
         asks = {}
         for p, batch in sent.items():
@@ -1034,13 +997,9 @@ def _lockstep(objective: _Objective, derive, pairs) -> list:
                 asks[p] = pairs[p].send(batch)
             except StopIteration as stop:
                 out[p] = stop.value
-            except Exception as exc:
-                errors[p] = exc
         if not asks:
             break
         sent = dict(zip(asks, _evaluate_pass(objective, derive, list(asks.values()))))
-    if errors:
-        raise errors[min(errors)]
     return out
 
 
@@ -1101,7 +1060,6 @@ def _compass_pair(objective: _Objective, window: int, z0: np.ndarray, cfg: Solve
     signs = np.tile([1.0, -1.0], dim)
     z, iters = z0.copy(), 0
     batch = yield z[None, :], window, None
-    batch.read(1)
     best = batch.scores[0]
     step = np.maximum(0.25, 0.1 * np.abs(z))
     for _ in range(cfg.max_iter):
@@ -1178,26 +1136,28 @@ def _gauss_newton_pair(objective: _Objective, window: int, z: np.ndarray, cfg: S
     iteration reads when that step is accepted, and only when it is not,
     for the 24 halvings 1/2, ..., 2**-24.  The first step length whose
     squared residual is below the current one is accepted; a stage ends
-    when none is, when ``lstsq`` fails, when the accepted step is shorter
-    than ``cfg.tol`` or after ``cfg.max_iter`` iterations.
+    when none is, when the Jacobian is not finite (a rejected point or
+    Jacobian point) or ``lstsq`` fails, when the accepted step is shorter
+    than ``cfg.tol`` or after ``cfg.max_iter`` iterations.  A pair that
+    ends on a rejected point returns cost +inf.
     """
-    dim = objective.dim_of(int(objective.rows.k[window]))
     iters = 0
     for power in (1.0,) if objective.rows.cost.mode is PlusMode.SUM else (2.0, 8.0):
         batch = None
         for _ in range(cfg.max_iter):
             if batch is None:
                 batch = yield _with_probes(z), window, power
-            batch.read(dim + 1)     # z, then each Jacobian point
             r, f0, at = batch.rows[0], batch.scores[0], batch.terms[0]
-            jac = ((batch.rows[1:] - r) / _fd_steps(z)[:, None]).T
+            with np.errstate(over="ignore", invalid="ignore"):
+                jac = ((batch.rows[1:] - r) / _fd_steps(z)[:, None]).T
+            if not np.isfinite(jac).all():
+                break
             try:
                 step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
             except np.linalg.LinAlgError:
                 break
             iters += 1
             batch = yield _with_probes(z + step), window, power
-            batch.read(1)
             if batch.scores[0] < f0 - 1e-300:
                 z, at, alpha = batch.Z[0], batch.terms[0], 1.0
             else:       # the halvings, without Jacobian points

@@ -81,16 +81,16 @@ class SystemModel:
 
     ``f_nominal``/``h_nominal`` are the noise-free maps, and the plant is
     additive in its disturbances: :meth:`f` and :meth:`h` add w and v to
-    them.  ``f_image`` and ``f_solve`` (scalar plants only) give the exact
-    interval image of f_nominal and a point solving f_nominal(x) = c on an
-    interval, elementwise over arrays.
+    them.  So the noise sizes are derived, not declared:
+    ``process_noise_dim`` is ``state_dim`` and ``meas_noise_dim`` is
+    ``output_dim``.  ``f_image`` and ``f_solve`` (scalar plants only) give
+    the exact interval image of f_nominal and a point solving f_nominal(x)
+    = c on an interval, elementwise over arrays.
     """
 
     name: str
     state_dim: int
     input_dim: int
-    process_noise_dim: int
-    meas_noise_dim: int
     output_dim: int
     f_nominal: Callable
     h_nominal: Callable
@@ -105,9 +105,16 @@ class SystemModel:
         return self.h_nominal(x, u) + np.asarray(v, dtype=float)
 
     @property
+    def process_noise_dim(self) -> int:
+        return self.state_dim
+
+    @property
+    def meas_noise_dim(self) -> int:
+        return self.output_dim
+
+    @property
     def is_scalar(self) -> bool:
-        return (self.state_dim == 1 and self.process_noise_dim == 1
-                and self.meas_noise_dim == 1 and self.output_dim == 1)
+        return self.state_dim == 1 and self.output_dim == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,7 +353,7 @@ def _linear_scalar(name: str, a: float) -> SystemModel:
     def f_solve(c, lo, hi, u):
         return clamp(c / a, lo, hi)
 
-    return SystemModel(name, 1, 1, 1, 1, 1, f_nominal, h_nominal, f_image=f_image,
+    return SystemModel(name, 1, 1, 1, f_nominal, h_nominal, f_image=f_image,
                        f_solve=f_solve, linear_a=a)
 
 
@@ -409,7 +416,7 @@ def _make_s3() -> SystemModel:
     def h_nominal(x, u):
         return x
 
-    return SystemModel("s3", 1, 1, 1, 1, 1, f_nominal, h_nominal, f_image=_sin_half_image,
+    return SystemModel("s3", 1, 1, 1, f_nominal, h_nominal, f_image=_sin_half_image,
                        f_solve=_sin_half_solve)
 
 
@@ -426,7 +433,7 @@ def _make_s4() -> SystemModel:
         x = np.asarray(x, dtype=float)
         return np.stack([x[..., 0] + 0.5 * x[..., 1]], axis=-1)
 
-    return SystemModel("s4", 2, 1, 2, 1, 1, f_nominal, h_nominal)
+    return SystemModel("s4", 2, 1, 1, f_nominal, h_nominal)
 
 
 def builtin_model(name: str) -> SystemModel:

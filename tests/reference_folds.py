@@ -343,34 +343,48 @@ def bar_bound_checks(hat_family, K0, K_max, bounds, r_grid=None, t_max=12):
 def generic_objective(problem, z):
     """The cost terms of one decision vector z = (chi0, omega):
     [beta_hat(|chi0 - prior|, K), gamma_hat(|omega_0|, K), delta_hat(|nu_0|,
-    K), gamma_hat(|omega_1|, K - 1), ...], with nu read off the outputs."""
+    K), gamma_hat(|omega_1|, K - 1), ...], with nu read off the outputs.  A
+    rejected candidate, one with a NaN distance, norm or term, has NaN
+    terms; a negative term raises."""
     model, cost, K = problem.model, problem.cost, problem.horizon
     n, q = model.state_dim, model.process_noise_dim
     chi0 = z[:n]
     omega = z[n:n + K * q].reshape(K, q)
     xs = np.empty((K, n))
     x = chi0
-    for j in range(K):             # one candidate rolled forward alone
-        xs[j] = x
-        x = np.atleast_1d(model.f(x, problem.u_win[j], omega[j]))
-    nu = np.array([problem.y_win[j] - np.atleast_1d(model.h_nominal(xs[j], problem.u_win[j]))
-                   for j in range(K)])
-    terms = [cost.beta_hat(float(np.linalg.norm(chi0 - problem.prior)), K)]
-    for j in range(K):
-        age = K - j
-        terms.append(cost.gamma_hat(float(np.linalg.norm(omega[j])), age))
-        terms.append(cost.delta_hat(float(np.linalg.norm(nu[j])), age))
+    rejected = np.full(2 * K + 1, math.nan)
+    with np.errstate(all="ignore"):
+        for j in range(K):             # one candidate rolled forward alone
+            xs[j] = x
+            x = np.atleast_1d(model.f(x, problem.u_win[j], omega[j]))
+        nu = np.array([problem.y_win[j] - np.atleast_1d(model.h_nominal(xs[j], problem.u_win[j]))
+                       for j in range(K)])
+        dist = float(np.linalg.norm(chi0 - problem.prior))
+        norms = [(float(np.linalg.norm(omega[j])), float(np.linalg.norm(nu[j])))
+                 for j in range(K)]
+        if math.isnan(dist) or any(math.isnan(a) or math.isnan(b) for a, b in norms):
+            return rejected
+        terms = [cost.beta_hat(dist, K)]
+        for j, (wn, vn) in enumerate(norms):
+            age = K - j
+            terms.append(cost.gamma_hat(wn, age))
+            terms.append(cost.delta_hat(vn, age))
     terms = np.array(terms)
-    plus_reduce(cost.mode, terms)      # raises on NaN terms, as the engines did
+    if np.isnan(terms).any():
+        return rejected
+    plus_reduce(cost.mode, terms)      # raises on a negative term
     return terms
 
 
 def _generic_value(problem, z):
-    return plus_reduce(problem.cost.mode, generic_objective(problem, z))
+    """The objective value of z, +inf for a rejected candidate."""
+    terms = generic_objective(problem, z)
+    return math.inf if np.isnan(terms).any() else plus_reduce(problem.cost.mode, terms)
 
 
 def _generic_residual(problem, z, power):
-    return np.sqrt(np.power(generic_objective(problem, z) + 1e-12, power))
+    with np.errstate(all="ignore"):
+        return np.sqrt(np.power(generic_objective(problem, z) + 1e-12, power))
 
 
 def _gauss_newton_one(problem, z, powers, cfg):
@@ -384,7 +398,10 @@ def _gauss_newton_one(problem, z, powers, cfg):
             for i in range(dim):
                 probe = z.copy()
                 probe[i] += h[i]
-                jac[:, i] = (_generic_residual(problem, probe, power) - r) / h[i]
+                with np.errstate(all="ignore"):
+                    jac[:, i] = (_generic_residual(problem, probe, power) - r) / h[i]
+            if not np.isfinite(jac).all():
+                break
             try:
                 step = np.linalg.lstsq(jac, -r, rcond=None)[0]
             except np.linalg.LinAlgError:

@@ -488,15 +488,17 @@ def _failing_at_a_later_step(case):
         y, x0, u = _stack("s1", 10)
         y[3, 6] = 1e308
         return builtin_model("s1"), _cost("s1"), y, u, 4, SolverConfig(), 7
-    # states below -5 make the edge plant NaN, and a NaN cost term raises
+    # an output of 1e150 makes the refusing gain raise on every candidate of
+    # each window that reads it
     model, T = _edge_plant(), 9
     u = np.zeros((T, 1))
     y = np.stack([simulate(model, [x0], u, np.full((T, 1), 0.05), np.full((T, 1), -0.05), T).y
                   for x0 in (0.5, -1.0)])
-    y[1, 4] = -20.0
+    y[1, 4] = 1e150
+    cube = RefusingCube()
     method = "gauss_newton_penalty" if case == "generic-gn" else "multistart_local"
     solver = SolverConfig(method=method, multistart=2, max_iter=10)
-    return model, _generic_cost("s1", PlusMode.SUM), y, u, 3, solver, 6
+    return model, CostSpec(PlusMode.MAX, cube, cube, cube), y, u, 3, solver, 5
 
 
 @pytest.mark.parametrize("case", ["infeasible", "generic-gn", "generic-compass"])
@@ -512,7 +514,7 @@ def test_a_step_failing_inside_a_group_raises_what_the_step_loop_raises(case, mo
         sizes = _group_sizes(monkeypatch)
         with pytest.raises(Exception) as raised:
             run_mhe(model, cost, [0.5], u, y, K, solver)
-    assert expected.type in (InfeasibleWindowError, DomainError)
+    assert expected.type in (InfeasibleWindowError, Refused)
     assert (raised.type, str(raised.value)) == (expected.type, str(expected.value))
     # the growing windows went as one group; the group of steps K + 1 .. 2K
     # raised, then its steps went one by one up to the failing one
@@ -534,7 +536,7 @@ def test_a_failing_step_in_a_ragged_group_raises_its_own_error(case, monkeypatch
         sizes = _group_sizes(monkeypatch)
         with pytest.raises(Exception) as raised:
             run_fie(model, cost, [0.5], u, y, solver)
-    assert expected.type in (InfeasibleWindowError, DomainError)
+    assert expected.type in (InfeasibleWindowError, Refused)
     assert (raised.type, str(raised.value)) == (expected.type, str(expected.value))
     assert sizes == [T * C] + [C] * s
 
@@ -616,24 +618,63 @@ def _generic_windows(plant, mode, K, key, offsets=(0.3, -0.6, 1.2), lengths=None
     return problems
 
 
+def _edge_plant():
+    # 0 * log(x + 5) is NaN below x = -5: a candidate state there makes its
+    # row NaN, so the engines reject it
+    def f_nominal(x, u):
+        return 0.5 * x + 0.0 * np.log(x + 5.0)
+
+    return SystemModel("edge", 1, 1, 1, f_nominal, lambda x, u: x)
+
+
+def _edge_windows(mode=PlusMode.SUM):
+    """Three windows of the edge plant; the search of the second one
+    reaches states below -5."""
+    model, cost = _edge_plant(), _generic_cost("s1", mode)
+    u = np.zeros((3, 1))
+    problems = []
+    for x0, offset in ((-1.0, 0.5), (-4.9, 1.5), (0.5, -0.3)):
+        sol = simulate(model, [x0], u, np.full((3, 1), 0.05), np.full((3, 1), -0.05), 3)
+        problems.append(EstimationProblem(model, cost, [x0 + offset], u, sol.y, 3))
+    return problems
+
+
+def _generic_group(case):
+    """The windows of a case: a ragged group of lengths K - 2, K - 1 and K
+    of a built-in plant, or the three edge windows."""
+    plant, mode = case.split("-")
+    mode = PlusMode(mode)
+    if plant == "edge":
+        return _edge_windows(mode)
+    K = 4 if plant == "s3" else 3
+    return _generic_windows(plant, mode, K, 7, lengths=(K - 2, K - 1, K))
+
+
+REJECTING = {"edge-sum-gn", "edge-sum-compass", "edge-max-compass"}
+
+
 @pytest.mark.parametrize("tag", ["gn", "compass"])
-@pytest.mark.parametrize("plant,mode,K", [("s3", PlusMode.SUM, 4), ("s4", PlusMode.MAX, 3),
-                                          ("s4", PlusMode.SUM, 3)],
-                         ids=["s3-sum", "s4-max", "s4-sum"])
-def test_every_generic_row_is_its_window_solved_alone(plant, mode, K, tag, monkeypatch):
-    # one ragged group holds windows of lengths K - 2, K - 1 and K
-    problems = _generic_windows(plant, mode, K, 7, lengths=(K - 2, K - 1, K))
+@pytest.mark.parametrize("case", ["s3-sum", "s4-max", "s4-sum", "edge-sum", "edge-max"])
+def test_every_generic_row_is_its_window_solved_alone(case, tag, monkeypatch):
+    problems = _generic_group(case)
+    K = problems[-1].horizon
     solver = SolverConfig(method=GENERIC_METHODS[tag], multistart=3, max_iter=25)
     engine = GENERIC_ENGINES[tag]
-    pairs = []
-    real = E._lockstep
+    pairs, rejected = [], []
+    real, evaluate = E._lockstep, E._Objective.evaluate
 
     def recorded(objective, derive, gens):
         ends = real(objective, derive, gens)
         pairs.append([iters for _, _, iters in ends])
         return ends
 
+    def counted(objective, Z, owner):
+        terms = evaluate(objective, Z, owner)
+        rejected.append(int(np.isposinf(terms).all(axis=1).sum()))
+        return terms
+
     monkeypatch.setattr(E, "_lockstep", recorded)
+    monkeypatch.setattr(E._Objective, "evaluate", counted)
     # the group's outputs padded with NaN, which no row reads
     y = np.full((len(problems), K, problems[0].model.output_dim), np.nan)
     for i, p in enumerate(problems):
@@ -649,74 +690,55 @@ def test_every_generic_row_is_its_window_solved_alone(plant, mode, K, tag, monke
     assert len(pairs[0]) == len(problems) * solver.multistart
     assert len(set(pairs[0])) > 1
     assert pairs[0] == [i for run in pairs[1:] for i in run]
+    # the searches of the edge group reject candidates, but for Gauss-Newton
+    # in max mode, whose iterates stay above -5; the others have none to reject
+    assert (sum(rejected) > 0) == (f"{case}-{tag}" in REJECTING)
     for problem, row, one in zip(problems, group, alone):
+        assert math.isfinite(row.cost)
         assert _snapshot(row) == _snapshot(one) == _snapshot(generic_window(problem, solver))
-
-
-def _edge_plant():
-    # 0 * log(x + 5) is NaN below x = -5: a candidate state there makes its
-    # row NaN, so evaluating it alone raises
-    def f_nominal(x, u):
-        return 0.5 * x + 0.0 * np.log(x + 5.0)
-
-    return SystemModel("edge", 1, 1, 1, 1, 1, f_nominal, lambda x, u: x)
-
-
-def _edge_windows():
-    """Three windows of the edge plant; the second one's search reaches a
-    state below -5, so solving it raises."""
-    model, cost = _edge_plant(), _generic_cost("s1", PlusMode.SUM)
-    u = np.zeros((3, 1))
-    problems = []
-    for x0, offset in ((-1.0, 0.5), (-4.9, 1.5), (0.5, -0.3)):
-        sol = simulate(model, [x0], u, np.full((3, 1), 0.05), np.full((3, 1), -0.05), 3)
-        problems.append(EstimationProblem(model, cost, [x0 + offset], u, sol.y, 3))
-    return problems
-
-
-@pytest.mark.parametrize("tag", ["gn", "compass"])
-def test_a_masked_row_that_is_read_fails_its_group(tag, monkeypatch):
-    problems = _edge_windows()
-    solver = SolverConfig(method=GENERIC_METHODS[tag], multistart=2, max_iter=30)
-    engine = GENERIC_ENGINES[tag]
-    errors = []
-    real = E._Objective.evaluate
-
-    def recorded(objective, Z, owner):
-        out = real(objective, Z, owner)
-        errors.append(len(out[1]))
-        return out
-
-    monkeypatch.setattr(E._Objective, "evaluate", recorded)
-    with np.errstate(invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        fine = [engine(E._Rows.of([p]), solver).cell(0) for p in (problems[0], problems[2])]
-        assert sum(errors) == 0
-        with pytest.raises(DomainError):
-            generic_window(problems[1], solver)
-        with pytest.raises(DomainError):
-            engine(E._Rows.of([problems[1]]), solver)
-        assert sum(errors) > 0
-        with pytest.raises(DomainError):
-            engine(E._Rows.of(problems), solver)
-    for problem, one in zip((problems[0], problems[2]), fine):
-        assert _snapshot(one) == _snapshot(generic_window(problem, solver))
 
 
 @pytest.mark.parametrize("tag", ["gn", "compass"])
 def test_reading_a_failing_row_prints_no_warning(tag):
-    # the failing row is evaluated alone under the pass's error state, so
-    # with warnings as errors the read still raises the row's own error
+    # the edge window whose search reaches states below -5 solves with
+    # numpy's warnings raised as errors: its rejected rows print nothing
     solver = SolverConfig(method=GENERIC_METHODS[tag], multistart=2, max_iter=30)
+    problem = _edge_windows()[1]
     with np.errstate(all="warn"), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DomainError, match="KL first argument must be nonnegative, got nan"):
-            GENERIC_ENGINES[tag](E._Rows.of([_edge_windows()[1]]), solver)
+        one = GENERIC_ENGINES[tag](E._Rows.of([problem]), solver).cell(0)
+    assert math.isfinite(one.cost)
+    assert _snapshot(one) == _snapshot(generic_window(problem, solver))
+
+
+@pytest.mark.parametrize("tag", ["gn", "compass"])
+@pytest.mark.parametrize("mode", [PlusMode.SUM, PlusMode.MAX], ids=["sum", "max"])
+def test_a_window_whose_starts_all_end_rejected_has_no_finite_cost(mode, tag, monkeypatch):
+    # the prior and the outputs lie below -5, so every start is rejected and
+    # no pair leaves it: each returns +inf, and the window's cost is NaN,
+    # which a run reports as a non-finite step
+    problem = EstimationProblem(_edge_plant(), _generic_cost("s1", mode), [-6.0],
+                                np.zeros((3, 1)), np.full((3, 1), -6.0), 3)
+    solver = SolverConfig(method=GENERIC_METHODS[tag], multistart=2, max_iter=25)
+    ends = []
+    real = E._lockstep
+
+    def recorded(objective, derive, gens):
+        ends.extend(real(objective, derive, gens))
+        return ends
+
+    monkeypatch.setattr(E, "_lockstep", recorded)
+    with np.errstate(invalid="ignore"):     # the starts and the returned rollout are NaN
+        one = GENERIC_ENGINES[tag](E._Rows.of([problem]), solver).cell(0)
+        expected = generic_window(problem, solver)
+    assert [cost for cost, _, _ in ends] == [math.inf, math.inf]
+    assert math.isnan(one.cost)
+    assert _snapshot(one) == _snapshot(expected)
 
 
 def test_the_first_window_that_raises_decides_what_its_group_raises():
-    # the gain raises Refused on a huge distance, and an edge state makes a
-    # NaN term, which raises DomainError
+    # the gain raises Refused on a huge distance, for the whole group, and
+    # an edge state is rejected, which raises nothing
     model = _edge_plant()
     cube = RefusingCube()
     cost = CostSpec(PlusMode.MAX, cube, cube, cube)
@@ -726,15 +748,15 @@ def test_the_first_window_that_raises_decides_what_its_group_raises():
     huge = EstimationProblem(model, cost, [1e150], u, y, 2)
     edge = EstimationProblem(model, cost, [-4.99], u, np.array([[-4.9], [-2.5]]), 2)
     solver = SolverConfig(method="multistart_local", multistart=2, max_iter=30)
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for problem, error in ((huge, Refused), (edge, DomainError)):
-            with pytest.raises(error):
-                generic_window(problem, solver)
-        with pytest.raises(Refused):
-            E._solve_multistart_local(E._Rows.of([fine, huge, edge]), solver)
-        with pytest.raises(DomainError):
-            E._solve_multistart_local(E._Rows.of([fine, edge, huge]), solver)
+    with pytest.raises(Refused) as alone:
+        generic_window(huge, solver)
+    for problems in ([fine, huge, edge], [fine, edge, huge]):
+        with pytest.raises(Refused) as raised:
+            E._solve_multistart_local(E._Rows.of(problems), solver)
+        assert str(raised.value) == str(alone.value)
+    solved = E._solve_multistart_local(E._Rows.of([fine, edge]), solver)
+    for i, problem in enumerate((fine, edge)):
+        assert _snapshot(solved.cell(i)) == _snapshot(generic_window(problem, solver))
 
 
 # ---------------------------------------------------------------------------

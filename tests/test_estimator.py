@@ -355,6 +355,17 @@ def test_a_fie_run_asks_each_gain_for_a_slope_once_per_age():
         assert set(gain.asked.values()) == {1}, name
 
 
+def _per_level_width(fn, level, age):
+    """The halfwidth of one level by inversion, as a row that is not linear
+    takes it."""
+    if level <= 0.0:
+        return 0.0
+    try:
+        return min(fn.r_inverse(level, age), E.WIDTH_CAP)
+    except CapabilityError:
+        return E.WIDTH_CAP
+
+
 def test_width_table_of_subnormal_and_zero_slopes_is_the_per_level_inverse():
     # s1 max beta_hat's slopes are subnormal at ages 1070-1074 and 0 from 1075 on
     beta_hat = _cost("s1", PlusMode.MAX).beta_hat
@@ -366,15 +377,24 @@ def test_width_table_of_subnormal_and_zero_slopes_is_the_per_level_inverse():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = E._WidthTable(beta_hat, lengths, True).widths(levels, lengths, lengths)
-
-    def per_level(level, age):
-        try:
-            return min(beta_hat.r_inverse(level, age), E.WIDTH_CAP)
-        except CapabilityError:
-            return E.WIDTH_CAP
-
-    assert got.tolist() == [[per_level(lev, int(L)) for lev in row]
+    assert got.tolist() == [[_per_level_width(beta_hat, lev, int(L)) for lev in row]
                             for row, L in zip(levels.tolist(), lengths)]
+
+
+def test_the_width_table_is_0_at_level_0():
+    # s1 max beta_hat's slopes are so small at some of these lengths that
+    # their inverse is inf, and inf times level 0 is NaN
+    beta_hat = _cost("s1", PlusMode.MAX).beta_hat
+    lengths = np.arange(1060, 1081)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / slope_table(beta_hat, 1080)[lengths]
+    assert np.isinf(inv[lengths < 1075]).any()
+    levels = np.tile([0.0, 1.0], (len(lengths), 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = E._WidthTable(beta_hat, lengths, True).widths(levels, lengths, lengths)
+    assert got[:, 0].tolist() == [0.0] * len(lengths)
+    assert got[:, 1].tolist() == [_per_level_width(beta_hat, 1.0, int(L)) for L in lengths]
 
 
 def test_run_mhe_equals_fie_for_long_horizon():

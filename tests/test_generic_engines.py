@@ -121,8 +121,7 @@ def test_batched_rows_equal_the_scalar_fold(plant, mode, K, key, data):
     Z = np.array(data.draw(st.lists(st.lists(_finite, min_size=objective.dim,
                                              max_size=objective.dim),
                                     min_size=B, max_size=B)), dtype=float).reshape(B, -1)
-    terms, errors = objective.evaluate(Z, np.zeros(B, dtype=int))
-    assert not errors
+    terms = objective.evaluate(Z, np.zeros(B, dtype=int))
     _, values = E._compass_derive(objective, terms, None, None)
     for b in range(B):
         ref_terms = generic_objective(problem, Z[b])
@@ -151,7 +150,7 @@ def test_plant_maps_accept_a_batch_axis(plant):
 
 
 # ---------------------------------------------------------------------------
-# Rows the one-candidate algorithm would not evaluate stay invisible
+# Rejected candidates, and gains that raise
 # ---------------------------------------------------------------------------
 
 def _one_batch(objective, Z, derive, stage):
@@ -159,28 +158,24 @@ def _one_batch(objective, Z, derive, stage):
     return E._evaluate_pass(objective, derive, [(Z, 0, stage)])[0]
 
 
-def test_non_finite_rows_are_flagged_and_raise_only_when_read():
-    problem = _window("s3", PlusMode.SUM, 3, 1)
+@pytest.mark.parametrize("mode", [PlusMode.SUM, PlusMode.MAX], ids=["sum", "max"])
+def test_a_rejected_row_scores_inf_and_is_never_accepted(mode):
+    problem = _window("s3", mode, 3, 1)
     objective = E._Objective(E._Rows.of([problem]))
     good = np.linspace(-0.4, 0.4, objective.dim)
     nan_row = good.copy()
     nan_row[1] = math.inf           # sin(inf) makes every later state NaN
     inf_row = good.copy()
     inf_row[-1] = 1e308             # the last disturbance only overflows its cost term
-    Z = np.array([good, nan_row, inf_row])
-    terms, errors = objective.evaluate(Z, np.zeros(3, dtype=int))
-    assert list(errors) == [1] and isinstance(errors[1], DomainError)
-    ref_terms = generic_objective(problem, good)
-    assert terms[0].tolist() == ref_terms.tolist()
-    with np.errstate(all="ignore"), pytest.raises(DomainError) as alone:
-        generic_objective(problem, nan_row)
-    assert str(errors[1]) == str(alone.value)
-    batch = _one_batch(objective, Z, E._compass_derive, None)
-    batch.read(1)
-    assert batch.scores[0] == plus_reduce(PlusMode.SUM, ref_terms)
-    assert batch.scores[2] == math.inf
-    with pytest.raises(DomainError):
-        batch.read(2)
+    Z = np.array([nan_row, inf_row, good])
+    terms = objective.evaluate(Z, np.zeros(3, dtype=int))
+    assert np.isnan(generic_objective(problem, nan_row)).all()     # the reference rejects it
+    assert (terms[0] == math.inf).all()
+    assert terms[2].tolist() == generic_objective(problem, good).tolist()
+    for derive, stage in ((E._compass_derive, None), (E._gauss_newton_derive, 2.0)):
+        batch = _one_batch(objective, Z, derive, stage)
+        assert batch.scores[0] == batch.scores[1] == math.inf
+        assert batch.first_below(math.inf) == 2
 
 
 class Refused(Exception):
@@ -200,9 +195,8 @@ class RefusingCube(KLFn):
         return self.cube._eval(r, s)
 
 
-def test_a_gain_that_fails_on_the_batch_defers_to_the_rows():
-    # the gain raises on a huge distance; the batch then reads each row
-    # alone, so only that row raises
+def test_a_gain_that_fails_on_a_pass_raises_its_own_error():
+    # the gain raises on a huge distance, for the whole pass
     problem = _window("s3", PlusMode.MAX, 2, 1)
     cube = RefusingCube()
     problem = EstimationProblem(problem.model, CostSpec(PlusMode.MAX, cube, cube, cube),
@@ -210,12 +204,33 @@ def test_a_gain_that_fails_on_the_batch_defers_to_the_rows():
     objective = E._Objective(E._Rows.of([problem]))
     good = np.array([0.1, 0.2, -0.1])
     huge = np.array([1e150, 0.0, 0.0])
-    terms, errors = objective.evaluate(np.array([good, huge]), np.zeros(2, dtype=int))
-    assert list(errors) == [1] and isinstance(errors[1], Refused)
-    ref_terms = generic_objective(problem, good)
-    assert terms[0].tolist() == ref_terms.tolist()
-    with pytest.raises(Refused):
+    with pytest.raises(Refused) as raised:
+        objective.evaluate(np.array([good, huge]), np.zeros(2, dtype=int))
+    with pytest.raises(Refused) as alone:
         generic_objective(problem, huge)
+    assert str(raised.value) == str(alone.value)
+    terms = objective.evaluate(good[None, :], np.zeros(1, dtype=int))
+    assert terms[0].tolist() == generic_objective(problem, good).tolist()
+
+
+class NegatedCube(KLFn):
+    """A broken gain: minus ``SeparableGeometric(1, 3, 0.5)``."""
+
+    def _eval(self, r, s):
+        return -RefusingCube.cube._eval(r, s)
+
+
+def test_a_negative_term_is_a_domain_error_not_a_rejection():
+    problem = _window("s3", PlusMode.MAX, 2, 1)
+    cube = NegatedCube()
+    problem = EstimationProblem(problem.model, CostSpec(PlusMode.MAX, cube, cube, cube),
+                                problem.prior, problem.u_win, problem.y_win, 2)
+    objective = E._Objective(E._Rows.of([problem]))
+    good = np.array([0.1, 0.2, -0.1])
+    with pytest.raises(DomainError, match="cost terms must be nonnegative"):
+        objective.evaluate(good[None, :], np.zeros(1, dtype=int))
+    with pytest.raises(DomainError, match="nonnegative values"):
+        generic_objective(problem, good)
 
 
 def _reference_line_search(problem, z, step, f0, power):
@@ -243,15 +258,13 @@ def test_far_line_search_candidates_that_go_non_finite_change_nothing():
     z = np.full(objective.dim, 1e100)
     step = -2.0 * z
     start = _one_batch(objective, z[None, :], derive, stage)
-    start.read(1)
     f0 = float(start.rows[0] @ start.rows[0])
     assert f0 == math.inf
     far = _one_batch(objective, z + np.array([[0.25], [2.0 ** -24]]) * step, derive, stage)
-    assert not far.errors and not np.isfinite(far.rows).any()
+    assert not np.isfinite(far.rows).any()
     with np.errstate(all="ignore"):
         expected = _reference_line_search(problem, z, step, f0, 8.0)
     ahead = _one_batch(objective, E._with_probes(z + step), derive, stage)
-    ahead.read(1)
     assert ahead.scores[0] == math.inf            # step length 1 is rejected
     batch = _one_batch(objective, z + E._HALVINGS[:, None] * step, derive, stage)
     j = batch.first_below(f0 - 1e-300)
